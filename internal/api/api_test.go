@@ -3,6 +3,7 @@ package api_test
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"medshare/internal/api"
 	"medshare/internal/bx"
+	"medshare/internal/chain"
 	"medshare/internal/consensus"
 	"medshare/internal/contract"
 	"medshare/internal/contract/sharereg"
@@ -360,6 +362,53 @@ func TestReadyzFlipsDuringResync(t *testing.T) {
 	}
 	if !strings.Contains(m, "medshare_api_not_ready_total 1") {
 		t.Fatalf("not-ready probe not counted:\n%s", grepLines(m, "not_ready"))
+	}
+}
+
+// TestReadyzReportsPoisonedNode: fork choice switching onto a branch
+// whose declared state root does not reproduce leaves the node without a
+// state for its head; /readyz must turn not-ready and say why.
+func TestReadyzReportsPoisonedNode(t *testing.T) {
+	h := newHarness(t, 0)
+	h.registerShare(t)
+	if err := h.client.Readyz(h.ctx); err != nil {
+		t.Fatalf("ready before fault: %v", err)
+	}
+
+	// A branch of empty blocks from genesis, one longer than the main
+	// chain, whose first block declares a state root nothing produces.
+	id := h.node.Identity()
+	engine := consensus.NewPoA(false, id.Address())
+	parent := h.node.Store().Genesis()
+	for height := uint64(1); height <= h.node.Store().Height()+1 && h.node.Poisoned() == nil; height++ {
+		b := &chain.Block{Header: chain.Header{Height: height, PrevHash: parent.Hash(), TimestampMicro: int64(height)}}
+		b.Header.TxRoot = b.ComputeTxRoot()
+		b.Header.StateRoot[0] = 0xbd
+		if err := engine.Seal(h.ctx, b, id); err != nil {
+			t.Fatal(err)
+		}
+		_ = h.node.ReceiveBlock(b) // the block that wins fork choice reports the poisoning
+		parent = b
+	}
+
+	err := h.client.Readyz(h.ctx)
+	if err == nil {
+		t.Fatal("readyz reported ready on a poisoned node")
+	}
+	resp, herr := http.Get(h.ts.URL + "/readyz")
+	if herr != nil {
+		t.Fatal(herr)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Ready    bool   `json:"ready"`
+		Poisoned string `json:"poisoned"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || body.Ready || !strings.Contains(body.Poisoned, "state root mismatch") {
+		t.Fatalf("readyz = %d %+v, want 503 with the poisoning reason", resp.StatusCode, body)
 	}
 }
 

@@ -81,11 +81,15 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) error {
 		}
 	}
 	depth := s.peer.Stats().ShardQueueDepth
-	ready := len(lags) == 0 && depth <= s.cfg.MaxQueueDepth
+	poisoned := s.node.Poisoned()
+	ready := len(lags) == 0 && depth <= s.cfg.MaxQueueDepth && poisoned == nil
 	body := map[string]any{
 		"ready":      ready,
 		"queueDepth": depth,
 		"lagging":    lags,
+	}
+	if poisoned != nil {
+		body["poisoned"] = poisoned.Error()
 	}
 	if ready {
 		return writeJSON(w, body)

@@ -19,9 +19,6 @@ type Store struct {
 	// children maps a block hash to the hashes of its known children.
 	children map[merkle.Hash][]merkle.Hash
 	head     *Block
-	// persist, when set, observes every newly accepted block (called
-	// outside the lock, after Add succeeds).
-	persist func(*Block)
 }
 
 // NewStore creates a store seeded with the genesis block.
@@ -63,35 +60,11 @@ func (s *Store) Has(h merkle.Hash) bool {
 	return ok
 }
 
-// SetPersist registers a hook invoked (outside the store lock) for
-// every block newly accepted by Add — the single choke point through
-// which locally produced, gossiped, and synced blocks all pass.
-// Durable nodes register it after recovery so recovered blocks are not
-// re-appended to the log.
-func (s *Store) SetPersist(fn func(*Block)) {
-	s.mu.Lock()
-	s.persist = fn
-	s.mu.Unlock()
-}
-
 // Add inserts a block. The parent must already be known, the height must
 // be parent+1, and the block structure must verify. Add reports whether
 // the best head changed (callers then rebuild contract state if the new
 // head is not a simple extension).
 func (s *Store) Add(b *Block) (headChanged bool, err error) {
-	headChanged, err = s.add(b)
-	if err == nil {
-		s.mu.RLock()
-		fn := s.persist
-		s.mu.RUnlock()
-		if fn != nil {
-			fn(b)
-		}
-	}
-	return headChanged, err
-}
-
-func (s *Store) add(b *Block) (headChanged bool, err error) {
 	if err := b.VerifyStructure(); err != nil {
 		return false, err
 	}

@@ -15,6 +15,7 @@ import (
 	"medshare/internal/node"
 	"medshare/internal/p2p"
 	"medshare/internal/reldb"
+	"medshare/internal/store"
 	"medshare/internal/workload"
 )
 
@@ -35,7 +36,9 @@ func stressSchema(name string, cols int) reldb.Schema {
 	return workload.ManySharesSchema(name, cols)
 }
 
-func newStressHarness(t *testing.T, shares, rows int) *stressHarness {
+// newStressHarness builds the harness; tweak, when given, edits each
+// peer's Config before the peer is created.
+func newStressHarness(t *testing.T, shares, rows int, tweak ...func(name string, cfg *Config)) *stressHarness {
 	t.Helper()
 	nid := identity.MustNew("node")
 	n, err := node.New(node.Config{
@@ -67,10 +70,14 @@ func newStressHarness(t *testing.T, shares, rows int) *stressHarness {
 			tbl.MustInsert(row)
 		}
 		db.PutTable(tbl)
-		p, err := NewPeer(Config{
+		cfg := Config{
 			Identity: id, DB: db, Node: n,
 			Transport: mem.Endpoint(name), Directory: dir,
-		})
+		}
+		for _, fn := range tweak {
+			fn(name, &cfg)
+		}
+		p, err := NewPeer(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,6 +120,97 @@ func newStressHarness(t *testing.T, shares, rows int) *stressHarness {
 		h.shares = append(h.shares, id)
 	}
 	return h
+}
+
+// slowSyncFS gives every fsync a disk's latency, so concurrent store
+// commits queue on the store lock the way they do over a real directory.
+type slowSyncFS struct{ store.FS }
+
+func (f slowSyncFS) OpenAppend(name string) (store.File, error) {
+	file, err := f.FS.OpenAppend(name)
+	return slowSyncFile{file}, err
+}
+
+type slowSyncFile struct{ store.File }
+
+func (f slowSyncFile) Sync() error {
+	time.Sleep(300 * time.Microsecond)
+	return f.File.Sync()
+}
+
+// TestConcurrentAppliesPersistNewestSource: sixteen shares over one
+// source apply incoming updates concurrently on eight event shards, each
+// persisting the shared source table. Whatever order the store commits
+// land in, the last one must carry the newest source: a crash image
+// taken once the round is final has to reopen to the live source table.
+func TestConcurrentAppliesPersistNewestSource(t *testing.T) {
+	const (
+		shares = 16
+		rows   = 8
+		rounds = 50
+	)
+	ffs := store.NewFaultFS()
+	st, err := store.Open(store.Options{FS: slowSyncFS{ffs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	h := newStressHarness(t, shares, rows, func(name string, cfg *Config) {
+		if name == "hub" {
+			cfg.Store = st
+			cfg.EventShards = 8
+		}
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	for round := 1; round <= rounds; round++ {
+		var wg sync.WaitGroup
+		for i, p := range h.partners {
+			wg.Add(1)
+			go func(i int, p *Peer) {
+				defer wg.Done()
+				val := fmt.Sprintf("r%d-s%d", round, i)
+				err := p.UpdateSource("T", func(tbl *reldb.Table) error {
+					return tbl.Update(reldb.Row{reldb.I(int64(round % rows))},
+						map[string]reldb.Value{workload.ManyShareCol(i): reldb.S(val)})
+				})
+				if err != nil {
+					t.Errorf("round %d share %d: %v", round, i, err)
+					return
+				}
+				res, err := p.ProposeUpdate(ctx, h.shares[i])
+				if err == nil {
+					err = p.WaitFinal(ctx, h.shares[i], res.Seq)
+				}
+				if err != nil {
+					t.Errorf("round %d share %d: %v", round, i, err)
+				}
+			}(i, p)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		// Every ack follows its share's persist, so a final round is fully
+		// on disk.
+		live, err := h.hub.Source("T")
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := store.Open(store.Options{FS: ffs.SurvivorAt(ffs.TotalBytes(), store.CrashTorn)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := img.LoadTable("T")
+		img.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(live) {
+			t.Fatalf("round %d: the recovered source table is older than the live one", round)
+		}
+	}
 }
 
 // TestConcurrentPeerStress drives one hub peer from many goroutines at

@@ -7,17 +7,14 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"medshare/internal/bx"
+	"medshare/internal/chain"
 	"medshare/internal/contract"
 	"medshare/internal/contract/sharereg"
 	"medshare/internal/identity"
 	"medshare/internal/reldb"
 )
-
-// pollInterval paces WaitFinal and resync polling.
-const pollInterval = 5 * time.Millisecond
 
 // Incoming-event dispatch: shares are independent replicas, so events
 // for *different* shares may be handled concurrently — a hospital-scale
@@ -210,32 +207,53 @@ func (p *Peer) applyIncoming(ctx context.Context, shareID string, seq uint64, fr
 	if err != nil {
 		return err
 	}
-	if err := p.applyIncomingLocked(ctx, s, seq, from, payloadHash, cols); err != nil {
-		return err
-	}
-	// Step 6: cascade into overlapping shares over the same source. Runs
-	// after s.opMu is released: cascade proposes on *sibling* shares
-	// (taking their opMu), and holding the origin's lock across that
-	// would deadlock two concurrent cascades with opposite origins.
-	return p.cascade(ctx, s, cols)
-}
-
-// applyIncomingLocked performs steps 3-5 (fetch, verify, put, ack) under
-// the share's operation lock.
-func (p *Peer) applyIncomingLocked(ctx context.Context, s *Share, seq uint64, from identity.Address, payloadHash string, cols []string) error {
-	shareID := s.ID
 	// The share-level operation lock orders this apply against our own
 	// in-flight proposals: if we optimistically advanced the replica for
 	// a proposal that lost the race for this sequence number, the
-	// rollback completes before we read AppliedSeq here.
+	// rollback completes before we read AppliedSeq here. It is held until
+	// the ack commits.
 	s.opMu.Lock()
-	defer s.opMu.Unlock()
+	ack, err := p.embedIncoming(ctx, s, seq, from, payloadHash, cols)
+	if err == nil && ack != nil {
+		err = p.cfg.Node.SubmitTx(ack)
+	}
+	if err != nil {
+		s.opMu.Unlock()
+		return err
+	}
+	// Step 6: cascade into overlapping shares over the same source. It
+	// starts as soon as the ack is submitted, so the ack and the next
+	// hop's request share a group-commit window (Fig. 5 in three blocks,
+	// not four). Cascade proposes on *sibling* shares (taking their
+	// opMu), so it is joined only after the origin's lock is released:
+	// holding it across the join would deadlock two concurrent cascades
+	// with opposite origins.
+	cascaded := make(chan error, 1)
+	go func() { cascaded <- p.cascade(ctx, s, cols) }()
+	if ack != nil {
+		if _, err = p.waitCommitted(ctx, ack); err != nil {
+			err = fmt.Errorf("core: acking %s seq %d: %w", shareID, seq, err)
+		}
+	}
+	s.opMu.Unlock()
+	if cerr := <-cascaded; err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// embedIncoming performs steps 3-5 up to the acknowledgement (fetch,
+// verify, put, persist) and returns the signed ack for the caller to
+// submit; a nil ack means the update was already applied. The caller
+// holds the share's operation lock.
+func (p *Peer) embedIncoming(ctx context.Context, s *Share, seq uint64, from identity.Address, payloadHash string, cols []string) (*chain.Tx, error) {
+	shareID := s.ID
 	s.stMu.Lock()
 	applied := s.AppliedSeq
 	diverged := s.diverged
 	s.stMu.Unlock()
 	if applied >= seq {
-		return nil // already applied (e.g. via resync)
+		return nil, nil // already applied (e.g. via resync)
 	}
 
 	// Step 4: fetch the new view payload directly from the updater. We
@@ -244,11 +262,11 @@ func (p *Peer) applyIncomingLocked(ctx context.Context, s *Share, seq uint64, fr
 	// hash either way.
 	curView, err := p.snapshotTable(s.ViewName)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	newView, cs, hasDelta, _, err := p.fetchFrom(ctx, from, shareID, seq, applied, curView)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// A delta fetch applied onto our (seeded) replica already carries the
 	// share's priority seed; a full fetch arrives unseeded and is rebuilt
@@ -256,7 +274,7 @@ func (p *Peer) applyIncomingLocked(ctx context.Context, s *Share, seq uint64, fr
 	// seeded shape.
 	newView = s.seedView(newView)
 	if got := hashHex(newView); got != payloadHash {
-		return fmt.Errorf("%w: share %s seq %d", ErrPayloadHash, shareID, seq)
+		return nil, fmt.Errorf("%w: share %s seq %d", ErrPayloadHash, shareID, seq)
 	}
 
 	// Step 5: put the updated view into the local source. When the fetch
@@ -278,7 +296,7 @@ func (p *Peer) applyIncomingLocked(ctx context.Context, s *Share, seq uint64, fr
 		return newSrc.Renamed(s.SourceTable), nil
 	})
 	if errors.Is(err, reldb.ErrNoSuchTable) {
-		return err
+		return nil, err
 	}
 	if err != nil {
 		rej, berr := p.buildTx(sharereg.FnRejectUpdate, shareID, sharereg.RejectArgs{
@@ -286,11 +304,11 @@ func (p *Peer) applyIncomingLocked(ctx context.Context, s *Share, seq uint64, fr
 		})
 		if berr == nil {
 			if _, serr := p.submitAndWait(ctx, rej); serr != nil {
-				return fmt.Errorf("core: put failed (%v) and reject failed: %w", err, serr)
+				return nil, fmt.Errorf("core: put failed (%v) and reject failed: %w", err, serr)
 			}
 		}
 		p.record(HistoryEntry{ShareID: shareID, Seq: seq, Kind: "rejected", From: p.Address(), Note: err.Error()})
-		return fmt.Errorf("core: put on %s rejected: %w", shareID, err)
+		return nil, fmt.Errorf("core: put on %s rejected: %w", shareID, err)
 	}
 	p.cfg.DB.PutTable(local)
 	s.stMu.Lock()
@@ -304,14 +322,7 @@ func (p *Peer) applyIncomingLocked(ctx context.Context, s *Share, seq uint64, fr
 
 	// Acknowledge on-chain; once every peer acks, the contract finalizes
 	// and the next update becomes admissible.
-	ack, err := p.buildTx(sharereg.FnAckUpdate, shareID, sharereg.AckArgs{ShareID: shareID, Seq: seq})
-	if err != nil {
-		return err
-	}
-	if _, err := p.submitAndWait(ctx, ack); err != nil {
-		return fmt.Errorf("core: acking %s seq %d: %w", shareID, seq, err)
-	}
-	return nil
+	return p.buildTx(sharereg.FnAckUpdate, shareID, sharereg.AckArgs{ShareID: shareID, Seq: seq})
 }
 
 // putViaDelta embeds an incoming view into the source along the delta

@@ -30,14 +30,15 @@ const lightHeaderBatch = 512
 
 // lightHeadScanDepth is how far below the tip the share-head handler
 // looks for the main-chain header whose StateRoot matches the proof it
-// just built. The store's head advances before the world state applies
-// the block (commitBlock order), so the matching header is normally the
-// tip or one below; deeper misses mean the snapshot raced a commit.
+// just built. The node publishes whole-block state snapshots, the head
+// a store commit ahead of its state, so the matching header is the tip
+// or one below unless blocks landed between the two reads.
 const lightHeadScanDepth = 16
 
-// lightHeadAttempts bounds re-snapshots when the state is mid-apply
-// (per-transaction commits mutate the live state between two header
-// roots, so a proof built in that window anchors nowhere).
+// lightHeadAttempts bounds re-snapshots when the published state matches
+// no recent main-chain header: it fell lightHeadScanDepth blocks behind
+// between the two reads, or the node is rebuilding state after a
+// fork-choice switch.
 const lightHeadAttempts = 50
 
 // authorizeLightRequest verifies a light request's signature over its
@@ -110,11 +111,11 @@ func (p *Peer) serveLightHead(msg p2p.Message) (p2p.Message, error) {
 // header. Exported so the HTTP serving edge shares the p2p handler's
 // snapshot-vs-header convergence logic.
 func (p *Peer) LightHead(shareID string) (light.ShareHead, error) {
-	state := p.cfg.Node.State()
 	store := p.cfg.Node.Store()
 	key := "share/" + shareID
 	for attempt := 0; ; attempt++ {
-		value, ver, proof, root, err := state.ProveKey(key)
+		applied := p.cfg.Node.BlockApplied()
+		value, ver, proof, root, err := p.cfg.Node.State().ProveKey(key)
 		if err != nil {
 			return light.ShareHead{}, err
 		}
@@ -124,9 +125,17 @@ func (p *Peer) LightHead(shareID string) (light.ShareHead, error) {
 		if attempt >= lightHeadAttempts {
 			return light.ShareHead{}, fmt.Errorf("core: share %s state snapshot matches no main-chain header", shareID)
 		}
-		// The snapshot raced a block apply; the state settles on the new
-		// header's root within the apply's own duration.
-		<-p.cfg.Clock.After(p.cfg.Retry.withDefaults().Base)
+		p.awaitNextBlock(applied)
+	}
+}
+
+// awaitNextBlock waits for the node's block-applied signal, at most one
+// retry base delay. What the serve-side waits wait for arrives with a
+// block, except a replica catching up by resync: the bound covers that.
+func (p *Peer) awaitNextBlock(applied <-chan struct{}) {
+	select {
+	case <-applied:
+	case <-p.cfg.Clock.After(p.cfg.Retry.withDefaults().Base):
 	}
 }
 
@@ -216,6 +225,7 @@ func (p *Peer) proveViewConverged(shareID string, key reldb.Row) (RowProof, erro
 	stateKey := "share/" + shareID
 	var pr RowProof
 	for attempt := 0; ; attempt++ {
+		applied := p.cfg.Node.BlockApplied()
 		var err error
 		pr, err = p.ProveView(shareID, key)
 		if err != nil {
@@ -232,10 +242,24 @@ func (p *Peer) proveViewConverged(shareID string, key reldb.Row) (RowProof, erro
 		if meta.LastPayloadHash == "" || rowProofPayloadHex(&pr) == meta.LastPayloadHash {
 			return pr, nil
 		}
+		// While our own proposal is pending the replica runs one version
+		// ahead of the chain; the pre-proposal view we keep for rollback is
+		// the finalized version, so serve from it instead of making the
+		// reader wait for (and then miss) the next one.
+		if s, err := p.share(shareID); err == nil {
+			s.stMu.Lock()
+			bk := s.backup
+			s.stMu.Unlock()
+			if bk != nil && hashHex(bk.view) == meta.LastPayloadHash {
+				if old, err := proveRow(shareID, bk.view, bk.seq, key); err == nil {
+					return old, nil
+				}
+			}
+		}
 		if attempt >= lightRowAttempts {
 			return pr, nil
 		}
-		<-p.cfg.Clock.After(p.cfg.Retry.withDefaults().Base)
+		p.awaitNextBlock(applied)
 	}
 }
 

@@ -476,6 +476,12 @@ func (p *Peer) submitAndWait(ctx context.Context, tx *chain.Tx) (contract.Receip
 	if err := p.cfg.Node.SubmitTx(tx); err != nil {
 		return contract.Receipt{}, err
 	}
+	return p.waitCommitted(ctx, tx)
+}
+
+// waitCommitted waits for a submitted transaction's committed receipt,
+// translating a contract failure into an error.
+func (p *Peer) waitCommitted(ctx context.Context, tx *chain.Tx) (contract.Receipt, error) {
 	ctx, cancel := context.WithTimeout(ctx, p.cfg.TxTimeout)
 	defer cancel()
 	rcpt, err := p.cfg.Node.WaitTx(ctx, tx.IDString())

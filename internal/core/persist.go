@@ -31,22 +31,23 @@ func (p *Peer) persistShare(s *Share) {
 	if st == nil {
 		return
 	}
-	view, verr := p.snapshotTable(s.ViewName)
-	src, serr := p.snapshotTable(s.SourceTable)
-	s.stMu.Lock()
-	seq := s.AppliedSeq
-	s.stMu.Unlock()
 	err := st.Commit(func(b *store.Batch) error {
-		if verr == nil {
+		// Snapshot inside the commit: the store serializes commits across
+		// this callback, so of two shares persisting one source the later
+		// commit always carries the later source snapshot.
+		if view, err := p.snapshotTable(s.ViewName); err == nil {
 			if err := b.PutTable(view); err != nil {
 				return err
 			}
 		}
-		if serr == nil {
+		if src, err := p.snapshotTable(s.SourceTable); err == nil {
 			if err := b.PutTable(src); err != nil {
 				return err
 			}
 		}
+		s.stMu.Lock()
+		seq := s.AppliedSeq
+		s.stMu.Unlock()
 		return b.PutShareMeta(store.ShareMeta{
 			ID:       s.ID,
 			Seq:      seq,

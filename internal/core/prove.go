@@ -97,13 +97,9 @@ func (p *Peer) ProveView(shareID string, key reldb.Row) (RowProof, error) {
 	c.mu.Unlock()
 	p.stats.proofCacheMisses.Add(1)
 
-	row, proof, err := view.ProveRow(key)
+	pr, err := proveRow(shareID, view, seq, key)
 	if err != nil {
 		return RowProof{}, err
-	}
-	pr := RowProof{
-		ShareID: shareID, Seq: seq, Row: row, Root: root, Proof: proof,
-		SchemaSum: view.SchemaSum(), Rows: view.Len(),
 	}
 
 	c.mu.Lock()
@@ -118,4 +114,17 @@ func (p *Peer) ProveView(shareID string, key reldb.Row) (RowProof, error) {
 	c.entries[ck] = pr
 	c.mu.Unlock()
 	return pr, nil
+}
+
+// proveRow builds the proof-carrying read of one row of view, the
+// share's replica at version seq.
+func proveRow(shareID string, view *reldb.Table, seq uint64, key reldb.Row) (RowProof, error) {
+	row, proof, err := view.ProveRow(key)
+	if err != nil {
+		return RowProof{}, err
+	}
+	return RowProof{
+		ShareID: shareID, Seq: seq, Row: row, Root: view.RowsRoot(), Proof: proof,
+		SchemaSum: view.SchemaSum(), Rows: view.Len(),
+	}, nil
 }

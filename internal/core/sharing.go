@@ -553,34 +553,42 @@ func (p *Peer) UpdateViews(ctx context.Context, edits []ViewEdit) ([]ProposalRes
 // peer's node. Registration commits on the initiator's node first; peers
 // attached to other nodes see it after the block gossips over.
 func (p *Peer) WaitForShare(ctx context.Context, shareID string) (*sharereg.Meta, error) {
-	for {
-		meta, err := p.Meta(shareID)
-		if err == nil {
-			return meta, nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("core: waiting for share %s: %w", shareID, ctx.Err())
-		case <-p.cfg.Clock.After(pollInterval):
-		}
-	}
+	var meta *sharereg.Meta
+	err := p.awaitBlocks(ctx, "share "+shareID, func() (bool, error) {
+		var err error
+		meta, err = p.Meta(shareID)
+		return err == nil, nil
+	})
+	return meta, err
 }
 
 // WaitFinal blocks until the share's on-chain sequence reaches seq (all
 // peers acknowledged — the paper's gate for further operations).
 func (p *Peer) WaitFinal(ctx context.Context, shareID string, seq uint64) error {
-	for {
+	return p.awaitBlocks(ctx, fmt.Sprintf("%s seq %d", shareID, seq), func() (bool, error) {
 		meta, err := p.Meta(shareID)
 		if err != nil {
-			return err
+			return false, err
 		}
-		if meta.Seq >= seq {
-			return nil
+		return meta.Seq >= seq, nil
+	})
+}
+
+// awaitBlocks re-evaluates check each time this peer's node applies a
+// block, until it reports done, fails, or ctx ends (what names the wait
+// in that error): chain state only changes when a block lands, so there
+// is nothing to poll for between blocks.
+func (p *Peer) awaitBlocks(ctx context.Context, what string, check func() (done bool, err error)) error {
+	for {
+		// Taken before the check, so a block landing in between wakes us.
+		applied := p.cfg.Node.BlockApplied()
+		if done, err := check(); done || err != nil {
+			return err
 		}
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("core: waiting for %s seq %d: %w", shareID, seq, ctx.Err())
-		case <-p.cfg.Clock.After(pollInterval):
+			return fmt.Errorf("core: waiting for %s: %w", what, ctx.Err())
+		case <-applied:
 		}
 	}
 }

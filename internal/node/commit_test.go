@@ -1,0 +1,422 @@
+package node
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"medshare/internal/chain"
+	"medshare/internal/consensus"
+	"medshare/internal/contract"
+	"medshare/internal/identity"
+	"medshare/internal/p2p"
+	"medshare/internal/store"
+)
+
+// countingContract counts its invocations: a block's execution is the
+// only thing that invokes it, so the count is executions.
+type countingContract struct{ calls *atomic.Int64 }
+
+func (countingContract) Name() string { return "count" }
+
+func (c countingContract) Invoke(stub contract.Stub, fn string, args [][]byte) ([]byte, error) {
+	c.calls.Add(1)
+	stub.PutState("count/"+string(args[0]), args[1])
+	return nil, nil
+}
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBlockExecutedOncePerNode pins the single-pass commit: N one-tx
+// blocks cost N contract executions on the producer (the staging run is
+// the commit) and N on a follower (clone, execute, verify, publish).
+func TestBlockExecutedOncePerNode(t *testing.T) {
+	mem := p2p.NewMemNetwork()
+	sealer := identity.MustNew("sealer")
+	var calls [2]atomic.Int64
+	mk := func(i int, id *identity.Identity) *Node {
+		n, err := New(Config{
+			NetworkName: "once",
+			Identity:    id,
+			Engine:      consensus.NewPoA(true, sealer.Address()),
+			Registry:    contract.NewRegistry(countingContract{calls: &calls[i]}),
+			Transport:   mem.Endpoint(fmt.Sprintf("n%d", i)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	producer, follower := mk(0, sealer), mk(1, identity.MustNew("follower"))
+
+	const blocks = 8
+	for i := 0; i < blocks; i++ {
+		tx := producer.BuildTx("count", "put", "", []byte(fmt.Sprint(i)), []byte("v"))
+		if err := producer.SubmitTx(tx); err != nil {
+			t.Fatal(err)
+		}
+		if err := producer.TryProduce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		// Memnet delivers each message on its own goroutine; a block that
+		// overtook its parent would be dropped as unlinked.
+		height := uint64(i + 1)
+		waitFor(t, "follower to apply the block", func() bool { return follower.Store().Height() == height })
+	}
+	if follower.State().Root() != producer.State().Root() {
+		t.Fatal("follower state differs from producer state")
+	}
+	for i, who := range []string{"producer", "follower"} {
+		if got := calls[i].Load(); got != blocks {
+			t.Errorf("%s executed %d transactions for %d one-tx blocks", who, got, blocks)
+		}
+	}
+}
+
+// TestBlockOvertakingItsParentIsAdopted: blocks from different peers
+// arrive on different connections, so a block can reach a node before
+// its parent; it must be admitted once the parent is, or the node falls
+// off the chain for good.
+func TestBlockOvertakingItsParentIsAdopted(t *testing.T) {
+	producer, follower := gossipPair(t)
+	producer.cfg.Transport, follower.cfg.Transport = nil, nil // blocks are handed over below
+	var blocks []*chain.Block
+	for i := 0; i < 3; i++ {
+		tx := producer.BuildTx("kv", "set", "", []byte(fmt.Sprint(i)), []byte("v"))
+		if err := producer.SubmitTx(tx); err != nil {
+			t.Fatal(err)
+		}
+		if err := producer.TryProduce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, producer.Store().Head())
+	}
+	for _, i := range []int{2, 1} {
+		if err := follower.ReceiveBlock(blocks[i]); err == nil {
+			t.Fatalf("block %d admitted before its parent", i+1)
+		}
+	}
+	if err := follower.ReceiveBlock(blocks[0]); err != nil {
+		t.Fatal(err)
+	}
+	if follower.Store().Height() != 3 || follower.State().Root() != producer.State().Root() {
+		t.Fatalf("follower at height %d after the missing parent arrived, want 3 with the producer's state",
+			follower.Store().Height())
+	}
+}
+
+// gossipPair is a sealing node and a validator on one memnet, with
+// demand-driven production and an idle interval far above the latencies
+// the tests assert.
+func gossipPair(t *testing.T) (sealer, validator *Node) {
+	t.Helper()
+	mem := p2p.NewMemNetwork()
+	sid := identity.MustNew("sealer")
+	mk := func(id *identity.Identity, ep string) *Node {
+		n, err := New(Config{
+			NetworkName:       "gossip",
+			Identity:          id,
+			Engine:            consensus.NewPoA(true, sid.Address()),
+			Registry:          contract.NewRegistry(kvContract{}),
+			BlockInterval:     200 * time.Millisecond,
+			GroupCommitWindow: time.Millisecond,
+			Transport:         mem.Endpoint(ep),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	return mk(sid, "sealer"), mk(identity.MustNew("validator"), "validator")
+}
+
+// TestGossipedTxKicksProducer: a transaction (or batch) submitted on a
+// non-sealing node reaches the sealer by gossip and must ride its
+// group-commit window, not wait out the idle block interval.
+func TestGossipedTxKicksProducer(t *testing.T) {
+	sealer, validator := gossipPair(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sealer.Start(ctx)
+	defer sealer.Stop()
+	validator.Start(ctx)
+	defer validator.Stop()
+
+	submit := map[string]func() []*chain.Tx{
+		"tx": func() []*chain.Tx {
+			tx := validator.BuildTx("kv", "set", "", []byte("one"), []byte("v"))
+			if err := validator.SubmitTx(tx); err != nil {
+				t.Fatal(err)
+			}
+			return []*chain.Tx{tx}
+		},
+		"batch": func() []*chain.Tx {
+			txs := []*chain.Tx{
+				validator.BuildTx("kv", "set", "", []byte("b1"), []byte("v")),
+				validator.BuildTx("kv", "set", "", []byte("b2"), []byte("v")),
+			}
+			if err := validator.SubmitTxBatch(txs); err != nil {
+				t.Fatal(err)
+			}
+			return txs
+		},
+	}
+	for name, fn := range submit {
+		start := time.Now()
+		for _, tx := range fn() {
+			if _, err := validator.WaitTx(ctx, tx.IDString()); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if d := time.Since(start); d >= sealer.cfg.BlockInterval/2 {
+			t.Errorf("%s submitted on the validator committed after %v; want under %v (the sealer was not kicked)",
+				name, d, sealer.cfg.BlockInterval/2)
+		}
+	}
+}
+
+// TestGossipBatchAdmitsGoodDropsBad: one forged signature in a gossiped
+// batch must not cost the rest of the batch its admission.
+func TestGossipBatchAdmitsGoodDropsBad(t *testing.T) {
+	_, n := gossipPair(t)
+	txs := []*chain.Tx{
+		n.BuildTx("kv", "set", "", []byte("a"), []byte("v")),
+		n.BuildTx("kv", "set", "", []byte("b"), []byte("v")),
+		n.BuildTx("kv", "set", "", []byte("c"), []byte("v")),
+		nil,
+	}
+	txs[1].Sig[0] ^= 0xff
+	payload, err := json.Marshal(txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.handleGossip(p2p.Message{Kind: p2p.KindTxBatch, Payload: payload})
+	if got := n.PendingTxs(); got != 2 {
+		t.Fatalf("pooled %d of a batch with 2 valid transactions", got)
+	}
+	if len(n.kickCh) != 1 {
+		t.Fatal("admitting gossiped transactions did not kick the producer")
+	}
+}
+
+// TestDuplicateGossipDoesNotKick: gossip that admits nothing new — a
+// transaction already pooled or already committed — must not wake the
+// producer.
+func TestDuplicateGossipDoesNotKick(t *testing.T) {
+	n, _ := gossipPair(t)
+	tx := n.BuildTx("kv", "set", "", []byte("k"), []byte("v"))
+	payload, err := json.Marshal(tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := p2p.Message{Kind: p2p.KindTx, Payload: payload}
+
+	n.handleGossip(msg)
+	if len(n.kickCh) != 1 {
+		t.Fatal("first delivery did not kick")
+	}
+	<-n.kickCh
+	n.handleGossip(msg)
+	if len(n.kickCh) != 0 {
+		t.Fatal("re-delivery of a pooled transaction kicked the producer")
+	}
+
+	if err := n.TryProduce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	n.handleGossip(msg)
+	if len(n.kickCh) != 0 || n.PendingTxs() != 0 {
+		t.Fatalf("re-delivery of a committed transaction: kicked=%v pending=%d", len(n.kickCh) != 0, n.PendingTxs())
+	}
+}
+
+// TestPoisonedOnUnreproducibleBranch: a side branch is stored
+// unexecuted, so a bad state root on it surfaces only when fork choice
+// switches to it. The node must then stop with a sticky error — not
+// panic, not keep serving a state that no longer matches its head.
+func TestPoisonedOnUnreproducibleBranch(t *testing.T) {
+	id := identity.MustNew("miner")
+	engine := consensus.NewPoW(4)
+	n, err := New(Config{
+		NetworkName: "poison",
+		Identity:    id,
+		Engine:      engine,
+		Registry:    contract.NewRegistry(kvContract{}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := n.Store().Genesis()
+	mkTx := func(k, v string) *chain.Tx { return n.BuildTx("kv", "set", "", []byte(k), []byte(v)) }
+
+	a1 := buildPoWBlock(t, n, g, engine, []*chain.Tx{mkTx("branch", "A")}, 1000)
+	if err := n.ReceiveBlock(a1); err != nil {
+		t.Fatal(err)
+	}
+	rootA := n.State().Root()
+
+	// Branch B's first block declares a state root its transactions do
+	// not produce. If it loses the height-1 tie-break it is stored as a
+	// side branch and a second block makes the branch win; if it wins,
+	// the switch happens at once.
+	b1 := buildPoWBlock(t, n, g, engine, []*chain.Tx{mkTx("branch", "B")}, 2000)
+	b1.Header.StateRoot[0] ^= 0xff
+	b1.ResetHashCache()
+	if err := engine.Seal(context.Background(), b1, id); err != nil {
+		t.Fatal(err)
+	}
+	err = n.ReceiveBlock(b1)
+	if n.Store().Head() == a1 {
+		if err != nil || n.Poisoned() != nil {
+			t.Fatalf("storing a side-branch block: err %v, poisoned %v", err, n.Poisoned())
+		}
+		b2 := buildPoWBlock(t, n, b1, engine, []*chain.Tx{mkTx("extra", "B2")}, 3000)
+		err = n.ReceiveBlock(b2)
+	}
+	if err == nil {
+		t.Fatal("switching to a branch with an unreproducible state root reported no error")
+	}
+	if n.Poisoned() == nil {
+		t.Fatal("node not poisoned")
+	}
+	if n.State().Root() != rootA {
+		t.Fatal("poisoned node published a state from the bad branch")
+	}
+	if err := n.SubmitTx(mkTx("after", "x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.TryProduce(context.Background()); err == nil {
+		t.Fatal("poisoned node produced a block")
+	}
+}
+
+// TestMultiAuthorityTCP is the configuration cmd/medshared derives:
+// every participant a strict-PoA authority, TCP gossip, an fsyncing
+// store, 10 ms blocks with a 1 ms group-commit window. Every authority
+// submits concurrently; the three must agree on height and state root
+// with every transaction committed exactly once and no node poisoned.
+func TestMultiAuthorityTCP(t *testing.T) {
+	const authorities, perNode = 3, 200
+	ids := make([]*identity.Identity, authorities)
+	addrs := make([]identity.Address, authorities)
+	tcps := make([]*p2p.TCPTransport, authorities)
+	for i := range ids {
+		ids[i] = identity.MustNew(fmt.Sprintf("auth%d", i))
+		addrs[i] = ids[i].Address()
+		tcp, err := p2p.NewTCPTransport(fmt.Sprintf("auth%d", i), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tcp.Close()
+		tcps[i] = tcp
+	}
+	for i, tcp := range tcps {
+		for j, other := range tcps {
+			if i != j {
+				tcp.AddPeer(other.Name(), other.Addr())
+			}
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	nodes := make([]*Node, authorities)
+	for i := range nodes {
+		st, err := store.Open(store.Options{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		nodes[i], err = New(Config{
+			NetworkName:       "multi-authority",
+			Identity:          ids[i],
+			Engine:            consensus.NewPoA(true, addrs...),
+			Registry:          contract.NewRegistry(kvContract{}),
+			BlockInterval:     10 * time.Millisecond,
+			GroupCommitWindow: time.Millisecond,
+			Transport:         tcps[i],
+			Store:             st,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range nodes {
+		n.Start(ctx)
+		defer n.Stop()
+	}
+
+	var wg sync.WaitGroup
+	submitted := make([][]string, authorities)
+	for i, n := range nodes {
+		wg.Add(1)
+		go func(i int, n *Node) {
+			defer wg.Done()
+			for k := 0; k < perNode; k++ {
+				tx := n.BuildTx("kv", "set", "", []byte(fmt.Sprintf("n%d-k%d", i, k)), []byte("v"))
+				if err := n.SubmitTx(tx); err != nil {
+					t.Errorf("node %d submit %d: %v", i, k, err)
+					return
+				}
+				submitted[i] = append(submitted[i], tx.IDString())
+			}
+			for _, id := range submitted[i] {
+				if r, err := n.WaitTx(ctx, id); err != nil || !r.OK {
+					t.Errorf("node %d tx %s: receipt %+v, err %v", i, id[:8], r, err)
+					return
+				}
+			}
+		}(i, n)
+	}
+	wg.Wait()
+	if t.Failed() {
+		for i, n := range nodes {
+			t.Logf("node %d: height %d, pending %d, poisoned %v", i, n.Store().Height(), n.PendingTxs(), n.Poisoned())
+		}
+		return
+	}
+
+	waitFor(t, "equal height and state root on all authorities", func() bool {
+		h, root := nodes[0].Store().Height(), nodes[0].State().Root()
+		for _, n := range nodes {
+			if n.Store().Height() != h || n.State().Root() != root || n.PendingTxs() != 0 {
+				return false
+			}
+		}
+		return true
+	})
+	for i, n := range nodes {
+		if err := n.Poisoned(); err != nil {
+			t.Errorf("node %d poisoned: %v", i, err)
+		}
+		seen := make(map[string]int)
+		for _, b := range n.Store().MainChain() {
+			for _, tx := range b.Txs {
+				seen[tx.IDString()]++
+			}
+		}
+		if len(seen) != authorities*perNode {
+			t.Errorf("node %d: main chain holds %d distinct transactions, want %d", i, len(seen), authorities*perNode)
+		}
+		for _, ids := range submitted {
+			for _, id := range ids {
+				if seen[id] != 1 {
+					t.Errorf("node %d: tx %s committed %d times", i, id[:8], seen[id])
+				}
+			}
+		}
+	}
+}

@@ -6,14 +6,16 @@ import (
 	"medshare/internal/chain"
 	"medshare/internal/contract"
 	"medshare/internal/statedb"
+	"medshare/internal/store"
 )
 
-// executeOn runs every transaction of a block against the given state,
-// committing each successful transaction's write set at its (height, index)
-// version. Failed transactions (contract error or MVCC conflict) commit
-// nothing but still produce receipts. When sink is non-nil it receives
-// each receipt (indexed by tx position).
-func (n *Node) executeOn(state *statedb.Store, b *chain.Block, sink func(i int, r contract.Receipt)) {
+// executeOn runs every transaction of a block against the given state in
+// place, committing each successful transaction's write set at its
+// (height, index) version, and returns the receipts indexed by tx
+// position. Failed transactions (contract error or MVCC conflict) commit
+// nothing but still produce receipts.
+func (n *Node) executeOn(state *statedb.Store, b *chain.Block) []contract.Receipt {
+	receipts := make([]contract.Receipt, len(b.Txs))
 	for i, tx := range b.Txs {
 		rcpt := contract.Execute(n.cfg.Registry, state, tx, b.Header.Height, b.Header.TimestampMicro)
 		if rcpt.OK {
@@ -26,56 +28,71 @@ func (n *Node) executeOn(state *statedb.Store, b *chain.Block, sink func(i int, 
 				state.Commit(rcpt.Writes, statedb.Version{Height: b.Header.Height, TxIndex: i})
 			}
 		}
-		if sink != nil {
-			sink(i, rcpt)
-		}
+		receipts[i] = rcpt
 	}
+	return receipts
 }
 
-// cloneState copies the live world state into a fresh store. Block
-// production executes against the clone so a failed seal leaves the node
-// untouched.
-func (n *Node) cloneState() *statedb.Store {
-	out := statedb.NewStore()
-	replayInto(out, n.state)
-	return out
-}
+// maxOrphans bounds the blocks parked for a missing parent; a full park
+// is emptied, as its entries are waiting for parents that never came.
+const maxOrphans = 64
 
-func replayInto(dst, src *statedb.Store) {
-	// Copy preserving versions: read every key with its version and commit
-	// individually. The statedb API is version-faithful, so the clone's
-	// root matches the source's.
-	type kv struct {
-		k   string
-		v   []byte
-		ver statedb.Version
-	}
-	var all []kv
-	src.Range("", func(k string, v []byte) bool {
-		_, ver, _ := src.Get(k)
-		all = append(all, kv{k, v, ver})
-		return true
-	})
-	for _, e := range all {
-		dst.Commit(statedb.WriteSet{e.k: e.v}, e.ver)
-	}
-}
-
-// commitBlock adds a locally produced or received block to the store and,
-// if it extends (or reorganizes) the main chain, executes it against the
-// live state, records receipts, fulfils waiters, and publishes events.
-func (n *Node) commitBlock(b *chain.Block) error {
+// ReceiveBlock admits a block from gossip, the sync layer, or a test.
+// Gossip from different peers is not ordered, so a block can overtake
+// its parent: such a block is parked (one per parent) and admitted
+// right after the parent is.
+func (n *Node) ReceiveBlock(b *chain.Block) error {
 	if err := n.cfg.Engine.VerifyHeader(&b.Header); err != nil {
 		return err
 	}
-	oldHead := n.store.Head()
-	if b.Header.PrevHash == oldHead.Hash() {
-		// Pre-validate the declared state root on a throwaway replica so a
-		// corrupt or non-deterministic block is rejected before it can
-		// poison the store.
-		staging := n.cloneState()
-		n.executeOn(staging, b, nil)
-		if got := staging.Root(); got != b.Header.StateRoot {
+	n.commitMu.Lock()
+	defer n.commitMu.Unlock()
+	if !n.store.Has(b.Header.PrevHash) {
+		if len(n.orphans) >= maxOrphans {
+			clear(n.orphans)
+		}
+		n.orphans[b.Header.PrevHash] = b
+		return fmt.Errorf("%w: parent %x not received yet", chain.ErrBadLinkage, b.Header.PrevHash[:6])
+	}
+	if err := n.commitBlock(b, nil, nil); err != nil {
+		return err
+	}
+	n.adoptOrphans(b)
+	return nil
+}
+
+// adoptOrphans admits the parked descendants of the just-committed
+// block. The caller holds commitMu.
+func (n *Node) adoptOrphans(b *chain.Block) {
+	for {
+		child, ok := n.orphans[b.Hash()]
+		if !ok {
+			return
+		}
+		delete(n.orphans, b.Hash())
+		if n.commitBlock(child, nil, nil) != nil {
+			return
+		}
+		b = child
+	}
+}
+
+// commitBlock adds a block to the store and, if it extends (or
+// reorganizes) the main chain, publishes its post-state, receipts and
+// events. The caller holds commitMu. A locally produced block arrives
+// with the state it was executed on and its receipts, used if it still
+// extends the head; a received block that extends the head is executed
+// here, once, on a clone of the published state, and rejected — nothing
+// touched — when that does not reproduce its declared state root.
+func (n *Node) commitBlock(b *chain.Block, staged *statedb.Store, receipts []contract.Receipt) error {
+	if err := n.Poisoned(); err != nil {
+		return err
+	}
+	extends := b.Header.PrevHash == n.store.Head().Hash()
+	if extends && staged == nil {
+		staged = n.State().Clone()
+		receipts = n.executeOn(staged, b)
+		if got := staged.Root(); got != b.Header.StateRoot {
 			return fmt.Errorf("node: state root mismatch at height %d: got %x want %x",
 				b.Header.Height, got[:6], b.Header.StateRoot[:6])
 		}
@@ -84,67 +101,88 @@ func (n *Node) commitBlock(b *chain.Block) error {
 	if err != nil {
 		return err
 	}
-	if !headChanged {
-		return nil // side branch; state untouched
+	if n.cfg.Store != nil {
+		// A write failure poisons the durable store (Commit keeps
+		// returning an error) but the node stays live from memory; the
+		// operator sees it on the next checkpoint attempt.
+		_ = n.cfg.Store.Commit(func(bt *store.Batch) error {
+			return bt.PutBlock(b)
+		})
 	}
-	if b.Header.PrevHash == oldHead.Hash() {
-		n.applyBlock(b)
-		return nil
+	switch {
+	case !headChanged:
+		// Side branch; state untouched.
+	case extends:
+		n.state.Store(staged)
+		n.publish(b, receipts)
+	default:
+		// Reorganization: rebuild the world state from genesis along the
+		// new main chain. Receipts and events are re-derived; subscribers
+		// may see events again (documented at-least-once delivery, like
+		// Fabric). Side-branch blocks were stored unexecuted, so this is
+		// where a bad state root on the winning branch surfaces — with
+		// the head already switched there is no state to fall back to.
+		if err := n.replayFromGenesis(); err != nil {
+			n.poison(err)
+			return err
+		}
 	}
-	// Reorganization: rebuild the world state from genesis along the new
-	// main chain. Receipts and events are re-derived; subscribers may see
-	// events again (documented at-least-once delivery, like Fabric).
-	n.rebuildState()
 	return nil
 }
 
-// applyBlock executes b against the live state and performs all
-// bookkeeping.
-func (n *Node) applyBlock(b *chain.Block) {
-	var receipts []contract.Receipt
-	n.executeOn(n.state, b, func(_ int, r contract.Receipt) {
-		receipts = append(receipts, r)
-	})
-	if got := n.state.Root(); got != b.Header.StateRoot {
-		// A state-root divergence means non-deterministic contract code or
-		// a corrupted block; surfaces loudly because silent divergence
-		// would break the network's trust model.
-		panic(fmt.Sprintf("node %s: state root mismatch at height %d: got %x want %x",
-			n.Address().Short(), b.Header.Height, got[:6], b.Header.StateRoot[:6]))
-	}
-
+// replayFromGenesis re-derives state, replay protection, receipts and
+// events from the whole main chain.
+func (n *Node) replayFromGenesis() error {
 	n.mu.Lock()
-	var committedIDs []string
+	n.committedTxs = make(map[string]bool)
+	n.mu.Unlock()
+	return n.replay(statedb.NewStore(), n.store.MainChain()[1:])
+}
+
+// replay executes blocks in order on state, in place, checking every
+// declared state root, and only then publishes the state and the blocks'
+// receipts and events; on a mismatch nothing is published.
+func (n *Node) replay(state *statedb.Store, blocks []*chain.Block) error {
+	receipts := make([][]contract.Receipt, len(blocks))
+	for i, b := range blocks {
+		receipts[i] = n.executeOn(state, b)
+		if got := state.Root(); got != b.Header.StateRoot {
+			return fmt.Errorf("node: replayed state root mismatch at height %d: got %x want %x",
+				b.Header.Height, got[:6], b.Header.StateRoot[:6])
+		}
+	}
+	n.state.Store(state)
+	for i, b := range blocks {
+		n.publish(b, receipts[i])
+	}
+	return nil
+}
+
+// publish records a main-chain block's receipts and replay protection,
+// fulfils waiters, signals BlockApplied and delivers the block's events.
+// The caller holds commitMu and has already stored the block's
+// post-state, so every woken reader finds it.
+func (n *Node) publish(b *chain.Block, receipts []contract.Receipt) {
+	ids := make([]string, len(b.Txs))
+	n.mu.Lock()
 	for i, tx := range b.Txs {
 		id := tx.IDString()
+		ids[i] = id
 		n.committedTxs[id] = true
 		n.receipts[id] = receipts[i]
-		committedIDs = append(committedIDs, id)
 		for _, ch := range n.txWaiters[id] {
 			ch <- receipts[i]
 		}
 		delete(n.txWaiters, id)
 	}
-	n.mempool.remove(committedIDs)
+	n.mempool.remove(ids)
+	close(n.applied)
+	n.applied = make(chan struct{})
 	n.mu.Unlock()
 
 	for _, r := range receipts {
 		for _, ev := range r.Events {
 			n.events.publish(ev)
 		}
-	}
-}
-
-// rebuildState replays the entire main chain from genesis.
-func (n *Node) rebuildState() {
-	n.state.Reset()
-	n.mu.Lock()
-	n.committedTxs = make(map[string]bool)
-	n.mu.Unlock()
-	for _, b := range n.store.MainChain() {
-		if b.Header.Height == 0 {
-			continue
-		}
-		n.applyBlock(b)
 	}
 }

@@ -44,7 +44,11 @@ func (n *Node) gossipBlock(b *chain.Block) {
 	_ = n.cfg.Transport.Broadcast(p2p.Message{Kind: p2p.KindBlock, Payload: payload})
 }
 
-// handleGossip processes incoming network messages.
+// handleGossip processes incoming network messages. Transaction
+// signatures are verified before n.mu is taken, and newly admitted
+// transactions kick the producer exactly like a local submission, so a
+// validator-origin request or ack rides the group-commit window instead
+// of waiting out BlockInterval.
 func (n *Node) handleGossip(msg p2p.Message) {
 	switch msg.Kind {
 	case p2p.KindTx:
@@ -52,41 +56,32 @@ func (n *Node) handleGossip(msg p2p.Message) {
 		if err := json.Unmarshal(msg.Payload, &tx); err != nil {
 			return
 		}
-		if err := tx.Verify(); err != nil {
-			return
-		}
-		n.mu.Lock()
-		known := n.committedTxs[tx.IDString()]
-		if !known {
-			n.mempool.add(&tx)
-		}
-		n.mu.Unlock()
+		n.admitVerified([]*chain.Tx{&tx})
 	case p2p.KindTxBatch:
 		var txs []*chain.Tx
 		if err := json.Unmarshal(msg.Payload, &txs); err != nil {
 			return
 		}
-		n.mu.Lock()
-		for _, tx := range txs {
-			if tx == nil || tx.Verify() != nil {
-				continue
-			}
-			if !n.committedTxs[tx.IDString()] {
-				n.mempool.add(tx)
-			}
-		}
-		n.mu.Unlock()
+		n.admitVerified(txs)
 	case p2p.KindBlock:
 		var b chain.Block
 		if err := json.Unmarshal(msg.Payload, &b); err != nil {
 			return
 		}
-		// Errors (duplicate, unknown parent, bad proof) are expected under
-		// gossip and simply ignored; the block will be refetched by sync
-		// if it mattered.
-		_ = n.commitBlock(&b)
+		// Errors (duplicate, parent not received yet, bad proof) are
+		// expected under gossip and simply ignored.
+		_ = n.ReceiveBlock(&b)
 	}
 }
 
-// ReceiveBlock lets tests and the sync layer inject a block directly.
-func (n *Node) ReceiveBlock(b *chain.Block) error { return n.commitBlock(b) }
+// admitVerified admits the gossiped transactions whose signatures
+// verify, dropping the rest.
+func (n *Node) admitVerified(txs []*chain.Tx) {
+	good := txs[:0]
+	for _, tx := range txs {
+		if tx != nil && tx.Verify() == nil {
+			good = append(good, tx)
+		}
+	}
+	n.admit(good)
+}

@@ -10,7 +10,9 @@ package node
 import (
 	"context"
 	"fmt"
+	"log"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"medshare/internal/chain"
@@ -18,6 +20,7 @@ import (
 	"medshare/internal/consensus"
 	"medshare/internal/contract"
 	"medshare/internal/identity"
+	"medshare/internal/merkle"
 	"medshare/internal/p2p"
 	"medshare/internal/statedb"
 	"medshare/internal/store"
@@ -68,7 +71,19 @@ type Config struct {
 type Node struct {
 	cfg   Config
 	store *chain.Store
-	state *statedb.Store
+
+	// commitMu serializes block admission. A block is executed once on a
+	// clone of the published state and, its declared root verified there,
+	// published under this lock in one step: head, state pointer,
+	// receipts, waiters, events. A producer snapshots head and state
+	// under it, so it can never pair a head with another block's state.
+	commitMu sync.Mutex
+	// state is the published world state: the post-state of the head
+	// block, never mutated after publication.
+	state atomic.Pointer[statedb.Store]
+	// orphans parks received blocks by the hash of the parent they wait
+	// for (see ReceiveBlock); guarded by commitMu.
+	orphans map[merkle.Hash]*chain.Block
 
 	mu       sync.Mutex
 	mempool  *mempool
@@ -78,6 +93,12 @@ type Node struct {
 	// committedTxs prevents replay: a tx ID may commit only once.
 	committedTxs map[string]bool
 	nonce        uint64
+	// applied is closed and replaced each time a main-chain block is
+	// published (see BlockApplied).
+	applied chan struct{}
+	// poisoned, once set, stops production and block admission (see
+	// Poisoned).
+	poisoned error
 
 	events *eventBus
 
@@ -114,29 +135,21 @@ func New(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:          cfg,
 		store:        chain.NewStore(chain.Genesis(cfg.NetworkName)),
-		state:        statedb.NewStore(),
+		orphans:      make(map[merkle.Hash]*chain.Block),
 		mempool:      newMempool(),
 		receipts:     make(map[string]contract.Receipt),
 		txWaiters:    make(map[string][]chan contract.Receipt),
 		committedTxs: make(map[string]bool),
+		applied:      make(chan struct{}),
 		events:       newEventBus(),
 		kickCh:       make(chan struct{}, 1),
 		stopped:      make(chan struct{}),
 	}
+	n.state.Store(statedb.NewStore())
 	if cfg.Store != nil {
-		// Recover first, then register the persist hook: blocks re-added
-		// during recovery must not be re-appended to the log.
 		if err := n.recoverFromStore(cfg.Store); err != nil {
 			return nil, fmt.Errorf("node: recovery: %w", err)
 		}
-		n.store.SetPersist(func(b *chain.Block) {
-			// A write failure poisons the durable store (Commit keeps
-			// returning an error) but the node stays live from memory;
-			// the operator sees it on the next checkpoint attempt.
-			_ = cfg.Store.Commit(func(bt *store.Batch) error {
-				return bt.PutBlock(b)
-			})
-		})
 	}
 	if cfg.Transport != nil {
 		cfg.Transport.Handle(n.handleGossip)
@@ -153,8 +166,47 @@ func (n *Node) Identity() *identity.Identity { return n.cfg.Identity }
 // Store exposes the block store (read-only use expected).
 func (n *Node) Store() *chain.Store { return n.store }
 
-// State exposes the world state (read-only use expected).
-func (n *Node) State() *statedb.Store { return n.state }
+// State returns the published world state: an immutable snapshot of the
+// head block's post-state (read-only use expected). Later blocks publish
+// new snapshots; callers wanting fresh state call State again.
+func (n *Node) State() *statedb.Store { return n.state.Load() }
+
+// snapshot returns the head block and its post-state as one consistent
+// pair.
+func (n *Node) snapshot() (*chain.Block, *statedb.Store) {
+	n.commitMu.Lock()
+	defer n.commitMu.Unlock()
+	return n.store.Head(), n.state.Load()
+}
+
+// BlockApplied returns a channel that is closed when the next main-chain
+// block is published. Waiters take the channel before checking their
+// condition, so a block landing in between still wakes them.
+func (n *Node) BlockApplied() <-chan struct{} {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.applied
+}
+
+// Poisoned reports the sticky error of a node whose state could not
+// follow its chain: a fork-choice switch onto a branch whose declared
+// state roots do not reproduce. Such a node has stopped producing and
+// admitting blocks and must be restarted.
+func (n *Node) Poisoned() error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.poisoned
+}
+
+// poison records the first unrecoverable error and logs it once.
+func (n *Node) poison(err error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.poisoned == nil {
+		n.poisoned = err
+		log.Printf("node %s: poisoned, production stopped: %v", n.Address().Short(), err)
+	}
+}
 
 // Registry returns the installed contract registry.
 func (n *Node) Registry() *contract.Registry { return n.cfg.Registry }
@@ -196,13 +248,13 @@ func (n *Node) WriteCheckpoint(clean bool) error {
 	if n.cfg.Store == nil {
 		return nil
 	}
-	head := n.store.Head()
+	head, state := n.snapshot()
 	return n.cfg.Store.Commit(func(b *store.Batch) error {
 		if err := b.PutState(store.StateCheckpoint{
 			Height:  head.Header.Height,
 			Head:    head.Hash(),
-			Root:    n.state.Root(),
-			Entries: n.state.Export(),
+			Root:    state.Root(),
+			Entries: state.Export(),
 		}); err != nil {
 			return err
 		}
@@ -266,7 +318,10 @@ var (
 // of the current head. It is also the hook tests and benchmarks use to
 // drive the chain without a timer.
 func (n *Node) TryProduce(ctx context.Context) error {
-	head := n.store.Head()
+	if err := n.Poisoned(); err != nil {
+		return err
+	}
+	head, base := n.snapshot()
 	height := head.Header.Height + 1
 	if !n.cfg.Engine.MayPropose(n.Address(), height) {
 		return errNotOurTurn
@@ -290,23 +345,32 @@ func (n *Node) TryProduce(ctx context.Context) error {
 		return err
 	}
 
-	// Execute against a throwaway replica to learn the post-state root
-	// without touching the live state.
-	staging := n.cloneState()
-	n.executeOn(staging, b, nil)
-	b.Header.StateRoot = staging.Root()
+	// The block's one execution: its post-state supplies the header's
+	// state root now and becomes the published state at commit.
+	staged := base.Clone()
+	receipts := n.executeOn(staged, b)
+	b.Header.StateRoot = staged.Root()
 
 	if err := n.cfg.Engine.Seal(ctx, b, n.cfg.Identity); err != nil {
 		return err
 	}
-	if n.store.Head().Hash() != head.Hash() {
-		// Another block landed while sealing; drop ours, txs stay pooled.
+	if n.store.Head() != head {
+		// Another block landed while sealing; drop ours.
 		return errStaleProduce
 	}
-	if err := n.commitBlock(b); err != nil {
+	// Broadcast before the local persist, so followers execute and fsync
+	// while we do, and before taking the commit lock, which is never held
+	// across the network. From here the block is public and is committed
+	// whatever happens to the head meanwhile (a competing block makes it
+	// a fork-choice sibling); a successor gossiped straight back may find
+	// it still pending and is parked until it lands.
+	n.gossipBlock(b)
+	n.commitMu.Lock()
+	defer n.commitMu.Unlock()
+	if err := n.commitBlock(b, staged, receipts); err != nil {
 		return err
 	}
-	n.gossipBlock(b)
+	n.adoptOrphans(b)
 	return nil
 }
 
@@ -345,22 +409,28 @@ func (n *Node) SubmitTxBatch(txs []*chain.Tx) error {
 			return err
 		}
 	}
+	if fresh := n.admit(txs); len(fresh) > 0 {
+		n.gossipTxBatch(fresh)
+	}
+	return nil
+}
+
+// admit pools the (already verified) transactions that are neither
+// committed nor pooled, kicks the producer if any were new, and returns
+// the new ones.
+func (n *Node) admit(txs []*chain.Tx) []*chain.Tx {
 	fresh := make([]*chain.Tx, 0, len(txs))
 	n.mu.Lock()
 	for _, tx := range txs {
-		if n.committedTxs[tx.IDString()] {
-			continue
-		}
-		if n.mempool.add(tx) {
+		if !n.committedTxs[tx.IDString()] && n.mempool.add(tx) {
 			fresh = append(fresh, tx)
 		}
 	}
 	n.mu.Unlock()
 	if len(fresh) > 0 {
-		n.gossipTxBatch(fresh)
 		n.kick()
 	}
-	return nil
+	return fresh
 }
 
 // BuildTx constructs and signs a transaction from this node's identity.
@@ -406,7 +476,7 @@ func (n *Node) Receipt(txID string) (contract.Receipt, bool) {
 
 // Query runs a read-only contract invocation against the current state.
 func (n *Node) Query(contractName, fn string, args ...[]byte) ([]byte, error) {
-	return contract.Query(n.cfg.Registry, n.state, contractName, fn, n.Address(), args...)
+	return contract.Query(n.cfg.Registry, n.State(), contractName, fn, n.Address(), args...)
 }
 
 // Subscribe registers an event listener; cancel releases it. Slow

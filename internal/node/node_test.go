@@ -396,11 +396,29 @@ func TestRejectBlockWithWrongStateRoot(t *testing.T) {
 	if err := n.cfg.Engine.Seal(context.Background(), b, n.cfg.Identity); err != nil {
 		t.Fatal(err)
 	}
+	rootBefore := n.State().Root()
 	if err := n.ReceiveBlock(b); err == nil {
 		t.Fatal("block with wrong state root accepted")
 	}
 	if n.Store().Height() != 0 {
 		t.Fatal("bad block extended the chain")
+	}
+	// The block ran on a staged clone: rejecting it is not a fault of this
+	// node, whose published state is untouched and which keeps producing.
+	if n.State().Root() != rootBefore {
+		t.Fatal("rejected block changed the published state")
+	}
+	if err := n.Poisoned(); err != nil {
+		t.Fatalf("rejecting a bad block poisoned the node: %v", err)
+	}
+	if err := n.SubmitTx(tx); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.TryProduce(context.Background()); err != nil {
+		t.Fatalf("node stopped producing after rejecting a bad block: %v", err)
+	}
+	if v, _, ok := n.State().Get("kv/x"); !ok || string(v) != "y" || n.Store().Height() != 1 {
+		t.Fatal("node's own block was not applied")
 	}
 }
 

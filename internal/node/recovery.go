@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"medshare/internal/chain"
-	"medshare/internal/contract"
+	"medshare/internal/statedb"
 	"medshare/internal/store"
 )
 
@@ -37,13 +37,14 @@ func (n *Node) recoverFromStore(s *store.Store) error {
 
 	// Fast path: import the clean-shutdown checkpoint when it still names
 	// a main-chain block and its entries hash back to the recorded root.
-	start := uint64(1)
+	state, start := statedb.NewStore(), uint64(1)
 	if cp, ok := s.State(); ok && cp.Height < uint64(len(mc)) {
 		at := mc[cp.Height]
 		if at.Hash() == cp.Head && at.Header.StateRoot == cp.Root {
-			n.state.Import(cp.Entries)
-			if n.state.Root() == cp.Root {
-				start = cp.Height + 1
+			imported := statedb.NewStore()
+			imported.Import(cp.Entries)
+			if imported.Root() == cp.Root {
+				state, start = imported, cp.Height+1
 				n.mu.Lock()
 				for _, b := range mc[:start] {
 					for _, tx := range b.Txs {
@@ -53,52 +54,16 @@ func (n *Node) recoverFromStore(s *store.Store) error {
 					}
 				}
 				n.mu.Unlock()
-			} else {
-				n.state.Reset()
 			}
 		}
 	}
 
-	for _, b := range mc[start:] {
-		if err := n.replayBlock(b); err != nil {
-			// The checkpoint (or a mid-replay state) diverged; pay for a
-			// full re-execution from genesis before giving up.
-			n.state.Reset()
-			n.mu.Lock()
-			n.committedTxs = make(map[string]bool)
-			n.receipts = make(map[string]contract.Receipt)
-			n.mu.Unlock()
-			for _, b2 := range mc[1:] {
-				if err2 := n.replayBlock(b2); err2 != nil {
-					return fmt.Errorf("full replay after checkpoint mismatch (%v): %w", err, err2)
-				}
-			}
-			break
+	if err := n.replay(state, mc[start:]); err != nil {
+		// The checkpoint diverged; pay for a full re-execution from
+		// genesis before giving up.
+		if err2 := n.replayFromGenesis(); err2 != nil {
+			return fmt.Errorf("full replay after checkpoint mismatch (%v): %w", err, err2)
 		}
 	}
-	return nil
-}
-
-// replayBlock is the recovery-time variant of applyBlock: it executes b
-// against the live state and records receipts and replay protection,
-// but returns a root mismatch as an error (recovery has a fallback)
-// instead of panicking, and publishes no events (nothing subscribes
-// before New returns).
-func (n *Node) replayBlock(b *chain.Block) error {
-	var receipts []contract.Receipt
-	n.executeOn(n.state, b, func(_ int, r contract.Receipt) {
-		receipts = append(receipts, r)
-	})
-	if got := n.state.Root(); got != b.Header.StateRoot {
-		return fmt.Errorf("node: recovered state root mismatch at height %d: got %x want %x",
-			b.Header.Height, got[:6], b.Header.StateRoot[:6])
-	}
-	n.mu.Lock()
-	for i, tx := range b.Txs {
-		id := tx.IDString()
-		n.committedTxs[id] = true
-		n.receipts[id] = receipts[i]
-	}
-	n.mu.Unlock()
 	return nil
 }

@@ -33,7 +33,7 @@ func buildPoWBlock(t *testing.T, n *Node, parent *chain.Block, engine consensus.
 	// root for this block's chain. For the test's short forks we replay
 	// from scratch on a fresh store.
 	staging := freshReplay(t, n, parent)
-	n.executeOn(staging, b, nil)
+	n.executeOn(staging, b)
 	b.Header.StateRoot = staging.Root()
 	if err := engine.Seal(context.Background(), b, n.cfg.Identity); err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func freshReplay(t *testing.T, n *Node, tip *chain.Block) *statedb.Store {
 		cur = parent
 	}
 	for _, b := range branch {
-		n.executeOn(st, b, nil)
+		n.executeOn(st, b)
 	}
 	return st
 }

@@ -10,6 +10,7 @@ package statedb
 import (
 	"encoding/binary"
 	"errors"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -93,12 +94,15 @@ func (s *Store) Len() int {
 	return len(s.data)
 }
 
-// Reset drops all state (used when a node rebuilds state after adopting a
-// different fork).
-func (s *Store) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.data = make(map[string]entry)
+// Clone returns an independent copy of the state, versions included, so
+// its Root equals the source's. Stored values are never mutated in
+// place (Commit stores copies, Get returns copies), so the copy shares
+// them. A node executes each block on a clone of its published state
+// and publishes the clone once the block's declared root checks out.
+func (s *Store) Clone() *Store {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return &Store{data: maps.Clone(s.data)}
 }
 
 // Root computes a deterministic commitment to the full world state: the

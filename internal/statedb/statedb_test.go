@@ -221,15 +221,24 @@ func TestRootDeterministicQuick(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
+func TestCloneIsIndependentAndVersionFaithful(t *testing.T) {
 	s := NewStore()
-	s.Commit(WriteSet{"a": []byte("1")}, Version{Height: 1})
-	s.Reset()
-	if s.Len() != 0 {
-		t.Fatal("reset left keys")
+	s.Commit(WriteSet{"a": []byte("1"), "b": []byte("2")}, Version{Height: 1, TxIndex: 3})
+	c := s.Clone()
+	if c.Root() != s.Root() {
+		t.Fatal("clone root differs from source")
 	}
-	if s.Root() != (NewStore()).Root() {
-		t.Fatal("reset root differs from fresh store")
+	if _, ver, ok := c.Get("a"); !ok || ver != (Version{Height: 1, TxIndex: 3}) {
+		t.Fatalf("clone lost the version: %v %v", ver, ok)
+	}
+	before := s.Root()
+	c.Commit(WriteSet{"a": []byte("x"), "b": nil, "c": []byte("3")}, Version{Height: 2})
+	if s.Root() != before || s.Len() != 2 {
+		t.Fatal("writing the clone changed the source")
+	}
+	s.Commit(WriteSet{"d": []byte("4")}, Version{Height: 2})
+	if _, _, ok := c.Get("d"); ok {
+		t.Fatal("writing the source changed the clone")
 	}
 }
 

@@ -188,7 +188,11 @@ func TestServingEdgeTCPEndToEnd(t *testing.T) {
 		t.Fatalf("patient serves seq %d, want 1", proved.Seq)
 	}
 
-	// The audit trail from either edge shows the full story.
+	// The audit trail from either edge shows the full story once the
+	// patient's ack — submitted after its replica turned — has committed.
+	if err := doctor.WaitFinal(ctx, "S", 1); err != nil {
+		t.Fatal(err)
+	}
 	recs, err := docAPI.Audit(ctx, "S")
 	if err != nil {
 		t.Fatal(err)

@@ -428,6 +428,8 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE medshare_api_latency_seconds summary",
 		"medshare_peer_proof_cache_hits_total",
 		"medshare_peer_batch_commits_total",
+		"medshare_peer_delta_gets_total",
+		"medshare_peer_full_gets_total",
 		"medshare_chain_height",
 	} {
 		if !strings.Contains(m, want) {

@@ -77,6 +77,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 		{"medshare_peer_sync_requests_total", st.SyncRequests},
 		{"medshare_peer_batch_commits_total", st.BatchCommits},
 		{"medshare_peer_batch_txs_total", st.BatchTxs},
+		{"medshare_peer_delta_gets_total", st.DeltaGets},
+		{"medshare_peer_full_gets_total", st.FullGets},
 		{"medshare_peer_fetches_served_total", st.FetchesServed},
 		{"medshare_peer_syncs_served_total", st.SyncsServed},
 		{"medshare_peer_proof_cache_hits_total", st.ProofCacheHits},

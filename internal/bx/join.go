@@ -234,21 +234,27 @@ func (l *JoinLens) Get(src *reldb.Table) (*reldb.Table, error) {
 		return nil, err
 	}
 	var keyBuf []byte
-	return src.RebuildAs(p.want, func(sr reldb.Row) (reldb.Row, error) {
-		var refRow reldb.Row
-		refRow, keyBuf, err = l.rejoin(p, keyBuf, sr, p.sharedSrc)
-		if err != nil {
-			return nil, fmt.Errorf("bx: join lens cannot derive %s from %s: %w", l.ViewName, src.Name(), err)
-		}
-		vr := make(reldb.Row, len(p.want.Columns))
-		for i, vi := range p.srcView {
-			vr[vi] = sr[i]
-		}
-		for i, vi := range p.extraView {
-			vr[vi] = refRow[p.extraRef[i]]
-		}
-		return vr, nil
+	return src.RebuildAs(p.want, func(sr reldb.Row) (vr reldb.Row, err error) {
+		vr, keyBuf, err = l.viewRow(p, keyBuf, sr, src.Name())
+		return vr, err
 	})
+}
+
+// viewRow derives one view row: the source row (of the table named
+// srcName) plus the reference columns its join tuple selects.
+func (l *JoinLens) viewRow(p *joinPlan, keyBuf []byte, sr reldb.Row, srcName string) (reldb.Row, []byte, error) {
+	refRow, keyBuf, err := l.rejoin(p, keyBuf, sr, p.sharedSrc)
+	if err != nil {
+		return nil, keyBuf, fmt.Errorf("bx: join lens cannot derive %s from %s: %w", l.ViewName, srcName, err)
+	}
+	vr := make(reldb.Row, len(p.want.Columns))
+	for i, vi := range p.srcView {
+		vr[vi] = sr[i]
+	}
+	for i, vi := range p.extraView {
+		vr[vi] = refRow[p.extraRef[i]]
+	}
+	return vr, keyBuf, nil
 }
 
 // Put implements Lens: every view row must address an existing source

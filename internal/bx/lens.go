@@ -35,16 +35,26 @@ var (
 // Implementations must be pure: no method may mutate its arguments, and
 // all must be deterministic.
 //
-// The delta path (PutDelta) is part of the required surface: every lens
-// must embed a row-level view changeset in O(changed rows) work, because
-// the sharing layer's whole update pipeline — entry-level edits,
-// incoming-update application, cascades, resync — runs on changesets and
-// never falls back to an O(table) put. Put remains for whole-view
-// embedding where no changeset exists (share bootstrap, divergence
-// recovery, the lens laws).
+// The delta path (GetDelta, PutDelta) is part of the required surface:
+// every lens must carry a row-level changeset across in O(changed rows)
+// work in both directions, because the sharing layer's whole update
+// pipeline — proposals, entry-level edits, incoming-update application,
+// cascades, resync — runs on changesets. Get and Put remain for the
+// whole-table cases where no changeset exists (share bootstrap,
+// divergence recovery, the lens laws).
 type Lens interface {
 	// Get computes the view of src (the forward transformation).
 	Get(src *reldb.Table) (*reldb.Table, error)
+	// GetDelta computes the view of newSrc given oldView, the lens's view
+	// of oldSrc (Get(oldSrc), under any priority seed), and srcCs, the
+	// changeset from oldSrc to newSrc (reldb.Table.Diff, or the source
+	// changeset a PutDelta returned). The result is built on oldView's
+	// tree — its seed, its untouched subtrees and their cached digests
+	// carry over — and comes with the minimal changeset from oldView, as
+	// oldView.Diff would report it. It equals Get(newSrc) reseeded like
+	// oldView, in O(changed source rows) instead of O(table), and fails
+	// where Get(newSrc) fails. It never mutates its arguments.
+	GetDelta(oldSrc, newSrc, oldView *reldb.Table, srcCs reldb.Changeset) (*reldb.Table, reldb.Changeset, error)
 	// Put embeds view into src, producing an updated source (the backward
 	// transformation). Put never mutates src or view.
 	Put(src, view *reldb.Table) (*reldb.Table, error)

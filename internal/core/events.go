@@ -251,6 +251,7 @@ func (p *Peer) embedIncoming(ctx context.Context, s *Share, seq uint64, from ide
 	s.stMu.Lock()
 	applied := s.AppliedSeq
 	diverged := s.diverged
+	baseSrc, baseView := s.derivedSrc, s.derivedView
 	s.stMu.Unlock()
 	if applied >= seq {
 		return nil, nil // already applied (e.g. via resync)
@@ -287,11 +288,29 @@ func (p *Peer) embedIncoming(ctx context.Context, s *Share, seq uint64, from ide
 	// put failure means the view edit has no translation into our source
 	// under the local lens; reject the pending update on-chain so the
 	// share does not stall and the proposer rolls back.
+	//
+	// The derived pair (see stageProposal) moves with the replica, inside
+	// the same replacement. If its snapshot is the source version being
+	// replaced, the put's output is the new snapshot: by PutGet the
+	// incoming view is its view. If the source has moved on since — a
+	// sibling share embedded an edit this view has yet to show — the
+	// snapshot takes the same delta put on its own, so that edit is still
+	// in the next proposal's diff, not silently taken as reflected.
 	local := newView.Renamed(s.ViewName)
+	delta := hasDelta && !diverged
+	paired := baseSrc != nil && baseView.SameVersion(curView)
 	err = p.cfg.DB.ReplaceTable(s.SourceTable, func(src *reldb.Table) (*reldb.Table, error) {
-		newSrc, err := putViaDelta(s.Lens, src, local, cs, hasDelta && !diverged)
+		newSrc, err := putViaDelta(s.Lens, src, local, cs, delta)
 		if err != nil {
 			return nil, err
+		}
+		switch {
+		case paired && baseSrc.SameVersion(src):
+			baseSrc = newSrc
+		case paired && delta:
+			baseSrc, _, _ = bx.PutDelta(s.Lens, baseSrc, local, cs) // nil on failure: no pair
+		default:
+			baseSrc = nil
 		}
 		return newSrc.Renamed(s.SourceTable), nil
 	})
@@ -315,6 +334,7 @@ func (p *Peer) embedIncoming(ctx context.Context, s *Share, seq uint64, from ide
 	s.prev = &shareBackup{seq: applied, view: curView}
 	s.AppliedSeq = seq
 	s.diverged = false // put realigned source and view
+	s.derivedSrc, s.derivedView = baseSrc, local
 	s.stMu.Unlock()
 	p.persistShare(s)
 	p.record(HistoryEntry{ShareID: shareID, Seq: seq, Kind: "applied", Cols: cols, From: from})

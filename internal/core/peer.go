@@ -210,6 +210,14 @@ type Share struct {
 	// would silently preserve the divergence).
 	diverged bool
 
+	// derivedSrc and derivedView are the source snapshot and the replica
+	// version that equals Lens.Get of it — where the next proposal's
+	// incremental get starts (stageProposal). Nothing clears the pair: it
+	// is trusted only while derivedView is still the very version stored
+	// as the replica, so a rollback, resync, repair or restore that swaps
+	// the replica in retires it, and so does a restart (nil).
+	derivedSrc, derivedView *reldb.Table
+
 	// proofs memoizes membership proofs for the serving edge's
 	// proof-carrying reads, invalidated wholesale when the applied
 	// sequence (and hence the row root) advances. See prove.go.
@@ -218,9 +226,10 @@ type Share struct {
 
 // seedView returns the table reseeded under the share's priority secret.
 // O(1) when the table already carries it — the steady state: clones and
-// delta-applied descendants of a seeded replica inherit the seed through
-// the shared storage, so only freshly materialized views (lens get, full
-// fetch) pay the O(n) rebuild, which they precede with O(n) work anyway.
+// delta-applied descendants of a seeded replica (incremental gets, delta
+// fetches) inherit the seed through the shared storage, so only freshly
+// materialized views (full lens get, full fetch) pay the O(n) rebuild,
+// which they precede with O(n) work anyway.
 func (s *Share) seedView(t *reldb.Table) *reldb.Table {
 	if len(s.prioSeed) == 0 {
 		return t

@@ -160,6 +160,13 @@ type Stats struct {
 	// BatchTxs/BatchCommits is the realized mean batch size.
 	BatchCommits uint64
 	BatchTxs     uint64
+	// DeltaGets and FullGets split proposal stagings (no-change probes
+	// included) between the incremental get over the changed source rows
+	// and the whole-source Lens.Get that bootstraps a share or follows a
+	// swapped-in replica. FullGets rising with the update count means a
+	// share is stuck on the O(table) path.
+	DeltaGets uint64
+	FullGets  uint64
 	// FetchesServed and SyncsServed count data-channel requests this
 	// peer answered, by kind (payload fetch vs structural sync round) —
 	// the peer-side view of serve traffic the /metrics endpoint exports.
@@ -195,6 +202,8 @@ type statsCounters struct {
 	syncRequests      atomic.Uint64
 	batchCommits      atomic.Uint64
 	batchTxs          atomic.Uint64
+	deltaGets         atomic.Uint64
+	fullGets          atomic.Uint64
 	fetchesServed     atomic.Uint64
 	syncsServed       atomic.Uint64
 	headersServed     atomic.Uint64
@@ -217,6 +226,8 @@ func (c *statsCounters) snapshot() Stats {
 		SyncRequests:      c.syncRequests.Load(),
 		BatchCommits:      c.batchCommits.Load(),
 		BatchTxs:          c.batchTxs.Load(),
+		DeltaGets:         c.deltaGets.Load(),
+		FullGets:          c.fullGets.Load(),
 		FetchesServed:     c.fetchesServed.Load(),
 		SyncsServed:       c.syncsServed.Load(),
 		HeadersServed:     c.headersServed.Load(),

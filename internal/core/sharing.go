@@ -251,34 +251,60 @@ type stagedProposal struct {
 	cols    []string
 }
 
-// stageProposal materializes the share's fresh view, diffs it against the
+// stageProposal derives the share's fresh view, diffs it against the
 // replica, builds the request_update transaction, and optimistically
 // installs the new view with the pre-proposal state kept as the rollback
 // point. The caller holds s.opMu and must resolve the staged proposal
 // with finalizeProposal or rollbackProposal once the transaction's fate
 // is known.
+//
+// The get is incremental whenever the replica is still the version last
+// derived from a remembered source snapshot: that snapshot is diffed
+// against the current source (structural, O(changed rows)) and the
+// changeset pushed through Lens.GetDelta onto the replica's own tree, so
+// deriving, hashing and diffing the new view all cost O(changed rows).
+// Otherwise — first proposal after binding or restart, or a replica
+// swapped in by rollback, resync or repair — the whole source goes
+// through Lens.Get once, which re-establishes the pair.
 func (p *Peer) stageProposal(s *Share) (*stagedProposal, error) {
 	src, err := p.snapshotTable(s.SourceTable)
 	if err != nil {
 		return nil, err
 	}
-	newView, err := s.Lens.Get(src)
-	if err != nil {
-		return nil, fmt.Errorf("core: get on %s: %w", s.ID, err)
-	}
-	// The freshly materialized view is rebuilt under the share's priority
-	// secret before it is hashed, diffed, or stored: the payload hash the
-	// counterparties verify commits to the seeded tree shape.
-	newView = s.seedView(newView)
 	oldView, err := p.snapshotTable(s.ViewName)
 	if err != nil {
 		return nil, err
 	}
-	cs, err := oldView.Diff(newView)
+	s.stMu.Lock()
+	baseSrc, baseView := s.derivedSrc, s.derivedView
+	s.stMu.Unlock()
+	var newView *reldb.Table
+	var cs reldb.Changeset
+	if baseSrc != nil && baseView.SameVersion(oldView) && baseSrc.SchemaSum() == src.SchemaSum() {
+		p.stats.deltaGets.Add(1)
+		var srcCs reldb.Changeset
+		if srcCs, err = baseSrc.Diff(src); err == nil {
+			newView, cs, err = bx.GetDelta(s.Lens, baseSrc, src, oldView, srcCs)
+		}
+	} else {
+		p.stats.fullGets.Add(1)
+		if newView, err = s.Lens.Get(src); err == nil {
+			// Rebuilt under the share's priority secret before it is
+			// hashed, diffed, or stored: the payload hash the
+			// counterparties verify commits to the seeded tree shape.
+			newView = s.seedView(newView)
+			cs, err = oldView.Diff(newView)
+		}
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: get on %s: %w", s.ID, err)
 	}
 	if cs.Empty() {
+		// The replica is the view of this source too; the next diff
+		// starts here instead of re-reading edits the view does not show.
+		s.stMu.Lock()
+		s.derivedSrc, s.derivedView = src, oldView
+		s.stMu.Unlock()
 		return nil, ErrNoChanges
 	}
 	colSet := cs.ChangedColumns(oldView.Schema())
@@ -317,6 +343,7 @@ func (p *Peer) stageProposal(s *Share) (*stagedProposal, error) {
 	s.backup = &shareBackup{seq: baseSeq, view: oldView}
 	s.prev = &shareBackup{seq: baseSeq, view: oldView}
 	s.AppliedSeq = baseSeq + 1
+	s.derivedSrc, s.derivedView = src, newView
 	s.stMu.Unlock()
 	return &stagedProposal{s: s, tx: tx, baseSeq: baseSeq, oldView: oldView, kind: kind, cols: cols}, nil
 }

@@ -420,3 +420,108 @@ func TestMultiAuthorityTCP(t *testing.T) {
 		}
 	}
 }
+
+// hookEngine is the wrapped engine with a hook before Prepare and Seal;
+// a hook's error is the call's.
+type hookEngine struct {
+	consensus.Engine
+	beforePrepare, beforeSeal func() error
+}
+
+func (e *hookEngine) Prepare(h *chain.Header) error {
+	if e.beforePrepare != nil {
+		if err := e.beforePrepare(); err != nil {
+			return err
+		}
+	}
+	return e.Engine.Prepare(h)
+}
+
+func (e *hookEngine) Seal(ctx context.Context, b *chain.Block, id *identity.Identity) error {
+	if e.beforeSeal != nil {
+		if err := e.beforeSeal(); err != nil {
+			return err
+		}
+	}
+	return e.Engine.Seal(ctx, b, id)
+}
+
+// TestAbandonedProductionRequeuesItsTxs: the transactions TryProduce
+// picked leave the mempool, so every return that abandons the block —
+// Prepare failing, Seal failing, the head moving while sealing — must
+// put them back, or a transaction submitted to this node alone is lost.
+// One that a competing block committed meanwhile stays out.
+func TestAbandonedProductionRequeuesItsTxs(t *testing.T) {
+	aid, bid := identity.MustNew("a"), identity.MustNew("b")
+	eng := &hookEngine{Engine: consensus.NewPoA(false, aid.Address(), bid.Address())}
+	mk := func(id *identity.Identity, e consensus.Engine) *Node {
+		n, err := New(Config{NetworkName: "requeue", Identity: id, Engine: e, Registry: contract.NewRegistry(kvContract{})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	a, b := mk(aid, eng), mk(bid, eng.Engine)
+	ctx := context.Background()
+
+	mine := a.BuildTx("kv", "set", "", []byte("mine"), []byte("v"))
+	both := a.BuildTx("kv", "set", "", []byte("both"), []byte("v"))
+	for _, tx := range []*chain.Tx{mine, both} {
+		if err := a.SubmitTx(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.SubmitTx(both); err != nil {
+		t.Fatal(err)
+	}
+
+	boom := fmt.Errorf("engine says no")
+	eng.beforePrepare = func() error { return boom }
+	if err := a.TryProduce(ctx); err != boom || a.PendingTxs() != 2 {
+		t.Fatalf("Prepare failure: err %v, %d txs pooled, want both back", err, a.PendingTxs())
+	}
+	eng.beforePrepare = nil
+	eng.beforeSeal = func() error { return boom }
+	if err := a.TryProduce(ctx); err != boom || a.PendingTxs() != 2 {
+		t.Fatalf("Seal failure: err %v, %d txs pooled, want both back", err, a.PendingTxs())
+	}
+
+	// Seal blocks while b's block, carrying one of the two, lands on a.
+	sealing, release := make(chan struct{}), make(chan struct{})
+	eng.beforeSeal = func() error {
+		close(sealing)
+		<-release
+		return nil
+	}
+	produced := make(chan error, 1)
+	go func() { produced <- a.TryProduce(ctx) }()
+	<-sealing
+	if err := b.TryProduce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.ReceiveBlock(b.Store().Head()); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-produced; err != errStaleProduce {
+		t.Fatalf("production over a moved head returned %v, want errStaleProduce", err)
+	}
+	if got := a.PendingTxs(); got != 1 {
+		t.Fatalf("%d txs pooled after the stale production, want the uncommitted one only", got)
+	}
+
+	eng.beforeSeal = nil
+	if err := a.TryProduce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	for _, tx := range []*chain.Tx{mine, both} {
+		if rcpt, err := a.WaitTx(wctx, tx.IDString()); err != nil || !rcpt.OK {
+			t.Fatalf("tx %s: receipt %+v, err %v", tx.IDString()[:8], rcpt, err)
+		}
+	}
+	if h := a.Store().Height(); h != 2 || len(a.Store().Head().Txs) != 1 {
+		t.Fatalf("height %d, head carries %d txs; want the requeued tx alone in block 2", h, len(a.Store().Head().Txs))
+	}
+}

@@ -342,6 +342,7 @@ func (n *Node) TryProduce(ctx context.Context) error {
 	}
 	b.Header.TxRoot = b.ComputeTxRoot()
 	if err := n.cfg.Engine.Prepare(&b.Header); err != nil {
+		n.requeueTxs(txs)
 		return err
 	}
 
@@ -352,10 +353,13 @@ func (n *Node) TryProduce(ctx context.Context) error {
 	b.Header.StateRoot = staged.Root()
 
 	if err := n.cfg.Engine.Seal(ctx, b, n.cfg.Identity); err != nil {
+		n.requeueTxs(txs)
 		return err
 	}
 	if n.store.Head() != head {
-		// Another block landed while sealing; drop ours.
+		// Another block landed while sealing; drop ours, keep its
+		// transactions for the next round.
+		n.requeueTxs(txs)
 		return errStaleProduce
 	}
 	// Broadcast before the local persist, so followers execute and fsync
@@ -491,6 +495,20 @@ func (n *Node) PendingTxs() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.mempool.len()
+}
+
+// requeueTxs returns the transactions of an abandoned production attempt
+// to the front of the pool, except those a block committed meanwhile.
+func (n *Node) requeueTxs(txs []*chain.Tx) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	live := make([]*chain.Tx, 0, len(txs))
+	for _, tx := range txs {
+		if !n.committedTxs[tx.IDString()] {
+			live = append(live, tx)
+		}
+	}
+	n.mempool.requeue(live)
 }
 
 // pickTxs selects up to MaxTxPerBlock transactions, enforcing the paper's

@@ -157,6 +157,10 @@ func mk[V any](l *node[V], k string, p uint64, v V, r *node[V]) *node[V] {
 // Len returns the number of entries.
 func (m Map[V]) Len() int { return size(m.root) }
 
+// SameRoot reports whether m and o share their root node (or are both
+// empty): the same version of one lineage, not merely equal contents.
+func (m Map[V]) SameRoot(o Map[V]) bool { return m.root == o.root }
+
 // Get returns the value stored under k.
 func (m Map[V]) Get(k string) (V, bool) {
 	n := m.root

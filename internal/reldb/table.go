@@ -689,22 +689,25 @@ func (t *Table) secIndexFor(cols []string) (*secIndex, error) {
 		ix.entries, _ = ix.entries.Set(ix.secKey(e.row)+pk, struct{}{})
 		return true
 	})
-	var next map[string]*secIndex
+	t.publishIndex(name, ix)
+	return ix, nil
+}
+
+// publishIndex adds ix to the registry copy-on-write; the caller holds
+// secMu. The table may be a snapshot shared by concurrent readers, so
+// the fresh registry is published unowned: the next mutator (a single
+// writer by contract) copies it before editing in place.
+func (t *Table) publishIndex(name string, ix *secIndex) {
+	next := map[string]*secIndex{name: ix}
 	if old := t.secondary.Load(); old != nil {
-		next = make(map[string]*secIndex, len(*old)+1)
 		for k, v := range *old {
-			next[k] = v
+			if k != name {
+				next[k] = v
+			}
 		}
-	} else {
-		next = make(map[string]*secIndex, 1)
 	}
-	next[name] = ix
-	// The lazy build may run on a snapshot shared by concurrent readers,
-	// so the fresh registry is published unowned: the next mutator (a
-	// single writer by contract) copies it before editing in place.
 	t.secOwned.Store(false)
 	t.secondary.Store(&next)
-	return ix, nil
 }
 
 // EnsureIndex builds (if absent) the secondary index over cols without
@@ -715,6 +718,41 @@ func (t *Table) secIndexFor(cols []string) (*secIndex, error) {
 func (t *Table) EnsureIndex(cols []string) error {
 	_, err := t.secIndexFor(cols)
 	return err
+}
+
+// EnsureIndexFrom is EnsureIndex for a table that equals old with cs
+// applied (cs consistent, as from old.Diff(t) or a lens PutDelta): the
+// index over cols is old's advanced by the changed rows, O(changed rows ·
+// log n), instead of a walk of t. A snapshot taken from a lineage that
+// never built the index (the database's, when only clones were queried)
+// inherits it this way; old's index is built first if absent.
+func (t *Table) EnsureIndexFrom(old *Table, cs Changeset, cols []string) error {
+	name := secName(cols)
+	if secs := t.secondary.Load(); secs != nil && (*secs)[name] != nil {
+		return nil
+	}
+	oix, err := old.secIndexFor(cols)
+	if err != nil {
+		return err
+	}
+	ix := &secIndex{cols: oix.cols, entries: oix.entries}
+	entry := func(r Row) string { return ix.secKey(r) + t.keyOf(r) }
+	for _, r := range cs.Deleted {
+		ix.entries, _ = ix.entries.Delete(entry(r))
+	}
+	for _, u := range cs.Updated {
+		if ko, kn := entry(u.Before), entry(u.After); ko != kn {
+			ix.entries, _ = ix.entries.Delete(ko)
+			ix.entries, _ = ix.entries.Set(kn, struct{}{})
+		}
+	}
+	for _, r := range cs.Inserted {
+		ix.entries, _ = ix.entries.Set(entry(r), struct{}{})
+	}
+	t.secMu.Lock()
+	defer t.secMu.Unlock()
+	t.publishIndex(name, ix)
+	return nil
 }
 
 // RowsByCols returns every row whose values in cols equal key (given in
@@ -754,6 +792,12 @@ func (t *Table) RowsByCols(cols []string, key Row) ([]Row, error) {
 	}
 	return out, nil
 }
+
+// SameVersion reports whether o holds the very row tree t does (one
+// root node, or both empty) — an O(1) identity check: any edit path-copies
+// the root, so equal roots mean o was derived from t, or t from o, by
+// snapshots alone.
+func (t *Table) SameVersion(o *Table) bool { return t.rows.SameRoot(o.rows) }
 
 // PrioritySecret returns the secret keying the table's treap priorities
 // (nil for an ordinary unkeyed table). Read-only; callers must not

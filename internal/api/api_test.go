@@ -430,6 +430,9 @@ func TestMetricsExposition(t *testing.T) {
 		"medshare_peer_batch_commits_total",
 		"medshare_peer_delta_gets_total",
 		"medshare_peer_full_gets_total",
+		"medshare_peer_headers_served_total",
+		"medshare_peer_light_heads_served_total",
+		"medshare_peer_light_rows_served_total",
 		"medshare_chain_height",
 	} {
 		if !strings.Contains(m, want) {

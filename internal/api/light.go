@@ -75,12 +75,8 @@ func (s *Server) handleLightRow(w http.ResponseWriter, r *http.Request) error {
 		}
 		return err
 	}
-	payload, err := light.EncodeRowFetch(&rf)
-	if err != nil {
-		return err
-	}
 	w.Header().Set("Content-Type", lightContentType)
-	_, _ = w.Write(payload)
+	_, _ = w.Write(light.EncodeRowFetch(&rf))
 	return nil
 }
 

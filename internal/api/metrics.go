@@ -81,6 +81,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 		{"medshare_peer_full_gets_total", st.FullGets},
 		{"medshare_peer_fetches_served_total", st.FetchesServed},
 		{"medshare_peer_syncs_served_total", st.SyncsServed},
+		{"medshare_peer_headers_served_total", st.HeadersServed},
+		{"medshare_peer_light_heads_served_total", st.LightHeadsServed},
+		{"medshare_peer_light_rows_served_total", st.LightRowsServed},
 		{"medshare_peer_proof_cache_hits_total", st.ProofCacheHits},
 		{"medshare_peer_proof_cache_misses_total", st.ProofCacheMisses},
 	}

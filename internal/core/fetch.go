@@ -52,25 +52,65 @@ func (r *FetchRequest) signingBytes() []byte {
 // Fetch response modes.
 const (
 	// FetchModeFull carries the whole view table.
-	FetchModeFull = "full"
+	FetchModeFull byte = 0
 	// FetchModeDelta carries a changeset from the requester's HaveSeq.
-	FetchModeDelta = "delta"
+	FetchModeDelta byte = 1
 )
+
+// fetchWireVersion tags the binary fetch-response frame.
+const fetchWireVersion = 1
 
 // FetchResponse returns the payload and the version it corresponds to.
 // The receiver always verifies the reconstructed table against the
 // on-chain payload hash, so a corrupt or malicious delta cannot install
 // bad data.
+//
+// On the wire it is a binary frame (the request stays JSON):
+//
+//	version byte (fetchWireVersion)
+//	shareID: uvarint len ‖ bytes
+//	seq: uvarint
+//	mode byte
+//	payload: reldb.AppendTable (full) or reldb.AppendChangeset (delta)
 type FetchResponse struct {
-	ShareID string `json:"shareId"`
-	Seq     uint64 `json:"seq"`
+	ShareID string
+	Seq     uint64
 	// Mode is FetchModeFull or FetchModeDelta.
-	Mode string `json:"mode"`
-	// Table is the reldb JSON encoding of the current view (full mode).
-	Table json.RawMessage `json:"table,omitempty"`
-	// Changeset transforms the requester's HaveSeq version into Seq
-	// (delta mode).
-	Changeset json.RawMessage `json:"changeset,omitempty"`
+	Mode byte
+	// Payload holds the canonical table (full mode) or the changeset that
+	// transforms the requester's HaveSeq version into Seq (delta mode).
+	Payload []byte
+}
+
+// appendFetchHeader appends the frame header; the payload follows.
+func appendFetchHeader(dst []byte, shareID string, seq uint64, mode byte) []byte {
+	dst = append(dst, fetchWireVersion)
+	dst = appendBytes(dst, []byte(shareID))
+	dst = binary.AppendUvarint(dst, seq)
+	return append(dst, mode)
+}
+
+// decodeFetchResponse parses a frame; Payload aliases raw.
+func decodeFetchResponse(raw []byte) (FetchResponse, error) {
+	r := frameReader{buf: raw}
+	var out FetchResponse
+	ver, err := r.byte()
+	if err != nil || ver != fetchWireVersion {
+		return out, errFrame
+	}
+	id, err := r.bytes()
+	if err != nil {
+		return out, err
+	}
+	out.ShareID = string(id)
+	if out.Seq, err = r.uvarint(); err != nil {
+		return out, err
+	}
+	if out.Mode, err = r.byte(); err != nil {
+		return out, err
+	}
+	out.Payload = r.buf
+	return out, nil
 }
 
 // authorizeShareRequest is the shared gate of the data-channel RPCs
@@ -131,27 +171,14 @@ func (p *Peer) serveDataFetch(msg p2p.Message) (p2p.Message, error) {
 		return p2p.Message{}, err
 	}
 
-	out := FetchResponse{ShareID: req.ShareID, Seq: seq, Mode: FetchModeFull}
 	if prevView != nil {
 		if cs, err := prevView.Diff(view.Renamed(prevView.Name())); err == nil {
-			if raw, err := reldb.MarshalChangeset(cs); err == nil {
-				out.Mode = FetchModeDelta
-				out.Changeset = raw
-			}
+			resp := appendFetchHeader(nil, req.ShareID, seq, FetchModeDelta)
+			return p2p.Message{Kind: p2p.KindDataFetch, Payload: reldb.AppendChangeset(resp, cs)}, nil
 		}
 	}
-	if out.Mode == FetchModeFull {
-		raw, err := reldb.MarshalTable(view)
-		if err != nil {
-			return p2p.Message{}, err
-		}
-		out.Table = raw
-	}
-	resp, err := json.Marshal(out)
-	if err != nil {
-		return p2p.Message{}, err
-	}
-	return p2p.Message{Kind: p2p.KindDataFetch, Payload: resp}, nil
+	resp := appendFetchHeader(nil, req.ShareID, seq, FetchModeFull)
+	return p2p.Message{Kind: p2p.KindDataFetch, Payload: reldb.AppendTable(resp, view)}, nil
 }
 
 // Fetch requests the current payload of a share directly from the named
@@ -198,8 +225,8 @@ func (p *Peer) fetchFrom(ctx context.Context, from identity.Address, shareID str
 	if err != nil {
 		return nil, reldb.Changeset{}, false, 0, fmt.Errorf("core: fetching %s from %s: %w", shareID, from, err)
 	}
-	var resp FetchResponse
-	if err := json.Unmarshal(msg.Payload, &resp); err != nil {
+	resp, err := decodeFetchResponse(msg.Payload)
+	if err != nil {
 		return nil, reldb.Changeset{}, false, 0, fmt.Errorf("core: bad fetch response: %w", err)
 	}
 	switch resp.Mode {
@@ -207,7 +234,7 @@ func (p *Peer) fetchFrom(ctx context.Context, from identity.Address, shareID str
 		if base == nil {
 			return nil, reldb.Changeset{}, false, 0, fmt.Errorf("core: unsolicited delta for %s", shareID)
 		}
-		cs, err := reldb.UnmarshalChangeset(resp.Changeset)
+		cs, err := reldb.DecodeChangeset(resp.Payload)
 		if err != nil {
 			return nil, reldb.Changeset{}, false, 0, err
 		}
@@ -225,13 +252,13 @@ func (p *Peer) fetchFrom(ctx context.Context, from identity.Address, shareID str
 			return table, reldb.Changeset{}, false, resp.Seq, nil
 		}
 		return table, cs, true, resp.Seq, nil
-	case FetchModeFull, "":
-		table, err := reldb.UnmarshalTable(resp.Table)
+	case FetchModeFull:
+		table, err := reldb.DecodeTable(resp.Payload)
 		if err != nil {
 			return nil, reldb.Changeset{}, false, 0, err
 		}
 		return table, reldb.Changeset{}, false, resp.Seq, nil
 	default:
-		return nil, reldb.Changeset{}, false, 0, fmt.Errorf("core: unknown fetch mode %q", resp.Mode)
+		return nil, reldb.Changeset{}, false, 0, fmt.Errorf("core: unknown fetch mode %d", resp.Mode)
 	}
 }

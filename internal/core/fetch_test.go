@@ -110,8 +110,8 @@ func (h *fetchHarness) update(t *testing.T, val string) {
 }
 
 // rawFetch performs a signed fetch as peer p and returns the decoded
-// response.
-func rawFetch(t *testing.T, h *fetchHarness, p *Peer, haveSeq uint64) FetchResponse {
+// binary response frame and its size on the wire.
+func rawFetch(t *testing.T, h *fetchHarness, p *Peer, haveSeq uint64) (FetchResponse, int) {
 	t.Helper()
 	req := FetchRequest{
 		ShareID:   "S",
@@ -132,11 +132,14 @@ func rawFetch(t *testing.T, h *fetchHarness, p *Peer, haveSeq uint64) FetchRespo
 	if err != nil {
 		t.Fatal(err)
 	}
-	var resp FetchResponse
-	if err := json.Unmarshal(msg.Payload, &resp); err != nil {
+	resp, err := decodeFetchResponse(msg.Payload)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return resp
+	if resp.ShareID != "S" {
+		t.Fatalf("response for share %q", resp.ShareID)
+	}
+	return resp, len(msg.Payload)
 }
 
 func TestFetchDeltaMode(t *testing.T) {
@@ -144,28 +147,43 @@ func TestFetchDeltaMode(t *testing.T) {
 	h.update(t, "v1")
 	// The updater retains the seq-0 view; a requester holding seq 0 gets
 	// a delta with exactly one changed row.
-	resp := rawFetch(t, h, h.b, 0)
+	resp, _ := rawFetch(t, h, h.b, 0)
 	// HaveSeq 0 means "no version": full expected.
 	if resp.Mode != FetchModeFull {
-		t.Fatalf("mode for haveSeq 0 = %q", resp.Mode)
+		t.Fatalf("mode for haveSeq 0 = %d", resp.Mode)
 	}
 
 	h.update(t, "v2") // a's prev is now the seq-1 view
-	resp = rawFetch(t, h, h.b, 1)
-	if resp.Mode != FetchModeDelta {
-		t.Fatalf("mode for haveSeq 1 = %q, want delta", resp.Mode)
+	resp, size := rawFetch(t, h, h.b, 1)
+	if resp.Mode != FetchModeDelta || resp.Seq != 2 {
+		t.Fatalf("mode for haveSeq 1 = %d at seq %d, want delta at 2", resp.Mode, resp.Seq)
 	}
-	cs, err := reldb.UnmarshalChangeset(resp.Changeset)
+	cs, err := reldb.DecodeChangeset(resp.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cs.Size() != 1 || len(cs.Updated) != 1 {
 		t.Fatalf("changeset = %+v", cs)
 	}
-	// The delta is much smaller than the full table.
-	full := rawFetch(t, h, h.b, 0)
-	if len(resp.Changeset) >= len(full.Table) {
-		t.Fatalf("delta (%d bytes) not smaller than full (%d bytes)", len(resp.Changeset), len(full.Table))
+	// The one-row edit ships as canonical rows: header, three section
+	// counts and the before/after rows — under 128 bytes (the JSON
+	// response was ~175).
+	if size > 128 {
+		t.Fatalf("delta response for a one-row edit is %d bytes, want <= 128", size)
+	}
+	// The delta is much smaller than the full table, which decodes to
+	// the updater's view.
+	full, fullSize := rawFetch(t, h, h.b, 0)
+	if size >= fullSize {
+		t.Fatalf("delta (%d bytes) not smaller than full (%d bytes)", size, fullSize)
+	}
+	tbl, err := reldb.DecodeTable(full.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aView, _ := h.a.View("S")
+	if !tbl.Equal(aView) {
+		t.Fatal("full response does not decode to the updater's view")
 	}
 }
 
@@ -175,9 +193,9 @@ func TestFetchDeltaUnavailableFallsBack(t *testing.T) {
 	h.update(t, "v2")
 	// Requester claims an old version the updater no longer retains
 	// (only seq-1 is kept): full response.
-	resp := rawFetch(t, h, h.b, 42)
+	resp, _ := rawFetch(t, h, h.b, 42)
 	if resp.Mode != FetchModeFull {
-		t.Fatalf("mode = %q, want full fallback", resp.Mode)
+		t.Fatalf("mode = %d, want full fallback", resp.Mode)
 	}
 }
 

@@ -178,11 +178,7 @@ func (p *Peer) serveLightRow(msg p2p.Message) (p2p.Message, error) {
 	if err != nil {
 		return p2p.Message{}, err
 	}
-	payload, err := light.EncodeRowFetch(&rf)
-	if err != nil {
-		return p2p.Message{}, err
-	}
-	return p2p.Message{Kind: msg.Kind, Payload: payload}, nil
+	return p2p.Message{Kind: msg.Kind, Payload: light.EncodeRowFetch(&rf)}, nil
 }
 
 // LightRow builds a light.RowFetch for one view row: the proven row

@@ -321,11 +321,7 @@ func (p *Peer) serveSync(msg p2p.Message) (p2p.Message, error) {
 		resp.Nodes = syncNodesFor(view, req.Keys, len(req.Keys) == 0 && len(req.RowKeys) == 0, req.Span)
 		resp.Subtrees = syncSubtreesFor(view, req.RowKeys)
 	}
-	raw, err := appendSyncResponse(nil, &resp)
-	if err != nil {
-		return p2p.Message{}, err
-	}
-	return p2p.Message{Kind: p2p.KindSync, Payload: raw}, nil
+	return p2p.Message{Kind: p2p.KindSync, Payload: appendSyncResponse(nil, &resp)}, nil
 }
 
 // syncFetchFn performs one request of the walk: wanted subtree-root
@@ -729,10 +725,7 @@ func SimulateStructuralSyncOpts(provider, base *reldb.Table, opts SyncOptions) (
 			resp.Nodes = syncNodesFor(provider, keys, len(keys) == 0 && len(rowKeys) == 0, req.Span)
 			resp.Subtrees = syncSubtreesFor(provider, rowKeys)
 		}
-		rawResp, err := appendSyncResponse(nil, &resp)
-		if err != nil {
-			return SyncResponse{}, err
-		}
+		rawResp := appendSyncResponse(nil, &resp)
 		mu.Lock()
 		stats.BytesSent += len(rawReq)
 		stats.BytesReceived += len(rawResp)

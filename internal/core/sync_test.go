@@ -286,6 +286,49 @@ func TestStructuralSyncConvergenceTCP(t *testing.T) {
 	testSyncConvergence(t, 256, ta, tb)
 }
 
+// TestNonUTF8CellFinalizes: a cell that is not valid UTF-8 (a Latin-1
+// "é", the charset of legacy HL7 v2 feeds) crosses the data channel byte
+// for byte. The update finalizes, the counterparty's replica equals the
+// on-chain payload hash, and a replica rolled back to hold the cell
+// resyncs through data.sync — including a second such cell it lacks.
+func TestNonUTF8CellFinalizes(t *testing.T) {
+	mem := p2p.NewMemNetwork()
+	h := newSyncHarness(t, 64, mem.Endpoint("A"), mem.Endpoint("B"))
+	seq := h.finalizedUpdate(t, 3, "caf\xe9")
+	waitConverged(t, h, "S", seq)
+	bView, err := h.b.View("S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := bView.Value(reldb.Row{reldb.I(3)}, "v"); v.String() != "caf\xe9" {
+		t.Fatalf("counterparty holds %q", v.String())
+	}
+
+	src1, err := h.b.Source("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.finalizedUpdate(t, 40, "na\xefve")
+	last := h.finalizedUpdate(t, 41, "plain")
+	h.waitApplied(t, last)
+	h.rollback(t, seq, src1, bView)
+	rounds := h.b.Stats().SyncRounds
+	if err := h.b.Resync(h.ctx); err != nil {
+		t.Fatal(err)
+	}
+	if h.b.Stats().SyncRounds == rounds {
+		t.Fatal("resync did not walk data.sync")
+	}
+	waitConverged(t, h, "S", last)
+	bView, err = h.b.View("S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := bView.Value(reldb.Row{reldb.I(40)}, "v"); v.String() != "na\xefve" {
+		t.Fatalf("resynced replica holds %q", v.String())
+	}
+}
+
 // TestSimulatedSyncBytes pins the headline claim: a d-row divergence on
 // a 10k-row view syncs with a small fraction of the full-view payload.
 func TestSimulatedSyncBytes(t *testing.T) {
@@ -304,10 +347,8 @@ func TestSimulatedSyncBytes(t *testing.T) {
 	if out.RowsRoot() != provider.RowsRoot() {
 		t.Fatal("simulated sync did not converge")
 	}
-	full, err := reldb.MarshalTable(provider)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The full payload is what a full-mode fetch ships: the binary table.
+	full := reldb.AppendTable(nil, provider)
 	// Scattered divergence: d independent O(log n) paths. The binary
 	// frame (raw 32-byte digests, varint sizes) plus requester-driven
 	// row fetch pin this well below the old base64-JSON protocol's 20%.
@@ -315,10 +356,11 @@ func TestSimulatedSyncBytes(t *testing.T) {
 	if syncBytes*8 >= len(full) {
 		t.Fatalf("sync moved %d bytes for a scattered %d-row divergence; full payload is %d (want <12.5%%)", syncBytes, d, len(full))
 	}
-	// Per-unit byte budget: a fetched node is one key, one row, and two
-	// compact child summaries; an inline row is its JSON plus framing. A
-	// return to JSON node summaries (~450 B each) blows this bound.
-	budget := 200*stats.NodesFetched + 100*stats.RowsInline + 64*stats.Rounds + 512
+	// Per-unit byte budget: a fetched node is one key, one canonical row
+	// (~30 B here) and two compact child summaries; an inline row is its
+	// canonical encoding. A return to JSON node summaries (~450 B each)
+	// or to JSON rows (~50 B each) blows this bound.
+	budget := 150*stats.NodesFetched + 40*stats.RowsInline + 64*stats.Rounds + 512
 	if stats.BytesReceived >= budget {
 		t.Fatalf("response frames cost %d bytes for %d nodes + %d inline rows (budget %d): per-node overhead regressed",
 			stats.BytesReceived, stats.NodesFetched, stats.RowsInline, budget)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 
 	"medshare/internal/reldb"
@@ -10,19 +9,20 @@ import (
 
 // The anti-entropy response frame: a compact binary encoding replacing
 // the JSON node summaries that used to dominate sync traffic. A child
-// summary is now its storage key, its raw 32-byte digest, and a varint
-// size — against base64-in-JSON that roughly halves the per-node
-// overhead (a digest alone shrank from 44 quoted base64 characters plus
-// a field name to 33 bytes). Rows still travel as their canonical JSON
-// encoding (length-prefixed) — they are typed values with an
-// established codec, and row bytes are divergence-proportional rather
-// than per-node overhead. Requests use the same varint framing (see
-// appendSyncRequest below): a pipelined walk sends one request per wave
-// chunk, so per-request key lists are no longer negligible, and
-// base64-in-JSON storage keys cost ~1.4x the raw bytes. The request's
-// canonical signing bytes are still computed separately
+// summary is its storage key, its raw 32-byte digest, and a varint size
+// — against base64-in-JSON that roughly halves the per-node overhead (a
+// digest alone shrank from 44 quoted base64 characters plus a field name
+// to 33 bytes). Rows travel as their canonical encoding
+// (reldb.Row.AppendCanonical, the bytes their leaf digest hashes); it is
+// self-delimiting, so rows need no length prefix, and a decoded row
+// hashes exactly like the row that was sent. Requests use the same
+// varint framing (see appendSyncRequest below): a pipelined walk sends
+// one request per wave chunk, so per-request key lists are no longer
+// negligible, and base64-in-JSON storage keys cost ~1.4x the raw bytes.
+// The request's canonical signing bytes are still computed separately
 // (SyncRequest.signingBytes) — the frame is transport encoding, not the
-// signature preimage.
+// signature preimage. The fetch-response frame (fetch.go) reuses the
+// reader below.
 //
 // Response frame layout (all integers varint unless noted):
 //
@@ -33,34 +33,27 @@ import (
 //	flags byte (bit0 = empty view)
 //	node count, then per node:
 //	  key: len ‖ bytes
-//	  row: len ‖ canonical JSON
+//	  row: canonical encoding
 //	  child mask byte (bit0 left, bit1 right), then per present child:
 //	    key: len ‖ bytes, digest: len ‖ raw bytes, size
 //	subtree count, then per subtree:
 //	  key: len ‖ bytes
-//	  row count, then per row: len ‖ canonical JSON
+//	  row count, then per row: canonical encoding
 
-// syncWireVersion tags the frame layout.
-const syncWireVersion = 1
+// syncWireVersion tags the frame layout. Version 2 replaced
+// length-prefixed JSON rows with canonical rows.
+const syncWireVersion = 2
 
 // syncWireMaxLen caps any single length field while decoding, so a
 // corrupt frame cannot drive a huge allocation before the bounds check.
 const syncWireMaxLen = 1 << 28
 
-// errSyncWire marks a malformed binary sync frame.
-var errSyncWire = fmt.Errorf("core: malformed sync frame")
+// errFrame marks a malformed binary data-channel frame.
+var errFrame = fmt.Errorf("core: malformed data-channel frame")
 
 func appendBytes(dst, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
-}
-
-func appendJSON(dst []byte, v any) ([]byte, error) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return appendBytes(dst, raw), nil
 }
 
 func appendSyncChild(dst []byte, c *SyncChild) []byte {
@@ -70,8 +63,7 @@ func appendSyncChild(dst []byte, c *SyncChild) []byte {
 }
 
 // appendSyncResponse encodes r into the binary frame.
-func appendSyncResponse(dst []byte, r *SyncResponse) ([]byte, error) {
-	var err error
+func appendSyncResponse(dst []byte, r *SyncResponse) []byte {
 	dst = append(dst, syncWireVersion)
 	dst = appendBytes(dst, []byte(r.ShareID))
 	dst = binary.AppendUvarint(dst, r.Seq)
@@ -84,9 +76,7 @@ func appendSyncResponse(dst []byte, r *SyncResponse) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(r.Nodes)))
 	for _, n := range r.Nodes {
 		dst = appendBytes(dst, n.Key)
-		if dst, err = appendJSON(dst, n.Row); err != nil {
-			return nil, err
-		}
+		dst = n.Row.AppendCanonical(dst)
 		var mask byte
 		if n.Left != nil {
 			mask |= 1
@@ -107,63 +97,58 @@ func appendSyncResponse(dst []byte, r *SyncResponse) ([]byte, error) {
 		dst = appendBytes(dst, st.Key)
 		dst = binary.AppendUvarint(dst, uint64(len(st.Rows)))
 		for _, row := range st.Rows {
-			if dst, err = appendJSON(dst, row); err != nil {
-				return nil, err
-			}
+			dst = row.AppendCanonical(dst)
 		}
 	}
-	return dst, nil
+	return dst
 }
 
-// syncWireReader walks a frame with bounds checking.
-type syncWireReader struct {
+// frameReader walks a frame with bounds checking.
+type frameReader struct {
 	buf []byte
 }
 
-func (r *syncWireReader) byte() (byte, error) {
+func (r *frameReader) byte() (byte, error) {
 	if len(r.buf) == 0 {
-		return 0, errSyncWire
+		return 0, errFrame
 	}
 	b := r.buf[0]
 	r.buf = r.buf[1:]
 	return b, nil
 }
 
-func (r *syncWireReader) uvarint() (uint64, error) {
+func (r *frameReader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.buf)
 	if n <= 0 {
-		return 0, errSyncWire
+		return 0, errFrame
 	}
 	r.buf = r.buf[n:]
 	return v, nil
 }
 
-func (r *syncWireReader) bytes() ([]byte, error) {
+func (r *frameReader) bytes() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
 	if n > syncWireMaxLen || n > uint64(len(r.buf)) {
-		return nil, errSyncWire
+		return nil, errFrame
 	}
 	out := r.buf[:n:n]
 	r.buf = r.buf[n:]
 	return out, nil
 }
 
-func (r *syncWireReader) row() (reldb.Row, error) {
-	raw, err := r.bytes()
+func (r *frameReader) row() (reldb.Row, error) {
+	row, rest, err := reldb.CutRow(r.buf)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", errFrame, err)
 	}
-	var row reldb.Row
-	if err := json.Unmarshal(raw, &row); err != nil {
-		return nil, fmt.Errorf("%w: %v", errSyncWire, err)
-	}
+	r.buf = rest
 	return row, nil
 }
 
-func (r *syncWireReader) child() (*SyncChild, error) {
+func (r *frameReader) child() (*SyncChild, error) {
 	key, err := r.bytes()
 	if err != nil {
 		return nil, err
@@ -174,18 +159,18 @@ func (r *syncWireReader) child() (*SyncChild, error) {
 	}
 	size, err := r.uvarint()
 	if err != nil || size > syncWireMaxLen {
-		return nil, errSyncWire
+		return nil, errFrame
 	}
 	return &SyncChild{Key: key, Digest: dig, Size: int(size)}, nil
 }
 
 // decodeSyncResponse parses a frame produced by appendSyncResponse.
 func decodeSyncResponse(raw []byte) (SyncResponse, error) {
-	r := syncWireReader{buf: raw}
+	r := frameReader{buf: raw}
 	var out SyncResponse
 	ver, err := r.byte()
 	if err != nil || ver != syncWireVersion {
-		return out, errSyncWire
+		return out, errFrame
 	}
 	id, err := r.bytes()
 	if err != nil {
@@ -205,7 +190,7 @@ func decodeSyncResponse(raw []byte) (SyncResponse, error) {
 	out.Empty = flags&1 != 0
 	nNodes, err := r.uvarint()
 	if err != nil || nNodes > syncWireMaxLen {
-		return out, errSyncWire
+		return out, errFrame
 	}
 	for i := uint64(0); i < nNodes; i++ {
 		var n SyncNode
@@ -233,7 +218,7 @@ func decodeSyncResponse(raw []byte) (SyncResponse, error) {
 	}
 	nSub, err := r.uvarint()
 	if err != nil || nSub > syncWireMaxLen {
-		return out, errSyncWire
+		return out, errFrame
 	}
 	for i := uint64(0); i < nSub; i++ {
 		var st SyncSubtree
@@ -242,7 +227,7 @@ func decodeSyncResponse(raw []byte) (SyncResponse, error) {
 		}
 		nRows, err := r.uvarint()
 		if err != nil || nRows > syncWireMaxLen {
-			return out, errSyncWire
+			return out, errFrame
 		}
 		for j := uint64(0); j < nRows; j++ {
 			row, err := r.row()
@@ -254,7 +239,7 @@ func decodeSyncResponse(raw []byte) (SyncResponse, error) {
 		out.Subtrees = append(out.Subtrees, st)
 	}
 	if len(r.buf) != 0 {
-		return out, errSyncWire
+		return out, errFrame
 	}
 	return out, nil
 }
@@ -292,15 +277,15 @@ func appendSyncRequest(dst []byte, r *SyncRequest) []byte {
 	return appendBytes(dst, r.Sig)
 }
 
-func (r *syncWireReader) keyList() ([][]byte, error) {
+func (r *frameReader) keyList() ([][]byte, error) {
 	n, err := r.uvarint()
 	if err != nil || n > syncWireMaxLen {
-		return nil, errSyncWire
+		return nil, errFrame
 	}
 	// A key is at least one length byte; reject counts the buffer cannot
 	// possibly satisfy before allocating.
 	if n > uint64(len(r.buf)) {
-		return nil, errSyncWire
+		return nil, errFrame
 	}
 	out := make([][]byte, 0, n)
 	for i := uint64(0); i < n; i++ {
@@ -315,11 +300,11 @@ func (r *syncWireReader) keyList() ([][]byte, error) {
 
 // decodeSyncRequest parses a frame produced by appendSyncRequest.
 func decodeSyncRequest(raw []byte) (SyncRequest, error) {
-	r := syncWireReader{buf: raw}
+	r := frameReader{buf: raw}
 	var out SyncRequest
 	ver, err := r.byte()
 	if err != nil || ver != syncWireVersion {
-		return out, errSyncWire
+		return out, errFrame
 	}
 	id, err := r.bytes()
 	if err != nil {
@@ -331,7 +316,7 @@ func decodeSyncRequest(raw []byte) (SyncRequest, error) {
 	}
 	span, err := r.uvarint()
 	if err != nil || span > syncMaxSpan {
-		return out, errSyncWire
+		return out, errFrame
 	}
 	out.Span = int(span)
 	if out.Keys, err = r.keyList(); err != nil {
@@ -345,7 +330,7 @@ func decodeSyncRequest(raw []byte) (SyncRequest, error) {
 		return out, err
 	}
 	if len(addr) != len(out.Requester) {
-		return out, errSyncWire
+		return out, errFrame
 	}
 	copy(out.Requester[:], addr)
 	if out.PubKey, err = r.bytes(); err != nil {
@@ -360,7 +345,7 @@ func decodeSyncRequest(raw []byte) (SyncRequest, error) {
 		return out, err
 	}
 	if len(r.buf) != 0 {
-		return out, errSyncWire
+		return out, errFrame
 	}
 	return out, nil
 }

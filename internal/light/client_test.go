@@ -133,8 +133,7 @@ func (s *fakeSource) Row(_ context.Context, shareID string, key reldb.Row) (RowF
 	if s.onRow != nil {
 		s.onRow(&rf)
 	}
-	raw, _ := EncodeRowFetch(&rf)
-	return rf, len(raw), nil
+	return rf, len(EncodeRowFetch(&rf)), nil
 }
 
 func newTestClient(t *testing.T, f *fixture, src Source) *Client {
@@ -413,11 +412,9 @@ func TestWireRoundTrips(t *testing.T) {
 		t.Fatalf("share head round trip mismatch")
 	}
 
-	rr := RowRequest{ShareID: f.shareID, Key: reldb.Row{reldb.I(3)}, TsMicro: 1}
-	rrRaw, err := EncodeRowRequest(&rr)
-	if err != nil {
-		t.Fatalf("row request encode: %v", err)
-	}
+	// A key tuple with a Latin-1 string must cross byte for byte.
+	rr := RowRequest{ShareID: f.shareID, Key: reldb.Row{reldb.I(3), reldb.S("caf\xe9")}, TsMicro: 1}
+	rrRaw := EncodeRowRequest(&rr)
 	gotRR, err := DecodeRowRequest(rrRaw)
 	if err != nil {
 		t.Fatalf("row request decode: %v", err)
@@ -430,10 +427,7 @@ func TestWireRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Row: %v", err)
 	}
-	rfRaw, err := EncodeRowFetch(&rf)
-	if err != nil {
-		t.Fatalf("row fetch encode: %v", err)
-	}
+	rfRaw := EncodeRowFetch(&rf)
 	gotRF, err := DecodeRowFetch(rfRaw)
 	if err != nil {
 		t.Fatalf("row fetch decode: %v", err)

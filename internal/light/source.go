@@ -100,11 +100,7 @@ func (s *PeerSource) Row(ctx context.Context, shareID string, key reldb.Row) (Ro
 		TsMicro:   time.Now().UnixMicro(),
 	}
 	req.Sig = s.Identity.Sign(req.SigningBytes())
-	payload, err := EncodeRowRequest(&req)
-	if err != nil {
-		return RowFetch{}, 0, err
-	}
-	raw, n, err := s.roundTrip(ctx, p2p.KindLightRow, payload)
+	raw, n, err := s.roundTrip(ctx, p2p.KindLightRow, EncodeRowRequest(&req))
 	if err != nil {
 		return RowFetch{}, n, err
 	}

@@ -12,8 +12,8 @@
 //
 // The wire frames below use the same compact binary idiom as the sync
 // protocol (version byte, varint length prefixes, strict trailing-byte
-// rejection); requests are signed for authenticity, but serving a light
-// client never grants replica status.
+// rejection, rows in their canonical encoding); requests are signed for
+// authenticity, but serving a light client never grants replica status.
 package light
 
 import (
@@ -28,8 +28,10 @@ import (
 	"medshare/internal/statedb"
 )
 
-// wireVersion tags the light frame layouts.
-const wireVersion = 1
+// wireVersion tags the light frame layouts. Version 2 carries the row
+// request's key tuple and the fetched row in their canonical encoding
+// instead of JSON.
+const wireVersion = 2
 
 // wireMaxLen caps any single length field while decoding, so a corrupt
 // frame cannot drive a huge allocation before the bounds check.
@@ -135,14 +137,6 @@ type RowFetch struct {
 func appendBytes(dst, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
-}
-
-func appendJSON(dst []byte, v any) ([]byte, error) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return appendBytes(dst, raw), nil
 }
 
 // wireReader walks a frame with bounds checking.
@@ -345,16 +339,23 @@ func DecodeShareHead(raw []byte) (ShareHead, error) {
 }
 
 // EncodeRowRequest encodes r into its binary frame. The key tuple
-// travels as its canonical JSON encoding.
-func EncodeRowRequest(r *RowRequest) ([]byte, error) {
+// travels as its canonical row encoding.
+func EncodeRowRequest(r *RowRequest) []byte {
 	dst := make([]byte, 0, 192)
 	dst = append(dst, wireVersion)
 	dst = appendBytes(dst, []byte(r.ShareID))
-	var err error
-	if dst, err = appendJSON(dst, r.Key); err != nil {
-		return nil, err
+	dst = r.Key.AppendCanonical(dst)
+	return appendAuth(dst, r.Requester, r.PubKey, r.TsMicro, r.Sig)
+}
+
+// row reads one canonical row.
+func (r *wireReader) row() (reldb.Row, error) {
+	row, rest, err := reldb.CutRow(r.buf)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrWire, err)
 	}
-	return appendAuth(dst, r.Requester, r.PubKey, r.TsMicro, r.Sig), nil
+	r.buf = rest
+	return row, nil
 }
 
 // DecodeRowRequest parses a frame produced by EncodeRowRequest.
@@ -369,12 +370,8 @@ func DecodeRowRequest(raw []byte) (RowRequest, error) {
 		return out, err
 	}
 	out.ShareID = string(id)
-	keyRaw, err := rd.bytes()
-	if err != nil {
+	if out.Key, err = rd.row(); err != nil {
 		return out, err
-	}
-	if err := json.Unmarshal(keyRaw, &out.Key); err != nil {
-		return out, fmt.Errorf("%w: %v", ErrWire, err)
 	}
 	if err = rd.auth(&out.Requester, &out.PubKey, &out.TsMicro, &out.Sig); err != nil {
 		return out, err
@@ -383,20 +380,16 @@ func DecodeRowRequest(raw []byte) (RowRequest, error) {
 }
 
 // EncodeRowFetch encodes the proof-carrying row response.
-func EncodeRowFetch(f *RowFetch) ([]byte, error) {
+func EncodeRowFetch(f *RowFetch) []byte {
 	dst := make([]byte, 0, 512)
 	dst = append(dst, wireVersion)
 	dst = binary.AppendUvarint(dst, f.Seq)
 	dst = append(dst, f.SchemaSum[:]...)
 	dst = binary.AppendUvarint(dst, uint64(f.Rows))
 	dst = append(dst, f.Root[:]...)
-	var err error
-	if dst, err = appendJSON(dst, f.Schema); err != nil {
-		return nil, err
-	}
-	if dst, err = appendJSON(dst, f.Row); err != nil {
-		return nil, err
-	}
+	schema, _ := json.Marshal(f.Schema) // plain strings, ints and bools: cannot fail
+	dst = appendBytes(dst, schema)
+	dst = f.Row.AppendCanonical(dst)
 	dst = append(dst, f.Proof.Left[:]...)
 	dst = append(dst, f.Proof.Right[:]...)
 	dst = binary.AppendUvarint(dst, uint64(len(f.Proof.Steps)))
@@ -409,7 +402,7 @@ func EncodeRowFetch(f *RowFetch) ([]byte, error) {
 			dst = append(dst, 0)
 		}
 	}
-	return dst, nil
+	return dst
 }
 
 // DecodeRowFetch parses a frame produced by EncodeRowFetch.
@@ -441,12 +434,8 @@ func DecodeRowFetch(raw []byte) (RowFetch, error) {
 	if err := json.Unmarshal(schemaRaw, &out.Schema); err != nil {
 		return out, fmt.Errorf("%w: %v", ErrWire, err)
 	}
-	rowRaw, err := rd.bytes()
-	if err != nil {
+	if out.Row, err = rd.row(); err != nil {
 		return out, err
-	}
-	if err := json.Unmarshal(rowRaw, &out.Row); err != nil {
-		return out, fmt.Errorf("%w: %v", ErrWire, err)
 	}
 	if err = rd.hash(&out.Proof.Left); err != nil {
 		return out, err

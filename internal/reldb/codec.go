@@ -6,7 +6,10 @@ import (
 	"strings"
 )
 
-// tableDTO is the JSON wire form of a table.
+// The JSON codec is for people: HTTP bodies, CLI files and lens specs.
+// Peers and the store move rows in the binary canonical form (canon.go).
+
+// tableDTO is the JSON form of a table.
 type tableDTO struct {
 	Schema Schema `json:"schema"`
 	Rows   []Row  `json:"rows"`
@@ -38,16 +41,6 @@ func UnmarshalTable(data []byte) (*Table, error) {
 
 // MarshalChangeset serializes a changeset to JSON.
 func MarshalChangeset(cs Changeset) ([]byte, error) { return json.Marshal(cs) }
-
-// UnmarshalChangeset reconstructs a changeset serialized by
-// MarshalChangeset.
-func UnmarshalChangeset(data []byte) (Changeset, error) {
-	var cs Changeset
-	if err := json.Unmarshal(data, &cs); err != nil {
-		return Changeset{}, fmt.Errorf("reldb: decoding changeset: %w", err)
-	}
-	return cs, nil
-}
 
 // Format renders the table as an aligned text grid, in canonical row
 // order, for CLI output and examples. It mirrors the tables of Fig. 1.

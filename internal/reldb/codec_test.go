@@ -70,30 +70,33 @@ func TestUnmarshalTableRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestChangesetJSONRoundTrip(t *testing.T) {
+func TestChangesetCodecRoundTrip(t *testing.T) {
 	a := newPatients(t, alice(), bob())
 	b := newPatients(t, alice())
 	if err := b.Update(Row{I(1)}, map[string]Value{"age": I(77)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Insert(Row{I(9), S("caf\xe9"), Null(), I(1)}); err != nil {
 		t.Fatal(err)
 	}
 	cs, err := a.Diff(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := MarshalChangeset(cs)
+	raw := AppendChangeset(nil, cs)
+	back, err := DecodeChangeset(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalChangeset(raw)
-	if err != nil {
-		t.Fatal(err)
+	if back.Size() != cs.Size() || string(AppendChangeset(nil, back)) != string(raw) {
+		t.Fatal("changeset does not re-encode to its bytes")
 	}
 	c := a.Clone()
 	if err := c.Apply(back); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Equal(b) {
-		t.Fatal("changeset semantics changed across JSON")
+	if !c.Equal(b) || c.Hash() != b.Hash() {
+		t.Fatal("changeset semantics changed across the binary codec")
 	}
 }
 

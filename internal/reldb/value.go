@@ -300,7 +300,8 @@ func (v Value) AppendOrdered(dst []byte) []byte {
 	return dst
 }
 
-// valueJSON is the wire representation of a Value.
+// valueJSON is the JSON representation of a Value (HTTP bodies, CLI
+// files, lens specs); peers and the store use the canonical encoding.
 type valueJSON struct {
 	Kind string `json:"k"`
 	Val  string `json:"v,omitempty"`

@@ -10,33 +10,33 @@ import (
 )
 
 // Typed record payloads riding the WAL frames. Node records are binary
-// (they dominate the log byte count); the low-rate metadata records —
-// table roots, share metas, blocks, state checkpoints, commit markers
-// — are JSON for evolvability.
+// — the row in its canonical encoding, the bytes its leaf digest
+// hashes — because they dominate the log byte count; the low-rate
+// metadata records — table roots, share metas, blocks, state
+// checkpoints, commit markers — are JSON for evolvability.
 
 const (
-	kindNode      byte = 1 // one content-addressed row-tree node
+	// Kind 1 held node records whose row was JSON. It is retired, not
+	// reused: recovery skips such records like any unknown kind, so a
+	// table persisted before the binary row encoding fails verification
+	// on load and heals through resync instead of being misread.
 	kindTableRoot byte = 2 // a table's root digest + schema + seed
 	kindShareMeta byte = 3 // per-share replica metadata
 	kindBlock     byte = 4 // one accepted chain block
 	kindState     byte = 5 // world-state checkpoint
 	kindCommit    byte = 6 // commit marker sealing the preceding group
+	kindNode      byte = 7 // one content-addressed row-tree node
 )
 
 const digLen = 32
 
-// encodeNodeRec encodes a reldb node record: digest, left, right, then
-// the row's canonical JSON.
-func encodeNodeRec(n reldb.NodeData) ([]byte, error) {
-	row, err := json.Marshal(n.Row)
-	if err != nil {
-		return nil, fmt.Errorf("store: encoding row: %w", err)
-	}
-	out := make([]byte, 0, 3*digLen+len(row))
-	out = append(out, n.Digest[:]...)
-	out = append(out, n.Left[:]...)
-	out = append(out, n.Right[:]...)
-	return append(out, row...), nil
+// appendNodeRec appends a reldb node record to dst: digest, left, right,
+// then the row's canonical encoding.
+func appendNodeRec(dst []byte, n reldb.NodeData) []byte {
+	dst = append(dst, n.Digest[:]...)
+	dst = append(dst, n.Left[:]...)
+	dst = append(dst, n.Right[:]...)
+	return n.Row.AppendCanonical(dst)
 }
 
 // decodeNodeRec decodes a node record payload.
@@ -48,9 +48,11 @@ func decodeNodeRec(p []byte) (reldb.NodeData, error) {
 	copy(n.Digest[:], p[:digLen])
 	copy(n.Left[:], p[digLen:2*digLen])
 	copy(n.Right[:], p[2*digLen:3*digLen])
-	if err := json.Unmarshal(p[3*digLen:], &n.Row); err != nil {
+	row, err := reldb.DecodeRow(p[3*digLen:])
+	if err != nil {
 		return reldb.NodeData{}, fmt.Errorf("store: decoding row: %w", err)
 	}
+	n.Row = row
 	return n, nil
 }
 

@@ -92,11 +92,11 @@ type Store struct {
 	segBytes int64
 	noSync   bool
 
-	segNames []string
-	readers  []File // per-segment read handles (readers[active] == active)
-	active   File
-	activeAt int    // ordinal of the active segment
-	activeSize int64
+	segNames      []string
+	readers       []File // per-segment read handles (readers[active] == active)
+	active        File
+	activeAt      int // ordinal of the active segment
+	activeSize    int64
 	activeEntries []segEntry
 
 	nodes  map[[digLen]byte]recRef
@@ -542,6 +542,7 @@ func (s *Store) Commit(fn func(b *Batch) error) error {
 type Batch struct {
 	s       *Store
 	buf     []byte
+	scratch []byte // node-record encoding buffer, reused per node
 	entries []segEntry
 	// pending dedups node digests staged in this batch.
 	pending map[[digLen]byte]bool
@@ -562,8 +563,7 @@ func (b *Batch) appendRec(kind byte, payload []byte, dig [digLen]byte) {
 // commitment that interprets them. The table is loadable back under
 // its schema name.
 func (b *Batch) PutTable(t *reldb.Table) error {
-	var encErr error
-	complete := t.ExportNodes(
+	t.ExportNodes(
 		func(d [32]byte) bool {
 			if b.pending[d] {
 				return true
@@ -572,12 +572,8 @@ func (b *Batch) PutTable(t *reldb.Table) error {
 			return ok
 		},
 		func(n reldb.NodeData) bool {
-			p, err := encodeNodeRec(n)
-			if err != nil {
-				encErr = err
-				return false
-			}
-			b.appendRec(kindNode, p, n.Digest)
+			b.scratch = appendNodeRec(b.scratch[:0], n)
+			b.appendRec(kindNode, b.scratch, n.Digest)
 			if b.pending == nil {
 				b.pending = make(map[[digLen]byte]bool)
 			}
@@ -585,12 +581,6 @@ func (b *Batch) PutTable(t *reldb.Table) error {
 			return true
 		},
 	)
-	if encErr != nil {
-		return encErr
-	}
-	if !complete {
-		return errors.New("store: table export aborted")
-	}
 	tr := TableRoot{
 		Name:   t.Name(),
 		Schema: t.Schema(),

@@ -103,6 +103,85 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreLatin1Cell: a cell that is not valid UTF-8 (a Latin-1 "é"
+// from a legacy feed) persists byte for byte, so the reloaded table has
+// the committed Merkle root instead of failing verification.
+func TestStoreLatin1Cell(t *testing.T) {
+	fs := NewMemFS()
+	s, err := Open(Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := testTable(t, "latin1", 40)
+	if err := tab.Update(reldb.Row{reldb.I(7)}, map[string]reldb.Value{"name": reldb.S("caf\xe9")}); err != nil {
+		t.Fatal(err)
+	}
+	mustCommitTable(t, s, tab)
+	s.Close()
+	r, err := Open(Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	got, err := r.LoadTable("latin1")
+	if err != nil {
+		t.Fatalf("LoadTable: %v", err)
+	}
+	if !got.Equal(tab) || got.RowsRoot() != tab.RowsRoot() {
+		t.Fatal("reloaded table differs from the committed one")
+	}
+}
+
+// TestStoreRetiredNodeKind: node records of the retired JSON-row kind
+// are never decoded as rows. A table committed over them fails
+// verification on load (the sharing layer then resyncs it), while the
+// blocks of the same log still recover.
+func TestStoreRetiredNodeKind(t *testing.T) {
+	fs := NewMemFS()
+	s, err := Open(Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := testTable(t, "old", 1)
+	var nd reldb.NodeData
+	tab.ExportNodes(nil, func(n reldb.NodeData) bool { nd = n; return true })
+	tr, err := encodeJSONRec(TableRoot{Name: "old", Schema: tab.Schema(), Root: tab.RowsRoot(), Rows: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, err := encodeJSONRec(chain.Genesis("test"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const kindNodeJSON = 1
+	old := append(append(nd.Digest[:], make([]byte, 2*digLen)...), `[{"k":"int","v":"0"},{"k":"string","v":"n0"},{"k":"string","v":"d1"}]`...)
+	log := appendFrame(nil, kindNodeJSON, old)
+	log = appendFrame(log, kindTableRoot, tr)
+	log = appendFrame(log, kindBlock, blk)
+	log = appendFrame(log, kindCommit, []byte(`{"seq":1}`))
+	if _, err := s.active.Write(log); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	r, err := Open(Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.LoadTable("old"); err == nil {
+		t.Fatal("table over a retired node record loaded")
+	}
+	if len(r.Blocks()) != 1 {
+		t.Fatal("blocks beside the retired node record were lost")
+	}
+	// Committing the table again writes current-format nodes and heals it.
+	mustCommitTable(t, r, tab)
+	if got, err := r.LoadTable("old"); err != nil || got.RowsRoot() != tab.RowsRoot() {
+		t.Fatalf("re-committed table: %v", err)
+	}
+}
+
 // TestStoreIncrementalWrite: committing a one-row delta appends
 // O(changed nodes), not the whole table.
 func TestStoreIncrementalWrite(t *testing.T) {

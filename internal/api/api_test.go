@@ -434,10 +434,15 @@ func TestMetricsExposition(t *testing.T) {
 		"medshare_peer_light_heads_served_total",
 		"medshare_peer_light_rows_served_total",
 		"medshare_chain_height",
+		"# TYPE medshare_node_tx_sig_checks_total counter",
 	} {
 		if !strings.Contains(m, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+	// The registration was submitted, so its signature was checked.
+	if strings.Contains(m, "medshare_node_tx_sig_checks_total 0\n") {
+		t.Errorf("no signature checks counted after a registration:\n%s", grepLines(m, "sig_checks"))
 	}
 }
 

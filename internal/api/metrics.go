@@ -21,6 +21,9 @@ import (
 //     (Peer.Stats), including proof-cache hits/misses and the group
 //     commit batch realization
 //   - medshare_chain_* — chain height and mempool gauges
+//   - medshare_node_tx_sig_checks_total — transaction signatures the
+//     node verified (one per transaction it committed, when every
+//     transaction reached it by submission or gossip first)
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	buf := getBuf()
 	defer putBuf(buf)
@@ -99,6 +102,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	buf = promLine(buf, "medshare_chain_height", "", float64(s.node.Store().Height()))
 	buf = append(buf, "# TYPE medshare_chain_pending_txs gauge\n"...)
 	buf = promLine(buf, "medshare_chain_pending_txs", "", float64(s.node.PendingTxs()))
+	buf = append(buf, "# TYPE medshare_node_tx_sig_checks_total counter\n"...)
+	buf = promLine(buf, "medshare_node_tx_sig_checks_total", "", float64(s.node.TxSigChecks()))
 
 	// Durable-store gauges, present only when the peer runs one: size and
 	// segmentation of the log, plus the recovery telemetry (torn tail,

@@ -19,9 +19,9 @@ import (
 
 // RegisterRequest registers a new share with this peer as initiator.
 type RegisterRequest struct {
-	ID          string          `json:"id"`
-	SourceTable string          `json:"sourceTable"`
-	ViewName    string          `json:"viewName"`
+	ID          string `json:"id"`
+	SourceTable string `json:"sourceTable"`
+	ViewName    string `json:"viewName"`
 	// LensSpec is a serialized bx.Spec (the same form stored on-chain).
 	LensSpec json.RawMessage `json:"lensSpec,omitempty"`
 	// Peers are all sharing peers' hex addresses, initiator included.
@@ -79,9 +79,9 @@ type RowResult struct {
 type RowOp struct {
 	// Op is "upsert" (Row = full row), "delete" (Key = key tuple), or
 	// "set" (Key + Set = partial column update).
-	Op  string `json:"op"`
-	Row []any  `json:"row,omitempty"`
-	Key []any  `json:"key,omitempty"`
+	Op  string         `json:"op"`
+	Row []any          `json:"row,omitempty"`
+	Key []any          `json:"key,omitempty"`
 	Set map[string]any `json:"set,omitempty"`
 }
 

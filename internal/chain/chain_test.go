@@ -108,7 +108,7 @@ func TestBlockVerifyStructure(t *testing.T) {
 	id := identity.MustNew("a")
 	g := Genesis("t")
 	b := buildBlock(t, g, []*Tx{signedTx(t, id, "s1", 1), signedTx(t, id, "s2", 2)}, id)
-	if err := b.VerifyStructure(); err != nil {
+	if err := b.VerifyStructure(nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -118,7 +118,7 @@ func TestBlockRejectsBadTxRoot(t *testing.T) {
 	g := Genesis("t")
 	b := buildBlock(t, g, []*Tx{signedTx(t, id, "s1", 1)}, id)
 	b.Header.TxRoot[0] ^= 1
-	if err := b.VerifyStructure(); !errors.Is(err, ErrBadTxRoot) {
+	if err := b.VerifyStructure(nil); !errors.Is(err, ErrBadTxRoot) {
 		t.Fatalf("want ErrBadTxRoot, got %v", err)
 	}
 }
@@ -129,7 +129,7 @@ func TestBlockRejectsShareConflict(t *testing.T) {
 	// Two transactions on the same share in one block violate the
 	// paper's rule (Section III-B).
 	b := buildBlock(t, g, []*Tx{signedTx(t, id, "s1", 1), signedTx(t, id, "s1", 2)}, id)
-	if err := b.VerifyStructure(); !errors.Is(err, ErrShareConflict) {
+	if err := b.VerifyStructure(nil); !errors.Is(err, ErrShareConflict) {
 		t.Fatalf("want ErrShareConflict, got %v", err)
 	}
 }
@@ -142,7 +142,7 @@ func TestBlockAllowsEmptyShareIDs(t *testing.T) {
 	t2 := &Tx{Contract: "c", Fn: "f", Nonce: 2}
 	t2.Sign(id)
 	b := buildBlock(t, g, []*Tx{t1, t2}, id)
-	if err := b.VerifyStructure(); err != nil {
+	if err := b.VerifyStructure(nil); err != nil {
 		t.Fatalf("empty share IDs must not conflict: %v", err)
 	}
 }
@@ -154,8 +154,46 @@ func TestBlockRejectsBadTxSig(t *testing.T) {
 	b := buildBlock(t, g, []*Tx{tx}, id)
 	tx.Sig[0] ^= 1
 	b.Header.TxRoot = b.ComputeTxRoot() // keep root honest; sig is broken
-	if err := b.VerifyStructure(); err == nil {
+	if err := b.VerifyStructure(nil); err == nil {
 		t.Fatal("bad tx signature accepted")
+	}
+}
+
+// TestVerifyStructureSkipsOnlySignatures: the caller's "already checked"
+// predicate skips exactly the signature checks it names; the tx root and
+// the one-tx-per-share rule still hold every transaction.
+func TestVerifyStructureSkipsOnlySignatures(t *testing.T) {
+	id := identity.MustNew("a")
+	g := Genesis("t")
+	good, bad := signedTx(t, id, "s1", 1), signedTx(t, id, "s2", 2)
+	bad.Sig[0] ^= 1
+	b := buildBlock(t, g, []*Tx{good, bad}, id)
+	var asked []*Tx
+	only := func(skip *Tx) func(*Tx) bool {
+		asked = asked[:0]
+		return func(tx *Tx) bool {
+			asked = append(asked, tx)
+			return tx == skip
+		}
+	}
+	if err := b.VerifyStructure(only(bad)); err != nil {
+		t.Fatalf("skipping the bad signature: %v", err)
+	}
+	if len(asked) != 2 {
+		t.Fatalf("predicate consulted %d times for 2 transactions", len(asked))
+	}
+	if err := b.VerifyStructure(only(good)); !errors.Is(err, ErrTxBadSig) {
+		t.Fatalf("bad signature not named by the predicate: want ErrTxBadSig, got %v", err)
+	}
+
+	all := func(*Tx) bool { return true }
+	b.Header.TxRoot[0] ^= 1
+	if err := b.VerifyStructure(all); !errors.Is(err, ErrBadTxRoot) {
+		t.Fatalf("tx root with every signature skipped: want ErrBadTxRoot, got %v", err)
+	}
+	conflict := buildBlock(t, g, []*Tx{signedTx(t, id, "s1", 1), signedTx(t, id, "s1", 2)}, id)
+	if err := conflict.VerifyStructure(all); !errors.Is(err, ErrShareConflict) {
+		t.Fatalf("share conflict with every signature skipped: want ErrShareConflict, got %v", err)
 	}
 }
 
@@ -173,7 +211,7 @@ func TestStoreAddAndHead(t *testing.T) {
 	g := Genesis("t")
 	s := NewStore(g)
 	b1 := buildBlock(t, g, nil, id)
-	changed, err := s.Add(b1)
+	changed, err := s.Add(b1, nil)
 	if err != nil || !changed {
 		t.Fatalf("Add = %v, %v", changed, err)
 	}
@@ -187,10 +225,10 @@ func TestStoreRejectsDuplicate(t *testing.T) {
 	g := Genesis("t")
 	s := NewStore(g)
 	b1 := buildBlock(t, g, nil, id)
-	if _, err := s.Add(b1); err != nil {
+	if _, err := s.Add(b1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Add(b1); !errors.Is(err, ErrDuplicateBlock) {
+	if _, err := s.Add(b1, nil); !errors.Is(err, ErrDuplicateBlock) {
 		t.Fatalf("want ErrDuplicateBlock, got %v", err)
 	}
 }
@@ -201,7 +239,7 @@ func TestStoreRejectsOrphan(t *testing.T) {
 	s := NewStore(g)
 	orphan := &Block{Header: Header{Height: 5, PrevHash: merkle.Hash{1, 2, 3}, Proposer: id.Address()}}
 	orphan.Header.TxRoot = orphan.ComputeTxRoot()
-	if _, err := s.Add(orphan); !errors.Is(err, ErrBadLinkage) {
+	if _, err := s.Add(orphan, nil); !errors.Is(err, ErrBadLinkage) {
 		t.Fatalf("want ErrBadLinkage, got %v", err)
 	}
 }
@@ -212,7 +250,7 @@ func TestStoreRejectsWrongHeight(t *testing.T) {
 	s := NewStore(g)
 	b := buildBlock(t, g, nil, id)
 	b.Header.Height = 7
-	if _, err := s.Add(b); !errors.Is(err, ErrBadLinkage) {
+	if _, err := s.Add(b, nil); !errors.Is(err, ErrBadLinkage) {
 		t.Fatalf("want ErrBadLinkage, got %v", err)
 	}
 }
@@ -224,16 +262,16 @@ func TestStoreForkChoiceLongest(t *testing.T) {
 	// Fork A: one block. Fork B: two blocks.
 	a1 := buildBlock(t, g, nil, id)
 	a1.Header.TimestampMicro = 1
-	if _, err := s.Add(a1); err != nil {
+	if _, err := s.Add(a1, nil); err != nil {
 		t.Fatal(err)
 	}
 	b1 := buildBlock(t, g, nil, id)
 	b1.Header.TimestampMicro = 2
-	if _, err := s.Add(b1); err != nil {
+	if _, err := s.Add(b1, nil); err != nil {
 		t.Fatal(err)
 	}
 	b2 := buildBlock(t, b1, nil, id)
-	changed, err := s.Add(b2)
+	changed, err := s.Add(b2, nil)
 	if err != nil || !changed {
 		t.Fatalf("Add b2 = %v, %v", changed, err)
 	}
@@ -262,11 +300,11 @@ func TestStoreTieBreakDeterministic(t *testing.T) {
 
 	// Whichever arrival order, the head must be the same (lowest hash).
 	s1 := NewStore(g)
-	_, _ = s1.Add(a1)
-	_, _ = s1.Add(b1)
+	_, _ = s1.Add(a1, nil)
+	_, _ = s1.Add(b1, nil)
 	s2 := NewStore(g)
-	_, _ = s2.Add(b1)
-	_, _ = s2.Add(a1)
+	_, _ = s2.Add(b1, nil)
+	_, _ = s2.Add(a1, nil)
 	if s1.Head().Hash() != s2.Head().Hash() {
 		t.Fatal("tie break depends on arrival order")
 	}
@@ -277,7 +315,7 @@ func TestStoreAtHeight(t *testing.T) {
 	g := Genesis("t")
 	s := NewStore(g)
 	b1 := buildBlock(t, g, nil, id)
-	_, _ = s.Add(b1)
+	_, _ = s.Add(b1, nil)
 	got, ok := s.AtHeight(1)
 	if !ok || got.Hash() != b1.Hash() {
 		t.Fatal("AtHeight wrong")
@@ -294,7 +332,7 @@ func TestVerifyChain(t *testing.T) {
 	prev := g
 	for i := 0; i < 5; i++ {
 		b := buildBlock(t, prev, []*Tx{signedTx(t, id, "", uint64(i))}, id)
-		if _, err := s.Add(b); err != nil {
+		if _, err := s.Add(b, nil); err != nil {
 			t.Fatal(err)
 		}
 		prev = b
@@ -314,7 +352,7 @@ func TestVerifyChainDetectsHeaderTampering(t *testing.T) {
 	prev := g
 	for i := 0; i < 3; i++ {
 		b := buildBlock(t, prev, []*Tx{signedTx(t, id, "", uint64(i))}, id)
-		if _, err := s.Add(b); err != nil {
+		if _, err := s.Add(b, nil); err != nil {
 			t.Fatal(err)
 		}
 		prev = b

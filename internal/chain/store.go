@@ -61,11 +61,12 @@ func (s *Store) Has(h merkle.Hash) bool {
 }
 
 // Add inserts a block. The parent must already be known, the height must
-// be parent+1, and the block structure must verify. Add reports whether
+// be parent+1, and the block structure must verify (sigChecked as in
+// Block.VerifyStructure; nil checks every signature). Add reports whether
 // the best head changed (callers then rebuild contract state if the new
 // head is not a simple extension).
-func (s *Store) Add(b *Block) (headChanged bool, err error) {
-	if err := b.VerifyStructure(); err != nil {
+func (s *Store) Add(b *Block, sigChecked func(*Tx) bool) (headChanged bool, err error) {
+	if err := b.VerifyStructure(sigChecked); err != nil {
 		return false, err
 	}
 	s.mu.Lock()
@@ -144,8 +145,9 @@ func (s *Store) IsOnMainChain(h merkle.Hash) bool {
 	return ok && got.Hash() == h
 }
 
-// VerifyChain re-validates the whole main chain: linkage, structure, and
-// monotone heights. The audit layer uses it for tamper detection, so
+// VerifyChain re-validates the whole main chain: linkage, structure
+// (every transaction signature included), and monotone heights. The
+// audit layer uses it for tamper detection, so
 // linkage deliberately bypasses the memoized block hash and recomputes
 // from the header — a header mutated after insertion must surface here,
 // not be masked by a stale cache.
@@ -158,7 +160,7 @@ func (s *Store) VerifyChain() error {
 		if b.Header.PrevHash != mc[i-1].Header.Hash() {
 			return fmt.Errorf("%w: block %d does not link to block %d", ErrBadLinkage, i, i-1)
 		}
-		if err := b.VerifyStructure(); err != nil {
+		if err := b.VerifyStructure(nil); err != nil {
 			return fmt.Errorf("block %d: %w", i, err)
 		}
 	}

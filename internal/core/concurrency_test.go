@@ -213,6 +213,105 @@ func TestConcurrentAppliesPersistNewestSource(t *testing.T) {
 	}
 }
 
+// TestProposeRoundPersistsAtomically: a ProposeUpdates round over four
+// shares of one source is one store commit, so a crash anywhere inside
+// it recovers every share at the old seq or every share at the new one,
+// never a mix, with the source table and each view matching the seq the
+// metadata names.
+func TestProposeRoundPersistsAtomically(t *testing.T) {
+	const shares, rows = 4, 4
+	ffs := store.NewFaultFS()
+	st, err := store.Open(store.Options{FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	h := newStressHarness(t, shares, rows, func(name string, cfg *Config) {
+		if name == "hub" {
+			cfg.Store = st
+		}
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	oldSrc, err := h.hub.Source("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One row, every share's column: all four views change.
+	err = h.hub.UpdateSource("T", func(tbl *reldb.Table) error {
+		set := make(map[string]reldb.Value, shares)
+		for i := 0; i < shares; i++ {
+			set[workload.ManyShareCol(i)] = reldb.S("round")
+		}
+		return tbl.Update(reldb.Row{reldb.I(0)}, set)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newSrc, err := h.hub.Source("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := ffs.TotalBytes()
+	res, err := h.hub.ProposeUpdates(ctx, h.shares)
+	if err != nil || len(res) != shares {
+		t.Fatalf("round proposed %d of %d shares: %v", len(res), shares, err)
+	}
+	end := ffs.TotalBytes()
+	if b := ffs.WriteBoundaries(); b[len(b)-1] != start {
+		t.Fatalf("the round took more than one store write (%d bytes)", end-start)
+	}
+
+	check := func(n int64, mode store.CrashMode) (seq uint64) {
+		t.Helper()
+		img, err := store.Open(store.Options{FS: ffs.SurvivorAt(n, mode)})
+		if err != nil {
+			t.Fatalf("crash at byte %d: reopen: %v", n, err)
+		}
+		defer img.Close()
+		metas := img.Shares()
+		seq = metas[h.shares[0]].Seq
+		for _, id := range h.shares {
+			if metas[id].Seq != seq {
+				t.Fatalf("crash at byte %d: share %s at seq %d beside %s at seq %d",
+					n, id, metas[id].Seq, h.shares[0], seq)
+			}
+		}
+		want := map[uint64]*reldb.Table{0: oldSrc, 1: newSrc}[seq]
+		if want == nil {
+			t.Fatalf("crash at byte %d: shares at seq %d", n, seq)
+		}
+		src, err := img.LoadTable("T")
+		if err != nil || !src.Equal(want) {
+			t.Fatalf("crash at byte %d: source does not match the metadata's seq %d (err %v)", n, seq, err)
+		}
+		for i, id := range h.shares {
+			view, err := img.LoadTable(id + "h")
+			if err != nil {
+				t.Fatalf("crash at byte %d: view %s: %v", n, id, err)
+			}
+			derived, err := bx.Project(id, []string{"k", workload.ManyShareCol(i)}, nil).Get(want)
+			if err != nil || !view.Equal(derived) {
+				t.Fatalf("crash at byte %d: view %s is not the seq %d view (err %v)", n, id, seq, err)
+			}
+		}
+		return seq
+	}
+	for n := start; n <= end; n++ {
+		want := uint64(0)
+		if n == end {
+			want = 1
+		}
+		if got := check(n, store.CrashTorn); got != want {
+			t.Fatalf("torn at byte %d of [%d, %d]: recovered seq %d, want %d", n, start, end, got, want)
+		}
+	}
+	if got := check(end, store.CrashDropUnsynced); got != 1 {
+		t.Fatalf("the synced round recovered at seq %d, want 1", got)
+	}
+}
+
 // TestConcurrentPeerStress drives one hub peer from many goroutines at
 // once — updaters (UpdateSource + ProposeUpdate per share), fetchers
 // (counterparty Fetch), and resyncers (hub and counterpart Resync) — and

@@ -336,7 +336,7 @@ func (p *Peer) embedIncoming(ctx context.Context, s *Share, seq uint64, from ide
 	s.diverged = false // put realigned source and view
 	s.derivedSrc, s.derivedView = baseSrc, local
 	s.stMu.Unlock()
-	p.persistShare(s)
+	p.persistShares(s)
 	p.record(HistoryEntry{ShareID: shareID, Seq: seq, Kind: "applied", Cols: cols, From: from})
 	p.logf("applied update on %s seq %d from %s", shareID, seq, from.Short())
 
@@ -464,7 +464,7 @@ func (p *Peer) onUpdateRejected(ev sharereg.EventPayload) {
 		return // not our proposal (or already resolved)
 	}
 	p.cfg.DB.PutTable(bk.view.Renamed(s.ViewName))
-	p.persistShare(s)
+	p.persistShares(s)
 	p.record(HistoryEntry{
 		ShareID: ev.ShareID, Seq: ev.Seq, Kind: "rolled-back",
 		From: ev.From, Note: ev.Kind,
@@ -652,7 +652,7 @@ func (p *Peer) repairMismatch(ctx context.Context, s *Share) error {
 	s.prev = nil
 	s.diverged = false
 	s.stMu.Unlock()
-	p.persistShare(s)
+	p.persistShares(s)
 	p.record(HistoryEntry{ShareID: s.ID, Seq: meta.Seq, Kind: "repaired", From: from})
 	p.logf("repaired %s at seq %d from %s", s.ID, meta.Seq, from.Short())
 	return nil
@@ -739,7 +739,7 @@ func (p *Peer) resyncFinalized(ctx context.Context, s *Share, meta *sharereg.Met
 	s.AppliedSeq = seq
 	s.diverged = false // put realigned source and view
 	s.stMu.Unlock()
-	p.persistShare(s)
+	p.persistShares(s)
 	p.record(HistoryEntry{ShareID: s.ID, Seq: seq, Kind: "resynced", From: meta.LastFrom})
 	return nil
 }

@@ -617,7 +617,7 @@ func (p *Peer) RestoreShare(snap ShareSnapshot) error {
 	s.prev = nil
 	s.diverged = false
 	s.stMu.Unlock()
-	p.persistShare(s)
+	p.persistShares(s)
 	p.record(HistoryEntry{ShareID: snap.ShareID, Seq: snap.Seq, Kind: "restored", Note: "state restored from snapshot"})
 	return nil
 }

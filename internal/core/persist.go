@@ -22,42 +22,56 @@ import (
 // corrupt or torn store degrades to a slower start, never to wrong
 // data.
 
-// persistShare writes the share's current replica state to the durable
-// store. Best-effort: a write failure poisons the store (every later
-// Commit reports it) but never blocks the in-memory protocol — the
-// chain stays the source of truth and a restart falls back to resync.
-func (p *Peer) persistShare(s *Share) {
+// persistShares writes the shares' current replica states to the
+// durable store as one atomic group: every share's view, each distinct
+// source table once, and every share's metadata. A ProposeUpdates round
+// persists all its shares this way — one commit and one fsync, and a
+// crash leaves the whole round or none of it. Best-effort: a write
+// failure poisons the store (every later Commit reports it) but never
+// blocks the in-memory protocol — the chain stays the source of truth
+// and a restart falls back to resync.
+func (p *Peer) persistShares(ss ...*Share) {
 	st := p.cfg.Store
-	if st == nil {
+	if st == nil || len(ss) == 0 {
 		return
 	}
 	err := st.Commit(func(b *store.Batch) error {
 		// Snapshot inside the commit: the store serializes commits across
-		// this callback, so of two shares persisting one source the later
-		// commit always carries the later source snapshot.
-		if view, err := p.snapshotTable(s.ViewName); err == nil {
-			if err := b.PutTable(view); err != nil {
+		// this callback, so of two commits persisting one source the later
+		// always carries the later source snapshot.
+		srcDone := make(map[string]bool, 1)
+		for _, s := range ss {
+			if view, err := p.snapshotTable(s.ViewName); err == nil {
+				if err := b.PutTable(view); err != nil {
+					return err
+				}
+			}
+			if !srcDone[s.SourceTable] {
+				srcDone[s.SourceTable] = true
+				if src, err := p.snapshotTable(s.SourceTable); err == nil {
+					if err := b.PutTable(src); err != nil {
+						return err
+					}
+				}
+			}
+			s.stMu.Lock()
+			seq := s.AppliedSeq
+			s.stMu.Unlock()
+			err := b.PutShareMeta(store.ShareMeta{
+				ID:       s.ID,
+				Seq:      seq,
+				Source:   s.SourceTable,
+				View:     s.ViewName,
+				PrioSeed: s.prioSeed,
+			})
+			if err != nil {
 				return err
 			}
 		}
-		if src, err := p.snapshotTable(s.SourceTable); err == nil {
-			if err := b.PutTable(src); err != nil {
-				return err
-			}
-		}
-		s.stMu.Lock()
-		seq := s.AppliedSeq
-		s.stMu.Unlock()
-		return b.PutShareMeta(store.ShareMeta{
-			ID:       s.ID,
-			Seq:      seq,
-			Source:   s.SourceTable,
-			View:     s.ViewName,
-			PrioSeed: s.prioSeed,
-		})
+		return nil
 	})
 	if err != nil {
-		p.logf("persist share %s: %v", s.ID, err)
+		p.logf("persist %d share(s) from %s: %v", len(ss), ss[0].ID, err)
 	}
 }
 

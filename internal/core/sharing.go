@@ -109,7 +109,7 @@ func (p *Peer) RegisterShare(ctx context.Context, a RegisterShareArgs) error {
 	p.mu.Lock()
 	p.shares[a.ID] = s
 	p.mu.Unlock()
-	p.persistShare(s)
+	p.persistShares(s)
 	p.record(HistoryEntry{ShareID: a.ID, Kind: "register", Note: "registered on-chain"})
 	p.logf("registered share %s (view %s, %d rows)", a.ID, viewName, view.Len())
 	return nil
@@ -172,7 +172,7 @@ func (p *Peer) AttachShare(id, sourceTable string, lens bx.Lens, viewName string
 	p.shares[id] = s
 	p.mu.Unlock()
 	p.cfg.DB.PutTable(view.Renamed(viewName))
-	p.persistShare(s)
+	p.persistShares(s)
 	p.record(HistoryEntry{ShareID: id, Kind: "attach", Seq: meta.Seq})
 	p.logf("attached share %s (view %s, %d rows)", id, viewName, view.Len())
 	return nil
@@ -236,7 +236,9 @@ func (p *Peer) ProposeUpdate(ctx context.Context, shareID string) (ProposalResul
 		p.rollbackProposal(st)
 		return ProposalResult{}, fmt.Errorf("core: update on %s denied: %w", shareID, err)
 	}
-	return p.finalizeProposal(st), nil
+	res := p.finalizeProposal(st)
+	p.persistShares(s)
+	return res, nil
 }
 
 // stagedProposal carries one share's update between optimistic staging
@@ -361,16 +363,16 @@ func (p *Peer) rollbackProposal(st *stagedProposal) {
 	s.diverged = true
 	s.stMu.Unlock()
 	p.cfg.DB.PutTable(st.oldView.Renamed(s.ViewName))
-	p.persistShare(s)
+	p.persistShares(s)
 }
 
 // finalizeProposal records a staged proposal whose request committed.
+// The caller persists the share: alone, or with the rest of its round.
 func (p *Peer) finalizeProposal(st *stagedProposal) ProposalResult {
 	s := st.s
 	s.stMu.Lock()
 	s.diverged = false // replica refreshed from Get(src); pair aligned
 	s.stMu.Unlock()
-	p.persistShare(s)
 	p.record(HistoryEntry{ShareID: s.ID, Seq: st.baseSeq + 1, Kind: st.kind, Cols: st.cols, From: p.Address()})
 	p.logf("proposed update on %s seq %d (cols %v)", s.ID, st.baseSeq+1, st.cols)
 	return ProposalResult{ShareID: s.ID, Seq: st.baseSeq + 1, Cols: st.cols, TxID: st.tx.IDString()}
@@ -379,8 +381,9 @@ func (p *Peer) finalizeProposal(st *stagedProposal) ProposalResult {
 // ProposeUpdates proposes updates on many shares as one group commit:
 // every changed share is staged, all request transactions are submitted
 // in a single batch (one mempool pass, one gossip broadcast, one
-// producer kick), and the commits are awaited collectively — so N
-// independent updates cost one block and one cascade fan-out round
+// producer kick), the commits are awaited collectively, and the
+// finalized shares are persisted in one store commit — so N independent
+// updates cost one block, one fsync and one cascade fan-out round
 // instead of N block intervals. Per-share sequence ordering is untouched
 // (each share stages under its own opMu with its own BaseSeq), and a
 // denial on one share rolls back only that share.
@@ -433,6 +436,7 @@ func (p *Peer) ProposeUpdates(ctx context.Context, shareIDs []string) ([]Proposa
 	verdicts := p.submitAndWaitMany(ctx, txs)
 
 	out := make([]ProposalResult, 0, len(staged))
+	finalized := make([]*Share, 0, len(staged))
 	for i, st := range staged {
 		if err := verdicts[i]; err != nil {
 			p.rollbackProposal(st)
@@ -440,7 +444,9 @@ func (p *Peer) ProposeUpdates(ctx context.Context, shareIDs []string) ([]Proposa
 			continue
 		}
 		out = append(out, p.finalizeProposal(st))
+		finalized = append(finalized, st.s)
 	}
+	p.persistShares(finalized...)
 	unlock()
 	return out, errors.Join(errs...)
 }

@@ -87,6 +87,77 @@ func TestBlockExecutedOncePerNode(t *testing.T) {
 	}
 }
 
+// TestTxSignatureCheckedOncePerNode: a transaction's signature is
+// checked where it enters a node — submission or gossip — and the block
+// that commits it is not re-checked on the sealer (it picked the
+// transaction from its pool) or on the other nodes (they pooled it by
+// gossip). Each node's count rises by exactly the transactions committed.
+func TestTxSignatureCheckedOncePerNode(t *testing.T) {
+	mem := p2p.NewMemNetwork()
+	sid := identity.MustNew("sealer")
+	nodes := make([]*Node, 3)
+	for i := range nodes {
+		id := sid
+		if i > 0 {
+			id = identity.MustNew(fmt.Sprintf("member%d", i))
+		}
+		n, err := New(Config{
+			NetworkName: "sig-once",
+			Identity:    id,
+			Engine:      consensus.NewPoA(true, sid.Address()),
+			Registry:    contract.NewRegistry(kvContract{}),
+			Transport:   mem.Endpoint(fmt.Sprintf("n%d", i)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = n
+	}
+	const rounds, perRound = 6, 8
+	for r := 1; r <= rounds; r++ {
+		before := make([]uint64, len(nodes))
+		for i, n := range nodes {
+			before[i] = n.TxSigChecks()
+		}
+		// Every node takes a turn as the origin, the sealer included.
+		origin := nodes[r%len(nodes)]
+		txs := make([]*chain.Tx, perRound)
+		for k := range txs {
+			txs[k] = origin.BuildTx("kv", "set", fmt.Sprintf("share-%d", k), []byte(fmt.Sprintf("r%d-k%d", r, k)), []byte("v"))
+		}
+		if err := origin.SubmitTxBatch(txs); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the batch pooled on every node", func() bool {
+			for _, n := range nodes {
+				if n.PendingTxs() != perRound {
+					return false
+				}
+			}
+			return true
+		})
+		if err := nodes[0].TryProduce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "every node at the round's height", func() bool {
+			for _, n := range nodes {
+				if n.Store().Height() != uint64(r) {
+					return false
+				}
+			}
+			return true
+		})
+		if got := len(nodes[0].Store().Head().Txs); got != perRound {
+			t.Fatalf("round %d: block carries %d txs, want %d", r, got, perRound)
+		}
+		for i, n := range nodes {
+			if got := n.TxSigChecks() - before[i]; got != perRound {
+				t.Errorf("round %d: node %d checked %d signatures for %d committed transactions", r, i, got, perRound)
+			}
+		}
+	}
+}
+
 // TestBlockOvertakingItsParentIsAdopted: blocks from different peers
 // arrive on different connections, so a block can reach a node before
 // its parent; it must be admitted once the parent is, or the node falls
@@ -215,7 +286,7 @@ func TestGossipBatchAdmitsGoodDropsBad(t *testing.T) {
 
 // TestDuplicateGossipDoesNotKick: gossip that admits nothing new — a
 // transaction already pooled or already committed — must not wake the
-// producer.
+// producer, nor have its signature checked again.
 func TestDuplicateGossipDoesNotKick(t *testing.T) {
 	n, _ := gossipPair(t)
 	tx := n.BuildTx("kv", "set", "", []byte("k"), []byte("v"))
@@ -241,6 +312,9 @@ func TestDuplicateGossipDoesNotKick(t *testing.T) {
 	n.handleGossip(msg)
 	if len(n.kickCh) != 0 || n.PendingTxs() != 0 {
 		t.Fatalf("re-delivery of a committed transaction: kicked=%v pending=%d", len(n.kickCh) != 0, n.PendingTxs())
+	}
+	if got := n.TxSigChecks(); got != 1 {
+		t.Fatalf("one transaction delivered three times and committed: %d signature checks, want 1", got)
 	}
 }
 

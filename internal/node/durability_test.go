@@ -2,10 +2,13 @@ package node
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"medshare/internal/audit"
 	"medshare/internal/chain"
 	"medshare/internal/consensus"
 	"medshare/internal/contract"
@@ -169,6 +172,78 @@ func (n *Node) mustTx(t *testing.T, id string) *chain.Tx {
 	}
 	t.Fatalf("tx %s not found on chain", id[:8])
 	return nil
+}
+
+// TestFlippedTxSigFailsRecoveryAndVerifyChain: skipping the signatures
+// a node admitted itself stops at the live path. One flipped signature
+// byte in a persisted block (tx root recomputed and header re-sealed, so
+// the signature is the block's only fault) fails recovery, and the same
+// flip in a stored block fails Store.VerifyChain and the auditor: none
+// of the three has a pool to vouch for anything.
+func TestFlippedTxSigFailsRecoveryAndVerifyChain(t *testing.T) {
+	s, err := store.Open(store.Options{FS: store.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := newDurableNode(t, s)
+	commitKVs(t, n, 0, 3)
+	flip := func(b *chain.Block) {
+		b.Txs[0].Sig[0] ^= 0x01
+		b.Header.TxRoot = b.ComputeTxRoot()
+		b.ResetHashCache()
+	}
+
+	mc := n.Store().MainChain()
+	raw, err := json.Marshal(mc[len(mc)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bad chain.Block
+	if err := json.Unmarshal(raw, &bad); err != nil {
+		t.Fatal(err)
+	}
+	flip(&bad)
+	if err := n.cfg.Engine.Seal(context.Background(), &bad, n.cfg.Identity); err != nil {
+		t.Fatal(err)
+	}
+	fs := store.NewMemFS()
+	w, err := store.Open(store.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Commit(func(bt *store.Batch) error {
+		for _, b := range append(mc[1:len(mc)-1], &bad) {
+			if err := bt.PutBlock(b); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := store.Open(store.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer img.Close()
+	if len(img.Blocks()) != len(mc)-1 {
+		t.Fatalf("image holds %d blocks, want %d", len(img.Blocks()), len(mc)-1)
+	}
+	if _, err := New(testDurableConfig(img)); !errors.Is(err, chain.ErrTxBadSig) {
+		t.Fatalf("recovering a persisted block with a flipped tx signature: got %v, want ErrTxBadSig", err)
+	}
+
+	flip(n.Store().Head())
+	if err := n.Store().VerifyChain(); !errors.Is(err, chain.ErrTxBadSig) {
+		t.Fatalf("VerifyChain over a flipped tx signature: got %v, want ErrTxBadSig", err)
+	}
+	if err := audit.New(n.Store(), n.Registry()).VerifyIntegrity(); !errors.Is(err, chain.ErrTxBadSig) {
+		t.Fatalf("auditor over a flipped tx signature: got %v, want ErrTxBadSig", err)
+	}
 }
 
 // TestNodeRecoveryRejectsTamperedCheckpoint corrupts the checkpoint's

@@ -84,10 +84,13 @@ func (n *Node) adoptOrphans(b *chain.Block) {
 // extends the head; a received block that extends the head is executed
 // here, once, on a clone of the published state, and rejected — nothing
 // touched — when that does not reproduce its declared state root.
+// Signatures are checked only on transactions this node never admitted
+// (admittedSigs).
 func (n *Node) commitBlock(b *chain.Block, staged *statedb.Store, receipts []contract.Receipt) error {
 	if err := n.Poisoned(); err != nil {
 		return err
 	}
+	sigChecked := n.admittedSigs(b, staged != nil)
 	extends := b.Header.PrevHash == n.store.Head().Hash()
 	if extends && staged == nil {
 		staged = n.State().Clone()
@@ -97,7 +100,7 @@ func (n *Node) commitBlock(b *chain.Block, staged *statedb.Store, receipts []con
 				b.Header.Height, got[:6], b.Header.StateRoot[:6])
 		}
 	}
-	headChanged, err := n.store.Add(b)
+	headChanged, err := n.store.Add(b, sigChecked)
 	if err != nil {
 		return err
 	}
@@ -128,6 +131,32 @@ func (n *Node) commitBlock(b *chain.Block, staged *statedb.Store, receipts []con
 		}
 	}
 	return nil
+}
+
+// admittedSigs is commitBlock's signature-skip predicate for Store.Add.
+// The mempool holds only transactions whose signatures were checked at
+// admission, and a block this node produced was picked from it, so
+// neither is checked again; every other transaction is, and the check
+// is counted. Membership is read once per block, under one n.mu.
+func (n *Node) admittedSigs(b *chain.Block, produced bool) func(*chain.Tx) bool {
+	if produced {
+		return func(*chain.Tx) bool { return true }
+	}
+	pooled := make(map[*chain.Tx]bool, len(b.Txs))
+	n.mu.Lock()
+	for _, tx := range b.Txs {
+		if n.mempool.has(tx.IDString()) {
+			pooled[tx] = true
+		}
+	}
+	n.mu.Unlock()
+	return func(tx *chain.Tx) bool {
+		if pooled[tx] {
+			return true
+		}
+		n.sigChecks.Add(1) // VerifyStructure checks what is not skipped
+		return false
+	}
 }
 
 // replayFromGenesis re-derives state, replay protection, receipts and

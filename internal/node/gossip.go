@@ -75,11 +75,24 @@ func (n *Node) handleGossip(msg p2p.Message) {
 }
 
 // admitVerified admits the gossiped transactions whose signatures
-// verify, dropping the rest.
+// verify, dropping the rest. One already committed or pooled here is
+// dropped before its check: gossip redelivers, and a transaction with
+// the same ID has the same verdict.
 func (n *Node) admitVerified(txs []*chain.Tx) {
-	good := txs[:0]
+	unseen := txs[:0]
+	n.mu.Lock()
 	for _, tx := range txs {
-		if tx != nil && tx.Verify() == nil {
+		if tx == nil {
+			continue
+		}
+		if id := tx.IDString(); !n.committedTxs[id] && !n.mempool.has(id) {
+			unseen = append(unseen, tx)
+		}
+	}
+	n.mu.Unlock()
+	good := unseen[:0]
+	for _, tx := range unseen {
+		if n.verifyTx(tx) == nil {
 			good = append(good, tx)
 		}
 	}

@@ -33,6 +33,12 @@ func (m *mempool) add(tx *chain.Tx) bool {
 
 func (m *mempool) len() int { return len(m.byID) }
 
+// has reports whether the tx with this ID is pooled.
+func (m *mempool) has(id string) bool {
+	_, ok := m.byID[id]
+	return ok
+}
+
 // pick removes and returns up to max transactions in FIFO order, skipping
 // (and keeping) any tx whose ShareID collides with one already picked, and
 // dropping any tx rejected by keep (already committed elsewhere).

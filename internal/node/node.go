@@ -102,6 +102,9 @@ type Node struct {
 
 	events *eventBus
 
+	// sigChecks counts transaction signature verifications (TxSigChecks).
+	sigChecks atomic.Uint64
+
 	// kickCh (capacity 1) wakes the producer when transactions arrive
 	// and GroupCommitWindow is enabled; a pending token covers any
 	// number of submissions.
@@ -378,10 +381,23 @@ func (n *Node) TryProduce(ctx context.Context) error {
 	return nil
 }
 
+// TxSigChecks reports how many transaction signatures this node has
+// verified since it started: one per transaction at admission (SubmitTx,
+// SubmitTxBatch, gossip), plus one per transaction of a received block
+// that was never admitted here. A transaction is checked once per node;
+// recovery's re-verification of the persisted chain is not counted.
+func (n *Node) TxSigChecks() uint64 { return n.sigChecks.Load() }
+
+// verifyTx checks a transaction's signature, counting the check.
+func (n *Node) verifyTx(tx *chain.Tx) error {
+	n.sigChecks.Add(1)
+	return tx.Verify()
+}
+
 // SubmitTx validates a transaction, admits it to the mempool, and gossips
 // it to the network.
 func (n *Node) SubmitTx(tx *chain.Tx) error {
-	if err := tx.Verify(); err != nil {
+	if err := n.verifyTx(tx); err != nil {
 		return err
 	}
 	id := tx.IDString()
@@ -409,7 +425,7 @@ func (n *Node) SubmitTx(tx *chain.Tx) error {
 // per-tx receipt is the arbiter callers wait on).
 func (n *Node) SubmitTxBatch(txs []*chain.Tx) error {
 	for _, tx := range txs {
-		if err := tx.Verify(); err != nil {
+		if err := n.verifyTx(tx); err != nil {
 			return err
 		}
 	}

@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -379,41 +380,66 @@ func TestPoWNodeMinesAndValidates(t *testing.T) {
 
 func TestRejectBlockWithWrongStateRoot(t *testing.T) {
 	n := newTestNode(t)
-	// Hand-craft a block whose declared state root is wrong.
 	g := n.Store().Genesis()
 	tx := n.BuildTx("kv", "set", "", []byte("x"), []byte("y"))
-	b := &chain.Block{
-		Header: chain.Header{
-			Height:         1,
-			PrevHash:       g.Hash(),
-			TimestampMicro: time.Now().UnixMicro(),
-		},
-		Txs: []*chain.Tx{tx},
-	}
-	b.Header.TxRoot = b.ComputeTxRoot()
-	// Deliberately wrong state root.
-	b.Header.StateRoot[0] = 0xde
-	if err := n.cfg.Engine.Seal(context.Background(), b, n.cfg.Identity); err != nil {
-		t.Fatal(err)
+	// block hand-crafts a sealed height-1 block; honest gives it the state
+	// root its transactions produce, otherwise the root is wrong.
+	block := func(honest bool, txs ...*chain.Tx) *chain.Block {
+		b := &chain.Block{
+			Header: chain.Header{
+				Height:         1,
+				PrevHash:       g.Hash(),
+				TimestampMicro: time.Now().UnixMicro(),
+			},
+			Txs: txs,
+		}
+		b.Header.TxRoot = b.ComputeTxRoot()
+		if honest {
+			staged := n.State().Clone()
+			n.executeOn(staged, b)
+			b.Header.StateRoot = staged.Root()
+		} else {
+			b.Header.StateRoot[0] = 0xde
+		}
+		if err := n.cfg.Engine.Seal(context.Background(), b, n.cfg.Identity); err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
 	rootBefore := n.State().Root()
-	if err := n.ReceiveBlock(b); err == nil {
-		t.Fatal("block with wrong state root accepted")
+	reject := func(what string, b *chain.Block, want error) {
+		t.Helper()
+		err := n.ReceiveBlock(b)
+		if err == nil || (want != nil && !errors.Is(err, want)) {
+			t.Fatalf("block with %s: got %v, want rejection (%v)", what, err, want)
+		}
+		if n.Store().Height() != 0 {
+			t.Fatalf("block with %s extended the chain", what)
+		}
+		// The block ran on a staged clone: rejecting it is not a fault of
+		// this node, whose published state is untouched and which keeps
+		// producing.
+		if n.State().Root() != rootBefore {
+			t.Fatalf("rejected block with %s changed the published state", what)
+		}
+		if err := n.Poisoned(); err != nil {
+			t.Fatalf("rejecting a block with %s poisoned the node: %v", what, err)
+		}
 	}
-	if n.Store().Height() != 0 {
-		t.Fatal("bad block extended the chain")
-	}
-	// The block ran on a staged clone: rejecting it is not a fault of this
-	// node, whose published state is untouched and which keeps producing.
-	if n.State().Root() != rootBefore {
-		t.Fatal("rejected block changed the published state")
-	}
-	if err := n.Poisoned(); err != nil {
-		t.Fatalf("rejecting a bad block poisoned the node: %v", err)
-	}
+	reject("a wrong state root", block(false, tx), nil)
+
+	// The same content under a broken signature: a different ID, so
+	// nothing this node admitted vouches for it and it is checked in full
+	// — both before and after the genuine transaction is pooled.
+	forged := *tx
+	forged.Sig = append([]byte(nil), tx.Sig...)
+	forged.Sig[0] ^= 0xff
+	reject("an unpooled transaction with a bad signature", block(true, &forged), chain.ErrTxBadSig)
 	if err := n.SubmitTx(tx); err != nil {
 		t.Fatal(err)
 	}
+	reject("a pooled transaction's content under another signature", block(true, &forged), chain.ErrTxBadSig)
+
 	if err := n.TryProduce(context.Background()); err != nil {
 		t.Fatalf("node stopped producing after rejecting a bad block: %v", err)
 	}

@@ -12,9 +12,11 @@ import (
 // recoverFromStore rebuilds the block tree and world state from the
 // durable log. Every recovered artifact is verified before it is
 // trusted: blocks re-pass structure and linkage checks through the
-// normal Add path, an imported state checkpoint must hash to both its
-// own recorded root and the main chain's header root at that height,
-// and replayed blocks must reproduce their declared state roots. Any
+// normal Add path (every transaction signature included: nothing here
+// was admitted through the mempool), an imported state checkpoint must
+// hash to both its own recorded root and the main chain's header root
+// at that height, and replayed blocks must reproduce their declared
+// state roots. Any
 // verification failure falls back to the next-cheaper strategy, ending
 // at a full re-execution from genesis — recovery degrades in cost,
 // never in correctness.
@@ -23,7 +25,7 @@ func (n *Node) recoverFromStore(s *store.Store) error {
 		if b.Header.Height == 0 {
 			continue // genesis is derived from NetworkName, never stored
 		}
-		if _, err := n.store.Add(b); err != nil {
+		if _, err := n.store.Add(b, nil); err != nil {
 			// Duplicates cannot happen on a fresh tree, but a torn tail
 			// can orphan a block whose parent group was lost; skipping it
 			// leaves a consistent prefix, which data.sync heals later.

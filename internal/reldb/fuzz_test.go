@@ -79,10 +79,10 @@ func isOrderExceptionFloat(v Value) bool {
 // (equal encodings ⇒ equal values) are asserted for all values.
 func FuzzAppendOrdered(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{1, 3, 'a', 'b', 0, 1, 3, 'a', 'b', 'c'})                         // "ab" vs "abc": prefix case
+	f.Add([]byte{1, 3, 'a', 'b', 0, 1, 3, 'a', 'b', 'c'})                        // "ab" vs "abc": prefix case
 	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 5, 2, 255, 255, 255, 255, 255, 255, 0}) // +int vs -int
 	f.Add([]byte{3, 255, 248, 0, 0, 0, 0, 0, 1, 3, 127, 240, 0, 0, 0, 0, 0, 0})  // NaN vs +Inf
-	f.Add([]byte{1, 2, 'x', 0, 1, 2, 'x', 1})                                     // embedded NUL boundary
+	f.Add([]byte{1, 2, 'x', 0, 1, 2, 'x', 1})                                    // embedded NUL boundary
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, rest := decodeFuzzValue(data)
 		b, rest := decodeFuzzValue(rest)

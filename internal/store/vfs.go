@@ -118,10 +118,10 @@ func (d *DirFS) Truncate(name string, size int64) error {
 // osFile adapts *os.File to the File interface.
 type osFile struct{ f *os.File }
 
-func (o *osFile) Write(p []byte) (int, error)          { return o.f.Write(p) }
+func (o *osFile) Write(p []byte) (int, error)             { return o.f.Write(p) }
 func (o *osFile) ReadAt(p []byte, off int64) (int, error) { return o.f.ReadAt(p, off) }
-func (o *osFile) Sync() error                          { return o.f.Sync() }
-func (o *osFile) Close() error                         { return o.f.Close() }
+func (o *osFile) Sync() error                             { return o.f.Sync() }
+func (o *osFile) Close() error                            { return o.f.Close() }
 func (o *osFile) Size() (int64, error) {
 	st, err := o.f.Stat()
 	if err != nil {

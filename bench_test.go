@@ -1,22 +1,19 @@
 package medshare
 
-// Benchmarks regenerating every experiment of DESIGN.md §4 (one per
-// figure/claim of the paper — the paper has no numeric tables, so these
-// are the evaluation artifacts). Run all of them with
+// Library micro-benchmarks: lens get/put/delta, table storage, the
+// lock-free database, the transient builder and the Merkle row tree, each
+// measured in process with no network or chain. Run them with
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem .
 //
-// and see cmd/benchrunner for the full parameter sweeps behind
-// EXPERIMENTS.md. Domain metrics are attached with b.ReportMetric; the
-// ns/op of protocol benches is dominated by configured block intervals,
-// so the custom metrics are the meaningful output.
+// End-to-end figures come from the repository benchmark (bench/ and
+// BENCHMARK.json), which runs the deployed profile: daemons over TCP with
+// fsyncing stores.
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"medshare/internal/bx"
 	"medshare/internal/core"
@@ -24,155 +21,7 @@ import (
 	"medshare/internal/workload"
 )
 
-func benchCtx(b *testing.B) context.Context {
-	b.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	b.Cleanup(cancel)
-	return ctx
-}
-
-// BenchmarkE1_Fig1_ViewDerivation measures deriving all seven Fig. 1
-// tables from the full records.
-func BenchmarkE1_Fig1_ViewDerivation(b *testing.B) {
-	for _, records := range []int{10, 100, 1000} {
-		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := RunE1ViewDerivation(records, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.PerView.Microseconds()), "µs/view")
-			}
-		})
-	}
-}
-
-// BenchmarkE2_Fig2_Bootstrap measures bringing up the whole architecture.
-func BenchmarkE2_Fig2_Bootstrap(b *testing.B) {
-	ctx := benchCtx(b)
-	for _, nodes := range []int{1, 3} {
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := RunE2Bootstrap(ctx, nodes, 50)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Bootstrap.Seconds()*1000, "ms/bootstrap")
-			}
-		})
-	}
-}
-
-// BenchmarkE3_Fig3_ContractOps measures the metadata contract operations
-// of Fig. 3 in isolation.
-func BenchmarkE3_Fig3_ContractOps(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := RunE3ContractOps(64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.RegisterPerOp.Microseconds()), "µs/register")
-		b.ReportMetric(float64(res.AllowedPerOp.Microseconds()), "µs/update-allowed")
-		b.ReportMetric(float64(res.DeniedPerOp.Microseconds()), "µs/update-denied")
-		b.ReportMetric(float64(res.AckPerOp.Microseconds()), "µs/ack")
-	}
-}
-
-// BenchmarkE4_Fig4_CRUD measures the end-to-end entry-level CRUD
-// protocol of Fig. 4.
-func BenchmarkE4_Fig4_CRUD(b *testing.B) {
-	ctx := benchCtx(b)
-	for i := 0; i < b.N; i++ {
-		res, err := RunE4CRUD(ctx, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Create.Seconds()*1000, "ms/create")
-		b.ReportMetric(res.Read.Seconds()*1e6, "µs/read")
-		b.ReportMetric(res.Update.Seconds()*1000, "ms/update")
-		b.ReportMetric(res.Delete.Seconds()*1000, "ms/delete")
-	}
-}
-
-// BenchmarkE5_Fig5_Cascade measures the 11-step update workflow of
-// Fig. 5 (single hop and the full automatic cascade).
-func BenchmarkE5_Fig5_Cascade(b *testing.B) {
-	ctx := benchCtx(b)
-	for _, records := range []int{10, 100} {
-		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := RunE5Cascade(ctx, records, int64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.SingleHop.Seconds()*1000, "ms/single-hop")
-				b.ReportMetric(res.FullCascade.Seconds()*1000, "ms/cascade")
-			}
-		})
-	}
-}
-
-// BenchmarkE6_Throughput_BlockInterval measures finalized updates per
-// modeled second across block intervals (Section IV-1).
-func BenchmarkE6_Throughput_BlockInterval(b *testing.B) {
-	ctx := benchCtx(b)
-	for _, interval := range []time.Duration{100 * time.Millisecond, 1 * time.Second, 12 * time.Second} {
-		for _, batch := range []int{1, 32} {
-			b.Run(fmt.Sprintf("interval=%v/batch=%d", interval, batch), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := RunE6Throughput(ctx, ConsensusPoA, interval, batch, 3, 1000)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(res.RowsPerSecModeled, "rows/modeled-s")
-					b.ReportMetric(res.UpdatesPerSecModeled, "updates/modeled-s")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkE7_ConflictRule measures the serialization cost of the
-// one-update-at-a-time rule under contention.
-func BenchmarkE7_ConflictRule(b *testing.B) {
-	ctx := benchCtx(b)
-	for _, m := range []int{2, 4} {
-		b.Run(fmt.Sprintf("updaters=%d", m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := RunE7ConflictRule(ctx, m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.ContendedMakespan.Seconds()*1000, "ms/contended")
-				b.ReportMetric(res.IndependentMakespan.Seconds()*1000, "ms/independent")
-				b.ReportMetric(res.SerializationFactor, "serialization-x")
-			}
-		})
-	}
-}
-
-// BenchmarkE8_Baseline_FullRecord measures exposure and transfer sizes
-// of fine-grained views versus full-record sharing (Section V).
-func BenchmarkE8_Baseline_FullRecord(b *testing.B) {
-	for _, records := range []int{100, 1000} {
-		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rows, err := RunE8Baseline(records, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range rows {
-					if r.Peer == "Researcher" {
-						b.ReportMetric(r.ExposureRatio, "exposure-reduction-x")
-						b.ReportMetric(r.TransferFullRecord/r.TransferFineGrained, "transfer-reduction-x")
-					}
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE9_BX_GetPut measures raw lens cost (get and put).
+// BenchmarkE9_BX_Get measures the forward transformation.
 func BenchmarkE9_BX_Get(b *testing.B) {
 	for _, rows := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
@@ -751,62 +600,6 @@ func BenchmarkBuilder_LensRebuild(b *testing.B) {
 				if _, err := lens.Put(full, edited); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkE11_ManyShares drives one full many-shares fan-out round
-// (edit → SyncShares over every pairwise share → finality) through a
-// real network, with the peer's concurrent fan-out pool.
-func BenchmarkE11_ManyShares(b *testing.B) {
-	ctx := benchCtx(b)
-	for _, workers := range []int{-1, 16} {
-		name := "parallel"
-		if workers < 0 {
-			name = "sequential"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				makespan, _, err := RunE11Round(ctx, 16, 64, workers, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(makespan.Seconds()*1000, "ms/round")
-			}
-		})
-	}
-}
-
-// BenchmarkE9_BX_CompositionDepth measures lens cost vs composition depth.
-func BenchmarkE9_BX_CompositionDepth(b *testing.B) {
-	for _, depth := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := RunE9BX(500, depth, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Get.Microseconds()), "µs/get")
-				b.ReportMetric(float64(res.Put.Microseconds()), "µs/put")
-			}
-		})
-	}
-}
-
-// BenchmarkE10_Audit measures ledger history reconstruction and
-// integrity verification.
-func BenchmarkE10_Audit(b *testing.B) {
-	ctx := benchCtx(b)
-	for _, updates := range []int{8, 32} {
-		b.Run(fmt.Sprintf("updates=%d", updates), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := RunE10Audit(ctx, updates)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.HistoryTime.Seconds()*1000, "ms/history")
-				b.ReportMetric(res.IntegrityOK.Seconds()*1000, "ms/verify")
 			}
 		})
 	}

@@ -16,8 +16,8 @@ import (
 	"medshare/internal/reldb"
 )
 
-// Client is the Go client for the serving edge, shared by medsharectl,
-// loadr, and the E17 experiment.
+// Client is the Go client for the serving edge, shared by medsharectl
+// and the benchmark's serve_mixed workload.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8344".
 	BaseURL string

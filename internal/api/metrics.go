@@ -12,7 +12,7 @@ import (
 //   - medshare_api_requests_total{kind=...} / _errors_total — HTTP
 //     traffic split by request kind
 //   - medshare_api_latency_seconds{kind=...,quantile=...} — per-kind
-//     latency summaries from the same HDR histograms loadr uses
+//     latency summaries from HDR-style histograms (hist.go)
 //   - medshare_api_write_batches_total / _coalesced_writes_total —
 //     HTTP-level write coalescing (writes/batches = realized factor)
 //   - medshare_api_view_cache_* — marshal-cache effectiveness on the

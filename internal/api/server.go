@@ -15,7 +15,6 @@ import (
 
 	"medshare/internal/audit"
 	"medshare/internal/core"
-	"medshare/internal/loadgen"
 	"medshare/internal/node"
 	"medshare/internal/store"
 )
@@ -70,7 +69,7 @@ type serverMetrics struct {
 type kindMetrics struct {
 	requests atomic.Uint64
 	errors   atomic.Uint64
-	latency  loadgen.Histogram
+	latency  histogram
 }
 
 // requestKinds enumerates the instrumented request kinds, in the order

@@ -235,7 +235,7 @@ func (hc *HeaderChain) Append(h Header) error {
 
 // Bytes reports the retained memory of the header chain (binary
 // encoding size — the deterministic "state a light client carries for
-// the chain" number the experiments track).
+// the chain" number, part of light.Client.StateBytes).
 func (hc *HeaderChain) Bytes() int {
 	hc.mu.RLock()
 	defer hc.mu.RUnlock()

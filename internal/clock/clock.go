@@ -1,7 +1,5 @@
-// Package clock abstracts time so that experiments can sweep block
-// intervals (Section IV-1 discusses Ethereum's ≈12 s blocks) without
-// waiting wall-clock minutes: benches run the system under a scaled clock
-// and report results normalized to the modeled interval.
+// Package clock abstracts time so that block production and peer timers
+// can run on something other than the wall clock.
 package clock
 
 import "time"
@@ -10,10 +8,9 @@ import "time"
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
-	// Sleep blocks for the (possibly scaled) duration.
+	// Sleep blocks for the duration.
 	Sleep(d time.Duration)
-	// After returns a channel that fires after the (possibly scaled)
-	// duration.
+	// After returns a channel that fires after the duration.
 	After(d time.Duration) <-chan time.Time
 }
 
@@ -28,35 +25,3 @@ func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
 // After implements Clock.
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-// Scaled compresses durations by Factor: a Sleep(12s) under Factor 1000
-// blocks for 12ms. Now still returns wall time (timestamps stay
-// monotone); only waits shrink. Throughput measured under a scaled clock
-// multiplies back by Factor when reporting modeled real-time rates.
-type Scaled struct {
-	// Inner is the underlying clock (usually Real).
-	Inner Clock
-	// Factor divides every duration; values < 1 are treated as 1.
-	Factor float64
-}
-
-func (s Scaled) scale(d time.Duration) time.Duration {
-	f := s.Factor
-	if f < 1 {
-		f = 1
-	}
-	scaled := time.Duration(float64(d) / f)
-	if scaled < time.Millisecond && d > 0 {
-		scaled = time.Millisecond
-	}
-	return scaled
-}
-
-// Now implements Clock.
-func (s Scaled) Now() time.Time { return s.Inner.Now() }
-
-// Sleep implements Clock.
-func (s Scaled) Sleep(d time.Duration) { s.Inner.Sleep(s.scale(d)) }
-
-// After implements Clock.
-func (s Scaled) After(d time.Duration) <-chan time.Time { return s.Inner.After(s.scale(d)) }

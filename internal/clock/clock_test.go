@@ -22,45 +22,3 @@ func TestRealClockSleep(t *testing.T) {
 		t.Fatalf("slept %v", d)
 	}
 }
-
-func TestScaledSleepCompresses(t *testing.T) {
-	c := Scaled{Inner: Real{}, Factor: 100}
-	start := time.Now()
-	c.Sleep(500 * time.Millisecond) // 5ms scaled
-	d := time.Since(start)
-	if d > 100*time.Millisecond {
-		t.Fatalf("scaled sleep took %v", d)
-	}
-	if d < 3*time.Millisecond {
-		t.Fatalf("scaled sleep too short: %v", d)
-	}
-}
-
-func TestScaledAfterCompresses(t *testing.T) {
-	c := Scaled{Inner: Real{}, Factor: 100}
-	start := time.Now()
-	<-c.After(500 * time.Millisecond)
-	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Fatalf("scaled after took %v", d)
-	}
-}
-
-func TestScaledMinimumFloor(t *testing.T) {
-	// Sub-millisecond scaled durations are floored to 1ms so timers
-	// still fire in order.
-	c := Scaled{Inner: Real{}, Factor: 1e9}
-	start := time.Now()
-	c.Sleep(time.Second)
-	if d := time.Since(start); d > 50*time.Millisecond {
-		t.Fatalf("floored sleep took %v", d)
-	}
-}
-
-func TestScaledFactorBelowOne(t *testing.T) {
-	c := Scaled{Inner: Real{}, Factor: 0}
-	start := time.Now()
-	c.Sleep(5 * time.Millisecond)
-	if d := time.Since(start); d < 4*time.Millisecond {
-		t.Fatalf("factor<1 must behave like 1, slept %v", d)
-	}
-}

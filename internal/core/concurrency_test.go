@@ -312,6 +312,47 @@ func TestProposeRoundPersistsAtomically(t *testing.T) {
 	}
 }
 
+// TestProposeUpdatesIsOneGroupCommit: a source edit that changes eight
+// shares is proposed as one batch submission carrying all eight request
+// transactions, round after round — BatchTxs/BatchCommits is the batch
+// size, not 1.
+func TestProposeUpdatesIsOneGroupCommit(t *testing.T) {
+	const shares, rows, rounds = 8, 8, 4
+	h := newStressHarness(t, shares, rows)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	before := h.hub.Stats()
+	for r := 0; r < rounds; r++ {
+		err := h.hub.UpdateSource("T", func(tbl *reldb.Table) error {
+			set := make(map[string]reldb.Value, shares)
+			for i := 0; i < shares; i++ {
+				set[workload.ManyShareCol(i)] = reldb.S(fmt.Sprintf("round-%d-%d", r, i))
+			}
+			return tbl.Update(reldb.Row{reldb.I(int64(r % rows))}, set)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		props, err := h.hub.SyncShares(ctx, "T")
+		if err != nil || len(props) != shares {
+			t.Fatalf("round %d proposed %d of %d shares: %v", r, len(props), shares, err)
+		}
+		for _, pr := range props {
+			if err := h.hub.WaitFinal(ctx, pr.ShareID, pr.Seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	after := h.hub.Stats()
+	commits := after.BatchCommits - before.BatchCommits
+	txs := after.BatchTxs - before.BatchTxs
+	if commits != rounds || txs < shares*commits {
+		t.Fatalf("%d rounds took %d batch submissions carrying %d txs, want %d carrying ≥ %d each",
+			rounds, commits, txs, rounds, shares)
+	}
+}
+
 // TestConcurrentPeerStress drives one hub peer from many goroutines at
 // once — updaters (UpdateSource + ProposeUpdate per share), fetchers
 // (counterparty Fetch), and resyncers (hub and counterpart Resync) — and

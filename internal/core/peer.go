@@ -199,7 +199,7 @@ type Share struct {
 
 	// prev retains the previous view version so the data channel can
 	// serve row-level changesets to peers that already hold it, instead
-	// of the whole view (delta transfer; measured in experiment E8).
+	// of the whole view (delta transfer).
 	prev *shareBackup
 
 	// diverged marks that the stored view replica no longer equals

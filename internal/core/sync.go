@@ -191,7 +191,7 @@ type SyncResponse struct {
 }
 
 // SyncStats reports what one structural sync transferred — the
-// experiment and test substrate for the "divergent subtrees only" claim.
+// benchmark and test substrate for the "divergent subtrees only" claim.
 type SyncStats struct {
 	// Rounds is the number of sequential request waves — the walk's
 	// round-trip critical path. A wave split into concurrent chunk
@@ -699,9 +699,10 @@ func (p *Peer) StructuralSync(ctx context.Context, from identity.Address, shareI
 // SimulateStructuralSync runs the anti-entropy exchange between two
 // in-memory tables through the real wire encoding (binary request and
 // response frames, no transport or chain) — the measurement harness
-// behind E13 and the byte-count assertions. provider plays the
-// updater's view, base the stale local replica; the returned stats
-// count exactly the bytes the TCP path would carry in message payloads.
+// behind BenchmarkMerkle_AntiEntropy and the byte-count assertions.
+// provider plays the updater's view, base the stale local replica; the
+// returned stats count exactly the bytes the TCP path would carry in
+// message payloads.
 // It runs the byte-optimal serial walk (no span expansion, one request
 // per wave) so the byte numbers it pins are the protocol floor; use
 // SimulateStructuralSyncOpts to measure the latency-optimized

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -61,6 +62,35 @@ func TestWaitFinalIsEventDriven(t *testing.T) {
 	err := h.a.WaitFinal(ctx, "S", updates+100)
 	if !errors.Is(err, context.DeadlineExceeded) || time.Since(start) > 5*time.Second {
 		t.Fatalf("WaitFinal on an idle chain: err %v after %v, want the context deadline", err, time.Since(start))
+	}
+}
+
+// TestIsolatedUpdateCostsTwoBlocks: with nothing else in flight, one
+// update is exactly two blocks — the proposer's request, then a later,
+// separate block carrying the counterparty's ack — and nothing more.
+func TestIsolatedUpdateCostsTwoBlocks(t *testing.T) {
+	mem := p2p.NewMemNetwork()
+	h := newSyncHarness(t, 8, mem.Endpoint("A"), mem.Endpoint("B"))
+	blocks := h.node.Store()
+	for round := 0; round < 3; round++ {
+		start := blocks.Height()
+		h.finalizedUpdate(t, int64(round), fmt.Sprintf("round-%d", round))
+		if got := blocks.Height() - start; got != 2 {
+			t.Fatalf("round %d: the update took %d blocks, want 2", round, got)
+		}
+		for i, want := range []struct {
+			fn   string
+			from *Peer
+		}{{sharereg.FnRequestUpdate, h.a}, {sharereg.FnAckUpdate, h.b}} {
+			b, _ := blocks.AtHeight(start + 1 + uint64(i))
+			var got []string
+			for _, tx := range b.Txs {
+				got = append(got, tx.Fn)
+			}
+			if len(b.Txs) != 1 || b.Txs[0].Fn != want.fn || b.Txs[0].From != want.from.Address() {
+				t.Fatalf("round %d: block %d carries %v, want only %s", round, b.Header.Height, got, want.fn)
+			}
+		}
 	}
 }
 

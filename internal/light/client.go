@@ -565,8 +565,8 @@ func (c *Client) Stats() Stats {
 // StateBytes reports the client's retained state size: the header
 // chain's binary size plus per-share metadata and the canonical
 // encoding of every cached row. This is the "per-reader state" number
-// the experiments compare against a full replica — deterministic, no
-// allocator noise.
+// to compare against a full replica — deterministic, no allocator
+// noise.
 func (c *Client) StateBytes() int {
 	n := c.headers.Bytes()
 	c.mu.Lock()

@@ -13,7 +13,7 @@ import (
 // Source is where a light client pulls chain and share material from: a
 // full peer reached over the p2p transport, or an HTTP API server. Every
 // method also reports the wire bytes moved (request + response payload),
-// which is the cost axis the light-client experiments sweep. Nothing a
+// which the benchmark reports as light.wire_bytes_per_read. Nothing a
 // Source returns is trusted — the Client verifies all of it.
 type Source interface {
 	// Headers returns main-chain headers starting at fromHeight, in

@@ -9,7 +9,8 @@ import (
 )
 
 // MemNetwork is an in-process network of endpoints with configurable
-// symmetric latency, jitter, and message loss. It makes the whole system
+// symmetric latency and jitter; faultnet layers loss and partitions on
+// top. It makes the whole system
 // runnable and measurable on one machine, substituting for the multi-host
 // deployment the paper assumes.
 type MemNetwork struct {
@@ -17,7 +18,6 @@ type MemNetwork struct {
 	endpoints map[string]*memEndpoint
 	latency   time.Duration
 	jitter    time.Duration
-	dropRate  float64
 	rng       *rand.Rand
 	rngMu     sync.Mutex
 }
@@ -30,13 +30,7 @@ func WithLatency(base, jitter time.Duration) MemOption {
 	return func(n *MemNetwork) { n.latency, n.jitter = base, jitter }
 }
 
-// WithDropRate sets the probability in [0,1) that a one-way message is
-// lost. Requests are never dropped (they model a TCP round trip).
-func WithDropRate(p float64) MemOption {
-	return func(n *MemNetwork) { n.dropRate = p }
-}
-
-// WithSeed seeds the loss/jitter randomness for reproducible runs.
+// WithSeed seeds the jitter randomness for reproducible runs.
 func WithSeed(seed int64) MemOption {
 	return func(n *MemNetwork) { n.rng = rand.New(rand.NewSource(seed)) }
 }
@@ -96,16 +90,6 @@ func (n *MemNetwork) delay() time.Duration {
 	return d
 }
 
-// dropped samples message loss.
-func (n *MemNetwork) dropped() bool {
-	if n.dropRate <= 0 {
-		return false
-	}
-	n.rngMu.Lock()
-	defer n.rngMu.Unlock()
-	return n.rng.Float64() < n.dropRate
-}
-
 // memEndpoint implements Transport on a MemNetwork.
 type memEndpoint struct {
 	net    *MemNetwork
@@ -143,9 +127,6 @@ func (e *memEndpoint) Send(to string, msg Message) error {
 	dst, ok := e.net.lookup(to)
 	if !ok {
 		return ErrUnknownEndpoint
-	}
-	if e.net.dropped() {
-		return nil // silently lost, like UDP gossip
 	}
 	msg.From = e.name
 	delay := e.net.delay()

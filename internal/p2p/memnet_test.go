@@ -138,29 +138,6 @@ func TestLatencyDelaysDelivery(t *testing.T) {
 	}
 }
 
-func TestDropRateLosesMessages(t *testing.T) {
-	net := NewMemNetwork(WithDropRate(1.0), WithSeed(42))
-	a := net.Endpoint("a")
-	b := net.Endpoint("b")
-	received := make(chan Message, 10)
-	b.Handle(func(m Message) { received <- m })
-	for i := 0; i < 10; i++ {
-		if err := a.Send("b", Message{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	select {
-	case <-received:
-		t.Fatal("message delivered despite 100% drop rate")
-	case <-time.After(50 * time.Millisecond):
-	}
-	// Requests are never dropped.
-	b.HandleRequest(func(m Message) (Message, error) { return m, nil })
-	if _, err := a.Request(context.Background(), "b", Message{}); err != nil {
-		t.Fatalf("request dropped: %v", err)
-	}
-}
-
 func TestCloseDetaches(t *testing.T) {
 	net := NewMemNetwork()
 	a := net.Endpoint("a")

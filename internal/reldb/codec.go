@@ -39,9 +39,6 @@ func UnmarshalTable(data []byte) (*Table, error) {
 	return t, nil
 }
 
-// MarshalChangeset serializes a changeset to JSON.
-func MarshalChangeset(cs Changeset) ([]byte, error) { return json.Marshal(cs) }
-
 // Format renders the table as an aligned text grid, in canonical row
 // order, for CLI output and examples. It mirrors the tables of Fig. 1.
 func Format(t *Table) string {

@@ -1,11 +1,11 @@
-// Package workload generates the synthetic medical data the experiments
-// run on, following the schema of the paper's Fig. 1 exactly:
+// Package workload generates the synthetic medical data the benchmark,
+// examples and tests run on, following the schema of the paper's Fig. 1 exactly:
 //
 //	a0 Patient ID | a1 Medication Name | a2 Clinical Data | a3 Address |
 //	a4 Dosage     | a5 Mechanism of Action | a6 Mode of Action
 //
 // The paper defers real patient data to future work (Section VI); the
-// generator is deterministic under a seed so every experiment is
+// generator is deterministic under a seed so every run is
 // reproducible.
 package workload
 
@@ -197,40 +197,4 @@ func GenerateManyShares(name string, shares, n int, seed int64) *reldb.Table {
 		t.MustInsert(row)
 	}
 	return t
-}
-
-// Update is one synthetic field update.
-type Update struct {
-	// Key identifies the row (primary-key tuple).
-	Key reldb.Row
-	// Col is the attribute updated.
-	Col string
-	// Val is the new value.
-	Val reldb.Value
-}
-
-// RandomUpdates produces n updates touching only the given columns of
-// existing rows, deterministic under seed.
-func RandomUpdates(t *reldb.Table, cols []string, n int, seed int64) []Update {
-	rng := rand.New(rand.NewSource(seed))
-	rows := t.RowsCanonical()
-	if len(rows) == 0 || len(cols) == 0 {
-		return nil
-	}
-	out := make([]Update, 0, n)
-	for i := 0; i < n; i++ {
-		r := rows[rng.Intn(len(rows))]
-		col := cols[rng.Intn(len(cols))]
-		out = append(out, Update{
-			Key: t.KeyValues(r),
-			Col: col,
-			Val: reldb.S(fmt.Sprintf("v%d-%d", seed, i)),
-		})
-	}
-	return out
-}
-
-// Apply performs the update on a table.
-func (u Update) Apply(t *reldb.Table) error {
-	return t.Update(u.Key, map[string]reldb.Value{u.Col: u.Val})
 }

@@ -91,41 +91,3 @@ func TestFig1DataExact(t *testing.T) {
 		t.Fatalf("row 189 = %v", r)
 	}
 }
-
-func TestRandomUpdatesApply(t *testing.T) {
-	tbl := Generate("full", 20, 1)
-	ups := RandomUpdates(tbl, []string{ColDosage, ColClinical}, 30, 2)
-	if len(ups) != 30 {
-		t.Fatalf("updates = %d", len(ups))
-	}
-	for i, u := range ups {
-		if u.Col != ColDosage && u.Col != ColClinical {
-			t.Fatalf("update %d touches %s", i, u.Col)
-		}
-		if err := u.Apply(tbl); err != nil {
-			t.Fatalf("update %d: %v", i, err)
-		}
-	}
-}
-
-func TestRandomUpdatesDeterministic(t *testing.T) {
-	tbl := Generate("full", 10, 1)
-	a := RandomUpdates(tbl, []string{ColDosage}, 5, 9)
-	b := RandomUpdates(tbl, []string{ColDosage}, 5, 9)
-	for i := range a {
-		if !a[i].Key.Equal(b[i].Key) || a[i].Col != b[i].Col || !a[i].Val.Equal(b[i].Val) {
-			t.Fatal("updates not deterministic")
-		}
-	}
-}
-
-func TestRandomUpdatesEmptyInputs(t *testing.T) {
-	empty := reldb.MustNewTable(FullSchema("e"))
-	if got := RandomUpdates(empty, []string{ColDosage}, 5, 1); got != nil {
-		t.Fatal("updates on empty table")
-	}
-	tbl := Generate("full", 5, 1)
-	if got := RandomUpdates(tbl, nil, 5, 1); got != nil {
-		t.Fatal("updates with no columns")
-	}
-}

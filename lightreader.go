@@ -138,18 +138,12 @@ func NewLightReaderScenario(ctx context.Context, cfg LightReaderConfig) (*LightR
 	return sc, nil
 }
 
-// write drives one finalized dosage update through the D13&D31 share.
+// write pushes one finalized dosage update through the doctor's D3
+// source — the canonical "the share moved" event the light clients must
+// survive: edit, propose, and wait for finality on every affected share.
 func (sc *LightReaderScenario) write(ctx context.Context, i int) error {
-	return driveDosageWrite(ctx, sc.Fig1Scenario, sc.cfg.Records, i)
-}
-
-// driveDosageWrite pushes one finalized dosage update through the
-// doctor's D3 source — the canonical "the share moved" event the light
-// clients must survive: edit, propose, and wait for finality on every
-// affected share.
-func driveDosageWrite(ctx context.Context, fig *Fig1Scenario, records, i int) error {
-	key := int64(188 + i%records)
-	err := fig.Doctor.UpdateSource("D3", func(t *reldb.Table) error {
+	key := int64(188 + i%sc.cfg.Records)
+	err := sc.Doctor.UpdateSource("D3", func(t *reldb.Table) error {
 		return t.Update(reldb.Row{reldb.I(key)}, map[string]reldb.Value{
 			workload.ColDosage: reldb.S(fmt.Sprintf("light dosage %d", i)),
 		})
@@ -157,12 +151,12 @@ func driveDosageWrite(ctx context.Context, fig *Fig1Scenario, records, i int) er
 	if err != nil {
 		return err
 	}
-	results, err := fig.Doctor.SyncShares(ctx, "D3")
+	results, err := sc.Doctor.SyncShares(ctx, "D3")
 	if err != nil {
 		return err
 	}
 	for _, r := range results {
-		if err := fig.Doctor.WaitFinal(ctx, r.ShareID, r.Seq); err != nil {
+		if err := sc.Doctor.WaitFinal(ctx, r.ShareID, r.Seq); err != nil {
 			return err
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"medshare/internal/chain"
-	"medshare/internal/clock"
 	"medshare/internal/consensus"
 	"medshare/internal/contract"
 	"medshare/internal/contract/sharereg"
@@ -47,10 +46,8 @@ type NetworkConfig struct {
 	// validate).
 	Miners int
 	// BlockInterval is the block production period (default 5ms —
-	// private-chain speed; E6 sweeps this up to Ethereum's 12 s).
+	// private-chain speed).
 	BlockInterval time.Duration
-	// MaxTxPerBlock bounds block size (default 256).
-	MaxTxPerBlock int
 	// GroupCommitWindow enables demand-driven block production on every
 	// node: submissions kick the producer, which accumulates arrivals for
 	// this window and commits them as one block (BlockInterval becomes
@@ -58,16 +55,8 @@ type NetworkConfig struct {
 	GroupCommitWindow time.Duration
 	// Latency and Jitter configure the simulated network's one-way delay.
 	Latency, Jitter time.Duration
-	// DropRate is the one-way gossip loss probability.
-	DropRate float64
 	// Seed makes the simulated network's randomness reproducible.
 	Seed int64
-	// TimeScale divides all waits (block intervals, polls) — a TimeScale
-	// of 1000 runs a modeled 12 s block interval in 12 ms. 0 or 1 means
-	// real time.
-	TimeScale float64
-	// ProduceEmptyBlocks keeps producing blocks with no transactions.
-	ProduceEmptyBlocks bool
 	// PeerResyncInterval enables each peer's background anti-entropy
 	// repair loop (recovery from missed notifications, missed finals, and
 	// root mismatches). Zero disables it.
@@ -97,7 +86,6 @@ type Network struct {
 	cfg        NetworkConfig
 	mem        *p2p.MemNetwork
 	fab        *faultnet.Fabric
-	clk        clock.Clock
 	nodes      []*node.Node
 	dir        *core.Directory
 	peers      []*core.Peer
@@ -128,17 +116,9 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		cfg.Miners = 1
 	}
 
-	var clk clock.Clock = clock.Real{}
-	if cfg.TimeScale > 1 {
-		clk = clock.Scaled{Inner: clock.Real{}, Factor: cfg.TimeScale}
-	}
-
 	memOpts := []p2p.MemOption{p2p.WithSeed(cfg.Seed)}
 	if cfg.Latency > 0 || cfg.Jitter > 0 {
 		memOpts = append(memOpts, p2p.WithLatency(cfg.Latency, cfg.Jitter))
-	}
-	if cfg.DropRate > 0 {
-		memOpts = append(memOpts, p2p.WithDropRate(cfg.DropRate))
 	}
 	mem := p2p.NewMemNetwork(memOpts...)
 
@@ -154,7 +134,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	}
 
 	nw := &Network{
-		cfg: cfg, mem: mem, clk: clk, dir: core.NewDirectory(),
+		cfg: cfg, mem: mem, dir: core.NewDirectory(),
 		tcps:       make(map[string]*p2p.TCPTransport),
 		peerFS:     make(map[string]*store.MemFS),
 		peerStores: make(map[string]*store.Store),
@@ -177,16 +157,13 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 			transport = mem.Endpoint(fmt.Sprintf("node-%d", i))
 		}
 		n, err := node.New(node.Config{
-			NetworkName:        cfg.Name,
-			Identity:           ids[i],
-			Engine:             engine,
-			Registry:           contract.NewRegistry(sharereg.New()),
-			BlockInterval:      cfg.BlockInterval,
-			MaxTxPerBlock:      cfg.MaxTxPerBlock,
-			GroupCommitWindow:  cfg.GroupCommitWindow,
-			ProduceEmptyBlocks: cfg.ProduceEmptyBlocks,
-			Clock:              clk,
-			Transport:          transport,
+			NetworkName:       cfg.Name,
+			Identity:          ids[i],
+			Engine:            engine,
+			Registry:          contract.NewRegistry(sharereg.New()),
+			BlockInterval:     cfg.BlockInterval,
+			GroupCommitWindow: cfg.GroupCommitWindow,
+			Transport:         transport,
 		})
 		if err != nil {
 			return nil, err
@@ -211,9 +188,6 @@ func (nw *Network) Node(i int) *node.Node { return nw.nodes[i] }
 // Nodes returns the number of blockchain nodes.
 func (nw *Network) Nodes() int { return len(nw.nodes) }
 
-// Clock returns the network's (possibly scaled) clock.
-func (nw *Network) Clock() clock.Clock { return nw.clk }
-
 // DataDirectory returns the shared endpoint directory.
 func (nw *Network) DataDirectory() *core.Directory { return nw.dir }
 
@@ -236,16 +210,6 @@ func (nw *Network) PeerFS(name string) *store.MemFS { return nw.peerFS[name] }
 
 // PeerOptions tunes a peer beyond the network defaults.
 type PeerOptions struct {
-	// FanoutWorkers bounds the peer's concurrent share processing on
-	// cascade, Resync, and SyncShares. 0 keeps the core default (8);
-	// negative forces sequential fan-out (the pre-concurrency behavior,
-	// kept for baselines and experiments).
-	FanoutWorkers int
-	// EventShards partitions the peer's event runtime into that many
-	// per-shard loops (hash(shareID) → shard). 0 derives it from
-	// FanoutWorkers/GOMAXPROCS; negative forces the single sequential
-	// loop.
-	EventShards int
 	// Identity, when non-nil, binds the peer to a specific identity
 	// instead of generating a fresh one — the restart path: a recovered
 	// peer must present the same on-chain address its shares name.
@@ -315,13 +279,10 @@ func (nw *Network) NewPeerWithOptions(name string, nodeIndex int, opts PeerOptio
 		Node:           nw.nodes[nodeIndex],
 		Transport:      transport,
 		Directory:      nw.dir,
-		Clock:          nw.clk,
 		ResyncInterval: nw.cfg.PeerResyncInterval,
 		RPCTimeout:     nw.cfg.PeerRPCTimeout,
 		Retry:          nw.cfg.PeerRetry,
 		Health:         nw.cfg.PeerHealth,
-		FanoutWorkers:  opts.FanoutWorkers,
-		EventShards:    opts.EventShards,
 		Store:          st,
 	})
 	if err != nil {

@@ -333,9 +333,6 @@ type ChaosConfig struct {
 	// Seed drives every random choice — the fault fabric's sampling and
 	// the workload — so a run is reproducible end to end.
 	Seed int64
-	// DropRate is the request-loss probability on the data channel while
-	// faults are active (0 → 0.35; the acceptance floor is 0.30).
-	DropRate float64
 	// HangRate is the probability a request hangs until its per-attempt
 	// deadline instead of failing fast (0 → 0.05).
 	HangRate float64
@@ -365,9 +362,6 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	}
 	if c.Updates <= 0 {
 		c.Updates = 6
-	}
-	if c.DropRate <= 0 {
-		c.DropRate = 0.35
 	}
 	if c.HangRate < 0 {
 		c.HangRate = 0
@@ -623,11 +617,12 @@ func (sc *ChaosScenario) Run(ctx context.Context) (*ChaosReport, error) {
 		report.PeerStats["Researcher"] = sc.Researcher.Stats()
 	}
 
-	// Phase 1: update storm over a lossy, duplicating, delaying,
-	// reordering channel. Every update still reaches finality — retries
-	// and the repair loop push them through.
-	fab.SetRequestLoss(sc.cfg.DropRate, sc.cfg.HangRate)
-	fab.SetDropRate(sc.cfg.DropRate)
+	// Phase 1: update storm over a lossy (35% of requests and one-way
+	// messages), duplicating, delaying, reordering channel. Every update
+	// still reaches finality — retries and the repair loop push them
+	// through.
+	fab.SetRequestLoss(0.35, sc.cfg.HangRate)
+	fab.SetDropRate(0.35)
 	fab.SetDuplicateRate(0.2)
 	fab.SetReorderRate(0.2)
 	fab.SetDelay(200*time.Microsecond, 500*time.Microsecond)

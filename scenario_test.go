@@ -57,6 +57,23 @@ func TestFig5Workflow(t *testing.T) {
 	}
 	defer sc.Stop()
 
+	// Each side derives its replica from its own source (D13 from D1 and
+	// D31 from D3; D23 from D2 and D32 from D3); before any update the
+	// two derivations of each shared table must already agree.
+	for id, other := range map[string]*Peer{ShareIDD13: sc.Patient, ShareIDD23: sc.Researcher} {
+		mine, err := sc.Doctor.View(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		theirs, err := other.View(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mine.Hash() != theirs.Hash() {
+			t.Fatalf("%s: independently derived replicas disagree at registration", id)
+		}
+	}
+
 	// Step 1: researcher updates MeA1 on its source D2 locally.
 	err = sc.Researcher.UpdateSource("D2", func(tbl *reldb.Table) error {
 		return tbl.Update(reldb.Row{reldb.S("Ibuprofen")},

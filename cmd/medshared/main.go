@@ -44,6 +44,14 @@ import (
 	"medshare/internal/workload"
 )
 
+// HTTP API connection bounds: a client that trickles its request headers
+// or parks an idle keep-alive connection loses it after these, so it
+// cannot hold a connection and a goroutine forever.
+const (
+	apiReadHeaderTimeout = 10 * time.Second
+	apiIdleTimeout       = 2 * time.Minute
+)
+
 // participant is one configured stakeholder: name, identity seed, and
 // TCP address.
 type participant struct {
@@ -213,7 +221,11 @@ func run(name, listen, parts, network string, blockMs int, fig1 bool, records in
 		if err != nil {
 			return fmt.Errorf("api listen: %w", err)
 		}
-		hs := &http.Server{Handler: srv.Handler()}
+		hs := &http.Server{
+			Handler:           srv.Handler(),
+			ReadHeaderTimeout: apiReadHeaderTimeout,
+			IdleTimeout:       apiIdleTimeout,
+		}
 		go func() {
 			if err := hs.Serve(l); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "medshared: api:", err)

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"context"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -16,11 +15,6 @@ import (
 	"medshare/internal/identity"
 	"medshare/internal/reldb"
 )
-
-// contextWithTimeout derives the request's working context.
-func contextWithTimeout(r *http.Request, d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(r.Context(), d)
-}
 
 // writeJSON renders v as the 200 response body.
 func writeJSON(w http.ResponseWriter, v any) error {
@@ -82,7 +76,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) error {
 	}
 	depth := s.peer.Stats().ShardQueueDepth
 	poisoned := s.node.Poisoned()
-	ready := len(lags) == 0 && depth <= s.cfg.MaxQueueDepth && poisoned == nil
+	ready := len(lags) == 0 && depth <= maxQueueDepth && poisoned == nil
 	body := map[string]any{
 		"ready":      ready,
 		"queueDepth": depth,

@@ -6,6 +6,7 @@
 package api
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -23,9 +24,6 @@ import (
 type Config struct {
 	Peer *core.Peer
 	Node *node.Node
-	// Auditor answers /audit queries; nil builds one over Node's store
-	// and registry.
-	Auditor *audit.Auditor
 	// CoalesceWindow is how long the first concurrent write waits for
 	// companions before flushing one group commit. It should sit at or
 	// below node.Config.GroupCommitWindow. Zero flushes immediately
@@ -33,17 +31,21 @@ type Config struct {
 	// flush was in flight... nothing, since the opener flushes inline —
 	// zero simply disables HTTP-level coalescing).
 	CoalesceWindow time.Duration
-	// MaxQueueDepth is the shard-event backlog above which /readyz
-	// reports not-ready. 0 means 256.
-	MaxQueueDepth uint64
-	// RequestTimeout bounds one API request's work, chain commits
-	// included. 0 means 30s.
-	RequestTimeout time.Duration
 	// Store is the peer's durable store, when it runs one; /metrics then
 	// exports the medshare_store_* gauges (segments, live/tail bytes,
 	// torn-tail and degraded-segment recovery telemetry).
 	Store *store.Store
 }
+
+// Fixed serving limits.
+const (
+	// maxQueueDepth is the shard-event backlog above which /readyz
+	// reports not-ready.
+	maxQueueDepth = 256
+	// requestTimeout bounds one API request's work, chain commits
+	// included.
+	requestTimeout = 30 * time.Second
+)
 
 // Server serves the API over one peer.
 type Server struct {
@@ -86,20 +88,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Peer == nil || cfg.Node == nil {
 		return nil, errors.New("api: Config.Peer and Config.Node are required")
 	}
-	if cfg.Auditor == nil {
-		cfg.Auditor = audit.New(cfg.Node.Store(), cfg.Node.Registry())
-	}
-	if cfg.MaxQueueDepth == 0 {
-		cfg.MaxQueueDepth = 256
-	}
-	if cfg.RequestTimeout == 0 {
-		cfg.RequestTimeout = 30 * time.Second
-	}
 	s := &Server{
 		cfg:     cfg,
 		peer:    cfg.Peer,
 		node:    cfg.Node,
-		auditor: cfg.Auditor,
+		auditor: audit.New(cfg.Node.Store(), cfg.Node.Registry()),
 		mux:     http.NewServeMux(),
 		coal:    newCoalescer(cfg.Peer, cfg.CoalesceWindow),
 		m:       serverMetrics{kinds: make(map[string]*kindMetrics, len(requestKinds))},
@@ -170,7 +163,7 @@ func (s *Server) instrument(kind string, fn func(http.ResponseWriter, *http.Requ
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		km.requests.Add(1)
-		ctx, cancel := contextWithTimeout(r, s.cfg.RequestTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
 		defer cancel()
 		err := fn(w, r.WithContext(ctx))
 		km.latency.Record(time.Since(start))

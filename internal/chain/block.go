@@ -23,16 +23,15 @@ type Header struct {
 	StateRoot merkle.Hash `json:"stateRoot"`
 	// TimestampMicro is the proposer's clock, microseconds since epoch.
 	TimestampMicro int64 `json:"ts"`
-	// Proposer is the address of the mining/signing node.
+	// Proposer is the address of the signing authority.
 	Proposer identity.Address `json:"proposer"`
-	// Nonce is the proof-of-work counter (zero under PoA).
-	Nonce uint64 `json:"nonce"`
-	// Difficulty is the required number of leading zero bits of the block
-	// hash under proof-of-work (zero under PoA).
-	Difficulty uint8 `json:"difficulty"`
+	// Nonce and Difficulty are always zero under PoA. They stay in the
+	// hashed header format until that format is next versioned.
+	Nonce      uint64 `json:"nonce"`
+	Difficulty uint8  `json:"difficulty"`
 	// ProposerPub is the proposer's public key (PoA signature check).
 	ProposerPub []byte `json:"proposerPub,omitempty"`
-	// Sig is the proposer's signature over SigHash (PoA; empty under PoW).
+	// Sig is the proposer's signature over SigHash.
 	Sig []byte `json:"sig,omitempty"`
 }
 
@@ -47,9 +46,8 @@ func (h *Header) Hash() merkle.Hash {
 }
 
 func (h *Header) hashContent(withSig bool) merkle.Hash {
-	// Serialize into a stack buffer and hash once: this runs per nonce in
-	// the proof-of-work seal loop, where the sha256.New + field-by-field
-	// Write pattern costs measurable allocations.
+	// Serialize into a stack buffer and hash once: the sha256.New +
+	// field-by-field Write pattern costs measurable allocations.
 	var arr [256]byte
 	buf := arr[:0]
 	buf = binary.BigEndian.AppendUint64(buf, h.Height)

@@ -10,8 +10,11 @@ import (
 
 // Store keeps every known block in a block tree and tracks the best chain
 // under longest-chain fork choice (ties broken by lowest block hash, so
-// all nodes converge deterministically). Proof-of-authority networks never
-// fork in practice; proof-of-work networks use the fork choice.
+// all nodes converge deterministically). Strict PoA still forks: an
+// authority that crashes after gossiping a block but before persisting
+// it re-seals a different block at the same height on restart, and
+// relaxed PoA lets several authorities seal one height. Fork choice
+// resolves both.
 type Store struct {
 	mu      sync.RWMutex
 	genesis *Block

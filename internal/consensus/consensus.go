@@ -1,8 +1,7 @@
-// Package consensus provides pluggable block-production engines: an
-// Ethereum-style proof-of-work miner (the paper's Section II-A setting)
-// and a proof-of-authority round-robin signer (the "private blockchain"
-// the paper recommends in Section IV-3). Both implement Engine and plug
-// into internal/node.
+// Package consensus provides the block-production engine: a
+// proof-of-authority signer set (the "private blockchain" the paper
+// recommends in Section IV-3), strict round-robin in deployment. It
+// implements Engine and plugs into internal/node.
 package consensus
 
 import (
@@ -16,7 +15,6 @@ import (
 // Errors returned by engines.
 var (
 	ErrSealAborted    = errors.New("consensus: sealing aborted")
-	ErrBadProof       = errors.New("consensus: header fails proof-of-work target")
 	ErrNotAuthority   = errors.New("consensus: proposer is not an authority")
 	ErrBadSig         = errors.New("consensus: bad proposer signature")
 	ErrWrongTurn      = errors.New("consensus: proposer out of turn")
@@ -26,19 +24,18 @@ var (
 )
 
 // Engine abstracts how blocks are produced and how their consensus fields
-// are verified.
+// are verified. PoA is the one implementation; tests wrap it to inject
+// failures.
 type Engine interface {
-	// Name identifies the engine ("pow" or "poa").
-	Name() string
-	// Prepare fills the consensus fields of a candidate header (e.g.
-	// difficulty) before sealing.
+	// Prepare fills the consensus fields of a candidate header before
+	// sealing.
 	Prepare(h *chain.Header) error
-	// Seal finalizes the block: mining the nonce under PoW, signing under
-	// PoA. Seal must respect ctx cancellation.
+	// Seal finalizes the block by signing it. Seal must respect ctx
+	// cancellation.
 	Seal(ctx context.Context, b *chain.Block, id *identity.Identity) error
 	// VerifyHeader checks the consensus-specific validity of a header.
 	VerifyHeader(h *chain.Header) error
 	// MayPropose reports whether the identity may produce the block at
-	// the given height (always true under PoW).
+	// the given height.
 	MayPropose(addr identity.Address, height uint64) bool
 }

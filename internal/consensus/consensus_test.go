@@ -23,79 +23,25 @@ func candidate(parent *chain.Block, proposer *identity.Identity) *chain.Block {
 	return b
 }
 
-func TestPoWSealMeetsTarget(t *testing.T) {
-	id := identity.MustNew("miner")
-	engine := NewPoW(10)
-	b := candidate(chain.Genesis("t"), id)
+// TestPoASealRespectsCancellation: an in-turn authority whose context is
+// done gets ErrSealAborted and leaves the block unsigned.
+func TestPoASealRespectsCancellation(t *testing.T) {
+	auth := identity.MustNew("authority")
+	engine := NewPoA(true, auth.Address())
+	b := candidate(chain.Genesis("t"), auth)
 	if err := engine.Prepare(&b.Header); err != nil {
 		t.Fatal(err)
 	}
-	if err := engine.Seal(context.Background(), b, id); err != nil {
-		t.Fatal(err)
-	}
-	if err := engine.VerifyHeader(&b.Header); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPoWVerifyRejectsUnmined(t *testing.T) {
-	id := identity.MustNew("miner")
-	engine := NewPoW(16)
-	b := candidate(chain.Genesis("t"), id)
-	_ = engine.Prepare(&b.Header)
-	// Unmined nonce almost certainly misses a 16-bit target.
-	if err := engine.VerifyHeader(&b.Header); !errors.Is(err, ErrBadProof) {
-		t.Fatalf("want ErrBadProof, got %v", err)
-	}
-}
-
-func TestPoWVerifyRejectsWrongDifficulty(t *testing.T) {
-	id := identity.MustNew("miner")
-	engine := NewPoW(4)
-	b := candidate(chain.Genesis("t"), id)
-	_ = engine.Prepare(&b.Header)
-	if err := engine.Seal(context.Background(), b, id); err != nil {
-		t.Fatal(err)
-	}
-	verifier := NewPoW(8)
-	if err := verifier.VerifyHeader(&b.Header); !errors.Is(err, ErrBadProof) {
-		t.Fatalf("want ErrBadProof, got %v", err)
-	}
-}
-
-func TestPoWSealRespectsCancellation(t *testing.T) {
-	id := identity.MustNew("miner")
-	engine := NewPoW(255) // impossible target
-	b := candidate(chain.Genesis("t"), id)
-	_ = engine.Prepare(&b.Header)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if err := engine.Seal(ctx, b, id); !errors.Is(err, ErrSealAborted) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := engine.Seal(ctx, b, auth); !errors.Is(err, ErrSealAborted) {
 		t.Fatalf("want ErrSealAborted, got %v", err)
 	}
-}
-
-func TestPoWMayProposeAnyone(t *testing.T) {
-	engine := NewPoW(1)
-	if !engine.MayPropose(identity.MustNew("x").Address(), 42) {
-		t.Fatal("PoW must allow any proposer")
+	if len(b.Header.Sig) != 0 {
+		t.Fatal("an aborted seal signed the block")
 	}
-}
-
-func TestMeetsTargetBitMath(t *testing.T) {
-	h := [32]byte{0x0f} // 4 leading zero bits
-	if !meetsTarget(h, 4) {
-		t.Fatal("4 zero bits should meet target 4")
-	}
-	if meetsTarget(h, 5) {
-		t.Fatal("4 zero bits should miss target 5")
-	}
-	zero := [32]byte{}
-	if !meetsTarget(zero, 255) {
-		t.Fatal("all-zero hash should meet any target")
-	}
-	if !meetsTarget(h, 0) {
-		t.Fatal("target 0 always met")
+	if err := engine.VerifyHeader(&b.Header); !errors.Is(err, ErrBadSig) {
+		t.Fatalf("aborted block verifies: %v", err)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 // PoA is a proof-of-authority engine: a fixed authority set signs blocks.
 // In strict mode authorities take turns round-robin by height (the
-// production configuration: deterministic proposer, no forks); in relaxed
-// mode any authority may seal any height (useful in single-node tests).
+// production configuration: one proposer per height); in relaxed mode any
+// authority may seal any height (useful in single-node tests).
 type PoA struct {
 	// Authorities is the ordered signer set.
 	Authorities []identity.Address
@@ -23,9 +23,6 @@ type PoA struct {
 func NewPoA(strict bool, authorities ...identity.Address) *PoA {
 	return &PoA{Authorities: authorities, Strict: strict}
 }
-
-// Name implements Engine.
-func (p *PoA) Name() string { return "poa" }
 
 // Prepare implements Engine.
 func (p *PoA) Prepare(h *chain.Header) error {

@@ -139,7 +139,8 @@ func (f slowSyncFile) Sync() error {
 }
 
 // TestConcurrentAppliesPersistNewestSource: sixteen shares over one
-// source apply incoming updates concurrently on eight event shards, each
+// source apply incoming updates concurrently on at least eight event
+// shards (one per core, never fewer than the fan-out width), each
 // persisting the shared source table. Whatever order the store commits
 // land in, the last one must carry the newest source: a crash image
 // taken once the round is final has to reopen to the live source table.
@@ -158,7 +159,6 @@ func TestConcurrentAppliesPersistNewestSource(t *testing.T) {
 	h := newStressHarness(t, shares, rows, func(name string, cfg *Config) {
 		if name == "hub" {
 			cfg.Store = st
-			cfg.EventShards = 8
 		}
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)

@@ -20,8 +20,8 @@ import (
 // for *different* shares may be handled concurrently — a hospital-scale
 // peer bound to thousands of shares applies incoming updates in
 // parallel instead of serializing every fetch+put+ack behind one
-// goroutine. The share space is statically partitioned across
-// Config.EventShards shard loops (hash(shareID) → shard), each owning a
+// goroutine. The share space is statically partitioned across the
+// peer's shard loops (hash(shareID) → shard), each owning a
 // FIFO queue drained by its own long-lived goroutine. Events for the
 // *same* share land on the same shard and are therefore handled in
 // arrival order — the per-share sequence-number ordering the protocol
@@ -34,8 +34,7 @@ import (
 // shard's mutex, so throughput scales with shards until the handlers
 // are the bottleneck. Head-of-line blocking within a shard is accepted:
 // a stalled handler delays only its shard, and the repair loop covers
-// any share starved long enough to matter. EventShards < 0 degrades to
-// the fully sequential inline loop.
+// any share starved long enough to matter.
 
 // shareEvent is one decoded sharereg event queued for a shard drainer
 // (decoded once at dispatch; the handler never re-parses the payload).
@@ -69,9 +68,8 @@ func shardIndex(shareID string, shards int) int {
 }
 
 // dispatchEvent routes one committed contract event: sharereg events
-// are enqueued on their share's shard (sequential mode and events
-// without a share ID are handled inline). Called only from the peer's
-// event goroutine.
+// are enqueued on their share's shard (events without a share ID are
+// handled inline). Called only from the peer's event goroutine.
 func (p *Peer) dispatchEvent(ev contract.Event) {
 	if ev.Contract != sharereg.ContractName {
 		return
@@ -80,7 +78,7 @@ func (p *Peer) dispatchEvent(ev contract.Event) {
 	if err != nil {
 		return
 	}
-	if len(p.evShards) == 0 || payload.ShareID == "" {
+	if payload.ShareID == "" {
 		p.handleEvent(ev.Name, payload)
 		return
 	}
@@ -149,8 +147,8 @@ func (p *Peer) shardQueueDepth() uint64 {
 }
 
 // handleEvent processes one decoded sharereg event. Events for one
-// share are processed in order (by the share's queue drainer, or by the
-// event goroutine itself in sequential mode) so share state never races.
+// share are processed in order (by the share's queue drainer) so share
+// state never races.
 func (p *Peer) handleEvent(name string, payload sharereg.EventPayload) {
 	switch name {
 	case sharereg.EvUpdateRequested:
@@ -193,7 +191,7 @@ func (p *Peer) onUpdateRequested(ev sharereg.EventPayload) {
 	if !bound {
 		return // not a participant (or not yet attached; resync catches up)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.TxTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), txTimeout)
 	defer cancel()
 	if err := p.applyIncoming(ctx, ev.ShareID, ev.Seq, ev.From, ev.PayloadHash, ev.Cols); err != nil {
 		p.logf("apply update %s seq %d failed: %v", ev.ShareID, ev.Seq, err)
@@ -365,11 +363,11 @@ func putViaDelta(l bx.Lens, src, local *reldb.Table, cs reldb.Changeset, hasDelt
 // cascade regenerates and proposes updates on every other share derived
 // from the same source whose visible columns overlap the incoming change
 // (the dependency check of Fig. 5 step 6). Overlapping shares are
-// proposed concurrently (bounded by Config.FanoutWorkers): each sibling
+// proposed concurrently (bounded by fanoutWorkers): each sibling
 // share serializes internally on its own opMu and the proposals target
 // distinct on-chain shares, so their commit waits overlap safely.
 // Convergence is guaranteed for well-behaved lenses because re-putting
-// identical data yields an empty diff; MaxCascadeDepth additionally
+// identical data yields an empty diff; maxCascadeDepth additionally
 // bounds the number of proposals one incoming update may trigger on this
 // peer.
 func (p *Peer) cascade(ctx context.Context, origin *Share, changedCols []string) error {
@@ -405,12 +403,12 @@ func (p *Peer) cascade(ctx context.Context, origin *Share, changedCols []string)
 	// The depth bound counts *successful* proposals, exactly like the old
 	// sequential loop: a worker refuses to propose once the bound is
 	// reached. Concurrent in-flight proposals may overshoot by at most
-	// FanoutWorkers-1 — the bound is runaway-cascade protection, not an
+	// fanoutWorkers-1 — the bound is runaway-cascade protection, not an
 	// exact quota, and no-change probes never consume it.
 	var proposals atomic.Int64
 	b := p.cfg.Retry.withDefaults()
-	return forEachShare(hits, p.cfg.FanoutWorkers, func(s2 *Share) error {
-		if proposals.Load() >= int64(p.cfg.MaxCascadeDepth) {
+	return forEachShare(hits, func(s2 *Share) error {
+		if proposals.Load() >= maxCascadeDepth {
 			return fmt.Errorf("%w: share %s", ErrCascadeTooDeep, origin.ID)
 		}
 		res, err := p.ProposeUpdate(ctx, s2.ID)
@@ -421,7 +419,7 @@ func (p *Peer) cascade(ctx context.Context, origin *Share, changedCols []string)
 		for attempt := 1; retriableProposal(err) && attempt < b.Attempts; attempt++ {
 			p.stats.proposalRetries.Add(1)
 			select {
-			case <-p.cfg.Clock.After(b.jittered(b.delay(attempt-1), jitterSample())):
+			case <-p.cfg.Clock.After(jittered(b.delay(attempt-1), jitterSample())):
 			case <-ctx.Done():
 				return fmt.Errorf("core: cascading %s -> %s: %w", origin.ID, s2.ID, ctx.Err())
 			}
@@ -494,7 +492,7 @@ func (p *Peer) onRemoved(ev sharereg.EventPayload) {
 // payload hash at the same sequence number is repaired from a
 // counterparty. It makes the peer robust to lossy notification delivery
 // and to replica corruption (a cold restart from a stale backup).
-// Shares are reconciled concurrently (bounded by Config.FanoutWorkers) —
+// Shares are reconciled concurrently (bounded by fanoutWorkers) —
 // they are independent replicas, and a hospital-scale peer recovering
 // hundreds of them mostly waits on fetches and ack commits. Every share
 // is attempted even when some fail; the errors are joined. The
@@ -510,7 +508,7 @@ func (p *Peer) Resync(ctx context.Context) error {
 	p.mu.Unlock()
 	sort.Strings(ids)
 
-	return forEachShare(ids, p.cfg.FanoutWorkers, func(id string) error {
+	return forEachShare(ids, func(id string) error {
 		return p.reconcileShare(ctx, id)
 	})
 }

@@ -5,23 +5,21 @@ import (
 	"sync"
 )
 
-// forEachShare runs fn over items on up to workers goroutines — the
-// peer's fan-out primitive for cascade, Resync, and SyncShares. Shares
+// forEachShare runs fn over items on up to fanoutWorkers goroutines — the
+// peer's fan-out primitive for cascade and Resync. Shares
 // are mutually independent (each share's operations are serialized by its
 // own opMu, and every table access goes through atomic database
 // snapshots), so processing them concurrently overlaps the dominant cost:
 // waiting for the chain to commit each share's transactions.
 //
 // All items run to completion even when some fail; the collected errors
-// are joined. workers <= 1 degrades to a sequential loop in item order.
-func forEachShare[T any](items []T, workers int, fn func(T) error) error {
+// are joined. A single item runs on the caller's goroutine.
+func forEachShare[T any](items []T, fn func(T) error) error {
 	if len(items) == 0 {
 		return nil
 	}
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers <= 1 {
+	workers := min(fanoutWorkers, len(items))
+	if workers == 1 {
 		var errs []error
 		for _, it := range items {
 			if err := fn(it); err != nil {

@@ -51,6 +51,21 @@ var (
 	ErrTxFailed       = errors.New("core: transaction rejected by contract")
 )
 
+// Fixed operating limits of a peer.
+const (
+	// fanoutWorkers bounds how many shares the peer processes
+	// concurrently on its fan-out paths (cascade, Resync) and how many
+	// requests one structural-sync wave keeps in flight. Share
+	// operations mostly wait on chain commits, so this is an
+	// in-flight-proposals bound rather than a CPU bound.
+	fanoutWorkers = 8
+	// maxCascadeDepth bounds the proposals one incoming update may
+	// trigger on this peer (Fig. 5 step 6 re-entry).
+	maxCascadeDepth = 16
+	// txTimeout bounds each wait for a transaction commit.
+	txTimeout = 30 * time.Second
+)
+
 // Config configures a Peer.
 type Config struct {
 	// Identity is the peer's signing identity; its address is the peer's
@@ -69,34 +84,11 @@ type Config struct {
 	Directory *Directory
 	// Clock abstracts time; nil means wall clock.
 	Clock clock.Clock
-	// MaxCascadeDepth bounds re-share propagation chains (Fig. 5 step 6
-	// re-entry). 0 means 16.
-	MaxCascadeDepth int
-	// FanoutWorkers bounds how many shares the peer processes
-	// concurrently on its fan-out paths (cascade, Resync, SyncShares).
-	// Share operations mostly wait on chain commits, so this is an
-	// in-flight-proposals bound rather than a CPU bound. 0 means 8;
-	// negative forces sequential processing.
-	FanoutWorkers int
-	// EventShards partitions the share space across that many
-	// independent event-loop goroutines (hash(shareID) → shard), each
-	// with its own FIFO queue, so a peer hosting thousands of shares
-	// applies incoming updates on all cores instead of funneling them
-	// through one dispatch pool. 0 means max(FanoutWorkers, GOMAXPROCS)
-	// — at least the fan-out width even on small machines, because
-	// shard loops mostly wait on chain commits, not CPU. Negative
-	// forces inline sequential dispatch (the pre-shard behavior; also
-	// the default when FanoutWorkers requests sequential processing).
-	EventShards int
-	// TxTimeout bounds each wait for a transaction commit. 0 means 30s.
-	TxTimeout time.Duration
 	// RPCTimeout bounds each individual data-channel request attempt
-	// (fetch and sync rounds). 0 means 5s; negative disables the
-	// per-attempt deadline (the caller's context still applies).
+	// (fetch and sync rounds). 0 means 5s.
 	RPCTimeout time.Duration
 	// Retry tunes the data-channel backoff schedule; the zero value
-	// selects the documented defaults (4 attempts, 10ms base, 2s cap,
-	// factor 2, 50% jitter).
+	// selects the documented defaults (4 attempts, 10ms base, 2s cap).
 	Retry Backoff
 	// Health tunes the per-endpoint failure tracking that short-circuits
 	// requests to repeatedly failing peers; the zero value selects the
@@ -133,7 +125,9 @@ type Peer struct {
 
 	// Incoming-event dispatch state (see events.go): the share space is
 	// partitioned across per-shard FIFO queues, each drained by its own
-	// goroutine (started per Start/Restart generation).
+	// goroutine (started per Start/Restart generation). There is one
+	// shard per core but never fewer than fanoutWorkers: shard loops
+	// mostly wait on chain commits, not CPU.
 	evShards []*eventShard
 
 	// history records locally observed share activity for the audit
@@ -262,39 +256,18 @@ func NewPeer(cfg Config) (*Peer, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	if cfg.MaxCascadeDepth <= 0 {
-		cfg.MaxCascadeDepth = 16
-	}
-	if cfg.TxTimeout <= 0 {
-		cfg.TxTimeout = 30 * time.Second
-	}
-	if cfg.RPCTimeout == 0 {
+	if cfg.RPCTimeout <= 0 {
 		cfg.RPCTimeout = 5 * time.Second
 	}
-	if cfg.FanoutWorkers == 0 {
-		cfg.FanoutWorkers = 8
-	}
-	if cfg.EventShards == 0 {
-		if cfg.FanoutWorkers <= 1 {
-			cfg.EventShards = -1
-		} else {
-			cfg.EventShards = cfg.FanoutWorkers
-			if n := runtime.GOMAXPROCS(0); n > cfg.EventShards {
-				cfg.EventShards = n
-			}
-		}
-	}
 	p := &Peer{
-		cfg:     cfg,
-		shares:  make(map[string]*Share),
-		stopped: make(chan struct{}),
-		health:  make(map[string]*endpointHealth),
+		cfg:      cfg,
+		shares:   make(map[string]*Share),
+		stopped:  make(chan struct{}),
+		health:   make(map[string]*endpointHealth),
+		evShards: make([]*eventShard, max(fanoutWorkers, runtime.GOMAXPROCS(0))),
 	}
-	if cfg.EventShards > 0 {
-		p.evShards = make([]*eventShard, cfg.EventShards)
-		for i := range p.evShards {
-			p.evShards[i] = &eventShard{wake: make(chan struct{}, 1)}
-		}
+	for i := range p.evShards {
+		p.evShards[i] = &eventShard{wake: make(chan struct{}, 1)}
 	}
 	if cfg.Transport != nil {
 		cfg.Transport.HandleRequest(p.serveRequest)
@@ -376,7 +349,7 @@ func (p *Peer) Start() {
 					return
 				case <-p.cfg.Clock.After(p.cfg.ResyncInterval):
 				}
-				ctx, cancel := context.WithTimeout(context.Background(), p.cfg.TxTimeout)
+				ctx, cancel := context.WithTimeout(context.Background(), txTimeout)
 				if err := p.Resync(ctx); err != nil {
 					p.logf("periodic resync: %v", err)
 				}
@@ -491,7 +464,7 @@ func (p *Peer) submitAndWait(ctx context.Context, tx *chain.Tx) (contract.Receip
 // waitCommitted waits for a submitted transaction's committed receipt,
 // translating a contract failure into an error.
 func (p *Peer) waitCommitted(ctx context.Context, tx *chain.Tx) (contract.Receipt, error) {
-	ctx, cancel := context.WithTimeout(ctx, p.cfg.TxTimeout)
+	ctx, cancel := context.WithTimeout(ctx, txTimeout)
 	defer cancel()
 	rcpt, err := p.cfg.Node.WaitTx(ctx, tx.IDString())
 	if err != nil {
@@ -505,7 +478,7 @@ func (p *Peer) waitCommitted(ctx context.Context, tx *chain.Tx) (contract.Receip
 
 // submitAndWaitMany submits a batch of transactions in one group commit
 // and waits for each to land, returning a per-transaction verdict (nil
-// on success). One TxTimeout covers the whole batch: the transactions
+// on success). One txTimeout covers the whole batch: the transactions
 // share a block, so their commits arrive together. A batch-level
 // submission failure fails every verdict.
 func (p *Peer) submitAndWaitMany(ctx context.Context, txs []*chain.Tx) []error {
@@ -518,7 +491,7 @@ func (p *Peer) submitAndWaitMany(ctx context.Context, txs []*chain.Tx) []error {
 	}
 	p.stats.batchCommits.Add(1)
 	p.stats.batchTxs.Add(uint64(len(txs)))
-	ctx, cancel := context.WithTimeout(ctx, p.cfg.TxTimeout)
+	ctx, cancel := context.WithTimeout(ctx, txTimeout)
 	defer cancel()
 	for i, tx := range txs {
 		rcpt, err := p.cfg.Node.WaitTx(ctx, tx.IDString())

@@ -23,24 +23,23 @@ import (
 
 func TestBackoffDefaults(t *testing.T) {
 	b := Backoff{}.withDefaults()
-	if b.Base != 10*time.Millisecond || b.Max != 2*time.Second || b.Factor != 2 || b.Jitter != 0.5 || b.Attempts != 4 {
+	if b.Base != 10*time.Millisecond || b.Max != 2*time.Second || b.Attempts != 4 {
 		t.Fatalf("defaults = %+v", b)
 	}
-	if got := (Backoff{Attempts: -1}).withDefaults().Attempts; got != 1 {
-		t.Fatalf("negative attempts → %d, want 1 (no retries)", got)
+	if got := (Backoff{Attempts: -1}).withDefaults().Attempts; got != 4 {
+		t.Fatalf("negative attempts → %d, want the default 4", got)
 	}
 }
 
 // TestBackoffMonotoneAndCapped property-checks the pre-jitter schedule
-// over randomized configurations: delays never shrink, never exceed the
-// cap, and grow geometrically until they hit it.
+// over randomized bases and caps: delays never shrink, never exceed the
+// cap, and double until they hit it.
 func TestBackoffMonotoneAndCapped(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		b := Backoff{
-			Base:   time.Duration(1+rng.Intn(1000)) * time.Millisecond,
-			Max:    time.Duration(1+rng.Intn(10000)) * time.Millisecond,
-			Factor: 1.5 + rng.Float64()*2.5,
+			Base: time.Duration(1+rng.Intn(1000)) * time.Millisecond,
+			Max:  time.Duration(1+rng.Intn(10000)) * time.Millisecond,
 		}.withDefaults()
 		prev := time.Duration(0)
 		capped := false
@@ -55,6 +54,9 @@ func TestBackoffMonotoneAndCapped(t *testing.T) {
 			if retry == 0 && d != b.Base && b.Base <= b.Max {
 				t.Fatalf("trial %d: delay(0)=%v, want Base %v", trial, d, b.Base)
 			}
+			if retry > 0 && d != b.Max && d != 2*prev {
+				t.Fatalf("trial %d: delay(%d)=%v below the cap but not double %v", trial, retry, d, prev)
+			}
 			if d == b.Max {
 				capped = true
 			}
@@ -64,32 +66,23 @@ func TestBackoffMonotoneAndCapped(t *testing.T) {
 			prev = d
 		}
 		if !capped {
-			t.Fatalf("trial %d: schedule never reached the cap within 64 retries (base %v factor %v max %v)",
-				trial, b.Base, b.Factor, b.Max)
+			t.Fatalf("trial %d: schedule never reached the cap within 64 retries (base %v max %v)",
+				trial, b.Base, b.Max)
 		}
 	}
 }
 
 // TestBackoffJitterBounds property-checks the jitter window: every
-// sample lands in [d·(1−Jitter), d], and zero jitter is the identity.
+// sample lands in [d/2, d].
 func TestBackoffJitterBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 100; trial++ {
-		j := rng.Float64()
-		b := Backoff{Jitter: j}.withDefaults()
-		b.Jitter = j // withDefaults would turn 0 into 0.5
 		d := time.Duration(1+rng.Intn(5000)) * time.Millisecond
-		lo := time.Duration(float64(d) * (1 - j))
 		for i := 0; i < 100; i++ {
-			got := b.jittered(d, rng.Float64())
-			if got < lo || got > d {
-				t.Fatalf("jittered(%v, j=%.3f) = %v outside [%v, %v]", d, j, got, lo, d)
+			if got := jittered(d, rng.Float64()); got < d/2 || got > d {
+				t.Fatalf("jittered(%v) = %v outside [%v, %v]", d, got, d/2, d)
 			}
 		}
-	}
-	b := Backoff{Jitter: -1}.withDefaults()
-	if got := b.jittered(time.Second, 0.99); got != time.Second {
-		t.Fatalf("zero jitter altered the delay: %v", got)
 	}
 }
 

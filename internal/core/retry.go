@@ -26,22 +26,25 @@ import (
 // endpoint is quarantined after repeated failures.
 var ErrPeerDown = errors.New("core: peer endpoint quarantined")
 
-// Backoff is a bounded exponential backoff schedule with jitter.
-// The zero value selects the defaults noted per field.
+// Backoff is a bounded exponential backoff schedule with jitter: each
+// delay is backoffFactor times the last, and backoffJitter of it is
+// randomized away. The zero value selects the defaults noted per field.
 type Backoff struct {
 	// Base is the first retry delay (0 → 10ms).
 	Base time.Duration
 	// Max caps each delay (0 → 2s).
 	Max time.Duration
-	// Factor is the per-retry growth multiplier (0 → 2).
-	Factor float64
-	// Jitter is the fraction of each delay randomized away, in [0,1]:
-	// the actual wait is uniform in [d·(1−Jitter), d] (0 → 0.5).
-	Jitter float64
-	// Attempts is the total number of tries including the first (0 → 4;
-	// negative → 1, i.e. no retries).
+	// Attempts is the total number of tries including the first (0 → 4).
 	Attempts int
 }
+
+const (
+	// backoffFactor is the per-retry growth multiplier.
+	backoffFactor = 2
+	// backoffJitter is the fraction of each delay randomized away: the
+	// actual wait is uniform in [d·(1−backoffJitter), d].
+	backoffJitter = 0.5
+)
 
 func (b Backoff) withDefaults() Backoff {
 	if b.Base <= 0 {
@@ -50,51 +53,27 @@ func (b Backoff) withDefaults() Backoff {
 	if b.Max <= 0 {
 		b.Max = 2 * time.Second
 	}
-	if b.Factor < 1 {
-		b.Factor = 2
-	}
-	if b.Jitter == 0 {
-		b.Jitter = 0.5
-	}
-	if b.Jitter < 0 {
-		b.Jitter = 0
-	}
-	if b.Jitter > 1 {
-		b.Jitter = 1
-	}
-	if b.Attempts == 0 {
+	if b.Attempts <= 0 {
 		b.Attempts = 4
-	}
-	if b.Attempts < 0 {
-		b.Attempts = 1
 	}
 	return b
 }
 
 // delay returns the pre-jitter delay before retry number retry (0-based):
-// Base·Factor^retry, capped at Max. Deterministic — the property tests
-// assert monotone growth and the cap on this function alone.
+// Base·backoffFactor^retry, capped at Max. Deterministic — the property
+// tests assert monotone growth and the cap on this function alone.
 func (b Backoff) delay(retry int) time.Duration {
-	d := float64(b.Base)
-	for i := 0; i < retry; i++ {
-		d *= b.Factor
-		if d >= float64(b.Max) {
-			return b.Max
-		}
+	d := b.Base
+	for i := 0; i < retry && d < b.Max; i++ {
+		d *= backoffFactor
 	}
-	if d >= float64(b.Max) {
-		return b.Max
-	}
-	return time.Duration(d)
+	return min(d, b.Max)
 }
 
 // jittered maps a uniform sample u in [0,1) onto the jitter window
-// [d·(1−Jitter), d].
-func (b Backoff) jittered(d time.Duration, u float64) time.Duration {
-	if b.Jitter <= 0 {
-		return d
-	}
-	return time.Duration(float64(d) * (1 - b.Jitter*u))
+// [d·(1−backoffJitter), d].
+func jittered(d time.Duration, u float64) time.Duration {
+	return time.Duration(float64(d) * (1 - backoffJitter*u))
 }
 
 // HealthPolicy tunes the per-endpoint failure tracking. The zero value
@@ -344,7 +323,7 @@ func (p *Peer) channelRequest(ctx context.Context, endpoint string, msg p2p.Mess
 	for attempt := 0; attempt < b.Attempts; attempt++ {
 		if attempt > 0 {
 			p.stats.rpcRetries.Add(1)
-			wait := b.jittered(b.delay(attempt-1), jitterSample())
+			wait := jittered(b.delay(attempt-1), jitterSample())
 			select {
 			case <-p.cfg.Clock.After(wait):
 			case <-ctx.Done():
@@ -352,15 +331,9 @@ func (p *Peer) channelRequest(ctx context.Context, endpoint string, msg p2p.Mess
 			}
 		}
 		p.stats.rpcAttempts.Add(1)
-		attemptCtx := ctx
-		var cancel context.CancelFunc
-		if p.cfg.RPCTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, p.cfg.RPCTimeout)
-		}
+		attemptCtx, cancel := context.WithTimeout(ctx, p.cfg.RPCTimeout)
 		resp, err := p.cfg.Transport.Request(attemptCtx, endpoint, msg)
-		if cancel != nil {
-			cancel()
-		}
+		cancel()
 		if err == nil {
 			p.noteEndpointOK(endpoint)
 			return resp, nil

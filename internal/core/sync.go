@@ -46,9 +46,9 @@ import (
 //     path level — while each exchange advances span+1 levels instead of
 //     one, dividing the round count.
 //   - pipelined waves: each wave's frontier is split into chunks fetched
-//     concurrently (bounded by SyncOptions.Parallel, wired to
-//     Config.FanoutWorkers on the peer path), so a wave costs one RTT
-//     regardless of frontier width, and independent divergent subtrees
+//     concurrently (bounded by SyncOptions.Parallel, fanoutWorkers on
+//     the peer path), so a wave costs one RTT regardless of frontier
+//     width, and independent divergent subtrees
 //     proceed without queueing behind each other on the wire.
 //
 // SyncStats.Rounds counts sequential waves (the RTT critical path);
@@ -635,7 +635,7 @@ func (p *Peer) syncFrom(ctx context.Context, from identity.Address, shareID stri
 	if !ok {
 		return nil, 0, stats, fmt.Errorf("core: no endpoint known for %s", from)
 	}
-	opts := SyncOptions{Parallel: p.cfg.FanoutWorkers}.normalized()
+	opts := SyncOptions{Parallel: fanoutWorkers}.normalized()
 	// Wave chunks fetch concurrently, so the closure guards the shared
 	// byte counters; channelRequest is already safe for concurrent use
 	// (the cascade fan-out exercises it).

@@ -56,6 +56,10 @@ const pendingCap = 128
 // response page (a defense cap; servers page well below it).
 const headerBatchLimit = 1 << 16
 
+// maxCachedRows bounds the verified row cache per share. At the cap an
+// arbitrary entry is evicted.
+const maxCachedRows = 1024
+
 // Config configures a light client.
 type Config struct {
 	// Network names the chain; the client computes the genesis locally
@@ -66,9 +70,6 @@ type Config struct {
 	Verify chain.HeaderVerifier
 	// Source is where headers, share heads and rows are pulled from.
 	Source Source
-	// MaxCachedRows bounds the verified row cache per share (default
-	// 1024). At the cap an arbitrary entry is evicted.
-	MaxCachedRows int
 }
 
 // cachedRow is one verified row pinned to the share version it was
@@ -136,9 +137,6 @@ type Client struct {
 func New(cfg Config) (*Client, error) {
 	if cfg.Source == nil {
 		return nil, errors.New("light: config needs a Source")
-	}
-	if cfg.MaxCachedRows <= 0 {
-		cfg.MaxCachedRows = 1024
 	}
 	return &Client{
 		cfg:     cfg,
@@ -371,7 +369,7 @@ func (c *Client) Read(ctx context.Context, shareID string, key reldb.Row) (reldb
 		// only if the share state still shows it (a concurrent refresh
 		// may have advanced it).
 		if s.seq == seq {
-			if len(s.rows) >= c.cfg.MaxCachedRows {
+			if len(s.rows) >= maxCachedRows {
 				for k := range s.rows {
 					delete(s.rows, k)
 					break

@@ -38,16 +38,13 @@ type PeerSource struct {
 	// Identity signs requests (authenticity only; a light client is
 	// never a sharing peer and never gains replica status).
 	Identity *identity.Identity
-	// Timeout bounds each round trip (default 10s).
-	Timeout time.Duration
 }
 
+// peerRoundTripTimeout bounds each PeerSource round trip.
+const peerRoundTripTimeout = 10 * time.Second
+
 func (s *PeerSource) roundTrip(ctx context.Context, kind string, payload []byte) ([]byte, int, error) {
-	timeout := s.Timeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+	ctx, cancel := context.WithTimeout(ctx, peerRoundTripTimeout)
 	defer cancel()
 	resp, err := s.Transport.Request(ctx, s.Endpoint, p2p.Message{Kind: kind, Payload: payload})
 	if err != nil {

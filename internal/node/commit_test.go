@@ -323,42 +323,31 @@ func TestDuplicateGossipDoesNotKick(t *testing.T) {
 // switches to it. The node must then stop with a sticky error — not
 // panic, not keep serving a state that no longer matches its head.
 func TestPoisonedOnUnreproducibleBranch(t *testing.T) {
-	id := identity.MustNew("miner")
-	engine := consensus.NewPoW(4)
-	n, err := New(Config{
-		NetworkName: "poison",
-		Identity:    id,
-		Engine:      engine,
-		Registry:    contract.NewRegistry(kvContract{}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := forkNode(t, "poison")
 	g := n.Store().Genesis()
 	mkTx := func(k, v string) *chain.Tx { return n.BuildTx("kv", "set", "", []byte(k), []byte(v)) }
 
-	a1 := buildPoWBlock(t, n, g, engine, []*chain.Tx{mkTx("branch", "A")}, 1000)
+	a1 := buildBlock(t, n, g, []*chain.Tx{mkTx("branch", "A")}, 1000)
 	if err := n.ReceiveBlock(a1); err != nil {
 		t.Fatal(err)
 	}
 	rootA := n.State().Root()
 
-	// Branch B's first block declares a state root its transactions do
-	// not produce. If it loses the height-1 tie-break it is stored as a
-	// side branch and a second block makes the branch win; if it wins,
-	// the switch happens at once.
-	b1 := buildPoWBlock(t, n, g, engine, []*chain.Tx{mkTx("branch", "B")}, 2000)
+	// The authority seals a second height-1 block, whose declared state
+	// root its transactions do not produce. If it loses the height-1
+	// tie-break it is stored as a side branch and a second block makes
+	// the branch win; if it wins, the switch happens at once.
+	b1 := buildBlock(t, n, g, []*chain.Tx{mkTx("branch", "B")}, 2000)
 	b1.Header.StateRoot[0] ^= 0xff
-	b1.ResetHashCache()
-	if err := engine.Seal(context.Background(), b1, id); err != nil {
+	if err := n.cfg.Engine.Seal(context.Background(), b1, n.cfg.Identity); err != nil {
 		t.Fatal(err)
 	}
-	err = n.ReceiveBlock(b1)
+	err := n.ReceiveBlock(b1)
 	if n.Store().Head() == a1 {
 		if err != nil || n.Poisoned() != nil {
 			t.Fatalf("storing a side-branch block: err %v, poisoned %v", err, n.Poisoned())
 		}
-		b2 := buildPoWBlock(t, n, b1, engine, []*chain.Tx{mkTx("extra", "B2")}, 3000)
+		b2 := buildBlock(t, n, b1, []*chain.Tx{mkTx("extra", "B2")}, 3000)
 		err = n.ReceiveBlock(b2)
 	}
 	if err == nil {

@@ -1,7 +1,7 @@
 // Package node ties the ledger substrates together into a running
 // blockchain node (the "Blockchain" component of Fig. 2): it keeps a
-// mempool of signed contract transactions, produces blocks under a
-// pluggable consensus engine, re-executes every committed block's
+// mempool of signed contract transactions, produces blocks under the
+// proof-of-authority engine, re-executes every committed block's
 // transactions deterministically against the versioned state store, checks
 // state-root agreement, and delivers contract events to subscribers (the
 // notifications of Fig. 4 step 4).
@@ -34,14 +34,13 @@ type Config struct {
 	// Identity signs produced blocks (and is the default caller for
 	// locally built transactions).
 	Identity *identity.Identity
-	// Engine is the consensus engine (PoW or PoA).
+	// Engine is the consensus engine: consensus.NewPoA over the network's
+	// authority set, strict in deployment.
 	Engine consensus.Engine
 	// Registry holds the installed contracts; identical on every node.
 	Registry *contract.Registry
 	// BlockInterval is the target time between produced blocks.
 	BlockInterval time.Duration
-	// MaxTxPerBlock bounds block size (0 means 256).
-	MaxTxPerBlock int
 	// GroupCommitWindow, when non-zero, makes block production
 	// demand-driven: a submitted transaction kicks the producer, which
 	// waits this long for more arrivals to accumulate and then produces
@@ -52,9 +51,6 @@ type Config struct {
 	// only what arrived in the same instant). Zero keeps the pure
 	// interval-paced producer.
 	GroupCommitWindow time.Duration
-	// ProduceEmptyBlocks keeps producing blocks with no transactions
-	// (like Ethereum); when false the producer skips empty rounds.
-	ProduceEmptyBlocks bool
 	// Clock abstracts time; nil means the wall clock.
 	Clock clock.Clock
 	// Transport connects the node to its network for gossip; nil runs the
@@ -128,9 +124,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
-	}
-	if cfg.MaxTxPerBlock <= 0 {
-		cfg.MaxTxPerBlock = 256
 	}
 	if cfg.BlockInterval <= 0 {
 		cfg.BlockInterval = 50 * time.Millisecond
@@ -330,7 +323,7 @@ func (n *Node) TryProduce(ctx context.Context) error {
 		return errNotOurTurn
 	}
 	txs := n.pickTxs()
-	if len(txs) == 0 && !n.cfg.ProduceEmptyBlocks {
+	if len(txs) == 0 {
 		return errNothingToDo
 	}
 
@@ -527,12 +520,15 @@ func (n *Node) requeueTxs(txs []*chain.Tx) {
 	n.mempool.requeue(live)
 }
 
-// pickTxs selects up to MaxTxPerBlock transactions, enforcing the paper's
+// maxTxPerBlock bounds block size.
+const maxTxPerBlock = 256
+
+// pickTxs selects up to maxTxPerBlock transactions, enforcing the paper's
 // rule of at most one transaction per share per block.
 func (n *Node) pickTxs() []*chain.Tx {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.mempool.pick(n.cfg.MaxTxPerBlock, func(tx *chain.Tx) bool {
+	return n.mempool.pick(maxTxPerBlock, func(tx *chain.Tx) bool {
 		return !n.committedTxs[tx.IDString()]
 	})
 }

@@ -55,10 +55,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Identity: id, Registry: contract.NewRegistry()}); err == nil {
 		t.Fatal("missing engine accepted")
 	}
-	if _, err := New(Config{Identity: id, Engine: consensus.NewPoW(1)}); err == nil {
+	if _, err := New(Config{Identity: id, Engine: consensus.NewPoA(true, id.Address())}); err == nil {
 		t.Fatal("missing registry accepted")
 	}
-	if _, err := New(Config{Engine: consensus.NewPoW(1), Registry: contract.NewRegistry()}); err == nil {
+	if _, err := New(Config{Engine: consensus.NewPoA(true, id.Address()), Registry: contract.NewRegistry()}); err == nil {
 		t.Fatal("missing identity accepted")
 	}
 }
@@ -246,28 +246,15 @@ func TestQueryReflectsState(t *testing.T) {
 	}
 }
 
+// TestEmptyBlocksPolicy: a producer with nothing pooled skips the round
+// instead of sealing an empty block.
 func TestEmptyBlocksPolicy(t *testing.T) {
 	n := newTestNode(t)
 	if err := n.TryProduce(context.Background()); err != errNothingToDo {
 		t.Fatalf("want errNothingToDo, got %v", err)
 	}
-
-	id := identity.MustNew("e")
-	n2, err := New(Config{
-		NetworkName:        "test",
-		Identity:           id,
-		Engine:             consensus.NewPoA(false, id.Address()),
-		Registry:           contract.NewRegistry(),
-		ProduceEmptyBlocks: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n2.TryProduce(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if n2.Store().Height() != 1 {
-		t.Fatal("empty block not produced")
+	if h := n.Store().Height(); h != 0 {
+		t.Fatalf("height %d after an empty round", h)
 	}
 }
 
@@ -330,52 +317,6 @@ func TestMultiNodeGossipConvergence(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("nodes did not converge")
-}
-
-func TestPoWNodeMinesAndValidates(t *testing.T) {
-	mem := p2p.NewMemNetwork()
-	miner := identity.MustNew("miner")
-	watcher := identity.MustNew("watcher")
-	mk := func(id *identity.Identity, ep string) *Node {
-		n, err := New(Config{
-			NetworkName:   "pow",
-			Identity:      id,
-			Engine:        consensus.NewPoW(6),
-			Registry:      contract.NewRegistry(kvContract{}),
-			BlockInterval: 2 * time.Millisecond,
-			Transport:     mem.Endpoint(ep),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	m := mk(miner, "miner")
-	w := mk(watcher, "watcher")
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	m.Start(ctx) // only the miner produces
-	defer m.Stop()
-
-	tx := m.BuildTx("kv", "set", "", []byte("pow"), []byte("works"))
-	if err := m.SubmitTx(tx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.WaitTx(ctx, tx.IDString()); err != nil {
-		t.Fatal(err)
-	}
-	// The watcher receives the mined block via gossip and re-executes.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if v, _, ok := w.State().Get("kv/pow"); ok && string(v) == "works" {
-			if w.State().Root() != m.State().Root() {
-				t.Fatal("roots diverge")
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("watcher never received the mined block")
 }
 
 func TestRejectBlockWithWrongStateRoot(t *testing.T) {

@@ -12,9 +12,29 @@ import (
 	"medshare/internal/statedb"
 )
 
-// buildPoWBlock mines one block on top of parent with the given txs,
-// executing them against a clone of n's state to compute the state root.
-func buildPoWBlock(t *testing.T, n *Node, parent *chain.Block, engine consensus.Engine, txs []*chain.Tx, ts int64) *chain.Block {
+// forkNode is a node whose strict-PoA authority set is itself alone, so
+// its identity may seal any height — including one it has sealed before,
+// as an authority that crashed between gossiping a block and persisting
+// it does on restart.
+func forkNode(t *testing.T, network string) *Node {
+	t.Helper()
+	id := identity.MustNew("authority")
+	n, err := New(Config{
+		NetworkName: network,
+		Identity:    id,
+		Engine:      consensus.NewPoA(true, id.Address()),
+		Registry:    contract.NewRegistry(kvContract{}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// buildBlock seals one block on top of parent with the given txs under
+// n's engine and identity, executing them against a replay of parent's
+// branch to compute the state root.
+func buildBlock(t *testing.T, n *Node, parent *chain.Block, txs []*chain.Tx, ts int64) *chain.Block {
 	t.Helper()
 	b := &chain.Block{
 		Header: chain.Header{
@@ -26,16 +46,13 @@ func buildPoWBlock(t *testing.T, n *Node, parent *chain.Block, engine consensus.
 		Txs: txs,
 	}
 	b.Header.TxRoot = b.ComputeTxRoot()
-	if err := engine.Prepare(&b.Header); err != nil {
+	if err := n.cfg.Engine.Prepare(&b.Header); err != nil {
 		t.Fatal(err)
 	}
-	// Execute from genesis along the parent branch to compute the state
-	// root for this block's chain. For the test's short forks we replay
-	// from scratch on a fresh store.
 	staging := freshReplay(t, n, parent)
 	n.executeOn(staging, b)
 	b.Header.StateRoot = staging.Root()
-	if err := engine.Seal(context.Background(), b, n.cfg.Identity); err != nil {
+	if err := n.cfg.Engine.Seal(context.Background(), b, n.cfg.Identity); err != nil {
 		t.Fatal(err)
 	}
 	return b
@@ -63,28 +80,19 @@ func freshReplay(t *testing.T, n *Node, tip *chain.Block) *statedb.Store {
 	return st
 }
 
-// TestPoWReorgRebuildsState drives an explicit fork: the node first
-// adopts branch A (one block), then a longer branch B (two blocks)
-// arrives and the node must reorganize and rebuild its state to B's.
-func TestPoWReorgRebuildsState(t *testing.T) {
-	id := identity.MustNew("miner")
-	engine := consensus.NewPoW(4)
-	n, err := New(Config{
-		NetworkName: "reorg",
-		Identity:    id,
-		Engine:      engine,
-		Registry:    contract.NewRegistry(kvContract{}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestReorgRebuildsState drives an explicit fork: the node first adopts
+// branch A (one block), then the authority's competing branch B (two
+// blocks, the first at A's height) arrives and the node must reorganize
+// and rebuild its state to B's.
+func TestReorgRebuildsState(t *testing.T) {
+	n := forkNode(t, "reorg")
 	genesis := n.Store().Genesis()
 
 	txA := n.BuildTx("kv", "set", "", []byte("branch"), []byte("A"))
 	txB1 := n.BuildTx("kv", "set", "", []byte("branch"), []byte("B"))
 	txB2 := n.BuildTx("kv", "set", "", []byte("extra"), []byte("B2"))
 
-	blockA := buildPoWBlock(t, n, genesis, engine, []*chain.Tx{txA}, 1)
+	blockA := buildBlock(t, n, genesis, []*chain.Tx{txA}, 1)
 	if err := n.ReceiveBlock(blockA); err != nil {
 		t.Fatalf("adopting A: %v", err)
 	}
@@ -93,13 +101,16 @@ func TestPoWReorgRebuildsState(t *testing.T) {
 	}
 
 	// Competing branch B from genesis, two blocks long.
-	blockB1 := buildPoWBlock(t, n, genesis, engine, []*chain.Tx{txB1}, 2)
+	blockB1 := buildBlock(t, n, genesis, []*chain.Tx{txB1}, 2)
 	if err := n.ReceiveBlock(blockB1); err != nil {
 		t.Fatalf("adding B1: %v", err)
 	}
 	// B1 alone ties with A at height 1; the head may or may not switch
 	// (hash tiebreak), but state must match whichever head rules.
-	blockB2 := buildPoWBlock(t, n, blockB1, engine, []*chain.Tx{txB2}, 3)
+	if head := n.Store().Head(); n.State().Root() != head.Header.StateRoot {
+		t.Fatal("state disagrees with the height-1 head")
+	}
+	blockB2 := buildBlock(t, n, blockB1, []*chain.Tx{txB2}, 3)
 	if err := n.ReceiveBlock(blockB2); err != nil {
 		t.Fatalf("adding B2: %v", err)
 	}
@@ -123,32 +134,22 @@ func TestPoWReorgRebuildsState(t *testing.T) {
 	}
 }
 
-// TestPoWSideBranchIgnored: a shorter side branch must not disturb state.
-func TestPoWSideBranchIgnored(t *testing.T) {
-	id := identity.MustNew("miner")
-	engine := consensus.NewPoW(4)
-	n, err := New(Config{
-		NetworkName: "side",
-		Identity:    id,
-		Engine:      engine,
-		Registry:    contract.NewRegistry(kvContract{}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestSideBranchIgnored: a shorter side branch must not disturb state.
+func TestSideBranchIgnored(t *testing.T) {
+	n := forkNode(t, "side")
 	genesis := n.Store().Genesis()
 
-	main1 := buildPoWBlock(t, n, genesis, engine, []*chain.Tx{n.BuildTx("kv", "set", "", []byte("k"), []byte("main"))}, 1)
+	main1 := buildBlock(t, n, genesis, []*chain.Tx{n.BuildTx("kv", "set", "", []byte("k"), []byte("main"))}, 1)
 	if err := n.ReceiveBlock(main1); err != nil {
 		t.Fatal(err)
 	}
-	main2 := buildPoWBlock(t, n, main1, engine, nil, 2)
+	main2 := buildBlock(t, n, main1, nil, 2)
 	if err := n.ReceiveBlock(main2); err != nil {
 		t.Fatal(err)
 	}
 	rootBefore := n.State().Root()
 
-	side1 := buildPoWBlock(t, n, genesis, engine, []*chain.Tx{n.BuildTx("kv", "set", "", []byte("k"), []byte("side"))}, 3)
+	side1 := buildBlock(t, n, genesis, []*chain.Tx{n.BuildTx("kv", "set", "", []byte("k"), []byte("side"))}, 3)
 	if err := n.ReceiveBlock(side1); err != nil {
 		t.Fatal(err)
 	}
@@ -163,28 +164,55 @@ func TestPoWSideBranchIgnored(t *testing.T) {
 	}
 }
 
-// TestPoAProduceLoopTiming sanity-checks the timer-driven loop: with
-// ProduceEmptyBlocks on, height advances roughly once per interval.
+// TestPoAProduceLoopTiming: with no group-commit window a submission
+// does not kick the producer, so a pending transaction waits for the
+// next interval tick — about one interval, never much more.
 func TestPoAProduceLoopTiming(t *testing.T) {
+	const interval = 20 * time.Millisecond
 	id := identity.MustNew("n")
 	n, err := New(Config{
-		NetworkName:        "timing",
-		Identity:           id,
-		Engine:             consensus.NewPoA(false, id.Address()),
-		Registry:           contract.NewRegistry(),
-		BlockInterval:      5 * time.Millisecond,
-		ProduceEmptyBlocks: true,
+		NetworkName:   "timing",
+		Identity:      id,
+		Engine:        consensus.NewPoA(true, id.Address()),
+		Registry:      contract.NewRegistry(kvContract{}),
+		BlockInterval: interval,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	n.Start(ctx)
-	time.Sleep(60 * time.Millisecond)
-	n.Stop()
-	h := n.Store().Height()
-	if h < 4 || h > 20 {
-		t.Fatalf("height after ~60ms of 5ms blocks = %d", h)
+	defer n.Stop()
+
+	// Each submission lands right after the previous commit, when the
+	// loop has just re-armed its timer.
+	const txs = 5
+	var paced time.Duration
+	for i := 0; i < txs; i++ {
+		tx := n.BuildTx("kv", "set", "", []byte{byte(i)}, []byte("v"))
+		start := time.Now()
+		if err := n.SubmitTx(tx); err != nil {
+			t.Fatal(err)
+		}
+		if len(n.kickCh) != 0 {
+			t.Fatal("a submission kicked the interval-paced producer")
+		}
+		if _, err := n.WaitTx(ctx, tx.IDString()); err != nil {
+			t.Fatal(err)
+		}
+		d := time.Since(start)
+		if d > 10*interval {
+			t.Fatalf("tx %d committed after %v under %v pacing", i, d, interval)
+		}
+		if i > 0 {
+			paced += d
+		}
+	}
+	if floor := (txs - 1) * interval / 2; paced < floor {
+		t.Fatalf("%d paced commits took %v in all, want at least %v: production did not wait for the interval", txs-1, paced, floor)
+	}
+	if h := n.Store().Height(); h != txs {
+		t.Fatalf("height %d after %d sequential transactions, want one block each", h, txs)
 	}
 }

@@ -13,53 +13,22 @@ import (
 	"medshare/internal/workload"
 )
 
-// LightReaderConfig tunes the light-reader scenario: a swarm of
-// header-only light clients reading one share's view through a single
-// serving full peer, while the sharing peers keep writing — the
-// read-scaling counterpart of the serving-edge load harness, with every
-// read proof-verified and every write stressing the clients' cache
-// invalidation. Zero values select the defaults noted per field.
-type LightReaderConfig struct {
-	// Readers is the number of light clients (0 → 1050 — above the
-	// thousand-readers-per-full-peer design point).
-	Readers int
-	// Records is the synthetic record count behind the share (0 → 64).
-	Records int
-	// ReadsPerReader is how many distinct keys each reader verifies
-	// before the write phase (0 → 2).
-	ReadsPerReader int
-	// Writes is the number of finalized updates driven through the
-	// share concurrently with the reads (0 → 6).
-	Writes int
-	// Concurrency bounds how many readers run at once (0 → 64).
-	Concurrency int
-	// Seed drives the workload generator.
-	Seed int64
-	// BlockInterval is the chain's block period (0 → 2ms).
-	BlockInterval time.Duration
-}
-
-func (c LightReaderConfig) withDefaults() LightReaderConfig {
-	if c.Readers <= 0 {
-		c.Readers = 1050
-	}
-	if c.Records <= 0 {
-		c.Records = 64
-	}
-	if c.ReadsPerReader <= 0 {
-		c.ReadsPerReader = 2
-	}
-	if c.Writes <= 0 {
-		c.Writes = 6
-	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = 64
-	}
-	if c.BlockInterval <= 0 {
-		c.BlockInterval = 2 * time.Millisecond
-	}
-	return c
-}
+// The light-reader scenario's fixed shape: a swarm of header-only light
+// clients reading one share's view through a single serving full peer,
+// while the sharing peers keep writing — every read proof-verified and
+// every write stressing the clients' cache invalidation.
+const (
+	// lightReaderRecords is the synthetic record count behind the share.
+	lightReaderRecords = 64
+	// lightReadsPerReader is how many distinct keys each reader verifies
+	// before the write phase.
+	lightReadsPerReader = 2
+	// lightReaderWrites is the number of finalized updates driven through
+	// the share concurrently with the reads.
+	lightReaderWrites = 6
+	// lightReaderConcurrency bounds how many readers run at once.
+	lightReaderConcurrency = 64
+)
 
 // LightReaderReport aggregates a light-reader run: reader-side verified
 // work and failures, and the serving peer's view of the traffic.
@@ -94,31 +63,25 @@ type LightReaderReport struct {
 type LightReaderScenario struct {
 	*Fig1Scenario
 	Clients []*light.Client
-	cfg     LightReaderConfig
 }
 
 // NewLightReaderScenario builds the Fig. 1 stakeholders on a two-node
 // network (block gossip must flow so light clients are invalidated by
 // subscription, not polling), drives one initial update so the share
-// has a finalized payload to verify against, and attaches the reader
-// swarm — every client subscribed to the patient/doctor share and
-// served by the doctor alone.
-func NewLightReaderScenario(ctx context.Context, cfg LightReaderConfig) (*LightReaderScenario, error) {
-	cfg = cfg.withDefaults()
-	nw, err := NewNetwork(NetworkConfig{
-		Nodes:         2,
-		BlockInterval: cfg.BlockInterval,
-		Seed:          cfg.Seed,
-	})
+// has a finalized payload to verify against, and attaches the given
+// number of light clients — every one subscribed to the patient/doctor
+// share and served by the doctor alone.
+func NewLightReaderScenario(ctx context.Context, readers int) (*LightReaderScenario, error) {
+	nw, err := NewNetwork(NetworkConfig{Nodes: 2, BlockInterval: 2 * time.Millisecond})
 	if err != nil {
 		return nil, err
 	}
-	fig, err := PopulateFig1(ctx, nw, cfg.Records, cfg.Seed)
+	fig, err := PopulateFig1(ctx, nw, lightReaderRecords, 0)
 	if err != nil {
 		nw.Stop()
 		return nil, err
 	}
-	sc := &LightReaderScenario{Fig1Scenario: fig, cfg: cfg}
+	sc := &LightReaderScenario{Fig1Scenario: fig}
 	// A share at seq 0 has no finalized payload hash on-chain, so there
 	// is nothing a verified read could anchor to; drive the first update
 	// through before any reader attaches.
@@ -126,7 +89,7 @@ func NewLightReaderScenario(ctx context.Context, cfg LightReaderConfig) (*LightR
 		nw.Stop()
 		return nil, err
 	}
-	for i := 0; i < cfg.Readers; i++ {
+	for i := 0; i < readers; i++ {
 		c, err := nw.NewLightClient(fmt.Sprintf("reader-%d", i), "Doctor")
 		if err != nil {
 			nw.Stop()
@@ -142,7 +105,7 @@ func NewLightReaderScenario(ctx context.Context, cfg LightReaderConfig) (*LightR
 // source — the canonical "the share moved" event the light clients must
 // survive: edit, propose, and wait for finality on every affected share.
 func (sc *LightReaderScenario) write(ctx context.Context, i int) error {
-	key := int64(188 + i%sc.cfg.Records)
+	key := int64(188 + i%lightReaderRecords)
 	err := sc.Doctor.UpdateSource("D3", func(t *reldb.Table) error {
 		return t.Update(reldb.Row{reldb.I(key)}, map[string]reldb.Value{
 			workload.ColDosage: reldb.S(fmt.Sprintf("light dosage %d", i)),
@@ -164,22 +127,21 @@ func (sc *LightReaderScenario) write(ctx context.Context, i int) error {
 }
 
 // Run drives the swarm: every reader header-syncs and proof-verifies
-// ReadsPerReader distinct keys while the doctor keeps finalizing
+// lightReadsPerReader distinct keys while the doctor keeps finalizing
 // updates, then — after the last write — a sample of readers is polled
 // until gossip-driven invalidation makes their verified reads reflect
 // the final on-chain version. Any verification failure anywhere fails
 // the run.
 func (sc *LightReaderScenario) Run(ctx context.Context) (*LightReaderReport, error) {
-	cfg := sc.cfg
 	report := &LightReaderReport{Readers: len(sc.Clients)}
-	keyAt := func(i int) reldb.Row { return reldb.Row{reldb.I(int64(188 + i%cfg.Records))} }
+	keyAt := func(i int) reldb.Row { return reldb.Row{reldb.I(int64(188 + i%lightReaderRecords))} }
 
 	// Writer: sequential finalized updates racing the read swarm.
 	writeErr := make(chan error, 1)
 	var writesDone atomic.Uint32
 	go func() {
 		defer close(writeErr)
-		for i := 1; i <= cfg.Writes; i++ {
+		for i := 1; i <= lightReaderWrites; i++ {
 			if err := sc.write(ctx, i); err != nil {
 				writeErr <- fmt.Errorf("write %d: %w", i, err)
 				return
@@ -190,7 +152,7 @@ func (sc *LightReaderScenario) Run(ctx context.Context) (*LightReaderReport, err
 
 	// Reader pool.
 	var reads atomic.Uint64
-	sem := make(chan struct{}, cfg.Concurrency)
+	sem := make(chan struct{}, lightReaderConcurrency)
 	readErrs := make(chan error, len(sc.Clients))
 	var wg sync.WaitGroup
 	for i, c := range sc.Clients {
@@ -203,7 +165,7 @@ func (sc *LightReaderScenario) Run(ctx context.Context) (*LightReaderReport, err
 				readErrs <- fmt.Errorf("reader %d header sync: %w", i, err)
 				return
 			}
-			for r := 0; r < cfg.ReadsPerReader; r++ {
+			for r := 0; r < lightReadsPerReader; r++ {
 				if _, err := c.Read(ctx, sc.ShareD13, keyAt(i+r)); err != nil {
 					readErrs <- fmt.Errorf("reader %d read %d: %w", i, r, err)
 					return
@@ -222,12 +184,12 @@ func (sc *LightReaderScenario) Run(ctx context.Context) (*LightReaderReport, err
 	}
 	report.Writes = int(writesDone.Load())
 
-	// Freshness: the last write touched keyAt(cfg.Writes). A sample of
-	// readers must converge to its final value through gossip-driven
+	// Freshness: the last write touched keyAt(lightReaderWrites). A
+	// sample of readers must converge to its final value through gossip-driven
 	// invalidation alone — a stale cached row surviving the version
 	// advance would stick forever and fail the deadline.
-	finalKey := keyAt(cfg.Writes)
-	wantVal := fmt.Sprintf("light dosage %d", cfg.Writes)
+	finalKey := keyAt(lightReaderWrites)
+	wantVal := fmt.Sprintf("light dosage %d", lightReaderWrites)
 	dosageIdx := -1
 	sample := len(sc.Clients)
 	if sample > 8 {

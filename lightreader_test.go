@@ -14,15 +14,17 @@ func TestLightReaderScenario(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
 
-	cfg := LightReaderConfig{}
+	// 1050 readers sits above the thousand-readers-per-full-peer design
+	// point.
+	readers := 1050
 	if testing.Short() || raceDetectorOn {
 		// The thousand-reader swarm is CPU-bound on proof verification;
 		// under the race detector's slowdown it blows the per-request
 		// timeouts without exercising anything new. A smaller swarm keeps
 		// the interleavings while staying within budget.
-		cfg.Readers = 64
+		readers = 64
 	}
-	sc, err := NewLightReaderScenario(ctx, cfg)
+	sc, err := NewLightReaderScenario(ctx, readers)
 	if err != nil {
 		t.Fatalf("scenario setup: %v", err)
 	}

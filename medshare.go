@@ -13,7 +13,7 @@
 //   - relational engine: Schema, Table, Database, Value, predicates;
 //   - lenses: Project, Select, Rename, Compose, with GetPut/PutGet law
 //     checkers;
-//   - network bootstrap: NewNetwork wires blockchain nodes (PoW or PoA),
+//   - network bootstrap: NewNetwork wires strict-PoA blockchain nodes,
 //     the in-memory data channel, and peers in one process;
 //   - sharing layer: Peer, RegisterShare/AttachShare, ProposeUpdate,
 //     UpdateView, SetPermission, Resync;

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"medshare/internal/chain"
 	"medshare/internal/consensus"
 	"medshare/internal/contract"
 	"medshare/internal/contract/sharereg"
@@ -19,12 +18,6 @@ import (
 	"medshare/internal/store"
 )
 
-// Consensus engine names for NetworkConfig.
-const (
-	ConsensusPoA = "poa"
-	ConsensusPoW = "pow"
-)
-
 // Data-channel transport names for NetworkConfig.
 const (
 	DataTransportMem = "mem"
@@ -32,19 +25,12 @@ const (
 )
 
 // NetworkConfig describes an in-process medshare network: blockchain
-// nodes, the consensus engine, and the simulated data channel.
+// nodes (every one a strict-PoA authority) and the simulated data channel.
 type NetworkConfig struct {
 	// Name seeds the genesis block. Defaults to "medshare".
 	Name string
 	// Nodes is the number of blockchain nodes (default 1).
 	Nodes int
-	// Consensus selects ConsensusPoA (default) or ConsensusPoW.
-	Consensus string
-	// PoWDifficulty is the leading-zero-bit target under PoW (default 8).
-	PoWDifficulty uint8
-	// Miners is how many nodes mine under PoW (default 1; the rest
-	// validate).
-	Miners int
 	// BlockInterval is the block production period (default 5ms —
 	// private-chain speed).
 	BlockInterval time.Duration
@@ -103,17 +89,8 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
 	}
-	if cfg.Consensus == "" {
-		cfg.Consensus = ConsensusPoA
-	}
 	if cfg.BlockInterval <= 0 {
 		cfg.BlockInterval = 5 * time.Millisecond
-	}
-	if cfg.PoWDifficulty == 0 {
-		cfg.PoWDifficulty = 8
-	}
-	if cfg.Miners <= 0 {
-		cfg.Miners = 1
 	}
 
 	memOpts := []p2p.MemOption{p2p.WithSeed(cfg.Seed)}
@@ -143,15 +120,6 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		nw.fab = faultnet.New(cfg.Seed)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		var engine consensus.Engine
-		switch cfg.Consensus {
-		case ConsensusPoA:
-			engine = consensus.NewPoA(true, addrs...)
-		case ConsensusPoW:
-			engine = consensus.NewPoW(cfg.PoWDifficulty)
-		default:
-			return nil, fmt.Errorf("medshare: unknown consensus %q", cfg.Consensus)
-		}
 		var transport p2p.Transport
 		if cfg.Nodes > 1 {
 			transport = mem.Endpoint(fmt.Sprintf("node-%d", i))
@@ -159,7 +127,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		n, err := node.New(node.Config{
 			NetworkName:       cfg.Name,
 			Identity:          ids[i],
-			Engine:            engine,
+			Engine:            consensus.NewPoA(true, addrs...),
 			Registry:          contract.NewRegistry(sharereg.New()),
 			BlockInterval:     cfg.BlockInterval,
 			GroupCommitWindow: cfg.GroupCommitWindow,
@@ -173,10 +141,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	nw.cancel = cancel
-	for i, n := range nw.nodes {
-		if cfg.Consensus == ConsensusPoW && i >= cfg.Miners {
-			continue // validator only
-		}
+	for _, n := range nw.nodes {
 		n.Start(ctx)
 	}
 	return nw, nil
@@ -295,8 +260,8 @@ func (nw *Network) NewPeerWithOptions(name string, nodeIndex int, opts PeerOptio
 
 // NewLightClient attaches a header-only light client to the network: its
 // own endpoint on the simulated network (so block gossip reaches it and
-// invalidates its caches without polling), a consensus header verifier
-// matching the network's engine, and a proof source pointing at the
+// invalidates its caches without polling), a strict-PoA header verifier
+// over the network's authorities, and a proof source pointing at the
 // named serving peer. The client holds no replica and is not a sharing
 // peer — every row it returns is verified against its own header chain.
 // Requires the in-memory data transport; block gossip only flows on
@@ -310,21 +275,14 @@ func (nw *Network) NewLightClient(name, servingPeer string) (*light.Client, erro
 	if err != nil {
 		return nil, err
 	}
-	var verify chain.HeaderVerifier
-	switch nw.cfg.Consensus {
-	case ConsensusPoA:
-		addrs := make([]identity.Address, len(nw.nodes))
-		for i, n := range nw.nodes {
-			addrs[i] = n.Address()
-		}
-		verify = consensus.NewPoA(true, addrs...).VerifyHeader
-	case ConsensusPoW:
-		verify = consensus.NewPoW(nw.cfg.PoWDifficulty).VerifyHeader
+	addrs := make([]identity.Address, len(nw.nodes))
+	for i, n := range nw.nodes {
+		addrs[i] = n.Address()
 	}
 	tr := nw.mem.Endpoint("light-" + name)
 	c, err := light.New(light.Config{
 		Network: nw.cfg.Name,
-		Verify:  verify,
+		Verify:  consensus.NewPoA(true, addrs...).VerifyHeader,
 		Source: &light.PeerSource{
 			Transport: tr,
 			Endpoint:  nw.PeerEndpoint(servingPeer),

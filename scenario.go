@@ -324,23 +324,11 @@ func (sc *JoinShareScenario) Stop() { sc.Network.Stop() }
 // ChaosConfig tunes the chaos suite: an update storm driven through the
 // Fig. 1 topology while the data channel drops, duplicates, delays, and
 // reorders messages, a full three-way partition, and a peer crash mid
-// cascade. Zero values select the defaults noted per field.
+// cascade.
 type ChaosConfig struct {
-	// Records is the synthetic record count (0 → 24).
-	Records int
-	// Updates is the lossy-phase storm length (0 → 6).
-	Updates int
 	// Seed drives every random choice — the fault fabric's sampling and
 	// the workload — so a run is reproducible end to end.
 	Seed int64
-	// HangRate is the probability a request hangs until its per-attempt
-	// deadline instead of failing fast (0 → 0.05).
-	HangRate float64
-	// BlockInterval is the chain's block period (0 → 2ms).
-	BlockInterval time.Duration
-	// RepairInterval is each peer's background anti-entropy repair period
-	// (0 → 20ms).
-	RepairInterval time.Duration
 	// DataTransport is DataTransportMem (default) or DataTransportTCP.
 	DataTransport string
 	// GroupCommit runs the chain with demand-driven batched block
@@ -356,26 +344,19 @@ type ChaosConfig struct {
 	Durable bool
 }
 
-func (c ChaosConfig) withDefaults() ChaosConfig {
-	if c.Records <= 0 {
-		c.Records = 24
-	}
-	if c.Updates <= 0 {
-		c.Updates = 6
-	}
-	if c.HangRate < 0 {
-		c.HangRate = 0
-	} else if c.HangRate == 0 {
-		c.HangRate = 0.05
-	}
-	if c.BlockInterval <= 0 {
-		c.BlockInterval = 2 * time.Millisecond
-	}
-	if c.RepairInterval <= 0 {
-		c.RepairInterval = 20 * time.Millisecond
-	}
-	return c
-}
+// The chaos suite's fixed shape.
+const (
+	// chaosRecords is the synthetic record count.
+	chaosRecords = 24
+	// chaosStormUpdates is the lossy-phase storm length.
+	chaosStormUpdates = 6
+	// chaosHangRate is the probability a lossy-phase request hangs until
+	// its per-attempt deadline instead of failing fast.
+	chaosHangRate = 0.05
+	// chaosRepairInterval is each peer's background anti-entropy repair
+	// period.
+	chaosRepairInterval = 20 * time.Millisecond
+)
 
 // ChaosReport summarizes one chaos run: how much work went through, what
 // the fabric did to it, and what each peer's recovery machinery had to
@@ -398,26 +379,24 @@ type ChaosReport struct {
 type ChaosScenario struct {
 	*Fig1Scenario
 	Fabric *faultnet.Fabric
-	cfg    ChaosConfig
 }
 
 // NewChaosScenario builds the Fig. 1 stakeholders on a fault-injected
 // network with hardened peers (per-attempt RPC deadlines, retry backoff,
 // endpoint quarantine, background repair loop).
 func NewChaosScenario(ctx context.Context, cfg ChaosConfig) (*ChaosScenario, error) {
-	cfg = cfg.withDefaults()
 	var window time.Duration
 	if cfg.GroupCommit {
 		window = 500 * time.Microsecond
 	}
 	nw, err := NewNetwork(NetworkConfig{
-		BlockInterval:      cfg.BlockInterval,
+		BlockInterval:      2 * time.Millisecond,
 		GroupCommitWindow:  window,
 		Seed:               cfg.Seed,
 		FaultInjection:     true,
 		DurablePeers:       cfg.Durable,
 		DataTransport:      cfg.DataTransport,
-		PeerResyncInterval: cfg.RepairInterval,
+		PeerResyncInterval: chaosRepairInterval,
 		PeerRPCTimeout:     150 * time.Millisecond,
 		PeerRetry:          core.Backoff{Base: 4 * time.Millisecond, Max: 60 * time.Millisecond, Attempts: 4},
 		PeerHealth:         core.HealthPolicy{FailureThreshold: 4, Quarantine: 40 * time.Millisecond, MaxQuarantine: 250 * time.Millisecond},
@@ -425,7 +404,7 @@ func NewChaosScenario(ctx context.Context, cfg ChaosConfig) (*ChaosScenario, err
 	if err != nil {
 		return nil, err
 	}
-	fig, err := PopulateFig1(ctx, nw, cfg.Records, cfg.Seed)
+	fig, err := PopulateFig1(ctx, nw, chaosRecords, cfg.Seed)
 	if err != nil {
 		nw.Stop()
 		return nil, err
@@ -437,13 +416,13 @@ func NewChaosScenario(ctx context.Context, cfg ChaosConfig) (*ChaosScenario, err
 		nw.Stop()
 		return nil, err
 	}
-	return &ChaosScenario{Fig1Scenario: fig, Fabric: nw.Fabric(), cfg: cfg}, nil
+	return &ChaosScenario{Fig1Scenario: fig, Fabric: nw.Fabric()}, nil
 }
 
 // patientKey returns the i-th synthetic patient id (Generate starts at
 // 188, in homage to Fig. 1).
 func (sc *ChaosScenario) patientKey(i int) int64 {
-	return int64(188 + i%sc.cfg.Records)
+	return int64(188 + i%chaosRecords)
 }
 
 // uniqueMedPatients returns, in ascending patient-id order, the patients
@@ -478,7 +457,7 @@ func (sc *ChaosScenario) uniqueMedPatients() ([]int64, error) {
 		}
 	}
 	if len(ids) < 2 {
-		return nil, fmt.Errorf("chaos: workload has %d uniquely-medicated patients, need 2 (change Seed or Records)", len(ids))
+		return nil, fmt.Errorf("chaos: workload has %d uniquely-medicated patients, need 2 (change Seed)", len(ids))
 	}
 	return ids, nil
 }
@@ -621,12 +600,12 @@ func (sc *ChaosScenario) Run(ctx context.Context) (*ChaosReport, error) {
 	// messages), duplicating, delaying, reordering channel. Every update
 	// still reaches finality — retries and the repair loop push them
 	// through.
-	fab.SetRequestLoss(0.35, sc.cfg.HangRate)
+	fab.SetRequestLoss(0.35, chaosHangRate)
 	fab.SetDropRate(0.35)
 	fab.SetDuplicateRate(0.2)
 	fab.SetReorderRate(0.2)
 	fab.SetDelay(200*time.Microsecond, 500*time.Microsecond)
-	for i := 0; i < sc.cfg.Updates; i++ {
+	for i := 0; i < chaosStormUpdates; i++ {
 		if err := sc.stormUpdate(ctx, i); err != nil {
 			fill()
 			return report, fmt.Errorf("chaos: storm update %d: %w", i, err)
@@ -657,7 +636,7 @@ func (sc *ChaosScenario) Run(ctx context.Context) (*ChaosReport, error) {
 		fill()
 		return report, fmt.Errorf("chaos: partitioned proposals: %w", err)
 	}
-	time.Sleep(8 * sc.cfg.RepairInterval) // let retry ladders exhaust against the partition
+	time.Sleep(8 * chaosRepairInterval) // let retry ladders exhaust against the partition
 	fab.Heal()
 	for _, r := range results {
 		if err := sc.Doctor.WaitFinal(ctx, r.ShareID, r.Seq); err != nil {

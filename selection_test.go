@@ -2,7 +2,6 @@ package medshare
 
 import (
 	"testing"
-	"time"
 
 	"medshare/internal/bx"
 	"medshare/internal/core"
@@ -125,10 +124,7 @@ func TestSelectionShare(t *testing.T) {
 
 // TestNetworkConfigValidation covers the facade bootstrap paths.
 func TestNetworkConfigValidation(t *testing.T) {
-	if _, err := NewNetwork(NetworkConfig{Consensus: "quantum"}); err == nil {
-		t.Fatal("unknown consensus accepted")
-	}
-	nw, err := NewNetwork(NetworkConfig{})
+	nw, err := NewNetwork(NetworkConfig{DataTransport: "carrier-pigeon"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,39 +135,7 @@ func TestNetworkConfigValidation(t *testing.T) {
 	if _, err := nw.NewPeer("x", 9); err == nil {
 		t.Fatal("out-of-range node index accepted")
 	}
-}
-
-// TestPoWScenario runs the Fig. 5 single hop under proof-of-work
-// consensus (the paper's Section II-A setting).
-func TestPoWScenario(t *testing.T) {
-	ctx := testCtx(t)
-	sc, err := NewFig1Scenario(ctx, NetworkConfig{
-		Consensus:     ConsensusPoW,
-		PoWDifficulty: 4,
-		BlockInterval: 2 * time.Millisecond,
-	}, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Stop()
-
-	err = sc.Researcher.UpdateSource("D2", func(tbl *reldb.Table) error {
-		return tbl.Update(reldb.Row{reldb.S("Ibuprofen")},
-			map[string]reldb.Value{ColMechanism: reldb.S("MeA1-pow")})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	props, err := sc.Researcher.SyncShares(ctx, "D2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Researcher.WaitFinal(ctx, ShareIDD23, props[0].Seq); err != nil {
-		t.Fatal(err)
-	}
-	d3, _ := sc.Doctor.Source("D3")
-	got := mustValue(t, d3, reldb.Row{reldb.I(188)}, ColMechanism)
-	if s, _ := got.Str(); s != "MeA1-pow" {
-		t.Fatalf("mechanism = %q", s)
+	if _, err := nw.NewPeer("x", 0); err == nil {
+		t.Fatal("unknown data transport accepted")
 	}
 }

@@ -245,119 +245,43 @@ func (p *Peer) applyIncoming(ctx context.Context, shareID string, seq uint64, fr
 // submit; a nil ack means the update was already applied. The caller
 // holds the share's operation lock.
 func (p *Peer) embedIncoming(ctx context.Context, s *Share, seq uint64, from identity.Address, payloadHash string, cols []string) (*chain.Tx, error) {
-	shareID := s.ID
 	s.stMu.Lock()
 	applied := s.AppliedSeq
-	diverged := s.diverged
-	baseSrc, baseView := s.derivedSrc, s.derivedView
 	s.stMu.Unlock()
 	if applied >= seq {
 		return nil, nil // already applied (e.g. via resync)
 	}
-
-	// Step 4: fetch the new view payload directly from the updater. We
-	// advertise our current version so the updater can send a row-level
-	// delta; the reconstructed table is verified against the on-chain
-	// hash either way.
-	curView, err := p.snapshotTable(s.ViewName)
+	// Step 4: fetch the new view payload directly from the updater (a
+	// row-level delta when it still holds our version); step 5: put it.
+	a, err := p.acquire(ctx, s, from, seq, payloadHash)
 	if err != nil {
 		return nil, err
 	}
-	newView, cs, hasDelta, _, err := p.fetchFrom(ctx, from, shareID, seq, applied, curView)
-	if err != nil {
-		return nil, err
-	}
-	// A delta fetch applied onto our (seeded) replica already carries the
-	// share's priority seed; a full fetch arrives unseeded and is rebuilt
-	// here, before the hash check — the on-chain hash commits to the
-	// seeded shape.
-	newView = s.seedView(newView)
-	if got := hashHex(newView); got != payloadHash {
-		return nil, fmt.Errorf("%w: share %s seq %d", ErrPayloadHash, shareID, seq)
-	}
-
-	// Step 5: put the updated view into the local source. When the fetch
-	// arrived as a row-level changeset, put goes through the delta path —
-	// a one-row edit touches one source row instead of rematerializing
-	// the table. The put runs inside the source table's atomic
-	// replacement so two shares over the same source embedding
-	// concurrently (parallel Resync, event loop racing a Resync)
-	// serialize instead of overwriting each other's applied updates. A
-	// put failure means the view edit has no translation into our source
-	// under the local lens; reject the pending update on-chain so the
-	// share does not stall and the proposer rolls back.
-	//
-	// The derived pair (see stageProposal) moves with the replica, inside
-	// the same replacement. If its snapshot is the source version being
-	// replaced, the put's output is the new snapshot: by PutGet the
-	// incoming view is its view. If the source has moved on since — a
-	// sibling share embedded an edit this view has yet to show — the
-	// snapshot takes the same delta put on its own, so that edit is still
-	// in the next proposal's diff, not silently taken as reflected.
-	local := newView.Renamed(s.ViewName)
-	delta := hasDelta && !diverged
-	paired := baseSrc != nil && baseView.SameVersion(curView)
-	err = p.cfg.DB.ReplaceTable(s.SourceTable, func(src *reldb.Table) (*reldb.Table, error) {
-		newSrc, err := putViaDelta(s.Lens, src, local, cs, delta)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case paired && baseSrc.SameVersion(src):
-			baseSrc = newSrc
-		case paired && delta:
-			baseSrc, _, _ = bx.PutDelta(s.Lens, baseSrc, local, cs) // nil on failure: no pair
-		default:
-			baseSrc = nil
-		}
-		return newSrc.Renamed(s.SourceTable), nil
-	})
+	err = p.install(s, seq, a)
 	if errors.Is(err, reldb.ErrNoSuchTable) {
 		return nil, err
 	}
 	if err != nil {
-		rej, berr := p.buildTx(sharereg.FnRejectUpdate, shareID, sharereg.RejectArgs{
-			ShareID: shareID, Seq: seq, Reason: err.Error(),
+		// The view edit has no translation into our source under the
+		// local lens: reject the pending update on-chain so the share
+		// does not stall and the proposer rolls back.
+		rej, berr := p.buildTx(sharereg.FnRejectUpdate, s.ID, sharereg.RejectArgs{
+			ShareID: s.ID, Seq: seq, Reason: err.Error(),
 		})
 		if berr == nil {
 			if _, serr := p.submitAndWait(ctx, rej); serr != nil {
 				return nil, fmt.Errorf("core: put failed (%v) and reject failed: %w", err, serr)
 			}
 		}
-		p.record(HistoryEntry{ShareID: shareID, Seq: seq, Kind: "rejected", From: p.Address(), Note: err.Error()})
-		return nil, fmt.Errorf("core: put on %s rejected: %w", shareID, err)
+		p.record(HistoryEntry{ShareID: s.ID, Seq: seq, Kind: "rejected", From: p.Address(), Note: err.Error()})
+		return nil, fmt.Errorf("core: put on %s rejected: %w", s.ID, err)
 	}
-	p.cfg.DB.PutTable(local)
-	s.stMu.Lock()
-	s.prev = &shareBackup{seq: applied, view: curView}
-	s.AppliedSeq = seq
-	s.diverged = false // put realigned source and view
-	s.derivedSrc, s.derivedView = baseSrc, local
-	s.stMu.Unlock()
-	p.persistShares(s)
-	p.record(HistoryEntry{ShareID: shareID, Seq: seq, Kind: "applied", Cols: cols, From: from})
-	p.logf("applied update on %s seq %d from %s", shareID, seq, from.Short())
+	p.record(HistoryEntry{ShareID: s.ID, Seq: seq, Kind: "applied", Cols: cols, From: from})
+	p.logf("applied update on %s seq %d from %s", s.ID, seq, from.Short())
 
 	// Acknowledge on-chain; once every peer acks, the contract finalizes
 	// and the next update becomes admissible.
-	return p.buildTx(sharereg.FnAckUpdate, shareID, sharereg.AckArgs{ShareID: shareID, Seq: seq})
-}
-
-// putViaDelta embeds an incoming view into the source along the delta
-// path when the fetch produced a (validated, minimal) changeset — every
-// lens embeds it natively in O(changed rows); there is no O(table)
-// fallback behind the delta anymore. The whole-view put remains for
-// exactly two cases: no changeset exists (full fetch, diverged replica),
-// or the changeset disagrees with our replica (stale delta base) — there
-// the authoritative full put decides before anything is rejected.
-func putViaDelta(l bx.Lens, src, local *reldb.Table, cs reldb.Changeset, hasDelta bool) (*reldb.Table, error) {
-	if hasDelta {
-		newSrc, _, err := bx.PutDelta(l, src, local, cs)
-		if err == nil {
-			return newSrc, nil
-		}
-	}
-	return l.Put(src, local)
+	return p.buildTx(sharereg.FnAckUpdate, s.ID, sharereg.AckArgs{ShareID: s.ID, Seq: seq})
 }
 
 // cascade regenerates and proposes updates on every other share derived
@@ -486,12 +410,12 @@ func (p *Peer) onRemoved(ev sharereg.EventPayload) {
 }
 
 // Resync reconciles every bound share against on-chain state: pending
-// updates we have not applied are fetched and acknowledged, finalized
-// updates we missed entirely (dropped events) are fetched from the last
-// updater, and a replica whose Merkle root disagrees with the on-chain
-// payload hash at the same sequence number is repaired from a
-// counterparty. It makes the peer robust to lossy notification delivery
-// and to replica corruption (a cold restart from a stale backup).
+// updates we have not applied are fetched and acknowledged, and a
+// replica behind the last finalized update (dropped events) or holding
+// its seq under content the on-chain payload hash disagrees with is
+// brought to that version from a counterparty. It makes the peer robust
+// to lossy notification delivery and to replica corruption (a cold
+// restart from a stale backup).
 // Shares are reconciled concurrently (bounded by fanoutWorkers) —
 // they are independent replicas, and a hospital-scale peer recovering
 // hundreds of them mostly waits on fetches and ack commits. Every share
@@ -528,216 +452,81 @@ func (p *Peer) reconcileShare(ctx context.Context, id string) error {
 	}
 	s.stMu.Lock()
 	applied := s.AppliedSeq
-	inflight := s.backup != nil
 	s.stMu.Unlock()
-
-	switch {
-	case meta.Pending != nil && meta.Pending.From != p.Address() && applied < meta.Pending.Seq:
+	if pd := meta.Pending; pd != nil && pd.From != p.Address() && applied < pd.Seq {
 		p.stats.resyncsTriggered.Add(1)
-		if err := p.applyIncoming(ctx, id, meta.Pending.Seq, meta.Pending.From, meta.Pending.PayloadHash, meta.Pending.Cols); err != nil {
+		if err := p.applyIncoming(ctx, id, pd.Seq, pd.From, pd.PayloadHash, pd.Cols); err != nil {
 			return fmt.Errorf("core: resync %s pending: %w", id, err)
 		}
-	case meta.Seq > applied && meta.LastFrom != p.Address() && !meta.LastFrom.IsZero():
-		p.stats.resyncsTriggered.Add(1)
-		if err := p.resyncFinalized(ctx, s, meta); err != nil {
+	} else {
+		// A cheap check every scan (the view's root is cached); catchUp
+		// repeats it under the operation lock before touching anything.
+		if kind, err := p.staleness(s, meta); kind == "" || err != nil {
 			return err
 		}
-	case meta.Pending == nil && !inflight && applied == meta.Seq && meta.LastPayloadHash != "":
-		// Same sequence number as the chain — but does the content
-		// actually match? A peer restarted from a stale or corrupt backup
-		// can carry the right seq label over the wrong rows; the on-chain
-		// payload hash is the arbiter. The cheap check runs every scan
-		// (the root is cached on the table); the repair path re-verifies
-		// under the operation lock before touching anything.
-		view, err := p.snapshotTable(s.ViewName)
-		if err != nil {
+		p.stats.resyncsTriggered.Add(1)
+		if err := p.catchUp(ctx, s); err != nil {
 			return err
 		}
-		if hashHex(view) == meta.LastPayloadHash {
-			return nil
-		}
-		p.stats.resyncsTriggered.Add(1)
-		if err := p.repairMismatch(ctx, s); err != nil {
-			return fmt.Errorf("core: repair %s: %w", id, err)
-		}
-	default:
-		return nil
 	}
 	p.stats.repairHeals.Add(1)
 	return nil
 }
 
-// repairMismatch heals a replica whose content disagrees with the
-// on-chain payload hash at the chain's sequence number. The healthy
-// content comes from a counterparty via the structural anti-entropy walk
-// (only divergent subtrees cross the wire) with a full fetch as
-// fallback, is verified against the on-chain hash, and is installed
-// through a full put — the local replica is untrustworthy, so no delta
-// base survives.
-func (p *Peer) repairMismatch(ctx context.Context, s *Share) error {
+// staleness reports how the replica differs from the chain's last final:
+// "resynced" when behind it, "repaired" when it holds that seq over
+// content the on-chain payload hash disagrees with (a restart from a
+// stale or corrupt backup), and "" when it holds the version, is ahead,
+// or a pending update or own proposal makes the view transient.
+func (p *Peer) staleness(s *Share, meta *sharereg.Meta) (string, error) {
+	s.stMu.Lock()
+	applied, inflight := s.AppliedSeq, s.backup != nil
+	s.stMu.Unlock()
+	switch {
+	case meta.LastPayloadHash == "" || applied > meta.Seq:
+		return "", nil
+	case applied < meta.Seq:
+		return "resynced", nil
+	case inflight || meta.Pending != nil:
+		return "", nil
+	}
+	view, err := p.snapshotTable(s.ViewName)
+	if err != nil || hashHex(view) == meta.LastPayloadHash {
+		return "", err
+	}
+	return "repaired", nil
+}
+
+// catchUp brings a stale replica (see staleness) to the chain's last
+// finalized version, from the last updater or else any other sharing
+// peer. It re-checks under the operation lock: the scan that called it
+// may have raced an in-flight apply or proposal.
+func (p *Peer) catchUp(ctx context.Context, s *Share) error {
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
-	// Re-verify under the operation lock: the mismatch may have been a
-	// transient read against an in-flight apply or proposal.
 	meta, err := p.Meta(s.ID)
 	if err != nil {
 		return err
 	}
-	s.stMu.Lock()
-	applied := s.AppliedSeq
-	inflight := s.backup != nil
-	s.stMu.Unlock()
-	if inflight || meta.Pending != nil || applied != meta.Seq || meta.LastPayloadHash == "" {
-		return nil
-	}
-	curView, err := p.snapshotTable(s.ViewName)
-	if err != nil {
+	kind, err := p.staleness(s, meta)
+	if kind == "" || err != nil {
 		return err
 	}
-	if hashHex(curView) == meta.LastPayloadHash {
-		return nil
-	}
-
-	// Pick a provider: the last updater, else any other sharing peer.
 	from := meta.LastFrom
-	if from.IsZero() || from == p.Address() {
-		for _, a := range meta.Peers {
-			if a != p.Address() {
-				from = a
-				break
-			}
-		}
+	for i := 0; i < len(meta.Peers) && (from.IsZero() || from == p.Address()); i++ {
+		from = meta.Peers[i]
 	}
 	if from.IsZero() || from == p.Address() {
-		return fmt.Errorf("core: no counterparty to heal from")
+		return fmt.Errorf("core: no counterparty to heal %s from", s.ID)
 	}
-
-	var healed *reldb.Table
-	if curView.Len() > 0 {
-		if synced, syncSeq, stats, serr := p.syncFrom(ctx, from, s.ID, meta.Seq, curView); serr == nil && syncSeq == meta.Seq {
-			if cand := s.seedView(synced); hashHex(cand) == meta.LastPayloadHash {
-				healed = cand
-				p.logf("repair %s: structural sync healed root mismatch (%d rounds, %d rows inline, %d grafted)",
-					s.ID, stats.Rounds, stats.RowsInline, stats.RowsGrafted)
-			}
-		}
+	a, err := p.acquire(ctx, s, from, meta.Seq, meta.LastPayloadHash)
+	if err == nil {
+		err = p.install(s, meta.Seq, a)
 	}
-	if healed == nil {
-		full, _, _, seq, ferr := p.fetchFrom(ctx, from, s.ID, meta.Seq, 0, nil)
-		if ferr != nil {
-			return ferr
-		}
-		full = s.seedView(full)
-		if seq != meta.Seq || hashHex(full) != meta.LastPayloadHash {
-			return fmt.Errorf("%w: repair %s seq %d", ErrPayloadHash, s.ID, seq)
-		}
-		healed = full
-	}
-
-	local := healed.Renamed(s.ViewName)
-	err = p.cfg.DB.ReplaceTable(s.SourceTable, func(src *reldb.Table) (*reldb.Table, error) {
-		newSrc, err := s.Lens.Put(src, local)
-		if err != nil {
-			return nil, err
-		}
-		return newSrc.Renamed(s.SourceTable), nil
-	})
 	if err != nil {
-		return err
+		return fmt.Errorf("core: catching up %s: %w", s.ID, err)
 	}
-	p.cfg.DB.PutTable(local)
-	s.stMu.Lock()
-	s.prev = nil
-	s.diverged = false
-	s.stMu.Unlock()
-	p.persistShares(s)
-	p.record(HistoryEntry{ShareID: s.ID, Seq: meta.Seq, Kind: "repaired", From: from})
-	p.logf("repaired %s at seq %d from %s", s.ID, meta.Seq, from.Short())
-	return nil
-}
-
-// resyncFinalized catches the share up to an already-finalized update the
-// peer missed entirely.
-func (p *Peer) resyncFinalized(ctx context.Context, s *Share, meta *sharereg.Meta) error {
-	s.opMu.Lock()
-	defer s.opMu.Unlock()
-	s.stMu.Lock()
-	applied := s.AppliedSeq
-	diverged := s.diverged
-	s.stMu.Unlock()
-	if applied >= meta.Seq {
-		return nil // caught up while waiting for the lock
-	}
-	curView, err := p.snapshotTable(s.ViewName)
-	if err != nil {
-		return err
-	}
-	var (
-		newView  *reldb.Table
-		cs       reldb.Changeset
-		hasDelta bool
-		seq      uint64
-	)
-	// A gap of more than one version means the updater cannot hold our
-	// exact previous version for a row-level delta — the long-diverged
-	// case. Walk its Merkle row tree instead of fetching the whole view:
-	// only divergent subtrees cross the wire, and the minimal changeset
-	// falls out of a local structural diff so the put still takes the
-	// delta path. An *empty* local replica is excluded (nothing to
-	// graft, so one full fetch is strictly cheaper than the walk), and
-	// any failure falls back to the plain fetch. The sync result is only
-	// accepted at exactly the version whose hash the chain metadata
-	// vouches for — a provider serving any other seq (newer included)
-	// cannot get unverified contents installed.
-	if meta.Seq > applied+1 && curView.Len() > 0 {
-		switch synced, syncSeq, stats, serr := p.syncFrom(ctx, meta.LastFrom, s.ID, meta.Seq, curView); {
-		case serr != nil:
-			p.logf("structural sync on %s failed (%v); falling back to fetch", s.ID, serr)
-		case syncSeq != meta.Seq:
-			p.logf("structural sync on %s served seq %d, want %d; falling back to fetch", s.ID, syncSeq, meta.Seq)
-		case hashHex(synced) != meta.LastPayloadHash:
-			// The walk completed but assembled the wrong contents (e.g.
-			// the provider served a racing install) — fall back to the
-			// plain fetch instead of failing the whole resync.
-			p.logf("structural sync on %s: payload hash mismatch; falling back to fetch", s.ID)
-		default:
-			if diffCs, derr := curView.Diff(synced); derr == nil {
-				newView, cs, hasDelta, seq = synced, diffCs, true, syncSeq
-				p.logf("structural sync on %s: %d rounds, %d nodes, %d rows inline, %d grafted, %d B received",
-					s.ID, stats.Rounds, stats.NodesFetched, stats.RowsInline, stats.RowsGrafted, stats.BytesReceived)
-			}
-		}
-	}
-	if newView == nil {
-		newView, cs, hasDelta, seq, err = p.fetchFrom(ctx, meta.LastFrom, s.ID, meta.Seq, applied, curView)
-		if err != nil {
-			return fmt.Errorf("core: resync %s: %w", s.ID, err)
-		}
-	}
-	// Structural-sync results inherit the seed from the local base; full
-	// fetches are rebuilt under it here, before the hash check.
-	newView = s.seedView(newView)
-	if got := hashHex(newView); seq == meta.Seq && got != meta.LastPayloadHash {
-		return fmt.Errorf("%w: resync %s seq %d", ErrPayloadHash, s.ID, seq)
-	}
-	local := newView.Renamed(s.ViewName)
-	err = p.cfg.DB.ReplaceTable(s.SourceTable, func(src *reldb.Table) (*reldb.Table, error) {
-		newSrc, err := putViaDelta(s.Lens, src, local, cs, hasDelta && !diverged)
-		if err != nil {
-			return nil, err
-		}
-		return newSrc.Renamed(s.SourceTable), nil
-	})
-	if err != nil {
-		return err
-	}
-	p.cfg.DB.PutTable(local)
-	s.stMu.Lock()
-	s.prev = &shareBackup{seq: applied, view: curView}
-	s.AppliedSeq = seq
-	s.diverged = false // put realigned source and view
-	s.stMu.Unlock()
-	p.persistShares(s)
-	p.record(HistoryEntry{ShareID: s.ID, Seq: seq, Kind: "resynced", From: meta.LastFrom})
+	p.record(HistoryEntry{ShareID: s.ID, Seq: meta.Seq, Kind: kind, From: from})
+	p.logf("%s %s at seq %d from %s", kind, s.ID, meta.Seq, from.Short())
 	return nil
 }

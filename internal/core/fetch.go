@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/ed25519"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -114,18 +113,15 @@ func decodeFetchResponse(raw []byte) (FetchResponse, error) {
 }
 
 // authorizeShareRequest is the shared gate of the data-channel RPCs
-// (payload fetch and structural sync): verify the signature over the
-// request's canonical bytes, check contract membership, resolve the
+// (payload fetch and structural sync): verify the signature through
+// authorizeLightRequest, check contract membership, resolve the
 // local share binding, and enforce the minimum served version. Serving
 // reads only the share's own state (per-share mutex) and chain
 // metadata — a request on one share never waits behind operations on
 // the peer's other shares.
 func (p *Peer) authorizeShareRequest(shareID string, requester identity.Address, pubKey, signed, sig []byte, minSeq uint64) (*Share, uint64, error) {
-	if len(pubKey) != ed25519.PublicKeySize {
-		return nil, 0, ErrNotAuthorized
-	}
-	if err := identity.Verify(requester, ed25519.PublicKey(pubKey), signed, sig); err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrNotAuthorized, err)
+	if err := authorizeLightRequest(requester, pubKey, signed, sig); err != nil {
+		return nil, 0, err
 	}
 	meta, err := p.Meta(shareID)
 	if err != nil {
@@ -191,13 +187,13 @@ func (p *Peer) Fetch(ctx context.Context, from identity.Address, shareID string,
 }
 
 // fetchFrom requests the share payload at version minSeq or newer from
-// the peer with the given address. When base (the local view at haveSeq)
-// is supplied, the server may answer with a changeset, which is applied
-// to a copy of base; the caller still verifies the resulting table
-// against the on-chain payload hash. When the response was a delta,
+// the peer with the given address: the server may serve a newer version,
+// even one it has staged but not submitted, so only acquire decides what
+// is installable. When base (the local view at haveSeq) is supplied, the
+// server may answer with a changeset, applied to a copy of base; then
 // hasDelta is true and cs is the row-level changeset from base to the
-// returned table, so callers can keep propagating the delta (bx.PutDelta)
-// instead of rematerializing.
+// returned table, so callers can keep propagating the delta
+// (bx.PutDelta) instead of rematerializing.
 func (p *Peer) fetchFrom(ctx context.Context, from identity.Address, shareID string, minSeq, haveSeq uint64, base *reldb.Table) (table *reldb.Table, cs reldb.Changeset, hasDelta bool, seq uint64, err error) {
 	if p.cfg.Transport == nil || p.cfg.Directory == nil {
 		return nil, reldb.Changeset{}, false, 0, fmt.Errorf("core: peer %s has no data channel", p.Name())
@@ -226,6 +222,9 @@ func (p *Peer) fetchFrom(ctx context.Context, from identity.Address, shareID str
 		return nil, reldb.Changeset{}, false, 0, fmt.Errorf("core: fetching %s from %s: %w", shareID, from, err)
 	}
 	resp, err := decodeFetchResponse(msg.Payload)
+	if err == nil && resp.ShareID != shareID {
+		err = fmt.Errorf("served share %q", resp.ShareID)
+	}
 	if err != nil {
 		return nil, reldb.Changeset{}, false, 0, fmt.Errorf("core: bad fetch response: %w", err)
 	}

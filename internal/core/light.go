@@ -41,11 +41,13 @@ const lightHeadScanDepth = 16
 // fork-choice switch.
 const lightHeadAttempts = 50
 
-// authorizeLightRequest verifies a light request's signature over its
-// canonical bytes. Unlike authorizeShareRequest there is no contract
-// membership check: light clients are read-only outsiders whose reads
-// are safe by construction (every response is verifiable against the
-// chain). Per-share read ACLs for light clients are a tracked follow-up.
+// authorizeLightRequest verifies a request's signature over its
+// canonical bytes: the one signature check of all five serve paths
+// (fetch and sync reach it through authorizeShareRequest, which adds
+// contract membership). Light clients get no membership check: they are
+// read-only outsiders whose reads are safe by construction (every
+// response is verifiable against the chain). Per-share read ACLs for
+// light clients are a tracked follow-up.
 func authorizeLightRequest(requester identity.Address, pubKey, signed, sig []byte) error {
 	if len(pubKey) != ed25519.PublicKeySize {
 		return ErrNotAuthorized

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -377,6 +378,85 @@ func TestRepairHealsRootMismatch(t *testing.T) {
 	if st := h.b.Stats(); st.RepairHeals == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
+}
+
+// TestResyncInstallsOnlyVouchedVersion: a stale replica catches up while
+// its counterparty holds a staged proposal that is not on-chain yet. The
+// counterparty serves that staged view, and the chain has not vouched for
+// it: B must not install it. If B did, it would sit one version ahead of
+// the chain and never ack the update once A submits it.
+func TestResyncInstallsOnlyVouchedVersion(t *testing.T) {
+	mem := p2p.NewMemNetwork(p2p.WithSeed(11))
+	h := newSyncHarnessTweak(t, 32, mem.Endpoint("A"), mem.Endpoint("B"), func(name string, cfg *Config) {
+		cfg.ResyncInterval = 20 * time.Millisecond
+	})
+	seq1 := h.finalizedUpdate(t, 1, "one")
+	h.waitApplied(t, seq1)
+	src1, err := h.b.Source("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	view1, err := h.b.View("S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq2 := h.finalizedUpdate(t, 2, "two")
+	h.waitApplied(t, seq2)
+
+	// A stages seq 3: its replica and applied seq advance, the request
+	// transaction is not submitted. Staged before B is rolled back, so
+	// B's repair loop cannot catch up to seq 2 in between.
+	if err := h.a.UpdateSource("T", func(tbl *reldb.Table) error {
+		return tbl.Update(reldb.Row{reldb.I(3)}, map[string]reldb.Value{"v": reldb.S("staged")})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sa, err := h.a.share("S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa.opMu.Lock()
+	unlock := sync.OnceFunc(sa.opMu.Unlock)
+	defer unlock()
+	st, err := h.a.stageProposal(sa)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	h.rollback(t, seq1, src1, view1)
+	_ = h.b.Resync(h.ctx) // fails while A serves only its staged version
+	meta, err := h.b.Meta("S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := h.b.ShareInfo("S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bView, err := h.b.View("S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch {
+	case info.AppliedSeq > meta.Seq:
+		t.Fatalf("B resynced to applied seq %d while the chain is at seq %d", info.AppliedSeq, meta.Seq)
+	case info.AppliedSeq == meta.Seq && hashHex(bView) != meta.LastPayloadHash:
+		t.Fatalf("B holds seq %d under content the chain did not vouch for", meta.Seq)
+	}
+
+	if _, err := h.a.submitAndWait(h.ctx, st.tx); err != nil {
+		h.a.rollbackProposal(st)
+		t.Fatal(err)
+	}
+	res := h.a.finalizeProposal(st)
+	h.a.persistShares(sa)
+	unlock()
+	ctx, cancel := context.WithTimeout(h.ctx, 3*time.Second)
+	defer cancel()
+	if err := h.a.WaitFinal(ctx, "S", res.Seq); err != nil {
+		t.Fatalf("staged seq %d never finalized: %v", res.Seq, err)
+	}
+	waitConverged(t, h, "S", res.Seq)
 }
 
 // --- Group-commit resilience ---

@@ -119,7 +119,8 @@ func (p *Peer) RegisterShare(ctx context.Context, a RegisterShareArgs) error {
 // the peer declares which local source table and lens realize its replica
 // of the shared view. The local view is materialized via get and must
 // agree with the on-chain state (seq 0 at registration, or the provider's
-// current data after updates — use SyncFromCounterparty to catch up).
+// current data after updates — Resync, or the repair loop under
+// Config.ResyncInterval, catches it up).
 func (p *Peer) AttachShare(id, sourceTable string, lens bx.Lens, viewName string) error {
 	meta, err := p.Meta(id)
 	if err != nil {

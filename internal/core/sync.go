@@ -624,8 +624,8 @@ func childDigest(c *SyncChild) ([32]byte, bool) {
 
 // syncFrom runs the structural sync against the peer with the given
 // address and returns the reconstructed view (named like base), the
-// provider's version, and transfer stats. The caller verifies the
-// result against the on-chain payload hash.
+// provider's version (minSeq or newer) and transfer stats: a candidate
+// that acquire checks before anything is installed.
 func (p *Peer) syncFrom(ctx context.Context, from identity.Address, shareID string, minSeq uint64, base *reldb.Table) (*reldb.Table, uint64, SyncStats, error) {
 	var stats SyncStats
 	if p.cfg.Transport == nil || p.cfg.Directory == nil {
@@ -664,6 +664,9 @@ func (p *Peer) syncFrom(ctx context.Context, from identity.Address, shareID stri
 		stats.BytesReceived += len(msg.Payload)
 		statsMu.Unlock()
 		resp, err := decodeSyncResponse(msg.Payload)
+		if err == nil && resp.ShareID != shareID {
+			err = fmt.Errorf("served share %q", resp.ShareID)
+		}
 		if err != nil {
 			return SyncResponse{}, fmt.Errorf("core: bad sync response: %w", err)
 		}

@@ -79,8 +79,9 @@ func (p *Peer) acquire(ctx context.Context, s *Share, from identity.Address, seq
 	return a, nil
 }
 
-// install embeds an acquired version into the share's source, stores it
-// as the replica at seq, and persists the share. The put runs inside the
+// install embeds an acquired version into the share's source and stores
+// it as the replica at seq; the caller persists the share (a receive
+// round persists all of its shares at once). The put runs inside the
 // source's atomic replacement, so shares over one source embedding
 // concurrently serialize instead of overwriting each other's updates.
 // The delta put needs a validated changeset of a trusted replica that is
@@ -141,6 +142,5 @@ func (p *Peer) install(s *Share, seq uint64, a *acquired) error {
 	s.diverged = false // put realigned source and view
 	s.derivedSrc, s.derivedView = baseSrc, local
 	s.stMu.Unlock()
-	p.persistShares(s)
 	return nil
 }

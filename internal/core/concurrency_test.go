@@ -40,6 +40,29 @@ func stressSchema(name string, cols int) reldb.Schema {
 // peer's Config before the peer is created.
 func newStressHarness(t *testing.T, shares, rows int, tweak ...func(name string, cfg *Config)) *stressHarness {
 	t.Helper()
+	o := hubOpts{shares: shares, partners: shares, rows: rows}
+	if len(tweak) > 0 {
+		o.tweak = tweak[0]
+	}
+	return newHubHarness(t, o)
+}
+
+// hubOpts shapes a hub harness: shares spread over partners
+// counterparts (share i on partner i·partners/shares, each partner's
+// source holding the key and its shares' columns), rows per table, an
+// optional per-peer Config hook, and an optional hook choosing the
+// source table a partner binds share i over (default "T").
+type hubOpts struct {
+	shares, partners, rows int
+	tweak                  func(name string, cfg *Config)
+	source                 func(i int, p *Peer) string
+}
+
+// newHubHarness builds the hub harness newStressHarness describes, with
+// the counterpart shape o asks for.
+func newHubHarness(t *testing.T, o hubOpts) *stressHarness {
+	t.Helper()
+	shares, rows := o.shares, o.rows
 	nid := identity.MustNew("node")
 	n, err := node.New(node.Config{
 		NetworkName:   "stress-test",
@@ -74,8 +97,8 @@ func newStressHarness(t *testing.T, shares, rows int, tweak ...func(name string,
 			Identity: id, DB: db, Node: n,
 			Transport: mem.Endpoint(name), Directory: dir,
 		}
-		for _, fn := range tweak {
-			fn(name, &cfg)
+		if o.tweak != nil {
+			o.tweak(name, &cfg)
 		}
 		p, err := NewPeer(cfg)
 		if err != nil {
@@ -88,13 +111,16 @@ func newStressHarness(t *testing.T, shares, rows int, tweak ...func(name string,
 
 	h := &stressHarness{node: n}
 	h.hub = mk("hub", stressSchema("T", shares))
-	for i := 0; i < shares; i++ {
-		// Counterpart i's source holds only the columns its share sees.
-		pschema := reldb.Schema{Name: "T", Key: []string{"k"}, Columns: []reldb.Column{
-			{Name: "k", Type: reldb.KindInt},
-			{Name: workload.ManyShareCol(i), Type: reldb.KindString},
-		}}
-		h.partners = append(h.partners, mk(fmt.Sprintf("peer%d", i), pschema))
+	partnerOf := func(i int) int { return i * o.partners / shares }
+	for j := 0; j < o.partners; j++ {
+		// A counterpart's source holds only the columns its shares see.
+		pschema := reldb.Schema{Name: "T", Key: []string{"k"}, Columns: []reldb.Column{{Name: "k", Type: reldb.KindInt}}}
+		for i := 0; i < shares; i++ {
+			if partnerOf(i) == j {
+				pschema.Columns = append(pschema.Columns, reldb.Column{Name: workload.ManyShareCol(i), Type: reldb.KindString})
+			}
+		}
+		h.partners = append(h.partners, mk(fmt.Sprintf("peer%d", j), pschema))
 	}
 
 	octx, ocancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -102,19 +128,24 @@ func newStressHarness(t *testing.T, shares, rows int, tweak ...func(name string,
 	for i := 0; i < shares; i++ {
 		id := fmt.Sprintf("S%d", i)
 		col := workload.ManyShareCol(i)
+		partner := h.partners[partnerOf(i)]
 		hubLens := bx.Project(id+"h", []string{"k", col}, nil)
 		err := h.hub.RegisterShare(octx, RegisterShareArgs{
 			ID: id, SourceTable: "T", Lens: hubLens, ViewName: id + "h",
-			Peers: []identity.Address{h.hub.Address(), h.partners[i].Address()},
+			Peers: []identity.Address{h.hub.Address(), partner.Address()},
 			WritePerm: map[string][]identity.Address{
-				col: {h.hub.Address(), h.partners[i].Address()},
+				col: {h.hub.Address(), partner.Address()},
 			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		src := "T"
+		if o.source != nil {
+			src = o.source(i, partner)
+		}
 		pl := bx.Project(id+"p", []string{"k", col}, nil)
-		if err := h.partners[i].AttachShare(id, "T", pl, id+"p"); err != nil {
+		if err := partner.AttachShare(id, src, pl, id+"p"); err != nil {
 			t.Fatal(err)
 		}
 		h.shares = append(h.shares, id)
@@ -139,11 +170,12 @@ func (f slowSyncFile) Sync() error {
 }
 
 // TestConcurrentAppliesPersistNewestSource: sixteen shares over one
-// source apply incoming updates concurrently on at least eight event
-// shards (one per core, never fewer than the fan-out width), each
-// persisting the shared source table. Whatever order the store commits
-// land in, the last one must carry the newest source: a crash image
-// taken once the round is final has to reopen to the live source table.
+// source apply incoming updates concurrently, in receive rounds of
+// whatever each block brought (several rounds may run at once), each
+// round persisting the shared source table. Whatever order the store
+// commits land in, the last one must carry the newest source: a crash
+// image taken once the round is final has to reopen to the live source
+// table.
 func TestConcurrentAppliesPersistNewestSource(t *testing.T) {
 	const (
 		shares = 16
@@ -263,6 +295,17 @@ func TestProposeRoundPersistsAtomically(t *testing.T) {
 		t.Fatalf("the round took more than one store write (%d bytes)", end-start)
 	}
 
+	sweepRoundCrashes(t, ffs, h.shares, "h", start, end, oldSrc, newSrc)
+}
+
+// sweepRoundCrashes reopens a crash image of ffs at every byte of one
+// round's store commit [start, end] (torn), and at end with unsynced
+// bytes dropped. Every survivor must hold all shares at seq 0 or all at
+// seq 1 — seq 1 only once the whole commit survives — with the source
+// table "T" equal to oldSrc or newSrc to match, and each share's view
+// (named share ID + viewSuffix) equal to its projection of that source.
+func sweepRoundCrashes(t *testing.T, ffs *store.FaultFS, shares []string, viewSuffix string, start, end int64, oldSrc, newSrc *reldb.Table) {
+	t.Helper()
 	check := func(n int64, mode store.CrashMode) (seq uint64) {
 		t.Helper()
 		img, err := store.Open(store.Options{FS: ffs.SurvivorAt(n, mode)})
@@ -271,11 +314,11 @@ func TestProposeRoundPersistsAtomically(t *testing.T) {
 		}
 		defer img.Close()
 		metas := img.Shares()
-		seq = metas[h.shares[0]].Seq
-		for _, id := range h.shares {
+		seq = metas[shares[0]].Seq
+		for _, id := range shares {
 			if metas[id].Seq != seq {
 				t.Fatalf("crash at byte %d: share %s at seq %d beside %s at seq %d",
-					n, id, metas[id].Seq, h.shares[0], seq)
+					n, id, metas[id].Seq, shares[0], seq)
 			}
 		}
 		want := map[uint64]*reldb.Table{0: oldSrc, 1: newSrc}[seq]
@@ -286,8 +329,8 @@ func TestProposeRoundPersistsAtomically(t *testing.T) {
 		if err != nil || !src.Equal(want) {
 			t.Fatalf("crash at byte %d: source does not match the metadata's seq %d (err %v)", n, seq, err)
 		}
-		for i, id := range h.shares {
-			view, err := img.LoadTable(id + "h")
+		for i, id := range shares {
+			view, err := img.LoadTable(id + viewSuffix)
 			if err != nil {
 				t.Fatalf("crash at byte %d: view %s: %v", n, id, err)
 			}

@@ -200,13 +200,16 @@ func (h *pairHarness) hubApplyPending(t *testing.T, share string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pd := meta.Pending
+	it := &roundItem{s: s, req: sharereg.EventPayload{ShareID: share, Seq: pd.Seq, From: pd.From, PayloadHash: pd.PayloadHash, Cols: pd.Cols}}
 	s.opMu.Lock()
-	ack, err := h.hub.embedIncoming(h.ctx, s, meta.Pending.Seq, meta.Pending.From, meta.Pending.PayloadHash, meta.Pending.Cols)
+	err = h.hub.embedIncoming(h.ctx, it)
 	s.opMu.Unlock()
-	if err != nil || ack == nil {
-		t.Fatalf("embed %s seq %d: ack %v, err %v", share, meta.Pending.Seq, ack, err)
+	if err != nil || it.tx == nil || it.putErr != nil {
+		t.Fatalf("embed %s seq %d: ack %v, put %v, err %v", share, pd.Seq, it.tx, it.putErr, err)
 	}
-	if _, err := h.hub.submitAndWait(h.ctx, ack); err != nil {
+	h.hub.persistShares(s)
+	if _, err := h.hub.submitAndWait(h.ctx, it.tx); err != nil {
 		t.Fatal(err)
 	}
 }

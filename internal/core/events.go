@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"medshare/internal/bx"
@@ -16,143 +15,123 @@ import (
 	"medshare/internal/reldb"
 )
 
-// Incoming-event dispatch: shares are independent replicas, so events
-// for *different* shares may be handled concurrently — a hospital-scale
-// peer bound to thousands of shares applies incoming updates in
-// parallel instead of serializing every fetch+put+ack behind one
-// goroutine. The share space is statically partitioned across the
-// peer's shard loops (hash(shareID) → shard), each owning a
-// FIFO queue drained by its own long-lived goroutine. Events for the
-// *same* share land on the same shard and are therefore handled in
-// arrival order — the per-share sequence-number ordering the protocol
-// relies on — while the per-share opMu makes cross-path interleavings
-// safe (the same argument as the cascade/Resync fan-out pool).
-// Compared to the previous design (one transient drainer goroutine per
-// active share, all funneled through one semaphore and one global queue
-// mutex), the sharded runtime has no per-event goroutine churn and no
-// peer-wide lock on the hot path: dispatch touches only the target
-// shard's mutex, so throughput scales with shards until the handlers
-// are the bottleneck. Head-of-line blocking within a shard is accepted:
-// a stalled handler delays only its shard, and the repair loop covers
-// any share starved long enough to matter.
+// Incoming updates are applied in receive rounds, the receiving side's
+// mirror of ProposeUpdates. One dispatcher goroutine per Start generation
+// reads the node's event subscription. It wakes when the node applies a
+// block (the node buffers a block's events before it signals the block)
+// and takes every event buffered. The update requests among them, for
+// bound shares and from other peers, form one round (applyRound), run on
+// its own goroutine; every other event (final, rejected, permission,
+// removed) is handled inline, in delivery order. N requests that arrive
+// in one block cost one store commit and one ack block, not N of each.
+// Resync's pending branch runs a round of one (applyIncoming).
+//
+// Per-share order rests on opMu and the contract's gate of one pending
+// update per share. Request n+1 cannot commit before this peer's ack for
+// n, and that ack is submitted while the round applying n holds the
+// share's opMu. So a round carrying n+1 is formed only after the round
+// carrying n has taken the lock, and it waits behind it. A round holds at
+// most one request per share; a replayed duplicate goes to a later round,
+// and whichever of the two locks the share second finds the seq applied
+// and does nothing. A removal takes the share's opMu too (unbind): it
+// lands after any round holding the share, and a round that locks the
+// share after it finds the share unbound and skips it.
 
-// shareEvent is one decoded sharereg event queued for a shard drainer
-// (decoded once at dispatch; the handler never re-parses the payload).
-type shareEvent struct {
-	name    string
-	payload sharereg.EventPayload
-}
-
-// eventShard is one slice of the partitioned event runtime: a FIFO
-// queue plus a wake signal for its drainer goroutine.
-type eventShard struct {
-	mu    sync.Mutex
-	queue []shareEvent
-	// wake (capacity 1) nudges the drainer; a pending token already
-	// covers any number of enqueues.
-	wake chan struct{}
-}
-
-// shardIndex maps a share ID onto a shard (FNV-1a).
-func shardIndex(shareID string, shards int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(shareID); i++ {
-		h ^= uint64(shareID[i])
-		h *= prime64
-	}
-	return int(h % uint64(shards))
-}
-
-// dispatchEvent routes one committed contract event: sharereg events
-// are enqueued on their share's shard (events without a share ID are
-// handled inline). Called only from the peer's event goroutine.
-func (p *Peer) dispatchEvent(ev contract.Event) {
-	if ev.Contract != sharereg.ContractName {
-		return
-	}
-	payload, err := sharereg.DecodeEvent(ev.Payload)
-	if err != nil {
-		return
-	}
-	if payload.ShareID == "" {
-		p.handleEvent(ev.Name, payload)
-		return
-	}
-	sh := p.evShards[shardIndex(payload.ShareID, len(p.evShards))]
-	sh.mu.Lock()
-	sh.queue = append(sh.queue, shareEvent{name: ev.Name, payload: payload})
-	sh.mu.Unlock()
-	select {
-	case sh.wake <- struct{}{}:
-	default:
-	}
-}
-
-// runEventShard drains one shard's queue in FIFO order until the peer
-// generation stops. Events still queued at stop are abandoned — Resync
-// recovers them exactly like events lost while the peer is down.
-func (p *Peer) runEventShard(sh *eventShard, stopped <-chan struct{}) {
+// runEvents is one generation's dispatcher. Events still buffered at
+// stop are abandoned; Resync recovers them like events missed while the
+// peer was down.
+func (p *Peer) runEvents(events <-chan contract.Event, stopped <-chan struct{}) {
 	defer p.wg.Done()
 	for {
-		sh.mu.Lock()
-		if len(sh.queue) > 0 {
-			ev := sh.queue[0]
-			sh.queue = sh.queue[1:]
-			sh.mu.Unlock()
+		// Taken before the drain, so a block landing in between wakes us.
+		applied := p.cfg.Node.BlockApplied()
+		var evs []contract.Event
+	drain:
+		for {
 			select {
-			case <-stopped:
-				p.abandonShardQueues()
-				return
+			case ev, ok := <-events:
+				if !ok {
+					return // unsubscribed at stop
+				}
+				evs = append(evs, ev)
 			default:
+				break drain
 			}
-			p.handleEvent(ev.name, ev.payload)
+		}
+		if len(evs) > 0 {
+			p.dispatch(evs)
 			continue
 		}
-		sh.queue = nil
-		sh.mu.Unlock()
 		select {
 		case <-stopped:
-			p.abandonShardQueues()
 			return
-		case <-sh.wake:
+		case <-applied:
 		}
 	}
 }
 
-// abandonShardQueues clears every shard queue at stop. Each stopping
-// drainer calls it (idempotent), so no generation leaves stale events
-// behind for the next Start to misorder ahead of fresh ones.
-func (p *Peer) abandonShardQueues() {
-	for _, sh := range p.evShards {
-		sh.mu.Lock()
-		sh.queue = nil
-		sh.mu.Unlock()
+// dispatch handles one drain: the update requests become receive rounds
+// (a share that repeats starts the next round), and every other sharereg
+// event is handled inline, in delivery order.
+func (p *Peer) dispatch(evs []contract.Event) {
+	var round []sharereg.EventPayload
+	held := make(map[string]bool)
+	for _, ev := range evs {
+		if ev.Contract != sharereg.ContractName {
+			continue
+		}
+		payload, err := sharereg.DecodeEvent(ev.Payload)
+		if err != nil {
+			continue
+		}
+		if ev.Name != sharereg.EvUpdateRequested {
+			p.handleEvent(ev.Name, payload)
+			continue
+		}
+		if _, err := p.share(payload.ShareID); err != nil || payload.From == p.Address() {
+			continue // not a participant (or not yet attached; resync catches up), or our own proposal
+		}
+		if held[payload.ShareID] {
+			p.startRound(round)
+			round, held = nil, make(map[string]bool)
+		}
+		held[payload.ShareID] = true
+		round = append(round, payload)
 	}
+	p.startRound(round)
 }
 
-// shardQueueDepth sums the events currently queued across all shards —
-// the Stats() gauge observing dispatch backlog.
-func (p *Peer) shardQueueDepth() uint64 {
-	var n uint64
-	for _, sh := range p.evShards {
-		sh.mu.Lock()
-		n += uint64(len(sh.queue))
-		sh.mu.Unlock()
+// startRound applies a receive round on its own goroutine.
+func (p *Peer) startRound(reqs []sharereg.EventPayload) {
+	if len(reqs) == 0 {
+		return
 	}
-	return n
+	p.roundReqs.Add(int64(len(reqs)))
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		defer p.roundReqs.Add(-int64(len(reqs)))
+		ctx, cancel := context.WithTimeout(context.Background(), txTimeout)
+		defer cancel()
+		if err := p.applyRound(ctx, reqs); err != nil {
+			p.logf("receive round of %d: %v", len(reqs), err)
+		}
+	}()
 }
 
-// handleEvent processes one decoded sharereg event. Events for one
-// share are processed in order (by the share's queue drainer) so share
-// state never races.
+// eventBacklog is the Stats gauge behind ShardQueueDepth: events
+// buffered on the subscription plus requests inside unfinished rounds.
+func (p *Peer) eventBacklog() uint64 {
+	p.mu.Lock()
+	n := len(p.inbox)
+	p.mu.Unlock()
+	return uint64(n) + uint64(p.roundReqs.Load())
+}
+
+// handleEvent processes one decoded sharereg event other than an update
+// request.
 func (p *Peer) handleEvent(name string, payload sharereg.EventPayload) {
 	switch name {
-	case sharereg.EvUpdateRequested:
-		p.onUpdateRequested(payload)
 	case sharereg.EvUpdateFinal:
 		p.mu.Lock()
 		s, ok := p.shares[payload.ShareID]
@@ -177,111 +156,132 @@ func (p *Peer) handleEvent(name string, payload sharereg.EventPayload) {
 	}
 }
 
-// onUpdateRequested implements Fig. 5 steps 3-5 (and 9-11): a sharing
-// peer learns of an admitted update, fetches the payload from the
-// updater, embeds it into its own source with put, acknowledges on-chain,
-// and then checks its other shares for cascading (step 6).
-func (p *Peer) onUpdateRequested(ev sharereg.EventPayload) {
-	if ev.From == p.Address() {
-		return // our own proposal; replica already refreshed
-	}
-	p.mu.Lock()
-	_, bound := p.shares[ev.ShareID]
-	p.mu.Unlock()
-	if !bound {
-		return // not a participant (or not yet attached; resync catches up)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), txTimeout)
-	defer cancel()
-	if err := p.applyIncoming(ctx, ev.ShareID, ev.Seq, ev.From, ev.PayloadHash, ev.Cols); err != nil {
-		p.logf("apply update %s seq %d failed: %v", ev.ShareID, ev.Seq, err)
-	}
+// applyIncoming applies one update request as a round of one: Resync's
+// pending branch.
+func (p *Peer) applyIncoming(ctx context.Context, shareID string, seq uint64, from identity.Address, payloadHash string, cols []string) error {
+	return p.applyRound(ctx, []sharereg.EventPayload{{ShareID: shareID, Seq: seq, From: from, PayloadHash: payloadHash, Cols: cols}})
 }
 
-// applyIncoming fetches, verifies, applies, acknowledges, and cascades one
-// incoming update.
-func (p *Peer) applyIncoming(ctx context.Context, shareID string, seq uint64, from identity.Address, payloadHash string, cols []string) error {
-	s, err := p.share(shareID)
-	if err != nil {
-		return err
+// roundItem is one share's part of a receive round: the request, and the
+// transaction the round sends for it — the ack, or a rejection when
+// putErr is set; none when the update was already applied or its
+// embedding failed.
+type roundItem struct {
+	s      *Share
+	req    sharereg.EventPayload
+	tx     *chain.Tx
+	putErr error
+}
+
+// applyRound implements Fig. 5 steps 3-5 (and 9-11) for update requests
+// on distinct shares. It takes their opMus in sorted ID order, as
+// ProposeUpdates does, fetches, verifies and embeds every share
+// concurrently, persists the round's replicas as one store commit, and
+// only then submits the acks as one batch. A share whose put fails is
+// rejected on-chain in the same batch, so it does not stall and its
+// proposer rolls back, while the round's other shares finalize. Step 6,
+// the cascade into overlapping shares, starts once the batch is
+// submitted, so each ack and the next hop's request share a group-commit
+// window (Fig. 5 in three blocks, not four). Cascades propose on sibling
+// shares (taking their opMu), so they are joined only after the round
+// releases its locks. Per-share failures are joined into the error.
+func (p *Peer) applyRound(ctx context.Context, reqs []sharereg.EventPayload) error {
+	sort.Slice(reqs, func(i, j int) bool { return reqs[i].ShareID < reqs[j].ShareID })
+	var errs []error
+	var items []*roundItem
+	for _, r := range reqs {
+		// Held until the acks commit: a proposal of ours that lost the
+		// race for this seq has rolled back before we read AppliedSeq.
+		s, err := p.lockShare(r.ShareID)
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		items = append(items, &roundItem{s: s, req: r})
 	}
-	// The share-level operation lock orders this apply against our own
-	// in-flight proposals: if we optimistically advanced the replica for
-	// a proposal that lost the race for this sequence number, the
-	// rollback completes before we read AppliedSeq here. It is held until
-	// the ack commits.
-	s.opMu.Lock()
-	ack, err := p.embedIncoming(ctx, s, seq, from, payloadHash, cols)
-	if err == nil && ack != nil {
-		err = p.cfg.Node.SubmitTx(ack)
+	if err := forEachShare(items, func(it *roundItem) error { return p.embedIncoming(ctx, it) }); err != nil {
+		errs = append(errs, err)
 	}
-	if err != nil {
-		s.opMu.Unlock()
-		return err
+	var installed []*Share
+	var acked, sent []*roundItem
+	var txs []*chain.Tx
+	for _, it := range items {
+		if it.tx == nil {
+			continue
+		}
+		if it.putErr == nil {
+			installed, acked = append(installed, it.s), append(acked, it)
+		}
+		txs, sent = append(txs, it.tx), append(sent, it)
 	}
-	// Step 6: cascade into overlapping shares over the same source. It
-	// starts as soon as the ack is submitted, so the ack and the next
-	// hop's request share a group-commit window (Fig. 5 in three blocks,
-	// not four). Cascade proposes on *sibling* shares (taking their
-	// opMu), so it is joined only after the origin's lock is released:
-	// holding it across the join would deadlock two concurrent cascades
-	// with opposite origins.
-	cascaded := make(chan error, 1)
-	go func() { cascaded <- p.cascade(ctx, s, cols) }()
-	if ack != nil {
-		if _, err = p.waitCommitted(ctx, ack); err != nil {
-			err = fmt.Errorf("core: acking %s seq %d: %w", shareID, seq, err)
+	// Every replica is durable before any ack leaves.
+	p.persistShares(installed...)
+	var cascaded chan error
+	if len(txs) > 0 {
+		verdicts := p.submitAndWaitMany(ctx, txs, func() {
+			cascaded = make(chan error, 1)
+			go func() {
+				cascaded <- forEachShare(acked, func(it *roundItem) error { return p.cascade(ctx, it.s, it.req.Cols) })
+			}()
+		})
+		for i, it := range sent {
+			switch err := verdicts[i]; {
+			case it.putErr != nil && err != nil:
+				errs = append(errs, fmt.Errorf("core: put on %s failed (%v) and reject failed: %w", it.s.ID, it.putErr, err))
+			case it.putErr != nil:
+				p.record(HistoryEntry{ShareID: it.s.ID, Seq: it.req.Seq, Kind: "rejected", From: p.Address(), Note: it.putErr.Error()})
+				errs = append(errs, fmt.Errorf("core: put on %s rejected: %w", it.s.ID, it.putErr))
+			case err != nil:
+				errs = append(errs, fmt.Errorf("core: acking %s seq %d: %w", it.s.ID, it.req.Seq, err))
+			}
 		}
 	}
-	s.opMu.Unlock()
-	if cerr := <-cascaded; err == nil {
-		err = cerr
+	for _, it := range items {
+		it.s.opMu.Unlock()
 	}
-	return err
+	if cascaded != nil {
+		errs = append(errs, <-cascaded)
+	}
+	return errors.Join(errs...)
 }
 
-// embedIncoming performs steps 3-5 up to the acknowledgement (fetch,
-// verify, put, persist) and returns the signed ack for the caller to
-// submit; a nil ack means the update was already applied. The caller
-// holds the share's operation lock.
-func (p *Peer) embedIncoming(ctx context.Context, s *Share, seq uint64, from identity.Address, payloadHash string, cols []string) (*chain.Tx, error) {
+// embedIncoming performs steps 3-5 for one share of a round up to the
+// acknowledgement — fetch, verify, put — and builds the transaction the
+// round sends for it. A view edit with no translation into our source
+// under the local lens gets a rejection instead of an ack. The caller
+// holds the share's operation lock and persists the share before the ack
+// leaves.
+func (p *Peer) embedIncoming(ctx context.Context, it *roundItem) error {
+	s, r := it.s, it.req
 	s.stMu.Lock()
 	applied := s.AppliedSeq
 	s.stMu.Unlock()
-	if applied >= seq {
-		return nil, nil // already applied (e.g. via resync)
+	if applied >= r.Seq {
+		return nil // already applied (e.g. via resync)
 	}
 	// Step 4: fetch the new view payload directly from the updater (a
 	// row-level delta when it still holds our version); step 5: put it.
-	a, err := p.acquire(ctx, s, from, seq, payloadHash)
+	a, err := p.acquire(ctx, s, r.From, r.Seq, r.PayloadHash)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	err = p.install(s, seq, a)
-	if errors.Is(err, reldb.ErrNoSuchTable) {
-		return nil, err
-	}
-	if err != nil {
-		// The view edit has no translation into our source under the
-		// local lens: reject the pending update on-chain so the share
-		// does not stall and the proposer rolls back.
-		rej, berr := p.buildTx(sharereg.FnRejectUpdate, s.ID, sharereg.RejectArgs{
-			ShareID: s.ID, Seq: seq, Reason: err.Error(),
-		})
-		if berr == nil {
-			if _, serr := p.submitAndWait(ctx, rej); serr != nil {
-				return nil, fmt.Errorf("core: put failed (%v) and reject failed: %w", err, serr)
-			}
+	if err := p.install(s, r.Seq, a); err != nil {
+		if errors.Is(err, reldb.ErrNoSuchTable) {
+			return err
 		}
-		p.record(HistoryEntry{ShareID: s.ID, Seq: seq, Kind: "rejected", From: p.Address(), Note: err.Error()})
-		return nil, fmt.Errorf("core: put on %s rejected: %w", s.ID, err)
+		it.putErr = err
+		it.tx, err = p.buildTx(sharereg.FnRejectUpdate, s.ID, sharereg.RejectArgs{
+			ShareID: s.ID, Seq: r.Seq, Reason: it.putErr.Error(),
+		})
+		return err
 	}
-	p.record(HistoryEntry{ShareID: s.ID, Seq: seq, Kind: "applied", Cols: cols, From: from})
-	p.logf("applied update on %s seq %d from %s", s.ID, seq, from.Short())
+	p.record(HistoryEntry{ShareID: s.ID, Seq: r.Seq, Kind: "applied", Cols: r.Cols, From: r.From})
+	p.logf("applied update on %s seq %d from %s", s.ID, r.Seq, r.From.Short())
 
 	// Acknowledge on-chain; once every peer acks, the contract finalizes
 	// and the next update becomes admissible.
-	return p.buildTx(sharereg.FnAckUpdate, s.ID, sharereg.AckArgs{ShareID: s.ID, Seq: seq})
+	it.tx, err = p.buildTx(sharereg.FnAckUpdate, s.ID, sharereg.AckArgs{ShareID: s.ID, Seq: r.Seq})
+	return err
 }
 
 // cascade regenerates and proposes updates on every other share derived
@@ -324,11 +324,9 @@ func (p *Peer) cascade(ctx context.Context, origin *Share, changedCols []string)
 		}
 	}
 
-	// The depth bound counts *successful* proposals, exactly like the old
-	// sequential loop: a worker refuses to propose once the bound is
-	// reached. Concurrent in-flight proposals may overshoot by at most
-	// fanoutWorkers-1 — the bound is runaway-cascade protection, not an
-	// exact quota, and no-change probes never consume it.
+	// The depth bound counts successful proposals; concurrent ones may
+	// overshoot it by fanoutWorkers-1 (it guards against runaway
+	// cascades, it is not a quota), and no-change probes never count.
 	var proposals atomic.Int64
 	b := p.cfg.Retry.withDefaults()
 	return forEachShare(hits, func(s2 *Share) error {
@@ -396,15 +394,7 @@ func (p *Peer) onUpdateRejected(ev sharereg.EventPayload) {
 
 // onRemoved drops the local binding when the owner removes the share.
 func (p *Peer) onRemoved(ev sharereg.EventPayload) {
-	p.mu.Lock()
-	s, ok := p.shares[ev.ShareID]
-	if ok && ev.From != p.Address() {
-		delete(p.shares, ev.ShareID)
-	}
-	p.mu.Unlock()
-	if ok && ev.From != p.Address() {
-		_ = p.cfg.DB.Drop(s.ViewName)
-		p.persistShareRemoval(ev.ShareID)
+	if ev.From != p.Address() && p.unbind(ev.ShareID) {
 		p.record(HistoryEntry{ShareID: ev.ShareID, Kind: "removed", From: ev.From})
 	}
 }
@@ -526,6 +516,7 @@ func (p *Peer) catchUp(ctx context.Context, s *Share) error {
 	if err != nil {
 		return fmt.Errorf("core: catching up %s: %w", s.ID, err)
 	}
+	p.persistShares(s)
 	p.record(HistoryEntry{ShareID: s.ID, Seq: meta.Seq, Kind: kind, From: from})
 	p.logf("%s %s at seq %d from %s", kind, s.ID, meta.Seq, from.Short())
 	return nil

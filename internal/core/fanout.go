@@ -6,11 +6,11 @@ import (
 )
 
 // forEachShare runs fn over items on up to fanoutWorkers goroutines — the
-// peer's fan-out primitive for cascade and Resync. Shares
+// peer's fan-out primitive for cascade, Resync and receive rounds. Shares
 // are mutually independent (each share's operations are serialized by its
 // own opMu, and every table access goes through atomic database
 // snapshots), so processing them concurrently overlaps the dominant cost:
-// waiting for the chain to commit each share's transactions.
+// waiting for the chain, or in a receive round for each share's fetch.
 //
 // All items run to completion even when some fail; the collected errors
 // are joined. A single item runs on the caller's goroutine.

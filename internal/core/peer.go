@@ -23,8 +23,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"medshare/internal/bx"
@@ -123,12 +123,11 @@ type Peer struct {
 	stopOnce     sync.Once
 	stopped      chan struct{}
 
-	// Incoming-event dispatch state (see events.go): the share space is
-	// partitioned across per-shard FIFO queues, each drained by its own
-	// goroutine (started per Start/Restart generation). There is one
-	// shard per core but never fewer than fanoutWorkers: shard loops
-	// mostly wait on chain commits, not CPU.
-	evShards []*eventShard
+	// Incoming-event dispatch state (see events.go): the current
+	// generation's event subscription (under mu) and the update requests
+	// inside receive rounds that have not finished.
+	inbox     <-chan contract.Event
+	roundReqs atomic.Int64
 
 	// history records locally observed share activity for the audit
 	// examples; the authoritative history lives on-chain.
@@ -164,16 +163,16 @@ type Share struct {
 	// row keys against. Immutable after binding.
 	prioSeed []byte
 
-	// opMu serializes share-level operations (ProposeUpdate,
-	// applyIncoming, Resync) against each other. Without it, a peer's
+	// opMu serializes share-level operations (proposals, receive rounds,
+	// Resync, unbinding) against each other. Without it, a peer's
 	// optimistic replica refresh during its own proposal can race the
 	// arrival of a competing update that won the same sequence number,
 	// making the peer skip an update it must acknowledge. Single-share
-	// paths never hold one share's opMu while taking another's (cascade
-	// releases the origin's lock before proposing on sibling shares);
-	// the only multi-share holder is the group-commit path
-	// (ProposeUpdates), which always acquires in sorted share-ID order,
-	// so concurrent cascades and batches cannot deadlock.
+	// paths never hold one share's opMu while taking another's (a round's
+	// cascades start on other goroutines and are joined after it releases
+	// its locks); the only multi-share holders are ProposeUpdates and
+	// receive rounds, which both acquire in sorted share-ID order, so
+	// concurrent cascades, batches and rounds cannot deadlock.
 	opMu sync.Mutex
 
 	// stMu guards the mutable share state below. Per-share — not
@@ -260,14 +259,10 @@ func NewPeer(cfg Config) (*Peer, error) {
 		cfg.RPCTimeout = 5 * time.Second
 	}
 	p := &Peer{
-		cfg:      cfg,
-		shares:   make(map[string]*Share),
-		stopped:  make(chan struct{}),
-		health:   make(map[string]*endpointHealth),
-		evShards: make([]*eventShard, max(fanoutWorkers, runtime.GOMAXPROCS(0))),
-	}
-	for i := range p.evShards {
-		p.evShards[i] = &eventShard{wake: make(chan struct{}, 1)}
+		cfg:     cfg,
+		shares:  make(map[string]*Share),
+		stopped: make(chan struct{}),
+		health:  make(map[string]*endpointHealth),
 	}
 	if cfg.Transport != nil {
 		cfg.Transport.HandleRequest(p.serveRequest)
@@ -316,29 +311,11 @@ func (p *Peer) DB() *reldb.Database { return p.cfg.DB }
 func (p *Peer) Start() {
 	events, cancel := p.cfg.Node.Subscribe(1024)
 	p.cancelEvents = cancel
-	// Shard drainers are per-generation: they capture this generation's
-	// stop channel, so a Restart (which replaces it) launches a fresh
-	// set while the old ones are already gone (Stop waited for them).
-	stopped := p.stopped
-	for _, sh := range p.evShards {
-		p.wg.Add(1)
-		go p.runEventShard(sh, stopped)
-	}
+	p.mu.Lock()
+	p.inbox = events
+	p.mu.Unlock()
 	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		for {
-			select {
-			case <-stopped:
-				return
-			case ev, ok := <-events:
-				if !ok {
-					return
-				}
-				p.dispatchEvent(ev)
-			}
-		}
-	}()
+	go p.runEvents(events, p.stopped)
 	if p.cfg.ResyncInterval > 0 {
 		p.wg.Add(1)
 		go func() {
@@ -389,6 +366,21 @@ func (p *Peer) share(id string) (*Share, error) {
 	defer p.mu.Unlock()
 	s, ok := p.shares[id]
 	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownShare, id)
+	}
+	return s, nil
+}
+
+// lockShare takes the share's operation lock and returns the share if it
+// is still bound: one unbound while the caller waited is unknown.
+func (p *Peer) lockShare(id string) (*Share, error) {
+	s, err := p.share(id)
+	if err != nil {
+		return nil, err
+	}
+	s.opMu.Lock()
+	if cur, _ := p.share(id); cur != s {
+		s.opMu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrUnknownShare, id)
 	}
 	return s, nil
@@ -480,8 +472,9 @@ func (p *Peer) waitCommitted(ctx context.Context, tx *chain.Tx) (contract.Receip
 // and waits for each to land, returning a per-transaction verdict (nil
 // on success). One txTimeout covers the whole batch: the transactions
 // share a block, so their commits arrive together. A batch-level
-// submission failure fails every verdict.
-func (p *Peer) submitAndWaitMany(ctx context.Context, txs []*chain.Tx) []error {
+// submission failure fails every verdict. submitted, when set, runs once
+// the batch is in the mempool, before the wait.
+func (p *Peer) submitAndWaitMany(ctx context.Context, txs []*chain.Tx, submitted func()) []error {
 	verdicts := make([]error, len(txs))
 	if err := p.cfg.Node.SubmitTxBatch(txs); err != nil {
 		for i := range verdicts {
@@ -491,6 +484,9 @@ func (p *Peer) submitAndWaitMany(ctx context.Context, txs []*chain.Tx) []error {
 	}
 	p.stats.batchCommits.Add(1)
 	p.stats.batchTxs.Add(uint64(len(txs)))
+	if submitted != nil {
+		submitted()
+	}
 	ctx, cancel := context.WithTimeout(ctx, txTimeout)
 	defer cancel()
 	for i, tx := range txs {

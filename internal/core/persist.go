@@ -127,8 +127,9 @@ func (p *Peer) restoredShare(id, sourceTable, viewName string, chainMeta *sharer
 		// store that lost the tail. Untrustworthy; rebuild from source.
 		return nil, nil, 0, false
 	}
-	if s2, err := st.LoadTable(sourceTable); err == nil {
-		src = s2
+	src, err = st.LoadTable(sourceTable)
+	if err != nil {
+		p.logf("restore %s: source table %s failed to load, keeping the local one: %v", id, sourceTable, err)
 	}
 	return v, src, sm.Seq, true
 }

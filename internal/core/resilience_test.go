@@ -635,7 +635,7 @@ func TestGroupCommitResilience(t *testing.T) {
 	// skip a share's updates. Streams of different kinds interleave
 	// (events are recorded asynchronously), so order is asserted within
 	// each (share, kind) stream. Ordering violations fail immediately;
-	// "final"-stream coverage is polled, because the event shards record
+	// "final"-stream coverage is polled, because the event dispatcher records
 	// finalization entries asynchronously and may trail WaitFinal (which
 	// watches chain state, not the history log).
 	type stream struct{ share, kind string }

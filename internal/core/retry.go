@@ -163,8 +163,9 @@ type Stats struct {
 	// how read-hot shares are between updates.
 	ProofCacheHits   uint64
 	ProofCacheMisses uint64
-	// ShardQueueDepth is a gauge: events currently queued across the
-	// sharded event runtime at snapshot time.
+	// ShardQueueDepth is a gauge: events delivered and not yet
+	// dispatched, plus update requests inside unfinished receive rounds
+	// (events.go; the name predates them).
 	ShardQueueDepth uint64
 }
 
@@ -218,10 +219,10 @@ func (c *statsCounters) snapshot() Stats {
 }
 
 // Stats returns a snapshot of the peer's resilience and write-path
-// counters, plus live gauges (shard queue depths) read at call time.
+// counters, plus the live event-backlog gauge read at call time.
 func (p *Peer) Stats() Stats {
 	st := p.stats.snapshot()
-	st.ShardQueueDepth = p.shardQueueDepth()
+	st.ShardQueueDepth = p.eventBacklog()
 	return st
 }
 

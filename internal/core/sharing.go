@@ -223,11 +223,10 @@ type ProposalResult struct {
 // ErrNoChanges is returned when the view is unaffected by the local edit;
 // callers treat it as success.
 func (p *Peer) ProposeUpdate(ctx context.Context, shareID string) (ProposalResult, error) {
-	s, err := p.share(shareID)
+	s, err := p.lockShare(shareID)
 	if err != nil {
 		return ProposalResult{}, err
 	}
-	s.opMu.Lock()
 	defer s.opMu.Unlock()
 	st, err := p.stageProposal(s)
 	if err != nil {
@@ -390,8 +389,9 @@ func (p *Peer) finalizeProposal(st *stagedProposal) ProposalResult {
 // denial on one share rolls back only that share.
 //
 // Share opMu locks are acquired in sorted ID order and held across the
-// collective wait; because every multi-share acquirer uses the same
-// order and single-share paths hold only one, this cannot deadlock.
+// collective wait; because every multi-share acquirer (this and the
+// receive rounds of events.go) uses the same order and single-share
+// paths hold only one, this cannot deadlock.
 //
 // Shares with no changes are skipped. Successful proposals are returned
 // sorted by share ID; per-share failures are joined into the returned
@@ -410,12 +410,11 @@ func (p *Peer) ProposeUpdates(ctx context.Context, shareIDs []string) ([]Proposa
 		if i > 0 && id == ids[i-1] {
 			continue
 		}
-		s, err := p.share(id)
+		s, err := p.lockShare(id)
 		if err != nil {
 			errs = append(errs, err)
 			continue
 		}
-		s.opMu.Lock()
 		st, err := p.stageProposal(s)
 		if err != nil {
 			s.opMu.Unlock()
@@ -434,7 +433,7 @@ func (p *Peer) ProposeUpdates(ctx context.Context, shareIDs []string) ([]Proposa
 	for i, st := range staged {
 		txs[i] = st.tx
 	}
-	verdicts := p.submitAndWaitMany(ctx, txs)
+	verdicts := p.submitAndWaitMany(ctx, txs, nil)
 
 	out := make([]ProposalResult, 0, len(staged))
 	finalized := make([]*Share, 0, len(staged))
@@ -666,16 +665,27 @@ func (p *Peer) RemoveShare(ctx context.Context, shareID string) error {
 	if _, err := p.submitAndWait(ctx, tx); err != nil {
 		return err
 	}
-	p.mu.Lock()
-	s, ok := p.shares[shareID]
-	delete(p.shares, shareID)
-	p.mu.Unlock()
-	if ok {
-		_ = p.cfg.DB.Drop(s.ViewName)
-		p.persistShareRemoval(shareID)
-	}
+	p.unbind(shareID)
 	p.record(HistoryEntry{ShareID: shareID, Kind: "remove"})
 	return nil
+}
+
+// unbind drops a removed share's binding, view and durable record,
+// reporting whether it was bound. It takes the share's operation lock,
+// so it lands after any round or proposal holding the share and nothing
+// persists the share after its tombstone.
+func (p *Peer) unbind(id string) bool {
+	s, err := p.lockShare(id)
+	if err != nil {
+		return false
+	}
+	defer s.opMu.Unlock()
+	p.mu.Lock()
+	delete(p.shares, id)
+	p.mu.Unlock()
+	_ = p.cfg.DB.Drop(s.ViewName)
+	p.persistShareRemoval(id)
+	return true
 }
 
 func metaHasPeer(m *sharereg.Meta, addr identity.Address) bool {

@@ -188,12 +188,15 @@ func (n *Node) replay(state *statedb.Store, blocks []*chain.Block) error {
 }
 
 // publish records a main-chain block's receipts and replay protection,
-// fulfils waiters, signals BlockApplied and delivers the block's events.
+// fulfils waiters, delivers the block's events and signals BlockApplied.
 // The caller holds commitMu and has already stored the block's
-// post-state, so every woken reader finds it.
+// post-state, so every woken reader finds it. The events are buffered on
+// every subscription before the signal, so a subscriber woken by
+// BlockApplied drains the whole block at once.
 func (n *Node) publish(b *chain.Block, receipts []contract.Receipt) {
 	ids := make([]string, len(b.Txs))
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	for i, tx := range b.Txs {
 		id := tx.IDString()
 		ids[i] = id
@@ -205,13 +208,11 @@ func (n *Node) publish(b *chain.Block, receipts []contract.Receipt) {
 		delete(n.txWaiters, id)
 	}
 	n.mempool.remove(ids)
-	close(n.applied)
-	n.applied = make(chan struct{})
-	n.mu.Unlock()
-
 	for _, r := range receipts {
 		for _, ev := range r.Events {
 			n.events.publish(ev)
 		}
 	}
+	close(n.applied)
+	n.applied = make(chan struct{})
 }

@@ -176,7 +176,8 @@ func (n *Node) snapshot() (*chain.Block, *statedb.Store) {
 }
 
 // BlockApplied returns a channel that is closed when the next main-chain
-// block is published. Waiters take the channel before checking their
+// block is published, after the block's events have been delivered to
+// every subscription. Waiters take the channel before checking their
 // condition, so a block landing in between still wakes them.
 func (n *Node) BlockApplied() <-chan struct{} {
 	n.mu.Lock()

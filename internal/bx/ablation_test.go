@@ -7,9 +7,9 @@ import (
 	"medshare/internal/reldb"
 )
 
-// This file is the "key-aligned vs positional put" ablation called out in
-// DESIGN.md §5: it demonstrates *why* the projection lens aligns rows by
-// key. A strawman positional put — write the i-th delivered view row's
+// This file is the "key-aligned vs positional put" ablation: it
+// demonstrates *why* the projection lens aligns rows by key (the put
+// semantics in ProjectLens's doc comment). A strawman positional put — write the i-th delivered view row's
 // projected columns into the i-th source row — looks plausible, is what a
 // naive implementation would do, and silently corrupts data the moment
 // the payload enumerates rows in a different order than the receiver's
@@ -74,7 +74,7 @@ func TestPositionalPutCorruptsUnderReorder(t *testing.T) {
 	}
 
 	// Key-aligned put: correct regardless of order.
-	aligned, err := lens.Put(src, reordered)
+	aligned, err := Put(lens, src, reordered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,8 @@ func TestPositionalPutCorruptsUnderReorder(t *testing.T) {
 }
 
 // BenchmarkAblationKeyAlignedPut quantifies what key alignment costs over
-// the (broken) positional zip — the price of correctness.
+// the (broken) positional zip — the price of correctness. The aligned
+// side is the whole-view Put: a get, a diff and the delta put.
 func BenchmarkAblationKeyAlignedPut(b *testing.B) {
 	for _, rows := range []int{100, 1000} {
 		src := reldb.MustNewTable(recordsSchema())
@@ -125,7 +126,7 @@ func BenchmarkAblationKeyAlignedPut(b *testing.B) {
 		viewRows := view.Rows()
 		b.Run(fmt.Sprintf("aligned/rows=%d", rows), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := lens.Put(src, view); err != nil {
+				if _, err := Put(lens, src, view); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -31,9 +31,9 @@ type ComposeLens struct {
 	// independent), so it hits across the O(1) snapshot clones the
 	// sharing layer takes, and a stale entry can never be confused for
 	// the current source. Cached tables are treated as immutable: lens
-	// Get/Put never mutate their arguments. Purely an optimization —
+	// methods never mutate their arguments. Purely an optimization —
 	// semantics are unchanged because memo validity follows from the
-	// lens laws (PutGet: Inner.Get(Inner.Put(src, mid')) = mid').
+	// lens laws (PutGet: Inner.Get(put(src, mid')) = mid').
 	memo [2]atomic.Pointer[composeMemo]
 }
 
@@ -106,24 +106,6 @@ func (l *ComposeLens) Get(src *reldb.Table) (*reldb.Table, error) {
 	}
 	l.remember(src, mid)
 	return l.Outer.Get(mid)
-}
-
-// Put implements Lens.
-func (l *ComposeLens) Put(src, view *reldb.Table) (*reldb.Table, error) {
-	mid, ok := l.cachedMid(src)
-	if !ok {
-		var err error
-		mid, err = l.Inner.Get(src)
-		if err != nil {
-			return nil, err
-		}
-		l.remember(src, mid)
-	}
-	newMid, err := l.Outer.Put(mid, view)
-	if err != nil {
-		return nil, err
-	}
-	return l.Inner.Put(src, newMid)
 }
 
 // Spec implements Lens.

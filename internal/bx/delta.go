@@ -6,14 +6,10 @@ import (
 	"medshare/internal/reldb"
 )
 
-// Delta propagation: when a view edit is known as a row-level changeset
-// (the common case in the Fig. 5 workflow — the contract event names the
-// changed rows and the data channel ships a changeset), put does not need
-// to rematerialize the whole source. PutDelta starts from a copy-on-write
-// clone of the source and touches only the changed rows, so a one-row
-// view edit costs O(changed rows), not O(table). Every lens implements
-// it natively — PutDelta is part of the Lens interface — so no caller on
-// the update path ever pays an O(table) put.
+// The put of every lens is its delta put: PutDelta starts from a
+// copy-on-write clone of the source and touches only the changed rows, so
+// a one-row view edit costs O(changed rows), not O(table). The whole-view
+// Put is defined from it, so the two cannot disagree.
 //
 // The changeset must be the difference between the lens's current view of
 // src (i.e. Get(src)) and the supplied view, as produced by
@@ -29,20 +25,25 @@ func PutDelta(l Lens, src, view *reldb.Table, cs reldb.Changeset) (*reldb.Table,
 	return l.PutDelta(src, view, cs)
 }
 
-// FullPut is the O(table) reference path: a whole-view Put followed by a
-// full source diff to recover the changeset. It exists for the lens-law
-// checkers and the delta-vs-full ablation tests, which cross-validate
-// PutDelta against it; nothing on the update path calls it.
-func FullPut(l Lens, src, view *reldb.Table) (*reldb.Table, reldb.Changeset, error) {
-	newSrc, err := l.Put(src, view)
+// Put embeds a whole view into src: the delta put of the changeset from
+// the lens's current view of src to view. It costs a Get and a Diff,
+// O(table), so the sharing layer takes it only where it holds no
+// changeset it can trust (a diverged replica, a repair). Put never
+// mutates src or view.
+func Put(l Lens, src, view *reldb.Table) (*reldb.Table, error) {
+	cur, err := l.Get(src)
 	if err != nil {
-		return nil, reldb.Changeset{}, err
+		return nil, err
 	}
-	srcCs, err := src.Diff(newSrc)
+	if !cur.Schema().Equal(view.Schema()) {
+		return nil, fmt.Errorf("%w: view schema does not match the lens's view of the source", ErrPutViolation)
+	}
+	cs, err := cur.Diff(view)
 	if err != nil {
-		return nil, reldb.Changeset{}, err
+		return nil, err
 	}
-	return newSrc, srcCs, nil
+	newSrc, _, err := PutDelta(l, src, view, cs)
+	return newSrc, err
 }
 
 // keyChanged reports whether two full rows differ in t's key columns.

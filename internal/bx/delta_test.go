@@ -22,8 +22,8 @@ func deltaFor(t *testing.T, view, edited *reldb.Table) reldb.Changeset {
 }
 
 // TestPutDeltaMatchesPutQuick: for every lens in the menagerie and every
-// random admissible edit, the delta path must agree exactly with the full
-// put — same result table, or the same refusal.
+// random admissible edit, the delta path must agree exactly with the
+// reference put — same result table, or the same refusal.
 func TestPutDeltaMatchesPutQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -39,39 +39,8 @@ func TestPutDeltaMatchesPutQuick(t *testing.T) {
 			structural := spec.OnDelete == PolicyApply ||
 				(spec.Op == OpCompose && spec.Inner[1].OnDelete == PolicyApply)
 			randomViewEdit(rng, edited, structural)
-			cs := deltaFor(t, view, edited)
-
-			want, wantErr := l.Put(src, edited)
-			got, srcCs, gotErr := PutDelta(l, src, edited, cs)
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Logf("seed %d lens %d: put err %v vs delta err %v", seed, i, wantErr, gotErr)
-				return false
-			}
-			if wantErr != nil {
-				continue
-			}
-			if !want.Equal(got) {
-				t.Logf("seed %d lens %d: delta result diverges from put", seed, i)
-				return false
-			}
-			// The reported source changeset must replay src into the result.
-			replayed := src.Clone()
-			if err := replayed.Apply(srcCs); err != nil {
-				t.Logf("seed %d lens %d: replay: %v", seed, i, err)
-				return false
-			}
-			if !replayed.Equal(got) {
-				t.Logf("seed %d lens %d: source changeset does not replay", seed, i)
-				return false
-			}
-			// PutGet must hold along the delta path too.
-			round, err := l.Get(got)
-			if err != nil {
-				t.Logf("seed %d lens %d: get after delta put: %v", seed, i, err)
-				return false
-			}
-			if !round.Equal(edited) {
-				t.Logf("seed %d lens %d: PutGet fails along delta path", seed, i)
+			if msg := checkPutDelta(l, src, view, edited); msg != "" {
+				t.Logf("seed %d lens %d: %s", seed, i, msg)
 				return false
 			}
 		}
@@ -129,7 +98,7 @@ func TestPutDeltaStructuralEdits(t *testing.T) {
 	if cs.Size() != 3 {
 		t.Fatalf("changeset size = %d, want 3", cs.Size())
 	}
-	want, err := l.Put(src, edited)
+	want, err := refPut(l, src, edited)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +107,7 @@ func TestPutDeltaStructuralEdits(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !want.Equal(got) {
-		t.Fatal("delta result diverges from put")
+		t.Fatal("delta result diverges from the reference put")
 	}
 	if srcCs.Size() != 3 {
 		t.Fatalf("source changeset size = %d, want 3", srcCs.Size())
@@ -204,8 +173,8 @@ func TestPutDeltaSelectPredicateViolation(t *testing.T) {
 
 // TestSelectInsertCollidingWithInvisibleRow: inserting a view row whose
 // key belongs to a source row *outside* the selection has no embedding —
-// get would hide it again. Both Put and PutDelta must reject it (the old
-// Put silently dropped the insert, violating PutGet).
+// get would hide it again. The reference put and PutDelta must both
+// reject it (silently dropping the insert would violate PutGet).
 func TestSelectInsertCollidingWithInvisibleRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	src := genRecords(rng, 8)
@@ -230,8 +199,8 @@ func TestSelectInsertCollidingWithInvisibleRow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := l.Put(src, edited); !errors.Is(err, ErrPutViolation) {
-		t.Fatalf("Put: got %v, want ErrPutViolation", err)
+	if _, err := refPut(l, src, edited); !errors.Is(err, ErrPutViolation) {
+		t.Fatalf("reference put: got %v, want ErrPutViolation", err)
 	}
 	cs := deltaFor(t, view, edited)
 	if _, _, err := PutDelta(l, src, edited, cs); !errors.Is(err, ErrPutViolation) {
@@ -255,7 +224,7 @@ func TestPutDeltaRekeyedProjectionDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := deltaFor(t, view, edited)
-	want, err := l.Put(src, edited)
+	want, err := refPut(l, src, edited)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +233,7 @@ func TestPutDeltaRekeyedProjectionDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !want.Equal(got) {
-		t.Fatal("re-keyed delta result diverges from put")
+		t.Fatal("re-keyed delta result diverges from the reference put")
 	}
 	// The one-view-row edit must have touched every source row of the
 	// medication group, and only those.
@@ -309,7 +278,7 @@ func TestPutDeltaRekeyedStructural(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := deltaFor(t, view, edited)
-	want, err := l.Put(src, edited)
+	want, err := refPut(l, src, edited)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +287,7 @@ func TestPutDeltaRekeyedStructural(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !want.Equal(got) {
-		t.Fatal("re-keyed structural delta diverges from put")
+		t.Fatal("re-keyed structural delta diverges from the reference put")
 	}
 	replayed := src.Clone()
 	if err := replayed.Apply(srcCs); err != nil {
@@ -331,7 +300,7 @@ func TestPutDeltaRekeyedStructural(t *testing.T) {
 
 // TestPutDeltaRekeyedSourceKeyEdit: a re-keyed view that projects the
 // *source* key column. Editing it through the view moves the source row
-// to a new primary key — the delta path must mirror the full put
+// to a new primary key — the delta path must mirror the reference put
 // (delete + insert), not leave a stale duplicate behind.
 func TestPutDeltaRekeyedSourceKeyEdit(t *testing.T) {
 	src := reldb.MustNewTable(recordsSchema())
@@ -348,7 +317,7 @@ func TestPutDeltaRekeyedSourceKeyEdit(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := deltaFor(t, view, edited)
-	want, err := l.Put(src, edited)
+	want, err := refPut(l, src, edited)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +326,7 @@ func TestPutDeltaRekeyedSourceKeyEdit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !want.Equal(got) {
-		t.Fatal("source-key edit diverges from put")
+		t.Fatal("source-key edit diverges from the reference put")
 	}
 	if got.Len() != src.Len() {
 		t.Fatalf("row count changed: %d -> %d (stale duplicate?)", src.Len(), got.Len())
@@ -373,8 +342,9 @@ func TestPutDeltaRekeyedSourceKeyEdit(t *testing.T) {
 
 // TestComposePutDeltaMemo drives a multi-step cascade through one
 // ComposeLens instance — the per-share shape in the sharing layer — and
-// checks every step agrees with the stateless full put, including after
-// the source changes behind the lens's back (memo invalidation by hash).
+// checks every step agrees with the stateless reference put, including
+// after the source changes behind the lens's back (memo invalidation by
+// hash).
 func TestComposePutDeltaMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	src := genRecords(rng, 20)
@@ -382,12 +352,6 @@ func TestComposePutDeltaMemo(t *testing.T) {
 		Select("ca", reldb.Cmp("pid", reldb.OpGe, reldb.I(2))).WithDelete(PolicyApply).WithInsert(PolicyApply),
 		Project("cb", []string{"pid", "dose"}, nil),
 	)
-	fresh := func() Lens { // stateless reference lens (no memo reuse)
-		return Compose(
-			Select("ca", reldb.Cmp("pid", reldb.OpGe, reldb.I(2))).WithDelete(PolicyApply).WithInsert(PolicyApply),
-			Project("cb", []string{"pid", "dose"}, nil),
-		)
-	}
 	cur := src
 	for step := 0; step < 5; step++ {
 		view := mustGet(t, cl, cur)
@@ -398,7 +362,7 @@ func TestComposePutDeltaMemo(t *testing.T) {
 			t.Fatal(err)
 		}
 		cs := deltaFor(t, view, edited)
-		want, err := fresh().Put(cur, edited)
+		want, err := refPut(cl, cur, edited)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +371,7 @@ func TestComposePutDeltaMemo(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !want.Equal(got) {
-			t.Fatalf("step %d: memoized compose delta diverges from put", step)
+			t.Fatalf("step %d: memoized compose delta diverges from the reference put", step)
 		}
 		replayed := cur.Clone()
 		if err := replayed.Apply(srcCs); err != nil {
@@ -431,7 +395,7 @@ func TestComposePutDeltaMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := deltaFor(t, view, edited)
-	want, err := fresh().Put(out, edited)
+	want, err := refPut(cl, out, edited)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,12 +408,11 @@ func TestComposePutDeltaMemo(t *testing.T) {
 	}
 }
 
-// TestFullPutMatchesPutDelta: the guarded O(table) reference path
-// (bx.FullPut, kept for the law checkers and ablations — never on the
-// update path) must agree with the native delta path on result table
-// AND reported source changeset, for every lens kind including the
-// join.
-func TestFullPutMatchesPutDelta(t *testing.T) {
+// TestPutMatchesReference: the whole-view put (Put, the delta put of a
+// diff against the lens's own get) must agree with the reference put for
+// every lens kind including the join, and the delta path's source
+// changeset must replay src into it.
+func TestPutMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	src := genRecords(rng, 10)
 	lenses := []Lens{
@@ -465,38 +428,30 @@ func TestFullPutMatchesPutDelta(t *testing.T) {
 		view := mustGet(t, l, src)
 		edited := view.Clone()
 		randomViewEdit(rng, edited, false)
-		cs := deltaFor(t, view, edited)
-		want, wantCs, err := FullPut(l, src, edited)
+		want, err := refPut(l, src, edited)
 		if err != nil {
-			t.Fatalf("lens %d: full put: %v", i, err)
+			t.Fatalf("lens %d: reference put: %v", i, err)
 		}
-		got, gotCs, err := PutDelta(l, src, edited, cs)
+		got, err := Put(l, src, edited)
 		if err != nil {
-			t.Fatalf("lens %d: delta: %v", i, err)
+			t.Fatalf("lens %d: put: %v", i, err)
 		}
 		if !want.Equal(got) {
-			t.Fatalf("lens %d: PutDelta diverges from FullPut", i)
+			t.Fatalf("lens %d: Put diverges from the reference put", i)
 		}
-		// Both changesets must replay src into the same table.
-		for j, scs := range []reldb.Changeset{wantCs, gotCs} {
-			replayed := src.Clone()
-			if err := replayed.Apply(scs); err != nil {
-				t.Fatalf("lens %d cs %d: replay: %v", i, j, err)
-			}
-			if !replayed.Equal(got) {
-				t.Fatalf("lens %d cs %d: source changeset does not replay", i, j)
-			}
+		if msg := checkPutDelta(l, src, view, edited); msg != "" {
+			t.Fatalf("lens %d: %s", i, msg)
 		}
 	}
 }
 
 // TestJoinPutDeltaEquivalenceQuick is the join lens's delta property
-// test: PutDelta(l, src, view, cs) ≡ Put(src, view) over randomized
+// test: PutDelta agrees with the reference put over randomized
 // changesets. Admissible edits (source columns, and join-column
 // re-points that carry the new reference values) agree on the result
 // table, the reported source changeset, and PutGet; inadmissible edits
 // — reference-column forgeries, join keys with no reference match,
-// view-side inserts and deletes — are rejected by BOTH paths.
+// view-side inserts and deletes — are rejected by BOTH.
 func TestJoinPutDeltaEquivalenceQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -550,36 +505,8 @@ func TestJoinPutDeltaEquivalenceQuick(t *testing.T) {
 				return false
 			}
 		}
-		cs := deltaFor(t, view, edited)
-		want, wantErr := l.Put(src, edited)
-		got, srcCs, gotErr := PutDelta(l, src, edited, cs)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Logf("seed %d: put err %v vs delta err %v", seed, wantErr, gotErr)
-			return false
-		}
-		if wantErr != nil {
-			return true // both rejected
-		}
-		if !want.Equal(got) {
-			t.Logf("seed %d: join delta result diverges from put", seed)
-			return false
-		}
-		replayed := src.Clone()
-		if err := replayed.Apply(srcCs); err != nil {
-			t.Logf("seed %d: replay: %v", seed, err)
-			return false
-		}
-		if !replayed.Equal(got) {
-			t.Logf("seed %d: join source changeset does not replay", seed)
-			return false
-		}
-		round, err := l.Get(got)
-		if err != nil {
-			t.Logf("seed %d: get after delta put: %v", seed, err)
-			return false
-		}
-		if !round.Equal(edited) {
-			t.Logf("seed %d: PutGet fails along the join delta path", seed)
+		if msg := checkPutDelta(l, src, view, edited); msg != "" {
+			t.Logf("seed %d: %s", seed, msg)
 			return false
 		}
 		return true

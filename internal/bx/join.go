@@ -187,7 +187,7 @@ func (l *JoinLens) refIndex(p *joinPlan) map[string]reldb.Row {
 
 // rejoin returns the unique reference row selected by the join-column
 // tuple at the given row positions (idx into r) — the per-row lookup
-// behind Get, Put, and PutDelta: one allocation-free map probe against
+// behind Get, GetDelta and PutDelta: one allocation-free map probe against
 // the lens's reference index. keyBuf is the caller's reusable scratch.
 func (l *JoinLens) rejoin(p *joinPlan, keyBuf []byte, r reldb.Row, idx []int) (reldb.Row, []byte, error) {
 	keyBuf = keyBuf[:0]
@@ -257,63 +257,11 @@ func (l *JoinLens) viewRow(p *joinPlan, keyBuf []byte, sr reldb.Row, srcName str
 	return vr, keyBuf, nil
 }
 
-// Put implements Lens: every view row must address an existing source
-// row (inserts rejected by the row-count gate), carry exactly the
-// reference values its join tuple selects (reference edits rejected,
-// re-joined per row), and no source row may lack a view row (deletes
-// rejected); the surviving source columns are written back on the
-// source's tree shape, sharing every untouched row's subtree.
-func (l *JoinLens) Put(src, view *reldb.Table) (*reldb.Table, error) {
-	p, err := l.plan(src)
-	if err != nil {
-		return nil, err
-	}
-	if !p.want.Equal(view.Schema()) {
-		return nil, fmt.Errorf("%w: join view schema mismatch", ErrPutViolation)
-	}
-	if view.Len() > src.Len() {
-		return nil, fmt.Errorf("%w: join view inserted rows (reference side is read-only)", ErrPutViolation)
-	}
-	if view.Len() < src.Len() {
-		return nil, fmt.Errorf("%w: join view deleted rows (reference side is read-only)", ErrPutViolation)
-	}
-	var keyBuf []byte
-	return src.RebuildAs(src.Schema(), func(sr reldb.Row) (reldb.Row, error) {
-		keyBuf = src.AppendKeyOf(keyBuf[:0], sr)
-		vr, ok := view.GetKeyBytes(keyBuf)
-		if !ok {
-			// Equal counts but this source key is missing: the view
-			// deleted it and inserted something else.
-			return nil, fmt.Errorf("%w: join view deleted rows (reference side is read-only)", ErrPutViolation)
-		}
-		var refRow reldb.Row
-		refRow, keyBuf, err = l.rejoin(p, keyBuf, vr, p.sharedView)
-		if err != nil {
-			return nil, err
-		}
-		if err := l.checkRefCols(p, vr, refRow); err != nil {
-			return nil, err
-		}
-		same := true
-		for i, vi := range p.srcView {
-			if !sr[i].Equal(vr[vi]) {
-				same = false
-				break
-			}
-		}
-		if same {
-			return sr, nil
-		}
-		return p.sourceRow(vr), nil
-	})
-}
-
 // PutDelta implements Lens: each changed row re-joins against the
 // reference through the plan's hash index and is rejected per row if it
 // edits a reference column or matches no reference row; structural view
 // edits are rejected outright (the reference side is read-only). Cost is
-// O(changed rows · log n) — the last lens on the update path with an
-// O(table) fallback now has none.
+// O(changed rows · log n).
 func (l *JoinLens) PutDelta(src, view *reldb.Table, cs reldb.Changeset) (*reldb.Table, reldb.Changeset, error) {
 	p, err := l.plan(src)
 	if err != nil {

@@ -61,7 +61,7 @@ func TestJoinPutSourceEdit(t *testing.T) {
 	if err := v.Update(reldb.Row{reldb.I(3)}, map[string]reldb.Value{"dose": reldb.S("JOINED")}); err != nil {
 		t.Fatal(err)
 	}
-	newSrc, err := l.Put(src, v)
+	newSrc, err := Put(l, src, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestJoinPutRejectsReferenceEdit(t *testing.T) {
 	if err := v.Update(reldb.Row{reldb.I(3)}, map[string]reldb.Value{"class": reldb.S("forged")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Put(src, v); !errors.Is(err, ErrPutViolation) {
+	if _, err := Put(l, src, v); !errors.Is(err, ErrPutViolation) {
 		t.Fatalf("want ErrPutViolation, got %v", err)
 	}
 }
@@ -93,7 +93,7 @@ func TestJoinPutRejectsStructuralEdits(t *testing.T) {
 	if err := v.Delete(v.KeyValues(rows[0])); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Put(src, v); !errors.Is(err, ErrPutViolation) {
+	if _, err := Put(l, src, v); !errors.Is(err, ErrPutViolation) {
 		t.Fatalf("delete: want ErrPutViolation, got %v", err)
 	}
 }
@@ -162,7 +162,7 @@ func TestJoinComposedWithProjection(t *testing.T) {
 	// does not carry "class" back, so put re-derives it. PutGet may fail
 	// if the class column in the view disagrees; verify put errors or the
 	// result re-joins consistently.
-	newSrc, err := l.Put(src, v)
+	newSrc, err := Put(l, src, v)
 	if err != nil {
 		// Acceptable: the stale class value is a reference edit.
 		return

@@ -142,11 +142,11 @@ func TestPutIdempotent(t *testing.T) {
 				return false
 			}
 			randomViewEdit(rng, view, false)
-			s1, err := l.Put(src, view)
+			s1, err := Put(l, src, view)
 			if err != nil {
 				return false
 			}
-			s2, err := l.Put(s1, view)
+			s2, err := Put(l, s1, view)
 			if err != nil {
 				return false
 			}
@@ -171,17 +171,19 @@ func TestCheckWellBehavedOnMenagerie(t *testing.T) {
 	}
 }
 
-// brokenLens violates GetPut deliberately: put ignores the view.
+// brokenLens violates GetPut deliberately: its put corrupts a row the
+// view edit never touched.
 type brokenLens struct{ *ProjectLens }
 
-func (b brokenLens) Put(src, view *reldb.Table) (*reldb.Table, error) {
-	out := src.Clone()
-	// Corrupt a row so put(s, get(s)) != s.
-	rows := out.RowsCanonical()
-	if len(rows) > 0 {
+func (b brokenLens) PutDelta(src, view *reldb.Table, cs reldb.Changeset) (*reldb.Table, reldb.Changeset, error) {
+	out, srcCs, err := b.ProjectLens.PutDelta(src, view, cs)
+	if err != nil {
+		return nil, reldb.Changeset{}, err
+	}
+	if rows := out.RowsCanonical(); len(rows) > 0 {
 		_ = out.Update(out.KeyValues(rows[0]), map[string]reldb.Value{"dose": reldb.S("corrupted")})
 	}
-	return out, nil
+	return out, srcCs, nil
 }
 
 func TestLawCheckersCatchViolations(t *testing.T) {

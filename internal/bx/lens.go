@@ -7,9 +7,17 @@
 //	GetPut: put(s, get(s)) = s
 //	PutGet: get(put(s, v)) = v
 //
-// Lenses are built from combinators — Project, Select, Rename, Compose —
-// and carry a serializable Spec so a share's lens can be registered as
-// on-chain metadata and reconstructed by any authorized peer.
+// Each lens states its put once, on changesets (PutDelta); the whole-table
+// put (Put) is that delta put applied to the diff between the lens's
+// current view of the source and the new view, as in the delta-based
+// formulation of Diskin, Xiong and Czarnecki (JOT 2011). Get stays native:
+// it is the O(n) bootstrap of a share and the oracle GetDelta is checked
+// against.
+//
+// Lenses are built from combinators — Project, Select, Rename, Join,
+// Compose — and carry a serializable Spec so a share's lens can be
+// registered as on-chain metadata and reconstructed by any authorized
+// peer.
 package bx
 
 import (
@@ -35,13 +43,12 @@ var (
 // Implementations must be pure: no method may mutate its arguments, and
 // all must be deterministic.
 //
-// The delta path (GetDelta, PutDelta) is part of the required surface:
-// every lens must carry a row-level changeset across in O(changed rows)
-// work in both directions, because the sharing layer's whole update
-// pipeline — proposals, entry-level edits, incoming-update application,
-// cascades, resync — runs on changesets. Get and Put remain for the
-// whole-table cases where no changeset exists (share bootstrap,
-// divergence recovery, the lens laws).
+// Both directions carry a row-level changeset in O(changed rows) work
+// (GetDelta, PutDelta), because the sharing layer's whole update pipeline
+// — proposals, entry-level edits, incoming-update application, cascades,
+// resync — runs on changesets. Get derives the whole view where no
+// changeset exists (share bootstrap); the whole-view put is the package
+// function Put, derived from PutDelta.
 type Lens interface {
 	// Get computes the view of src (the forward transformation).
 	Get(src *reldb.Table) (*reldb.Table, error)
@@ -55,17 +62,14 @@ type Lens interface {
 	// oldView, in O(changed source rows) instead of O(table), and fails
 	// where Get(newSrc) fails. It never mutates its arguments.
 	GetDelta(oldSrc, newSrc, oldView *reldb.Table, srcCs reldb.Changeset) (*reldb.Table, reldb.Changeset, error)
-	// Put embeds view into src, producing an updated source (the backward
-	// transformation). Put never mutates src or view.
-	Put(src, view *reldb.Table) (*reldb.Table, error)
-	// PutDelta embeds the edited view into src given the changeset from
-	// the lens's current view of src (i.e. Get(src)) to view, as produced
-	// by reldb.Table.Diff. It returns the updated source and the
-	// changeset applied to the source (for cascading the delta through
-	// composed lenses and into overlapping shares). Like Put, it never
-	// mutates src or view and enforces the same policies; on a consistent
-	// changeset the result always equals Put(src, view), in O(changed
-	// rows) instead of O(table).
+	// PutDelta embeds the edited view into src (the backward
+	// transformation) given cs, the changeset from the lens's current view
+	// of src (Get(src)) to view, as produced by reldb.Table.Diff. It
+	// returns the updated source and the changeset applied to the source
+	// (for cascading the delta through composed lenses and into
+	// overlapping shares), in O(changed rows). It never mutates src or
+	// view, and rejects edits the lens's policies forbid with
+	// ErrPutViolation.
 	PutDelta(src, view *reldb.Table, cs reldb.Changeset) (*reldb.Table, reldb.Changeset, error)
 	// ViewSchema returns the schema of the view produced from a source
 	// with the given schema.

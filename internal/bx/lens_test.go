@@ -85,7 +85,7 @@ func TestProjectPutFieldUpdate(t *testing.T) {
 	if err := v.Update(reldb.Row{reldb.I(3)}, map[string]reldb.Value{"dose": reldb.S("NEW")}); err != nil {
 		t.Fatal(err)
 	}
-	newSrc, err := l.Put(src, v)
+	newSrc, err := Put(l, src, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestProjectPutFanOut(t *testing.T) {
 	if err := v.Update(reldb.Row{reldb.S("ibu")}, map[string]reldb.Value{"mech": reldb.S("m-new")}); err != nil {
 		t.Fatal(err)
 	}
-	newSrc, err := l.Put(src, v)
+	newSrc, err := Put(l, src, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestProjectPutDeleteForbidden(t *testing.T) {
 	if err := v.Delete(reldb.Row{reldb.I(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Put(src, v); err == nil {
+	if _, err := Put(l, src, v); err == nil {
 		t.Fatal("delete through forbid lens should fail")
 	}
 }
@@ -149,7 +149,7 @@ func TestProjectPutDeleteApplied(t *testing.T) {
 	if err := v.Delete(reldb.Row{reldb.I(0)}); err != nil {
 		t.Fatal(err)
 	}
-	newSrc, err := l.Put(src, v)
+	newSrc, err := Put(l, src, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestProjectPutInsertForbidden(t *testing.T) {
 	if err := v.Insert(reldb.Row{reldb.I(99), reldb.S("x")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Put(src, v); err == nil {
+	if _, err := Put(l, src, v); err == nil {
 		t.Fatal("insert through forbid lens should fail")
 	}
 }
@@ -186,7 +186,7 @@ func TestProjectPutInsertWithDefaults(t *testing.T) {
 	if err := v.Insert(reldb.Row{reldb.I(99), reldb.S("new-dose")}); err != nil {
 		t.Fatal(err)
 	}
-	newSrc, err := l.Put(src, v)
+	newSrc, err := Put(l, src, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestProjectPutInsertMissingDefaultFails(t *testing.T) {
 	if err := v.Insert(reldb.Row{reldb.I(99), reldb.S("d")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Put(src, v); err == nil {
+	if _, err := Put(l, src, v); err == nil {
 		t.Fatal("insert without required default should fail")
 	}
 }
@@ -226,7 +226,7 @@ func TestProjectPutRejectsWrongSchema(t *testing.T) {
 		Columns: []reldb.Column{{Name: "pid", Type: reldb.KindInt}},
 		Key:     []string{"pid"},
 	})
-	if _, err := l.Put(src, wrong); err == nil {
+	if _, err := Put(l, src, wrong); err == nil {
 		t.Fatal("schema mismatch should fail")
 	}
 }
@@ -241,7 +241,7 @@ func TestProjectPurity(t *testing.T) {
 	if err := v.Update(reldb.Row{reldb.I(1)}, map[string]reldb.Value{"dose": reldb.S("z")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Put(src, v); err != nil {
+	if _, err := Put(l, src, v); err != nil {
 		t.Fatal(err)
 	}
 	if src.Hash() != before {

@@ -12,7 +12,7 @@ import (
 // regenerated and re-propagated.
 //
 // Share B is affected by an update that arrived through share A when the
-// source columns written by A.Put intersect the source columns read by
+// source columns written by A's put intersect the source columns read by
 // B.Get (both computed symbolically from the lens specs, not from data, so
 // the check is cheap and conservative).
 

@@ -1,10 +1,6 @@
 package bx
 
-import (
-	"fmt"
-
-	"medshare/internal/reldb"
-)
+import "medshare/internal/reldb"
 
 // ProjectLens is the workhorse lens of the paper: the view is a projection
 // of the source onto a subset of columns, keyed by ViewKey, and the
@@ -73,125 +69,6 @@ func (l *ProjectLens) Get(src *reldb.Table) (*reldb.Table, error) {
 	return src.Project(l.ViewName, l.Cols, l.ViewKey)
 }
 
-// Put implements Lens. Source rows align with view rows by the view
-// key in one in-order pass over the source storage: rows whose
-// projected columns are unchanged pass through as shared references
-// (the rebuilt table shares their subtrees — and cached digests — with
-// the source), rows with view edits are copied once. The common case
-// rebuilds on the source's tree shape (reldb.Table.RebuildAs: no key
-// re-encoding, no priority hashing); only a re-keyed projection that
-// also projects a source-key column — where a view edit can move a
-// source row's primary key — takes the generic builder.
-func (l *ProjectLens) Put(src, view *reldb.Table) (*reldb.Table, error) {
-	srcSchema := src.Schema()
-	wantView, err := l.ViewSchema(srcSchema)
-	if err != nil {
-		return nil, err
-	}
-	if !wantView.Equal(view.Schema()) {
-		return nil, fmt.Errorf("%w: view schema does not match projection of source", ErrPutViolation)
-	}
-
-	// Column index maps.
-	srcIdxOfCol := make(map[string]int, len(srcSchema.Columns))
-	for i, c := range srcSchema.Columns {
-		srcIdxOfCol[c.Name] = i
-	}
-	viewKeyIdxInSrc := make([]int, len(wantView.Key))
-	for i, k := range wantView.Key {
-		viewKeyIdxInSrc[i] = srcIdxOfCol[k]
-	}
-	colIdxInSrc := make([]int, len(l.Cols))
-	for i, c := range l.Cols {
-		colIdxInSrc[i] = srcIdxOfCol[c]
-	}
-
-	keyEditPossible := false
-	if !sameKey(srcSchema.Key, wantView.Key) {
-		for _, c := range l.Cols {
-			if srcSchema.IsKeyColumn(c) {
-				keyEditPossible = true
-			}
-		}
-	}
-
-	matched := make(map[string]bool, view.Len())
-	var keyBuf []byte
-	transform := func(sr reldb.Row) (reldb.Row, error) {
-		keyBuf = keyBuf[:0]
-		for _, j := range viewKeyIdxInSrc {
-			keyBuf = sr[j].AppendOrdered(keyBuf)
-		}
-		vr, ok := view.GetKeyBytes(keyBuf)
-		if !ok {
-			// The view row for this source row was deleted.
-			if l.OnDelete != PolicyApply {
-				vkey := make(reldb.Row, len(viewKeyIdxInSrc))
-				for i, j := range viewKeyIdxInSrc {
-					vkey[i] = sr[j]
-				}
-				return nil, fmt.Errorf("%w: view %s deleted row with key %v but lens forbids deletes", ErrPutViolation, l.ViewName, vkey)
-			}
-			return nil, nil
-		}
-		matched[string(keyBuf)] = true
-		updated, cloned := sr, false
-		for vi, si := range colIdxInSrc {
-			if !updated[si].Equal(vr[vi]) {
-				if !cloned {
-					updated, cloned = sr.Clone(), true
-				}
-				updated[si] = vr[vi]
-			}
-		}
-		return updated, nil
-	}
-
-	var out *reldb.Table
-	if !keyEditPossible {
-		out, err = src.RebuildAs(srcSchema, transform)
-	} else {
-		var bld *reldb.TableBuilder
-		bld, err = reldb.NewTableBuilder(srcSchema)
-		if err != nil {
-			return nil, err
-		}
-		err = src.Scan(func(sr reldb.Row) (bool, error) {
-			nr, terr := transform(sr)
-			if terr != nil || nr == nil {
-				return terr == nil, terr
-			}
-			if aerr := bld.Append(nr); aerr != nil {
-				return false, fmt.Errorf("%w: %v", ErrPutViolation, aerr)
-			}
-			return true, nil
-		})
-		if err == nil {
-			out = bld.Table()
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	// View rows with no matching source row are inserts.
-	if len(matched) != view.Len() {
-		for _, vr := range view.RowsCanonical() {
-			vkey := viewKeyOf(wantView, vr)
-			if matched[keyString(vkey)] {
-				continue
-			}
-			if l.OnInsert != PolicyApply {
-				return nil, fmt.Errorf("%w: view %s inserted row with key %v but lens forbids inserts", ErrPutViolation, l.ViewName, vkey)
-			}
-			if err := out.InsertOwned(l.newSourceRow(srcSchema, colIdxInSrc, vr)); err != nil {
-				return nil, fmt.Errorf("%w: inserting through view %s: %v", ErrPutViolation, l.ViewName, err)
-			}
-		}
-	}
-	return out, nil
-}
-
 // newSourceRow builds a fresh source row for a view-side insert: hidden
 // columns take the lens defaults (NULL otherwise), projected columns take
 // the view row's values.
@@ -255,9 +132,8 @@ func viewKeyOf(s reldb.Schema, r reldb.Row) reldb.Row {
 	return out
 }
 
-// keyString encodes a key tuple with the ordered storage encoding — the
-// same bytes the GetKeyBytes probes above use, so the two sides of the
-// matched set agree.
+// keyString encodes a key tuple with the ordered storage encoding (the
+// bytes GetKeyBytes probes with).
 func keyString(key reldb.Row) string {
 	var buf []byte
 	for _, v := range key {

@@ -72,22 +72,6 @@ func (l *RenameLens) Get(src *reldb.Table) (*reldb.Table, error) {
 	return src.RenameColumns(l.ViewName, l.Mapping)
 }
 
-// Put implements Lens.
-func (l *RenameLens) Put(src, view *reldb.Table) (*reldb.Table, error) {
-	want, err := l.ViewSchema(src.Schema())
-	if err != nil {
-		return nil, err
-	}
-	if !want.Equal(view.Schema()) {
-		return nil, fmt.Errorf("%w: view schema does not match renamed source", ErrPutViolation)
-	}
-	back, err := view.RenameColumns(src.Name(), l.inverse())
-	if err != nil {
-		return nil, err
-	}
-	return back, nil
-}
-
 // Spec implements Lens.
 func (l *RenameLens) Spec() Spec {
 	m := make(map[string]string, len(l.Mapping))

@@ -31,7 +31,7 @@ func TestSelectPutUpdatesVisibleRows(t *testing.T) {
 	if err := v.Update(reldb.Row{reldb.I(1)}, map[string]reldb.Value{"dose": reldb.S("NEW")}); err != nil {
 		t.Fatal(err)
 	}
-	newSrc, err := l.Put(src, v)
+	newSrc, err := Put(l, src, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSelectPutRejectsPredicateEscape(t *testing.T) {
 	if err := v.Update(v.KeyValues(rows[0]), map[string]reldb.Value{"med": reldb.S("med9")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Put(src, v); !errors.Is(err, ErrPutViolation) {
+	if _, err := Put(l, src, v); !errors.Is(err, ErrPutViolation) {
 		t.Fatalf("want ErrPutViolation, got %v", err)
 	}
 }
@@ -76,10 +76,10 @@ func TestSelectPutDeletePolicies(t *testing.T) {
 	if err := v.Delete(reldb.Row{reldb.I(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := forbid.Put(src, v); !errors.Is(err, ErrPutViolation) {
+	if _, err := Put(forbid, src, v); !errors.Is(err, ErrPutViolation) {
 		t.Fatalf("forbid: want ErrPutViolation, got %v", err)
 	}
-	newSrc, err := apply.Put(src, v)
+	newSrc, err := Put(apply, src, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +101,12 @@ func TestSelectPutInsertPolicies(t *testing.T) {
 	if err := v.Insert(newRow); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := forbid.Put(src, v); !errors.Is(err, ErrPutViolation) {
+	if _, err := Put(forbid, src, v); !errors.Is(err, ErrPutViolation) {
 		t.Fatalf("forbid: want ErrPutViolation, got %v", err)
 	}
 
 	apply := Select("v", reldb.Cmp("pid", reldb.OpGe, reldb.I(0))).WithInsert(PolicyApply)
-	newSrc, err := apply.Put(src, v)
+	newSrc, err := Put(apply, src, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSelectPutSchemaMismatch(t *testing.T) {
 		Columns: []reldb.Column{{Name: "pid", Type: reldb.KindInt}},
 		Key:     []string{"pid"},
 	})
-	if _, err := l.Put(src, wrong); !errors.Is(err, ErrPutViolation) {
+	if _, err := Put(l, src, wrong); !errors.Is(err, ErrPutViolation) {
 		t.Fatalf("want ErrPutViolation, got %v", err)
 	}
 }
@@ -144,7 +144,7 @@ func TestRenameGetPutRoundTrip(t *testing.T) {
 	if err := v.Update(reldb.Row{reldb.I(0)}, map[string]reldb.Value{"mechanism": reldb.S("M")}); err != nil {
 		t.Fatal(err)
 	}
-	newSrc, err := l.Put(src, v)
+	newSrc, err := Put(l, src, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestComposeSelectThenProject(t *testing.T) {
 	if err := v.Update(reldb.Row{reldb.I(2)}, map[string]reldb.Value{"dose": reldb.S("XX")}); err != nil {
 		t.Fatal(err)
 	}
-	newSrc, err := l.Put(src, v)
+	newSrc, err := Put(l, src, v)
 	if err != nil {
 		t.Fatal(err)
 	}

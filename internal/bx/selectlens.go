@@ -56,84 +56,6 @@ func (l *SelectLens) Get(src *reldb.Table) (*reldb.Table, error) {
 	return src.Select(l.ViewName, l.Pred)
 }
 
-// Put implements Lens.
-func (l *SelectLens) Put(src, view *reldb.Table) (*reldb.Table, error) {
-	srcSchema := src.Schema()
-	if !srcSchema.Equal(view.Schema()) {
-		return nil, fmt.Errorf("%w: selection view schema must equal source schema", ErrPutViolation)
-	}
-	// Every view row must satisfy the predicate, or it would escape its
-	// own view and PutGet would fail.
-	err := view.Scan(func(vr reldb.Row) (bool, error) {
-		ok, err := l.Pred.Eval(srcSchema, vr)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, fmt.Errorf("%w: view %s row %v does not satisfy the selection predicate", ErrPutViolation, l.ViewName, view.KeyValues(vr))
-		}
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Align selected rows with view rows by key in one in-order pass on
-	// the source's tree shape: the selection lens never rewrites row
-	// contents, only membership, so invisible rows — and visible rows the
-	// view left untouched — pass through as shared subtrees.
-	matched := 0
-	var keyBuf []byte
-	out, err := src.RebuildAs(srcSchema, func(sr reldb.Row) (reldb.Row, error) {
-		ok, err := l.Pred.Eval(srcSchema, sr)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			// Invisible to the view: passes through.
-			return sr, nil
-		}
-		keyBuf = src.AppendKeyOf(keyBuf[:0], sr)
-		vr, found := view.GetKeyBytes(keyBuf)
-		if !found {
-			if l.OnDelete != PolicyApply {
-				return nil, fmt.Errorf("%w: view %s deleted row with key %v but lens forbids deletes", ErrPutViolation, l.ViewName, src.KeyValues(sr))
-			}
-			return nil, nil
-		}
-		matched++
-		return vr, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// View rows with no matching source row are inserts.
-	if matched != view.Len() {
-		for _, vr := range view.RowsCanonical() {
-			key := view.KeyValues(vr)
-			if sr, ok := src.Get(key); ok {
-				visible, err := l.Pred.Eval(srcSchema, sr)
-				if err != nil {
-					return nil, err
-				}
-				if visible {
-					continue // matched in the scan above
-				}
-				// The key belongs to a source row outside the view: the
-				// insert has no embedding (get would hide it again, and
-				// silently dropping it would violate PutGet).
-				return nil, fmt.Errorf("%w: view %s inserted key %v which belongs to a source row outside the selection", ErrPutViolation, l.ViewName, key)
-			}
-			if l.OnInsert != PolicyApply {
-				return nil, fmt.Errorf("%w: view %s inserted row with key %v but lens forbids inserts", ErrPutViolation, l.ViewName, key)
-			}
-			if err := out.InsertOwned(vr); err != nil {
-				return nil, fmt.Errorf("%w: inserting through view %s: %v", ErrPutViolation, l.ViewName, err)
-			}
-		}
-	}
-	return out, nil
-}
-
 // Spec implements Lens.
 func (l *SelectLens) Spec() Spec {
 	pred, err := reldb.MarshalPredicate(l.Pred)

@@ -43,8 +43,8 @@ func TestSpecRoundTripPreservesSemantics(t *testing.T) {
 					break
 				}
 			}
-			s1, e1 := l.Put(src, v1)
-			s2, e2 := back.Put(src, v2)
+			s1, e1 := Put(l, src, v1)
+			s2, e2 := Put(back, src, v2)
 			if (e1 == nil) != (e2 == nil) {
 				t.Fatalf("lens %d: put error divergence: %v vs %v", i, e1, e2)
 			}

@@ -10,13 +10,12 @@ import (
 )
 
 // acquired is a counterparty's view at a version the chain vouched for:
-// view is seeded and hashes to the on-chain payload hash, cs (when
-// hasDelta) is the validated, minimal changeset from base to view, and
-// base / baseSeq are the local replica and applied seq it started from.
+// view is seeded and hashes to the on-chain payload hash, cs is the
+// minimal changeset from base to view, and base / baseSeq are the local
+// replica and applied seq it started from.
 type acquired struct {
 	view, base *reldb.Table
 	cs         reldb.Changeset
-	hasDelta   bool
 	baseSeq    uint64
 }
 
@@ -28,7 +27,9 @@ type acquired struct {
 // version as a delta base only when seq is ahead of it. A result served
 // at another seq (providers serve newer versions, even staged ones) or
 // for another share, or not hashing to hash, is rejected: nothing the
-// chain has not vouched for gets installed. The caller holds s.opMu.
+// chain has not vouched for gets installed. Every accepted result comes
+// with its changeset from base: the wire's validated delta, or else a
+// diff of base against the result. The caller holds s.opMu.
 func (p *Peer) acquire(ctx context.Context, s *Share, from identity.Address, seq uint64, hash string) (*acquired, error) {
 	s.stMu.Lock()
 	applied := s.AppliedSeq
@@ -57,7 +58,8 @@ func (p *Peer) acquire(ctx context.Context, s *Share, from identity.Address, seq
 		}
 		if err == nil {
 			a.cs, err = base.Diff(a.view)
-			a.hasDelta = err == nil
+		}
+		if err == nil {
 			p.logf("structural sync on %s: %d rounds, %d nodes, %d rows inline, %d grafted, %d B received",
 				s.ID, stats.Rounds, stats.NodesFetched, stats.RowsInline, stats.RowsGrafted, stats.BytesReceived)
 			return a, nil
@@ -68,14 +70,19 @@ func (p *Peer) acquire(ctx context.Context, s *Share, from identity.Address, seq
 	if seq > applied {
 		haveSeq = applied
 	}
-	view, cs, hasDelta, served, err := p.fetchFrom(ctx, from, s.ID, seq, haveSeq, base)
+	view, cs, served, err := p.fetchFrom(ctx, from, s.ID, seq, haveSeq, base)
 	if err == nil {
 		err = vouched(view, served)
+	}
+	if err == nil && cs.Empty() {
+		// A full response, or a delta that was not minimal. (An empty
+		// delta leaves base's tree as it was: the diff is O(1).)
+		cs, err = base.Diff(a.view)
 	}
 	if err != nil {
 		return nil, err
 	}
-	a.cs, a.hasDelta = cs, hasDelta
+	a.cs = cs
 	return a, nil
 }
 
@@ -84,10 +91,13 @@ func (p *Peer) acquire(ctx context.Context, s *Share, from identity.Address, seq
 // round persists all of its shares at once). The put runs inside the
 // source's atomic replacement, so shares over one source embedding
 // concurrently serialize instead of overwriting each other's updates.
-// The delta put needs a validated changeset of a trusted replica that is
-// not diverged: a replica installed over at its own seq is being
-// repaired — untrusted — so it keeps no delta base either. A failed put
-// changes nothing. The caller holds s.opMu.
+// The put is the delta put of the acquired changeset, so only the rows
+// the counterparty changed are written and a local edit not yet proposed
+// survives, whatever fetch mode brought the version. The whole-view put
+// (bx.Put) runs instead where the changeset is no edit of our source: on
+// a replica installed over at its own seq (a repair — untrusted, so it
+// keeps no delta base either), on a diverged one, and when the delta put
+// fails. A failed put changes nothing. The caller holds s.opMu.
 //
 // The derived pair (see stageProposal) moves with the replica, inside
 // the same replacement. If its snapshot is the source version being
@@ -101,20 +111,17 @@ func (p *Peer) install(s *Share, seq uint64, a *acquired) error {
 	diverged, baseSrc, baseView := s.diverged, s.derivedSrc, s.derivedView
 	s.stMu.Unlock()
 	trusted := seq > a.baseSeq
-	delta := a.hasDelta && trusted && !diverged
+	delta := trusted && !diverged
 	paired := baseSrc != nil && baseView.SameVersion(a.base)
 	local := a.view.Renamed(s.ViewName)
 	err := p.cfg.DB.ReplaceTable(s.SourceTable, func(src *reldb.Table) (*reldb.Table, error) {
-		// Every lens embeds a changeset natively in O(changed rows). The
-		// whole-view put decides when there is none, or when it disagrees
-		// with our replica (a stale delta base).
 		var newSrc *reldb.Table
 		var err error
 		if delta {
 			newSrc, _, err = bx.PutDelta(s.Lens, src, local, a.cs)
 		}
 		if !delta || err != nil {
-			newSrc, err = s.Lens.Put(src, local)
+			newSrc, err = bx.Put(s.Lens, src, local)
 		}
 		if err != nil {
 			return nil, err

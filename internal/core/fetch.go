@@ -182,7 +182,7 @@ func (p *Peer) serveDataFetch(msg p2p.Message) (p2p.Message, error) {
 // it — the event loop fetches automatically — but it supports ad-hoc reads
 // and the authorization tests.
 func (p *Peer) Fetch(ctx context.Context, from identity.Address, shareID string, minSeq uint64) (*reldb.Table, uint64, error) {
-	table, _, _, seq, err := p.fetchFrom(ctx, from, shareID, minSeq, 0, nil)
+	table, _, seq, err := p.fetchFrom(ctx, from, shareID, minSeq, 0, nil)
 	return table, seq, err
 }
 
@@ -190,17 +190,17 @@ func (p *Peer) Fetch(ctx context.Context, from identity.Address, shareID string,
 // the peer with the given address: the server may serve a newer version,
 // even one it has staged but not submitted, so only acquire decides what
 // is installable. When base (the local view at haveSeq) is supplied, the
-// server may answer with a changeset, applied to a copy of base; then
-// hasDelta is true and cs is the row-level changeset from base to the
-// returned table, so callers can keep propagating the delta
-// (bx.PutDelta) instead of rematerializing.
-func (p *Peer) fetchFrom(ctx context.Context, from identity.Address, shareID string, minSeq, haveSeq uint64, base *reldb.Table) (table *reldb.Table, cs reldb.Changeset, hasDelta bool, seq uint64, err error) {
+// server may answer with a changeset, applied to a copy of base; cs is
+// that changeset when it is the minimal one from base to the returned
+// table, and empty otherwise (a full response, or a delta that was not
+// minimal).
+func (p *Peer) fetchFrom(ctx context.Context, from identity.Address, shareID string, minSeq, haveSeq uint64, base *reldb.Table) (table *reldb.Table, cs reldb.Changeset, seq uint64, err error) {
 	if p.cfg.Transport == nil || p.cfg.Directory == nil {
-		return nil, reldb.Changeset{}, false, 0, fmt.Errorf("core: peer %s has no data channel", p.Name())
+		return nil, reldb.Changeset{}, 0, fmt.Errorf("core: peer %s has no data channel", p.Name())
 	}
 	endpoint, ok := p.cfg.Directory.Lookup(from)
 	if !ok {
-		return nil, reldb.Changeset{}, false, 0, fmt.Errorf("core: no endpoint known for %s", from)
+		return nil, reldb.Changeset{}, 0, fmt.Errorf("core: no endpoint known for %s", from)
 	}
 	req := FetchRequest{
 		ShareID:   shareID,
@@ -215,49 +215,48 @@ func (p *Peer) fetchFrom(ctx context.Context, from identity.Address, shareID str
 	req.Sig = p.cfg.Identity.Sign(req.signingBytes())
 	payload, err := json.Marshal(req)
 	if err != nil {
-		return nil, reldb.Changeset{}, false, 0, err
+		return nil, reldb.Changeset{}, 0, err
 	}
 	msg, err := p.channelRequest(ctx, endpoint, p2p.Message{Kind: p2p.KindDataFetch, Payload: payload})
 	if err != nil {
-		return nil, reldb.Changeset{}, false, 0, fmt.Errorf("core: fetching %s from %s: %w", shareID, from, err)
+		return nil, reldb.Changeset{}, 0, fmt.Errorf("core: fetching %s from %s: %w", shareID, from, err)
 	}
 	resp, err := decodeFetchResponse(msg.Payload)
 	if err == nil && resp.ShareID != shareID {
 		err = fmt.Errorf("served share %q", resp.ShareID)
 	}
 	if err != nil {
-		return nil, reldb.Changeset{}, false, 0, fmt.Errorf("core: bad fetch response: %w", err)
+		return nil, reldb.Changeset{}, 0, fmt.Errorf("core: bad fetch response: %w", err)
 	}
 	switch resp.Mode {
 	case FetchModeDelta:
 		if base == nil {
-			return nil, reldb.Changeset{}, false, 0, fmt.Errorf("core: unsolicited delta for %s", shareID)
+			return nil, reldb.Changeset{}, 0, fmt.Errorf("core: unsolicited delta for %s", shareID)
 		}
 		cs, err := reldb.DecodeChangeset(resp.Payload)
 		if err != nil {
-			return nil, reldb.Changeset{}, false, 0, err
+			return nil, reldb.Changeset{}, 0, err
 		}
 		table := base.Clone()
 		if err := table.Apply(cs); err != nil {
-			return nil, reldb.Changeset{}, false, 0, fmt.Errorf("core: applying delta for %s: %w", shareID, err)
+			return nil, reldb.Changeset{}, 0, fmt.Errorf("core: applying delta for %s: %w", shareID, err)
 		}
 		// Only a *minimal* changeset may drive the delta put downstream: a
 		// padded one (e.g. delete+insert of an unchanged row) reproduces
 		// the correct table — so it passes the payload-hash check — yet
 		// would destroy hidden source columns when replayed through a
-		// lens's structural-edit policies. Downgrade those to a full-table
-		// result.
+		// lens's structural-edit policies. Drop those; acquire diffs.
 		if err := base.ValidateDiff(table, cs); err != nil {
-			return table, reldb.Changeset{}, false, resp.Seq, nil
+			return table, reldb.Changeset{}, resp.Seq, nil
 		}
-		return table, cs, true, resp.Seq, nil
+		return table, cs, resp.Seq, nil
 	case FetchModeFull:
 		table, err := reldb.DecodeTable(resp.Payload)
 		if err != nil {
-			return nil, reldb.Changeset{}, false, 0, err
+			return nil, reldb.Changeset{}, 0, err
 		}
-		return table, reldb.Changeset{}, false, resp.Seq, nil
+		return table, reldb.Changeset{}, resp.Seq, nil
 	default:
-		return nil, reldb.Changeset{}, false, 0, fmt.Errorf("core: unknown fetch mode %d", resp.Mode)
+		return nil, reldb.Changeset{}, 0, fmt.Errorf("core: unknown fetch mode %d", resp.Mode)
 	}
 }

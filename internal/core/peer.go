@@ -198,9 +198,10 @@ type Share struct {
 	// diverged marks that the stored view replica no longer equals
 	// Lens.Get(source) — the deliberate state after a rejection or denial
 	// rollback, which restores the view but keeps the user's edit in the
-	// source. While set, puts take the full path (which re-embeds the
-	// whole view and realigns the pair) instead of the delta path (which
-	// would silently preserve the divergence).
+	// source. While set, puts take bx.Put, which diffs the new view
+	// against the source's own view and so re-embeds the whole view and
+	// realigns the pair, instead of the delta put of a changeset from the
+	// replica (which would silently preserve the divergence).
 	diverged bool
 
 	// derivedSrc and derivedView are the source snapshot and the replica

@@ -459,6 +459,63 @@ func TestResyncInstallsOnlyVouchedVersion(t *testing.T) {
 	waitConverged(t, h, "S", res.Seq)
 }
 
+// TestFirstUpdateKeepsUnproposedSourceEdit: B edits its source without
+// proposing, then applies A's updates. The first one reaches B as a full
+// fetch (B has no version to offer as a delta base), the second as a
+// delta; either way the put writes only the rows A changed, so B keeps
+// its own edits and its next proposal carries them to A.
+func TestFirstUpdateKeepsUnproposedSourceEdit(t *testing.T) {
+	mem := p2p.NewMemNetwork()
+	h := newSyncHarness(t, 16, mem.Endpoint("A"), mem.Endpoint("B"))
+	setB := func(k int64, v string) {
+		t.Helper()
+		if err := h.b.UpdateSource("T", func(tbl *reldb.Table) error {
+			return tbl.Update(reldb.Row{reldb.I(k)}, map[string]reldb.Value{"v": reldb.S(v)})
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bHolds := func(when string, edits map[int64]string) {
+		t.Helper()
+		src, err := h.b.Source("T")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, want := range edits {
+			if v, _ := src.Value(reldb.Row{reldb.I(k)}, "v"); v.String() != want {
+				t.Fatalf("%s: B's row %d reads %q, want its local edit %q", when, k, v.String(), want)
+			}
+		}
+	}
+
+	setB(5, "b5")
+	seq := h.finalizedUpdate(t, 1, "a1") // seq 1: full fetch
+	h.waitApplied(t, seq)
+	bHolds("after seq 1", map[int64]string{5: "b5"})
+
+	setB(6, "b6")
+	seq = h.finalizedUpdate(t, 2, "a2") // seq 2: delta fetch
+	h.waitApplied(t, seq)
+	bHolds("after seq 2", map[int64]string{1: "a1", 2: "a2", 5: "b5", 6: "b6"})
+
+	res, err := h.b.ProposeUpdate(h.ctx, "S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.b.WaitFinal(h.ctx, "S", res.Seq); err != nil {
+		t.Fatal(err)
+	}
+	aSrc, err := h.a.Source("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range map[int64]string{5: "b5", 6: "b6"} {
+		if v, _ := aSrc.Value(reldb.Row{reldb.I(k)}, "v"); v.String() != want {
+			t.Fatalf("A's row %d reads %q after B's proposal, want %q", k, v.String(), want)
+		}
+	}
+}
+
 // --- Group-commit resilience ---
 
 // TestGroupCommitResilience drives the batched commit path —

@@ -492,11 +492,11 @@ func (p *Peer) UpdateView(ctx context.Context, shareID string, mutate func(*reld
 // the lens's current view of the source. After a rejection or denial
 // rollback the two deliberately diverge (the view is restored, the
 // source keeps the user's edit) — the share tracks that in its diverged
-// flag, and the full put re-embeds the whole view there, exactly as
-// before the delta optimization, instead of silently re-proposing the
-// rejected rows alongside the new edit. The put runs inside the
-// source's atomic replacement so it cannot overwrite a concurrent embed
-// by another share over the same source.
+// flag, and the whole-view put (bx.Put, the delta put of the diff from
+// the source's own view) re-embeds the whole view there instead of
+// silently re-proposing the rejected rows alongside the new edit. The
+// put runs inside the source's atomic replacement so it cannot overwrite
+// a concurrent embed by another share over the same source.
 func (p *Peer) embedViewEdit(s *Share, mutate func(*reldb.Table) error) error {
 	view, err := p.snapshotTable(s.ViewName)
 	if err != nil {
@@ -517,7 +517,7 @@ func (p *Peer) embedViewEdit(s *Share, mutate func(*reldb.Table) error) error {
 		var newSrc *reldb.Table
 		var perr error
 		if diverged {
-			newSrc, perr = s.Lens.Put(src, edited)
+			newSrc, perr = bx.Put(s.Lens, src, edited)
 		} else {
 			newSrc, _, perr = bx.PutDelta(s.Lens, src, edited, cs)
 		}

@@ -3,6 +3,7 @@ package api_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -22,6 +23,7 @@ import (
 	"medshare/internal/node"
 	"medshare/internal/p2p"
 	"medshare/internal/reldb"
+	"medshare/internal/store"
 )
 
 // harness is two peers over a memnet sharing one PoA node, with an
@@ -443,6 +445,43 @@ func TestMetricsExposition(t *testing.T) {
 	// The registration was submitted, so its signature was checked.
 	if strings.Contains(m, "medshare_node_tx_sig_checks_total 0\n") {
 		t.Errorf("no signature checks counted after a registration:\n%s", grepLines(m, "sig_checks"))
+	}
+}
+
+// TestMetricsStoreWrites: /metrics exports what the durable store wrote
+// per record kind, the same figures Store.Stats reports.
+func TestMetricsStoreWrites(t *testing.T) {
+	h := newHarness(t, 0)
+	st := store.OpenMemory()
+	defer st.Close()
+	src, err := h.a.Source("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Commit(func(b *store.Batch) error { return b.PutTable(src) }); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := api.New(api.Config{Peer: h.a, Node: h.node, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	m, err := (&api.Client{BaseURL: ts.URL}).Metrics(h.ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := st.Stats().Written
+	for _, want := range []string{
+		"# TYPE medshare_store_bytes_written_total counter",
+		fmt.Sprintf(`medshare_store_bytes_written_total{kind="node"} %v`, float64(w["node"].Bytes)),
+		fmt.Sprintf(`medshare_store_records_written_total{kind="node"} %v`, float64(w["node"].Records)),
+		fmt.Sprintf(`medshare_store_bytes_written_total{kind="table_root"} %v`, float64(w["table_root"].Bytes)),
+		`medshare_store_records_written_total{kind="commit"} 1`,
+	} {
+		if !strings.Contains(m, want) {
+			t.Errorf("metrics missing %q:\n%s", want, grepLines(m, "written"))
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package api
 
 import (
+	"maps"
 	"net/http"
+	"slices"
 	"strconv"
 )
 
@@ -24,6 +26,10 @@ import (
 //   - medshare_node_tx_sig_checks_total — transaction signatures the
 //     node verified (one per transaction it committed, when every
 //     transaction reached it by submission or gossip first)
+//   - medshare_store_* — the durable store's size and recovery gauges,
+//     and medshare_store_bytes_written_total{kind=...} /
+//     _records_written_total{kind=...}: what the store appended since
+//     it opened, per record kind
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	buf := getBuf()
 	defer putBuf(buf)
@@ -133,6 +139,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 			buf = append(buf, g.name...)
 			buf = append(buf, " gauge\n"...)
 			buf = promLine(buf, g.name, "", g.v)
+		}
+		kinds := slices.Sorted(maps.Keys(ds.Written))
+		buf = append(buf, "# TYPE medshare_store_bytes_written_total counter\n"...)
+		for _, k := range kinds {
+			buf = promLine(buf, "medshare_store_bytes_written_total", `kind="`+k+`"`, float64(ds.Written[k].Bytes))
+		}
+		buf = append(buf, "# TYPE medshare_store_records_written_total counter\n"...)
+		for _, k := range kinds {
+			buf = promLine(buf, "medshare_store_records_written_total", `kind="`+k+`"`, float64(ds.Written[k].Records))
 		}
 	}
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"medshare/internal/merkle"
+	"medshare/internal/wire"
 )
 
 // This file is the light-client half of the chain package: a compact
@@ -22,8 +23,8 @@ import (
 // headerWireVersion tags the binary header frame layout.
 const headerWireVersion = 1
 
-// headerWireMaxLen caps variable-length fields while decoding, so a
-// corrupt frame cannot drive a huge allocation before the bounds check.
+// headerWireMaxLen caps the header count of a batch frame, so a corrupt
+// count cannot drive a huge allocation before the headers are read.
 const headerWireMaxLen = 1 << 20
 
 // errHeaderWire marks a malformed binary header frame.
@@ -41,10 +42,8 @@ func AppendHeaderBinary(dst []byte, h *Header) []byte {
 	dst = append(dst, h.Proposer[:]...)
 	dst = binary.AppendUvarint(dst, h.Nonce)
 	dst = append(dst, h.Difficulty)
-	dst = binary.AppendUvarint(dst, uint64(len(h.ProposerPub)))
-	dst = append(dst, h.ProposerPub...)
-	dst = binary.AppendUvarint(dst, uint64(len(h.Sig)))
-	return append(dst, h.Sig...)
+	dst = wire.AppendBytes(dst, h.ProposerPub)
+	return wire.AppendBytes(dst, h.Sig)
 }
 
 // EncodeHeaders encodes a batch of headers into one binary frame:
@@ -62,9 +61,11 @@ func EncodeHeaders(hs []Header) []byte {
 // headerReader walks a frame with bounds checking.
 type headerReader struct{ buf []byte }
 
+// uvarint reads a minimal varint: a longer encoding of the same value
+// would give two frames for one header.
 func (r *headerReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
+	v, n := wire.Uvarint(r.buf)
+	if n == 0 {
 		return 0, errHeaderWire
 	}
 	r.buf = r.buf[n:]
@@ -89,9 +90,12 @@ func (r *headerReader) raw(n int) ([]byte, error) {
 	return out, nil
 }
 
+// bytes reads a length-prefixed field. The length is checked against
+// the rest of the frame, which bounds it without a cap of its own: the
+// decoder accepts every field the encoder writes.
 func (r *headerReader) bytes() ([]byte, error) {
 	n, err := r.uvarint()
-	if err != nil || n > headerWireMaxLen {
+	if err != nil || n > uint64(len(r.buf)) {
 		return nil, errHeaderWire
 	}
 	return r.raw(int(n))

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"medshare/internal/bx"
 	"medshare/internal/contract/sharereg"
 	"medshare/internal/reldb"
@@ -93,24 +95,32 @@ func (p *Peer) persistShareRemoval(id string) {
 // durable store for a binding under the given local names. It returns
 // the verified view (already carrying the share's priority seed), the
 // restored source table when one was persisted (nil otherwise), and
-// the applied sequence number. ok is false when there is nothing
-// usable: no store, no (or tombstoned) metadata, a name mismatch with
+// the applied sequence number. view is nil when there is no usable
+// replica: no store, no (or tombstoned) metadata, a name mismatch with
 // the requested binding, a failed Merkle verification on load, or a
 // replica that claims the chain's current sequence number but does not
-// hash to the on-chain payload hash.
-func (p *Peer) restoredShare(id, sourceTable, viewName string, chainMeta *sharereg.Meta) (view, src *reldb.Table, seq uint64, ok bool) {
+// hash to the on-chain payload hash; the share then re-derives and
+// heals through resync. A persisted source table that fails to load is
+// an error: the source is this peer's own record, and nothing can heal
+// it, so the restart stops rather than bind over whatever was seeded.
+func (p *Peer) restoredShare(id, sourceTable, viewName string, chainMeta *sharereg.Meta) (view, src *reldb.Table, seq uint64, err error) {
 	st := p.cfg.Store
 	if st == nil {
-		return nil, nil, 0, false
+		return nil, nil, 0, nil
 	}
 	sm, found := st.Shares()[id]
 	if !found || sm.View == "" || sm.View != viewName || sm.Source != sourceTable {
-		return nil, nil, 0, false
+		return nil, nil, 0, nil
+	}
+	if _, persisted := st.Tables()[sourceTable]; persisted {
+		if src, err = st.LoadTable(sourceTable); err != nil {
+			return nil, nil, 0, fmt.Errorf("core: restoring share %s: source table %s failed to load: %w", id, sourceTable, err)
+		}
 	}
 	v, err := st.LoadTable(sm.View)
 	if err != nil {
 		p.logf("restore %s: view failed verification: %v", id, err)
-		return nil, nil, 0, false
+		return nil, nil, 0, nil
 	}
 	// Cross-check against the chain: at the chain's own sequence number
 	// the replica must hash to the on-chain payload hash; at sequence 0
@@ -119,19 +129,15 @@ func (p *Peer) restoredShare(id, sourceTable, viewName string, chainMeta *sharer
 	// already verified against the persisted Merkle commitment).
 	if sm.Seq == chainMeta.Seq && chainMeta.LastPayloadHash != "" && hashHex(v) != chainMeta.LastPayloadHash {
 		p.logf("restore %s: replica does not match on-chain hash at seq %d; discarding", id, sm.Seq)
-		return nil, nil, 0, false
+		return nil, nil, 0, nil
 	}
 	if sm.Seq > chainMeta.Seq {
 		// Ahead of the chain this node can see — a crash between the
 		// optimistic replica refresh and the request commit, or a chain
 		// store that lost the tail. Untrustworthy; rebuild from source.
-		return nil, nil, 0, false
+		return nil, nil, 0, nil
 	}
-	src, err = st.LoadTable(sourceTable)
-	if err != nil {
-		p.logf("restore %s: source table %s failed to load, keeping the local one: %v", id, sourceTable, err)
-	}
-	return v, src, sm.Seq, true
+	return v, src, sm.Seq, nil
 }
 
 // bindRestoredShare is the common restart path behind AttachShare and

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"medshare/internal/bx"
 	"medshare/internal/p2p"
 	"medshare/internal/reldb"
 	"medshare/internal/store"
@@ -276,27 +278,21 @@ func TestRemovalWaitsForRound(t *testing.T) {
 	}
 }
 
-// TestRestoreLogsDamagedSource: a persisted source table that fails to
-// load on restore is reported through Logf, naming the table and the
-// error, and the share is restored over the local source.
-func TestRestoreLogsDamagedSource(t *testing.T) {
+// TestRestoreRefusesDamagedSource: a persisted source table that fails
+// to load makes AttachShare fail with an error naming the table and the
+// load error. The share stays unbound and the local source is not
+// replaced: nothing is bound over seeded data.
+func TestRestoreRefusesDamagedSource(t *testing.T) {
 	fs := store.NewMemFS()
 	st, err := store.Open(store.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	var mu sync.Mutex
-	var logs []string
 	mem := p2p.NewMemNetwork()
 	h := newSyncHarnessTweak(t, 8, mem.Endpoint("A"), mem.Endpoint("B"), func(name string, cfg *Config) {
 		if name == "B" {
 			cfg.Store = st
-			cfg.Logf = func(format string, args ...any) {
-				mu.Lock()
-				logs = append(logs, fmt.Sprintf(format, args...))
-				mu.Unlock()
-			}
 		}
 	})
 
@@ -346,20 +342,23 @@ func TestRestoreLogsDamagedSource(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	meta, err := h.b.Meta("S")
+	// Restart the binding: forget it in memory, then attach again.
+	h.b.mu.Lock()
+	delete(h.b.shares, "S")
+	h.b.mu.Unlock()
+	lens := bx.Project("Sb", []string{"k", "v"}, nil).WithInsert(bx.PolicyApply, nil).WithDelete(bx.PolicyApply)
+	err = h.b.AttachShare("S", "T", lens, "Sb")
+	if err == nil || !strings.Contains(err.Error(), "source table T failed to load: ") || errors.Unwrap(err) == nil {
+		t.Fatalf("AttachShare over a damaged source: %v; want an error naming table T and its load error", err)
+	}
+	if _, err := h.b.share("S"); err == nil {
+		t.Fatal("share bound despite the damaged source")
+	}
+	src, err := h.b.Source("T")
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, src, _, ok := h.b.restoredShare("S", "T", "Sb", meta)
-	if !ok || view == nil || src != nil {
-		t.Fatalf("restore: ok %v, view %v, source %v; want the view restored over the local source", ok, view != nil, src != nil)
+	if row, ok := src.Get(reldb.Row{reldb.I(1)}); !ok || row[1].String() != "local" {
+		t.Fatalf("local source replaced: row 1 = %v", row)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, line := range logs {
-		if strings.Contains(line, "source table T failed to load") {
-			return
-		}
-	}
-	t.Fatalf("no log line names the source table and its load error; logs:\n%s", strings.Join(logs, "\n"))
 }

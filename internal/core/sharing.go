@@ -136,7 +136,11 @@ func (p *Peer) AttachShare(id, sourceTable string, lens bx.Lens, viewName string
 	// re-deriving (the persisted view carries updates already applied on
 	// this binding; a fresh Get(src) does too, but the persisted source
 	// may itself be ahead of what the caller loaded).
-	if rv, rsrc, seq, ok := p.restoredShare(id, sourceTable, viewName, meta); ok {
+	rv, rsrc, seq, err := p.restoredShare(id, sourceTable, viewName, meta)
+	if err != nil {
+		return err
+	}
+	if rv != nil {
 		p.mu.Lock()
 		_, dup := p.shares[id]
 		p.mu.Unlock()

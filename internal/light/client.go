@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -206,8 +205,8 @@ func (c *Client) HandleGossip(msg p2p.Message) {
 	if msg.Kind != p2p.KindBlock {
 		return
 	}
-	var b chain.Block
-	if err := json.Unmarshal(msg.Payload, &b); err != nil {
+	b, err := chain.DecodeBlock(msg.Payload)
+	if err != nil {
 		return
 	}
 	var shares []string
@@ -221,7 +220,7 @@ func (c *Client) HandleGossip(msg p2p.Message) {
 	// a cached row past its on-chain version.
 	c.markStale(shares)
 
-	err := c.headers.Append(b.Header)
+	err = c.headers.Append(b.Header)
 	switch {
 	case err == nil:
 		c.drainPending()

@@ -312,11 +312,7 @@ func TestGossipInvalidatesAndReadsNewVersion(t *testing.T) {
 	}
 	f.commitVersion(t, 2)
 	blk := chain.Block{Header: f.headers[len(f.headers)-1], Txs: []*chain.Tx{{ShareID: f.shareID}}}
-	raw, err := json.Marshal(&blk)
-	if err != nil {
-		t.Fatalf("marshal block: %v", err)
-	}
-	c.HandleGossip(p2p.Message{Kind: p2p.KindBlock, Payload: raw})
+	c.HandleGossip(p2p.Message{Kind: p2p.KindBlock, Payload: chain.AppendBlockBinary(nil, &blk)})
 
 	row, err := c.Read(context.Background(), f.shareID, key)
 	if err != nil {
@@ -346,8 +342,7 @@ func TestGossipOutOfOrderBuffers(t *testing.T) {
 	b3 := f.headers[len(f.headers)-1]
 
 	gossip := func(h chain.Header) {
-		raw, _ := json.Marshal(&chain.Block{Header: h})
-		c.HandleGossip(p2p.Message{Kind: p2p.KindBlock, Payload: raw})
+		c.HandleGossip(p2p.Message{Kind: p2p.KindBlock, Payload: chain.AppendBlockBinary(nil, &chain.Block{Header: h})})
 	}
 	gossip(b3) // gap: buffered
 	gossip(b2) // fills the gap; b3 drains

@@ -2,7 +2,6 @@ package node
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -268,13 +267,9 @@ func TestGossipBatchAdmitsGoodDropsBad(t *testing.T) {
 		n.BuildTx("kv", "set", "", []byte("a"), []byte("v")),
 		n.BuildTx("kv", "set", "", []byte("b"), []byte("v")),
 		n.BuildTx("kv", "set", "", []byte("c"), []byte("v")),
-		nil,
 	}
 	txs[1].Sig[0] ^= 0xff
-	payload, err := json.Marshal(txs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := chain.AppendTxBatchBinary(nil, txs)
 	n.handleGossip(p2p.Message{Kind: p2p.KindTxBatch, Payload: payload})
 	if got := n.PendingTxs(); got != 2 {
 		t.Fatalf("pooled %d of a batch with 2 valid transactions", got)
@@ -290,11 +285,7 @@ func TestGossipBatchAdmitsGoodDropsBad(t *testing.T) {
 func TestDuplicateGossipDoesNotKick(t *testing.T) {
 	n, _ := gossipPair(t)
 	tx := n.BuildTx("kv", "set", "", []byte("k"), []byte("v"))
-	payload, err := json.Marshal(tx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := p2p.Message{Kind: p2p.KindTx, Payload: payload}
+	msg := p2p.Message{Kind: p2p.KindTx, Payload: chain.AppendTxBinary(nil, tx)}
 
 	n.handleGossip(msg)
 	if len(n.kickCh) != 1 {

@@ -1,8 +1,6 @@
 package node
 
 import (
-	"encoding/json"
-
 	"medshare/internal/chain"
 	"medshare/internal/p2p"
 )
@@ -12,10 +10,7 @@ func (n *Node) gossipTx(tx *chain.Tx) {
 	if n.cfg.Transport == nil {
 		return
 	}
-	payload, err := json.Marshal(tx)
-	if err != nil {
-		return
-	}
+	payload := chain.AppendTxBinary(nil, tx)
 	_ = n.cfg.Transport.Broadcast(p2p.Message{Kind: p2p.KindTx, Payload: payload})
 }
 
@@ -25,10 +20,7 @@ func (n *Node) gossipTxBatch(txs []*chain.Tx) {
 	if n.cfg.Transport == nil {
 		return
 	}
-	payload, err := json.Marshal(txs)
-	if err != nil {
-		return
-	}
+	payload := chain.AppendTxBatchBinary(nil, txs)
 	_ = n.cfg.Transport.Broadcast(p2p.Message{Kind: p2p.KindTxBatch, Payload: payload})
 }
 
@@ -37,10 +29,7 @@ func (n *Node) gossipBlock(b *chain.Block) {
 	if n.cfg.Transport == nil {
 		return
 	}
-	payload, err := json.Marshal(b)
-	if err != nil {
-		return
-	}
+	payload := chain.AppendBlockBinary(nil, b)
 	_ = n.cfg.Transport.Broadcast(p2p.Message{Kind: p2p.KindBlock, Payload: payload})
 }
 
@@ -52,25 +41,25 @@ func (n *Node) gossipBlock(b *chain.Block) {
 func (n *Node) handleGossip(msg p2p.Message) {
 	switch msg.Kind {
 	case p2p.KindTx:
-		var tx chain.Tx
-		if err := json.Unmarshal(msg.Payload, &tx); err != nil {
+		tx, err := chain.DecodeTx(msg.Payload)
+		if err != nil {
 			return
 		}
-		n.admitVerified([]*chain.Tx{&tx})
+		n.admitVerified([]*chain.Tx{tx})
 	case p2p.KindTxBatch:
-		var txs []*chain.Tx
-		if err := json.Unmarshal(msg.Payload, &txs); err != nil {
+		txs, err := chain.DecodeTxBatch(msg.Payload)
+		if err != nil {
 			return
 		}
 		n.admitVerified(txs)
 	case p2p.KindBlock:
-		var b chain.Block
-		if err := json.Unmarshal(msg.Payload, &b); err != nil {
+		b, err := chain.DecodeBlock(msg.Payload)
+		if err != nil {
 			return
 		}
 		// Errors (duplicate, parent not received yet, bad proof) are
 		// expected under gossip and simply ignored.
-		_ = n.ReceiveBlock(&b)
+		_ = n.ReceiveBlock(b)
 	}
 }
 
@@ -82,9 +71,6 @@ func (n *Node) admitVerified(txs []*chain.Tx) {
 	unseen := txs[:0]
 	n.mu.Lock()
 	for _, tx := range txs {
-		if tx == nil {
-			continue
-		}
 		if id := tx.IDString(); !n.committedTxs[id] && !n.mempool.has(id) {
 			unseen = append(unseen, tx)
 		}

@@ -8,11 +8,14 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"medshare/internal/wire"
 )
 
 // The binary row codec: Row.AppendCanonical — the bytes the Merkle leaf
-// digest hashes — is the one byte form of a row inside the system, on
-// the data channel and on disk alike; DecodeRow is its inverse.
+// digest hashes — is the byte form of a row on the data channel;
+// DecodeRow is its inverse. On disk a row takes the compact form at the
+// end of this file, which decodes to the same row.
 // Changesets and tables (after their schema) are sequences of canonical
 // rows behind 8-byte big-endian counts, so every encoding is fixed-width
 // apart from string payloads and round-trips byte for byte. There is no
@@ -205,9 +208,7 @@ func DecodeChangeset(p []byte) (Changeset, error) {
 // length-prefixed JSON (it is not a row, and it is read once per table),
 // then the row count and the canonical rows in canonical key order.
 func AppendTable(dst []byte, t *Table) []byte {
-	schema, _ := json.Marshal(t.schema) // plain strings, ints and bools: cannot fail
-	dst = binary.BigEndian.AppendUint64(dst, uint64(len(schema)))
-	dst = append(dst, schema...)
+	dst = AppendSchema(dst, t.schema)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(t.rows.Len()))
 	t.rows.Ascend(func(_ string, e *rowEntry) bool {
 		dst = e.row.AppendCanonical(dst)
@@ -216,8 +217,24 @@ func AppendTable(dst []byte, t *Table) []byte {
 	return dst
 }
 
+// AppendSchema appends the schema as AppendTable writes it: its JSON
+// behind an 8-byte big-endian length.
+func AppendSchema(dst []byte, s Schema) []byte {
+	schema, _ := json.Marshal(s) // plain strings, ints and bools: cannot fail
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(schema)))
+	return append(dst, schema...)
+}
+
+// CutSchema decodes the schema AppendSchema wrote at the front of p and
+// returns it with the bytes that follow it.
+func CutSchema(p []byte) (Schema, []byte, error) {
+	r := canonReader{buf: p}
+	s, err := r.schema()
+	return s, r.buf, err
+}
+
 // schema reads a length-prefixed JSON schema, accepting only the bytes
-// AppendTable writes for it.
+// AppendSchema writes for it.
 func (r *canonReader) schema() (Schema, error) {
 	var s Schema
 	n, err := r.count(1)
@@ -272,4 +289,114 @@ func DecodeTable(p []byte) (*Table, error) {
 		return nil, err
 	}
 	return b.Table(), nil
+}
+
+// The compact row form is the on-disk encoding of a row inside a store
+// node record. The canonical form stays the one the leaf digest hashes;
+// the compact form spends fewer bytes on framing: a varint column count,
+// then per cell a kind byte and its payload — a varint length and the
+// raw bytes for a string, a zig-zag varint for an int, 8 fixed bytes for
+// a float (its bits) or a time (Unix microseconds), one byte for a bool,
+// nothing for NULL. Every varint must be minimal, so a decoded row
+// re-encodes to exactly its input, and it re-encodes canonically to the
+// bytes, and hence the leaf digest, of the row that was written.
+
+// AppendCompact appends the compact encoding of the row to dst.
+func (r Row) AppendCompact(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(r)))
+	for _, v := range r {
+		dst = append(dst, byte(v.kind))
+		switch v.kind {
+		case KindString:
+			dst = wire.AppendBytes(dst, v.s)
+		case KindInt:
+			dst = binary.AppendVarint(dst, v.i)
+		case KindFloat:
+			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.f))
+		case KindBool:
+			if v.b {
+				dst = append(dst, 1)
+			} else {
+				dst = append(dst, 0)
+			}
+		case KindTime:
+			dst = binary.BigEndian.AppendUint64(dst, uint64(v.t.UnixMicro()))
+		}
+	}
+	return dst
+}
+
+// uvarint reads a minimal unsigned varint.
+func (r *canonReader) uvarint() (uint64, error) {
+	v, n := wire.Uvarint(r.buf)
+	if n == 0 {
+		return 0, ErrCodec
+	}
+	r.buf = r.buf[n:]
+	return v, nil
+}
+
+// compactCount reads a varint item count and rejects one the remaining
+// input cannot hold at one byte per item.
+func (r *canonReader) compactCount() (int, error) {
+	n, err := r.uvarint()
+	if err != nil || n > uint64(len(r.buf)) {
+		return 0, ErrCodec
+	}
+	return int(n), nil
+}
+
+func (r *canonReader) compactValue() (Value, error) {
+	if len(r.buf) == 0 {
+		return Value{}, ErrCodec
+	}
+	k := Kind(r.buf[0])
+	r.buf = r.buf[1:]
+	switch k {
+	case KindNull:
+		return Null(), nil
+	case KindString:
+		n, err := r.compactCount()
+		if err != nil {
+			return Value{}, err
+		}
+		s := string(r.buf[:n])
+		r.buf = r.buf[n:]
+		return S(s), nil
+	case KindInt:
+		u, err := r.uvarint()
+		// Zig-zag: the low bit carries the sign.
+		return I(int64(u>>1) ^ -int64(u&1)), err
+	case KindBool:
+		if len(r.buf) == 0 || r.buf[0] > 1 {
+			return Value{}, ErrCodec
+		}
+		b := r.buf[0] == 1
+		r.buf = r.buf[1:]
+		return B(b), nil
+	case KindFloat, KindTime:
+		u, err := r.u64()
+		if k == KindFloat {
+			return F(math.Float64frombits(u)), err
+		}
+		return T(time.UnixMicro(int64(u))), err
+	}
+	return Value{}, fmt.Errorf("%w: unknown kind %d", ErrCodec, k)
+}
+
+// DecodeCompactRow is the inverse of Row.AppendCompact: p must hold
+// exactly one encoded row.
+func DecodeCompactRow(p []byte) (Row, error) {
+	r := canonReader{buf: p}
+	n, err := r.compactCount() // the smallest value (NULL) is one byte
+	if err != nil {
+		return nil, err
+	}
+	row := make(Row, n)
+	for i := range row {
+		if row[i], err = r.compactValue(); err != nil {
+			return nil, err
+		}
+	}
+	return row, r.done()
 }

@@ -250,3 +250,94 @@ func FuzzRowCodec(f *testing.F) {
 		}
 	})
 }
+
+// TestCompactRowQuick: over random rows of every kind, DecodeCompactRow
+// inverts AppendCompact exactly, and the decoded row has the canonical
+// bytes and leaf digest of the row that was written.
+func TestCompactRowQuick(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for i := 0; i < 3000; i++ {
+		r := make(Row, rng.Intn(9))
+		for j := range r {
+			r[j] = randCodecValue(rng)
+		}
+		enc := r.AppendCompact(nil)
+		back, err := DecodeCompactRow(enc)
+		if err != nil {
+			t.Fatalf("row %v: %v", r, err)
+		}
+		if !bytes.Equal(back.AppendCanonical(nil), r.AppendCanonical(nil)) || rowDigest(back) != rowDigest(r) {
+			t.Fatalf("row %v came back as %v", r, back)
+		}
+		if !bytes.Equal(back.AppendCompact(nil), enc) {
+			t.Fatalf("row %v does not re-encode to its bytes", r)
+		}
+	}
+}
+
+// TestCompactRowRejects: truncations, trailing bytes, unknown kinds,
+// bool bytes other than 0 or 1 and non-minimal varints are refused.
+func TestCompactRowRejects(t *testing.T) {
+	good := Row{I(-3), S("ab"), B(true)}.AppendCompact(nil)
+	for i := 0; i < len(good); i++ {
+		if _, err := DecodeCompactRow(good[:i]); !errors.Is(err, ErrCodec) {
+			t.Errorf("truncated at %d: %v", i, err)
+		}
+	}
+	for name, p := range map[string][]byte{
+		"trailing":           append(append([]byte(nil), good...), 0),
+		"unknown kind":       {1, 9},
+		"bool byte 2":        {1, byte(KindBool), 2},
+		"non-minimal count":  {0x81, 0x00, byte(KindNull)},
+		"non-minimal length": {1, byte(KindString), 0x80, 0x00},
+		"non-minimal int":    {1, byte(KindInt), 0x80, 0x00},
+		"huge count":         {0xff, 0xff, 0xff, 0xff, 0x0f},
+		"string past end":    {1, byte(KindString), 5, 'a'},
+	} {
+		if _, err := DecodeCompactRow(p); !errors.Is(err, ErrCodec) {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// FuzzCompactRow drives the compact row decoder with arbitrary bytes: it
+// may not panic or allocate more than a fixed multiple of its input, an
+// accepted row must re-encode to exactly its input, and the row must
+// have the same canonical bytes and leaf digest as the row its
+// canonical bytes decode to. A canonical row that decodes goes the
+// other way too: compact and back must give its canonical bytes.
+func FuzzCompactRow(f *testing.F) {
+	row := Row{I(-7), S("caf\xe9"), F(math.NaN()), B(true), T(time.UnixMicro(-1)), Null()}
+	f.Add(row.AppendCompact(nil))
+	f.Add(row.AppendCanonical(nil))
+	f.Add(Row{I(math.MinInt64), I(math.MaxInt64), S("")}.AppendCompact(nil))
+	f.Add([]byte{})
+	f.Add([]byte{0x81, 0x00})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var (
+			r     Row
+			err   error
+			limit = 256*uint64(len(data)) + 1<<20
+		)
+		if n := allocBytes(func() { r, err = DecodeCompactRow(data) }); n > limit {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
+		if err == nil {
+			if !bytes.Equal(r.AppendCompact(nil), data) {
+				t.Fatal("accepted compact row does not re-encode to its input")
+			}
+			canon := r.AppendCanonical(nil)
+			back, err := DecodeRow(canon)
+			if err != nil || !bytes.Equal(back.AppendCanonical(nil), canon) || rowDigest(back) != rowDigest(r) {
+				t.Fatal("compact row and its canonical bytes disagree")
+			}
+		}
+		if c, err := DecodeRow(data); err == nil {
+			back, err := DecodeCompactRow(c.AppendCompact(nil))
+			if err != nil || !bytes.Equal(back.AppendCanonical(nil), data) || rowDigest(back) != rowDigest(c) {
+				t.Fatal("canonical row does not survive the compact form")
+			}
+		}
+	})
+}

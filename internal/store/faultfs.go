@@ -27,6 +27,8 @@ type FaultFS struct {
 	// failAfter, when >= 0, makes any write that would push the journal
 	// past that byte fail (live error-path injection).
 	failAfter int64
+	// failReads, when set, names the file every read of fails.
+	failReads string
 }
 
 // faultOp is one journaled mutation.
@@ -211,6 +213,18 @@ func (f *FaultFS) SurvivorAt(n int64, mode CrashMode) *MemFS {
 	return out
 }
 
+// ErrInjectedReadFailure is returned by reads of a FailReadsOf file.
+var ErrInjectedReadFailure = errors.New("store: injected read failure")
+
+// FailReadsOf makes every read of the named file fail with
+// ErrInjectedReadFailure ("" disables): a device error on read, with
+// the file itself intact.
+func (f *FaultFS) FailReadsOf(name string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.failReads = name
+}
+
 // --- FS interface ---
 
 func (f *FaultFS) OpenAppend(name string) (File, error) {
@@ -265,6 +279,12 @@ func (f *faultFile) Write(p []byte) (int, error) {
 }
 
 func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
+	f.fs.mu.Lock()
+	fail := f.fs.failReads == f.name
+	f.fs.mu.Unlock()
+	if fail {
+		return 0, ErrInjectedReadFailure
+	}
 	inner, err := f.fs.inner.Open(f.name)
 	if err != nil {
 		return 0, err

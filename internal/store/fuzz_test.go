@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
+	"medshare/internal/chain"
 	"medshare/internal/reldb"
 )
 
@@ -12,12 +14,13 @@ import (
 // with arbitrary bytes: scanning must never panic and must never hand
 // back a record whose checksum does not verify (torn/corrupt tails are
 // rejected, not misread); a valid frame must round-trip identically;
-// node records must decode/encode to a fixed point.
+// every binary record that decodes must re-encode to its exact payload.
 func FuzzWALRecords(f *testing.F) {
 	// Seeds: a healthy two-record stream, a torn tail, a bit-flipped
-	// frame, raw garbage, and a zero-length record.
-	good := appendFrame(nil, kindTableRoot, []byte(`{"name":"t","rows":1}`))
-	good = appendFrame(good, kindCommit, []byte(`{"seq":1}`))
+	// frame, raw garbage, an empty node record, node records, and a
+	// segment opening with its format frame.
+	good := appendFrame(nil, kindTableRoot, appendTableRootRec(nil, TableRoot{Schema: testSchema("t"), Rows: 1}))
+	good = appendFrame(good, kindCommit, appendCommitRec(nil, commitRec{Seq: 1}))
 	f.Add(good)
 	f.Add(good[:len(good)-3])
 	flipped := append([]byte(nil), good...)
@@ -29,11 +32,16 @@ func FuzzWALRecords(f *testing.F) {
 	nd.Digest[0], nd.Left[1], nd.Right[2] = 1, 2, 3
 	nd.Row = reldb.Row{reldb.I(42), reldb.S("x")}
 	f.Add(appendFrame(nil, kindNode, appendNodeRec(nil, nd)))
-	// A node record in the binary row format holding a Latin-1 cell and
-	// a NaN, committed behind a table root.
+	// A leaf (no children) holding a Latin-1 cell and a NaN, committed
+	// behind a table root.
+	nd.Left, nd.Right = [digLen]byte{}, [digLen]byte{}
 	nd.Row = reldb.Row{reldb.I(-1), reldb.S("caf\xe9"), reldb.F(math.NaN()), reldb.Null()}
 	node := appendFrame(nil, kindNode, appendNodeRec(nil, nd))
-	f.Add(appendFrame(append(node, good...), kindCommit, []byte(`{"seq":2}`)))
+	f.Add(appendFrame(append(node, good...), kindCommit, appendCommitRec(nil, commitRec{Seq: 2, Clean: true})))
+	seg := appendFrame(nil, kindFormat, appendFormatRec(nil))
+	seg = appendFrame(seg, kindBlock, chain.AppendBlockBinary(nil, chain.Genesis("fuzz")))
+	seg = appendFrame(seg, kindShareMeta, appendShareMetaRec(nil, ShareMeta{ID: "s", Seq: 3, Source: "src", View: "v", PrioSeed: []byte{9}}))
+	f.Add(appendFrame(seg, kindCommit, appendCommitRec(nil, commitRec{Seq: 1})))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// 1. Arbitrary bytes: scan terminates without panic, and every
@@ -67,31 +75,52 @@ func FuzzWALRecords(f *testing.F) {
 		}
 
 		// 2. Typed decoders must not panic on any accepted payload, and
-		// a node record that decodes must re-encode to its exact bytes.
+		// a binary record that decodes must re-encode to its exact bytes.
 		for _, r := range seen {
+			var again []byte
 			switch r.kind {
 			case kindNode:
 				nd, err := decodeNodeRec(r.payload)
 				if err != nil {
 					continue
 				}
-				if !bytes.Equal(appendNodeRec(nil, nd), r.payload) {
-					t.Fatal("decoded node record does not re-encode to its payload")
-				}
+				again = appendNodeRec(nil, nd)
 			case kindBlock:
-				_, _ = decodeBlockRec(r.payload)
+				b, err := decodeBlockRec(r.payload)
+				if err != nil {
+					continue
+				}
+				again = chain.AppendBlockBinary(nil, b)
 			case kindTableRoot:
-				var tr TableRoot
-				_ = jsonUnmarshal(r.payload, &tr)
+				tr, err := decodeTableRootRec(r.payload)
+				if err != nil {
+					continue
+				}
+				again = appendTableRootRec(nil, tr)
 			case kindShareMeta:
-				var sm ShareMeta
-				_ = jsonUnmarshal(r.payload, &sm)
-			case kindState:
-				var cp StateCheckpoint
-				_ = jsonUnmarshal(r.payload, &cp)
+				sm, err := decodeShareMetaRec(r.payload)
+				if err != nil {
+					continue
+				}
+				again = appendShareMetaRec(nil, sm)
 			case kindCommit:
-				var cr commitRec
-				_ = jsonUnmarshal(r.payload, &cr)
+				cr, err := decodeCommitRec(r.payload)
+				if err != nil {
+					continue
+				}
+				again = appendCommitRec(nil, cr)
+			case kindFormat:
+				v, err := decodeFormatRec(r.payload)
+				if err != nil {
+					continue
+				}
+				again = binary.AppendUvarint(nil, v)
+			default:
+				_, _ = decodeStateRec(r.payload)
+				continue
+			}
+			if !bytes.Equal(again, r.payload) {
+				t.Fatalf("decoded kind %d record does not re-encode to its payload", r.kind)
 			}
 		}
 
@@ -124,13 +153,13 @@ func FuzzWALRecords(f *testing.F) {
 // identically through encode.
 func FuzzSegmentIndex(f *testing.F) {
 	f.Add(encodeSegIndex(nil))
-	var e1, e2 segEntry
-	e1.kind, e1.off, e1.size = kindNode, 0, 100
+	e0 := segEntry{kind: kindFormat, size: formatFrameLen}
+	e1 := segEntry{kind: kindNode, off: e0.size, size: 100}
 	e1.dig[0] = 7
-	e2.kind, e2.off, e2.size = kindCommit, 100, frameHdrLen+12
-	f.Add(encodeSegIndex([]segEntry{e1, e2}))
+	e2 := segEntry{kind: kindCommit, off: e1.off + e1.size, size: frameHdrLen + 2}
+	f.Add(encodeSegIndex([]segEntry{e0, e1, e2}))
 	// A truncated and a bit-flipped index.
-	enc := encodeSegIndex([]segEntry{e1})
+	enc := encodeSegIndex([]segEntry{e0, e1})
 	f.Add(enc[:len(enc)-6])
 	flipped := append([]byte(nil), enc...)
 	flipped[9] ^= 1
@@ -146,10 +175,12 @@ func FuzzSegmentIndex(f *testing.F) {
 		if !bytes.Equal(encodeSegIndex(entries), data) {
 			t.Fatal("decoded index does not re-encode to input")
 		}
+		off := int64(0)
 		for _, e := range entries {
-			if e.size < frameHdrLen || e.off < 0 {
+			if e.size < frameHdrLen || e.off != off {
 				t.Fatalf("accepted out-of-range entry %+v", e)
 			}
+			off += e.size
 		}
 		// Mutating any single byte of a valid encoding must be rejected
 		// (checksum coverage is total). Probe a few positions derived

@@ -8,12 +8,16 @@ import (
 )
 
 // Sealed-segment index: when a segment rotates out of the active
-// position, the store writes a sidecar `<segment>.idx` mapping every
-// record to its frame offset (node records keyed by subtree digest).
+// position, the store writes a sidecar `<segment>.idx` listing every
+// frame of the segment in order (node records keyed by subtree digest).
 // Recovery then registers a sealed segment's nodes without reading
 // their payloads and re-verifies only the low-rate metadata records —
 // the "load the root, replay the tail" shape: full scans are paid only
 // for the active segment.
+//
+// An entry is the record kind, the node digest for a node record, and
+// the frame size as a varint; frames lie back to back from the format
+// frame at offset 0, so offsets are the running sums of the sizes.
 //
 // The index is strictly an accelerator. It carries its own checksum,
 // and any decode or spot-check failure falls back to a full CRC scan
@@ -30,26 +34,30 @@ type segEntry struct {
 
 const (
 	segIndexMagic   = "MSIX"
-	segIndexVersion = 1
-	segEntryLen     = 1 + digLen + 8 + 8
+	segIndexVersion = 2
+	segIndexHdrLen  = 4 + 1 // magic, version
 	// maxSegIndexEntries bounds allocation on corrupt counts.
 	maxSegIndexEntries = 1 << 26
+	// maxSegIndexBytes bounds the sidecar read at open.
+	maxSegIndexBytes int64 = segIndexHdrLen + binary.MaxVarintLen64 + maxSegIndexEntries*(1+digLen+binary.MaxVarintLen64) + 4
 )
 
 var errBadSegIndex = errors.New("store: segment index corrupt")
 
-// encodeSegIndex serializes entries: magic, version, count, fixed-width
-// entries, trailing CRC32C over everything before it.
+// encodeSegIndex serializes entries: magic, version, varint count, the
+// entries, trailing CRC32C over everything before it. Entries must lie
+// back to back from offset 0, as a segment's frames do.
 func encodeSegIndex(entries []segEntry) []byte {
-	out := make([]byte, 0, len(segIndexMagic)+1+4+len(entries)*segEntryLen+4)
+	out := make([]byte, 0, segIndexHdrLen+binary.MaxVarintLen64+len(entries)*(1+3)+4)
 	out = append(out, segIndexMagic...)
 	out = append(out, segIndexVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(entries)))
+	out = binary.AppendUvarint(out, uint64(len(entries)))
 	for _, e := range entries {
 		out = append(out, e.kind)
-		out = append(out, e.dig[:]...)
-		out = binary.LittleEndian.AppendUint64(out, uint64(e.off))
-		out = binary.LittleEndian.AppendUint64(out, uint64(e.size))
+		if e.kind == kindNode {
+			out = append(out, e.dig[:]...)
+		}
+		out = binary.AppendUvarint(out, uint64(e.size))
 	}
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
 }
@@ -57,8 +65,7 @@ func encodeSegIndex(entries []segEntry) []byte {
 // decodeSegIndex parses an index file, rejecting any structural or
 // checksum damage.
 func decodeSegIndex(data []byte) ([]segEntry, error) {
-	hdr := len(segIndexMagic) + 1 + 4
-	if len(data) < hdr+4 {
+	if len(data) < segIndexHdrLen+1+4 {
 		return nil, fmt.Errorf("%w: %d bytes", errBadSegIndex, len(data))
 	}
 	if string(data[:4]) != segIndexMagic || data[4] != segIndexVersion {
@@ -68,22 +75,31 @@ func decodeSegIndex(data []byte) ([]segEntry, error) {
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(tail) {
 		return nil, fmt.Errorf("%w: checksum mismatch", errBadSegIndex)
 	}
-	count := binary.LittleEndian.Uint32(data[5:9])
-	if count > maxSegIndexEntries || int(count)*segEntryLen != len(body)-hdr {
+	r := recReader{buf: body[segIndexHdrLen:]}
+	// An entry is at least its kind byte and a one-byte size.
+	count := r.uvarint()
+	if r.err != nil || count > maxSegIndexEntries || count > uint64(len(r.buf)/2) {
 		return nil, fmt.Errorf("%w: count %d does not match size", errBadSegIndex, count)
 	}
 	entries := make([]segEntry, count)
-	p := body[hdr:]
+	off := int64(0)
 	for i := range entries {
 		e := &entries[i]
-		e.kind = p[0]
-		copy(e.dig[:], p[1:1+digLen])
-		e.off = int64(binary.LittleEndian.Uint64(p[1+digLen : 9+digLen]))
-		e.size = int64(binary.LittleEndian.Uint64(p[9+digLen : 17+digLen]))
-		if e.off < 0 || e.size < frameHdrLen || e.size > frameHdrLen+maxPayload {
+		if kind := r.raw(1); r.err == nil {
+			e.kind = kind[0]
+		}
+		if e.kind == kindNode {
+			copy(e.dig[:], r.raw(digLen))
+		}
+		size := r.uvarint()
+		if r.err != nil || size < frameHdrLen || size > frameHdrLen+maxPayload {
 			return nil, fmt.Errorf("%w: entry %d out of range", errBadSegIndex, i)
 		}
-		p = p[segEntryLen:]
+		e.off, e.size = off, int64(size)
+		off += e.size
+	}
+	if len(r.buf) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", errBadSegIndex, len(r.buf))
 	}
 	return entries, nil
 }

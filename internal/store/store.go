@@ -11,6 +11,10 @@
 // carry a digest-keyed sidecar index so recovery registers their
 // nodes without replaying their payloads.
 //
+// Every segment opens with a format frame, and Open refuses a data dir
+// written in any other format version (ErrFormatVersion) rather than
+// skipping what it cannot read.
+//
 // Recovery is *verified, not trusted*: the store only hands back a
 // table after rebuilding it from node records and recomputing its
 // Merkle root against the persisted commitment, and the layers above
@@ -22,9 +26,9 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 
 	"medshare/internal/chain"
@@ -73,6 +77,18 @@ type Stats struct {
 	// CleanShutdown reports whether the last durable commit carried the
 	// clean-shutdown flag.
 	CleanShutdown bool
+	// Written counts what this store appended since Open, per record
+	// kind ("node", "table_root", "share_meta", "block", "state",
+	// "commit", "format"): records and bytes on disk, frame headers
+	// included. The bytes of all kinds add up to the log's growth.
+	Written map[string]KindWrites
+}
+
+// KindWrites counts the records of one kind a store appended and their
+// size on disk.
+type KindWrites struct {
+	Records int64
+	Bytes   int64
 }
 
 // ErrClosed is returned by operations on a closed store.
@@ -187,14 +203,14 @@ func (s *Store) applyRecord(g *group, seg int, kind byte, payload []byte, off in
 		}
 		g.nodes[d] = recRef{seg: seg, off: off}
 	case kindTableRoot:
-		var tr TableRoot
-		if err := jsonUnmarshal(payload, &tr); err != nil {
+		tr, err := decodeTableRootRec(payload)
+		if err != nil {
 			return false, false, err
 		}
 		g.tables = append(g.tables, tr)
 	case kindShareMeta:
-		var sm ShareMeta
-		if err := jsonUnmarshal(payload, &sm); err != nil {
+		sm, err := decodeShareMetaRec(payload)
+		if err != nil {
 			return false, false, err
 		}
 		g.shares = append(g.shares, sm)
@@ -205,14 +221,14 @@ func (s *Store) applyRecord(g *group, seg int, kind byte, payload []byte, off in
 		}
 		g.blocks = append(g.blocks, b)
 	case kindState:
-		var cp StateCheckpoint
-		if err := jsonUnmarshal(payload, &cp); err != nil {
+		cp, err := decodeStateRec(payload)
+		if err != nil {
 			return false, false, err
 		}
-		g.state = &cp
+		g.state = cp
 	case kindCommit:
-		var cr commitRec
-		if err := jsonUnmarshal(payload, &cr); err != nil {
+		cr, err := decodeCommitRec(payload)
+		if err != nil {
 			return false, false, err
 		}
 		for d, ref := range g.nodes {
@@ -237,17 +253,12 @@ func (s *Store) applyRecord(g *group, seg int, kind byte, payload []byte, off in
 		g.reset()
 		return true, cr.Clean, nil
 	default:
-		// Unknown kinds from a future version: skip within the group.
+		// The format version fixes the kinds; anything else (a format
+		// frame included, which only opens a segment) is not this format.
+		return false, false, fmt.Errorf("%w: kind %d at offset %d", errRecord, kind, off)
 	}
 	g.count++
 	return false, false, nil
-}
-
-func jsonUnmarshal(p []byte, v any) error {
-	if err := json.Unmarshal(p, v); err != nil {
-		return fmt.Errorf("store: decoding record: %w", err)
-	}
-	return nil
 }
 
 // recover scans the log and rebuilds the in-memory indexes.
@@ -279,29 +290,152 @@ func (s *Store) recover() error {
 	}
 	s.stats.Segments = len(s.segNames)
 
+	// Check every segment's format before anything is read or truncated:
+	// a data dir of another version, an unreadable segment or a damaged
+	// active one is refused untouched.
 	last := len(s.segNames) - 1
+	starts := make([]segStart, len(s.segNames))
 	for i := range s.segNames {
-		if i < last && s.recoverSealed(i) {
-			continue
-		}
-		if err := s.recoverScan(i, i == last); err != nil {
+		if starts[i], err = s.checkFormat(i, i == last); err != nil {
+			s.closeReaders()
 			return err
 		}
 	}
+	for i := range s.segNames {
+		switch {
+		case starts[i] == startTorn && i == last:
+			// The active segment lost its format frame to a crash right
+			// after it was created: nothing follows it, so nothing in it
+			// was committed.
+			if sz, _ := s.readers[i].Size(); sz > 0 {
+				s.stats.TornTail = true
+				s.stats.TailBytes = sz
+			}
+			if err := s.fs.Truncate(s.segNames[i], 0); err != nil {
+				s.closeReaders()
+				return fmt.Errorf("store: truncating torn segment start: %w", err)
+			}
+		case i < last && s.recoverSealed(i):
+		case starts[i] != startFormat:
+			// A sealed segment whose start is damaged and whose index
+			// does not vouch for it: its version is unknown, so none of
+			// it is read.
+			s.stats.DegradedSegments++
+		default:
+			if err := s.recoverScan(i, i == last); err != nil {
+				s.closeReaders()
+				return err
+			}
+		}
+	}
 
-	// Reopen the last segment for appending (recoverScan truncated any
-	// torn tail) and rotate immediately if it is already over-size.
+	// Reopen the last segment for appending (recovery truncated any torn
+	// tail) and rotate immediately if it is already over-size.
 	s.activeAt = last
 	f, err := s.fs.OpenAppend(s.segNames[last])
 	if err != nil {
 		return fmt.Errorf("store: reopening active segment: %w", err)
 	}
+	_ = s.readers[last].Close()
 	s.active = f
 	s.readers[last] = f
+	if starts[last] == startTorn {
+		return s.writeFormatFrame()
+	}
 	if s.activeSize >= s.segBytes {
 		return s.rotateLocked()
 	}
 	return nil
+}
+
+// segStart says what opens a segment.
+type segStart int
+
+const (
+	// startFormat: an intact format frame of this build's version.
+	startFormat segStart = iota
+	// startTorn: no intact frame and no bytes past where the format
+	// frame ends, so no record of the segment can have been committed.
+	startTorn
+	// startDamaged: no intact frame, but bytes follow. The format frame
+	// is synced before any record is written, so a crash cannot leave
+	// this; it is damage, and may hide committed groups.
+	startDamaged
+)
+
+// checkFormat reads the frame that opens segment i. A segment that opens
+// with an intact frame of another kind or version is in another format:
+// ErrFormatVersion, naming both versions. A read error is returned as
+// is, and so is a damaged start of the active segment: truncating it
+// could discard committed groups, so Open refuses rather than guess.
+func (s *Store) checkFormat(i int, isActive bool) (segStart, error) {
+	name := s.segNames[i]
+	sz, err := s.readers[i].Size()
+	if err != nil {
+		return 0, fmt.Errorf("store: segment %s: %w", name, err)
+	}
+	kind, payload, err := readFrameAt(s.readers[i], 0)
+	switch {
+	case err != nil && !errors.Is(err, ErrTornTail):
+		return 0, fmt.Errorf("store: segment %s: %w", name, err)
+	case err != nil && sz <= formatFrameLen:
+		return startTorn, nil
+	case err != nil && isActive:
+		return 0, fmt.Errorf("store: active segment %s (%d bytes) opens with a damaged format frame: %w", name, sz, err)
+	case err != nil:
+		return startDamaged, nil
+	}
+	version := uint64(1) // a log before format frames opens with a record
+	if kind == kindFormat {
+		if version, err = decodeFormatRec(payload); err != nil {
+			return 0, fmt.Errorf("store: segment %s: %w", name, err)
+		}
+	}
+	if version != FormatVersion {
+		return 0, fmt.Errorf("%w: segment %s is format version %d, this build reads version %d",
+			ErrFormatVersion, name, version, FormatVersion)
+	}
+	return startFormat, nil
+}
+
+// writeFormatFrame opens the (empty) active segment with the format
+// frame.
+func (s *Store) writeFormatFrame() error {
+	frame := appendFrame(nil, kindFormat, appendFormatRec(nil))
+	if _, err := s.active.Write(frame); err != nil {
+		return fmt.Errorf("store: writing format frame: %w", err)
+	}
+	if !s.noSync {
+		if err := s.active.Sync(); err != nil {
+			return fmt.Errorf("store: writing format frame: %w", err)
+		}
+	}
+	e := segEntry{kind: kindFormat, size: int64(len(frame))}
+	s.activeEntries = append(s.activeEntries[:0], e)
+	s.activeSize = e.size
+	s.stats.TotalBytes += e.size
+	s.countWrite(e)
+	return nil
+}
+
+// countWrite adds one appended frame to Stats.Written.
+func (s *Store) countWrite(e segEntry) {
+	if s.stats.Written == nil {
+		s.stats.Written = make(map[string]KindWrites)
+	}
+	w := s.stats.Written[kindNames[e.kind]]
+	w.Records++
+	w.Bytes += e.size
+	s.stats.Written[kindNames[e.kind]] = w
+}
+
+func (s *Store) closeReaders() {
+	for i, r := range s.readers {
+		if r != nil {
+			_ = r.Close()
+			s.readers[i] = nil
+		}
+	}
 }
 
 // recoverSealed loads sealed segment i through its sidecar index.
@@ -313,7 +447,7 @@ func (s *Store) recoverSealed(i int) bool {
 	}
 	defer idxFile.Close()
 	sz, err := idxFile.Size()
-	if err != nil || sz > int64(maxSegIndexEntries)*segEntryLen {
+	if err != nil || sz > maxSegIndexBytes {
 		return false
 	}
 	buf := make([]byte, sz)
@@ -324,10 +458,15 @@ func (s *Store) recoverSealed(i int) bool {
 	if err != nil {
 		return false
 	}
-	s.stats.ScannedBytes += sz
+	// The index covers every frame, the format frame (checked at open)
+	// first.
+	if len(entries) == 0 || entries[0].kind != kindFormat || entries[0].size != formatFrameLen {
+		return false
+	}
+	s.stats.ScannedBytes += sz + formatFrameLen
 	var g group
 	sawCommit := false
-	for _, e := range entries {
+	for _, e := range entries[1:] {
 		if e.kind == kindNode {
 			// Register by digest without reading the payload; the digest
 			// is re-verified against the payload on fetch.
@@ -354,10 +493,10 @@ func (s *Store) recoverSealed(i int) bool {
 	}
 	// A sealed segment must end on a commit boundary; leftover staged
 	// records mean the index lies — rescan.
-	if g.count > 0 || !sawCommit && len(entries) > 0 {
+	if g.count > 0 || !sawCommit && len(entries) > 1 {
 		return false
 	}
-	s.stats.Records += len(entries)
+	s.stats.Records += len(entries) - 1
 	return true
 }
 
@@ -378,11 +517,13 @@ func (s *Store) recoverScan(i int, isActive bool) error {
 	}
 	s.stats.ScannedBytes += sz
 
+	// checkFormat verified the format frame; records follow it.
 	var g group
-	var entries []segEntry
-	lastDurable := int64(0)
+	entries := []segEntry{{kind: kindFormat, size: formatFrameLen}}
+	lastDurable := formatFrameLen
 	var recErr error
-	valid, tailErr := scanFrames(data, func(kind byte, payload []byte, off int64) bool {
+	_, tailErr := scanFrames(data[formatFrameLen:], func(kind byte, payload []byte, rel int64) bool {
+		off := formatFrameLen + rel
 		committed, _, err := s.applyRecord(&g, i, kind, payload, off)
 		if err != nil {
 			recErr = err
@@ -399,8 +540,12 @@ func (s *Store) recoverScan(i int, isActive bool) error {
 		}
 		return true
 	})
-	_ = valid
-	dirty := tailErr != nil || recErr != nil || lastDurable < sz
+	if recErr != nil {
+		// An intact frame that does not decode is not damage the log
+		// can heal by truncation: refuse to guess.
+		return fmt.Errorf("store: segment %s: %w", s.segNames[i], recErr)
+	}
+	dirty := tailErr != nil || lastDurable < sz
 	if !isActive {
 		if dirty {
 			s.stats.DegradedSegments++
@@ -436,10 +581,9 @@ func (s *Store) startSegment(i int) error {
 	s.readers = append(s.readers, f)
 	s.active = f
 	s.activeAt = i
-	s.activeSize = 0
 	s.activeEntries = nil
 	s.stats.Segments = len(s.segNames)
-	return nil
+	return s.writeFormatFrame()
 }
 
 // rotateLocked seals the active segment (writing its sidecar index)
@@ -488,10 +632,7 @@ func (s *Store) Commit(fn func(b *Batch) error) error {
 		return nil
 	}
 	seq := s.commitSeq + 1
-	marker, err := encodeJSONRec(commitRec{Seq: seq, Clean: b.clean})
-	if err != nil {
-		return err
-	}
+	marker := appendCommitRec(b.scratch[:0], commitRec{Seq: seq, Clean: b.clean})
 	markerOff := int64(len(b.buf))
 	b.buf = appendFrame(b.buf, kindCommit, marker)
 	b.entries = append(b.entries, segEntry{kind: kindCommit, off: markerOff, size: frameSize(len(marker))})
@@ -514,6 +655,7 @@ func (s *Store) Commit(fn func(b *Batch) error) error {
 			s.stats.NodeRecords++
 		}
 		s.activeEntries = append(s.activeEntries, *e)
+		s.countWrite(*e)
 	}
 	for _, tr := range b.tables {
 		s.tables[tr.Name] = tr
@@ -588,39 +730,30 @@ func (b *Batch) PutTable(t *reldb.Table) error {
 		Root:   t.RowsRoot(),
 		Rows:   t.Len(),
 	}
-	p, err := encodeJSONRec(tr)
-	if err != nil {
-		return err
-	}
-	b.appendRec(kindTableRoot, p, [digLen]byte{})
+	b.scratch = appendTableRootRec(b.scratch[:0], tr)
+	b.appendRec(kindTableRoot, b.scratch, [digLen]byte{})
 	b.tables = append(b.tables, tr)
 	return nil
 }
 
 // PutBlock stages one accepted chain block.
 func (b *Batch) PutBlock(bl *chain.Block) error {
-	p, err := encodeJSONRec(bl)
-	if err != nil {
-		return err
-	}
-	b.appendRec(kindBlock, p, [digLen]byte{})
+	b.scratch = chain.AppendBlockBinary(b.scratch[:0], bl)
+	b.appendRec(kindBlock, b.scratch, [digLen]byte{})
 	return nil
 }
 
 // PutShareMeta stages the replica-location record for one share.
 func (b *Batch) PutShareMeta(m ShareMeta) error {
-	p, err := encodeJSONRec(m)
-	if err != nil {
-		return err
-	}
-	b.appendRec(kindShareMeta, p, [digLen]byte{})
+	b.scratch = appendShareMetaRec(b.scratch[:0], m)
+	b.appendRec(kindShareMeta, b.scratch, [digLen]byte{})
 	b.shares = append(b.shares, m)
 	return nil
 }
 
 // PutState stages a world-state checkpoint.
 func (b *Batch) PutState(cp StateCheckpoint) error {
-	p, err := encodeJSONRec(&cp)
+	p, err := appendStateRec(&cp)
 	if err != nil {
 		return err
 	}
@@ -679,7 +812,9 @@ func (s *Store) State() (StateCheckpoint, bool) {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	st.Written = maps.Clone(s.stats.Written)
+	return st
 }
 
 // LoadTable rebuilds the named table from its persisted node records

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"medshare/internal/chain"
@@ -132,24 +135,20 @@ func TestStoreLatin1Cell(t *testing.T) {
 	}
 }
 
-// TestStoreRetiredNodeKind: node records of the retired JSON-row kind
-// are never decoded as rows. A table committed over them fails
-// verification on load (the sharing layer then resyncs it), while the
-// blocks of the same log still recover.
-func TestStoreRetiredNodeKind(t *testing.T) {
-	fs := NewMemFS()
-	s, err := Open(Options{FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestStoreRefusesOldFormat: a data dir written before format frames
+// (format version 1: JSON-row node records of the retired kind 1, JSON
+// table roots, blocks and commit markers) fails Open with the named
+// version error, which states both versions, and is left untouched: no
+// record of it is skipped, truncated or misread.
+func TestStoreRefusesOldFormat(t *testing.T) {
 	tab := testTable(t, "old", 1)
 	var nd reldb.NodeData
 	tab.ExportNodes(nil, func(n reldb.NodeData) bool { nd = n; return true })
-	tr, err := encodeJSONRec(TableRoot{Name: "old", Schema: tab.Schema(), Root: tab.RowsRoot(), Rows: 1})
+	tr, err := json.Marshal(map[string]any{"name": "old", "schema": tab.Schema(), "root": tab.RowsRoot(), "rows": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk, err := encodeJSONRec(chain.Genesis("test"))
+	blk, err := json.Marshal(chain.Genesis("test"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,26 +158,33 @@ func TestStoreRetiredNodeKind(t *testing.T) {
 	log = appendFrame(log, kindTableRoot, tr)
 	log = appendFrame(log, kindBlock, blk)
 	log = appendFrame(log, kindCommit, []byte(`{"seq":1}`))
-	if _, err := s.active.Write(log); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
 
-	r, err := Open(Options{FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if _, err := r.LoadTable("old"); err == nil {
-		t.Fatal("table over a retired node record loaded")
-	}
-	if len(r.Blocks()) != 1 {
-		t.Fatal("blocks beside the retired node record were lost")
-	}
-	// Committing the table again writes current-format nodes and heals it.
-	mustCommitTable(t, r, tab)
-	if got, err := r.LoadTable("old"); err != nil || got.RowsRoot() != tab.RowsRoot() {
-		t.Fatalf("re-committed table: %v", err)
+	for name, seg := range map[string][]byte{
+		"v1 log":         log,
+		"v3 format":      appendFrame(nil, kindFormat, []byte{3}),
+		"v2 then v1 log": append(appendFrame(nil, kindFormat, appendFormatRec(nil)), log...),
+	} {
+		fs := NewMemFS()
+		f, _ := fs.OpenAppend(segName(0))
+		if _, err := f.Write(seg); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(Options{FS: fs})
+		if err == nil {
+			t.Fatalf("%s: Open accepted it", name)
+		}
+		if name != "v2 then v1 log" {
+			want := fmt.Sprintf("is format version %d, this build reads version %d", 1, FormatVersion)
+			if name == "v3 format" {
+				want = fmt.Sprintf("is format version 3, this build reads version %d", FormatVersion)
+			}
+			if !errors.Is(err, ErrFormatVersion) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: Open error %q; want ErrFormatVersion saying %q", name, err, want)
+			}
+		}
+		if sz, _ := f.Size(); sz != int64(len(seg)) {
+			t.Fatalf("%s: refused segment changed size %d -> %d", name, len(seg), sz)
+		}
 	}
 }
 
@@ -606,4 +612,249 @@ func TestPropertyRecoveryEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// segmentSize reads the on-disk size of segment i.
+func segmentSize(t *testing.T, fs FS, i int) int64 {
+	t.Helper()
+	f, err := fs.Open(segName(i))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sz, err := f.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sz
+}
+
+// TestStoreWrittenAddsUp: the per-kind write counters of one commit add
+// up to the bytes that landed in the segment, and a fresh store's
+// counters account for every byte of its log, format frame included.
+func TestStoreWrittenAddsUp(t *testing.T) {
+	fs := NewMemFS()
+	s, err := Open(Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mustCommitTable(t, s, testTable(t, "w", 30))
+	sum := func(w map[string]KindWrites) (bytes, records int64) {
+		for _, k := range w {
+			bytes += k.Bytes
+			records += k.Records
+		}
+		return bytes, records
+	}
+	before, _ := sum(s.Stats().Written)
+	if sz := segmentSize(t, fs, 0); before != sz {
+		t.Fatalf("counters say %d bytes, the segment holds %d", before, sz)
+	}
+
+	tab := testTable(t, "w", 30)
+	if err := tab.Update(reldb.Row{reldb.I(3)}, map[string]reldb.Value{"dose": reldb.S("d7")}); err != nil {
+		t.Fatal(err)
+	}
+	segBefore := segmentSize(t, fs, 0)
+	w0 := s.Stats().Written
+	err = s.Commit(func(b *Batch) error {
+		if err := b.PutTable(tab); err != nil {
+			return err
+		}
+		if err := b.PutBlock(chain.Genesis("w")); err != nil {
+			return err
+		}
+		return b.PutShareMeta(ShareMeta{ID: "sh", Seq: 1, Source: "w", View: "w"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1 := s.Stats().Written
+	var delta int64
+	for k, w := range w1 {
+		d := w.Bytes - w0[k].Bytes
+		if d < 0 {
+			t.Fatalf("kind %s counter went down", k)
+		}
+		delta += d
+	}
+	if grew := segmentSize(t, fs, 0) - segBefore; delta != grew {
+		t.Fatalf("one commit: counters add up to %d bytes, the segment grew %d", delta, grew)
+	}
+	for _, k := range []string{"node", "table_root", "block", "share_meta", "commit"} {
+		if w1[k].Records <= w0[k].Records {
+			t.Errorf("commit wrote no %s record by the counters", k)
+		}
+	}
+}
+
+// TestStoreLostFormatFrame: an active segment that a crash left empty
+// or with a torn format frame held nothing committed; Open starts it
+// over and the store keeps working.
+func TestStoreLostFormatFrame(t *testing.T) {
+	base := NewMemFS()
+	s, err := Open(Options{FS: base, SegmentBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := testTable(t, "lf", 20)
+	mustCommitTable(t, s, tab)
+	segs := s.Stats().Segments
+	s.Close()
+	if segs < 2 {
+		t.Fatalf("want a rotation, have %d segment(s)", segs)
+	}
+	last := segName(segs - 1)
+	for _, keep := range []int64{0, 4} {
+		fs := base.Clone()
+		if err := fs.Truncate(last, keep); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(Options{FS: fs, SegmentBytes: 1 << 10})
+		if err != nil {
+			t.Fatalf("keep %d: %v", keep, err)
+		}
+		if got, err := r.LoadTable("lf"); err != nil || got.Hash() != tab.Hash() {
+			t.Fatalf("keep %d: table after restart: %v", keep, err)
+		}
+		mustCommitTable(t, r, tab.Reseeded([]byte("again")))
+		r.Close()
+		if _, err := Open(Options{FS: fs}); err != nil {
+			t.Fatalf("keep %d: reopen after a new commit: %v", keep, err)
+		}
+	}
+}
+
+// segmentBytes reads the whole of segment name.
+func segmentBytes(t *testing.T, fs FS, name string) []byte {
+	t.Helper()
+	f, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sz, err := f.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, sz)
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// TestStoreOpenReadError: a device error reading the active segment's
+// format frame fails Open with that error and leaves the segment as it
+// was; once reads work again the store opens with everything in it.
+func TestStoreOpenReadError(t *testing.T) {
+	ffs := NewFaultFS()
+	s, err := Open(Options{FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := testTable(t, "rd", 20)
+	mustCommitTable(t, s, tab)
+	s.Close()
+	before := segmentBytes(t, ffs, segName(0))
+
+	ffs.FailReadsOf(segName(0))
+	if _, err := Open(Options{FS: ffs}); !errors.Is(err, ErrInjectedReadFailure) {
+		t.Fatalf("Open with an unreadable active segment: %v; want the read error", err)
+	}
+	ffs.FailReadsOf("")
+	if after := segmentBytes(t, ffs, segName(0)); string(after) != string(before) {
+		t.Fatalf("a failed Open changed the segment: %d bytes -> %d", len(before), len(after))
+	}
+	r, err := Open(Options{FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got, err := r.LoadTable("rd"); err != nil || got.Hash() != tab.Hash() {
+		t.Fatalf("table after the device recovered: %v", err)
+	}
+}
+
+// TestStoreDamagedFormatFrame: a damaged format frame is not mistaken
+// for a crash. An active segment with records behind it fails Open and
+// is left untouched; a sealed one still loads through its index, and
+// without an index it counts as degraded. An active segment that holds
+// nothing past the damaged frame committed nothing and starts over.
+func TestStoreDamagedFormatFrame(t *testing.T) {
+	flip := func(fs *MemFS, name string) {
+		fs.files[name][formatFrameLen-1] ^= 0x40
+	}
+
+	t.Run("active", func(t *testing.T) {
+		fs := NewMemFS()
+		s, err := Open(Options{FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustCommitTable(t, s, testTable(t, "af", 5))
+		s.Close()
+		flip(fs, segName(0))
+		before := segmentBytes(t, fs, segName(0))
+		if _, err := Open(Options{FS: fs}); err == nil || !strings.Contains(err.Error(), "damaged format frame") {
+			t.Fatalf("Open over a damaged active format frame: %v", err)
+		}
+		if after := segmentBytes(t, fs, segName(0)); string(after) != string(before) {
+			t.Fatalf("a refused Open changed the segment: %d bytes -> %d", len(before), len(after))
+		}
+	})
+
+	t.Run("sealed", func(t *testing.T) {
+		fs := NewMemFS()
+		s, err := Open(Options{FS: fs, SegmentBytes: 1 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab := testTable(t, "sf", 20)
+		mustCommitTable(t, s, tab)
+		if segs := s.Stats().Segments; segs != 2 {
+			t.Fatalf("want the commit sealed in segment 0, have %d segment(s)", segs)
+		}
+		s.Close()
+		flip(fs, segName(0))
+
+		r, err := Open(Options{FS: fs.Clone(), SegmentBytes: 1 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := r.LoadTable("sf"); err != nil || got.Hash() != tab.Hash() || r.Stats().DegradedSegments != 0 {
+			t.Fatalf("sealed segment through its index: %v, %d degraded", err, r.Stats().DegradedSegments)
+		}
+		r.Close()
+
+		if err := fs.Remove(segName(0) + ".idx"); err != nil {
+			t.Fatal(err)
+		}
+		r, err = Open(Options{FS: fs, SegmentBytes: 1 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if st := r.Stats(); st.DegradedSegments != 1 || st.TornTail {
+			t.Fatalf("sealed segment without an index: %d degraded, torn tail %v", st.DegradedSegments, st.TornTail)
+		}
+	})
+
+	t.Run("nothing behind it", func(t *testing.T) {
+		fs := NewMemFS()
+		s, err := Open(Options{FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		flip(fs, segName(0))
+		r, err := Open(Options{FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustCommitTable(t, r, testTable(t, "nb", 3))
+		r.Close()
+		if _, err := Open(Options{FS: fs}); err != nil {
+			t.Fatalf("reopen after a new commit: %v", err)
+		}
+	})
 }

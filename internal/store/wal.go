@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
 // WAL framing: every record is
@@ -101,11 +102,13 @@ func scanFrames(data []byte, fn func(kind byte, payload []byte, off int64) bool)
 }
 
 // readFrameAt reads and verifies the single frame at off in f (the
-// random-access path used to fetch node payloads lazily by digest).
+// random-access path used to fetch node payloads lazily by digest). A
+// frame that is damaged or runs past the end of the file is
+// ErrTornTail; any other read error is the device's, returned as is.
 func readFrameAt(f File, off int64) (kind byte, payload []byte, err error) {
 	var hdr [frameHdrLen]byte
 	if _, err := f.ReadAt(hdr[:], off); err != nil {
-		return 0, nil, fmt.Errorf("%w: reading frame header: %v", ErrTornTail, err)
+		return 0, nil, readErr("frame header", err)
 	}
 	n := binary.LittleEndian.Uint32(hdr[2:6])
 	if hdr[0] != frameMagic || n > maxPayload {
@@ -114,8 +117,17 @@ func readFrameAt(f File, off int64) (kind byte, payload []byte, err error) {
 	buf := make([]byte, frameHdrLen+int(n))
 	copy(buf, hdr[:])
 	if _, err := f.ReadAt(buf[frameHdrLen:], off+frameHdrLen); err != nil {
-		return 0, nil, fmt.Errorf("%w: reading frame payload: %v", ErrTornTail, err)
+		return 0, nil, readErr("frame payload", err)
 	}
 	kind, payload, _, perr := parseFrame(buf)
 	return kind, payload, perr
+}
+
+// readErr classifies a failed frame read: running off the end of the
+// file is a torn frame, anything else an I/O error.
+func readErr(what string, err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("%w: reading %s: %v", ErrTornTail, what, err)
+	}
+	return fmt.Errorf("store: reading %s: %w", what, err)
 }

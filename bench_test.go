@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"medshare/internal/bx"
-	"medshare/internal/core"
 	"medshare/internal/reldb"
 	"medshare/internal/workload"
 )
@@ -117,7 +116,7 @@ func BenchmarkReldb_Rows(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rows := full.Rows(); len(rows) != 1000 {
+		if rows := full.RowsCanonical(); len(rows) != 1000 {
 			b.Fatal("short read")
 		}
 	}
@@ -266,16 +265,6 @@ func (d *mutexDB) withTable(name string, fn func(*reldb.Table) error) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return fn(d.tables[name])
-}
-
-func (d *mutexDB) deepSnapshot() map[string]*reldb.Table {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make(map[string]*reldb.Table, len(d.tables))
-	for n, t := range d.tables {
-		out[n] = t.Clone()
-	}
-	return out
 }
 
 // benchTables is the many-shares peer's database shape: one wide source
@@ -443,41 +432,6 @@ func BenchmarkDB_ReadersUnderWriter(b *testing.B) {
 	})
 }
 
-// BenchmarkDB_SnapshotManyTables measures Database.Snapshot on a
-// 64-share peer: now an O(#tables) pointer copy, against the old
-// deep-clone-under-RLock construction.
-func BenchmarkDB_SnapshotManyTables(b *testing.B) {
-	const shares, rows = 64, 256
-	tables := benchTables(shares, rows)
-
-	b.Run("lockfree", func(b *testing.B) {
-		db := reldb.NewDatabase("bench")
-		for _, t := range tables {
-			db.PutTable(t)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if s := db.Snapshot(); s == nil {
-				b.Fatal("nil snapshot")
-			}
-		}
-	})
-	b.Run("globalmutex", func(b *testing.B) {
-		db := newMutexDB()
-		for _, t := range tables {
-			db.put(t)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if s := db.deepSnapshot(); len(s) == 0 {
-				b.Fatal("empty snapshot")
-			}
-		}
-	})
-}
-
 // BenchmarkE9_BX_PutDeltaRekeyed measures the delta path through a
 // re-keyed projection (the paper's D23/D32: view keyed on medication,
 // source keyed on patient): O(changed rows) through the source's
@@ -520,8 +474,11 @@ func BenchmarkJoinDelta(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			lens := bx.Join("RXF", workload.Formulary("formulary", 1))
-			benchPutDeltaOneRow(b, rx, lens, workload.ColDosage)
+			ref, err := formulary(full)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchPutDeltaOneRow(b, rx, bx.Join("RXF", ref), workload.ColDosage)
 		})
 	}
 }
@@ -641,39 +598,4 @@ func BenchmarkMerkle_Verify(b *testing.B) {
 			b.Fatal("proof rejected")
 		}
 	}
-}
-
-// BenchmarkMerkle_AntiEntropy measures a full structural sync round trip
-// (wire-encoded both ways) for a 16-row scattered divergence on a
-// 10k-row view, reporting the bytes moved against the full payload.
-func BenchmarkMerkle_AntiEntropy(b *testing.B) {
-	full := workload.Generate("full", 10000, 1)
-	full.Hash()
-	keys := full.RowsCanonical()
-	stale := full.Clone()
-	for j := 0; j < 16; j++ {
-		if err := stale.Update(full.KeyValues(keys[j*613]),
-			map[string]reldb.Value{workload.ColDosage: reldb.S("stale")}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	fullRaw, err := reldb.MarshalTable(full)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var stats core.SyncStats
-	for i := 0; i < b.N; i++ {
-		out, s, err := core.SimulateStructuralSync(full, stale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out.Len() != full.Len() {
-			b.Fatal("sync diverged")
-		}
-		stats = s
-	}
-	b.ReportMetric(float64(stats.BytesSent+stats.BytesReceived), "B/sync")
-	b.ReportMetric(float64(len(fullRaw)), "B/full")
 }

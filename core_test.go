@@ -2,7 +2,6 @@ package medshare
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -259,39 +258,6 @@ func TestMultiNodeScenario(t *testing.T) {
 	})
 }
 
-// TestFetchAuthorization: only sharing peers can fetch a share's payload
-// over the data channel.
-func TestFetchAuthorization(t *testing.T) {
-	ctx := testCtx(t)
-	sc, err := NewFig1Scenario(ctx, fastNet(), 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Stop()
-
-	// The patient is not a peer of D23&D32; a fetch must be refused even
-	// though the patient is a legitimate system participant.
-	outsider, err := sc.Network.NewPeer("Outsider", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = outsider.Fetch(ctx, sc.Researcher.Address(), ShareIDD23, 0)
-	if err == nil {
-		t.Fatal("non-peer fetch succeeded")
-	}
-	if !errors.Is(err, ErrNotAuthorized) && !strings.Contains(err.Error(), "non-peer") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	// A legitimate peer fetch works.
-	table, _, err := sc.Doctor.Fetch(ctx, sc.Researcher.Address(), ShareIDD23, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if table.Len() == 0 {
-		t.Fatal("fetched empty table")
-	}
-}
-
 // TestResyncAfterMissedEvents: a peer that missed all notifications
 // catches up from contract state and the data channel.
 func TestResyncAfterMissedEvents(t *testing.T) {
@@ -340,15 +306,15 @@ func TestAutoResyncRecovers(t *testing.T) {
 	ctx := testCtx(t)
 	cfg := fastNet()
 	cfg.PeerResyncInterval = 10 * time.Millisecond
+	cfg.DurablePeers = true
 	sc, err := NewFig1Scenario(ctx, cfg, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sc.Stop()
 
-	// Drop the patient's event subscription by flooding... simplest
-	// deterministic simulation: stop and restart the peer's loops, losing
-	// whatever happened in between.
+	// The patient crashes and misses whatever happens while it is down.
+	image := sc.Network.peerFS["Patient"].Clone()
 	sc.Patient.Stop()
 	err = sc.Doctor.UpdateSource("D3", func(tbl *reldb.Table) error {
 		return tbl.Update(reldb.Row{reldb.I(188)},
@@ -360,19 +326,26 @@ func TestAutoResyncRecovers(t *testing.T) {
 	if _, err := sc.Doctor.SyncShares(ctx, "D3"); err != nil {
 		t.Fatal(err)
 	}
-	// The patient missed the event entirely. Restarting it brings only
-	// the periodic resync loop; no event will ever arrive for seq 1.
-	sc.Patient.Restart()
+	// The patient missed the event entirely. Restarting it over its
+	// crash image brings only the periodic resync loop; no event will
+	// ever arrive for seq 1.
+	sc.Patient, err = restartPeer(sc.Network, sc.Patient, "Patient", 0, image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Patient.AttachShare(ShareIDD13, "D1", LensD13(), "D13"); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, 30*time.Second, func() bool {
 		d1, err := sc.Patient.Source("D1")
 		if err != nil {
 			return false
 		}
-		v, err := d1.Value(reldb.Row{reldb.I(188)}, workload.ColDosage)
-		if err != nil {
+		row, _ := d1.Get(reldb.Row{reldb.I(188)})
+		if row == nil {
 			return false
 		}
-		s, _ := v.Str()
+		s, _ := row[d1.Schema().ColumnIndex(workload.ColDosage)].Str()
 		return s == "auto-resynced"
 	})
 	// And the share finalized (the resync acked).

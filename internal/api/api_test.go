@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -29,15 +30,25 @@ import (
 // harness is two peers over a memnet sharing one PoA node, with an
 // httptest server fronting peer A — the API tests' world.
 type harness struct {
-	node   *node.Node
-	a, b   *core.Peer
-	server *api.Server
-	ts     *httptest.Server
-	client *api.Client
-	ctx    context.Context
+	node     *node.Node
+	mem      *p2p.MemNetwork
+	dir      *core.Directory
+	ids      map[string]*identity.Identity
+	coalesce time.Duration
+	a, b     *core.Peer
+	server   *api.Server
+	ts       *httptest.Server
+	client   *api.Client
+	ctx      context.Context
 }
 
 func newHarness(t *testing.T, coalesce time.Duration) *harness {
+	return newDurableHarness(t, coalesce, nil)
+}
+
+// newDurableHarness is newHarness with peer A's replicas in a durable
+// store on fsA (none when fsA is nil).
+func newDurableHarness(t *testing.T, coalesce time.Duration, fsA *store.MemFS) *harness {
 	t.Helper()
 	nid := identity.MustNew("node")
 	n, err := node.New(node.Config{
@@ -55,37 +66,63 @@ func newHarness(t *testing.T, coalesce time.Duration) *harness {
 	n.Start(ctx)
 	t.Cleanup(n.Stop)
 
-	mem := p2p.NewMemNetwork()
-	dir := core.NewDirectory()
-	mk := func(name string) *core.Peer {
-		id := identity.MustNew(name)
-		db := reldb.NewDatabase(name)
-		tbl := reldb.MustNewTable(reldb.Schema{
-			Name: "T",
-			Columns: []reldb.Column{
-				{Name: "k", Type: reldb.KindInt},
-				{Name: "v", Type: reldb.KindString},
-			},
-			Key: []string{"k"},
-		})
-		for i := int64(0); i < 8; i++ {
-			tbl.MustInsert(reldb.Row{reldb.I(i), reldb.S("v0")})
-		}
-		db.PutTable(tbl)
-		p, err := core.NewPeer(core.Config{
-			Identity: id, DB: db, Node: n,
-			Transport: mem.Endpoint(name), Directory: dir,
-		})
+	h := &harness{
+		node: n, mem: p2p.NewMemNetwork(), dir: core.NewDirectory(),
+		ids: map[string]*identity.Identity{"node": nid}, coalesce: coalesce, ctx: ctx,
+	}
+	h.a, h.b = h.newPeer(t, "A", fsA), h.newPeer(t, "B", nil)
+	h.serve(t)
+	return h
+}
+
+// newPeer starts peer name over a fresh database holding table T, with
+// a durable store on fs when fs is non-nil. A peer started again under
+// its name keeps its identity.
+func (h *harness) newPeer(t *testing.T, name string, fs *store.MemFS) *core.Peer {
+	t.Helper()
+	id := h.ids[name]
+	if id == nil {
+		id = identity.MustNew(name)
+		h.ids[name] = id
+	}
+	db := reldb.NewDatabase(name)
+	tbl := reldb.MustNewTable(reldb.Schema{
+		Name: "T",
+		Columns: []reldb.Column{
+			{Name: "k", Type: reldb.KindInt},
+			{Name: "v", Type: reldb.KindString},
+		},
+		Key: []string{"k"},
+	})
+	for i := int64(0); i < 8; i++ {
+		tbl.MustInsert(reldb.Row{reldb.I(i), reldb.S("v0")})
+	}
+	db.PutTable(tbl)
+	cfg := core.Config{
+		Identity: id, DB: db, Node: h.node,
+		Transport: h.mem.Endpoint(name), Directory: h.dir,
+	}
+	if fs != nil {
+		st, err := store.Open(store.Options{FS: fs})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Start()
-		t.Cleanup(p.Stop)
-		return p
+		t.Cleanup(func() { _ = st.Close() })
+		cfg.Store = st
 	}
-	h := &harness{node: n, a: mk("A"), b: mk("B"), ctx: ctx}
+	p, err := core.NewPeer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	t.Cleanup(p.Stop)
+	return p
+}
 
-	srv, err := api.New(api.Config{Peer: h.a, Node: n, CoalesceWindow: coalesce})
+// serve fronts peer A with a fresh API server.
+func (h *harness) serve(t *testing.T) {
+	t.Helper()
+	srv, err := api.New(api.Config{Peer: h.a, Node: h.node, CoalesceWindow: h.coalesce})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +130,35 @@ func newHarness(t *testing.T, coalesce time.Duration) *harness {
 	h.ts = httptest.NewServer(srv.Handler())
 	t.Cleanup(h.ts.Close)
 	h.client = &api.Client{BaseURL: h.ts.URL}
-	return h
+}
+
+// get fetches path from the server and returns the status code and body.
+func (h *harness) get(t *testing.T, path string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(h.ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(data)
+}
+
+// ready reports whether /readyz answers 200.
+func (h *harness) ready(t *testing.T) bool {
+	t.Helper()
+	code, _ := h.get(t, "/readyz")
+	return code == http.StatusOK
+}
+
+// metrics returns the /metrics exposition.
+func (h *harness) metrics(t *testing.T) string {
+	t.Helper()
+	_, m := h.get(t, "/metrics")
+	return m
 }
 
 func lensSpec(t *testing.T, view string) json.RawMessage {
@@ -139,15 +204,16 @@ func TestLifecycleOverHTTP(t *testing.T) {
 	h := newHarness(t, 0)
 	h.registerShare(t)
 
-	if err := h.client.Healthz(h.ctx); err != nil {
-		t.Fatalf("healthz: %v", err)
+	if code, body := h.get(t, "/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz: %d %s", code, body)
 	}
-	if err := h.client.Readyz(h.ctx); err != nil {
-		t.Fatalf("readyz: %v", err)
+	if code, body := h.get(t, "/readyz"); code != http.StatusOK {
+		t.Fatalf("readyz: %d %s", code, body)
 	}
 
-	shares, err := h.client.Shares(h.ctx)
-	if err != nil || len(shares) != 1 || shares[0].ID != "S" {
+	var shares []api.ShareStatus
+	_, body := h.get(t, "/v1/shares")
+	if err := json.Unmarshal([]byte(body), &shares); err != nil || len(shares) != 1 || shares[0].ID != "S" {
 		t.Fatalf("shares = %+v, err %v", shares, err)
 	}
 
@@ -228,10 +294,7 @@ func TestRowsViewCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := h.client.Metrics(h.ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := h.metrics(t)
 	if !strings.Contains(m, "medshare_api_view_cache_hits_total 2") {
 		t.Fatalf("expected 2 view-cache hits in metrics:\n%s", grepLines(m, "view_cache"))
 	}
@@ -248,7 +311,7 @@ func TestRowsViewCache(t *testing.T) {
 	if _, ok := view.Get(reldb.Row{reldb.I(100)}); !ok {
 		t.Fatal("updated row missing from cached read")
 	}
-	m, _ = h.client.Metrics(h.ctx)
+	m = h.metrics(t)
 	if !strings.Contains(m, "medshare_api_view_cache_misses_total 2") {
 		t.Fatalf("expected 2 view-cache misses after update:\n%s", grepLines(m, "view_cache"))
 	}
@@ -323,15 +386,12 @@ func TestWriteCoalescing(t *testing.T) {
 }
 
 func TestReadyzFlipsDuringResync(t *testing.T) {
-	h := newHarness(t, 0)
+	fs := store.NewMemFS()
+	h := newDurableHarness(t, 0, fs)
 	h.registerShare(t)
 
-	// Snapshot A's binding at seq 0, let B finalize an update, then
-	// restore A to the stale snapshot: A now lags the chain.
-	snap, err := h.a.SnapshotShare("S")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Image A's store at seq 0 and let B finalize an update.
+	image := fs.Clone()
 	res, err := h.b.UpdateView(h.ctx, "S", func(tbl *reldb.Table) error {
 		return tbl.Update(reldb.Row{reldb.I(2)}, map[string]reldb.Value{"v": reldb.S("fromB")})
 	})
@@ -341,28 +401,33 @@ func TestReadyzFlipsDuringResync(t *testing.T) {
 	if err := h.a.WaitFinal(h.ctx, "S", res.Seq); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.client.Readyz(h.ctx); err != nil {
-		t.Fatalf("ready before fault: %v", err)
+	if !h.ready(t) {
+		t.Fatal("not ready before fault")
 	}
 
-	if err := h.a.RestoreShare(snap); err != nil {
+	// Restart A over the older image: it now lags the chain.
+	h.a.Stop()
+	h.ts.Close()
+	h.a = h.newPeer(t, "A", image)
+	lens, err := bx.Spec{Op: bx.OpProject, ViewName: "Sa", Cols: []string{"k", "v"}, OnDelete: bx.PolicyApply, OnInsert: bx.PolicyApply}.Build()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.client.Readyz(h.ctx); err == nil {
+	if err := h.a.AttachShare("S", "T", lens, "Sa"); err != nil {
+		t.Fatal(err)
+	}
+	h.serve(t)
+	if h.ready(t) {
 		t.Fatal("readyz reported ready while lagging the chain")
 	}
 
 	if err := h.a.Resync(h.ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.client.Readyz(h.ctx); err != nil {
-		t.Fatalf("readyz after resync: %v", err)
+	if code, body := h.get(t, "/readyz"); code != http.StatusOK {
+		t.Fatalf("readyz after resync: %d %s", code, body)
 	}
-	m, err := h.client.Metrics(h.ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(m, "medshare_api_not_ready_total 1") {
+	if m := h.metrics(t); !strings.Contains(m, "medshare_api_not_ready_total 1") {
 		t.Fatalf("not-ready probe not counted:\n%s", grepLines(m, "not_ready"))
 	}
 }
@@ -373,15 +438,15 @@ func TestReadyzFlipsDuringResync(t *testing.T) {
 func TestReadyzReportsPoisonedNode(t *testing.T) {
 	h := newHarness(t, 0)
 	h.registerShare(t)
-	if err := h.client.Readyz(h.ctx); err != nil {
-		t.Fatalf("ready before fault: %v", err)
+	if !h.ready(t) {
+		t.Fatal("not ready before fault")
 	}
 
 	// A branch of empty blocks from genesis, one longer than the main
 	// chain, whose first block declares a state root nothing produces.
-	id := h.node.Identity()
+	id := h.ids["node"]
 	engine := consensus.NewPoA(false, id.Address())
-	parent := h.node.Store().Genesis()
+	parent := h.node.Store().MainChain()[0]
 	for height := uint64(1); height <= h.node.Store().Height()+1 && h.node.Poisoned() == nil; height++ {
 		b := &chain.Block{Header: chain.Header{Height: height, PrevHash: parent.Hash(), TimestampMicro: int64(height)}}
 		b.Header.TxRoot = b.ComputeTxRoot()
@@ -393,8 +458,7 @@ func TestReadyzReportsPoisonedNode(t *testing.T) {
 		parent = b
 	}
 
-	err := h.client.Readyz(h.ctx)
-	if err == nil {
+	if h.ready(t) {
 		t.Fatal("readyz reported ready on a poisoned node")
 	}
 	resp, herr := http.Get(h.ts.URL + "/readyz")
@@ -420,10 +484,7 @@ func TestMetricsExposition(t *testing.T) {
 	if _, err := h.client.Rows(h.ctx, "S"); err != nil {
 		t.Fatal(err)
 	}
-	m, err := h.client.Metrics(h.ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := h.metrics(t)
 	for _, want := range []string{
 		`medshare_api_requests_total{kind="rows"} 1`,
 		`medshare_api_requests_total{kind="register"} 1`,
@@ -432,9 +493,7 @@ func TestMetricsExposition(t *testing.T) {
 		"medshare_peer_batch_commits_total",
 		"medshare_peer_delta_gets_total",
 		"medshare_peer_full_gets_total",
-		"medshare_peer_headers_served_total",
-		"medshare_peer_light_heads_served_total",
-		"medshare_peer_light_rows_served_total",
+		"# TYPE medshare_peer_event_backlog gauge",
 		"medshare_chain_height",
 		"# TYPE medshare_node_tx_sig_checks_total counter",
 	} {
@@ -465,12 +524,9 @@ func TestMetricsStoreWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	m, err := (&api.Client{BaseURL: ts.URL}).Metrics(h.ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h.ts = httptest.NewServer(srv.Handler())
+	defer h.ts.Close()
+	m := h.metrics(t)
 	w := st.Stats().Written
 	for _, want := range []string{
 		"# TYPE medshare_store_bytes_written_total counter",

@@ -72,31 +72,6 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// Healthz probes liveness.
-func (c *Client) Healthz(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
-}
-
-// Readyz probes readiness; a 503 returns an error.
-func (c *Client) Readyz(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/readyz", nil, nil)
-}
-
-// Metrics fetches the raw Prometheus exposition.
-func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	return string(data), err
-}
-
 // Register registers a new share.
 func (c *Client) Register(ctx context.Context, req RegisterRequest) (ShareStatus, error) {
 	var st ShareStatus
@@ -109,13 +84,6 @@ func (c *Client) Attach(ctx context.Context, id string, req AttachRequest) (Shar
 	var st ShareStatus
 	err := c.do(ctx, http.MethodPost, "/v1/shares/"+url.PathEscape(id)+"/attach", req, &st)
 	return st, err
-}
-
-// Shares lists the shares bound on the serving peer.
-func (c *Client) Shares(ctx context.Context) ([]ShareStatus, error) {
-	var out []ShareStatus
-	err := c.do(ctx, http.MethodGet, "/v1/shares", nil, &out)
-	return out, err
 }
 
 // Share fetches one share's status.

@@ -74,13 +74,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) error {
 			lags = append(lags, lag{ShareID: id, AppliedSeq: info.AppliedSeq, ChainSeq: meta.Seq})
 		}
 	}
-	depth := s.peer.Stats().ShardQueueDepth
+	backlog := s.peer.Stats().ShardQueueDepth
 	poisoned := s.node.Poisoned()
-	ready := len(lags) == 0 && depth <= maxQueueDepth && poisoned == nil
+	ready := len(lags) == 0 && backlog <= maxEventBacklog && poisoned == nil
 	body := map[string]any{
-		"ready":      ready,
-		"queueDepth": depth,
-		"lagging":    lags,
+		"ready":        ready,
+		"eventBacklog": backlog,
+		"lagging":      lags,
 	}
 	if poisoned != nil {
 		body["poisoned"] = poisoned.Error()

@@ -14,14 +14,13 @@ import (
 	"medshare/internal/reldb"
 )
 
-// Light serving over HTTP: the same three primitives the p2p serving
-// edge offers light clients — header pages, proven share heads, proven
-// rows — exposed as endpoints so a light client can run against a
-// medshared -api process with nothing but an HTTP connection. The
-// payloads are the binary light wire frames (not JSON): every byte is
-// part of a hash preimage or a proof, so the transport encoding and the
-// verification encoding must be the same bytes, and the client decodes
-// with the identical codec the p2p path uses.
+// Light serving over HTTP, the light clients' only transport: header
+// pages, proven share heads and proven rows, exposed as endpoints so a
+// light client can run against a medshared -api process with nothing
+// but an HTTP connection. The payloads are the binary light wire frames
+// (not JSON): every byte is part of a hash preimage or a proof, so the
+// transport encoding and the verification encoding must be the same
+// bytes.
 
 const lightContentType = "application/octet-stream"
 
@@ -82,8 +81,7 @@ func (s *Server) handleLightRow(w http.ResponseWriter, r *http.Request) error {
 
 // LightSource is a light.Source over the HTTP serving edge: the
 // transport for `medsharectl light`. Responses are the binary light
-// wire frames, decoded with the same codec the p2p path uses, so
-// everything the client verifies is byte-identical across transports.
+// wire frames, decoded with the light package's codec.
 type LightSource struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8344".
 	BaseURL string

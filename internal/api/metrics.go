@@ -90,9 +90,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 		{"medshare_peer_full_gets_total", st.FullGets},
 		{"medshare_peer_fetches_served_total", st.FetchesServed},
 		{"medshare_peer_syncs_served_total", st.SyncsServed},
-		{"medshare_peer_headers_served_total", st.HeadersServed},
-		{"medshare_peer_light_heads_served_total", st.LightHeadsServed},
-		{"medshare_peer_light_rows_served_total", st.LightRowsServed},
 		{"medshare_peer_proof_cache_hits_total", st.ProofCacheHits},
 		{"medshare_peer_proof_cache_misses_total", st.ProofCacheMisses},
 	}
@@ -102,8 +99,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 		buf = append(buf, " counter\n"...)
 		buf = promLine(buf, c.name, "", float64(c.v))
 	}
-	buf = append(buf, "# TYPE medshare_peer_shard_queue_depth gauge\n"...)
-	buf = promLine(buf, "medshare_peer_shard_queue_depth", "", float64(st.ShardQueueDepth))
+	buf = append(buf, "# TYPE medshare_peer_event_backlog gauge\n"...)
+	buf = promLine(buf, "medshare_peer_event_backlog", "", float64(st.ShardQueueDepth))
 	buf = append(buf, "# TYPE medshare_chain_height gauge\n"...)
 	buf = promLine(buf, "medshare_chain_height", "", float64(s.node.Store().Height()))
 	buf = append(buf, "# TYPE medshare_chain_pending_txs gauge\n"...)

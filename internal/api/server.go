@@ -39,11 +39,10 @@ type Config struct {
 
 // Fixed serving limits.
 const (
-	// maxQueueDepth is the peer's event backlog (Stats.ShardQueueDepth:
-	// events delivered and not yet dispatched, plus update requests
-	// inside unfinished receive rounds) above which /readyz reports
-	// not-ready.
-	maxQueueDepth = 256
+	// maxEventBacklog is the peer's event backlog (events delivered and
+	// not yet dispatched, plus update requests inside unfinished receive
+	// rounds) above which /readyz reports not-ready.
+	maxEventBacklog = 256
 	// requestTimeout bounds one API request's work, chain commits
 	// included.
 	requestTimeout = 30 * time.Second

@@ -16,7 +16,6 @@ import (
 	"medshare/internal/contract"
 	"medshare/internal/contract/sharereg"
 	"medshare/internal/identity"
-	"medshare/internal/merkle"
 	"medshare/internal/statedb"
 )
 
@@ -151,49 +150,6 @@ func (a *Auditor) History(shareID string) ([]Record, error) {
 		}
 	}
 	return out, nil
-}
-
-// InclusionProof is a self-contained, independently checkable proof that
-// a transaction was committed: the block header plus a Merkle membership
-// path from the transaction to the header's TxRoot. A patient can hand it
-// to a third party (a court, an insurer) who verifies it against nothing
-// but the block hash.
-type InclusionProof struct {
-	// Header is the committing block's header.
-	Header chain.Header
-	// TxEncoding is the canonical transaction encoding (the Merkle leaf).
-	TxEncoding []byte
-	// Proof is the Merkle membership path to Header.TxRoot.
-	Proof merkle.Proof
-}
-
-// ProveInclusion builds an inclusion proof for the transaction with the
-// given ID (hex), searching the main chain.
-func (a *Auditor) ProveInclusion(txID string) (InclusionProof, error) {
-	for _, b := range a.store.MainChain() {
-		for i, tx := range b.Txs {
-			if tx.IDString() != txID {
-				continue
-			}
-			proof, err := merkle.Prove(b.TxLeaves(), i)
-			if err != nil {
-				return InclusionProof{}, err
-			}
-			return InclusionProof{
-				Header:     b.Header,
-				TxEncoding: tx.Encode(),
-				Proof:      proof,
-			}, nil
-		}
-	}
-	return InclusionProof{}, fmt.Errorf("audit: transaction %s not on the main chain", txID)
-}
-
-// Verify checks the proof: the leaf must belong to the header's tx root.
-// Callers additionally check that the header's hash matches a block they
-// trust (e.g. from their own node).
-func (p InclusionProof) Verify() bool {
-	return merkle.Verify(p.Header.TxRoot, p.TxEncoding, p.Proof)
 }
 
 // UpdateTimeline returns only the finalized data updates of a share: the

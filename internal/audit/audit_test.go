@@ -144,39 +144,6 @@ func TestHistoryAllShares(t *testing.T) {
 	}
 }
 
-func TestInclusionProof(t *testing.T) {
-	n, _, _ := buildLedger(t)
-	a := New(n.Store(), n.Registry())
-
-	// Prove the registration transaction (block 1, tx 0).
-	blocks := n.Store().MainChain()
-	txID := blocks[1].Txs[0].IDString()
-	proof, err := a.ProveInclusion(txID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !proof.Verify() {
-		t.Fatal("valid proof rejected")
-	}
-	// The header in the proof is the real committed header.
-	if proof.Header.Hash() != blocks[1].Hash() {
-		t.Fatal("proof carries a different header")
-	}
-
-	// Tampering with the leaf breaks verification.
-	bad := proof
-	bad.TxEncoding = append([]byte(nil), proof.TxEncoding...)
-	bad.TxEncoding[0] ^= 1
-	if bad.Verify() {
-		t.Fatal("tampered leaf verified")
-	}
-
-	// Unknown transaction.
-	if _, err := a.ProveInclusion("deadbeef"); err == nil {
-		t.Fatal("proof for unknown tx")
-	}
-}
-
 func TestTamperDetection(t *testing.T) {
 	n, _, _ := buildLedger(t)
 	a := New(n.Store(), n.Registry())

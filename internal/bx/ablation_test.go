@@ -27,7 +27,7 @@ func positionalPut(cols []string, src *reldb.Table, viewRows []reldb.Row, viewSc
 	if err != nil {
 		return nil, err
 	}
-	srcRows := src.Rows()
+	srcRows := src.RowsCanonical()
 	colIdx := make([]int, len(cols))
 	for i, c := range cols {
 		colIdx[i] = viewSchema.ColumnIndex(c)
@@ -123,7 +123,7 @@ func BenchmarkAblationKeyAlignedPut(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		viewRows := view.Rows()
+		viewRows := view.RowsCanonical()
 		b.Run(fmt.Sprintf("aligned/rows=%d", rows), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := Put(lens, src, view); err != nil {

@@ -155,7 +155,7 @@ func TestPutDeltaForbidsByPolicy(t *testing.T) {
 func TestPutDeltaSelectPredicateViolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	src := genRecords(rng, 8)
-	l := Select("v", reldb.Eq("med", reldb.S("med1"))).WithDelete(PolicyApply).WithInsert(PolicyApply)
+	l := Select("v", reldb.Cmp("med", reldb.OpEq, reldb.S("med1"))).WithDelete(PolicyApply).WithInsert(PolicyApply)
 	view := mustGet(t, l, src)
 	if view.Len() == 0 {
 		t.Skip("no med1 rows under this seed")
@@ -178,7 +178,7 @@ func TestPutDeltaSelectPredicateViolation(t *testing.T) {
 func TestSelectInsertCollidingWithInvisibleRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	src := genRecords(rng, 8)
-	l := Select("v", reldb.Eq("med", reldb.S("med1"))).WithDelete(PolicyApply).WithInsert(PolicyApply)
+	l := Select("v", reldb.Cmp("med", reldb.OpEq, reldb.S("med1"))).WithDelete(PolicyApply).WithInsert(PolicyApply)
 	view := mustGet(t, l, src)
 
 	// Find a source row invisible to the view and reuse its key.

@@ -58,18 +58,6 @@ func Join(viewName string, ref *reldb.Table) *JoinLens {
 	return &JoinLens{ViewName: viewName, Ref: ref}
 }
 
-// refColumns returns the reference columns that the join adds to the
-// source (i.e. the non-shared reference columns).
-func (l *JoinLens) refColumns(src reldb.Schema) []string {
-	var out []string
-	for _, c := range l.Ref.Schema().Columns {
-		if !src.HasColumn(c.Name) {
-			out = append(out, c.Name)
-		}
-	}
-	return out
-}
-
 // ViewSchema implements Lens.
 func (l *JoinLens) ViewSchema(src reldb.Schema) (reldb.Schema, error) {
 	probe, err := reldb.NewTable(src)

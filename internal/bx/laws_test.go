@@ -21,7 +21,7 @@ func lensesUnderTest() []Lens {
 		Project("p2", []string{"pid", "med", "dose", "mech"}, nil),
 		Project("p3", []string{"med", "mech"}, []string{"med"}),
 		Select("s1", reldb.Cmp("pid", reldb.OpLt, reldb.I(5))).WithDelete(PolicyApply).WithInsert(PolicyApply),
-		Select("s2", reldb.Eq("med", reldb.S("med1"))),
+		Select("s2", reldb.Cmp("med", reldb.OpEq, reldb.S("med1"))),
 		Rename("r1", map[string]string{"pid": "patient", "dose": "dosage"}),
 		Compose(
 			Select("c1a", reldb.Cmp("pid", reldb.OpGe, reldb.I(2))).WithDelete(PolicyApply).WithInsert(PolicyApply),

@@ -94,21 +94,6 @@ const (
 	PolicyApply = "apply"
 )
 
-func dedupe(ss []string) []string {
-	seen := make(map[string]bool, len(ss))
-	// Never reuse the caller's backing array (out := ss[:0] would): the
-	// input is often a shared slice (e.g. schema column names passed
-	// through overlap analysis) and writing into it corrupts the caller.
-	out := make([]string, 0, len(ss))
-	for _, s := range ss {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 func intersects(a, b []string) bool {
 	set := make(map[string]bool, len(a))
 	for _, s := range a {

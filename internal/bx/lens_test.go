@@ -68,7 +68,7 @@ func TestProjectGetNonSourceKey(t *testing.T) {
 	v := mustGet(t, l, src)
 	// Dedup by medication: row count equals distinct medications.
 	meds := make(map[string]bool)
-	for _, r := range src.Rows() {
+	for _, r := range src.RowsCanonical() {
 		s, _ := r[1].Str()
 		meds[s] = true
 	}

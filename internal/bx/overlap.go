@@ -1,8 +1,6 @@
 package bx
 
 import (
-	"sort"
-
 	"medshare/internal/reldb"
 )
 
@@ -29,30 +27,4 @@ func Overlaps(src reldb.Schema, a Lens, changedViewCols []string, b Lens) (bool,
 		return false, err
 	}
 	return intersects(written, read), nil
-}
-
-// SharedSourceColumns returns the sorted source columns visible through
-// both lenses — the data the two views have in common (e.g. the paper's
-// D31 and D32 share a1 "Medication Name" via source D3).
-func SharedSourceColumns(src reldb.Schema, a, b Lens) ([]string, error) {
-	ra, err := a.SourceColumnsRead(src)
-	if err != nil {
-		return nil, err
-	}
-	rb, err := b.SourceColumnsRead(src)
-	if err != nil {
-		return nil, err
-	}
-	set := make(map[string]bool, len(ra))
-	for _, c := range ra {
-		set[c] = true
-	}
-	var out []string
-	for _, c := range dedupe(rb) {
-		if set[c] {
-			out = append(out, c)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }

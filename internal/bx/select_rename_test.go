@@ -16,7 +16,7 @@ func TestSelectGetFilters(t *testing.T) {
 	if v.Len() != 5 {
 		t.Fatalf("rows = %d", v.Len())
 	}
-	for _, r := range v.Rows() {
+	for _, r := range v.RowsCanonical() {
 		if pid, _ := r[0].Int(); pid >= 5 {
 			t.Fatalf("row %v escaped predicate", r)
 		}
@@ -52,7 +52,7 @@ func TestSelectPutUpdatesVisibleRows(t *testing.T) {
 func TestSelectPutRejectsPredicateEscape(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	src := genRecords(rng, 6)
-	l := Select("v", reldb.Eq("med", reldb.S("med1")))
+	l := Select("v", reldb.Cmp("med", reldb.OpEq, reldb.S("med1")))
 	v := mustGet(t, l, src)
 	if v.Len() == 0 {
 		t.Skip("no med1 rows in this seed")

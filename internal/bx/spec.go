@@ -66,10 +66,7 @@ func (s Spec) Build() (Lens, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSpecInvalid, err)
 		}
-		l := Select(s.ViewName, pred)
-		l.OnDelete = defaultPolicy(s.OnDelete)
-		l.OnInsert = defaultPolicy(s.OnInsert)
-		return l, nil
+		return Select(s.ViewName, pred).WithDelete(defaultPolicy(s.OnDelete)).WithInsert(defaultPolicy(s.OnInsert)), nil
 	case OpRename:
 		if len(s.Mapping) == 0 {
 			return nil, fmt.Errorf("%w: rename lens with no mapping", ErrSpecInvalid)
@@ -96,18 +93,10 @@ func (s Spec) Build() (Lens, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ComposeLens{Inner: inner, Outer: outer}, nil
+		return Compose(inner, outer), nil
 	default:
 		return nil, fmt.Errorf("%w: unknown lens op %q", ErrSpecInvalid, s.Op)
 	}
-}
-
-// ViewName returns the name of the final view the spec produces.
-func (s Spec) FinalViewName() string {
-	if s.Op == OpCompose && len(s.Inner) == 2 {
-		return s.Inner[1].FinalViewName()
-	}
-	return s.ViewName
 }
 
 func defaultPolicy(p string) string {

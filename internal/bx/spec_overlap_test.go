@@ -77,16 +77,20 @@ func TestParseSpecRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestFinalViewName: a composed lens's spec names its final view in
+// its second inner spec, where a peer rebuilding the lens from the chain
+// finds it.
 func TestFinalViewName(t *testing.T) {
 	l := Compose(
 		Select("mid", reldb.True()),
 		Project("final", []string{"pid"}, nil),
 	)
-	if got := l.Spec().FinalViewName(); got != "final" {
-		t.Fatalf("FinalViewName = %q", got)
+	spec := l.Spec()
+	if spec.Op != OpCompose || len(spec.Inner) != 2 || spec.Inner[1].ViewName != "final" {
+		t.Fatalf("compose spec = %+v, want the final view in Inner[1]", spec)
 	}
-	if got := Project("only", []string{"pid"}, nil).Spec().FinalViewName(); got != "only" {
-		t.Fatalf("FinalViewName = %q", got)
+	if got := Project("only", []string{"pid"}, nil).Spec().ViewName; got != "only" {
+		t.Fatalf("ViewName = %q", got)
 	}
 }
 
@@ -149,19 +153,6 @@ func TestOverlapsThroughRename(t *testing.T) {
 	}
 	if !hit {
 		t.Fatal("rename must map changed view columns back to source columns")
-	}
-}
-
-func TestSharedSourceColumns(t *testing.T) {
-	s := recordsSchema()
-	a := Project("a", []string{"pid", "med", "dose"}, nil)
-	b := Project("b", []string{"med", "mech"}, []string{"med"})
-	got, err := SharedSourceColumns(s, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "med" {
-		t.Fatalf("shared = %v", got)
 	}
 }
 

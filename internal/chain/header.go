@@ -195,13 +195,6 @@ func (hc *HeaderChain) Height() uint64 {
 	return hc.headers[len(hc.headers)-1].Height
 }
 
-// Head returns a copy of the tip header.
-func (hc *HeaderChain) Head() Header {
-	hc.mu.RLock()
-	defer hc.mu.RUnlock()
-	return hc.headers[len(hc.headers)-1]
-}
-
 // AtHeight returns a copy of the header at the given height.
 func (hc *HeaderChain) AtHeight(height uint64) (Header, bool) {
 	hc.mu.RLock()

@@ -16,9 +16,8 @@ import (
 // relaxed PoA lets several authorities seal one height. Fork choice
 // resolves both.
 type Store struct {
-	mu      sync.RWMutex
-	genesis *Block
-	byHash  map[merkle.Hash]*Block
+	mu     sync.RWMutex
+	byHash map[merkle.Hash]*Block
 	// children maps a block hash to the hashes of its known children.
 	children map[merkle.Hash][]merkle.Hash
 	head     *Block
@@ -27,7 +26,6 @@ type Store struct {
 // NewStore creates a store seeded with the genesis block.
 func NewStore(genesis *Block) *Store {
 	s := &Store{
-		genesis:  genesis,
 		byHash:   make(map[merkle.Hash]*Block),
 		children: make(map[merkle.Hash][]merkle.Hash),
 		head:     genesis,
@@ -35,9 +33,6 @@ func NewStore(genesis *Block) *Store {
 	s.byHash[genesis.Hash()] = genesis
 	return s
 }
-
-// Genesis returns the genesis block.
-func (s *Store) Genesis() *Block { return s.genesis }
 
 // Head returns the tip of the best chain.
 func (s *Store) Head() *Block {
@@ -133,19 +128,6 @@ func (s *Store) AtHeight(h uint64) (*Block, bool) {
 		return nil, false
 	}
 	return mc[h], true
-}
-
-// IsOnMainChain reports whether the block with the given hash is part of
-// the current best chain.
-func (s *Store) IsOnMainChain(h merkle.Hash) bool {
-	s.mu.RLock()
-	b, ok := s.byHash[h]
-	s.mu.RUnlock()
-	if !ok {
-		return false
-	}
-	got, ok := s.AtHeight(b.Header.Height)
-	return ok && got.Hash() == h
 }
 
 // VerifyChain re-validates the whole main chain: linkage, structure

@@ -8,8 +8,6 @@ import "time"
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
-	// Sleep blocks for the duration.
-	Sleep(d time.Duration)
 	// After returns a channel that fires after the duration.
 	After(d time.Duration) <-chan time.Time
 }
@@ -19,9 +17,6 @@ type Real struct{}
 
 // Now implements Clock.
 func (Real) Now() time.Time { return time.Now() }
-
-// Sleep implements Clock.
-func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
 // After implements Clock.
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }

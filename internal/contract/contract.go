@@ -30,10 +30,6 @@ type Stub interface {
 	Range(prefix string, fn func(key string, value []byte) bool)
 	// Caller is the verified sender address of the transaction.
 	Caller() identity.Address
-	// TxID is the hex transaction ID.
-	TxID() string
-	// BlockHeight is the height of the block being executed.
-	BlockHeight() uint64
 	// BlockTimeMicro is the block timestamp (µs since epoch) — the only
 	// clock contracts may read, so execution stays deterministic.
 	BlockTimeMicro() int64
@@ -128,8 +124,6 @@ func (s *stub) Range(prefix string, fn func(string, []byte) bool) {
 	s.sim.Range(prefix, fn)
 }
 func (s *stub) Caller() identity.Address { return s.caller }
-func (s *stub) TxID() string             { return s.txID }
-func (s *stub) BlockHeight() uint64      { return s.height }
 func (s *stub) BlockTimeMicro() int64    { return s.tsUs }
 func (s *stub) EmitEvent(name string, payload []byte) {
 	s.events = append(s.events, Event{

@@ -549,7 +549,7 @@ func TestConcurrentPeerStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	if hubSrc.Hash() != expected.Hash() {
-		t.Fatalf("hub source diverged from sequential result:\nhave %v\nwant %v", hubSrc.Rows(), expected.Rows())
+		t.Fatalf("hub source diverged from sequential result:\nhave %v\nwant %v", hubSrc.RowsCanonical(), expected.RowsCanonical())
 	}
 
 	// Hash equality across every share: hub view replica == counterpart

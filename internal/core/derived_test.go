@@ -439,19 +439,20 @@ func TestProposalsGetIncrementally(t *testing.T) {
 	h.proposeFullAndCheck(t, "A", h.lensA)
 	h.expectGets(t, "first proposal after a rejection rollback", &seen, 1, 0)
 
-	// Resync swaps the replica in: the hub falls back to an old snapshot
-	// and catches up from its partner.
-	snap, err := h.hub.SnapshotShare("A")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Resync swaps the replica in: the hub restarts over an older image
+	// of its store and catches up from its partner.
+	image := fs.Clone()
 	res = h.partnerEdit(t, h.pa, "A", 6, "x", "missed")
 	if err := h.pa.WaitFinal(h.ctx, "A", res.Seq); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.hub.RestoreShare(snap); err != nil {
+	h.hub.Stop()
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	fs, st = image, h.restartHub(t, image)
+	seen = [3]int64{}
+	h.expectGets(t, "restoring an older image", &seen, 0, 0)
 	if err := h.hub.Resync(h.ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -470,19 +471,7 @@ func TestProposalsGetIncrementally(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := store.Open(store.Options{FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = st2.Close() })
-	h.lensA, h.lensB = hubLensA(), hubLensB()
-	h.hub = h.newPeer(t, h.hubID, pairTable("T", "x", "y", "z"), st2, true)
-	if err := h.hub.AttachShare("A", "T", h.lensA, "Ah"); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.hub.AttachShare("B", "T", h.lensB, "Bh"); err != nil {
-		t.Fatal(err)
-	}
+	h.restartHub(t, fs)
 	seen = [3]int64{}
 	h.expectGets(t, "restoring from the store", &seen, 0, 0)
 	if err := h.hub.UpdateSource("T", setCol(2, "y", "after-restart")); err != nil {
@@ -493,6 +482,27 @@ func TestProposalsGetIncrementally(t *testing.T) {
 	h.expectGets(t, "first proposal after restart", &seen, 1, 1)
 	h.hubEdit(t, "A", 2, "x", "steady-again")
 	h.expectGets(t, "second proposal after restart", &seen, 0, 0)
+}
+
+// restartHub brings the stopped hub back as a new peer over fs, with
+// fresh counting lenses, and attaches both shares from the store. It
+// returns the store it opened.
+func (h *pairHarness) restartHub(t *testing.T, fs *store.MemFS) *store.Store {
+	t.Helper()
+	st, err := store.Open(store.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	h.lensA, h.lensB = hubLensA(), hubLensB()
+	h.hub = h.newPeer(t, h.hubID, pairTable("T", "x", "y", "z"), st, true)
+	if err := h.hub.AttachShare("A", "T", h.lensA, "Ah"); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.hub.AttachShare("B", "T", h.lensB, "Bh"); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // proposeFullAndCheck proposes on a share whose pair is gone, to

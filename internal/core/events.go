@@ -119,7 +119,7 @@ func (p *Peer) startRound(reqs []sharereg.EventPayload) {
 	}()
 }
 
-// eventBacklog is the Stats gauge behind ShardQueueDepth: events
+// eventBacklog is the Stats gauge ShardQueueDepth: events
 // buffered on the subscription plus requests inside unfinished rounds.
 func (p *Peer) eventBacklog() uint64 {
 	p.mu.Lock()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"crypto/ed25519"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"medshare/internal/identity"
 	"medshare/internal/p2p"
 	"medshare/internal/reldb"
+	"medshare/internal/wire"
 )
 
 // The data channel: when the contract notifies peers of an admitted
@@ -84,7 +86,7 @@ type FetchResponse struct {
 // appendFetchHeader appends the frame header; the payload follows.
 func appendFetchHeader(dst []byte, shareID string, seq uint64, mode byte) []byte {
 	dst = append(dst, fetchWireVersion)
-	dst = appendBytes(dst, []byte(shareID))
+	dst = wire.AppendBytes(dst, shareID)
 	dst = binary.AppendUvarint(dst, seq)
 	return append(dst, mode)
 }
@@ -112,16 +114,19 @@ func decodeFetchResponse(raw []byte) (FetchResponse, error) {
 	return out, nil
 }
 
-// authorizeShareRequest is the shared gate of the data-channel RPCs
-// (payload fetch and structural sync): verify the signature through
-// authorizeLightRequest, check contract membership, resolve the
+// authorizeShareRequest is the one gate of both data-channel RPCs
+// (payload fetch and structural sync): verify the request's signature
+// over its canonical bytes, check contract membership, resolve the
 // local share binding, and enforce the minimum served version. Serving
 // reads only the share's own state (per-share mutex) and chain
 // metadata — a request on one share never waits behind operations on
 // the peer's other shares.
 func (p *Peer) authorizeShareRequest(shareID string, requester identity.Address, pubKey, signed, sig []byte, minSeq uint64) (*Share, uint64, error) {
-	if err := authorizeLightRequest(requester, pubKey, signed, sig); err != nil {
-		return nil, 0, err
+	if len(pubKey) != ed25519.PublicKeySize {
+		return nil, 0, ErrNotAuthorized
+	}
+	if err := identity.Verify(requester, ed25519.PublicKey(pubKey), signed, sig); err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", ErrNotAuthorized, err)
 	}
 	meta, err := p.Meta(shareID)
 	if err != nil {
@@ -175,15 +180,6 @@ func (p *Peer) serveDataFetch(msg p2p.Message) (p2p.Message, error) {
 	}
 	resp := appendFetchHeader(nil, req.ShareID, seq, FetchModeFull)
 	return p2p.Message{Kind: p2p.KindDataFetch, Payload: reldb.AppendTable(resp, view)}, nil
-}
-
-// Fetch requests the current payload of a share directly from the named
-// counterparty (Fig. 2's "Request updated data"). Most callers never need
-// it — the event loop fetches automatically — but it supports ad-hoc reads
-// and the authorization tests.
-func (p *Peer) Fetch(ctx context.Context, from identity.Address, shareID string, minSeq uint64) (*reldb.Table, uint64, error) {
-	table, _, seq, err := p.fetchFrom(ctx, from, shareID, minSeq, 0, nil)
-	return table, seq, err
 }
 
 // fetchFrom requests the share payload at version minSeq or newer from

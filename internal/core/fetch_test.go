@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -288,4 +290,46 @@ func TestEndToEndDeltaApply(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("delta-path update never arrived")
+}
+
+// Fetch requests the current payload of a share directly from the named
+// counterparty (Fig. 2's "Request updated data"), for the data-channel
+// tests; the peer itself fetches through acquire.
+func (p *Peer) Fetch(ctx context.Context, from identity.Address, shareID string, minSeq uint64) (*reldb.Table, uint64, error) {
+	table, _, seq, err := p.fetchFrom(ctx, from, shareID, minSeq, 0, nil)
+	return table, seq, err
+}
+
+// TestFetchAuthorization: only sharing peers can fetch a share's payload
+// over the data channel.
+func TestFetchAuthorization(t *testing.T) {
+	h := newFetchHarness(t)
+	h.update(t, "v1")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	// A correctly signing participant that is not a peer of the share
+	// must be refused.
+	outsider, err := NewPeer(Config{
+		Identity: identity.MustNew("Outsider"), DB: reldb.NewDatabase("Outsider"), Node: h.node,
+		Transport: h.net.Endpoint("Outsider"), Directory: h.a.cfg.Directory,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = outsider.Fetch(ctx, h.a.Address(), "S", 0)
+	if err == nil {
+		t.Fatal("non-peer fetch succeeded")
+	}
+	if !errors.Is(err, ErrNotAuthorized) && !strings.Contains(err.Error(), "non-peer") {
+		t.Fatalf("unexpected error: %v", err)
+	}
+	// A legitimate peer fetch works.
+	table, _, err := h.b.Fetch(ctx, h.a.Address(), "S", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if table.Len() == 0 {
+		t.Fatal("fetched empty table")
+	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -9,30 +8,28 @@ import (
 
 	"medshare/internal/chain"
 	"medshare/internal/contract/sharereg"
-	"medshare/internal/identity"
 	"medshare/internal/light"
 	"medshare/internal/merkle"
-	"medshare/internal/p2p"
 	"medshare/internal/reldb"
 )
 
-// Serving edge for light clients: header-only chain sync, chain-proven
-// share heads, and proof-carrying single-row fetches. A light client is
-// authenticated (its requests are signed) but is NOT a sharing peer —
-// none of these handlers grant replica status, none serve a view
-// payload, and none touch the share's update protocol. Everything
-// served here is either a block header the client verifies itself or a
-// value pinned under a Merkle proof to such a header.
+// Serving back end for light clients, reached over HTTP (the api
+// package's /v1/light/* routes): header pages, chain-proven share heads,
+// and proof-carrying single-row fetches. A light client is not a sharing
+// peer: none of these grant replica status, serve a view payload, or
+// touch the share's update protocol. Everything served here is either a
+// block header the client verifies itself or a value pinned under a
+// Merkle proof to such a header.
 
-// lightHeaderBatch caps headers per chain.headers response page;
-// clients loop until a page comes back empty.
+// lightHeaderBatch caps headers per LightHeaders page; clients loop
+// until a page comes back empty.
 const lightHeaderBatch = 512
 
-// lightHeadScanDepth is how far below the tip the share-head handler
-// looks for the main-chain header whose StateRoot matches the proof it
-// just built. The node publishes whole-block state snapshots, the head
-// a store commit ahead of its state, so the matching header is the tip
-// or one below unless blocks landed between the two reads.
+// lightHeadScanDepth is how far below the tip LightHead looks for the
+// main-chain header whose StateRoot matches the proof it just built.
+// The node publishes whole-block state snapshots, the head a store
+// commit ahead of its state, so the matching header is the tip or one
+// below unless blocks landed between the two reads.
 const lightHeadScanDepth = 16
 
 // lightHeadAttempts bounds re-snapshots when the published state matches
@@ -41,39 +38,8 @@ const lightHeadScanDepth = 16
 // fork-choice switch.
 const lightHeadAttempts = 50
 
-// authorizeLightRequest verifies a request's signature over its
-// canonical bytes: the one signature check of all five serve paths
-// (fetch and sync reach it through authorizeShareRequest, which adds
-// contract membership). Light clients get no membership check: they are
-// read-only outsiders whose reads are safe by construction (every
-// response is verifiable against the chain). Per-share read ACLs for
-// light clients are a tracked follow-up.
-func authorizeLightRequest(requester identity.Address, pubKey, signed, sig []byte) error {
-	if len(pubKey) != ed25519.PublicKeySize {
-		return ErrNotAuthorized
-	}
-	if err := identity.Verify(requester, ed25519.PublicKey(pubKey), signed, sig); err != nil {
-		return fmt.Errorf("%w: %v", ErrNotAuthorized, err)
-	}
-	return nil
-}
-
-// serveHeaders answers a chain.headers request with a page of
-// main-chain headers starting at the requested height.
-func (p *Peer) serveHeaders(msg p2p.Message) (p2p.Message, error) {
-	req, err := light.DecodeHeadersRequest(msg.Payload)
-	if err != nil {
-		return p2p.Message{}, fmt.Errorf("core: bad headers request: %w", err)
-	}
-	if err := authorizeLightRequest(req.Requester, req.PubKey, req.SigningBytes(), req.Sig); err != nil {
-		return p2p.Message{}, err
-	}
-	return p2p.Message{Kind: msg.Kind, Payload: chain.EncodeHeaders(p.LightHeaders(req.FromHeight))}, nil
-}
-
 // LightHeaders returns one page of main-chain headers starting at the
-// given height (empty when from is beyond the tip). Exported so the
-// HTTP serving edge pages identically to the p2p handler.
+// given height (empty when from is beyond the tip).
 func (p *Peer) LightHeaders(from uint64) []chain.Header {
 	mc := p.cfg.Node.Store().MainChain()
 	var hs []chain.Header
@@ -90,28 +56,9 @@ func (p *Peer) LightHeaders(from uint64) []chain.Header {
 	return hs
 }
 
-// serveLightHead answers a light.head request: the share's current
-// on-chain metadata under a state-membership proof, anchored to the
-// main-chain header whose StateRoot the proof verifies against.
-func (p *Peer) serveLightHead(msg p2p.Message) (p2p.Message, error) {
-	req, err := light.DecodeShareHeadRequest(msg.Payload)
-	if err != nil {
-		return p2p.Message{}, fmt.Errorf("core: bad share-head request: %w", err)
-	}
-	if err := authorizeLightRequest(req.Requester, req.PubKey, req.SigningBytes(), req.Sig); err != nil {
-		return p2p.Message{}, err
-	}
-	head, err := p.LightHead(req.ShareID)
-	if err != nil {
-		return p2p.Message{}, err
-	}
-	return p2p.Message{Kind: msg.Kind, Payload: light.EncodeShareHead(&head)}, nil
-}
-
 // LightHead builds a light.ShareHead for the share: its current
 // on-chain metadata under a state proof anchored to a main-chain
-// header. Exported so the HTTP serving edge shares the p2p handler's
-// snapshot-vs-header convergence logic.
+// header.
 func (p *Peer) LightHead(shareID string) (light.ShareHead, error) {
 	store := p.cfg.Node.Store()
 	key := "share/" + shareID
@@ -164,29 +111,10 @@ func mainChainHeightOfRoot(store *chain.Store, root merkle.Hash) (uint64, bool) 
 // payload hash and force a client-side retry.
 const lightRowAttempts = 50
 
-// serveLightRow answers a light.row request: one proven row of the
-// share's current view, plus the schema and the table-hash preimage
-// fields the client needs to bind the row root to the on-chain payload
-// hash. Proof construction rides the per-share proof cache (prove.go).
-func (p *Peer) serveLightRow(msg p2p.Message) (p2p.Message, error) {
-	req, err := light.DecodeRowRequest(msg.Payload)
-	if err != nil {
-		return p2p.Message{}, fmt.Errorf("core: bad row request: %w", err)
-	}
-	if err := authorizeLightRequest(req.Requester, req.PubKey, req.SigningBytes(), req.Sig); err != nil {
-		return p2p.Message{}, err
-	}
-	rf, err := p.LightRow(req.ShareID, req.Key)
-	if err != nil {
-		return p2p.Message{}, err
-	}
-	return p2p.Message{Kind: msg.Kind, Payload: light.EncodeRowFetch(&rf)}, nil
-}
-
 // LightRow builds a light.RowFetch for one view row: the proven row
 // plus the table-hash preimage fields and schema a light client needs
-// to bind it to the on-chain payload hash. Exported so the HTTP
-// serving edge shares the p2p handler's convergence logic.
+// to bind it to the on-chain payload hash. Proof construction rides the
+// per-share proof cache (prove.go).
 func (p *Peer) LightRow(shareID string, key reldb.Row) (light.RowFetch, error) {
 	pr, err := p.proveViewConverged(shareID, key)
 	if err != nil {

@@ -284,15 +284,6 @@ func (p *Peer) serveRequest(msg p2p.Message) (p2p.Message, error) {
 	case p2p.KindSync:
 		p.stats.syncsServed.Add(1)
 		return p.serveSync(msg)
-	case p2p.KindHeaders:
-		p.stats.headersServed.Add(1)
-		return p.serveHeaders(msg)
-	case p2p.KindLightHead:
-		p.stats.lightHeadsServed.Add(1)
-		return p.serveLightHead(msg)
-	case p2p.KindLightRow:
-		p.stats.lightRowsServed.Add(1)
-		return p.serveLightRow(msg)
 	default:
 		return p2p.Message{}, fmt.Errorf("core: unexpected message kind %q", msg.Kind)
 	}
@@ -344,15 +335,6 @@ func (p *Peer) Stop() {
 		p.cancelEvents()
 	}
 	p.wg.Wait()
-}
-
-// Restart resumes a stopped peer's loops with a fresh event subscription
-// (simulating a process coming back after an outage; updates missed while
-// down are recovered by Resync or the periodic resync loop).
-func (p *Peer) Restart() {
-	p.stopOnce = sync.Once{}
-	p.stopped = make(chan struct{})
-	p.Start()
 }
 
 func (p *Peer) logf(format string, args ...any) {
@@ -525,71 +507,6 @@ func (p *Peer) buildTx(fn, shareID string, arg any) (*chain.Tx, error) {
 func hashHex(t *reldb.Table) string {
 	h := t.Hash()
 	return hex.EncodeToString(h[:])
-}
-
-// ShareSnapshot captures one share's local replica state — the source
-// table, the materialized view, and the applied sequence number — as of
-// one instant. Chaos and crash tests use it to model a peer restarting
-// from a cold (possibly stale) backup: restore a snapshot taken before
-// updates were applied and the repair loop must catch the share up.
-type ShareSnapshot struct {
-	ShareID string
-	// Seq is the applied sequence number at snapshot time.
-	Seq uint64
-	// Source and View are independent snapshots of the share's tables.
-	Source *reldb.Table
-	View   *reldb.Table
-}
-
-// SnapshotShare captures the share's current replica state. It takes the
-// share's operation lock, so the snapshot is internally consistent (no
-// half-applied update).
-func (p *Peer) SnapshotShare(id string) (ShareSnapshot, error) {
-	s, err := p.share(id)
-	if err != nil {
-		return ShareSnapshot{}, err
-	}
-	s.opMu.Lock()
-	defer s.opMu.Unlock()
-	s.stMu.Lock()
-	seq := s.AppliedSeq
-	s.stMu.Unlock()
-	src, err := p.snapshotTable(s.SourceTable)
-	if err != nil {
-		return ShareSnapshot{}, err
-	}
-	view, err := p.snapshotTable(s.ViewName)
-	if err != nil {
-		return ShareSnapshot{}, err
-	}
-	return ShareSnapshot{ShareID: id, Seq: seq, Source: src, View: view}, nil
-}
-
-// RestoreShare installs a snapshot over the share's current state — the
-// test hook simulating a process that crashed and came back from an
-// older backup. Delta bases, rollback points, and the divergence flag
-// are reset: a restarted process holds none of that in-memory state.
-// Call on a stopped peer (or accept that live traffic serializes behind
-// the restore via the operation lock); afterwards Resync or the repair
-// loop reconciles the share against the chain.
-func (p *Peer) RestoreShare(snap ShareSnapshot) error {
-	s, err := p.share(snap.ShareID)
-	if err != nil {
-		return err
-	}
-	s.opMu.Lock()
-	defer s.opMu.Unlock()
-	p.cfg.DB.PutTable(snap.Source.Renamed(s.SourceTable))
-	p.cfg.DB.PutTable(snap.View.Renamed(s.ViewName))
-	s.stMu.Lock()
-	s.AppliedSeq = snap.Seq
-	s.backup = nil
-	s.prev = nil
-	s.diverged = false
-	s.stMu.Unlock()
-	p.persistShares(s)
-	p.record(HistoryEntry{ShareID: snap.ShareID, Seq: snap.Seq, Kind: "restored", Note: "state restored from snapshot"})
-	return nil
 }
 
 // snapshotTable returns an independent snapshot of a local table. The

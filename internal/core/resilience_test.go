@@ -18,6 +18,7 @@ import (
 	"medshare/internal/p2p"
 	"medshare/internal/p2p/faultnet"
 	"medshare/internal/reldb"
+	"medshare/internal/store"
 )
 
 // --- Backoff schedule properties ---
@@ -190,13 +191,8 @@ func TestQuarantineShortCircuitsAndProbes(t *testing.T) {
 // incoming update on S cascades to S2 on peer B.
 func registerSecondShare(t *testing.T, h *syncHarness) {
 	t.Helper()
-	lens := func(view string) bx.Lens {
-		return bx.Project(view, []string{"k", "v"}, nil).
-			WithInsert(bx.PolicyApply, nil).
-			WithDelete(bx.PolicyApply)
-	}
 	err := h.b.RegisterShare(h.ctx, RegisterShareArgs{
-		ID: "S2", SourceTable: "T", Lens: lens("S2b"), ViewName: "S2b",
+		ID: "S2", SourceTable: "T", Lens: syncLens("S2b"), ViewName: "S2b",
 		Peers: []identity.Address{h.a.Address(), h.b.Address()},
 		WritePerm: map[string][]identity.Address{
 			"v": {h.a.Address(), h.b.Address()},
@@ -205,41 +201,36 @@ func registerSecondShare(t *testing.T, h *syncHarness) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.a.AttachShare("S2", "T", lens("S2a"), "S2a"); err != nil {
+	if err := h.a.AttachShare("S2", "T", syncLens("S2a"), "S2a"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // testCrashRestartMidCascade is the transport-parameterized body: peer B
-// crashes, misses an update whose cascade depends on it, restarts cold
-// from a pre-update snapshot, and must converge through the repair loop
-// alone — applying the pending update, acking it, and carrying the
+// crashes, misses an update whose cascade depends on it, restarts over
+// a pre-update image of its store, and must converge through the repair
+// loop alone — applying the pending update, acking it, and carrying the
 // cascade to the dependent share.
 func testCrashRestartMidCascade(t *testing.T, ta, tb p2p.Transport) {
+	fs := store.NewMemFS()
 	h := newSyncHarnessTweak(t, 16, ta, tb, func(name string, cfg *Config) {
 		cfg.ResyncInterval = 25 * time.Millisecond
 		cfg.Retry = Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond, Attempts: 4}
 		cfg.Logf = t.Logf
+		if name == "B" {
+			withStore(t, cfg, fs)
+		}
 	})
 	registerSecondShare(t, h)
 
-	// Cold-restore point: both shares at their current (pre-update) state.
-	snapS, err := h.b.SnapshotShare("S")
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapS2, err := h.b.SnapshotShare("S2")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// B crashes.
+	// B crashes with both shares at their pre-update state.
+	image := fs.Clone()
 	h.b.Stop()
 
 	// A updates S while B is down: the proposal commits (the chain does
 	// not need B) but stays pending, and the cascade into S2 cannot start
 	// until B applies it — the protocol is mid-flight.
-	err = h.a.UpdateSource("T", func(tbl *reldb.Table) error {
+	err := h.a.UpdateSource("T", func(tbl *reldb.Table) error {
 		return tbl.Update(reldb.Row{reldb.I(1)}, map[string]reldb.Value{"v": reldb.S("crash-edit")})
 	})
 	if err != nil {
@@ -250,15 +241,14 @@ func testCrashRestartMidCascade(t *testing.T, ta, tb p2p.Transport) {
 		t.Fatal(err)
 	}
 
-	// B comes back cold and rejoins mid-cascade. No manual resync: the
-	// repair loop must do everything.
-	if err := h.b.RestoreShare(snapS); err != nil {
-		t.Fatal(err)
+	// B comes back over its crash image and rejoins mid-cascade. No
+	// manual resync: the repair loop must do everything.
+	h.b = restartPeer(t, h.b, image, syncTestTable(16))
+	for _, id := range []string{"S", "S2"} {
+		if err := h.b.AttachShare(id, "T", syncLens(id+"b"), id+"b"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := h.b.RestoreShare(snapS2); err != nil {
-		t.Fatal(err)
-	}
-	h.b.Restart()
 
 	// S finalizes (B applied + acked) and the cascade reaches S2 on A —
 	// the cascade's own proposal finalizing is part of convergence here,
@@ -338,32 +328,43 @@ func TestCrashRestartMidCascadeTCP(t *testing.T) {
 	testCrashRestartMidCascade(t, ta, tb)
 }
 
-// TestRepairHealsRootMismatch restores B from a snapshot that carries
-// the chain's sequence number over stale content — the wrong-backup
-// case where the seq label alone cannot detect divergence. The repair
-// loop must notice the root mismatch against the on-chain payload hash
-// and heal through the structural sync.
+// TestRepairHealsRootMismatch restarts B over a store image that
+// carries the chain's sequence number over stale content — the
+// wrong-backup case where the seq label alone cannot detect divergence.
+// The repair loop must notice the root mismatch against the on-chain
+// payload hash and heal through the structural sync.
 func TestRepairHealsRootMismatch(t *testing.T) {
 	mem := p2p.NewMemNetwork(p2p.WithSeed(9))
+	fs := store.NewMemFS()
 	h := newSyncHarnessTweak(t, 32, mem.Endpoint("A"), mem.Endpoint("B"), func(name string, cfg *Config) {
 		cfg.ResyncInterval = 25 * time.Millisecond
+		if name == "B" {
+			withStore(t, cfg, fs)
+		}
 	})
 
-	stale, err := h.b.SnapshotShare("S")
+	stale := fs.Clone()
+	seq := h.finalizedUpdate(t, 3, "post-image")
+	h.waitApplied(t, seq)
+
+	// Relabel the stale image's share with the *current* seq, then
+	// restart B over it.
+	st, err := store.Open(store.Options{FS: stale})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := h.finalizedUpdate(t, 3, "post-snapshot")
-	h.waitApplied(t, seq)
-
-	// Crash B and restore the stale content under the *current* seq.
-	h.b.Stop()
-	corrupt := stale
-	corrupt.Seq = seq
-	if err := h.b.RestoreShare(corrupt); err != nil {
+	sm := st.Shares()["S"]
+	sm.Seq = seq
+	if err := st.Commit(func(b *store.Batch) error { return b.PutShareMeta(sm) }); err != nil {
 		t.Fatal(err)
 	}
-	h.b.Restart()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h.b = restartPeer(t, h.b, stale, syncTestTable(32))
+	if err := h.b.AttachShare("S", "T", syncLens("Sb"), "Sb"); err != nil {
+		t.Fatal(err)
+	}
 
 	waitConverged(t, h, "S", seq)
 	found := false
@@ -572,16 +573,21 @@ func TestGroupCommitResilience(t *testing.T) {
 		return tbl
 	}
 	dir := NewDirectory()
+	fs := store.NewMemFS()
 	mk := func(name string) *Peer {
 		id := identity.MustNew(name)
 		db := reldb.NewDatabase(name)
 		db.PutTable(mkTable())
-		p, err := NewPeer(Config{
+		cfg := Config{
 			Identity: id, DB: db, Node: n,
 			Transport: fab.Wrap(mem.Endpoint(name)), Directory: dir,
 			Retry:          Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond, Attempts: 6},
 			ResyncInterval: 20 * time.Millisecond,
-		})
+		}
+		if name == "B" {
+			withStore(t, &cfg, fs)
+		}
+		p, err := NewPeer(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -654,25 +660,19 @@ func TestGroupCommitResilience(t *testing.T) {
 	}
 
 	// Phase 2: crash the counterparty, propose a full batch while it is
-	// down (the requests commit; finality must wait), then restore it cold
-	// from pre-crash snapshots. Its repair loop has to apply every pending
-	// update in order and ack it through the still-lossy channel.
-	snaps := make([]ShareSnapshot, shares)
-	for i, id := range ids {
-		snap, err := b.SnapshotShare(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snaps[i] = snap
-	}
+	// down (the requests commit; finality must wait), then restart it over
+	// its crash image. Its repair loop has to apply every pending update
+	// in order and ack it through the still-lossy channel.
+	image := fs.Clone()
 	b.Stop()
 	res := round(lossyRounds, false)
-	for _, snap := range snaps {
-		if err := b.RestoreShare(snap); err != nil {
+	b = restartPeer(t, b, image, mkTable())
+	h.b = b
+	for i, id := range ids {
+		if err := b.AttachShare(id, "T", bx.Project(id+"b", []string{"k", col(i)}, nil), id+"b"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	b.Restart()
 	for _, pr := range res {
 		if err := a.WaitFinal(ctx, pr.ShareID, pr.Seq); err != nil {
 			t.Fatal(err)

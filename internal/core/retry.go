@@ -151,21 +151,17 @@ type Stats struct {
 	// the peer-side view of serve traffic the /metrics endpoint exports.
 	FetchesServed uint64
 	SyncsServed   uint64
-	// HeadersServed, LightHeadsServed and LightRowsServed count the
-	// light-client RPCs this peer answered (header pages, chain-proven
-	// share heads, proof-carrying row fetches).
-	HeadersServed    uint64
-	LightHeadsServed uint64
-	LightRowsServed  uint64
 	// ProofCacheHits/Misses split ProveView calls between memoized
 	// proofs and fresh O(log n) tree walks; the cache resets on every
 	// applied-sequence advance, so the hit rate is also a measure of
 	// how read-hot shares are between updates.
 	ProofCacheHits   uint64
 	ProofCacheMisses uint64
-	// ShardQueueDepth is a gauge: events delivered and not yet
-	// dispatched, plus update requests inside unfinished receive rounds
-	// (events.go; the name predates them).
+	// ShardQueueDepth is the event backlog, a gauge: events delivered
+	// and not yet dispatched, plus update requests inside unfinished
+	// receive rounds (events.go). /metrics exports it as
+	// medshare_peer_event_backlog and /readyz as eventBacklog; the field
+	// keeps its older name because the benchmark reads it.
 	ShardQueueDepth uint64
 }
 
@@ -186,9 +182,6 @@ type statsCounters struct {
 	fullGets          atomic.Uint64
 	fetchesServed     atomic.Uint64
 	syncsServed       atomic.Uint64
-	headersServed     atomic.Uint64
-	lightHeadsServed  atomic.Uint64
-	lightRowsServed   atomic.Uint64
 	proofCacheHits    atomic.Uint64
 	proofCacheMisses  atomic.Uint64
 }
@@ -210,9 +203,6 @@ func (c *statsCounters) snapshot() Stats {
 		FullGets:          c.fullGets.Load(),
 		FetchesServed:     c.fetchesServed.Load(),
 		SyncsServed:       c.syncsServed.Load(),
-		HeadersServed:     c.headersServed.Load(),
-		LightHeadsServed:  c.lightHeadsServed.Load(),
-		LightRowsServed:   c.lightRowsServed.Load(),
 		ProofCacheHits:    c.proofCacheHits.Load(),
 		ProofCacheMisses:  c.proofCacheMisses.Load(),
 	}

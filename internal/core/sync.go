@@ -698,44 +698,3 @@ func (p *Peer) StructuralSync(ctx context.Context, from identity.Address, shareI
 	}
 	return p.syncFrom(ctx, from, shareID, minSeq, base)
 }
-
-// SimulateStructuralSync runs the anti-entropy exchange between two
-// in-memory tables through the real wire encoding (binary request and
-// response frames, no transport or chain) — the measurement harness
-// behind BenchmarkMerkle_AntiEntropy and the byte-count assertions.
-// provider plays the updater's view, base the stale local replica; the
-// returned stats count exactly the bytes the TCP path would carry in
-// message payloads.
-// It runs the byte-optimal serial walk (no span expansion, one request
-// per wave) so the byte numbers it pins are the protocol floor; use
-// SimulateStructuralSyncOpts to measure the latency-optimized
-// operating points.
-func SimulateStructuralSync(provider, base *reldb.Table) (*reldb.Table, SyncStats, error) {
-	return SimulateStructuralSyncOpts(provider, base, SyncOptions{Span: -1, Parallel: -1})
-}
-
-// SimulateStructuralSyncOpts is SimulateStructuralSync under explicit
-// walk options — the round-count and span-overhead measurement harness.
-func SimulateStructuralSyncOpts(provider, base *reldb.Table, opts SyncOptions) (*reldb.Table, SyncStats, error) {
-	opts = opts.normalized()
-	var stats SyncStats
-	var mu sync.Mutex
-	fetch := func(keys, rowKeys [][]byte) (SyncResponse, error) {
-		req := SyncRequest{Span: opts.Span, Keys: keys, RowKeys: rowKeys}
-		rawReq := appendSyncRequest(nil, &req)
-		root := provider.RowsRoot()
-		resp := SyncResponse{Seq: 1, Root: root[:], Empty: provider.Len() == 0}
-		if !resp.Empty {
-			resp.Nodes = syncNodesFor(provider, keys, len(keys) == 0 && len(rowKeys) == 0, req.Span)
-			resp.Subtrees = syncSubtreesFor(provider, rowKeys)
-		}
-		rawResp := appendSyncResponse(nil, &resp)
-		mu.Lock()
-		stats.BytesSent += len(rawReq)
-		stats.BytesReceived += len(rawResp)
-		mu.Unlock()
-		return decodeSyncResponse(rawResp)
-	}
-	t, _, err := assembleSync(base, fetch, &stats, opts)
-	return t, stats, err
-}

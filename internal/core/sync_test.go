@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +15,8 @@ import (
 	"medshare/internal/node"
 	"medshare/internal/p2p"
 	"medshare/internal/reldb"
+	"medshare/internal/store"
+	"medshare/internal/workload"
 )
 
 func syncTestSchema() reldb.Schema {
@@ -89,15 +92,8 @@ func newSyncHarnessTweak(t *testing.T, rows int, ta, tb p2p.Transport, tweak fun
 	}
 	h := &syncHarness{ctx: ctx, node: n, a: mk("A", ta), b: mk("B", tb)}
 
-	lens := func(view string) bx.Lens {
-		// Inserts and deletes allowed: the cold-replica path re-embeds a
-		// full view into an empty source.
-		return bx.Project(view, []string{"k", "v"}, nil).
-			WithInsert(bx.PolicyApply, nil).
-			WithDelete(bx.PolicyApply)
-	}
 	err = h.a.RegisterShare(ctx, RegisterShareArgs{
-		ID: "S", SourceTable: "T", Lens: lens("Sa"), ViewName: "Sa",
+		ID: "S", SourceTable: "T", Lens: syncLens("Sa"), ViewName: "Sa",
 		Peers: []identity.Address{h.a.Address(), h.b.Address()},
 		WritePerm: map[string][]identity.Address{
 			"v": {h.a.Address(), h.b.Address()},
@@ -106,10 +102,55 @@ func newSyncHarnessTweak(t *testing.T, rows int, ta, tb p2p.Transport, tweak fun
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.b.AttachShare("S", "T", lens("Sb"), "Sb"); err != nil {
+	if err := h.b.AttachShare("S", "T", syncLens("Sb"), "Sb"); err != nil {
 		t.Fatal(err)
 	}
 	return h
+}
+
+// syncLens is the harness shares' lens. Inserts and deletes are allowed:
+// the cold-replica path re-embeds a full view into an empty source.
+func syncLens(view string) bx.Lens {
+	return bx.Project(view, []string{"k", "v"}, nil).
+		WithInsert(bx.PolicyApply, nil).
+		WithDelete(bx.PolicyApply)
+}
+
+// restartPeer stops p and starts a new peer over image, a clone of p's
+// store filesystem taken earlier: the way a medshared process restarts
+// over its data dir. The new peer keeps p's identity, transport and
+// settings; its database starts with only src, and the caller attaches
+// its shares again, which restores them from the store.
+func restartPeer(t *testing.T, p *Peer, image *store.MemFS, src *reldb.Table) *Peer {
+	t.Helper()
+	p.Stop()
+	st, err := store.Open(store.Options{FS: image})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	cfg := p.cfg
+	cfg.DB = reldb.NewDatabase(p.Name())
+	cfg.DB.PutTable(src)
+	cfg.Store = st
+	np, err := NewPeer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	np.Start()
+	t.Cleanup(np.Stop)
+	return np
+}
+
+// withStore gives a peer a durable store on fs.
+func withStore(t *testing.T, cfg *Config, fs *store.MemFS) {
+	t.Helper()
+	st, err := store.Open(store.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	cfg.Store = st
 }
 
 // finalizedUpdate drives one A-side update through to finality (B acks
@@ -340,7 +381,7 @@ func TestSimulatedSyncBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, stats, err := SimulateStructuralSync(provider, base)
+	out, stats, err := simulateStructuralSync(provider, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +423,7 @@ func TestSimulatedSyncBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out3, cStats, err := SimulateStructuralSync(provider, contig)
+	out3, cStats, err := simulateStructuralSync(provider, contig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +437,7 @@ func TestSimulatedSyncBytes(t *testing.T) {
 
 	// Cold start converges too (bytes necessarily ~full size).
 	empty := reldb.MustNewTable(syncTestSchema())
-	out2, _, err := SimulateStructuralSync(provider, empty)
+	out2, _, err := simulateStructuralSync(provider, empty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +445,7 @@ func TestSimulatedSyncBytes(t *testing.T) {
 		t.Fatal("cold simulated sync did not converge")
 	}
 	// And syncing two identical tables moves one round and zero rows.
-	same, sStats, err := SimulateStructuralSync(provider, provider.Clone())
+	same, sStats, err := simulateStructuralSync(provider, provider.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,11 +568,11 @@ func TestSyncSpanCutsRounds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	serialOut, serial, err := SimulateStructuralSyncOpts(provider, base, SyncOptions{Span: -1, Parallel: -1})
+	serialOut, serial, err := simulateStructuralSyncOpts(provider, base, SyncOptions{Span: -1, Parallel: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fastOut, fast, err := SimulateStructuralSyncOpts(provider, base, SyncOptions{Span: 2, Parallel: 8})
+	fastOut, fast, err := simulateStructuralSyncOpts(provider, base, SyncOptions{Span: 2, Parallel: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,4 +604,80 @@ func TestSyncSpanCutsRounds(t *testing.T) {
 	if fast.NodesFetched > 3*serial.NodesFetched {
 		t.Fatalf("span walk fetched %d nodes, serial %d: speculation overhead exceeds 3x", fast.NodesFetched, serial.NodesFetched)
 	}
+}
+
+// simulateStructuralSync runs the anti-entropy exchange between two
+// in-memory tables through the real wire encoding (binary request and
+// response frames, no transport or chain) — the measurement harness
+// behind BenchmarkMerkle_AntiEntropy and the byte-count assertions.
+// provider plays the updater's view, base the stale local replica; the
+// returned stats count exactly the bytes the TCP path would carry in
+// message payloads.
+// It runs the byte-optimal serial walk (no span expansion, one request
+// per wave) so the byte numbers it pins are the protocol floor; use
+// simulateStructuralSyncOpts to measure the latency-optimized
+// operating points.
+func simulateStructuralSync(provider, base *reldb.Table) (*reldb.Table, SyncStats, error) {
+	return simulateStructuralSyncOpts(provider, base, SyncOptions{Span: -1, Parallel: -1})
+}
+
+// simulateStructuralSyncOpts is simulateStructuralSync under explicit
+// walk options — the round-count and span-overhead measurement harness.
+func simulateStructuralSyncOpts(provider, base *reldb.Table, opts SyncOptions) (*reldb.Table, SyncStats, error) {
+	opts = opts.normalized()
+	var stats SyncStats
+	var mu sync.Mutex
+	fetch := func(keys, rowKeys [][]byte) (SyncResponse, error) {
+		req := SyncRequest{Span: opts.Span, Keys: keys, RowKeys: rowKeys}
+		rawReq := appendSyncRequest(nil, &req)
+		root := provider.RowsRoot()
+		resp := SyncResponse{Seq: 1, Root: root[:], Empty: provider.Len() == 0}
+		if !resp.Empty {
+			resp.Nodes = syncNodesFor(provider, keys, len(keys) == 0 && len(rowKeys) == 0, req.Span)
+			resp.Subtrees = syncSubtreesFor(provider, rowKeys)
+		}
+		rawResp := appendSyncResponse(nil, &resp)
+		mu.Lock()
+		stats.BytesSent += len(rawReq)
+		stats.BytesReceived += len(rawResp)
+		mu.Unlock()
+		return decodeSyncResponse(rawResp)
+	}
+	t, _, err := assembleSync(base, fetch, &stats, opts)
+	return t, stats, err
+}
+
+// BenchmarkMerkle_AntiEntropy measures a full structural sync round trip
+// (wire-encoded both ways) for a 16-row scattered divergence on a
+// 10k-row view, reporting the bytes moved against the full payload.
+func BenchmarkMerkle_AntiEntropy(b *testing.B) {
+	full := workload.Generate("full", 10000, 1)
+	full.Hash()
+	keys := full.RowsCanonical()
+	stale := full.Clone()
+	for j := 0; j < 16; j++ {
+		if err := stale.Update(full.KeyValues(keys[j*613]),
+			map[string]reldb.Value{workload.ColDosage: reldb.S("stale")}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fullRaw, err := reldb.MarshalTable(full)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var stats SyncStats
+	for i := 0; i < b.N; i++ {
+		out, s, err := simulateStructuralSync(full, stale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out.Len() != full.Len() {
+			b.Fatal("sync diverged")
+		}
+		stats = s
+	}
+	b.ReportMetric(float64(stats.BytesSent+stats.BytesReceived), "B/sync")
+	b.ReportMetric(float64(len(fullRaw)), "B/full")
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"medshare/internal/reldb"
+	"medshare/internal/wire"
 )
 
 // The anti-entropy response frame: a compact binary encoding replacing
@@ -51,23 +52,18 @@ const syncWireMaxLen = 1 << 28
 // errFrame marks a malformed binary data-channel frame.
 var errFrame = fmt.Errorf("core: malformed data-channel frame")
 
-func appendBytes(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
 func appendSyncChild(dst []byte, c *SyncChild) []byte {
-	dst = appendBytes(dst, c.Key)
-	dst = appendBytes(dst, c.Digest)
+	dst = wire.AppendBytes(dst, c.Key)
+	dst = wire.AppendBytes(dst, c.Digest)
 	return binary.AppendUvarint(dst, uint64(c.Size))
 }
 
 // appendSyncResponse encodes r into the binary frame.
 func appendSyncResponse(dst []byte, r *SyncResponse) []byte {
 	dst = append(dst, syncWireVersion)
-	dst = appendBytes(dst, []byte(r.ShareID))
+	dst = wire.AppendBytes(dst, r.ShareID)
 	dst = binary.AppendUvarint(dst, r.Seq)
-	dst = appendBytes(dst, r.Root)
+	dst = wire.AppendBytes(dst, r.Root)
 	var flags byte
 	if r.Empty {
 		flags |= 1
@@ -75,7 +71,7 @@ func appendSyncResponse(dst []byte, r *SyncResponse) []byte {
 	dst = append(dst, flags)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Nodes)))
 	for _, n := range r.Nodes {
-		dst = appendBytes(dst, n.Key)
+		dst = wire.AppendBytes(dst, n.Key)
 		dst = n.Row.AppendCanonical(dst)
 		var mask byte
 		if n.Left != nil {
@@ -94,7 +90,7 @@ func appendSyncResponse(dst []byte, r *SyncResponse) []byte {
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(r.Subtrees)))
 	for _, st := range r.Subtrees {
-		dst = appendBytes(dst, st.Key)
+		dst = wire.AppendBytes(dst, st.Key)
 		dst = binary.AppendUvarint(dst, uint64(len(st.Rows)))
 		for _, row := range st.Rows {
 			dst = row.AppendCanonical(dst)
@@ -118,8 +114,8 @@ func (r *frameReader) byte() (byte, error) {
 }
 
 func (r *frameReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
+	v, n := wire.Uvarint(r.buf)
+	if n == 0 {
 		return 0, errFrame
 	}
 	r.buf = r.buf[n:]
@@ -260,21 +256,21 @@ func decodeSyncResponse(raw []byte) (SyncResponse, error) {
 // appendSyncRequest encodes r into the binary request frame.
 func appendSyncRequest(dst []byte, r *SyncRequest) []byte {
 	dst = append(dst, syncWireVersion)
-	dst = appendBytes(dst, []byte(r.ShareID))
+	dst = wire.AppendBytes(dst, r.ShareID)
 	dst = binary.AppendUvarint(dst, r.MinSeq)
 	dst = binary.AppendUvarint(dst, uint64(r.Span))
 	dst = binary.AppendUvarint(dst, uint64(len(r.Keys)))
 	for _, k := range r.Keys {
-		dst = appendBytes(dst, k)
+		dst = wire.AppendBytes(dst, k)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(r.RowKeys)))
 	for _, k := range r.RowKeys {
-		dst = appendBytes(dst, k)
+		dst = wire.AppendBytes(dst, k)
 	}
-	dst = appendBytes(dst, r.Requester[:])
-	dst = appendBytes(dst, r.PubKey)
+	dst = wire.AppendBytes(dst, r.Requester[:])
+	dst = wire.AppendBytes(dst, r.PubKey)
 	dst = binary.AppendUvarint(dst, uint64(r.TsMicro))
-	return appendBytes(dst, r.Sig)
+	return wire.AppendBytes(dst, r.Sig)
 }
 
 func (r *frameReader) keyList() ([][]byte, error) {

@@ -9,7 +9,8 @@ import (
 
 // FuzzSyncRequestWire fuzzes the binary sync-request frame codec:
 // arbitrary input must never panic; any input that decodes is
-// re-encoded and must round-trip to identical canonical bytes and
+// re-encoded and must reproduce the input byte for byte (an overlong
+// varint is rejected, not normalized) and round-trip to identical
 // fields; every strict prefix of a canonical frame, and any frame with
 // trailing garbage, must be rejected. The decoder's span cap (the
 // response-amplification guard) must hold on every accepted frame.
@@ -44,6 +45,9 @@ func FuzzSyncRequestWire(f *testing.F) {
 			t.Fatalf("decoded span %d outside [0, %d]", req.Span, syncMaxSpan)
 		}
 		canon := appendSyncRequest(nil, &req)
+		if !bytes.Equal(canon, raw) {
+			t.Fatalf("accepted a frame that is not the canonical encoding of what it decodes to:\n%x\n%x", raw, canon)
+		}
 		re, err := decodeSyncRequest(canon)
 		if err != nil {
 			t.Fatalf("canonical re-decode failed: %v", err)

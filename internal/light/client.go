@@ -13,7 +13,6 @@ import (
 
 	"medshare/internal/chain"
 	"medshare/internal/contract/sharereg"
-	"medshare/internal/p2p"
 	"medshare/internal/reldb"
 	"medshare/internal/statedb"
 )
@@ -44,12 +43,6 @@ const (
 	readAttempts = 6
 	staleBackoff = 2 * time.Millisecond
 )
-
-// pendingCap bounds the out-of-order gossip buffer. Gossip delivery has
-// no ordering guarantee; headers arriving ahead of a gap wait here
-// until the gap fills, and past the cap the client falls back to a
-// pull-based header sync.
-const pendingCap = 128
 
 // headerBatchLimit is the most headers a client accepts per Headers
 // response page (a defense cap; servers page well below it).
@@ -85,9 +78,6 @@ type shareState struct {
 	mu sync.Mutex
 	// headKnown is set after the first successful chain-proven head.
 	headKnown bool
-	// stale forces a head re-prove before the next read (set by gossip
-	// naming this share).
-	stale bool
 	// seq and payloadHash are the chain-proven share version: every row
 	// the client accepts recomputes to this hash.
 	seq         uint64
@@ -95,13 +85,6 @@ type shareState struct {
 	// provenHeight is the chain height the head proof verified against.
 	provenHeight uint64
 	rows         map[string]cachedRow
-}
-
-// pendingHeader is an out-of-order gossiped header waiting for its gap
-// to fill.
-type pendingHeader struct {
-	header chain.Header
-	shares []string
 }
 
 // Client is the light-client runtime: a verified header chain, one
@@ -112,14 +95,21 @@ type pendingHeader struct {
 //
 // The client assumes the finality of the underlying chain (PoA in this
 // system): it follows a single header sequence and does not reorg.
+//
+// Freshness: the client learns of a new share version only by proving
+// the share's head again, which it does on the first read of a share
+// and whenever a fetched row does not hash to the proven head (the
+// serving peer has moved on). A cached row is served at the seq of the
+// client's last head proof, however far the chain has moved since; a
+// read of an uncached key finds the newer version and moves the head
+// along. A reader that must see the latest version starts a fresh
+// client, as `medsharectl light` does on every call.
 type Client struct {
 	cfg     Config
 	headers *chain.HeaderChain
 
-	mu       sync.Mutex
-	shares   map[string]*shareState
-	pending  map[uint64]pendingHeader
-	needSync bool
+	mu     sync.Mutex
+	shares map[string]*shareState
 
 	// Counters; read via Stats.
 	cacheHits      atomic.Uint64
@@ -141,13 +131,11 @@ func New(cfg Config) (*Client, error) {
 		cfg:     cfg,
 		headers: chain.NewHeaderChain(cfg.Network, cfg.Verify),
 		shares:  make(map[string]*shareState),
-		pending: make(map[uint64]pendingHeader),
 	}, nil
 }
 
 // Subscribe registers interest in a share. Reads are only served for
-// subscribed shares; gossip naming a subscribed share invalidates its
-// cached head and rows.
+// subscribed shares.
 func (c *Client) Subscribe(shareID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -155,9 +143,6 @@ func (c *Client) Subscribe(shareID string) {
 		c.shares[shareID] = &shareState{rows: make(map[string]cachedRow)}
 	}
 }
-
-// Height returns the verified tip height.
-func (c *Client) Height() uint64 { return c.headers.Height() }
 
 // SyncHeaders pulls and verifies headers from the source until the
 // client's tip catches the serving tip. Returns the number of headers
@@ -189,100 +174,7 @@ func (c *Client) SyncHeaders(ctx context.Context) (int, error) {
 			break
 		}
 	}
-	c.drainPending()
-	c.mu.Lock()
-	c.needSync = false
-	c.mu.Unlock()
 	return appended, nil
-}
-
-// HandleGossip feeds the client one gossiped network message. Block
-// gossip both extends the header chain (no polling: the subscription is
-// the invalidation signal) and marks any subscribed share named by a
-// block transaction stale, so the next read re-proves its head. All
-// other kinds are ignored.
-func (c *Client) HandleGossip(msg p2p.Message) {
-	if msg.Kind != p2p.KindBlock {
-		return
-	}
-	b, err := chain.DecodeBlock(msg.Payload)
-	if err != nil {
-		return
-	}
-	var shares []string
-	for _, tx := range b.Txs {
-		if tx != nil && tx.ShareID != "" {
-			shares = append(shares, tx.ShareID)
-		}
-	}
-	// Mark before verifying the header: staleness only forces a head
-	// re-prove, so over-marking is safe while under-marking could serve
-	// a cached row past its on-chain version.
-	c.markStale(shares)
-
-	err = c.headers.Append(b.Header)
-	switch {
-	case err == nil:
-		c.drainPending()
-	case errors.Is(err, chain.ErrHeaderStale):
-		// Re-delivery; nothing to do.
-	case errors.Is(err, chain.ErrHeaderGap):
-		c.mu.Lock()
-		if len(c.pending) < pendingCap {
-			c.pending[b.Header.Height] = pendingHeader{header: b.Header, shares: shares}
-		} else {
-			c.needSync = true
-		}
-		c.mu.Unlock()
-	default:
-		// A height-adjacent header that fails linkage or consensus:
-		// either garbage or a chain the client cannot follow from its
-		// tip. Fall back to pull sync.
-		c.mu.Lock()
-		c.needSync = true
-		c.mu.Unlock()
-	}
-}
-
-// drainPending applies buffered out-of-order headers that have become
-// appendable.
-func (c *Client) drainPending() {
-	for {
-		next := c.headers.Height() + 1
-		c.mu.Lock()
-		p, ok := c.pending[next]
-		if ok {
-			delete(c.pending, next)
-		}
-		c.mu.Unlock()
-		if !ok {
-			return
-		}
-		if err := c.headers.Append(p.header); err != nil {
-			if !errors.Is(err, chain.ErrHeaderStale) {
-				c.mu.Lock()
-				c.needSync = true
-				c.mu.Unlock()
-			}
-			return
-		}
-		c.markStale(p.shares)
-	}
-}
-
-func (c *Client) markStale(shareIDs []string) {
-	if len(shareIDs) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, id := range shareIDs {
-		if s, ok := c.shares[id]; ok {
-			s.mu.Lock()
-			s.stale = true
-			s.mu.Unlock()
-		}
-	}
 }
 
 func (c *Client) src() Source { return c.cfg.Source }
@@ -291,25 +183,19 @@ func (c *Client) src() Source { return c.cfg.Source }
 // the chain: the row's membership proof must hash to a row root whose
 // table hash equals the payload hash committed on-chain for the share's
 // current sequence number, under a state proof against a verified block
-// header. A cached row is returned only while it is provably current
-// (same proven seq, no invalidation since).
+// header. A cached row is returned while it was verified at the proven
+// seq (see Client for what that promises).
 func (c *Client) Read(ctx context.Context, shareID string, key reldb.Row) (reldb.Row, error) {
 	c.mu.Lock()
 	s, ok := c.shares[shareID]
-	needSync := c.needSync
 	c.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotSubscribed, shareID)
 	}
-	if needSync {
-		if _, err := c.SyncHeaders(ctx); err != nil {
-			return nil, err
-		}
-	}
 
 	ck := orderedKey(key)
 	s.mu.Lock()
-	if s.headKnown && !s.stale {
+	if s.headKnown {
 		if r, ok := s.rows[ck]; ok && r.seq == s.seq {
 			s.mu.Unlock()
 			c.cacheHits.Add(1)
@@ -386,10 +272,10 @@ func (c *Client) Read(ctx context.Context, shareID string, key reldb.Row) (reldb
 }
 
 // refreshHead proves the share's current on-chain metadata against a
-// verified header. With force=false a known, non-stale head is kept.
+// verified header. With force=false a known head is kept.
 func (c *Client) refreshHead(ctx context.Context, shareID string, s *shareState, force bool) error {
 	s.mu.Lock()
-	if s.headKnown && !s.stale && !force {
+	if s.headKnown && !force {
 		s.mu.Unlock()
 		return nil
 	}
@@ -445,7 +331,6 @@ func (c *Client) refreshHead(ctx context.Context, shareID string, s *shareState,
 	copy(s.payloadHash[:], want)
 	s.provenHeight = sh.Height
 	s.headKnown = true
-	s.stale = false
 	s.mu.Unlock()
 	return nil
 }

@@ -11,7 +11,6 @@ import (
 
 	"medshare/internal/chain"
 	"medshare/internal/contract/sharereg"
-	"medshare/internal/p2p"
 	"medshare/internal/reldb"
 	"medshare/internal/statedb"
 )
@@ -298,56 +297,54 @@ func TestStaleSeqRowRejected(t *testing.T) {
 	}
 }
 
-func TestGossipInvalidatesAndReadsNewVersion(t *testing.T) {
+// TestCachedRowServedAtProvenSeq pins the freshness contract: a cached
+// row is served at the seq of the client's last head proof after the
+// share moves on, a read of an uncached key re-proves the head and
+// drops the old version's rows, and a fresh client reads the new
+// version straight away.
+func TestCachedRowServedAtProvenSeq(t *testing.T) {
 	f := newFixture(t, 20)
 	c := newTestClient(t, f, nil)
+	ctx := context.Background()
 	key := reldb.Row{reldb.I(5)}
-	if _, err := c.Read(context.Background(), f.shareID, key); err != nil {
+	if _, err := c.Read(ctx, f.shareID, key); err != nil {
 		t.Fatalf("Read v1: %v", err)
 	}
 
-	// Advance the share; gossip the committing block to the client.
 	if err := f.view.Update(key, map[string]reldb.Value{"val": reldb.S("v1")}); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
 	f.commitVersion(t, 2)
-	blk := chain.Block{Header: f.headers[len(f.headers)-1], Txs: []*chain.Tx{{ShareID: f.shareID}}}
-	c.HandleGossip(p2p.Message{Kind: p2p.KindBlock, Payload: chain.AppendBlockBinary(nil, &blk)})
 
-	row, err := c.Read(context.Background(), f.shareID, key)
+	row, err := c.Read(ctx, f.shareID, key)
 	if err != nil {
-		t.Fatalf("Read v2: %v", err)
+		t.Fatalf("cached Read: %v", err)
+	}
+	if got := row[1].String(); got != "v0" {
+		t.Fatalf("cached read = %q, want the row verified at seq 1", got)
+	}
+
+	fresh := newTestClient(t, f, nil)
+	if row, err = fresh.Read(ctx, f.shareID, key); err != nil {
+		t.Fatalf("fresh Read: %v", err)
 	}
 	if got := row[1].String(); got != "v1" {
-		t.Fatalf("post-invalidation read = %q, want v1 (stale cache served?)", got)
+		t.Fatalf("fresh client read = %q, want v1", got)
 	}
-	if st := c.Stats(); st.VerifyFailures != 0 {
-		t.Fatalf("unexpected verify failures: %+v", st)
-	}
-}
 
-func TestGossipOutOfOrderBuffers(t *testing.T) {
-	f := newFixture(t, 8)
-	c := newTestClient(t, f, nil)
-	// Produce two more versions but deliver their blocks reversed.
-	if err := f.view.Update(reldb.Row{reldb.I(1)}, map[string]reldb.Value{"val": reldb.S("v1")}); err != nil {
-		t.Fatalf("Update: %v", err)
+	// An uncached key fetches at seq 2, which no longer hashes to the
+	// proven head: the client re-proves it and the seq-1 row goes.
+	if _, err := c.Read(ctx, f.shareID, reldb.Row{reldb.I(6)}); err != nil {
+		t.Fatalf("Read uncached key: %v", err)
 	}
-	f.commitVersion(t, 2)
-	b2 := f.headers[len(f.headers)-1]
-	if err := f.view.Update(reldb.Row{reldb.I(1)}, map[string]reldb.Value{"val": reldb.S("v2")}); err != nil {
-		t.Fatalf("Update: %v", err)
+	if row, err = c.Read(ctx, f.shareID, key); err != nil {
+		t.Fatalf("Read after head advance: %v", err)
 	}
-	f.commitVersion(t, 3)
-	b3 := f.headers[len(f.headers)-1]
-
-	gossip := func(h chain.Header) {
-		c.HandleGossip(p2p.Message{Kind: p2p.KindBlock, Payload: chain.AppendBlockBinary(nil, &chain.Block{Header: h})})
+	if got := row[1].String(); got != "v1" {
+		t.Fatalf("read after the head moved = %q, want v1", got)
 	}
-	gossip(b3) // gap: buffered
-	gossip(b2) // fills the gap; b3 drains
-	if got, want := c.Height(), b3.Height; got != want {
-		t.Fatalf("height after out-of-order gossip = %d, want %d", got, want)
+	if st := c.Stats(); st.VerifyFailures != 0 || st.StaleRetries == 0 {
+		t.Fatalf("stats = %+v, want one stale retry and no failures", st)
 	}
 }
 
@@ -384,16 +381,6 @@ func TestWireRoundTrips(t *testing.T) {
 	f := newFixture(t, 10)
 	src := &fakeSource{f: f}
 
-	hr := HeadersRequest{FromHeight: 7, PubKey: []byte("0123456789012345678901234567890a"), TsMicro: 42, Sig: []byte("sig")}
-	hr.Requester[3] = 9
-	gotHR, err := DecodeHeadersRequest(EncodeHeadersRequest(&hr))
-	if err != nil {
-		t.Fatalf("headers request: %v", err)
-	}
-	if gotHR.FromHeight != hr.FromHeight || gotHR.Requester != hr.Requester || string(gotHR.Sig) != "sig" {
-		t.Fatalf("headers request round trip mismatch: %+v", gotHR)
-	}
-
 	sh, _, err := src.ShareHead(context.Background(), f.shareID)
 	if err != nil {
 		t.Fatalf("ShareHead: %v", err)
@@ -407,17 +394,10 @@ func TestWireRoundTrips(t *testing.T) {
 		t.Fatalf("share head round trip mismatch")
 	}
 
-	// A key tuple with a Latin-1 string must cross byte for byte.
-	rr := RowRequest{ShareID: f.shareID, Key: reldb.Row{reldb.I(3), reldb.S("caf\xe9")}, TsMicro: 1}
-	rrRaw := EncodeRowRequest(&rr)
-	gotRR, err := DecodeRowRequest(rrRaw)
-	if err != nil {
-		t.Fatalf("row request decode: %v", err)
+	// A Latin-1 string must cross byte for byte.
+	if err := f.view.Update(reldb.Row{reldb.I(3)}, map[string]reldb.Value{"val": reldb.S("caf\xe9")}); err != nil {
+		t.Fatalf("Update: %v", err)
 	}
-	if gotRR.ShareID != rr.ShareID || orderedKey(gotRR.Key) != orderedKey(rr.Key) {
-		t.Fatalf("row request round trip mismatch: %+v", gotRR)
-	}
-
 	rf, _, err := src.Row(context.Background(), f.shareID, reldb.Row{reldb.I(3)})
 	if err != nil {
 		t.Fatalf("Row: %v", err)
@@ -428,7 +408,7 @@ func TestWireRoundTrips(t *testing.T) {
 		t.Fatalf("row fetch decode: %v", err)
 	}
 	if gotRF.Seq != rf.Seq || gotRF.Root != rf.Root || gotRF.SchemaSum != rf.SchemaSum ||
-		gotRF.Rows != rf.Rows || orderedKey(gotRF.Row) != orderedKey(rf.Row) {
+		gotRF.Rows != rf.Rows || string(gotRF.Row.AppendCanonical(nil)) != string(rf.Row.AppendCanonical(nil)) {
 		t.Fatalf("row fetch round trip mismatch")
 	}
 	// The decoded fetch must verify exactly like the original.
@@ -440,19 +420,35 @@ func TestWireRoundTrips(t *testing.T) {
 		t.Fatalf("decoded fetch fails verification: %v", err)
 	}
 
-	// Trailing garbage must be rejected on every frame.
-	for _, raw := range [][]byte{
-		EncodeHeadersRequest(&hr), EncodeShareHead(&sh), rrRaw, rfRaw,
-	} {
-		bad := append(append([]byte(nil), raw...), 0)
-		if _, err := DecodeHeadersRequest(bad); err == nil {
-			if _, err := DecodeShareHead(bad); err == nil {
-				if _, err := DecodeRowRequest(bad); err == nil {
-					if _, err := DecodeRowFetch(bad); err == nil {
-						t.Fatalf("frame with trailing byte accepted by all decoders")
-					}
-				}
-			}
-		}
+	// Trailing garbage must be rejected on both frames.
+	if _, err := DecodeShareHead(append(EncodeShareHead(&sh), 0)); err == nil {
+		t.Fatal("share head with a trailing byte accepted")
+	}
+	if _, err := DecodeRowFetch(append(rfRaw, 0)); err == nil {
+		t.Fatal("row fetch with a trailing byte accepted")
+	}
+}
+
+// TestWireRejectsOverlongVarint: a length or count written in more
+// varint bytes than its value needs is rejected, so an accepted frame
+// re-encodes to exactly its bytes.
+func TestWireRejectsOverlongVarint(t *testing.T) {
+	f := newFixture(t, 4)
+	sh, _, err := (&fakeSource{f: f}).ShareHead(context.Background(), f.shareID)
+	if err != nil {
+		t.Fatalf("ShareHead: %v", err)
+	}
+	raw := EncodeShareHead(&sh)
+	if _, err := DecodeShareHead(raw); err != nil {
+		t.Fatalf("genuine frame: %v", err)
+	}
+	// raw[1] is the one-byte varint height; 0x80|v, 0x00 is the same
+	// value in two bytes.
+	if raw[1] >= 0x80 {
+		t.Fatalf("height %d does not fit one varint byte", sh.Height)
+	}
+	overlong := append([]byte{raw[0], raw[1] | 0x80, 0}, raw[2:]...)
+	if _, err := DecodeShareHead(overlong); !errors.Is(err, ErrWire) {
+		t.Fatalf("overlong varint: err = %v, want ErrWire", err)
 	}
 }

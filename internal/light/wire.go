@@ -10,10 +10,10 @@
 //	    ──payload hash = sha256(schemaSum ‖ rows ‖ rowsRoot)──▶ rowsRoot
 //	    ──row Merkle proof──▶ the row
 //
-// The wire frames below use the same compact binary idiom as the sync
-// protocol (version byte, varint length prefixes, strict trailing-byte
-// rejection, rows in their canonical encoding); requests are signed for
-// authenticity, but serving a light client never grants replica status.
+// The response frames below use the same compact binary idiom as the
+// sync protocol (version byte, minimal varint length prefixes, strict
+// trailing-byte rejection, rows in their canonical encoding). They
+// travel as the bodies of the HTTP light routes.
 package light
 
 import (
@@ -21,16 +21,15 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"medshare/internal/identity"
 	"medshare/internal/merkle"
 	"medshare/internal/reldb"
 	"medshare/internal/reldb/pmap"
 	"medshare/internal/statedb"
+	"medshare/internal/wire"
 )
 
-// wireVersion tags the light frame layouts. Version 2 carries the row
-// request's key tuple and the fetched row in their canonical encoding
-// instead of JSON.
+// wireVersion tags the light frame layouts. Version 2 carries the
+// fetched row in its canonical encoding instead of JSON.
 const wireVersion = 2
 
 // wireMaxLen caps any single length field while decoding, so a corrupt
@@ -39,46 +38,6 @@ const wireMaxLen = 1 << 26
 
 // ErrWire marks a malformed light-protocol frame.
 var ErrWire = fmt.Errorf("light: malformed frame")
-
-// HeadersRequest asks a serving peer for main-chain headers above
-// FromHeight. Responses are chain.EncodeHeaders frames.
-type HeadersRequest struct {
-	FromHeight uint64
-	Requester  identity.Address
-	PubKey     []byte
-	TsMicro    int64
-	Sig        []byte
-}
-
-// SigningBytes is the canonical byte string covered by Sig.
-func (r *HeadersRequest) SigningBytes() []byte {
-	out := make([]byte, 0, 64)
-	out = append(out, "medshare-light-headers:"...)
-	out = binary.BigEndian.AppendUint64(out, r.FromHeight)
-	out = append(out, r.Requester[:]...)
-	out = binary.BigEndian.AppendUint64(out, uint64(r.TsMicro))
-	return out
-}
-
-// ShareHeadRequest asks for a share's on-chain metadata with a
-// state-membership proof.
-type ShareHeadRequest struct {
-	ShareID   string
-	Requester identity.Address
-	PubKey    []byte
-	TsMicro   int64
-	Sig       []byte
-}
-
-// SigningBytes is the canonical byte string covered by Sig.
-func (r *ShareHeadRequest) SigningBytes() []byte {
-	out := make([]byte, 0, 64+len(r.ShareID))
-	out = append(out, "medshare-light-head:"...)
-	out = append(out, r.ShareID...)
-	out = append(out, r.Requester[:]...)
-	out = binary.BigEndian.AppendUint64(out, uint64(r.TsMicro))
-	return out
-}
 
 // ShareHead is the proven share-head response: the raw sharereg state
 // value for the share plus its membership proof against the state root
@@ -89,31 +48,6 @@ type ShareHead struct {
 	Meta    []byte
 	Version statedb.Version
 	Proof   merkle.Proof
-}
-
-// RowRequest asks for one row of a share's view by primary-key tuple.
-type RowRequest struct {
-	ShareID   string
-	Key       reldb.Row
-	Requester identity.Address
-	PubKey    []byte
-	TsMicro   int64
-	Sig       []byte
-}
-
-// SigningBytes is the canonical byte string covered by Sig. The key
-// tuple is covered via its ordered storage encoding.
-func (r *RowRequest) SigningBytes() []byte {
-	out := make([]byte, 0, 96+len(r.ShareID))
-	out = append(out, "medshare-light-row:"...)
-	out = append(out, r.ShareID...)
-	out = append(out, 0)
-	for _, v := range r.Key {
-		out = v.AppendOrdered(out)
-	}
-	out = append(out, 0)
-	out = append(out, r.Requester[:]...)
-	return binary.BigEndian.AppendUint64(out, uint64(r.TsMicro))
 }
 
 // RowFetch is the proof-carrying row response: the row, its Merkle
@@ -133,11 +67,6 @@ type RowFetch struct {
 }
 
 // --- binary encoding -------------------------------------------------
-
-func appendBytes(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
 
 // wireReader walks a frame with bounds checking.
 type wireReader struct{ buf []byte }
@@ -160,7 +89,7 @@ func (r *wireReader) byte() (byte, error) {
 }
 
 func (r *wireReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf)
+	v, n := wire.Uvarint(r.buf)
 	if n <= 0 {
 		return 0, ErrWire
 	}
@@ -194,89 +123,12 @@ func (r *wireReader) done() error {
 	return nil
 }
 
-func appendAuth(dst []byte, requester identity.Address, pubKey []byte, ts int64, sig []byte) []byte {
-	dst = appendBytes(dst, requester[:])
-	dst = appendBytes(dst, pubKey)
-	dst = binary.AppendUvarint(dst, uint64(ts))
-	return appendBytes(dst, sig)
-}
-
-func (r *wireReader) auth(requester *identity.Address, pubKey *[]byte, ts *int64, sig *[]byte) error {
-	addr, err := r.bytes()
-	if err != nil || len(addr) != len(*requester) {
-		return ErrWire
-	}
-	copy(requester[:], addr)
-	if *pubKey, err = r.bytes(); err != nil {
-		return err
-	}
-	t, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	*ts = int64(t)
-	*sig, err = r.bytes()
-	return err
-}
-
-// EncodeHeadersRequest encodes r into its binary frame.
-func EncodeHeadersRequest(r *HeadersRequest) []byte {
-	dst := make([]byte, 0, 128)
-	dst = append(dst, wireVersion)
-	dst = binary.AppendUvarint(dst, r.FromHeight)
-	return appendAuth(dst, r.Requester, r.PubKey, r.TsMicro, r.Sig)
-}
-
-// DecodeHeadersRequest parses a frame produced by EncodeHeadersRequest.
-func DecodeHeadersRequest(raw []byte) (HeadersRequest, error) {
-	rd := wireReader{buf: raw}
-	var out HeadersRequest
-	if err := rd.version(); err != nil {
-		return out, err
-	}
-	var err error
-	if out.FromHeight, err = rd.uvarint(); err != nil {
-		return out, err
-	}
-	if err = rd.auth(&out.Requester, &out.PubKey, &out.TsMicro, &out.Sig); err != nil {
-		return out, err
-	}
-	return out, rd.done()
-}
-
-// EncodeShareHeadRequest encodes r into its binary frame.
-func EncodeShareHeadRequest(r *ShareHeadRequest) []byte {
-	dst := make([]byte, 0, 160)
-	dst = append(dst, wireVersion)
-	dst = appendBytes(dst, []byte(r.ShareID))
-	return appendAuth(dst, r.Requester, r.PubKey, r.TsMicro, r.Sig)
-}
-
-// DecodeShareHeadRequest parses a frame produced by
-// EncodeShareHeadRequest.
-func DecodeShareHeadRequest(raw []byte) (ShareHeadRequest, error) {
-	rd := wireReader{buf: raw}
-	var out ShareHeadRequest
-	if err := rd.version(); err != nil {
-		return out, err
-	}
-	id, err := rd.bytes()
-	if err != nil {
-		return out, err
-	}
-	out.ShareID = string(id)
-	if err = rd.auth(&out.Requester, &out.PubKey, &out.TsMicro, &out.Sig); err != nil {
-		return out, err
-	}
-	return out, rd.done()
-}
-
 // EncodeShareHead encodes the share-head response.
 func EncodeShareHead(h *ShareHead) []byte {
 	dst := make([]byte, 0, 256+len(h.Meta))
 	dst = append(dst, wireVersion)
 	dst = binary.AppendUvarint(dst, h.Height)
-	dst = appendBytes(dst, h.Meta)
+	dst = wire.AppendBytes(dst, h.Meta)
 	dst = binary.AppendUvarint(dst, h.Version.Height)
 	dst = binary.AppendUvarint(dst, uint64(h.Version.TxIndex))
 	dst = binary.AppendUvarint(dst, uint64(h.Proof.Index))
@@ -338,16 +190,6 @@ func DecodeShareHead(raw []byte) (ShareHead, error) {
 	return out, rd.done()
 }
 
-// EncodeRowRequest encodes r into its binary frame. The key tuple
-// travels as its canonical row encoding.
-func EncodeRowRequest(r *RowRequest) []byte {
-	dst := make([]byte, 0, 192)
-	dst = append(dst, wireVersion)
-	dst = appendBytes(dst, []byte(r.ShareID))
-	dst = r.Key.AppendCanonical(dst)
-	return appendAuth(dst, r.Requester, r.PubKey, r.TsMicro, r.Sig)
-}
-
 // row reads one canonical row.
 func (r *wireReader) row() (reldb.Row, error) {
 	row, rest, err := reldb.CutRow(r.buf)
@@ -356,27 +198,6 @@ func (r *wireReader) row() (reldb.Row, error) {
 	}
 	r.buf = rest
 	return row, nil
-}
-
-// DecodeRowRequest parses a frame produced by EncodeRowRequest.
-func DecodeRowRequest(raw []byte) (RowRequest, error) {
-	rd := wireReader{buf: raw}
-	var out RowRequest
-	if err := rd.version(); err != nil {
-		return out, err
-	}
-	id, err := rd.bytes()
-	if err != nil {
-		return out, err
-	}
-	out.ShareID = string(id)
-	if out.Key, err = rd.row(); err != nil {
-		return out, err
-	}
-	if err = rd.auth(&out.Requester, &out.PubKey, &out.TsMicro, &out.Sig); err != nil {
-		return out, err
-	}
-	return out, rd.done()
 }
 
 // EncodeRowFetch encodes the proof-carrying row response.
@@ -388,7 +209,7 @@ func EncodeRowFetch(f *RowFetch) []byte {
 	dst = binary.AppendUvarint(dst, uint64(f.Rows))
 	dst = append(dst, f.Root[:]...)
 	schema, _ := json.Marshal(f.Schema) // plain strings, ints and bools: cannot fail
-	dst = appendBytes(dst, schema)
+	dst = wire.AppendBytes(dst, schema)
 	dst = f.Row.AppendCanonical(dst)
 	dst = append(dst, f.Proof.Left[:]...)
 	dst = append(dst, f.Proof.Right[:]...)

@@ -315,7 +315,7 @@ func TestDuplicateGossipDoesNotKick(t *testing.T) {
 // panic, not keep serving a state that no longer matches its head.
 func TestPoisonedOnUnreproducibleBranch(t *testing.T) {
 	n := forkNode(t, "poison")
-	g := n.Store().Genesis()
+	g := n.Store().MainChain()[0]
 	mkTx := func(k, v string) *chain.Tx { return n.BuildTx("kv", "set", "", []byte(k), []byte(v)) }
 
 	a1 := buildBlock(t, n, g, []*chain.Tx{mkTx("branch", "A")}, 1000)

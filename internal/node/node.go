@@ -156,9 +156,6 @@ func New(cfg Config) (*Node, error) {
 // Address returns the node identity's address.
 func (n *Node) Address() identity.Address { return n.cfg.Identity.Address() }
 
-// Identity returns the node's signing identity.
-func (n *Node) Identity() *identity.Identity { return n.cfg.Identity }
-
 // Store exposes the block store (read-only use expected).
 func (n *Node) Store() *chain.Store { return n.store }
 

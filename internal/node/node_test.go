@@ -321,7 +321,7 @@ func TestMultiNodeGossipConvergence(t *testing.T) {
 
 func TestRejectBlockWithWrongStateRoot(t *testing.T) {
 	n := newTestNode(t)
-	g := n.Store().Genesis()
+	g := n.Store().MainChain()[0]
 	tx := n.BuildTx("kv", "set", "", []byte("x"), []byte("y"))
 	// block hand-crafts a sealed height-1 block; honest gives it the state
 	// root its transactions produce, otherwise the root is wrong.

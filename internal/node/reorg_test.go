@@ -86,7 +86,7 @@ func freshReplay(t *testing.T, n *Node, tip *chain.Block) *statedb.Store {
 // and rebuild its state to B's.
 func TestReorgRebuildsState(t *testing.T) {
 	n := forkNode(t, "reorg")
-	genesis := n.Store().Genesis()
+	genesis := n.Store().MainChain()[0]
 
 	txA := n.BuildTx("kv", "set", "", []byte("branch"), []byte("A"))
 	txB1 := n.BuildTx("kv", "set", "", []byte("branch"), []byte("B"))
@@ -137,7 +137,7 @@ func TestReorgRebuildsState(t *testing.T) {
 // TestSideBranchIgnored: a shorter side branch must not disturb state.
 func TestSideBranchIgnored(t *testing.T) {
 	n := forkNode(t, "side")
-	genesis := n.Store().Genesis()
+	genesis := n.Store().MainChain()[0]
 
 	main1 := buildBlock(t, n, genesis, []*chain.Tx{n.BuildTx("kv", "set", "", []byte("k"), []byte("main"))}, 1)
 	if err := n.ReceiveBlock(main1); err != nil {

@@ -28,18 +28,6 @@ const (
 	// subtrees (cold or long-diverged replicas catching up without a
 	// whole-view fetch).
 	KindSync = "data.sync"
-	// KindHeaders is the light-client header sync RPC: a request names a
-	// starting height, the response carries the main-chain headers above
-	// it in a binary frame (chain.EncodeHeaders) — no bodies, no state.
-	KindHeaders = "chain.headers"
-	// KindLightHead is the light-client share-head RPC: the serving peer
-	// returns the share's on-chain metadata with a state-membership proof
-	// against a block header's StateRoot.
-	KindLightHead = "light.head"
-	// KindLightRow is the light-client row fetch: one row plus its Merkle
-	// membership proof and the table-hash preimage fields, verifiable
-	// against the proven share head.
-	KindLightRow = "light.row"
 )
 
 // Message is an addressed, typed payload.

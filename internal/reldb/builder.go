@@ -99,9 +99,6 @@ func (b *TableBuilder) Peek(k []byte) (Row, bool) {
 	return e.row, true
 }
 
-// Len returns the number of rows appended so far.
-func (b *TableBuilder) Len() int { return b.tr.Len() }
-
 // Table finalizes and returns the built table. The builder must not be
 // used afterwards.
 func (b *TableBuilder) Table() *Table {

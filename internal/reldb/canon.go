@@ -143,17 +143,6 @@ func CutRow(p []byte) (Row, []byte, error) {
 	return row, r.buf, nil
 }
 
-// DecodeRow is the inverse of Row.AppendCanonical: p must hold exactly
-// one encoded row.
-func DecodeRow(p []byte) (Row, error) {
-	r := canonReader{buf: p}
-	row, err := r.row()
-	if err == nil {
-		err = r.done()
-	}
-	return row, err
-}
-
 func appendRows(dst []byte, rows []Row) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, uint64(len(rows)))
 	for _, r := range rows {

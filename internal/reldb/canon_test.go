@@ -50,7 +50,7 @@ func randCodecValue(rng *rand.Rand) Value {
 	return Null()
 }
 
-// TestRowCodecQuick: over random rows of every kind, DecodeRow inverts
+// TestRowCodecQuick: over random rows of every kind, decodeRow inverts
 // AppendCanonical exactly — an Equal row with the same leaf digest and
 // identical re-encoded bytes.
 func TestRowCodecQuick(t *testing.T) {
@@ -61,7 +61,7 @@ func TestRowCodecQuick(t *testing.T) {
 			r[j] = randCodecValue(rng)
 		}
 		enc := r.AppendCanonical(nil)
-		back, err := DecodeRow(enc)
+		back, err := decodeRow(enc)
 		if err != nil {
 			t.Fatalf("row %v: %v", r, err)
 		}
@@ -142,8 +142,8 @@ func TestCodecRejects(t *testing.T) {
 		"count > input":  append(u64(3), 0, 0),
 		"string overrun": append(append(u64(1), byte(KindString)), u64(1<<40)...),
 	} {
-		if _, err := DecodeRow(p); !errors.Is(err, ErrCodec) {
-			t.Errorf("DecodeRow(%s) = %v, want ErrCodec", name, err)
+		if _, err := decodeRow(p); !errors.Is(err, ErrCodec) {
+			t.Errorf("decodeRow(%s) = %v, want ErrCodec", name, err)
 		}
 	}
 	if _, rest, err := CutRow(append(append([]byte(nil), enc...), 7)); err != nil || !bytes.Equal(rest, []byte{7}) {
@@ -228,7 +228,7 @@ func FuzzRowCodec(f *testing.F) {
 			limit = 256*uint64(len(data)) + 1<<20
 		)
 		if n := allocBytes(func() {
-			r, errs[0] = DecodeRow(data)
+			r, errs[0] = decodeRow(data)
 			cs, errs[1] = DecodeChangeset(data)
 			tbl, errs[2] = DecodeTable(data)
 		}); n > limit {
@@ -238,7 +238,7 @@ func FuzzRowCodec(f *testing.F) {
 			if !bytes.Equal(r.AppendCanonical(nil), data) {
 				t.Fatal("accepted row does not re-encode to its input")
 			}
-			if back, err := DecodeRow(data); err != nil || !back.Equal(r) || rowDigest(back) != rowDigest(r) {
+			if back, err := decodeRow(data); err != nil || !back.Equal(r) || rowDigest(back) != rowDigest(r) {
 				t.Fatal("row decoding is not deterministic")
 			}
 		}
@@ -328,16 +328,27 @@ func FuzzCompactRow(f *testing.F) {
 				t.Fatal("accepted compact row does not re-encode to its input")
 			}
 			canon := r.AppendCanonical(nil)
-			back, err := DecodeRow(canon)
+			back, err := decodeRow(canon)
 			if err != nil || !bytes.Equal(back.AppendCanonical(nil), canon) || rowDigest(back) != rowDigest(r) {
 				t.Fatal("compact row and its canonical bytes disagree")
 			}
 		}
-		if c, err := DecodeRow(data); err == nil {
+		if c, err := decodeRow(data); err == nil {
 			back, err := DecodeCompactRow(c.AppendCompact(nil))
 			if err != nil || !bytes.Equal(back.AppendCanonical(nil), data) || rowDigest(back) != rowDigest(c) {
 				t.Fatal("canonical row does not survive the compact form")
 			}
 		}
 	})
+}
+
+// decodeRow is the inverse of Row.AppendCanonical: p must hold exactly
+// one encoded row.
+func decodeRow(p []byte) (Row, error) {
+	r := canonReader{buf: p}
+	row, err := r.row()
+	if err == nil {
+		err = r.done()
+	}
+	return row, err
 }

@@ -23,13 +23,13 @@ func TestRowsZeroRowCopies(t *testing.T) {
 	tbl := bigPatients(t, 1000)
 	var sink []Row
 	allocs := testing.AllocsPerRun(20, func() {
-		sink = tbl.Rows()
+		sink = tbl.RowsCanonical()
 	})
 	if allocs > 1 {
 		t.Fatalf("Rows() allocates %v times per call, want 1 (the header slice)", allocs)
 	}
 	// The returned rows must be shared references, not copies.
-	a, b := tbl.Rows(), tbl.Rows()
+	a, b := tbl.RowsCanonical(), tbl.RowsCanonical()
 	if &a[0][0] != &b[0][0] {
 		t.Fatal("Rows() copied row data")
 	}
@@ -123,7 +123,7 @@ func TestIncrementalHashAgreesWithRebuild(t *testing.T) {
 			}
 		}
 		rebuilt := MustNewTable(patientSchema())
-		for _, r := range tbl.Rows() {
+		for _, r := range tbl.RowsCanonical() {
 			rebuilt.MustInsert(r)
 		}
 		if tbl.Hash() != rebuilt.Hash() {
@@ -167,7 +167,7 @@ func TestHashAfterChangesetApply(t *testing.T) {
 		t.Fatal("hash after changeset apply diverges")
 	}
 	rebuilt := MustNewTable(patientSchema())
-	for _, r := range target.Rows() {
+	for _, r := range target.RowsCanonical() {
 		rebuilt.MustInsert(r)
 	}
 	if applied.Hash() != rebuilt.Hash() {
@@ -238,7 +238,7 @@ func TestRenamedSharesStorageAndHash(t *testing.T) {
 	if a.Hash() != b.Hash() {
 		t.Fatal("hash depends on table name")
 	}
-	ra, rb := a.Rows(), b.Rows()
+	ra, rb := a.RowsCanonical(), b.RowsCanonical()
 	if &ra[0][0] != &rb[0][0] {
 		t.Fatal("Renamed copied row data")
 	}

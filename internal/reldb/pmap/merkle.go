@@ -224,15 +224,6 @@ func (ix *DigestIndex[V]) Has(d Hash) bool {
 	return ok
 }
 
-// Size returns the entry count of the subtree digesting to d.
-func (ix *DigestIndex[V]) Size(d Hash) (int, bool) {
-	n, ok := ix.byDig[d]
-	if !ok {
-		return 0, false
-	}
-	return n.size, true
-}
-
 // Ascend walks the subtree digesting to d in ascending key order. It
 // reports whether the digest was found.
 func (ix *DigestIndex[V]) Ascend(d Hash, fn func(k string, v V) bool) bool {

@@ -50,8 +50,7 @@
 //
 // Bulk construction goes through a Transient (transient.go): a
 // mutable-until-shared builder that allocates nodes from slabs, mutates
-// nodes it created in place, path-copies adopted structure exactly like
-// the persistent operations, and freezes into an ordinary Map — so
+// nodes it created in place, and freezes into an ordinary Map — so
 // whole-table rebuilds pay one allocation per slab instead of per node.
 // Priorities are optionally *keyed* (seed.go): a per-map HMAC-SHA-256
 // secret replaces the bare SHA-256 derivation, making tree shapes
@@ -81,8 +80,8 @@ type Hash = [32]byte
 type LeafFunc[V any] func(k string, v V) Hash
 
 // Map is an immutable ordered map from string keys to values of type V.
-// The zero value is the empty map (with unkeyed priorities; see
-// NewSeeded for keyed ones).
+// The zero value is the empty map with unkeyed priorities; keyed maps
+// are built by NewTransient or FromSortedSeeded.
 type Map[V any] struct {
 	root *node[V]
 	// seed keys the priority derivation (nil = plain SHA-256). Every
@@ -90,10 +89,6 @@ type Map[V any] struct {
 	// priority schemes.
 	seed *Seed
 }
-
-// NewSeeded returns an empty map whose priorities are derived under the
-// given seed (nil behaves exactly like the zero Map).
-func NewSeeded[V any](seed *Seed) Map[V] { return Map[V]{seed: seed} }
 
 // Seed returns the map's priority seed (nil for unkeyed maps). Callers
 // use it to build sibling structures that must share this map's shape
@@ -220,12 +215,6 @@ func (m Map[V]) GetBytes(k []byte) (V, bool) {
 	}
 	var zero V
 	return zero, false
-}
-
-// Has reports whether k is present.
-func (m Map[V]) Has(k string) bool {
-	_, ok := m.Get(k)
-	return ok
 }
 
 // Set returns a map with k bound to v (replacing any existing binding)
@@ -359,19 +348,14 @@ func appendMapped[V, U any](n *node[V], dst []U, f func(V) U) []U {
 	return appendMapped(n.right, dst, f)
 }
 
-// FromSorted builds a map from keys and parallel vals in one O(n) pass.
-// keys MUST be in strictly ascending order — the precondition is the
-// caller's to guarantee (table builders append rows in canonical scan
-// order) and is not rechecked here. The result is the canonical treap of
-// the key set — identical in shape to the same entries inserted one by
-// one — built on a Transient (right-spine Cartesian construction over
-// slab-allocated nodes).
-func FromSorted[V any](keys []string, vals []V) Map[V] {
-	return FromSortedSeeded(nil, keys, vals)
-}
-
-// FromSortedSeeded is FromSorted with keyed priorities: the result's
-// shape matches incremental inserts into NewSeeded(seed).
+// FromSortedSeeded builds a map from keys and parallel vals in one O(n)
+// pass, with priorities keyed by seed (nil = unkeyed). keys MUST be in
+// strictly ascending order — the precondition is the caller's to
+// guarantee (table builders append rows in canonical scan order) and is
+// not rechecked here. The result is the canonical treap of the key set —
+// identical in shape to the same entries inserted one by one under the
+// same seed — built on a Transient (right-spine Cartesian construction
+// over slab-allocated nodes).
 func FromSortedSeeded[V any](seed *Seed, keys []string, vals []V) Map[V] {
 	t := NewTransient[V](seed)
 	for i, k := range keys {

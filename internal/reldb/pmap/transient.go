@@ -8,10 +8,9 @@ package pmap
 //
 //   - nodes the transient creates are tagged with its owner token and
 //     allocated from slabs (one heap allocation per slabSize nodes);
-//   - a mutation that reaches an *owned* node updates it in place; a
-//     mutation that reaches a node adopted from an existing map (no
-//     token, or another builder's token) path-copies exactly as the
-//     persistent operations would — adopted structure is never touched;
+//   - an insert that reaches an *owned* node updates it in place; a node
+//     without the token would be path-copied exactly as the persistent
+//     operations do, so shared structure is never touched;
 //   - Freeze retires the owner token and returns an ordinary persistent
 //     Map. Nothing is walked or copied at freeze: fresh nodes simply
 //     stop being mutable, and their Merkle digests — untouched during
@@ -45,8 +44,7 @@ const (
 )
 
 // Transient is a mutable builder for a Map. Obtain one with
-// NewTransient (empty) or Map.Transient (adopting existing structure),
-// mutate it, then Freeze it exactly once.
+// NewTransient, insert into it, then Freeze it exactly once.
 type Transient[V any] struct {
 	tok *transientTok
 	// ph derives priorities (seeded or not) with a reusable scratch
@@ -72,19 +70,6 @@ type Transient[V any] struct {
 // (nil = unkeyed).
 func NewTransient[V any](seed *Seed) *Transient[V] {
 	return &Transient[V]{tok: &transientTok{}, ph: seed.hasher()}
-}
-
-// Transient returns a builder seeded with the map's contents (adopted
-// by pointer, O(1)) and priority seed. The map itself is immutable as
-// ever; the transient path-copies whatever it touches.
-func (m Map[V]) Transient() *Transient[V] {
-	return &Transient[V]{
-		tok:     &transientTok{},
-		ph:      m.seed.hasher(),
-		root:    m.root,
-		count:   m.Len(),
-		settled: true, // adopted sizes are valid; no ascending run
-	}
 }
 
 // alloc hands out one owned node from the slab.
@@ -115,13 +100,6 @@ func (t *Transient[V]) live() {
 func (t *Transient[V]) Len() int {
 	t.live()
 	return t.count
-}
-
-// Get returns the value stored under k. It works in every phase (the
-// tree's search pointers are always valid, even mid-ascending-run).
-func (t *Transient[V]) Get(k string) (V, bool) {
-	t.live()
-	return Map[V]{root: t.root}.Get(k)
 }
 
 // GetBytes is Get for a byte-slice key; it never allocates.
@@ -217,7 +195,8 @@ func (t *Transient[V]) insert(n *node[V], k string, p uint64, v V) (*node[V], bo
 		return n, false
 	}
 	if higher(p, k, n.pri, n.key) {
-		// k cannot occur below n (same argument as set).
+		// The new entry outranks this subtree's root, so k cannot occur
+		// below n (the persistent set's argument).
 		l, r := t.split(n, k)
 		return t.alloc(l, k, p, v, r), true
 	}
@@ -235,58 +214,6 @@ func (t *Transient[V]) insert(n *node[V], k string, p uint64, v V) (*node[V], bo
 	return t.rebuild(n, n.left, r), true
 }
 
-// Set binds k→v, replacing any existing binding, and reports whether
-// one existed.
-func (t *Transient[V]) Set(k string, v V) bool {
-	t.live()
-	if !t.settled {
-		if !t.hasLast || k > t.last {
-			t.appendAscending(k, v)
-			return false
-		}
-		if k == t.last {
-			// The spine's rightmost node is owned: replace in place.
-			t.spine[len(t.spine)-1].val = v
-			return true
-		}
-		t.settle()
-	}
-	var existed bool
-	t.root, existed = t.set(t.root, k, t.ph.prio(k), v)
-	if !existed {
-		t.count++
-	}
-	return existed
-}
-
-// set is the transient insert-or-replace: structurally the persistent
-// set, but nodes owned by this transient are updated in place instead
-// of copied.
-func (t *Transient[V]) set(n *node[V], k string, p uint64, v V) (*node[V], bool) {
-	if n == nil {
-		return t.alloc(nil, k, p, v, nil), false
-	}
-	if k == n.key {
-		if n.edit == t.tok {
-			n.val = v
-			return n, true
-		}
-		return t.alloc(n.left, k, p, v, n.right), true
-	}
-	if higher(p, k, n.pri, n.key) {
-		// Same argument as the persistent set: the new entry outranks
-		// this subtree's root and k cannot occur below n.
-		l, r := t.split(n, k)
-		return t.alloc(l, k, p, v, r), false
-	}
-	if k < n.key {
-		l, existed := t.set(n.left, k, p, v)
-		return t.rebuild(n, l, n.right), existed
-	}
-	r, existed := t.set(n.right, k, p, v)
-	return t.rebuild(n, n.left, r), existed
-}
-
 // rebuild re-points n's children after a child-side mutation, in place
 // when n is owned and by copy otherwise.
 func (t *Transient[V]) rebuild(n, l, r *node[V]) *node[V] {
@@ -296,41 +223,6 @@ func (t *Transient[V]) rebuild(n, l, r *node[V]) *node[V] {
 		return n
 	}
 	return t.alloc(l, n.key, n.pri, n.val, r)
-}
-
-// Delete removes k and reports whether it was present.
-func (t *Transient[V]) Delete(k string) bool {
-	t.live()
-	t.settle()
-	root, existed := t.del(t.root, k)
-	if !existed {
-		return false
-	}
-	t.root = root
-	t.count--
-	return true
-}
-
-func (t *Transient[V]) del(n *node[V], k string) (*node[V], bool) {
-	if n == nil {
-		return nil, false
-	}
-	switch {
-	case k < n.key:
-		l, existed := t.del(n.left, k)
-		if !existed {
-			return n, false
-		}
-		return t.rebuild(n, l, n.right), true
-	case k > n.key:
-		r, existed := t.del(n.right, k)
-		if !existed {
-			return n, false
-		}
-		return t.rebuild(n, n.left, r), true
-	default:
-		return t.join(n.left, n.right), true
-	}
 }
 
 // split is the transient counterpart of the shared split: the same
@@ -353,23 +245,6 @@ func (t *Transient[V]) split(n *node[V], k string) (l, r *node[V]) {
 		return t.rebuild(n, n.left, rl), rr
 	default:
 		return n.left, n.right
-	}
-}
-
-// join is the transient counterpart of the shared join: the descent
-// order (and therefore the resulting canonical shape) is identical, but
-// spine nodes owned by this transient are re-pointed in place and copies
-// come from the slab arena.
-func (t *Transient[V]) join(l, r *node[V]) *node[V] {
-	switch {
-	case l == nil:
-		return r
-	case r == nil:
-		return l
-	case higher(l.pri, l.key, r.pri, r.key):
-		return t.rebuild(l, l.left, t.join(l.right, r))
-	default:
-		return t.rebuild(r, t.join(l, r.left), r.right)
 	}
 }
 

@@ -11,8 +11,6 @@ import (
 type Predicate interface {
 	// Eval reports whether the row satisfies the predicate.
 	Eval(s Schema, r Row) (bool, error)
-	// Columns returns the column names the predicate reads.
-	Columns() []string
 	// spec returns the serializable form.
 	spec() predSpec
 }
@@ -44,14 +42,10 @@ func True() Predicate { return truePred{} }
 type truePred struct{}
 
 func (truePred) Eval(Schema, Row) (bool, error) { return true, nil }
-func (truePred) Columns() []string              { return nil }
 func (truePred) spec() predSpec                 { return predSpec{Op: "true"} }
 
 // Cmp compares the named column with a constant.
 func Cmp(col string, op CmpOp, v Value) Predicate { return cmpPred{col: col, op: op, v: v} }
-
-// Eq is shorthand for Cmp(col, OpEq, v).
-func Eq(col string, v Value) Predicate { return Cmp(col, OpEq, v) }
 
 type cmpPred struct {
 	col string
@@ -99,7 +93,6 @@ func (p cmpPred) Eval(s Schema, r Row) (bool, error) {
 	}
 }
 
-func (p cmpPred) Columns() []string { return []string{p.col} }
 func (p cmpPred) spec() predSpec {
 	v := p.v
 	return predSpec{Op: "cmp", Col: p.col, Cmp: p.op, Val: &v}
@@ -117,8 +110,7 @@ func (p nullPred) Eval(s Schema, r Row) (bool, error) {
 	}
 	return r[i].IsNull(), nil
 }
-func (p nullPred) Columns() []string { return []string{p.col} }
-func (p nullPred) spec() predSpec    { return predSpec{Op: "null", Col: p.col} }
+func (p nullPred) spec() predSpec { return predSpec{Op: "null", Col: p.col} }
 
 // And matches rows satisfying all inner predicates.
 func And(ps ...Predicate) Predicate { return boolPred{op: "and", inner: ps} }
@@ -161,14 +153,6 @@ func (p boolPred) Eval(s Schema, r Row) (bool, error) {
 	default:
 		return false, fmt.Errorf("reldb: unknown boolean op %q", p.op)
 	}
-}
-
-func (p boolPred) Columns() []string {
-	var out []string
-	for _, in := range p.inner {
-		out = append(out, in.Columns()...)
-	}
-	return out
 }
 
 func (p boolPred) spec() predSpec {

@@ -46,10 +46,10 @@ func TestPredicateNullSemantics(t *testing.T) {
 	if evalOn(t, Cmp("city", OpLt, S("Z")), b) {
 		t.Fatal("NULL < x must be false")
 	}
-	if !evalOn(t, Eq("city", Null()), b) {
+	if !evalOn(t, Cmp("city", OpEq, Null()), b) {
 		t.Fatal("NULL == NULL via Eq must hold")
 	}
-	if evalOn(t, Eq("city", Null()), alice()) {
+	if evalOn(t, Cmp("city", OpEq, Null()), alice()) {
 		t.Fatal("Osaka == NULL must be false")
 	}
 	if !evalOn(t, Cmp("city", OpNe, Null()), alice()) {
@@ -62,11 +62,11 @@ func TestPredicateNullSemantics(t *testing.T) {
 
 func TestPredicateBooleans(t *testing.T) {
 	r := alice()
-	p := And(Eq("city", S("Osaka")), Cmp("age", OpGe, I(18)))
+	p := And(Cmp("city", OpEq, S("Osaka")), Cmp("age", OpGe, I(18)))
 	if !evalOn(t, p, r) {
 		t.Fatal("And should match")
 	}
-	p = Or(Eq("city", S("Kyoto")), Eq("name", S("alice")))
+	p = Or(Cmp("city", OpEq, S("Kyoto")), Cmp("name", OpEq, S("alice")))
 	if !evalOn(t, p, r) {
 		t.Fatal("Or should match")
 	}
@@ -79,7 +79,7 @@ func TestPredicateBooleans(t *testing.T) {
 }
 
 func TestPredicateUnknownColumn(t *testing.T) {
-	_, err := Eq("ghost", I(1)).Eval(patientSchema(), alice())
+	_, err := Cmp("ghost", OpEq, I(1)).Eval(patientSchema(), alice())
 	if !errors.Is(err, ErrNoSuchColumn) {
 		t.Fatalf("want ErrNoSuchColumn, got %v", err)
 	}
@@ -92,28 +92,14 @@ func TestPredicateTypeMismatch(t *testing.T) {
 	}
 }
 
-func TestPredicateColumns(t *testing.T) {
-	p := And(Eq("a", I(1)), Or(Eq("b", I(2)), Not(IsNull("c"))))
-	got := p.Columns()
-	want := map[string]bool{"a": true, "b": true, "c": true}
-	if len(got) != 3 {
-		t.Fatalf("columns = %v", got)
-	}
-	for _, c := range got {
-		if !want[c] {
-			t.Fatalf("unexpected column %s", c)
-		}
-	}
-}
-
 func TestPredicateSerializationRoundTrip(t *testing.T) {
 	preds := []Predicate{
 		True(),
-		Eq("city", S("Osaka")),
+		Cmp("city", OpEq, S("Osaka")),
 		Cmp("age", OpGe, I(18)),
 		IsNull("city"),
-		And(Eq("name", S("alice")), Not(Cmp("age", OpLt, I(10)))),
-		Or(True(), IsNull("city"), Eq("age", I(1))),
+		And(Cmp("name", OpEq, S("alice")), Not(Cmp("age", OpLt, I(10)))),
+		Or(True(), IsNull("city"), Cmp("age", OpEq, I(1))),
 	}
 	rows := []Row{alice(), bob()}
 	for i, p := range preds {

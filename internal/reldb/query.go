@@ -222,34 +222,3 @@ func (t *Table) NaturalJoin(name string, o *Table) (*Table, error) {
 	}
 	return out, nil
 }
-
-// OrderBy returns the rows sorted by the given columns (ascending). It does
-// not modify the table.
-func (t *Table) OrderBy(cols ...string) ([]Row, error) {
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		j := t.schema.ColumnIndex(c)
-		if j < 0 {
-			return nil, fmt.Errorf("%w: %s (order by)", ErrNoSuchColumn, c)
-		}
-		idx[i] = j
-	}
-	out := t.Rows()
-	// Insertion sort keeps this dependency-free and stable; result sets in
-	// this system are small per table.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && lessRows(out[j], out[j-1], idx); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out, nil
-}
-
-func lessRows(a, b Row, idx []int) bool {
-	for _, i := range idx {
-		if c := a[i].Compare(b[i]); c != 0 {
-			return c < 0
-		}
-	}
-	return false
-}

@@ -59,7 +59,7 @@ func TestProjectNonFunctionalFails(t *testing.T) {
 
 func TestSelect(t *testing.T) {
 	tbl := newPatients(t, alice(), bob())
-	v, err := tbl.Select("v", Eq("city", S("Osaka")))
+	v, err := tbl.Select("v", Cmp("city", OpEq, S("Osaka")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSelect(t *testing.T) {
 
 func TestSelectPredicateError(t *testing.T) {
 	tbl := newPatients(t, alice())
-	if _, err := tbl.Select("v", Eq("ghost", I(1))); !errors.Is(err, ErrNoSuchColumn) {
+	if _, err := tbl.Select("v", Cmp("ghost", OpEq, I(1))); !errors.Is(err, ErrNoSuchColumn) {
 		t.Fatalf("want ErrNoSuchColumn, got %v", err)
 	}
 }
@@ -161,29 +161,6 @@ func TestNaturalJoinTypeConflict(t *testing.T) {
 	})
 	if _, err := patients.NaturalJoin("j", other); !errors.Is(err, ErrTypeMismatch) {
 		t.Fatalf("want ErrTypeMismatch, got %v", err)
-	}
-}
-
-func TestOrderBy(t *testing.T) {
-	tbl := newPatients(t,
-		Row{I(1), S("c"), Null(), I(30)},
-		Row{I(2), S("a"), Null(), I(20)},
-		Row{I(3), S("b"), Null(), I(20)},
-	)
-	rows, err := tbl.OrderBy("age", "name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, r := range rows {
-		s, _ := r[1].Str()
-		names = append(names, s)
-	}
-	if names[0] != "a" || names[1] != "b" || names[2] != "c" {
-		t.Fatalf("order = %v", names)
-	}
-	if _, err := tbl.OrderBy("ghost"); !errors.Is(err, ErrNoSuchColumn) {
-		t.Fatal(err)
 	}
 }
 

@@ -326,26 +326,6 @@ func (t *Table) Update(key Row, set map[string]Value) error {
 	return nil
 }
 
-// UpdateWhere applies set to every row matching pred and reports how many
-// rows changed.
-func (t *Table) UpdateWhere(pred Predicate, set map[string]Value) (int, error) {
-	n := 0
-	for _, r := range t.Rows() {
-		ok, err := pred.Eval(t.schema, r)
-		if err != nil {
-			return n, err
-		}
-		if !ok {
-			continue
-		}
-		if err := t.Update(t.KeyValues(r), set); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}
-
 // Delete removes the row with the given key tuple.
 func (t *Table) Delete(key Row) error {
 	ks := encodeKey(key)
@@ -356,25 +336,6 @@ func (t *Table) Delete(key Row) error {
 	t.rows, _ = t.rows.Delete(ks)
 	t.secRemove(e.row, ks)
 	return nil
-}
-
-// DeleteWhere removes every row matching pred and reports how many were
-// removed.
-func (t *Table) DeleteWhere(pred Predicate) (int, error) {
-	n := 0
-	for _, r := range t.Rows() {
-		ok, err := pred.Eval(t.schema, r)
-		if err != nil {
-			return n, err
-		}
-		if ok {
-			if err := t.Delete(t.KeyValues(r)); err != nil {
-				return n, err
-			}
-			n++
-		}
-	}
-	return n, nil
 }
 
 // Upsert inserts the row, or replaces the existing row with the same key.
@@ -404,13 +365,6 @@ func (t *Table) upsertOwned(r Row) error {
 	t.insertEntry(k, r)
 	return nil
 }
-
-// Rows returns the rows in canonical (key-sorted) order. The slice is
-// fresh, but its rows are shared references that must be treated as
-// read-only; no row data is copied. Canonical order is intrinsic to the
-// persistent storage (an in-order tree walk), so Rows and RowsCanonical
-// coincide.
-func (t *Table) Rows() []Row { return t.RowsCanonical() }
 
 // RowsCanonical returns the rows sorted by primary key. The slice is
 // fresh, but its rows are shared references that must be treated as
@@ -500,19 +454,6 @@ func (t *Table) Equal(o *Table) bool {
 // pointer equality first (shared structure), content second.
 func sameRowEntry(a, b *rowEntry) bool {
 	return a == b || a.row.Equal(b.row)
-}
-
-// AppendCanonical appends a deterministic binary encoding of the schema
-// and the key-sorted rows. The table *name* is deliberately excluded: the
-// two replicas of a shared table carry different local names (the paper's
-// D13 and D31) but must hash identically when their contents agree.
-func (t *Table) AppendCanonical(dst []byte) []byte {
-	dst = appendSchemaCanonical(dst, t.schema)
-	t.rows.Ascend(func(_ string, e *rowEntry) bool {
-		dst = e.row.AppendCanonical(dst)
-		return true
-	})
-	return dst
 }
 
 // RowsRoot returns the Merkle root of the row tree: a canonical SHA-256

@@ -154,21 +154,6 @@ func TestUpsert(t *testing.T) {
 	}
 }
 
-func TestUpdateWhereDeleteWhere(t *testing.T) {
-	tbl := newPatients(t, alice(), bob(), Row{I(3), S("carol"), S("Osaka"), I(25)})
-	n, err := tbl.UpdateWhere(Eq("city", S("Osaka")), map[string]Value{"age": I(99)})
-	if err != nil || n != 2 {
-		t.Fatalf("UpdateWhere = %d, %v", n, err)
-	}
-	n, err = tbl.DeleteWhere(Cmp("age", OpGe, I(99)))
-	if err != nil || n != 2 {
-		t.Fatalf("DeleteWhere = %d, %v", n, err)
-	}
-	if tbl.Len() != 1 {
-		t.Fatalf("len = %d", tbl.Len())
-	}
-}
-
 func TestRowsCanonicalSorted(t *testing.T) {
 	tbl := newPatients(t, Row{I(3), S("c"), Null(), I(1)}, Row{I(1), S("a"), Null(), I(1)}, Row{I(2), S("b"), Null(), I(1)})
 	rows := tbl.RowsCanonical()

@@ -26,14 +26,6 @@ type Version struct {
 	TxIndex int `json:"txIndex"`
 }
 
-// Less orders versions chronologically.
-func (v Version) Less(o Version) bool {
-	if v.Height != o.Height {
-		return v.Height < o.Height
-	}
-	return v.TxIndex < o.TxIndex
-}
-
 // entry is a stored value with its version.
 type entry struct {
 	value   []byte

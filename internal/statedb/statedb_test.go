@@ -241,12 +241,3 @@ func TestCloneIsIndependentAndVersionFaithful(t *testing.T) {
 		t.Fatal("writing the source changed the clone")
 	}
 }
-
-func TestVersionLess(t *testing.T) {
-	a := Version{Height: 1, TxIndex: 2}
-	b := Version{Height: 1, TxIndex: 3}
-	c := Version{Height: 2, TxIndex: 0}
-	if !a.Less(b) || !b.Less(c) || c.Less(a) {
-		t.Fatal("version ordering wrong")
-	}
-}

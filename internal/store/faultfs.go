@@ -243,12 +243,6 @@ func (f *FaultFS) Open(name string) (File, error) {
 
 func (f *FaultFS) List() ([]string, error) { return f.inner.List() }
 
-func (f *FaultFS) Remove(name string) error {
-	// Removal is not journaled (the store never removes live log files);
-	// apply directly.
-	return f.inner.Remove(name)
-}
-
 func (f *FaultFS) Truncate(name string, size int64) error {
 	f.mu.Lock()
 	f.ops = append(f.ops, faultOp{kind: 't', file: name, off: size})

@@ -832,14 +832,6 @@ func (s *Store) LoadTable(name string) (*reldb.Table, error) {
 	return s.loadTableLocked(tr)
 }
 
-// LoadTableRoot is LoadTable for an explicit commitment (callers that
-// validated the TableRoot against external metadata first).
-func (s *Store) LoadTableRoot(tr TableRoot) (*reldb.Table, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.loadTableLocked(tr)
-}
-
 func (s *Store) loadTableLocked(tr TableRoot) (*reldb.Table, error) {
 	return reldb.TableFromNodes(tr.Schema, tr.Secret, tr.Root, tr.Rows, func(d [32]byte) (reldb.NodeData, bool) {
 		ref, ok := s.nodes[d]

@@ -36,8 +36,6 @@ type FS interface {
 	Open(name string) (File, error)
 	// List returns the names of all files, sorted.
 	List() ([]string, error)
-	// Remove deletes a file (missing files are not an error).
-	Remove(name string) error
 	// Truncate cuts a file to size bytes (used once, at open, to drop a
 	// torn tail).
 	Truncate(name string, size int64) error
@@ -101,14 +99,6 @@ func (d *DirFS) List() ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-func (d *DirFS) Remove(name string) error {
-	err := os.Remove(filepath.Join(d.dir, filepath.Base(name)))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
 }
 
 func (d *DirFS) Truncate(name string, size int64) error {
@@ -181,13 +171,6 @@ func (m *MemFS) List() ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-func (m *MemFS) Remove(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.files, name)
-	return nil
 }
 
 func (m *MemFS) Truncate(name string, size int64) error {

@@ -119,35 +119,6 @@ func Fig1Data(name string) *reldb.Table {
 // PrescriptionCols are the prescription slice of the record: a0, a1, a4.
 var PrescriptionCols = []string{ColPatientID, ColMedication, ColDosage}
 
-// FormularySchema returns the schema of the formulary reference table:
-// medication name (key) mapped to its mechanism of action.
-func FormularySchema(name string) reldb.Schema {
-	return reldb.Schema{
-		Name: name,
-		Columns: []reldb.Column{
-			{Name: ColMedication, Type: reldb.KindString},
-			{Name: ColMechanism, Type: reldb.KindString},
-		},
-		Key: []string{ColMedication},
-	}
-}
-
-// Formulary builds the reference table matching Generate(·, ·, seed):
-// the same rng draws fix the per-medication pharmacology first, so the
-// formulary's mechanism values agree exactly with the a5 column of the
-// generated records — the functional dependency a1 → a5 shared between
-// the two.
-func Formulary(name string, seed int64) *reldb.Table {
-	rng := rand.New(rand.NewSource(seed))
-	t := reldb.MustNewTable(FormularySchema(name))
-	for _, med := range medications {
-		mech := fmt.Sprintf("MeA-%s-%d", med, rng.Intn(1000))
-		rng.Intn(1000) // the mode-of-action draw, unused here but paired
-		t.MustInsert(reldb.Row{reldb.S(med), reldb.S(mech)})
-	}
-	return t
-}
-
 // Columns held by each stakeholder's local database in Fig. 1.
 var (
 	// PatientCols: a0-a4 (table D1).

@@ -37,7 +37,7 @@ func TestGenerateFunctionalDependency(t *testing.T) {
 	tbl := Generate("full", 300, 3)
 	mech := make(map[string]string)
 	mode := make(map[string]string)
-	for _, r := range tbl.Rows() {
+	for _, r := range tbl.RowsCanonical() {
 		med, _ := r[1].Str()
 		me, _ := r[5].Str()
 		mo, _ := r[6].Str()

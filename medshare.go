@@ -75,7 +75,6 @@ var (
 
 	// Predicate combinators.
 	PredTrue   = reldb.True
-	PredEq     = reldb.Eq
 	PredCmp    = reldb.Cmp
 	PredAnd    = reldb.And
 	PredOr     = reldb.Or

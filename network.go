@@ -10,7 +10,6 @@ import (
 	"medshare/internal/contract/sharereg"
 	"medshare/internal/core"
 	"medshare/internal/identity"
-	"medshare/internal/light"
 	"medshare/internal/node"
 	"medshare/internal/p2p"
 	"medshare/internal/p2p/faultnet"
@@ -48,8 +47,8 @@ type NetworkConfig struct {
 	// root mismatches). Zero disables it.
 	PeerResyncInterval time.Duration
 	// FaultInjection wraps every peer data endpoint in a faultnet.Fabric
-	// (seeded with Seed) reachable via Network.Fabric — the chaos suite's
-	// scriptable drop/delay/partition/blackhole layer.
+	// (seeded with Seed) — the chaos suite's scriptable
+	// drop/delay/partition/blackhole layer.
 	FaultInjection bool
 	// DataTransport selects the peer data channel: DataTransportMem
 	// (default, in-memory) or DataTransportTCP (real loopback TCP).
@@ -61,9 +60,8 @@ type NetworkConfig struct {
 	PeerRetry      core.Backoff
 	PeerHealth     core.HealthPolicy
 	// DurablePeers gives every peer a durable replica store backed by an
-	// in-memory filesystem, reachable via Network.PeerFS /
-	// Network.PeerStore — crash tests clone the filesystem (a byte-exact
-	// kill -9 image) and reopen it to drive recovery.
+	// in-memory filesystem — crash tests clone the filesystem (a
+	// byte-exact kill -9 image) and restart the peer over it.
 	DurablePeers bool
 }
 
@@ -153,31 +151,16 @@ func (nw *Network) Node(i int) *node.Node { return nw.nodes[i] }
 // Nodes returns the number of blockchain nodes.
 func (nw *Network) Nodes() int { return len(nw.nodes) }
 
-// DataDirectory returns the shared endpoint directory.
-func (nw *Network) DataDirectory() *core.Directory { return nw.dir }
-
-// Fabric returns the fault-injection fabric wrapping the peer data
-// channel, or nil when NetworkConfig.FaultInjection is off.
-func (nw *Network) Fabric() *faultnet.Fabric { return nw.fab }
-
 // PeerEndpoint returns the data-channel endpoint name of a peer created
 // as name — the handle faultnet partitions and blackholes go by.
 func (nw *Network) PeerEndpoint(name string) string { return "peer-" + name }
 
-// PeerStore returns the durable replica store of the named peer, or nil
-// when the peer runs without one.
-func (nw *Network) PeerStore(name string) *store.Store { return nw.peerStores[name] }
-
-// PeerFS returns the in-memory filesystem behind the named peer's
-// durable store (NetworkConfig.DurablePeers only). Cloning it captures
-// a byte-exact kill -9 image for crash-recovery tests.
-func (nw *Network) PeerFS(name string) *store.MemFS { return nw.peerFS[name] }
-
 // PeerOptions tunes a peer beyond the network defaults.
 type PeerOptions struct {
-	// Identity, when non-nil, binds the peer to a specific identity
-	// instead of generating a fresh one — the restart path: a recovered
-	// peer must present the same on-chain address its shares name.
+	// Identity, when non-nil, binds the peer to a specific identity.
+	// Otherwise the identity derives from the peer's name and the
+	// network's Name and Seed, so a peer started again under its name —
+	// the restart path — presents the on-chain address its shares name.
 	Identity *identity.Identity
 	// Store, when non-nil, is the peer's durable replica store
 	// (overrides the NetworkConfig.DurablePeers default).
@@ -197,11 +180,7 @@ func (nw *Network) NewPeerWithOptions(name string, nodeIndex int, opts PeerOptio
 	}
 	id := opts.Identity
 	if id == nil {
-		var err error
-		id, err = identity.New(name)
-		if err != nil {
-			return nil, err
-		}
+		id = identity.FromSeed(name, fmt.Sprintf("%s/%d/%s", nw.cfg.Name, nw.cfg.Seed, name))
 	}
 	endpoint := nw.PeerEndpoint(name)
 	var transport p2p.Transport
@@ -256,44 +235,6 @@ func (nw *Network) NewPeerWithOptions(name string, nodeIndex int, opts PeerOptio
 	p.Start()
 	nw.peers = append(nw.peers, p)
 	return p, nil
-}
-
-// NewLightClient attaches a header-only light client to the network: its
-// own endpoint on the simulated network (so block gossip reaches it and
-// invalidates its caches without polling), a strict-PoA header verifier
-// over the network's authorities, and a proof source pointing at the
-// named serving peer. The client holds no replica and is not a sharing
-// peer — every row it returns is verified against its own header chain.
-// Requires the in-memory data transport; block gossip only flows on
-// networks with more than one node (a single node has no transport to
-// broadcast from), so invalidation-sensitive scenarios use Nodes >= 2.
-func (nw *Network) NewLightClient(name, servingPeer string) (*light.Client, error) {
-	if nw.cfg.DataTransport != "" && nw.cfg.DataTransport != DataTransportMem {
-		return nil, fmt.Errorf("medshare: light clients require the in-memory data transport")
-	}
-	id, err := identity.New(name)
-	if err != nil {
-		return nil, err
-	}
-	addrs := make([]identity.Address, len(nw.nodes))
-	for i, n := range nw.nodes {
-		addrs[i] = n.Address()
-	}
-	tr := nw.mem.Endpoint("light-" + name)
-	c, err := light.New(light.Config{
-		Network: nw.cfg.Name,
-		Verify:  consensus.NewPoA(true, addrs...).VerifyHeader,
-		Source: &light.PeerSource{
-			Transport: tr,
-			Endpoint:  nw.PeerEndpoint(servingPeer),
-			Identity:  id,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	tr.Handle(c.HandleGossip)
-	return c, nil
 }
 
 // Stop halts peers and nodes.

@@ -5,7 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"medshare/internal/bx"
+	"medshare/internal/core"
+	"medshare/internal/identity"
 	"medshare/internal/reldb"
+	"medshare/internal/store"
 	"medshare/internal/workload"
 )
 
@@ -25,11 +29,12 @@ func testCtx(t *testing.T) context.Context {
 
 func mustValue(t *testing.T, tbl *reldb.Table, key reldb.Row, col string) reldb.Value {
 	t.Helper()
-	v, err := tbl.Value(key, col)
-	if err != nil {
-		t.Fatalf("reading %s of %v: %v", col, key, err)
+	row, ok := tbl.Get(key)
+	i := tbl.Schema().ColumnIndex(col)
+	if !ok || i < 0 {
+		t.Fatalf("reading %s of %v: no such row or column", col, key)
 	}
-	return v
+	return row[i]
 }
 
 // waitFor polls until cond returns true or the deadline passes.
@@ -321,19 +326,15 @@ func TestCascade(t *testing.T) {
 // rolled back on the doctor.
 func TestJoinShareWorkflow(t *testing.T) {
 	ctx := testCtx(t)
-	sc, err := NewJoinShareScenario(ctx, fastNet(), 24, 7)
-	if err != nil {
-		t.Fatalf("scenario: %v", err)
-	}
-	defer sc.Stop()
+	sc := newJoinShareScenario(ctx, t, fastNet(), 24, 7)
 
 	// The two independently derived replicas agree from the start (the
 	// formulary reproduces the generator's a1 → a5 dependency).
-	rxf, err := sc.Pharmacist.View(ShareIDRx)
+	rxf, err := sc.Pharmacist.View(shareIDRx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d3f, err := sc.Doctor.View(ShareIDRx)
+	d3f, err := sc.Doctor.View(shareIDRx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +358,7 @@ func TestJoinShareWorkflow(t *testing.T) {
 	if len(props) != 1 {
 		t.Fatalf("expected one proposal, got %+v", props)
 	}
-	if err := sc.Doctor.WaitFinal(ctx, ShareIDRx, props[0].Seq); err != nil {
+	if err := sc.Doctor.WaitFinal(ctx, shareIDRx, props[0].Seq); err != nil {
 		t.Fatal(err)
 	}
 	rx, err := sc.Pharmacist.Source("RX")
@@ -371,7 +372,7 @@ func TestJoinShareWorkflow(t *testing.T) {
 
 	// Pharmacist edits a dosage on the shared view directly (UpdateView:
 	// delta put into RX, then proposal); the doctor applies it into D3.
-	_, err = sc.Pharmacist.UpdateView(ctx, ShareIDRx, func(v *reldb.Table) error {
+	_, err = sc.Pharmacist.UpdateView(ctx, shareIDRx, func(v *reldb.Table) error {
 		return v.Update(reldb.Row{reldb.I(189)},
 			map[string]reldb.Value{workload.ColDosage: reldb.S("500 mg at lunch")})
 	})
@@ -402,19 +403,19 @@ func TestJoinShareWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Doctor.ProposeUpdate(ctx, ShareIDRx); err != nil {
+	if _, err := sc.Doctor.ProposeUpdate(ctx, shareIDRx); err != nil {
 		t.Fatalf("propose: %v", err)
 	}
 	waitFor(t, 30*time.Second, func() bool {
 		for _, h := range sc.Doctor.History() {
-			if h.Kind == "rolled-back" && h.ShareID == ShareIDRx {
+			if h.Kind == "rolled-back" && h.ShareID == shareIDRx {
 				return true
 			}
 		}
 		return false
 	})
 	// The pharmacist's replica still carries the true formulary value.
-	rxf, err = sc.Pharmacist.View(ShareIDRx)
+	rxf, err = sc.Pharmacist.View(shareIDRx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,8 +425,120 @@ func TestJoinShareWorkflow(t *testing.T) {
 	}
 	// And after the rollback both replicas agree again.
 	waitFor(t, 30*time.Second, func() bool {
-		rxf, err1 := sc.Pharmacist.View(ShareIDRx)
-		d3f, err2 := sc.Doctor.View(ShareIDRx)
+		rxf, err1 := sc.Pharmacist.View(shareIDRx)
+		d3f, err2 := sc.Doctor.View(shareIDRx)
 		return err1 == nil && err2 == nil && rxf.Hash() == d3f.Hash()
 	})
+}
+
+// joinShareScenario is the prescriptions ⋈ formulary instantiation: a
+// pharmacist holds only the prescription slice (a0, a1, a4) plus a
+// read-only formulary reference and derives its replica of the shared
+// view by *joining* the two (each prescription enriched with its
+// mechanism of action); the doctor derives the same view by projection
+// from its richer D3. Incoming updates on the pharmacist side therefore
+// embed through JoinLens.PutDelta — the join lens's backward path,
+// exercised end to end rather than only in microbenches.
+type joinShareScenario struct {
+	Network    *Network
+	Pharmacist *core.Peer
+	Doctor     *core.Peer
+}
+
+// shareIDRx identifies the prescriptions⋈formulary share.
+const shareIDRx = "RXF&D3F"
+
+// rxViewCols are the shared view's columns: the prescription slice plus
+// the joined-in mechanism (the column order of prescriptions ⋈
+// formulary).
+var rxViewCols = []string{
+	workload.ColPatientID, workload.ColMedication,
+	workload.ColDosage, workload.ColMechanism,
+}
+
+// formulary is the reference table the join reads: each medication the
+// records name, mapped to its mechanism of action (the a1 → a5
+// dependency every generated record obeys).
+func formulary(full *reldb.Table) (*reldb.Table, error) {
+	return full.Project("formulary", []string{workload.ColMedication, workload.ColMechanism}, []string{workload.ColMedication})
+}
+
+// newJoinShareScenario builds the pharmacist/doctor pair on a fresh
+// network with nRecords synthetic records under seed. The doctor may
+// write dosage and mechanism; the pharmacist only dosage (it holds no
+// mechanism data of its own — the reference is read-only).
+func newJoinShareScenario(ctx context.Context, t *testing.T, cfg NetworkConfig, nRecords int, seed int64) *joinShareScenario {
+	t.Helper()
+	nw, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(nw.Stop)
+	full := workload.Generate("full", nRecords, seed)
+	ref, err := formulary(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx, err := full.Project("RX", workload.PrescriptionCols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d3, err := full.Project("D3", workload.DoctorCols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pharmacist, err := nw.NewPeer("Pharmacist", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doctor, err := nw.NewPeer("Doctor", nw.Nodes()-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pharmacist.DB().PutTable(rx)
+	doctor.DB().PutTable(d3)
+
+	err = pharmacist.RegisterShare(ctx, core.RegisterShareArgs{
+		ID:          shareIDRx,
+		SourceTable: "RX",
+		Lens:        bx.Join("RXF", ref),
+		ViewName:    "RXF",
+		Peers:       []identity.Address{pharmacist.Address(), doctor.Address()},
+		WritePerm: map[string][]identity.Address{
+			workload.ColDosage:    {pharmacist.Address(), doctor.Address()},
+			workload.ColMechanism: {doctor.Address()},
+		},
+		Authority: doctor.Address(),
+	})
+	if err != nil {
+		t.Fatalf("registering %s: %v", shareIDRx, err)
+	}
+	if _, err := doctor.WaitForShare(ctx, shareIDRx); err != nil {
+		t.Fatal(err)
+	}
+	if err := doctor.AttachShare(shareIDRx, "D3", bx.Project("D3F", rxViewCols, nil), "D3F"); err != nil {
+		t.Fatal(err)
+	}
+	return &joinShareScenario{Network: nw, Pharmacist: pharmacist, Doctor: doctor}
+}
+
+// restartPeer stops the named peer and starts it again over image, a
+// clone of its store's filesystem: the way a medshared process restarts
+// over its data dir. The new peer has the same name, so the same
+// identity and data endpoint; the caller attaches its shares again,
+// which restores them from the store.
+func restartPeer(nw *Network, old *core.Peer, name string, nodeIndex int, image *store.MemFS) (*core.Peer, error) {
+	old.Stop()
+	if tt := nw.tcps[nw.PeerEndpoint(name)]; tt != nil {
+		tt.Close()
+	}
+	if st := nw.peerStores[name]; st != nil {
+		_ = st.Close() // a crashed process never closes its store
+	}
+	st, err := store.Open(store.Options{FS: image})
+	if err != nil {
+		return nil, err
+	}
+	nw.peerFS[name] = image
+	return nw.NewPeerWithOptions(name, nodeIndex, PeerOptions{Store: st})
 }

@@ -51,7 +51,7 @@ func TestSelectionShare(t *testing.T) {
 	// Doctor's lens: select row 188, then project the agreed columns.
 	shareCols := []string{ColPatientID, ColMedication, ColDosage}
 	doctorLens := bx.Compose(
-		bx.Select("only188", reldb.Eq(ColPatientID, reldb.I(188))),
+		bx.Select("only188", reldb.Cmp(ColPatientID, reldb.OpEq, reldb.I(188))),
 		bx.Project("docV", shareCols, nil),
 	)
 	// Patient's source is already just its row; a plain projection works.

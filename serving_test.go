@@ -119,8 +119,8 @@ func TestServingEdgeTCPEndToEnd(t *testing.T) {
 	docAPI := serve(doctor, docNode)
 	patAPI := serve(patient, patNode)
 
-	if err := docAPI.Healthz(ctx); err != nil {
-		t.Fatal(err)
+	if !httpOK(docAPI.BaseURL + "/healthz") {
+		t.Fatal("doctor API not healthy")
 	}
 
 	spec, err := bx.Spec{
@@ -213,6 +213,16 @@ func TestServingEdgeTCPEndToEnd(t *testing.T) {
 
 	// Both edges report ready once the cascade has settled.
 	waitFor(t, 30*time.Second, func() bool {
-		return docAPI.Readyz(ctx) == nil && patAPI.Readyz(ctx) == nil
+		return httpOK(docAPI.BaseURL+"/readyz") && httpOK(patAPI.BaseURL+"/readyz")
 	})
+}
+
+// httpOK reports whether a GET of url answers 200.
+func httpOK(url string) bool {
+	resp, err := http.Get(url)
+	if err != nil {
+		return false
+	}
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
 }

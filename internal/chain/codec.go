@@ -68,99 +68,51 @@ func AppendBlockBinary(dst []byte, b *Block) []byte {
 	return appendTxs(dst, b.Txs)
 }
 
-func (r *headerReader) str() (string, error) {
-	b, err := r.bytes()
-	return string(b), err
-}
-
-func (r *headerReader) tx() (*Tx, error) {
-	tx := &Tx{}
-	var err error
-	if tx.Contract, err = r.str(); err != nil {
-		return nil, err
-	}
-	if tx.Fn, err = r.str(); err != nil {
-		return nil, err
-	}
-	n, err := r.uvarint()
-	if err != nil || n > uint64(len(r.buf)) {
-		return nil, errHeaderWire
-	}
-	if n > 0 {
+func readTx(r *wire.Reader) *Tx {
+	tx := &Tx{Contract: string(r.Bytes()), Fn: string(r.Bytes())}
+	if n := r.Count(1); n > 0 {
 		tx.Args = make([][]byte, n)
 		for i := range tx.Args {
-			if tx.Args[i], err = r.bytes(); err != nil {
-				return nil, err
-			}
+			tx.Args[i] = r.Bytes()
 		}
 	}
-	if tx.ShareID, err = r.str(); err != nil {
-		return nil, err
-	}
-	from, err := r.raw(len(tx.From))
-	if err != nil {
-		return nil, err
-	}
-	copy(tx.From[:], from)
-	if tx.PubKey, err = r.bytes(); err != nil {
-		return nil, err
-	}
-	if tx.Nonce, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	ts, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	tx.TimestampMicro = int64(ts)
-	if tx.Sig, err = r.bytes(); err != nil {
-		return nil, err
-	}
-	return tx, nil
+	tx.ShareID = string(r.Bytes())
+	r.Fixed(tx.From[:])
+	tx.PubKey = r.Bytes()
+	tx.Nonce = r.Uvarint()
+	tx.TimestampMicro = int64(r.Uvarint())
+	tx.Sig = r.Bytes()
+	return tx
 }
 
-func (r *headerReader) txs() ([]*Tx, error) {
-	n, err := r.uvarint()
-	if err != nil || n > uint64(len(r.buf)/minTxLen) {
-		return nil, errHeaderWire
-	}
+func readTxs(r *wire.Reader) []*Tx {
+	n := r.Count(minTxLen)
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	txs := make([]*Tx, n)
 	for i := range txs {
-		if txs[i], err = r.tx(); err != nil {
-			return nil, err
-		}
+		txs[i] = readTx(r)
 	}
-	return txs, nil
+	return txs
 }
 
-// decodeFrame checks the version byte, copies the frame once (decoded
-// fields alias the copy, never the caller's buffer), runs body over it
-// and rejects trailing bytes.
-func decodeFrame(p []byte, body func(*headerReader) error) error {
-	if len(p) == 0 || p[0] != blockCodecVersion {
-		return fmt.Errorf("%w: no version %d byte", errBlockWire, blockCodecVersion)
+// newFrameReader checks the version byte and returns a reader over a copy
+// of the frame, so decoded fields alias the copy, never the caller's
+// buffer.
+func newFrameReader(p []byte) wire.Reader {
+	r := wire.NewReader(append([]byte(nil), p...), errBlockWire)
+	if r.Byte() != blockCodecVersion {
+		r.Fail(fmt.Sprintf("no version %d byte", blockCodecVersion))
 	}
-	r := &headerReader{buf: append([]byte(nil), p[1:]...)}
-	if err := body(r); err != nil {
-		return errBlockWire
-	}
-	if len(r.buf) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", errBlockWire, len(r.buf))
-	}
-	return nil
+	return r
 }
 
 // DecodeTx parses a frame produced by AppendTxBinary.
 func DecodeTx(p []byte) (*Tx, error) {
-	var tx *Tx
-	err := decodeFrame(p, func(r *headerReader) (err error) {
-		tx, err = r.tx()
-		return err
-	})
-	if err != nil {
+	r := newFrameReader(p)
+	tx := readTx(&r)
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return tx, nil
@@ -168,12 +120,9 @@ func DecodeTx(p []byte) (*Tx, error) {
 
 // DecodeTxBatch parses a frame produced by AppendTxBatchBinary.
 func DecodeTxBatch(p []byte) ([]*Tx, error) {
-	var txs []*Tx
-	err := decodeFrame(p, func(r *headerReader) (err error) {
-		txs, err = r.txs()
-		return err
-	})
-	if err != nil {
+	r := newFrameReader(p)
+	txs := readTxs(&r)
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return txs, nil
@@ -181,14 +130,11 @@ func DecodeTxBatch(p []byte) ([]*Tx, error) {
 
 // DecodeBlock parses a frame produced by AppendBlockBinary.
 func DecodeBlock(p []byte) (*Block, error) {
+	r := newFrameReader(p)
 	b := &Block{}
-	err := decodeFrame(p, func(r *headerReader) (err error) {
-		if err = r.header(&b.Header); err == nil {
-			b.Txs, err = r.txs()
-		}
-		return err
-	})
-	if err != nil {
+	readHeader(&r, &b.Header)
+	b.Txs = readTxs(&r)
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return b, nil

@@ -3,6 +3,7 @@ package chain
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"medshare/internal/identity"
@@ -145,6 +146,42 @@ func FuzzBlockCodec(f *testing.F) {
 			if m, err := DecodeBlock(mut); err == nil && m.Hash() == b.Hash() && m.ComputeTxRoot() == b.ComputeTxRoot() {
 				t.Fatalf("byte %d changed and the block still reads the same", i)
 			}
+		}
+	})
+}
+
+// allocBytes reports the heap bytes fn allocates.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzHeaderCodec drives the header-batch decoder with arbitrary bytes:
+// it may not panic or allocate more than a fixed multiple of its input
+// (a count is checked against the frame before it sizes the batch), and
+// an accepted frame must re-encode to exactly its input.
+func FuzzHeaderCodec(f *testing.F) {
+	f.Add(EncodeHeaders([]Header{Genesis("t").Header, sampleBlock().Header}))
+	f.Add(EncodeHeaders(nil))
+	f.Add([]byte{headerWireVersion, 0x80, 0x80, 0x40}) // 1<<20 headers, no bytes
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var (
+			hs    []Header
+			err   error
+			limit = 256*uint64(len(data)) + 1<<20
+		)
+		if n := allocBytes(func() { hs, err = DecodeHeaders(data) }); n > limit {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
+		if err == nil && !bytes.Equal(EncodeHeaders(hs), data) {
+			t.Fatal("accepted header frame does not re-encode to its input")
+		}
+		if err != nil && !errors.Is(err, errBlockWire) {
+			t.Fatalf("rejection %v is not errBlockWire", err)
 		}
 	})
 }

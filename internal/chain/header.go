@@ -10,9 +10,9 @@ import (
 )
 
 // This file is the light-client half of the chain package: a compact
-// binary codec for bare headers (the chain.headers RPC moves these in
-// bulk, so base64-in-JSON overhead would dominate the sync cost a light
-// client exists to avoid) and HeaderChain, a standalone header-only
+// binary codec for bare headers (the /v1/light/headers HTTP body moves
+// them in bulk, so base64-in-JSON overhead would dominate the sync cost
+// a light client exists to avoid) and HeaderChain, a standalone header-only
 // verifier. A HeaderChain holds no bodies and replays nothing: it
 // anchors on the locally computed deterministic genesis and accepts a
 // header only if it extends the tip by exactly one height, links to the
@@ -22,13 +22,6 @@ import (
 
 // headerWireVersion tags the binary header frame layout.
 const headerWireVersion = 1
-
-// headerWireMaxLen caps the header count of a batch frame, so a corrupt
-// count cannot drive a huge allocation before the headers are read.
-const headerWireMaxLen = 1 << 20
-
-// errHeaderWire marks a malformed binary header frame.
-var errHeaderWire = fmt.Errorf("chain: malformed header frame")
 
 // AppendHeaderBinary appends the compact binary encoding of h to dst.
 // Fixed-width fields travel raw; only the proposer public key and
@@ -58,110 +51,37 @@ func EncodeHeaders(hs []Header) []byte {
 	return dst
 }
 
-// headerReader walks a frame with bounds checking.
-type headerReader struct{ buf []byte }
+// minHeaderLen is the smallest encoded header: the three hashes, the
+// proposer address and the difficulty byte raw, one byte for every
+// varint and length.
+const minHeaderLen = 3*len(merkle.Hash{}) + len(Header{}.Proposer) + 6
 
-// uvarint reads a minimal varint: a longer encoding of the same value
-// would give two frames for one header.
-func (r *headerReader) uvarint() (uint64, error) {
-	v, n := wire.Uvarint(r.buf)
-	if n == 0 {
-		return 0, errHeaderWire
-	}
-	r.buf = r.buf[n:]
-	return v, nil
+func readHeader(r *wire.Reader, h *Header) {
+	h.Height = r.Uvarint()
+	r.Fixed(h.PrevHash[:])
+	r.Fixed(h.TxRoot[:])
+	r.Fixed(h.StateRoot[:])
+	h.TimestampMicro = int64(r.Uvarint())
+	r.Fixed(h.Proposer[:])
+	h.Nonce = r.Uvarint()
+	h.Difficulty = r.Byte()
+	h.ProposerPub = r.Bytes()
+	h.Sig = r.Bytes()
 }
 
-func (r *headerReader) hash(dst *merkle.Hash) error {
-	if len(r.buf) < len(dst) {
-		return errHeaderWire
-	}
-	copy(dst[:], r.buf)
-	r.buf = r.buf[len(dst):]
-	return nil
-}
-
-func (r *headerReader) raw(n int) ([]byte, error) {
-	if n > len(r.buf) {
-		return nil, errHeaderWire
-	}
-	out := r.buf[:n:n]
-	r.buf = r.buf[n:]
-	return out, nil
-}
-
-// bytes reads a length-prefixed field. The length is checked against
-// the rest of the frame, which bounds it without a cap of its own: the
-// decoder accepts every field the encoder writes.
-func (r *headerReader) bytes() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil || n > uint64(len(r.buf)) {
-		return nil, errHeaderWire
-	}
-	return r.raw(int(n))
-}
-
-func (r *headerReader) header(h *Header) error {
-	var err error
-	if h.Height, err = r.uvarint(); err != nil {
-		return err
-	}
-	if err = r.hash(&h.PrevHash); err != nil {
-		return err
-	}
-	if err = r.hash(&h.TxRoot); err != nil {
-		return err
-	}
-	if err = r.hash(&h.StateRoot); err != nil {
-		return err
-	}
-	ts, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	h.TimestampMicro = int64(ts)
-	prop, err := r.raw(len(h.Proposer))
-	if err != nil {
-		return err
-	}
-	copy(h.Proposer[:], prop)
-	if h.Nonce, err = r.uvarint(); err != nil {
-		return err
-	}
-	diff, err := r.raw(1)
-	if err != nil {
-		return err
-	}
-	h.Difficulty = diff[0]
-	if h.ProposerPub, err = r.bytes(); err != nil {
-		return err
-	}
-	h.Sig, err = r.bytes()
-	return err
-}
-
-// DecodeHeaders parses a frame produced by EncodeHeaders. Trailing
-// bytes are rejected.
+// DecodeHeaders parses a frame produced by EncodeHeaders. The headers
+// alias raw. Trailing bytes are rejected.
 func DecodeHeaders(raw []byte) ([]Header, error) {
-	r := headerReader{buf: raw}
-	ver, err := r.raw(1)
-	if err != nil || ver[0] != headerWireVersion {
-		return nil, errHeaderWire
+	r := wire.NewReader(raw, errBlockWire)
+	if r.Byte() != headerWireVersion {
+		r.Fail("header frame version")
 	}
-	n, err := r.uvarint()
-	if err != nil || n > headerWireMaxLen {
-		return nil, errHeaderWire
+	out := make([]Header, r.Count(minHeaderLen))
+	for i := range out {
+		readHeader(&r, &out[i])
 	}
-	out := make([]Header, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var h Header
-		if err := r.header(&h); err != nil {
-			return nil, err
-		}
-		out = append(out, h)
-	}
-	if len(r.buf) != 0 {
-		return nil, errHeaderWire
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

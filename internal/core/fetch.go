@@ -93,25 +93,9 @@ func appendFetchHeader(dst []byte, shareID string, seq uint64, mode byte) []byte
 
 // decodeFetchResponse parses a frame; Payload aliases raw.
 func decodeFetchResponse(raw []byte) (FetchResponse, error) {
-	r := frameReader{buf: raw}
-	var out FetchResponse
-	ver, err := r.byte()
-	if err != nil || ver != fetchWireVersion {
-		return out, errFrame
-	}
-	id, err := r.bytes()
-	if err != nil {
-		return out, err
-	}
-	out.ShareID = string(id)
-	if out.Seq, err = r.uvarint(); err != nil {
-		return out, err
-	}
-	if out.Mode, err = r.byte(); err != nil {
-		return out, err
-	}
-	out.Payload = r.buf
-	return out, nil
+	r := newFrameReader(raw, fetchWireVersion)
+	out := FetchResponse{ShareID: string(r.Bytes()), Seq: r.Uvarint(), Mode: r.Byte(), Payload: r.Rest()}
+	return out, r.Done()
 }
 
 // authorizeShareRequest is the one gate of both data-channel RPCs

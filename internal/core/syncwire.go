@@ -22,8 +22,8 @@ import (
 // negligible, and base64-in-JSON storage keys cost ~1.4x the raw bytes.
 // The request's canonical signing bytes are still computed separately
 // (SyncRequest.signingBytes) — the frame is transport encoding, not the
-// signature preimage. The fetch-response frame (fetch.go) reuses the
-// reader below.
+// signature preimage. Both frames, and the fetch-response header
+// (fetch.go), are read through a wire.Reader.
 //
 // Response frame layout (all integers varint unless noted):
 //
@@ -45,8 +45,9 @@ import (
 // length-prefixed JSON rows with canonical rows.
 const syncWireVersion = 2
 
-// syncWireMaxLen caps any single length field while decoding, so a
-// corrupt frame cannot drive a huge allocation before the bounds check.
+// syncWireMaxLen bounds a child summary's Size, so it fits an int on
+// every platform. Lengths and counts need no cap: wire.Reader refuses
+// one the frame cannot hold.
 const syncWireMaxLen = 1 << 28
 
 // errFrame marks a malformed binary data-channel frame.
@@ -99,145 +100,64 @@ func appendSyncResponse(dst []byte, r *SyncResponse) []byte {
 	return dst
 }
 
-// frameReader walks a frame with bounds checking.
-type frameReader struct {
-	buf []byte
+// Minimum encoded sizes: a node is a key length, a row's 8-byte count
+// and the mask byte; a subtree a key length and a row count.
+const (
+	minSyncNodeLen    = 1 + 8 + 1
+	minSyncSubtreeLen = 1 + 1
+)
+
+// newFrameReader returns a reader over a data-channel frame past its
+// version byte.
+func newFrameReader(raw []byte, version byte) wire.Reader {
+	r := wire.NewReader(raw, errFrame)
+	if r.Byte() != version {
+		r.Fail("frame version")
+	}
+	return r
 }
 
-func (r *frameReader) byte() (byte, error) {
-	if len(r.buf) == 0 {
-		return 0, errFrame
+func readSyncChild(r *wire.Reader) *SyncChild {
+	c := &SyncChild{Key: r.Bytes(), Digest: r.Bytes()}
+	size := r.Uvarint()
+	if size > syncWireMaxLen {
+		r.Fail("child size")
 	}
-	b := r.buf[0]
-	r.buf = r.buf[1:]
-	return b, nil
-}
-
-func (r *frameReader) uvarint() (uint64, error) {
-	v, n := wire.Uvarint(r.buf)
-	if n == 0 {
-		return 0, errFrame
-	}
-	r.buf = r.buf[n:]
-	return v, nil
-}
-
-func (r *frameReader) bytes() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > syncWireMaxLen || n > uint64(len(r.buf)) {
-		return nil, errFrame
-	}
-	out := r.buf[:n:n]
-	r.buf = r.buf[n:]
-	return out, nil
-}
-
-func (r *frameReader) row() (reldb.Row, error) {
-	row, rest, err := reldb.CutRow(r.buf)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errFrame, err)
-	}
-	r.buf = rest
-	return row, nil
-}
-
-func (r *frameReader) child() (*SyncChild, error) {
-	key, err := r.bytes()
-	if err != nil {
-		return nil, err
-	}
-	dig, err := r.bytes()
-	if err != nil {
-		return nil, err
-	}
-	size, err := r.uvarint()
-	if err != nil || size > syncWireMaxLen {
-		return nil, errFrame
-	}
-	return &SyncChild{Key: key, Digest: dig, Size: int(size)}, nil
+	c.Size = int(size)
+	return c
 }
 
 // decodeSyncResponse parses a frame produced by appendSyncResponse.
+// Keys, roots and digests alias raw.
 func decodeSyncResponse(raw []byte) (SyncResponse, error) {
-	r := frameReader{buf: raw}
-	var out SyncResponse
-	ver, err := r.byte()
-	if err != nil || ver != syncWireVersion {
-		return out, errFrame
-	}
-	id, err := r.bytes()
-	if err != nil {
-		return out, err
-	}
-	out.ShareID = string(id)
-	if out.Seq, err = r.uvarint(); err != nil {
-		return out, err
-	}
-	if out.Root, err = r.bytes(); err != nil {
-		return out, err
-	}
-	flags, err := r.byte()
-	if err != nil {
-		return out, err
-	}
-	out.Empty = flags&1 != 0
-	nNodes, err := r.uvarint()
-	if err != nil || nNodes > syncWireMaxLen {
-		return out, errFrame
-	}
-	for i := uint64(0); i < nNodes; i++ {
-		var n SyncNode
-		if n.Key, err = r.bytes(); err != nil {
-			return out, err
-		}
-		if n.Row, err = r.row(); err != nil {
-			return out, err
-		}
-		mask, err := r.byte()
-		if err != nil {
-			return out, err
+	r := newFrameReader(raw, syncWireVersion)
+	out := SyncResponse{ShareID: string(r.Bytes()), Seq: r.Uvarint(), Root: r.Bytes(), Empty: r.Bool()}
+	out.Nodes = make([]SyncNode, r.Count(minSyncNodeLen))
+	for i := range out.Nodes {
+		n := &out.Nodes[i]
+		n.Key = r.Bytes()
+		n.Row = reldb.ReadRow(&r)
+		mask := r.Byte()
+		if mask&^3 != 0 {
+			r.Fail("child mask")
 		}
 		if mask&1 != 0 {
-			if n.Left, err = r.child(); err != nil {
-				return out, err
-			}
+			n.Left = readSyncChild(&r)
 		}
 		if mask&2 != 0 {
-			if n.Right, err = r.child(); err != nil {
-				return out, err
-			}
+			n.Right = readSyncChild(&r)
 		}
-		out.Nodes = append(out.Nodes, n)
 	}
-	nSub, err := r.uvarint()
-	if err != nil || nSub > syncWireMaxLen {
-		return out, errFrame
-	}
-	for i := uint64(0); i < nSub; i++ {
-		var st SyncSubtree
-		if st.Key, err = r.bytes(); err != nil {
-			return out, err
+	out.Subtrees = make([]SyncSubtree, r.Count(minSyncSubtreeLen))
+	for i := range out.Subtrees {
+		st := &out.Subtrees[i]
+		st.Key = r.Bytes()
+		st.Rows = make([]reldb.Row, r.Count(8))
+		for j := range st.Rows {
+			st.Rows[j] = reldb.ReadRow(&r)
 		}
-		nRows, err := r.uvarint()
-		if err != nil || nRows > syncWireMaxLen {
-			return out, errFrame
-		}
-		for j := uint64(0); j < nRows; j++ {
-			row, err := r.row()
-			if err != nil {
-				return out, err
-			}
-			st.Rows = append(st.Rows, row)
-		}
-		out.Subtrees = append(out.Subtrees, st)
 	}
-	if len(r.buf) != 0 {
-		return out, errFrame
-	}
-	return out, nil
+	return out, r.Done()
 }
 
 // The request frame mirrors the response frame's varint style:
@@ -273,75 +193,33 @@ func appendSyncRequest(dst []byte, r *SyncRequest) []byte {
 	return wire.AppendBytes(dst, r.Sig)
 }
 
-func (r *frameReader) keyList() ([][]byte, error) {
-	n, err := r.uvarint()
-	if err != nil || n > syncWireMaxLen {
-		return nil, errFrame
+func readKeys(r *wire.Reader) [][]byte {
+	keys := make([][]byte, r.Count(1)) // a key is at least its length byte
+	for i := range keys {
+		keys[i] = r.Bytes()
 	}
-	// A key is at least one length byte; reject counts the buffer cannot
-	// possibly satisfy before allocating.
-	if n > uint64(len(r.buf)) {
-		return nil, errFrame
-	}
-	out := make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
-		k, err := r.bytes()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
-	}
-	return out, nil
+	return keys
 }
 
-// decodeSyncRequest parses a frame produced by appendSyncRequest.
+// decodeSyncRequest parses a frame produced by appendSyncRequest. Keys,
+// the public key and the signature alias raw.
 func decodeSyncRequest(raw []byte) (SyncRequest, error) {
-	r := frameReader{buf: raw}
-	var out SyncRequest
-	ver, err := r.byte()
-	if err != nil || ver != syncWireVersion {
-		return out, errFrame
-	}
-	id, err := r.bytes()
-	if err != nil {
-		return out, err
-	}
-	out.ShareID = string(id)
-	if out.MinSeq, err = r.uvarint(); err != nil {
-		return out, err
-	}
-	span, err := r.uvarint()
-	if err != nil || span > syncMaxSpan {
-		return out, errFrame
+	r := newFrameReader(raw, syncWireVersion)
+	out := SyncRequest{ShareID: string(r.Bytes()), MinSeq: r.Uvarint()}
+	span := r.Uvarint()
+	if span > syncMaxSpan {
+		r.Fail("span")
 	}
 	out.Span = int(span)
-	if out.Keys, err = r.keyList(); err != nil {
-		return out, err
+	out.Keys = readKeys(&r)
+	out.RowKeys = readKeys(&r)
+	if addr := r.Bytes(); len(addr) == len(out.Requester) {
+		copy(out.Requester[:], addr)
+	} else {
+		r.Fail("requester length")
 	}
-	if out.RowKeys, err = r.keyList(); err != nil {
-		return out, err
-	}
-	addr, err := r.bytes()
-	if err != nil {
-		return out, err
-	}
-	if len(addr) != len(out.Requester) {
-		return out, errFrame
-	}
-	copy(out.Requester[:], addr)
-	if out.PubKey, err = r.bytes(); err != nil {
-		return out, err
-	}
-	ts, err := r.uvarint()
-	if err != nil {
-		return out, err
-	}
-	out.TsMicro = int64(ts)
-	if out.Sig, err = r.bytes(); err != nil {
-		return out, err
-	}
-	if len(r.buf) != 0 {
-		return out, errFrame
-	}
-	return out, nil
+	out.PubKey = r.Bytes()
+	out.TsMicro = int64(r.Uvarint())
+	out.Sig = r.Bytes()
+	return out, r.Done()
 }

@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"testing"
 
 	"medshare/internal/identity"
+	"medshare/internal/reldb"
+	"medshare/internal/wire"
 )
 
 // FuzzSyncRequestWire fuzzes the binary sync-request frame codec:
@@ -84,6 +88,94 @@ func FuzzSyncRequestWire(f *testing.F) {
 		withTail := append(append([]byte(nil), canon...), 0x00)
 		if _, err := decodeSyncRequest(withTail); err == nil {
 			t.Fatal("frame with trailing byte decoded")
+		}
+	})
+}
+
+// sampleSyncResponse has a node with one child, a node with none, and a
+// subtree of two rows.
+func sampleSyncResponse() *SyncResponse {
+	return &SyncResponse{
+		ShareID: "D13&D31", Seq: 9, Root: bytes.Repeat([]byte{0xab}, 32),
+		Nodes: []SyncNode{
+			{Key: []byte{1}, Row: reldb.Row{reldb.I(1), reldb.S("caf\xe9")}},
+			{Key: []byte{2}, Row: reldb.Row{reldb.I(2)}, Left: &SyncChild{Key: []byte{3}, Digest: bytes.Repeat([]byte{4}, 32), Size: 5}},
+		},
+		Subtrees: []SyncSubtree{{Key: []byte{6}, Rows: []reldb.Row{{reldb.I(7)}, {reldb.Null()}}}},
+	}
+}
+
+// TestSyncResponseRejectsUndefinedBits: a flags byte other than 0 or 1
+// and a child mask with a bit other than bits 0-1 are refused; each
+// would decode to a response that re-encodes to different bytes.
+func TestSyncResponseRejectsUndefinedBits(t *testing.T) {
+	resp := sampleSyncResponse()
+	enc := appendSyncResponse(nil, resp)
+	if _, err := decodeSyncResponse(enc); err != nil {
+		t.Fatalf("genuine frame: %v", err)
+	}
+	head := appendSyncResponse(nil, &SyncResponse{ShareID: resp.ShareID, Seq: resp.Seq, Root: resp.Root})
+	flagsAt := len(head) - 3 // flags byte, then the two empty counts
+	node := resp.Nodes[0]
+	maskAt := flagsAt + 2 + len(wire.AppendBytes(nil, node.Key)) + len(node.Row.AppendCanonical(nil))
+	for _, c := range []struct {
+		name string
+		at   int
+		b    byte
+	}{
+		{"flags 0x02", flagsAt, 0x02},
+		{"flags 0x03", flagsAt, 0x03},
+		{"flags 0x80", flagsAt, 0x80},
+		{"child mask 0x04", maskAt, 0x04},
+		{"child mask 0x80", maskAt, 0x80},
+	} {
+		bad := append([]byte(nil), enc...)
+		bad[c.at] = c.b
+		if _, err := decodeSyncResponse(bad); !errors.Is(err, errFrame) {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
+// allocBytes reports the heap bytes fn allocates.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzSyncResponseWire fuzzes the sync-response frame and the
+// fetch-response header: no input may panic or allocate more than a
+// fixed multiple of its length, and an accepted input re-encodes to
+// exactly itself.
+func FuzzSyncResponseWire(f *testing.F) {
+	f.Add(appendSyncResponse(nil, sampleSyncResponse()))
+	f.Add(appendSyncResponse(nil, &SyncResponse{ShareID: "S", Empty: true}))
+	cs := reldb.AppendChangeset(nil, reldb.Changeset{Inserted: []reldb.Row{{reldb.I(1)}}})
+	f.Add(append(appendFetchHeader(nil, "S", 3, FetchModeDelta), cs...))
+	f.Add(appendFetchHeader(nil, "", 0, FetchModeFull))
+	f.Add([]byte{syncWireVersion, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var (
+			resp  SyncResponse
+			fetch FetchResponse
+			errs  [2]error
+			limit = 256*uint64(len(data)) + 1<<20
+		)
+		if n := allocBytes(func() {
+			resp, errs[0] = decodeSyncResponse(data)
+			fetch, errs[1] = decodeFetchResponse(data)
+		}); n > limit {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
+		if errs[0] == nil && !bytes.Equal(appendSyncResponse(nil, &resp), data) {
+			t.Fatal("accepted sync response does not re-encode to its input")
+		}
+		if errs[1] == nil && !bytes.Equal(append(appendFetchHeader(nil, fetch.ShareID, fetch.Seq, fetch.Mode), fetch.Payload...), data) {
+			t.Fatal("accepted fetch response does not re-encode to its input")
 		}
 	})
 }

@@ -32,8 +32,9 @@ import (
 // fetched row in its canonical encoding instead of JSON.
 const wireVersion = 2
 
-// wireMaxLen caps any single length field while decoding, so a corrupt
-// frame cannot drive a huge allocation before the bounds check.
+// wireMaxLen bounds the indices and the row count a frame carries, so
+// each fits an int on every platform. Lengths and counts need no cap:
+// wire.Reader refuses one the frame cannot hold.
 const wireMaxLen = 1 << 26
 
 // ErrWire marks a malformed light-protocol frame.
@@ -68,59 +69,22 @@ type RowFetch struct {
 
 // --- binary encoding -------------------------------------------------
 
-// wireReader walks a frame with bounds checking.
-type wireReader struct{ buf []byte }
-
-func (r *wireReader) version() error {
-	if len(r.buf) == 0 || r.buf[0] != wireVersion {
-		return ErrWire
+// newFrameReader returns a reader over a light frame past its version byte.
+func newFrameReader(raw []byte) wire.Reader {
+	r := wire.NewReader(raw, ErrWire)
+	if r.Byte() != wireVersion {
+		r.Fail("frame version")
 	}
-	r.buf = r.buf[1:]
-	return nil
+	return r
 }
 
-func (r *wireReader) byte() (byte, error) {
-	if len(r.buf) == 0 {
-		return 0, ErrWire
+// maxLen refuses an index or count above wireMaxLen.
+func maxLen(r *wire.Reader, v uint64) int {
+	if v > wireMaxLen {
+		r.Fail(fmt.Sprintf("%d is out of range", v))
+		return 0
 	}
-	b := r.buf[0]
-	r.buf = r.buf[1:]
-	return b, nil
-}
-
-func (r *wireReader) uvarint() (uint64, error) {
-	v, n := wire.Uvarint(r.buf)
-	if n <= 0 {
-		return 0, ErrWire
-	}
-	r.buf = r.buf[n:]
-	return v, nil
-}
-
-func (r *wireReader) bytes() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil || n > wireMaxLen || n > uint64(len(r.buf)) {
-		return nil, ErrWire
-	}
-	out := r.buf[:n:n]
-	r.buf = r.buf[n:]
-	return out, nil
-}
-
-func (r *wireReader) hash(dst *[32]byte) error {
-	if len(r.buf) < 32 {
-		return ErrWire
-	}
-	copy(dst[:], r.buf)
-	r.buf = r.buf[32:]
-	return nil
-}
-
-func (r *wireReader) done() error {
-	if len(r.buf) != 0 {
-		return ErrWire
-	}
-	return nil
+	return int(v)
 }
 
 // EncodeShareHead encodes the share-head response.
@@ -144,60 +108,21 @@ func EncodeShareHead(h *ShareHead) []byte {
 	return dst
 }
 
-// DecodeShareHead parses a frame produced by EncodeShareHead.
+// DecodeShareHead parses a frame produced by EncodeShareHead. Meta
+// aliases raw.
 func DecodeShareHead(raw []byte) (ShareHead, error) {
-	rd := wireReader{buf: raw}
-	var out ShareHead
-	if err := rd.version(); err != nil {
-		return out, err
+	r := newFrameReader(raw)
+	out := ShareHead{Height: r.Uvarint(), Meta: r.Bytes()}
+	out.Version.Height = r.Uvarint()
+	out.Version.TxIndex = maxLen(&r, r.Uvarint())
+	out.Proof.Index = maxLen(&r, r.Uvarint())
+	out.Proof.Steps = make([]merkle.ProofStep, r.Count(len(merkle.Hash{})+1))
+	for i := range out.Proof.Steps {
+		s := &out.Proof.Steps[i]
+		r.Fixed(s.Sibling[:])
+		s.Left = r.Bool()
 	}
-	var err error
-	if out.Height, err = rd.uvarint(); err != nil {
-		return out, err
-	}
-	if out.Meta, err = rd.bytes(); err != nil {
-		return out, err
-	}
-	if out.Version.Height, err = rd.uvarint(); err != nil {
-		return out, err
-	}
-	txIdx, err := rd.uvarint()
-	if err != nil || txIdx > wireMaxLen {
-		return out, ErrWire
-	}
-	out.Version.TxIndex = int(txIdx)
-	idx, err := rd.uvarint()
-	if err != nil || idx > wireMaxLen {
-		return out, ErrWire
-	}
-	out.Proof.Index = int(idx)
-	n, err := rd.uvarint()
-	if err != nil || n > wireMaxLen {
-		return out, ErrWire
-	}
-	for i := uint64(0); i < n; i++ {
-		var s merkle.ProofStep
-		if err := rd.hash(&s.Sibling); err != nil {
-			return out, err
-		}
-		b, err := rd.byte()
-		if err != nil {
-			return out, err
-		}
-		s.Left = b != 0
-		out.Proof.Steps = append(out.Proof.Steps, s)
-	}
-	return out, rd.done()
-}
-
-// row reads one canonical row.
-func (r *wireReader) row() (reldb.Row, error) {
-	row, rest, err := reldb.CutRow(r.buf)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrWire, err)
-	}
-	r.buf = rest
-	return row, nil
+	return out, r.Done()
 }
 
 // EncodeRowFetch encodes the proof-carrying row response.
@@ -226,62 +151,25 @@ func EncodeRowFetch(f *RowFetch) []byte {
 	return dst
 }
 
-// DecodeRowFetch parses a frame produced by EncodeRowFetch.
+// DecodeRowFetch parses a frame produced by EncodeRowFetch. The schema
+// must be in the JSON bytes EncodeRowFetch writes for it.
 func DecodeRowFetch(raw []byte) (RowFetch, error) {
-	rd := wireReader{buf: raw}
+	r := newFrameReader(raw)
 	var out RowFetch
-	if err := rd.version(); err != nil {
-		return out, err
+	out.Seq = r.Uvarint()
+	r.Fixed(out.SchemaSum[:])
+	out.Rows = maxLen(&r, r.Uvarint())
+	r.Fixed(out.Root[:])
+	out.Schema = reldb.ParseSchema(&r, r.Bytes())
+	out.Row = reldb.ReadRow(&r)
+	r.Fixed(out.Proof.Left[:])
+	r.Fixed(out.Proof.Right[:])
+	out.Proof.Steps = make([]pmap.ProofStep, r.Count(2*len(pmap.ProofStep{}.Entry)+1))
+	for i := range out.Proof.Steps {
+		s := &out.Proof.Steps[i]
+		r.Fixed(s.Entry[:])
+		r.Fixed(s.Other[:])
+		s.PathLeft = r.Bool()
 	}
-	var err error
-	if out.Seq, err = rd.uvarint(); err != nil {
-		return out, err
-	}
-	if err = rd.hash(&out.SchemaSum); err != nil {
-		return out, err
-	}
-	rows, err := rd.uvarint()
-	if err != nil || rows > wireMaxLen {
-		return out, ErrWire
-	}
-	out.Rows = int(rows)
-	if err = rd.hash(&out.Root); err != nil {
-		return out, err
-	}
-	schemaRaw, err := rd.bytes()
-	if err != nil {
-		return out, err
-	}
-	if err := json.Unmarshal(schemaRaw, &out.Schema); err != nil {
-		return out, fmt.Errorf("%w: %v", ErrWire, err)
-	}
-	if out.Row, err = rd.row(); err != nil {
-		return out, err
-	}
-	if err = rd.hash(&out.Proof.Left); err != nil {
-		return out, err
-	}
-	if err = rd.hash(&out.Proof.Right); err != nil {
-		return out, err
-	}
-	n, err := rd.uvarint()
-	if err != nil || n > wireMaxLen {
-		return out, ErrWire
-	}
-	for i := uint64(0); i < n; i++ {
-		var s pmap.ProofStep
-		if err := rd.hash(&s.Entry); err != nil {
-			return out, err
-		}
-		if err := rd.hash(&s.Other); err != nil {
-			return out, err
-		}
-		b, err := rd.byte()
-		if err != nil {
-			return out, err
-		}
-		s.PathLeft = b != 0
-		out.Proof.Steps = append(out.Proof.Steps, s)
-	}
-	return out, rd.done()
+	return out, r.Done()
 }

@@ -14,7 +14,7 @@ import (
 
 // The binary row codec: Row.AppendCanonical — the bytes the Merkle leaf
 // digest hashes — is the byte form of a row on the data channel;
-// DecodeRow is its inverse. On disk a row takes the compact form at the
+// ReadRow is its inverse. On disk a row takes the compact form at the
 // end of this file, which decodes to the same row.
 // Changesets and tables (after their schema) are sequences of canonical
 // rows behind 8-byte big-endian counts, so every encoding is fixed-width
@@ -24,123 +24,54 @@ import (
 // pre-1970 times come back exactly as encoded, so a decoded row has the
 // same leaf digest as the row that was sent.
 //
-// Decoders are bounds-checked against the remaining input before every
-// allocation, reject unknown kinds, bool bytes other than 0 or 1, and
-// trailing bytes, and copy string payloads out of the input buffer.
+// Decoders read through a wire.Reader, so every count is checked against
+// the remaining input before it sizes an allocation. They reject unknown
+// kinds, bool bytes other than 0 or 1, and trailing bytes, and copy
+// string payloads out of the input buffer.
 
 // ErrCodec marks malformed binary row, changeset or table bytes.
 var ErrCodec = errors.New("reldb: malformed canonical encoding")
 
-// canonReader walks canonical bytes with bounds checking.
-type canonReader struct{ buf []byte }
-
-func (r *canonReader) u64() (uint64, error) {
-	if len(r.buf) < 8 {
-		return 0, ErrCodec
-	}
-	v := binary.BigEndian.Uint64(r.buf)
-	r.buf = r.buf[8:]
-	return v, nil
-}
-
-// count reads an item count and rejects one the remaining input cannot
-// hold at minLen bytes per item — the bound every allocation sized by a
-// count rests on.
-func (r *canonReader) count(minLen int) (int, error) {
-	n, err := r.u64()
-	if err != nil || n > uint64(len(r.buf)/minLen) {
-		return 0, ErrCodec
-	}
-	return int(n), nil
-}
-
-func (r *canonReader) str() (string, error) {
-	n, err := r.count(1)
-	if err != nil {
-		return "", err
-	}
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s, nil
-}
-
-func (r *canonReader) value() (Value, error) {
-	if len(r.buf) == 0 {
-		return Value{}, ErrCodec
-	}
-	k := Kind(r.buf[0])
-	r.buf = r.buf[1:]
-	switch k {
+func readValue(r *wire.Reader) Value {
+	switch k := Kind(r.Byte()); k {
 	case KindNull:
-		return Null(), nil
+		return Null()
 	case KindString:
-		s, err := r.str()
-		return S(s), err
+		return S(string(r.Raw(r.CountU64(1))))
 	case KindBool:
-		if len(r.buf) == 0 || r.buf[0] > 1 {
-			return Value{}, ErrCodec
-		}
-		b := r.buf[0] == 1
-		r.buf = r.buf[1:]
-		return B(b), nil
-	case KindInt, KindFloat, KindTime:
-		u, err := r.u64()
-		switch k {
-		case KindInt:
-			return I(int64(u)), err
-		case KindFloat:
-			return F(math.Float64frombits(u)), err
-		}
-		return T(time.UnixMicro(int64(u))), err
+		return B(r.Bool())
+	case KindInt:
+		return I(int64(r.U64()))
+	case KindFloat:
+		return F(math.Float64frombits(r.U64()))
+	case KindTime:
+		return T(time.UnixMicro(int64(r.U64())))
+	default:
+		r.Fail(fmt.Sprintf("unknown kind %d", k))
+		return Value{}
 	}
-	return Value{}, fmt.Errorf("%w: unknown kind %d", ErrCodec, k)
 }
 
-func (r *canonReader) row() (Row, error) {
-	n, err := r.count(1) // the smallest value (NULL) is one byte
-	if err != nil {
-		return nil, err
-	}
-	row := make(Row, n)
+// ReadRow reads one canonical row. Canonical rows are self-delimiting,
+// so frames carry them back to back without a length prefix.
+func ReadRow(r *wire.Reader) Row {
+	row := make(Row, r.CountU64(1)) // the smallest value (NULL) is one byte
 	for i := range row {
-		if row[i], err = r.value(); err != nil {
-			return nil, err
-		}
+		row[i] = readValue(r)
 	}
-	return row, nil
+	return row
 }
 
-func (r *canonReader) rows() ([]Row, error) {
-	n, err := r.count(8) // a row is at least its 8-byte count
-	if err != nil || n == 0 {
-		return nil, err
+func readRows(r *wire.Reader) []Row {
+	n := r.CountU64(8) // a row is at least its 8-byte count
+	if n == 0 {
+		return nil
 	}
 	out := make([]Row, n)
 	for i := range out {
-		if out[i], err = r.row(); err != nil {
-			return nil, err
-		}
+		out[i] = ReadRow(r)
 	}
-	return out, nil
-}
-
-func (r *canonReader) done() error {
-	if len(r.buf) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCodec, len(r.buf))
-	}
-	return nil
-}
-
-// CutRow decodes the canonical row at the front of p and returns it with
-// the bytes that follow it. Canonical rows are self-delimiting, so
-// frames carry them back to back without a length prefix.
-func CutRow(p []byte) (Row, []byte, error) {
-	r := canonReader{buf: p}
-	row, err := r.row()
-	if err != nil {
-		return nil, p, err
-	}
-	return row, r.buf, nil
+	return out
 }
 
 func appendRows(dst []byte, rows []Row) []byte {
@@ -167,30 +98,16 @@ func AppendChangeset(dst []byte, cs Changeset) []byte {
 
 // DecodeChangeset parses bytes produced by AppendChangeset.
 func DecodeChangeset(p []byte) (Changeset, error) {
-	r := canonReader{buf: p}
-	var cs Changeset
-	var err error
-	if cs.Inserted, err = r.rows(); err != nil {
-		return Changeset{}, err
-	}
-	if cs.Deleted, err = r.rows(); err != nil {
-		return Changeset{}, err
-	}
-	n, err := r.count(16)
-	if err != nil {
-		return Changeset{}, err
-	}
-	cs.Updated = make([]RowChange, n)
+	r := wire.NewReader(p, ErrCodec)
+	cs := Changeset{Inserted: readRows(&r), Deleted: readRows(&r)}
+	cs.Updated = make([]RowChange, r.CountU64(16))
 	for i := range cs.Updated {
-		u := &cs.Updated[i]
-		if u.Before, err = r.row(); err != nil {
-			return Changeset{}, err
-		}
-		if u.After, err = r.row(); err != nil {
-			return Changeset{}, err
-		}
+		cs.Updated[i] = RowChange{Before: ReadRow(&r), After: ReadRow(&r)}
 	}
-	return cs, r.done()
+	if err := r.Done(); err != nil {
+		return Changeset{}, err
+	}
+	return cs, nil
 }
 
 // AppendTable appends the binary table encoding to dst: the schema as
@@ -214,31 +131,22 @@ func AppendSchema(dst []byte, s Schema) []byte {
 	return append(dst, schema...)
 }
 
-// CutSchema decodes the schema AppendSchema wrote at the front of p and
-// returns it with the bytes that follow it.
-func CutSchema(p []byte) (Schema, []byte, error) {
-	r := canonReader{buf: p}
-	s, err := r.schema()
-	return s, r.buf, err
-}
+// ReadSchema reads a schema as AppendSchema writes it.
+func ReadSchema(r *wire.Reader) Schema { return ParseSchema(r, r.Raw(r.CountU64(1))) }
 
-// schema reads a length-prefixed JSON schema, accepting only the bytes
-// AppendSchema writes for it.
-func (r *canonReader) schema() (Schema, error) {
+// ParseSchema decodes schema JSON, accepting only the bytes json.Marshal
+// writes for the schema it decodes to; any other bytes fail r.
+func ParseSchema(r *wire.Reader, raw []byte) Schema {
 	var s Schema
-	n, err := r.count(1)
-	if err != nil {
-		return s, err
-	}
-	raw := r.buf[:n]
-	r.buf = r.buf[n:]
 	if err := json.Unmarshal(raw, &s); err != nil {
-		return s, fmt.Errorf("%w: schema: %v", ErrCodec, err)
+		r.Fail("schema: " + err.Error())
+		return Schema{}
 	}
 	if again, _ := json.Marshal(s); !bytes.Equal(again, raw) {
-		return s, fmt.Errorf("%w: non-canonical schema", ErrCodec)
+		r.Fail("non-canonical schema")
+		return Schema{}
 	}
-	return s, nil
+	return s
 }
 
 // DecodeTable parses bytes produced by AppendTable. It reads the schema
@@ -247,25 +155,21 @@ func (r *canonReader) schema() (Schema, error) {
 // rejected rather than silently reordered. The table carries unkeyed
 // priorities, like every TableBuilder result.
 func DecodeTable(p []byte) (*Table, error) {
-	r := canonReader{buf: p}
-	s, err := r.schema()
-	if err != nil {
+	r := wire.NewReader(p, ErrCodec)
+	s := ReadSchema(&r)
+	rows := make([]Row, r.CountU64(8))
+	for i := range rows {
+		rows[i] = ReadRow(&r)
+	}
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	b, err := NewTableBuilder(s)
 	if err != nil {
 		return nil, err
 	}
-	n, err := r.count(8)
-	if err != nil {
-		return nil, err
-	}
 	var prev []byte
-	for i := 0; i < n; i++ {
-		row, err := r.row()
-		if err != nil {
-			return nil, err
-		}
+	for i, row := range rows {
 		prev = append(prev[:0], b.keyBuf...)
 		if err := b.Append(row); err != nil {
 			return nil, err
@@ -273,9 +177,6 @@ func DecodeTable(p []byte) (*Table, error) {
 		if i > 0 && bytes.Compare(b.keyBuf, prev) <= 0 {
 			return nil, fmt.Errorf("%w: table %s rows out of key order", ErrCodec, s.Name)
 		}
-	}
-	if err := r.done(); err != nil {
-		return nil, err
 	}
 	return b.Table(), nil
 }
@@ -315,77 +216,33 @@ func (r Row) AppendCompact(dst []byte) []byte {
 	return dst
 }
 
-// uvarint reads a minimal unsigned varint.
-func (r *canonReader) uvarint() (uint64, error) {
-	v, n := wire.Uvarint(r.buf)
-	if n == 0 {
-		return 0, ErrCodec
-	}
-	r.buf = r.buf[n:]
-	return v, nil
-}
-
-// compactCount reads a varint item count and rejects one the remaining
-// input cannot hold at one byte per item.
-func (r *canonReader) compactCount() (int, error) {
-	n, err := r.uvarint()
-	if err != nil || n > uint64(len(r.buf)) {
-		return 0, ErrCodec
-	}
-	return int(n), nil
-}
-
-func (r *canonReader) compactValue() (Value, error) {
-	if len(r.buf) == 0 {
-		return Value{}, ErrCodec
-	}
-	k := Kind(r.buf[0])
-	r.buf = r.buf[1:]
-	switch k {
+func readCompactValue(r *wire.Reader) Value {
+	switch k := Kind(r.Byte()); k {
 	case KindNull:
-		return Null(), nil
+		return Null()
 	case KindString:
-		n, err := r.compactCount()
-		if err != nil {
-			return Value{}, err
-		}
-		s := string(r.buf[:n])
-		r.buf = r.buf[n:]
-		return S(s), nil
+		return S(string(r.Bytes()))
 	case KindInt:
-		u, err := r.uvarint()
+		u := r.Uvarint()
 		// Zig-zag: the low bit carries the sign.
-		return I(int64(u>>1) ^ -int64(u&1)), err
+		return I(int64(u>>1) ^ -int64(u&1))
 	case KindBool:
-		if len(r.buf) == 0 || r.buf[0] > 1 {
-			return Value{}, ErrCodec
-		}
-		b := r.buf[0] == 1
-		r.buf = r.buf[1:]
-		return B(b), nil
-	case KindFloat, KindTime:
-		u, err := r.u64()
-		if k == KindFloat {
-			return F(math.Float64frombits(u)), err
-		}
-		return T(time.UnixMicro(int64(u))), err
+		return B(r.Bool())
+	case KindFloat:
+		return F(math.Float64frombits(r.U64()))
+	case KindTime:
+		return T(time.UnixMicro(int64(r.U64())))
+	default:
+		r.Fail(fmt.Sprintf("unknown kind %d", k))
+		return Value{}
 	}
-	return Value{}, fmt.Errorf("%w: unknown kind %d", ErrCodec, k)
 }
 
-// DecodeCompactRow is the inverse of Row.AppendCompact: p must hold
-// exactly one encoded row.
-func DecodeCompactRow(p []byte) (Row, error) {
-	r := canonReader{buf: p}
-	n, err := r.compactCount() // the smallest value (NULL) is one byte
-	if err != nil {
-		return nil, err
-	}
-	row := make(Row, n)
+// ReadCompactRow reads one row in the form Row.AppendCompact writes.
+func ReadCompactRow(r *wire.Reader) Row {
+	row := make(Row, r.Count(1)) // the smallest value (NULL) is one byte
 	for i := range row {
-		if row[i], err = r.compactValue(); err != nil {
-			return nil, err
-		}
+		row[i] = readCompactValue(r)
 	}
-	return row, r.done()
+	return row
 }

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"medshare/internal/wire"
 )
 
 // oddValues are the values a lossy codec gets wrong: NaN payloads,
@@ -146,8 +148,9 @@ func TestCodecRejects(t *testing.T) {
 			t.Errorf("decodeRow(%s) = %v, want ErrCodec", name, err)
 		}
 	}
-	if _, rest, err := CutRow(append(append([]byte(nil), enc...), 7)); err != nil || !bytes.Equal(rest, []byte{7}) {
-		t.Fatalf("CutRow rest = %v, %v", rest, err)
+	r := wire.NewReader(append(append([]byte(nil), enc...), 7), ErrCodec)
+	if ReadRow(&r); !bytes.Equal(r.Rest(), []byte{7}) || r.Done() != nil {
+		t.Fatalf("ReadRow did not stop at the end of its row: %v", r.Done())
 	}
 
 	cs := AppendChangeset(nil, Changeset{Inserted: []Row{row}})
@@ -345,10 +348,15 @@ func FuzzCompactRow(f *testing.F) {
 // decodeRow is the inverse of Row.AppendCanonical: p must hold exactly
 // one encoded row.
 func decodeRow(p []byte) (Row, error) {
-	r := canonReader{buf: p}
-	row, err := r.row()
-	if err == nil {
-		err = r.done()
-	}
-	return row, err
+	r := wire.NewReader(p, ErrCodec)
+	row := ReadRow(&r)
+	return row, r.Done()
+}
+
+// DecodeCompactRow is the inverse of Row.AppendCompact: p must hold
+// exactly one encoded row.
+func DecodeCompactRow(p []byte) (Row, error) {
+	r := wire.NewReader(p, ErrCodec)
+	row := ReadCompactRow(&r)
+	return row, r.Done()
 }

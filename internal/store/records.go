@@ -97,33 +97,32 @@ func appendNodeRec(dst []byte, n reldb.NodeData) []byte {
 // decodeNodeRec decodes a node record payload.
 func decodeNodeRec(p []byte) (reldb.NodeData, error) {
 	var n reldb.NodeData
-	d, ok := nodeRecDigest(p)
-	if !ok {
-		return n, fmt.Errorf("%w: node record header", errRecord)
+	r := wire.NewReader(p, errRecord)
+	flags := r.Byte()
+	if flags&^(nodeHasLeft|nodeHasRight) != 0 {
+		r.Fail("node record flags")
 	}
-	n.Digest = d
-	flags, p := p[0], p[1+digLen:]
-	if flags&nodeHasLeft != 0 && !cutChild(&p, &n.Left) || flags&nodeHasRight != 0 && !cutChild(&p, &n.Right) {
-		return reldb.NodeData{}, fmt.Errorf("%w: node record child", errRecord)
+	r.Fixed(n.Digest[:])
+	if flags&nodeHasLeft != 0 {
+		readChild(&r, &n.Left)
 	}
-	row, err := reldb.DecodeCompactRow(p)
-	if err != nil {
-		return reldb.NodeData{}, fmt.Errorf("store: decoding row: %w", err)
+	if flags&nodeHasRight != 0 {
+		readChild(&r, &n.Right)
 	}
-	n.Row = row
+	n.Row = reldb.ReadCompactRow(&r)
+	if err := r.Done(); err != nil {
+		return reldb.NodeData{}, err
+	}
 	return n, nil
 }
 
-// cutChild moves a child digest from the front of *p into dst. A record
-// that names the empty subtree as a present child is malformed: it
-// would not re-encode to its bytes.
-func cutChild(p *[]byte, dst *[digLen]byte) bool {
-	if len(*p) < digLen {
-		return false
+// readChild reads a present child's digest. A record that names the
+// empty subtree as a present child is malformed: it would not re-encode
+// to its bytes.
+func readChild(r *wire.Reader, dst *[digLen]byte) {
+	if r.Fixed(dst[:]); *dst == ([digLen]byte{}) {
+		r.Fail("node record names an empty child")
 	}
-	copy(dst[:], *p)
-	*p = (*p)[digLen:]
-	return *dst != [digLen]byte{}
 }
 
 // nodeRecDigest extracts just the digest key from a node record
@@ -208,103 +207,47 @@ func appendCommitRec(dst []byte, c commitRec) []byte {
 
 func appendStateRec(cp *StateCheckpoint) ([]byte, error) { return json.Marshal(cp) }
 
-// recReader walks a binary record payload with bounds checks. Varints
-// must be minimal, so an accepted record re-encodes to its exact bytes.
-type recReader struct {
-	buf []byte
-	err error
-}
-
-func (r *recReader) fail() { r.err = errRecord }
-
-func (r *recReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := wire.Uvarint(r.buf)
-	if n == 0 {
-		r.fail()
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-// raw returns the next n bytes, aliasing the payload.
-func (r *recReader) raw(n uint64) []byte {
-	if r.err != nil || n > uint64(len(r.buf)) {
-		r.fail()
-		return nil
-	}
-	out := r.buf[:n]
-	r.buf = r.buf[n:]
-	return out
-}
-
-// bytes reads a length-prefixed field into a fresh slice (nil if empty).
-func (r *recReader) bytes() []byte {
-	if b := r.raw(r.uvarint()); len(b) > 0 {
-		return append([]byte(nil), b...)
-	}
-	return nil
-}
-
-func (r *recReader) str() string { return string(r.bytes()) }
-
-func (r *recReader) done(what string) error {
-	if r.err == nil && len(r.buf) != 0 {
-		r.fail()
-	}
-	if r.err != nil {
-		return fmt.Errorf("%w: %s", r.err, what)
-	}
-	return nil
-}
-
 func decodeTableRootRec(p []byte) (TableRoot, error) {
-	var tr TableRoot
-	s, rest, err := reldb.CutSchema(p)
-	if err != nil {
-		return tr, fmt.Errorf("%w: table root schema: %v", errRecord, err)
-	}
-	r := recReader{buf: rest}
-	tr.Name, tr.Schema, tr.Secret = s.Name, s, r.bytes()
-	copy(tr.Root[:], r.raw(digLen))
-	rows := r.uvarint()
+	r := wire.NewReader(p, errRecord)
+	tr := TableRoot{Schema: reldb.ReadSchema(&r), Secret: ownBytes(r.Bytes())}
+	tr.Name = tr.Schema.Name
+	r.Fixed(tr.Root[:])
+	rows := r.Uvarint()
 	if rows > uint64(maxRows) {
-		r.fail()
+		r.Fail("table root row count")
 	}
 	tr.Rows = int(rows)
-	return tr, r.done("table root")
+	return tr, r.Done()
 }
 
 // maxRows bounds a table root's row count to what an int holds.
 const maxRows = int(^uint(0) >> 1)
 
+// ownBytes copies a field out of the record payload (nil if empty).
+func ownBytes(b []byte) []byte {
+	if len(b) > 0 {
+		return append([]byte(nil), b...)
+	}
+	return nil
+}
+
 func decodeShareMetaRec(p []byte) (ShareMeta, error) {
-	r := recReader{buf: p}
-	m := ShareMeta{ID: r.str(), Seq: r.uvarint(), Source: r.str(), View: r.str(), PrioSeed: r.bytes()}
-	return m, r.done("share meta")
+	r := wire.NewReader(p, errRecord)
+	m := ShareMeta{ID: string(r.Bytes()), Seq: r.Uvarint(), Source: string(r.Bytes()), View: string(r.Bytes()), PrioSeed: ownBytes(r.Bytes())}
+	return m, r.Done()
 }
 
 func decodeCommitRec(p []byte) (commitRec, error) {
-	r := recReader{buf: p}
-	c := commitRec{Seq: r.uvarint()}
-	switch clean := r.raw(1); {
-	case r.err != nil:
-	case clean[0] > 1:
-		r.fail()
-	default:
-		c.Clean = clean[0] == 1
-	}
-	return c, r.done("commit marker")
+	r := wire.NewReader(p, errRecord)
+	c := commitRec{Seq: r.Uvarint(), Clean: r.Bool()}
+	return c, r.Done()
 }
 
 // decodeFormatRec reads the version a format frame carries.
 func decodeFormatRec(p []byte) (uint64, error) {
-	r := recReader{buf: p}
-	v := r.uvarint()
-	return v, r.done("format frame")
+	r := wire.NewReader(p, errRecord)
+	v := r.Uvarint()
+	return v, r.Done()
 }
 
 func decodeBlockRec(p []byte) (*chain.Block, error) {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"medshare/internal/wire"
 )
 
 // Sealed-segment index: when a segment rotates out of the active
@@ -75,31 +77,29 @@ func decodeSegIndex(data []byte) ([]segEntry, error) {
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(tail) {
 		return nil, fmt.Errorf("%w: checksum mismatch", errBadSegIndex)
 	}
-	r := recReader{buf: body[segIndexHdrLen:]}
+	r := wire.NewReader(body[segIndexHdrLen:], errBadSegIndex)
 	// An entry is at least its kind byte and a one-byte size.
-	count := r.uvarint()
-	if r.err != nil || count > maxSegIndexEntries || count > uint64(len(r.buf)/2) {
-		return nil, fmt.Errorf("%w: count %d does not match size", errBadSegIndex, count)
+	n := r.Count(2)
+	if n > maxSegIndexEntries {
+		r.Fail(fmt.Sprintf("%d entries", n))
+		n = 0
 	}
-	entries := make([]segEntry, count)
+	entries := make([]segEntry, n)
 	off := int64(0)
 	for i := range entries {
 		e := &entries[i]
-		if kind := r.raw(1); r.err == nil {
-			e.kind = kind[0]
+		if e.kind = r.Byte(); e.kind == kindNode {
+			r.Fixed(e.dig[:])
 		}
-		if e.kind == kindNode {
-			copy(e.dig[:], r.raw(digLen))
-		}
-		size := r.uvarint()
-		if r.err != nil || size < frameHdrLen || size > frameHdrLen+maxPayload {
-			return nil, fmt.Errorf("%w: entry %d out of range", errBadSegIndex, i)
+		size := r.Uvarint()
+		if size < frameHdrLen || size > frameHdrLen+maxPayload {
+			r.Fail(fmt.Sprintf("entry %d size %d", i, size))
 		}
 		e.off, e.size = off, int64(size)
 		off += e.size
 	}
-	if len(r.buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", errBadSegIndex, len(r.buf))
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return entries, nil
 }

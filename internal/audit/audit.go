@@ -60,6 +60,19 @@ func New(store *chain.Store, registry *contract.Registry) *Auditor {
 	return &Auditor{store: store, registry: registry}
 }
 
+// replay executes the main chain from genesis on a fresh state through
+// contract.ExecuteBlock and hands visit each block with its receipts and
+// post-state, stopping at visit's first error.
+func (a *Auditor) replay(visit func(b *chain.Block, receipts []contract.Receipt, state *statedb.Store) error) error {
+	state := statedb.NewStore()
+	for _, b := range a.store.MainChain()[1:] {
+		if err := visit(b, contract.ExecuteBlock(a.registry, state, b), state); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // VerifyIntegrity re-validates the whole main chain: block linkage,
 // transaction roots and signatures, the one-tx-per-share rule, and
 // deterministic re-execution reproducing every block's state root.
@@ -67,46 +80,22 @@ func (a *Auditor) VerifyIntegrity() error {
 	if err := a.store.VerifyChain(); err != nil {
 		return err
 	}
-	state := statedb.NewStore()
-	for _, b := range a.store.MainChain() {
-		if b.Header.Height == 0 {
-			continue
-		}
-		for i, tx := range b.Txs {
-			rcpt := contract.Execute(a.registry, state, tx, b.Header.Height, b.Header.TimestampMicro)
-			if rcpt.OK {
-				if err := state.Validate(rcpt.Reads); err == nil {
-					state.Commit(rcpt.Writes, statedb.Version{Height: b.Header.Height, TxIndex: i})
-				}
-			}
-		}
+	return a.replay(func(b *chain.Block, _ []contract.Receipt, state *statedb.Store) error {
 		if got := state.Root(); got != b.Header.StateRoot {
 			return fmt.Errorf("audit: state root mismatch at height %d: got %x want %x",
 				b.Header.Height, got[:6], b.Header.StateRoot[:6])
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // History returns every recorded operation for the share, in chain order.
 // An empty shareID returns the history of all shares.
 func (a *Auditor) History(shareID string) ([]Record, error) {
 	var out []Record
-	state := statedb.NewStore()
-	for _, b := range a.store.MainChain() {
-		if b.Header.Height == 0 {
-			continue
-		}
+	err := a.replay(func(b *chain.Block, receipts []contract.Receipt, _ *statedb.Store) error {
 		for i, tx := range b.Txs {
-			rcpt := contract.Execute(a.registry, state, tx, b.Header.Height, b.Header.TimestampMicro)
-			if rcpt.OK {
-				if err := state.Validate(rcpt.Reads); err == nil {
-					state.Commit(rcpt.Writes, statedb.Version{Height: b.Header.Height, TxIndex: i})
-				} else {
-					rcpt.OK = false
-					rcpt.Err = err.Error()
-				}
-			}
+			rcpt := receipts[i]
 			if tx.Contract != sharereg.ContractName {
 				continue
 			}
@@ -148,8 +137,9 @@ func (a *Auditor) History(shareID string) ([]Record, error) {
 			}
 			out = append(out, rec)
 		}
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // UpdateTimeline returns only the finalized data updates of a share: the

@@ -1,8 +1,9 @@
 // Package contract implements a deterministic smart-contract runtime in
 // the style of Hyperledger Fabric chaincode: contracts are native Go
-// objects invoked through a Stub that mediates all state access via
-// read/write-set simulations (internal/statedb). Every node re-executes
-// every block's transactions and must arrive at the same state root,
+// objects invoked through a Stub that mediates all state access via a
+// simulation (internal/statedb) whose write set commits only if the
+// invocation succeeds. Every node re-executes every block's transactions,
+// in order, through ExecuteBlock and must arrive at the same state root,
 // which is what lets the network "validate it and re-run contracts"
 // (Section II-A).
 package contract
@@ -17,8 +18,8 @@ import (
 )
 
 // Stub is the interface contracts use to interact with the ledger during
-// an invocation. All reads and writes are captured in the transaction's
-// read/write sets.
+// an invocation. Reads see the transaction's own staged writes; the
+// writes reach the state only when the invocation succeeds.
 type Stub interface {
 	// GetState reads a key from the (simulated) world state.
 	GetState(key string) ([]byte, bool)
@@ -101,8 +102,7 @@ type Receipt struct {
 	Result []byte `json:"result,omitempty"`
 	// Events are the events emitted by a successful invocation.
 	Events []Event `json:"events,omitempty"`
-	// Reads and Writes are the captured state access sets.
-	Reads  statedb.ReadSet  `json:"-"`
+	// Writes is the write set a successful invocation commits.
 	Writes statedb.WriteSet `json:"-"`
 }
 
@@ -134,8 +134,7 @@ func (s *stub) EmitEvent(name string, payload []byte) {
 }
 
 // Execute runs one transaction against a fresh simulation of store. The
-// caller (the node) is responsible for MVCC validation and committing the
-// write set; Execute itself never mutates store.
+// caller commits the write set; Execute itself never mutates store.
 func Execute(reg *Registry, store *statedb.Store, tx *chain.Tx, height uint64, blockTimeMicro int64) Receipt {
 	rcpt := Receipt{TxID: tx.IDString()}
 	c, ok := reg.Get(tx.Contract)
@@ -153,8 +152,6 @@ func Execute(reg *Registry, store *statedb.Store, tx *chain.Tx, height uint64, b
 		cname:  c.Name(),
 	}
 	result, err := c.Invoke(st, tx.Fn, tx.Args)
-	reads, writes := sim.Results()
-	rcpt.Reads = reads
 	if err != nil {
 		rcpt.Err = err.Error()
 		return rcpt
@@ -162,8 +159,24 @@ func Execute(reg *Registry, store *statedb.Store, tx *chain.Tx, height uint64, b
 	rcpt.OK = true
 	rcpt.Result = result
 	rcpt.Events = st.events
-	rcpt.Writes = writes
+	rcpt.Writes = sim.Writes()
 	return rcpt
+}
+
+// ExecuteBlock runs every transaction of b against state, in place and
+// in order, committing each successful transaction's writes at its
+// (height, index) version, and returns the receipts by tx position. A
+// failed transaction commits nothing but still has a receipt. Nodes,
+// recovery and the auditor all execute blocks through it.
+func ExecuteBlock(reg *Registry, state *statedb.Store, b *chain.Block) []Receipt {
+	receipts := make([]Receipt, len(b.Txs))
+	for i, tx := range b.Txs {
+		receipts[i] = Execute(reg, state, tx, b.Header.Height, b.Header.TimestampMicro)
+		if receipts[i].OK {
+			state.Commit(receipts[i].Writes, statedb.Version{Height: b.Header.Height, TxIndex: i})
+		}
+	}
+	return receipts
 }
 
 // Query runs a read-only invocation against the current state, outside
@@ -173,7 +186,6 @@ func Query(reg *Registry, store *statedb.Store, contractName, fn string, caller 
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownContract, contractName)
 	}
-	sim := store.NewSim()
-	st := &stub{sim: sim, caller: caller, txID: "query", cname: c.Name()}
+	st := &stub{sim: store.NewSim(), caller: caller, txID: "query", cname: c.Name()}
 	return c.Invoke(st, fn, args)
 }

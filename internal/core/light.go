@@ -4,12 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 
 	"medshare/internal/chain"
 	"medshare/internal/contract/sharereg"
 	"medshare/internal/light"
-	"medshare/internal/merkle"
 	"medshare/internal/reldb"
 )
 
@@ -24,19 +22,6 @@ import (
 // lightHeaderBatch caps headers per LightHeaders page; clients loop
 // until a page comes back empty.
 const lightHeaderBatch = 512
-
-// lightHeadScanDepth is how far below the tip LightHead looks for the
-// main-chain header whose StateRoot matches the proof it just built.
-// The node publishes whole-block state snapshots, the head a store
-// commit ahead of its state, so the matching header is the tip or one
-// below unless blocks landed between the two reads.
-const lightHeadScanDepth = 16
-
-// lightHeadAttempts bounds re-snapshots when the published state matches
-// no recent main-chain header: it fell lightHeadScanDepth blocks behind
-// between the two reads, or the node is rebuilding state after a
-// fork-choice switch.
-const lightHeadAttempts = 50
 
 // LightHeaders returns one page of main-chain headers starting at the
 // given height (empty when from is beyond the tip).
@@ -57,25 +42,15 @@ func (p *Peer) LightHeaders(from uint64) []chain.Header {
 }
 
 // LightHead builds a light.ShareHead for the share: its current
-// on-chain metadata under a state proof anchored to a main-chain
-// header.
+// on-chain metadata under a state proof against the node's published
+// head, anchored to that head's height.
 func (p *Peer) LightHead(shareID string) (light.ShareHead, error) {
-	store := p.cfg.Node.Store()
-	key := "share/" + shareID
-	for attempt := 0; ; attempt++ {
-		applied := p.cfg.Node.BlockApplied()
-		value, ver, proof, root, err := p.cfg.Node.State().ProveKey(key)
-		if err != nil {
-			return light.ShareHead{}, err
-		}
-		if height, ok := mainChainHeightOfRoot(store, root); ok {
-			return light.ShareHead{Height: height, Meta: value, Version: ver, Proof: proof}, nil
-		}
-		if attempt >= lightHeadAttempts {
-			return light.ShareHead{}, fmt.Errorf("core: share %s state snapshot matches no main-chain header", shareID)
-		}
-		p.awaitNextBlock(applied)
+	head, state := p.cfg.Node.Head()
+	value, ver, proof, _, err := state.ProveKey("share/" + shareID)
+	if err != nil {
+		return light.ShareHead{}, err
 	}
+	return light.ShareHead{Height: head.Header.Height, Meta: value, Version: ver, Proof: proof}, nil
 }
 
 // awaitNextBlock waits for the node's block-applied signal, at most one
@@ -86,21 +61,6 @@ func (p *Peer) awaitNextBlock(applied <-chan struct{}) {
 	case <-applied:
 	case <-p.cfg.Clock.After(p.cfg.Retry.withDefaults().Base):
 	}
-}
-
-// mainChainHeightOfRoot finds the main-chain height whose header
-// commits to the given state root, scanning down from the tip. Several
-// heights can share a root (blocks whose transactions all failed write
-// nothing); any of them is a valid anchor — the proof verifies against
-// the same root either way.
-func mainChainHeightOfRoot(store *chain.Store, root merkle.Hash) (uint64, bool) {
-	mc := store.MainChain()
-	for i := len(mc) - 1; i >= 0 && i >= len(mc)-lightHeadScanDepth; i-- {
-		if mc[i].Header.StateRoot == root {
-			return uint64(i), true
-		}
-	}
-	return 0, false
 }
 
 // lightRowAttempts bounds the serve-side wait for the local replica to

@@ -240,15 +240,22 @@ func testCrashRestartMidCascade(t *testing.T, ta, tb p2p.Transport) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// B comes back over its crash image and rejoins mid-cascade. No
-	// manual resync: the repair loop must do everything.
-	h.b = restartPeer(t, h.b, image, syncTestTable(16))
-	for _, id := range []string{"S", "S2"} {
-		if err := h.b.AttachShare(id, "T", syncLens(id+"b"), id+"b"); err != nil {
-			t.Fatal(err)
-		}
+	if meta, err := h.a.Meta("S"); err != nil || meta.Pending == nil || meta.Pending.Seq != res.Seq {
+		t.Fatalf("update %d is not pending on chain before B restarts: %+v, %v", res.Seq, meta, err)
 	}
+
+	// B comes back over its crash image and rejoins mid-cascade. It
+	// missed the request: the node delivered the block's events before
+	// ProposeUpdate returned, while B was down. Both shares are bound
+	// before B's loops start, so the cascade finds S2 whenever S is
+	// applied. No manual resync: the repair loop must do everything.
+	h.b = restartPeer(t, h.b, image, syncTestTable(16), func(b *Peer) {
+		for _, id := range []string{"S", "S2"} {
+			if err := b.AttachShare(id, "T", syncLens(id+"b"), id+"b"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 
 	// S finalizes (B applied + acked) and the cascade reaches S2 on A —
 	// the cascade's own proposal finalizing is part of convergence here,
@@ -361,10 +368,11 @@ func TestRepairHealsRootMismatch(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	h.b = restartPeer(t, h.b, stale, syncTestTable(32))
-	if err := h.b.AttachShare("S", "T", syncLens("Sb"), "Sb"); err != nil {
-		t.Fatal(err)
-	}
+	h.b = restartPeer(t, h.b, stale, syncTestTable(32), func(b *Peer) {
+		if err := b.AttachShare("S", "T", syncLens("Sb"), "Sb"); err != nil {
+			t.Fatal(err)
+		}
+	})
 
 	waitConverged(t, h, "S", seq)
 	found := false
@@ -666,13 +674,14 @@ func TestGroupCommitResilience(t *testing.T) {
 	image := fs.Clone()
 	b.Stop()
 	res := round(lossyRounds, false)
-	b = restartPeer(t, b, image, mkTable())
-	h.b = b
-	for i, id := range ids {
-		if err := b.AttachShare(id, "T", bx.Project(id+"b", []string{"k", col(i)}, nil), id+"b"); err != nil {
-			t.Fatal(err)
+	b = restartPeer(t, b, image, mkTable(), func(b *Peer) {
+		for i, id := range ids {
+			if err := b.AttachShare(id, "T", bx.Project(id+"b", []string{"k", col(i)}, nil), id+"b"); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
+	})
+	h.b = b
 	for _, pr := range res {
 		if err := a.WaitFinal(ctx, pr.ShareID, pr.Seq); err != nil {
 			t.Fatal(err)

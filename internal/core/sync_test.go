@@ -119,9 +119,10 @@ func syncLens(view string) bx.Lens {
 // restartPeer stops p and starts a new peer over image, a clone of p's
 // store filesystem taken earlier: the way a medshared process restarts
 // over its data dir. The new peer keeps p's identity, transport and
-// settings; its database starts with only src, and the caller attaches
-// its shares again, which restores them from the store.
-func restartPeer(t *testing.T, p *Peer, image *store.MemFS, src *reldb.Table) *Peer {
+// settings; its database starts with only src, and attach binds its
+// shares again, which restores them from the store, before the new peer
+// starts its event and repair loops.
+func restartPeer(t *testing.T, p *Peer, image *store.MemFS, src *reldb.Table, attach func(*Peer)) *Peer {
 	t.Helper()
 	p.Stop()
 	st, err := store.Open(store.Options{FS: image})
@@ -137,6 +138,7 @@ func restartPeer(t *testing.T, p *Peer, image *store.MemFS, src *reldb.Table) *P
 	if err != nil {
 		t.Fatal(err)
 	}
+	attach(np)
 	np.Start()
 	t.Cleanup(np.Stop)
 	return np

@@ -9,30 +9,6 @@ import (
 	"medshare/internal/store"
 )
 
-// executeOn runs every transaction of a block against the given state in
-// place, committing each successful transaction's write set at its
-// (height, index) version, and returns the receipts indexed by tx
-// position. Failed transactions (contract error or MVCC conflict) commit
-// nothing but still produce receipts.
-func (n *Node) executeOn(state *statedb.Store, b *chain.Block) []contract.Receipt {
-	receipts := make([]contract.Receipt, len(b.Txs))
-	for i, tx := range b.Txs {
-		rcpt := contract.Execute(n.cfg.Registry, state, tx, b.Header.Height, b.Header.TimestampMicro)
-		if rcpt.OK {
-			if err := state.Validate(rcpt.Reads); err != nil {
-				rcpt.OK = false
-				rcpt.Err = err.Error()
-				rcpt.Events = nil
-				rcpt.Writes = nil
-			} else {
-				state.Commit(rcpt.Writes, statedb.Version{Height: b.Header.Height, TxIndex: i})
-			}
-		}
-		receipts[i] = rcpt
-	}
-	return receipts
-}
-
 // maxOrphans bounds the blocks parked for a missing parent; a full park
 // is emptied, as its entries are waiting for parents that never came.
 const maxOrphans = 64
@@ -94,7 +70,7 @@ func (n *Node) commitBlock(b *chain.Block, staged *statedb.Store, receipts []con
 	extends := b.Header.PrevHash == n.store.Head().Hash()
 	if extends && staged == nil {
 		staged = n.State().Clone()
-		receipts = n.executeOn(staged, b)
+		receipts = contract.ExecuteBlock(n.cfg.Registry, staged, b)
 		if got := staged.Root(); got != b.Header.StateRoot {
 			return fmt.Errorf("node: state root mismatch at height %d: got %x want %x",
 				b.Header.Height, got[:6], b.Header.StateRoot[:6])
@@ -116,8 +92,7 @@ func (n *Node) commitBlock(b *chain.Block, staged *statedb.Store, receipts []con
 	case !headChanged:
 		// Side branch; state untouched.
 	case extends:
-		n.state.Store(staged)
-		n.publish(b, receipts)
+		n.publish(&headState{block: b, state: staged}, []*chain.Block{b}, [][]contract.Receipt{receipts})
 	default:
 		// Reorganization: rebuild the world state from genesis along the
 		// new main chain. Receipts and events are re-derived; subscribers
@@ -168,50 +143,56 @@ func (n *Node) replayFromGenesis() error {
 	return n.replay(statedb.NewStore(), n.store.MainChain()[1:])
 }
 
-// replay executes blocks in order on state, in place, checking every
-// declared state root, and only then publishes the state and the blocks'
-// receipts and events; on a mismatch nothing is published.
+// replay executes the main chain's tail blocks on state, in place,
+// checking every declared state root, then publishes the head with the
+// state and the blocks' receipts and events; on a mismatch, nothing.
 func (n *Node) replay(state *statedb.Store, blocks []*chain.Block) error {
 	receipts := make([][]contract.Receipt, len(blocks))
 	for i, b := range blocks {
-		receipts[i] = n.executeOn(state, b)
+		receipts[i] = contract.ExecuteBlock(n.cfg.Registry, state, b)
 		if got := state.Root(); got != b.Header.StateRoot {
 			return fmt.Errorf("node: replayed state root mismatch at height %d: got %x want %x",
 				b.Header.Height, got[:6], b.Header.StateRoot[:6])
 		}
 	}
-	n.state.Store(state)
-	for i, b := range blocks {
-		n.publish(b, receipts[i])
-	}
+	n.publish(&headState{block: n.store.Head(), state: state}, blocks, receipts)
 	return nil
 }
 
-// publish records a main-chain block's receipts and replay protection,
-// fulfils waiters, delivers the block's events and signals BlockApplied.
-// The caller holds commitMu and has already stored the block's
-// post-state, so every woken reader finds it. The events are buffered on
-// every subscription before the signal, so a subscriber woken by
-// BlockApplied drains the whole block at once.
-func (n *Node) publish(b *chain.Block, receipts []contract.Receipt) {
-	ids := make([]string, len(b.Txs))
+// publish makes blocks, the main chain's newest, current. The caller
+// holds commitMu. Under n.mu it records their receipts and replay
+// protection, then publishes head (the last block with its post-state),
+// then buffers their events on every subscription, and only then wakes
+// waiters and BlockApplied. So a producer that reads head finds its
+// transactions committed, every woken reader finds head, a subscriber
+// woken by BlockApplied drains the blocks at once, and one that
+// subscribes after WaitTx returns sees none of its block's events.
+func (n *Node) publish(head *headState, blocks []*chain.Block, receipts [][]contract.Receipt) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for i, tx := range b.Txs {
-		id := tx.IDString()
-		ids[i] = id
-		n.committedTxs[id] = true
-		n.receipts[id] = receipts[i]
-		for _, ch := range n.txWaiters[id] {
-			ch <- receipts[i]
+	var ids []string
+	for i, b := range blocks {
+		for j, tx := range b.Txs {
+			id := tx.IDString()
+			ids = append(ids, id)
+			n.committedTxs[id] = true
+			n.receipts[id] = receipts[i][j]
 		}
-		delete(n.txWaiters, id)
 	}
 	n.mempool.remove(ids)
-	for _, r := range receipts {
-		for _, ev := range r.Events {
-			n.events.publish(ev)
+	n.head.Store(head)
+	for _, rs := range receipts {
+		for _, r := range rs {
+			for _, ev := range r.Events {
+				n.events.publish(ev)
+			}
 		}
+	}
+	for _, id := range ids {
+		for _, ch := range n.txWaiters[id] {
+			ch <- n.receipts[id]
+		}
+		delete(n.txWaiters, id)
 	}
 	close(n.applied)
 	n.applied = make(chan struct{})

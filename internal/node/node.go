@@ -70,13 +70,14 @@ type Node struct {
 
 	// commitMu serializes block admission. A block is executed once on a
 	// clone of the published state and, its declared root verified there,
-	// published under this lock in one step: head, state pointer,
-	// receipts, waiters, events. A producer snapshots head and state
-	// under it, so it can never pair a head with another block's state.
+	// published under this lock in one step: head and state, receipts,
+	// waiters, events.
 	commitMu sync.Mutex
-	// state is the published world state: the post-state of the head
-	// block, never mutated after publication.
-	state atomic.Pointer[statedb.Store]
+	// head is the published main-chain head with its post-state, one
+	// value, so a reader (a producer, a checkpoint, a light head) can
+	// never pair a block with another block's state. The state is never
+	// mutated after publication.
+	head atomic.Pointer[headState]
 	// orphans parks received blocks by the hash of the parent they wait
 	// for (see ReceiveBlock); guarded by commitMu.
 	orphans map[merkle.Hash]*chain.Block
@@ -141,7 +142,7 @@ func New(cfg Config) (*Node, error) {
 		kickCh:       make(chan struct{}, 1),
 		stopped:      make(chan struct{}),
 	}
-	n.state.Store(statedb.NewStore())
+	n.head.Store(&headState{block: n.store.Head(), state: statedb.NewStore()})
 	if cfg.Store != nil {
 		if err := n.recoverFromStore(cfg.Store); err != nil {
 			return nil, fmt.Errorf("node: recovery: %w", err)
@@ -159,17 +160,22 @@ func (n *Node) Address() identity.Address { return n.cfg.Identity.Address() }
 // Store exposes the block store (read-only use expected).
 func (n *Node) Store() *chain.Store { return n.store }
 
+// headState is a main-chain block and its post-state.
+type headState struct {
+	block *chain.Block
+	state *statedb.Store
+}
+
 // State returns the published world state: an immutable snapshot of the
 // head block's post-state (read-only use expected). Later blocks publish
 // new snapshots; callers wanting fresh state call State again.
-func (n *Node) State() *statedb.Store { return n.state.Load() }
+func (n *Node) State() *statedb.Store { return n.head.Load().state }
 
-// snapshot returns the head block and its post-state as one consistent
-// pair.
-func (n *Node) snapshot() (*chain.Block, *statedb.Store) {
-	n.commitMu.Lock()
-	defer n.commitMu.Unlock()
-	return n.store.Head(), n.state.Load()
+// Head returns the published head block and its post-state, one
+// consistent pair: state.Root() is the block's declared StateRoot.
+func (n *Node) Head() (*chain.Block, *statedb.Store) {
+	h := n.head.Load()
+	return h.block, h.state
 }
 
 // BlockApplied returns a channel that is closed when the next main-chain
@@ -242,7 +248,7 @@ func (n *Node) WriteCheckpoint(clean bool) error {
 	if n.cfg.Store == nil {
 		return nil
 	}
-	head, state := n.snapshot()
+	head, state := n.Head()
 	return n.cfg.Store.Commit(func(b *store.Batch) error {
 		if err := b.PutState(store.StateCheckpoint{
 			Height:  head.Header.Height,
@@ -315,7 +321,7 @@ func (n *Node) TryProduce(ctx context.Context) error {
 	if err := n.Poisoned(); err != nil {
 		return err
 	}
-	head, base := n.snapshot()
+	head, base := n.Head()
 	height := head.Header.Height + 1
 	if !n.cfg.Engine.MayPropose(n.Address(), height) {
 		return errNotOurTurn
@@ -343,7 +349,7 @@ func (n *Node) TryProduce(ctx context.Context) error {
 	// The block's one execution: its post-state supplies the header's
 	// state root now and becomes the published state at commit.
 	staged := base.Clone()
-	receipts := n.executeOn(staged, b)
+	receipts := contract.ExecuteBlock(n.cfg.Registry, staged, b)
 	b.Header.StateRoot = staged.Root()
 
 	if err := n.cfg.Engine.Seal(ctx, b, n.cfg.Identity); err != nil {

@@ -163,6 +163,42 @@ func TestEventsDelivered(t *testing.T) {
 	}
 }
 
+// TestWaitTxReturnsAfterItsEvents: when WaitTx returns, the block's
+// events are already buffered on every earlier subscription, and a
+// subscription taken afterwards receives none of them.
+func TestWaitTxReturnsAfterItsEvents(t *testing.T) {
+	n := newTestNode(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	before, cancelBefore := n.Subscribe(16)
+	defer cancelBefore()
+	n.Start(ctx)
+	defer n.Stop()
+
+	tx := n.BuildTx("kv", "set", "", []byte("k"), []byte("v"))
+	if err := n.SubmitTx(tx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.WaitTx(ctx, tx.IDString()); err != nil {
+		t.Fatal(err)
+	}
+	after, cancelAfter := n.Subscribe(16)
+	defer cancelAfter()
+	select {
+	case ev := <-before:
+		if ev.TxID != tx.IDString() {
+			t.Fatalf("event = %+v", ev)
+		}
+	default:
+		t.Fatal("WaitTx returned before its block's event was delivered")
+	}
+	select {
+	case ev := <-after:
+		t.Fatalf("a subscription taken after WaitTx received %+v", ev)
+	default:
+	}
+}
+
 func TestOneTxPerSharePerBlock(t *testing.T) {
 	n := newTestNode(t)
 	// Submit three txs on the same share plus one on another share, then
@@ -337,7 +373,7 @@ func TestRejectBlockWithWrongStateRoot(t *testing.T) {
 		b.Header.TxRoot = b.ComputeTxRoot()
 		if honest {
 			staged := n.State().Clone()
-			n.executeOn(staged, b)
+			contract.ExecuteBlock(n.cfg.Registry, staged, b)
 			b.Header.StateRoot = staged.Root()
 		} else {
 			b.Header.StateRoot[0] = 0xde

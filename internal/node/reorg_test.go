@@ -2,6 +2,9 @@ package node
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -50,7 +53,7 @@ func buildBlock(t *testing.T, n *Node, parent *chain.Block, txs []*chain.Tx, ts 
 		t.Fatal(err)
 	}
 	staging := freshReplay(t, n, parent)
-	n.executeOn(staging, b)
+	contract.ExecuteBlock(n.cfg.Registry, staging, b)
 	b.Header.StateRoot = staging.Root()
 	if err := n.cfg.Engine.Seal(context.Background(), b, n.cfg.Identity); err != nil {
 		t.Fatal(err)
@@ -75,7 +78,7 @@ func freshReplay(t *testing.T, n *Node, tip *chain.Block) *statedb.Store {
 		cur = parent
 	}
 	for _, b := range branch {
-		n.executeOn(st, b)
+		contract.ExecuteBlock(n.cfg.Registry, st, b)
 	}
 	return st
 }
@@ -131,6 +134,68 @@ func TestReorgRebuildsState(t *testing.T) {
 	// committed; txA can re-enter the pool.
 	if err := n.SubmitTx(txA); err != nil {
 		t.Fatalf("orphaned tx rejected after reorg: %v", err)
+	}
+}
+
+// TestHeadPairsBlockWithItsState reads Node.Head() on other goroutines
+// while blocks commit one by one and while a longer branch makes the
+// node rebuild its state: every pair read must be a block with its own
+// post-state, whose transactions already have receipts (a producer
+// reading the head must find them committed, or it picks them again).
+func TestHeadPairsBlockWithItsState(t *testing.T) {
+	n := forkNode(t, "head-pair")
+	genesis := n.Store().MainChain()[0]
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				b, st := n.Head()
+				if got := st.Root(); got != b.Header.StateRoot {
+					errs <- fmt.Errorf("head at height %d paired with state root %x, want %x",
+						b.Header.Height, got[:6], b.Header.StateRoot[:6])
+					return
+				}
+				for _, tx := range b.Txs {
+					if _, ok := n.Receipt(tx.IDString()); !ok {
+						errs <- fmt.Errorf("head at height %d published before its receipts", b.Header.Height)
+						return
+					}
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	branch := func(name string, blocks int, ts int64) *chain.Block {
+		tip := genesis
+		for i := 0; i < blocks; i++ {
+			tx := n.BuildTx("kv", "set", "", []byte(fmt.Sprintf("%s%d", name, i)), []byte(name))
+			tip = buildBlock(t, n, tip, []*chain.Tx{tx}, ts+int64(i))
+			if err := n.ReceiveBlock(tip); err != nil {
+				t.Fatalf("block %d of branch %s: %v", i, name, err)
+			}
+		}
+		return tip
+	}
+	branch("a", 12, 1)
+	tipB := branch("b", 13, 100)
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	if b, st := n.Head(); b != tipB || st.Root() != tipB.Header.StateRoot {
+		t.Fatalf("head at height %d after the reorg, want branch b's tip at %d", b.Header.Height, tipB.Header.Height)
 	}
 }
 

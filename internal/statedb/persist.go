@@ -1,6 +1,6 @@
 package statedb
 
-import "sort"
+import "medshare/internal/reldb/pmap"
 
 // Entry is one exported world-state key: value plus the version that
 // last wrote it. The durable store checkpoints the full state as a
@@ -14,24 +14,25 @@ type Entry struct {
 
 // Export returns every live key in sorted order, with values copied.
 func (s *Store) Export() []Entry {
-	s.mu.RLock()
-	out := make([]Entry, 0, len(s.data))
-	for k, e := range s.data {
+	m := s.snapshot()
+	out := make([]Entry, 0, m.Len())
+	m.Ascend(func(k string, e entry) bool {
 		out = append(out, Entry{Key: k, Value: append([]byte(nil), e.value...), Version: e.version})
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+		return true
+	})
 	return out
 }
 
 // Import replaces the entire state with the given entries (values
-// copied). Callers verify the result against an expected Root before
-// trusting it.
+// copied; of two entries for one key the first is kept). Callers verify
+// the result against an expected Root before trusting it.
 func (s *Store) Import(entries []Entry) {
+	t := pmap.NewTransient[entry](shapeSeed)
+	for _, e := range entries {
+		t.Insert(e.Key, entry{value: append([]byte(nil), e.Value...), version: e.Version})
+	}
+	m := t.Freeze()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.data = make(map[string]entry, len(entries))
-	for _, e := range entries {
-		s.data[e.Key] = entry{value: append([]byte(nil), e.Value...), version: e.Version}
-	}
+	s.data = m
 }

@@ -3,7 +3,6 @@ package statedb
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"medshare/internal/merkle"
 )
@@ -31,32 +30,17 @@ func appendStateLeaf(dst []byte, key string, value []byte, ver Version) []byte {
 // same atomic snapshot. The returned root is the commitment the proof
 // verifies under — callers match it against a block header's StateRoot.
 func (s *Store) ProveKey(key string) (value []byte, ver Version, proof merkle.Proof, root merkle.Hash, err error) {
-	s.mu.RLock()
-	e, ok := s.data[key]
+	m := s.snapshot()
+	e, ok := m.Get(key)
 	if !ok {
-		s.mu.RUnlock()
 		return nil, Version{}, merkle.Proof{}, merkle.Hash{}, fmt.Errorf("statedb: key %q not found", key)
 	}
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	leaves := make([][]byte, 0, len(keys))
-	idx := -1
-	for i, k := range keys {
-		kv := s.data[k]
-		leaves = append(leaves, appendStateLeaf(make([]byte, 0, len(k)+len(kv.value)+32), k, kv.value, kv.version))
-		if k == key {
-			idx = i
-		}
-	}
-	s.mu.RUnlock()
-	proof, err = merkle.Prove(leaves, idx)
+	ls, idx := leaves(m, key)
+	proof, err = merkle.Prove(ls, idx)
 	if err != nil {
 		return nil, Version{}, merkle.Proof{}, merkle.Hash{}, err
 	}
-	return append([]byte(nil), e.value...), e.version, proof, merkle.Root(leaves), nil
+	return append([]byte(nil), e.value...), e.version, proof, merkle.Root(ls), nil
 }
 
 // VerifyKeyProof checks that (key, value, ver) is committed under root

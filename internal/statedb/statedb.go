@@ -1,21 +1,18 @@
 // Package statedb implements the versioned key-value store backing smart
 // contract state, in the style of Hyperledger Fabric's world state: every
 // key carries the (block height, tx index) version that last wrote it,
-// transactions execute against simulations that capture read and write
-// sets, and commit-time MVCC validation rejects transactions whose reads
-// were invalidated by earlier transactions in the same or a previous
-// block.
+// and a transaction's simulation commits its write set at that version.
+// Blocks execute serially, so a write set always lands on the state its
+// simulation read, and no read set is validated. The state lives on a
+// persistent map (pmap): a clone or a simulation is one pointer copy.
 package statedb
 
 import (
-	"encoding/binary"
-	"errors"
-	"maps"
-	"sort"
-	"strings"
+	"crypto/rand"
 	"sync"
 
 	"medshare/internal/merkle"
+	"medshare/internal/reldb/pmap"
 )
 
 // Version identifies the transaction that last wrote a key.
@@ -32,22 +29,33 @@ type entry struct {
 	version Version
 }
 
+// shapeSeed keys the map's tree priorities, drawn once per process.
+// Root hashes leaves in key order and never the tree's shape, so stores
+// need not agree on it; a secret seed keeps keys a registrant chooses
+// (share IDs) from being ground into a degenerate tree.
+var shapeSeed = pmap.NewSeed([]byte(rand.Text()))
+
 // Store is the world state. It is safe for concurrent use.
 type Store struct {
 	mu   sync.RWMutex
-	data map[string]entry
+	data pmap.Map[entry]
 }
 
 // NewStore creates an empty world state.
 func NewStore() *Store {
-	return &Store{data: make(map[string]entry)}
+	return &Store{data: pmap.FromSortedSeeded[entry](shapeSeed, nil, nil)}
+}
+
+// snapshot returns the current map; the map itself is immutable.
+func (s *Store) snapshot() pmap.Map[entry] {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.data
 }
 
 // Get returns the current value and version of key.
 func (s *Store) Get(key string) ([]byte, Version, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.data[key]
+	e, ok := s.snapshot().Get(key)
 	if !ok {
 		return nil, Version{}, false
 	}
@@ -57,195 +65,102 @@ func (s *Store) Get(key string) ([]byte, Version, bool) {
 // Range calls fn for every key with the given prefix, in sorted key order,
 // until fn returns false.
 func (s *Store) Range(prefix string, fn func(key string, value []byte) bool) {
-	s.mu.RLock()
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		if strings.HasPrefix(k, prefix) {
-			keys = append(keys, k)
-		}
-	}
-	s.mu.RUnlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		s.mu.RLock()
-		e, ok := s.data[k]
-		s.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		if !fn(k, append([]byte(nil), e.value...)) {
-			return
-		}
-	}
+	s.snapshot().AscendPrefix(prefix, func(k string, e entry) bool {
+		return fn(k, append([]byte(nil), e.value...))
+	})
 }
 
 // Len returns the number of live keys.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.data)
-}
+func (s *Store) Len() int { return s.snapshot().Len() }
 
 // Clone returns an independent copy of the state, versions included, so
-// its Root equals the source's. Stored values are never mutated in
-// place (Commit stores copies, Get returns copies), so the copy shares
-// them. A node executes each block on a clone of its published state
-// and publishes the clone once the block's declared root checks out.
-func (s *Store) Clone() *Store {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return &Store{data: maps.Clone(s.data)}
-}
+// its Root equals the source's. It is O(1): the map is persistent, so
+// the copy shares it until either side commits. A node executes each
+// block on a clone of its published state and publishes the clone once
+// the block's declared root checks out.
+func (s *Store) Clone() *Store { return &Store{data: s.snapshot()} }
 
 // Root computes a deterministic commitment to the full world state: the
 // Merkle root over canonical key/value/version leaves in sorted key order.
 // Nodes compare state roots after each block to confirm deterministic
 // contract execution.
 func (s *Store) Root() merkle.Hash {
-	s.mu.RLock()
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	leaves := make([][]byte, 0, len(keys))
-	for _, k := range keys {
-		e := s.data[k]
-		leaf := make([]byte, 0, len(k)+len(e.value)+20)
-		leaf = binary.BigEndian.AppendUint64(leaf, uint64(len(k)))
-		leaf = append(leaf, k...)
-		leaf = binary.BigEndian.AppendUint64(leaf, uint64(len(e.value)))
-		leaf = append(leaf, e.value...)
-		leaf = binary.BigEndian.AppendUint64(leaf, e.version.Height)
-		leaf = binary.BigEndian.AppendUint64(leaf, uint64(e.version.TxIndex))
-		leaves = append(leaves, leaf)
-	}
-	s.mu.RUnlock()
-	return merkle.Root(leaves)
+	ls, _ := leaves(s.snapshot(), "")
+	return merkle.Root(ls)
 }
 
-// ReadSet maps keys to the versions observed during simulation. Keys that
-// were absent record the zero version.
-type ReadSet map[string]Version
+// leaves returns the canonical leaf of every key, in key order, and the
+// position of key among them.
+func leaves(m pmap.Map[entry], key string) (out [][]byte, idx int) {
+	out = make([][]byte, 0, m.Len())
+	m.Ascend(func(k string, e entry) bool {
+		if k == key {
+			idx = len(out)
+		}
+		out = append(out, appendStateLeaf(make([]byte, 0, len(k)+len(e.value)+32), k, e.value, e.version))
+		return true
+	})
+	return out, idx
+}
 
 // WriteSet maps keys to new values; nil means delete.
 type WriteSet map[string][]byte
 
-// Sim is a transaction simulation: reads go through to the store (and are
-// recorded), writes stay private to the simulation until committed.
+// Sim is a transaction simulation: a private clone of the state that
+// takes the transaction's writes as they are staged, so reads and ranges
+// see them, while the store is untouched until the write set commits.
 type Sim struct {
-	store  *Store
-	reads  ReadSet
+	state  *Store
 	writes WriteSet
-	// order keeps write keys in first-write order for deterministic
-	// iteration in tests and logs.
-	order []string
 }
 
 // NewSim starts a simulation against the current state.
 func (s *Store) NewSim() *Sim {
-	return &Sim{store: s, reads: make(ReadSet), writes: make(WriteSet)}
+	return &Sim{state: s.Clone(), writes: make(WriteSet)}
 }
 
-// Get reads a key: simulation-local writes win, otherwise the store value
-// is returned and the observed version recorded in the read set.
+// Get reads a key, the simulation's own writes included.
 func (sim *Sim) Get(key string) ([]byte, bool) {
-	if v, ok := sim.writes[key]; ok {
-		if v == nil {
-			return nil, false
-		}
-		return append([]byte(nil), v...), true
-	}
-	val, ver, ok := sim.store.Get(key)
-	sim.reads[key] = ver
-	if !ok {
-		return nil, false
-	}
-	return val, true
+	v, _, ok := sim.state.Get(key)
+	return v, ok
 }
 
-// Put stages a write.
+// Put stages a write. An empty value stages a deletion: the write set
+// cannot tell the two apart.
 func (sim *Sim) Put(key string, value []byte) {
-	if _, seen := sim.writes[key]; !seen {
-		sim.order = append(sim.order, key)
+	if len(value) == 0 {
+		sim.Del(key)
+		return
 	}
-	sim.writes[key] = append([]byte(nil), value...)
+	v := append([]byte(nil), value...)
+	sim.writes[key] = v
+	sim.state.data, _ = sim.state.data.Set(key, entry{value: v})
 }
 
 // Del stages a deletion.
 func (sim *Sim) Del(key string) {
-	if _, seen := sim.writes[key]; !seen {
-		sim.order = append(sim.order, key)
-	}
 	sim.writes[key] = nil
+	sim.state.data, _ = sim.state.data.Delete(key)
 }
 
-// Range iterates the store keys under prefix merged with staged writes, in
-// sorted order. Every store key touched is recorded in the read set.
+// Range iterates the keys under prefix, the simulation's own writes
+// included, in sorted order.
 func (sim *Sim) Range(prefix string, fn func(key string, value []byte) bool) {
-	merged := make(map[string][]byte)
-	sim.store.Range(prefix, func(k string, v []byte) bool {
-		_, ver, _ := sim.store.Get(k)
-		sim.reads[k] = ver
-		merged[k] = v
-		return true
-	})
-	for k, v := range sim.writes {
-		if !strings.HasPrefix(k, prefix) {
-			continue
-		}
-		if v == nil {
-			delete(merged, k)
-		} else {
-			merged[k] = append([]byte(nil), v...)
-		}
-	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !fn(k, merged[k]) {
-			return
-		}
-	}
+	sim.state.Range(prefix, fn)
 }
 
-// Results returns the captured read and write sets.
-func (sim *Sim) Results() (ReadSet, WriteSet) { return sim.reads, sim.writes }
+// Writes returns the staged write set.
+func (sim *Sim) Writes() WriteSet { return sim.writes }
 
-// ErrConflict is returned by Commit when a transaction's read set was
-// invalidated (Fabric-style MVCC conflict).
-var ErrConflict = errors.New("statedb: mvcc read conflict")
-
-// Validate checks the read set against current versions.
-func (s *Store) Validate(reads ReadSet) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for k, ver := range reads {
-		cur, ok := s.data[k]
-		switch {
-		case !ok && ver == (Version{}):
-			// Key absent then, absent now: fine.
-		case ok && cur.version == ver:
-			// Unchanged.
-		default:
-			return ErrConflict
-		}
-	}
-	return nil
-}
-
-// Commit applies a validated write set at the given version.
+// Commit applies a write set at the given version.
 func (s *Store) Commit(writes WriteSet, ver Version) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for k, v := range writes {
 		if v == nil {
-			delete(s.data, k)
+			s.data, _ = s.data.Delete(k)
 			continue
 		}
-		s.data[k] = entry{value: append([]byte(nil), v...), version: ver}
+		s.data, _ = s.data.Set(k, entry{value: append([]byte(nil), v...), version: ver})
 	}
 }

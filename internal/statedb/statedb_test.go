@@ -1,7 +1,6 @@
 package statedb
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -104,21 +103,6 @@ func TestSimReadYourWrites(t *testing.T) {
 	}
 }
 
-func TestSimRecordsReads(t *testing.T) {
-	s := NewStore()
-	s.Commit(WriteSet{"a": []byte("1")}, Version{Height: 2, TxIndex: 3})
-	sim := s.NewSim()
-	_, _ = sim.Get("a")
-	_, _ = sim.Get("missing")
-	reads, _ := sim.Results()
-	if reads["a"] != (Version{Height: 2, TxIndex: 3}) {
-		t.Fatalf("read version = %v", reads["a"])
-	}
-	if v, ok := reads["missing"]; !ok || v != (Version{}) {
-		t.Fatal("absent read must record zero version")
-	}
-}
-
 func TestSimRangeMergesWrites(t *testing.T) {
 	s := NewStore()
 	s.Commit(WriteSet{"p/a": []byte("1"), "p/b": []byte("2")}, Version{Height: 1})
@@ -132,38 +116,6 @@ func TestSimRangeMergesWrites(t *testing.T) {
 	})
 	if len(got) != 2 || got[0] != "p/b=2" || got[1] != "p/c=3" {
 		t.Fatalf("range = %v", got)
-	}
-}
-
-func TestValidateDetectsConflicts(t *testing.T) {
-	s := NewStore()
-	s.Commit(WriteSet{"a": []byte("1")}, Version{Height: 1})
-
-	sim := s.NewSim()
-	_, _ = sim.Get("a")
-	reads, _ := sim.Results()
-	if err := s.Validate(reads); err != nil {
-		t.Fatalf("unchanged read should validate: %v", err)
-	}
-
-	// Another tx writes "a" first.
-	s.Commit(WriteSet{"a": []byte("2")}, Version{Height: 2})
-	if err := s.Validate(reads); !errors.Is(err, ErrConflict) {
-		t.Fatalf("want ErrConflict, got %v", err)
-	}
-}
-
-func TestValidateAbsentKeySemantics(t *testing.T) {
-	s := NewStore()
-	sim := s.NewSim()
-	_, _ = sim.Get("ghost")
-	reads, _ := sim.Results()
-	if err := s.Validate(reads); err != nil {
-		t.Fatalf("absent-then-absent should validate: %v", err)
-	}
-	s.Commit(WriteSet{"ghost": []byte("now exists")}, Version{Height: 1})
-	if err := s.Validate(reads); !errors.Is(err, ErrConflict) {
-		t.Fatalf("want ErrConflict after create, got %v", err)
 	}
 }
 

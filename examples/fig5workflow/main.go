@@ -1,7 +1,7 @@
 // Command fig5workflow replays the paper's Section III-E case study
 // step by step on real infrastructure: the researcher revises a mechanism
 // of action, the update flows D2 → D23 → (blockchain) → D32 → D3, the
-// doctor checks his other share for overlap (step 6), then separately
+// doctor re-derives the other share over D3 (step 6), then separately
 // adjusts a dosage that flows D3 → D31 → (blockchain) → D13 → D1.
 //
 // Run it and read the narration; every numbered step matches Fig. 5.
@@ -66,11 +66,11 @@ func main() {
 	d3, _ = sc.Doctor.Source("D3")
 	show("Doctor D3 (after steps 1-5)", d3)
 
-	// Step 6: overlap check. The mechanism column is not visible through
-	// D31, so nothing cascades automatically — exactly the paper's case,
-	// where steps 7-11 happen only because the doctor *chooses* to edit
-	// the dosage.
-	fmt.Println("\n[step 6] Doctor checks D31 for overlap with the incoming change: none (mechanism is not shared with the patient)")
+	// Step 6: the doctor's peer re-derives D31, the other share over D3.
+	// The mechanism column is not visible through D31, so nothing changes
+	// and nothing is proposed — exactly the paper's case, where steps
+	// 7-11 happen only because the doctor *chooses* to edit the dosage.
+	fmt.Println("\n[step 6] The doctor re-derives D31: no change (mechanism is not shared with the patient)")
 
 	// Steps 7-8: the doctor modifies the dosage and requests the update.
 	fmt.Println("[steps 7-8] Doctor updates the dosage for patient 188 and requests the update on-chain")

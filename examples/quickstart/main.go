@@ -89,7 +89,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 6. The doctor changes the dosage in its full records and syncs.
+	// 6. The doctor changes the dosage in its full records and proposes
+	// the update on the share.
 	err = doctor.UpdateSource("records", func(t *medshare.Table) error {
 		return t.Update(medshare.Row{medshare.I(188)},
 			map[string]medshare.Value{"dosage": medshare.S("two tablets every 8h")})
@@ -97,11 +98,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	props, err := doctor.SyncShares(ctx, "records")
+	res, err := doctor.ProposeUpdate(ctx, "dosage-share")
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := doctor.WaitFinal(ctx, "dosage-share", props[0].Seq); err != nil {
+	if err := doctor.WaitFinal(ctx, "dosage-share", res.Seq); err != nil {
 		log.Fatal(err)
 	}
 

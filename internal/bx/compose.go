@@ -86,15 +86,6 @@ func Compose(first Lens, rest ...Lens) Lens {
 	return out
 }
 
-// ViewSchema implements Lens.
-func (l *ComposeLens) ViewSchema(src reldb.Schema) (reldb.Schema, error) {
-	mid, err := l.Inner.ViewSchema(src)
-	if err != nil {
-		return reldb.Schema{}, err
-	}
-	return l.Outer.ViewSchema(mid)
-}
-
 // Get implements Lens.
 func (l *ComposeLens) Get(src *reldb.Table) (*reldb.Table, error) {
 	if mid, ok := l.cachedMid(src); ok {
@@ -111,35 +102,4 @@ func (l *ComposeLens) Get(src *reldb.Table) (*reldb.Table, error) {
 // Spec implements Lens.
 func (l *ComposeLens) Spec() Spec {
 	return Spec{Op: OpCompose, Inner: []Spec{l.Inner.Spec(), l.Outer.Spec()}}
-}
-
-// SourceColumnsRead implements Lens.
-func (l *ComposeLens) SourceColumnsRead(src reldb.Schema) ([]string, error) {
-	// Conservative: the composed view depends on whatever the inner lens
-	// reads that the outer lens retains; we approximate by mapping the
-	// outer lens's reads through the inner lens.
-	mid, err := l.Inner.ViewSchema(src)
-	if err != nil {
-		return nil, err
-	}
-	outerReads, err := l.Outer.SourceColumnsRead(mid)
-	if err != nil {
-		return nil, err
-	}
-	// Columns of the intermediate view read by the outer lens correspond
-	// to source columns written by the inner lens for those view columns.
-	return l.Inner.SourceColumnsWritten(src, outerReads)
-}
-
-// SourceColumnsWritten implements Lens.
-func (l *ComposeLens) SourceColumnsWritten(src reldb.Schema, viewCols []string) ([]string, error) {
-	mid, err := l.Inner.ViewSchema(src)
-	if err != nil {
-		return nil, err
-	}
-	midCols, err := l.Outer.SourceColumnsWritten(mid, viewCols)
-	if err != nil {
-		return nil, err
-	}
-	return l.Inner.SourceColumnsWritten(src, midCols)
 }

@@ -58,7 +58,7 @@ func Join(viewName string, ref *reldb.Table) *JoinLens {
 	return &JoinLens{ViewName: viewName, Ref: ref}
 }
 
-// ViewSchema implements Lens.
+// ViewSchema returns the schema of the view of a source with schema src.
 func (l *JoinLens) ViewSchema(src reldb.Schema) (reldb.Schema, error) {
 	probe, err := reldb.NewTable(src)
 	if err != nil {
@@ -300,23 +300,4 @@ func (l *JoinLens) Spec() Spec {
 		panic(fmt.Sprintf("bx: join reference marshal: %v", err))
 	}
 	return Spec{Op: OpJoin, ViewName: l.ViewName, Ref: raw}
-}
-
-// SourceColumnsRead implements Lens.
-func (l *JoinLens) SourceColumnsRead(src reldb.Schema) ([]string, error) {
-	return src.ColumnNames(), nil
-}
-
-// SourceColumnsWritten implements Lens: only source columns are writable.
-func (l *JoinLens) SourceColumnsWritten(src reldb.Schema, viewCols []string) ([]string, error) {
-	if viewCols == nil {
-		return src.ColumnNames(), nil
-	}
-	var out []string
-	for _, c := range viewCols {
-		if src.HasColumn(c) {
-			out = append(out, c)
-		}
-	}
-	return out, nil
 }

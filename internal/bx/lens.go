@@ -45,10 +45,10 @@ var (
 //
 // Both directions carry a row-level changeset in O(changed rows) work
 // (GetDelta, PutDelta), because the sharing layer's whole update pipeline
-// — proposals, entry-level edits, incoming-update application, cascades,
-// resync — runs on changesets. Get derives the whole view where no
-// changeset exists (share bootstrap); the whole-view put is the package
-// function Put, derived from PutDelta.
+// — proposals, entry-level edits, incoming-update application, sibling
+// re-derivation, resync — runs on changesets. Get derives the whole view
+// where no changeset exists (share bootstrap); the whole-view put is the
+// package function Put, derived from PutDelta.
 type Lens interface {
 	// Get computes the view of src (the forward transformation).
 	Get(src *reldb.Table) (*reldb.Table, error)
@@ -66,22 +66,12 @@ type Lens interface {
 	// transformation) given cs, the changeset from the lens's current view
 	// of src (Get(src)) to view, as produced by reldb.Table.Diff. It
 	// returns the updated source and the changeset applied to the source
-	// (for cascading the delta through composed lenses and into
-	// overlapping shares), in O(changed rows). It never mutates src or
-	// view, and rejects edits the lens's policies forbid with
-	// ErrPutViolation.
+	// (for carrying the delta through composed lenses), in O(changed
+	// rows). It never mutates src or view, and rejects edits the lens's
+	// policies forbid with ErrPutViolation.
 	PutDelta(src, view *reldb.Table, cs reldb.Changeset) (*reldb.Table, reldb.Changeset, error)
-	// ViewSchema returns the schema of the view produced from a source
-	// with the given schema.
-	ViewSchema(src reldb.Schema) (reldb.Schema, error)
 	// Spec returns the serializable description of the lens.
 	Spec() Spec
-	// SourceColumnsRead returns the source columns whose values influence
-	// the view contents (given the source schema).
-	SourceColumnsRead(src reldb.Schema) ([]string, error)
-	// SourceColumnsWritten returns the source columns that put may modify
-	// when the named view columns change. viewCols nil means "any".
-	SourceColumnsWritten(src reldb.Schema, viewCols []string) ([]string, error)
 }
 
 // Policy values controlling how a projection lens handles structural
@@ -93,16 +83,3 @@ const (
 	// source rows, or inserting new ones using the configured defaults).
 	PolicyApply = "apply"
 )
-
-func intersects(a, b []string) bool {
-	set := make(map[string]bool, len(a))
-	for _, s := range a {
-		set[s] = true
-	}
-	for _, s := range b {
-		if set[s] {
-			return true
-		}
-	}
-	return false
-}

@@ -59,7 +59,7 @@ func (l *ProjectLens) WithInsert(policy string, defaults map[string]reldb.Value)
 	return l
 }
 
-// ViewSchema implements Lens.
+// ViewSchema returns the schema of the view of a source with schema src.
 func (l *ProjectLens) ViewSchema(src reldb.Schema) (reldb.Schema, error) {
 	return src.Project(l.ViewName, l.Cols, l.ViewKey)
 }
@@ -98,29 +98,6 @@ func (l *ProjectLens) Spec() Spec {
 		OnInsert: l.OnInsert,
 		Defaults: cloneDefaults(l.Defaults),
 	}
-}
-
-// SourceColumnsRead implements Lens: the view reads exactly the projected
-// columns.
-func (l *ProjectLens) SourceColumnsRead(reldb.Schema) ([]string, error) {
-	return append([]string(nil), l.Cols...), nil
-}
-
-// SourceColumnsWritten implements Lens: put writes the projected columns
-// named in viewCols (all projected columns when viewCols is nil).
-func (l *ProjectLens) SourceColumnsWritten(_ reldb.Schema, viewCols []string) ([]string, error) {
-	if viewCols == nil {
-		return append([]string(nil), l.Cols...), nil
-	}
-	var out []string
-	for _, vc := range viewCols {
-		for _, c := range l.Cols {
-			if c == vc {
-				out = append(out, c)
-			}
-		}
-	}
-	return out, nil
 }
 
 func viewKeyOf(s reldb.Schema, r reldb.Row) reldb.Row {

@@ -17,11 +17,11 @@ import (
 // refPut returns put(src, view) for l, or an error wrapping
 // ErrPutViolation where the lens's policies refuse the edit.
 func refPut(l Lens, src, view *reldb.Table) (*reldb.Table, error) {
-	want, err := l.ViewSchema(src.Schema())
+	want, err := l.Get(src)
 	if err != nil {
 		return nil, err
 	}
-	if !want.Equal(view.Schema()) {
+	if !want.Schema().Equal(view.Schema()) {
 		return nil, fmt.Errorf("%w: reference: view schema mismatch", ErrPutViolation)
 	}
 	var rows []reldb.Row

@@ -23,14 +23,6 @@ func Rename(viewName string, mapping map[string]string) *RenameLens {
 	return &RenameLens{ViewName: viewName, Mapping: mapping}
 }
 
-func (l *RenameLens) inverse() map[string]string {
-	inv := make(map[string]string, len(l.Mapping))
-	for from, to := range l.Mapping {
-		inv[to] = from
-	}
-	return inv
-}
-
 func (l *RenameLens) validate() error {
 	inv := make(map[string]bool, len(l.Mapping))
 	for _, to := range l.Mapping {
@@ -42,7 +34,7 @@ func (l *RenameLens) validate() error {
 	return nil
 }
 
-// ViewSchema implements Lens.
+// ViewSchema returns the schema of the view of a source with schema src.
 func (l *RenameLens) ViewSchema(src reldb.Schema) (reldb.Schema, error) {
 	if err := l.validate(); err != nil {
 		return reldb.Schema{}, err
@@ -79,26 +71,4 @@ func (l *RenameLens) Spec() Spec {
 		m[k] = v
 	}
 	return Spec{Op: OpRename, ViewName: l.ViewName, Mapping: m}
-}
-
-// SourceColumnsRead implements Lens.
-func (l *RenameLens) SourceColumnsRead(src reldb.Schema) ([]string, error) {
-	return src.ColumnNames(), nil
-}
-
-// SourceColumnsWritten implements Lens.
-func (l *RenameLens) SourceColumnsWritten(src reldb.Schema, viewCols []string) ([]string, error) {
-	if viewCols == nil {
-		return src.ColumnNames(), nil
-	}
-	inv := l.inverse()
-	var out []string
-	for _, vc := range viewCols {
-		if from, ok := inv[vc]; ok {
-			out = append(out, from)
-		} else if src.HasColumn(vc) {
-			out = append(out, vc)
-		}
-	}
-	return out, nil
 }

@@ -46,11 +46,6 @@ func (l *SelectLens) WithInsert(policy string) *SelectLens {
 	return l
 }
 
-// ViewSchema implements Lens.
-func (l *SelectLens) ViewSchema(src reldb.Schema) (reldb.Schema, error) {
-	return src.Rename(l.ViewName), nil
-}
-
 // Get implements Lens.
 func (l *SelectLens) Get(src *reldb.Table) (*reldb.Table, error) {
 	return src.Select(l.ViewName, l.Pred)
@@ -71,24 +66,4 @@ func (l *SelectLens) Spec() Spec {
 		OnDelete: l.OnDelete,
 		OnInsert: l.OnInsert,
 	}
-}
-
-// SourceColumnsRead implements Lens: a selection exposes every column, and
-// membership additionally depends on the predicate columns.
-func (l *SelectLens) SourceColumnsRead(src reldb.Schema) ([]string, error) {
-	return src.ColumnNames(), nil
-}
-
-// SourceColumnsWritten implements Lens.
-func (l *SelectLens) SourceColumnsWritten(src reldb.Schema, viewCols []string) ([]string, error) {
-	if viewCols == nil {
-		return src.ColumnNames(), nil
-	}
-	var out []string
-	for _, c := range viewCols {
-		if src.HasColumn(c) {
-			out = append(out, c)
-		}
-	}
-	return out, nil
 }

@@ -93,84 +93,3 @@ func TestFinalViewName(t *testing.T) {
 		t.Fatalf("ViewName = %q", got)
 	}
 }
-
-func TestOverlapsProjections(t *testing.T) {
-	s := recordsSchema()
-	// D31-style: pid, med, dose. D32-style: med, mech.
-	a := Project("d31", []string{"pid", "med", "dose"}, nil)
-	b := Project("d32", []string{"med", "mech"}, []string{"med"})
-
-	// A mechanism-only change through b does not affect a.
-	hit, err := Overlaps(s, b, []string{"mech"}, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Fatal("mech change should not overlap d31")
-	}
-	// A medication change through b does affect a.
-	hit, err = Overlaps(s, b, []string{"med"}, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit {
-		t.Fatal("med change should overlap d31")
-	}
-	// Unknown changed columns (nil) are conservative: all written.
-	hit, err = Overlaps(s, b, nil, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit {
-		t.Fatal("nil changed cols should be conservative")
-	}
-}
-
-func TestOverlapsDisjointViews(t *testing.T) {
-	s := recordsSchema()
-	a := Project("a", []string{"pid", "dose"}, nil)
-	b := Project("b", []string{"med", "mech"}, []string{"med"})
-	hit, err := Overlaps(s, a, []string{"dose"}, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Fatal("disjoint column sets should not overlap")
-	}
-}
-
-func TestOverlapsThroughRename(t *testing.T) {
-	s := recordsSchema()
-	a := Compose(
-		Project("a1", []string{"pid", "dose"}, nil),
-		Rename("a2", map[string]string{"dose": "dosage"}),
-	)
-	b := Project("b", []string{"pid", "dose"}, nil)
-	// A "dosage" change in a's view is a "dose" change at the source.
-	hit, err := Overlaps(s, a, []string{"dosage"}, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit {
-		t.Fatal("rename must map changed view columns back to source columns")
-	}
-}
-
-func TestSourceColumnsWrittenSubset(t *testing.T) {
-	l := Project("v", []string{"pid", "med", "dose"}, nil)
-	got, err := l.SourceColumnsWritten(recordsSchema(), []string{"dose"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "dose" {
-		t.Fatalf("written = %v", got)
-	}
-	// Columns not in the lens are ignored.
-	got, err = l.SourceColumnsWritten(recordsSchema(), []string{"mech"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("written = %v", got)
-	}
-}

@@ -33,7 +33,10 @@ type Tx struct {
 	From identity.Address `json:"from"`
 	// PubKey is the sender's ed25519 public key.
 	PubKey []byte `json:"pubKey"`
-	// Nonce is the per-sender sequence number (replay protection).
+	// Nonce is a node-wide counter (node.Node.NextNonce) that keeps the
+	// IDs of otherwise identical transactions apart. Nothing checks it:
+	// it is not a per-sender sequence and gives no replay protection.
+	// Replay protection as a consensus rule is ROADMAP item 20(b).
 	Nonce uint64 `json:"nonce"`
 	// TimestampMicro is the sender's clock at submission, microseconds
 	// since the Unix epoch. Informational; consensus does not depend on it.

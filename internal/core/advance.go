@@ -31,9 +31,7 @@ type acquired struct {
 // with its changeset from base: the wire's validated delta, or else a
 // diff of base against the result. The caller holds s.opMu.
 func (p *Peer) acquire(ctx context.Context, s *Share, from identity.Address, seq uint64, hash string) (*acquired, error) {
-	s.stMu.Lock()
-	applied := s.AppliedSeq
-	s.stMu.Unlock()
+	applied := s.appliedSeq()
 	base, err := p.snapshotTable(s.ViewName)
 	if err != nil {
 		return nil, err
@@ -99,6 +97,9 @@ func (p *Peer) acquire(ctx context.Context, s *Share, from identity.Address, seq
 // keeps no delta base either), on a diverged one, and when the delta put
 // fails. A failed put changes nothing. The caller holds s.opMu.
 //
+// The write reached the source through s: it marks the other shares
+// over it for the reconciler (events.go), which the caller wakes.
+//
 // The derived pair (see stageProposal) moves with the replica, inside
 // the same replacement. If its snapshot is the source version being
 // replaced, the put's output is the new snapshot: by PutGet the
@@ -134,7 +135,9 @@ func (p *Peer) install(s *Share, seq uint64, a *acquired) error {
 		default:
 			baseSrc = nil
 		}
-		return newSrc.Renamed(s.SourceTable), nil
+		newSrc = newSrc.Renamed(s.SourceTable)
+		p.markSiblings(s, newSrc)
+		return newSrc, nil
 	})
 	if err != nil {
 		return err

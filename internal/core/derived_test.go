@@ -316,7 +316,8 @@ func (h *pairHarness) expectGets(t *testing.T, what string, seen *[3]int64, want
 }
 
 // waitStaged waits until the hub has staged n more proposals or probes
-// (a cascade runs beside the ack that finalizes the update causing it).
+// (the reconciler runs beside the ack that finalizes the update causing
+// it).
 func (h *pairHarness) waitStaged(t *testing.T, since Stats, n uint64) {
 	t.Helper()
 	for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
@@ -331,7 +332,8 @@ func (h *pairHarness) waitStaged(t *testing.T, since Stats, n uint64) {
 // proposal, a SyncShares share, a cascade probe that finds nothing —
 // calls Lens.Get; each event that swaps the replica in from elsewhere, or
 // loses the in-memory pair, costs exactly one, whose proposal carries the
-// payload hash the incremental path would have produced.
+// payload hash the incremental path would have produced. For a restored
+// replica that one get is the reconciler's re-derivation.
 func TestProposalsGetIncrementally(t *testing.T) {
 	fs := store.NewMemFS()
 	st, err := store.Open(store.Options{FS: fs})
@@ -452,10 +454,14 @@ func TestProposalsGetIncrementally(t *testing.T) {
 	}
 	fs, st = image, h.restartHub(t, image)
 	seen = [3]int64{}
-	h.expectGets(t, "restoring an older image", &seen, 0, 0)
+	// A restored share is re-derived once it is settled: B at once, A
+	// (behind the chain) after the resync catches it up.
+	h.waitLensGets(t, 0, 1)
+	h.expectGets(t, "restoring an older image", &seen, 0, 1)
 	if err := h.hub.Resync(h.ctx); err != nil {
 		t.Fatal(err)
 	}
+	h.waitLensGets(t, 1, 1)
 	view, _ := h.hub.View("A")
 	if got := cell(t, view, 6, "x"); got != "missed" {
 		t.Fatalf("resync left x = %q on row 6", got)
@@ -473,15 +479,28 @@ func TestProposalsGetIncrementally(t *testing.T) {
 	}
 	h.restartHub(t, fs)
 	seen = [3]int64{}
-	h.expectGets(t, "restoring from the store", &seen, 0, 0)
+	h.waitLensGets(t, 1, 1)
+	h.expectGets(t, "restoring from the store", &seen, 1, 1)
 	if err := h.hub.UpdateSource("T", setCol(2, "y", "after-restart")); err != nil {
 		t.Fatal(err)
 	}
 	h.proposeFullAndCheck(t, "A", h.lensA)
 	h.proposeFullAndCheck(t, "B", h.lensB)
-	h.expectGets(t, "first proposal after restart", &seen, 1, 1)
+	h.expectGets(t, "first proposal after restart", &seen, 0, 0)
 	h.hubEdit(t, "A", 2, "x", "steady-again")
 	h.expectGets(t, "second proposal after restart", &seen, 0, 0)
+}
+
+// waitLensGets waits until the hub's lenses have made a and b
+// whole-source gets in all: the reconciler re-derives restored shares on
+// its own goroutine.
+func (h *pairHarness) waitLensGets(t *testing.T, a, b int64) {
+	t.Helper()
+	for deadline := time.Now().Add(20 * time.Second); h.lensA.gets.Load() < a || h.lensB.gets.Load() < b; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("gets A %d B %d, want %d and %d", h.lensA.gets.Load(), h.lensB.gets.Load(), a, b)
+		}
+	}
 }
 
 // restartHub brings the stopped hub back as a new peer over fs, with
@@ -505,9 +524,9 @@ func (h *pairHarness) restartHub(t *testing.T, fs *store.MemFS) *store.Store {
 	return st
 }
 
-// proposeFullAndCheck proposes on a share whose pair is gone, to
-// finality, and checks the on-chain payload hash is the one the
-// incremental path gives for the same source.
+// proposeFullAndCheck proposes on a share to finality, and checks the
+// on-chain payload hash is the one the incremental path gives for the
+// same source from an unrelated starting point.
 func (h *pairHarness) proposeFullAndCheck(t *testing.T, share string, counted *countingLens) {
 	t.Helper()
 	lens := counted.Lens

@@ -5,13 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
-	"medshare/internal/bx"
 	"medshare/internal/chain"
 	"medshare/internal/contract"
 	"medshare/internal/contract/sharereg"
-	"medshare/internal/identity"
 	"medshare/internal/reldb"
 )
 
@@ -24,7 +21,7 @@ import (
 // its own goroutine; every other event (final, rejected, permission,
 // removed) is handled inline, in delivery order. N requests that arrive
 // in one block cost one store commit and one ack block, not N of each.
-// Resync's pending branch runs a round of one (applyIncoming).
+// Resync's pending branch runs a round of one.
 //
 // Per-share order rests on opMu and the contract's gate of one pending
 // update per share. Request n+1 cannot commit before this peer's ack for
@@ -141,6 +138,9 @@ func (p *Peer) handleEvent(name string, payload sharereg.EventPayload) {
 			if s.backup != nil && s.backup.seq+1 == payload.Seq {
 				s.backup = nil // our proposal finalized; drop the rollback point
 			}
+			if s.dirty != nil {
+				p.wake() // the share may be settled now
+			}
 			s.stMu.Unlock()
 		}
 		p.record(HistoryEntry{
@@ -154,12 +154,6 @@ func (p *Peer) handleEvent(name string, payload sharereg.EventPayload) {
 	case sharereg.EvRemoved:
 		p.onRemoved(payload)
 	}
-}
-
-// applyIncoming applies one update request as a round of one: Resync's
-// pending branch.
-func (p *Peer) applyIncoming(ctx context.Context, shareID string, seq uint64, from identity.Address, payloadHash string, cols []string) error {
-	return p.applyRound(ctx, []sharereg.EventPayload{{ShareID: shareID, Seq: seq, From: from, PayloadHash: payloadHash, Cols: cols}})
 }
 
 // roundItem is one share's part of a receive round: the request, and the
@@ -179,12 +173,11 @@ type roundItem struct {
 // concurrently, persists the round's replicas as one store commit, and
 // only then submits the acks as one batch. A share whose put fails is
 // rejected on-chain in the same batch, so it does not stall and its
-// proposer rolls back, while the round's other shares finalize. Step 6,
-// the cascade into overlapping shares, starts once the batch is
-// submitted, so each ack and the next hop's request share a group-commit
-// window (Fig. 5 in three blocks, not four). Cascades propose on sibling
-// shares (taking their opMu), so they are joined only after the round
-// releases its locks. Per-share failures are joined into the error.
+// proposer rolls back, while the round's other shares finalize. Step 6:
+// the installs marked the sibling shares over their sources, and the
+// reconciler is woken once the batch is submitted, so each ack and the
+// next hop's request share a group-commit window (Fig. 5 in three
+// blocks, not four). Per-share failures are joined into the error.
 func (p *Peer) applyRound(ctx context.Context, reqs []sharereg.EventPayload) error {
 	sort.Slice(reqs, func(i, j int) bool { return reqs[i].ShareID < reqs[j].ShareID })
 	var errs []error
@@ -203,27 +196,21 @@ func (p *Peer) applyRound(ctx context.Context, reqs []sharereg.EventPayload) err
 		errs = append(errs, err)
 	}
 	var installed []*Share
-	var acked, sent []*roundItem
+	var sent []*roundItem
 	var txs []*chain.Tx
 	for _, it := range items {
 		if it.tx == nil {
 			continue
 		}
 		if it.putErr == nil {
-			installed, acked = append(installed, it.s), append(acked, it)
+			installed = append(installed, it.s)
 		}
 		txs, sent = append(txs, it.tx), append(sent, it)
 	}
 	// Every replica is durable before any ack leaves.
 	p.persistShares(installed...)
-	var cascaded chan error
 	if len(txs) > 0 {
-		verdicts := p.submitAndWaitMany(ctx, txs, func() {
-			cascaded = make(chan error, 1)
-			go func() {
-				cascaded <- forEachShare(acked, func(it *roundItem) error { return p.cascade(ctx, it.s, it.req.Cols) })
-			}()
-		})
+		verdicts := p.submitAndWaitMany(ctx, txs, p.wake)
 		for i, it := range sent {
 			switch err := verdicts[i]; {
 			case it.putErr != nil && err != nil:
@@ -239,9 +226,6 @@ func (p *Peer) applyRound(ctx context.Context, reqs []sharereg.EventPayload) err
 	for _, it := range items {
 		it.s.opMu.Unlock()
 	}
-	if cascaded != nil {
-		errs = append(errs, <-cascaded)
-	}
 	return errors.Join(errs...)
 }
 
@@ -253,10 +237,7 @@ func (p *Peer) applyRound(ctx context.Context, reqs []sharereg.EventPayload) err
 // leaves.
 func (p *Peer) embedIncoming(ctx context.Context, it *roundItem) error {
 	s, r := it.s, it.req
-	s.stMu.Lock()
-	applied := s.AppliedSeq
-	s.stMu.Unlock()
-	if applied >= r.Seq {
+	if s.appliedSeq() >= r.Seq {
 		return nil // already applied (e.g. via resync)
 	}
 	// Step 4: fetch the new view payload directly from the updater (a
@@ -284,79 +265,73 @@ func (p *Peer) embedIncoming(ctx context.Context, it *roundItem) error {
 	return err
 }
 
-// cascade regenerates and proposes updates on every other share derived
-// from the same source whose visible columns overlap the incoming change
-// (the dependency check of Fig. 5 step 6). Overlapping shares are
-// proposed concurrently (bounded by fanoutWorkers): each sibling
-// share serializes internally on its own opMu and the proposals target
-// distinct on-chain shares, so their commit waits overlap safely.
-// Convergence is guaranteed for well-behaved lenses because re-putting
-// identical data yields an empty diff; maxCascadeDepth additionally
-// bounds the number of proposals one incoming update may trigger on this
-// peer.
-func (p *Peer) cascade(ctx context.Context, origin *Share, changedCols []string) error {
-	src, err := p.snapshotTable(origin.SourceTable)
-	if err != nil {
-		return err
-	}
-	srcSchema := src.Schema()
-
-	p.mu.Lock()
-	var candidates []*Share
-	for _, s2 := range p.shares {
-		if s2.ID != origin.ID && s2.SourceTable == origin.SourceTable {
-			candidates = append(candidates, s2)
+// runReconciler is one generation's reconciler. Each wake proposes, as
+// one group commit, every dirty share not held whose proposal the
+// contract would admit now: its replica holds the chain's last final,
+// nothing pending or in flight. The rest wait for a later wake (a mark, a
+// final on a dirty share, a Resync). The staging's incremental get is the
+// no-change check; by PutGet, a view re-derived from its put finds none.
+func (p *Peer) runReconciler(stopped <-chan struct{}) {
+	defer p.wg.Done()
+	for {
+		select {
+		case <-stopped:
+			return
+		case <-p.wakeCh:
 		}
-	}
-	p.mu.Unlock()
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i].ID < candidates[j].ID })
-
-	// The overlap check is pure schema analysis — run it inline and fan
-	// out only the shares the change actually reaches.
-	var hits []*Share
-	for _, s2 := range candidates {
-		hit, err := bx.Overlaps(srcSchema, origin.Lens, changedCols, s2.Lens)
-		if err != nil {
-			return err
-		}
-		if hit {
-			hits = append(hits, s2)
-		}
-	}
-
-	// The depth bound counts successful proposals; concurrent ones may
-	// overshoot it by fanoutWorkers-1 (it guards against runaway
-	// cascades, it is not a quota), and no-change probes never count.
-	var proposals atomic.Int64
-	b := p.cfg.Retry.withDefaults()
-	return forEachShare(hits, func(s2 *Share) error {
-		if proposals.Load() >= maxCascadeDepth {
-			return fmt.Errorf("%w: share %s", ErrCascadeTooDeep, origin.ID)
-		}
-		res, err := p.ProposeUpdate(ctx, s2.ID)
-		// A sibling share busy with a concurrent update (pending gate,
-		// stale base) is a transient ordering conflict, not a dead end:
-		// retry with backoff so the dependent share still carries the
-		// change once the conflicting update settles.
-		for attempt := 1; retriableProposal(err) && attempt < b.Attempts; attempt++ {
-			p.stats.proposalRetries.Add(1)
-			select {
-			case <-p.cfg.Clock.After(jittered(b.delay(attempt-1), jitterSample())):
-			case <-ctx.Done():
-				return fmt.Errorf("core: cascading %s -> %s: %w", origin.ID, s2.ID, ctx.Err())
+		p.mu.Lock()
+		var due []*Share
+		for _, s := range p.shares {
+			s.stMu.Lock()
+			if s.dirty != nil && !s.held {
+				due = append(due, s)
 			}
-			res, err = p.ProposeUpdate(ctx, s2.ID)
+			s.stMu.Unlock()
 		}
-		if err == ErrNoChanges {
-			return nil // overlap was column-level only; data unaffected
+		p.mu.Unlock()
+		var ids []string
+		for _, s := range due {
+			meta, err := p.Meta(s.ID)
+			if err != nil || meta.Pending != nil || s.appliedSeq() != meta.Seq {
+				continue
+			}
+			if kind, err := p.staleness(s, meta); kind == "" && err == nil {
+				ids = append(ids, s.ID)
+			}
 		}
+		ctx, cancel := context.WithTimeout(context.Background(), txTimeout)
+		_, err := p.proposeShares(ctx, ids, true, nil)
+		cancel()
 		if err != nil {
-			return fmt.Errorf("core: cascading %s -> %s: %w", origin.ID, s2.ID, err)
+			p.logf("re-deriving %v: %v", ids, err)
 		}
-		proposals.Add(1)
-		p.logf("cascaded %s -> %s seq %d", origin.ID, s2.ID, res.Seq)
-		return nil
-	})
+	}
+}
+
+// markSiblings marks every other share over s's source dirty at src,
+// the version a write through s produced, and moves s's own mark, if
+// any, there: s shows its part of the write. It runs inside the write,
+// under the source's commit lock, which is where marks are taken too.
+func (p *Peer) markSiblings(s *Share, src *reldb.Table) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, s2 := range p.shares {
+		if s2.SourceTable == s.SourceTable {
+			s2.stMu.Lock()
+			if s2 != s || s2.dirty != nil {
+				s2.dirty = src
+			}
+			s2.stMu.Unlock()
+		}
+	}
+}
+
+// wake nudges the reconciler; a wake already pending covers this one.
+func (p *Peer) wake() {
+	select {
+	case p.wakeCh <- struct{}{}:
+	default:
+	}
 }
 
 // onUpdateRejected rolls the proposer's replica back to the pre-proposal
@@ -376,8 +351,9 @@ func (p *Peer) onUpdateRejected(ev sharereg.EventPayload) {
 		s.prev = nil // the retained delta base no longer matches
 		s.AppliedSeq = bk.seq
 		// The view rolls back but the source keeps the user's edit, so
-		// the pair is diverged until a full put realigns it.
-		s.diverged = true
+		// the pair is diverged until a full put realigns it, and the
+		// share is held so the reconciler does not re-propose the edit.
+		s.diverged, s.held, s.dirty = true, true, nil
 	}
 	s.stMu.Unlock()
 	if bk == nil {
@@ -422,6 +398,7 @@ func (p *Peer) Resync(ctx context.Context) error {
 	p.mu.Unlock()
 	sort.Strings(ids)
 
+	defer p.wake() // repairs install, and installs mark siblings
 	return forEachShare(ids, func(id string) error {
 		return p.reconcileShare(ctx, id)
 	})
@@ -440,12 +417,10 @@ func (p *Peer) reconcileShare(ctx context.Context, id string) error {
 	if err != nil {
 		return nil // unbound concurrently (removed share)
 	}
-	s.stMu.Lock()
-	applied := s.AppliedSeq
-	s.stMu.Unlock()
-	if pd := meta.Pending; pd != nil && pd.From != p.Address() && applied < pd.Seq {
+	if pd := meta.Pending; pd != nil && pd.From != p.Address() && s.appliedSeq() < pd.Seq {
 		p.stats.resyncsTriggered.Add(1)
-		if err := p.applyIncoming(ctx, id, pd.Seq, pd.From, pd.PayloadHash, pd.Cols); err != nil {
+		req := sharereg.EventPayload{ShareID: id, Seq: pd.Seq, From: pd.From, PayloadHash: pd.PayloadHash, Cols: pd.Cols}
+		if err := p.applyRound(ctx, []sharereg.EventPayload{req}); err != nil {
 			return fmt.Errorf("core: resync %s pending: %w", id, err)
 		}
 	} else {

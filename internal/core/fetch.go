@@ -123,9 +123,7 @@ func (p *Peer) authorizeShareRequest(shareID string, requester identity.Address,
 	if err != nil {
 		return nil, 0, err
 	}
-	s.stMu.Lock()
-	seq := s.AppliedSeq
-	s.stMu.Unlock()
+	seq := s.appliedSeq()
 	if seq < minSeq {
 		return nil, 0, fmt.Errorf("%w: have seq %d, want %d", ErrStaleData, seq, minSeq)
 	}

@@ -41,27 +41,26 @@ import (
 
 // Errors returned by the sharing layer.
 var (
-	ErrUnknownShare   = errors.New("core: unknown share")
-	ErrShareBound     = errors.New("core: share already bound")
-	ErrNoChanges      = errors.New("core: view unchanged, nothing to propose")
-	ErrPayloadHash    = errors.New("core: fetched payload does not match on-chain hash")
-	ErrNotAuthorized  = errors.New("core: data fetch from non-peer")
-	ErrStaleData      = errors.New("core: counterparty does not hold requested version")
-	ErrCascadeTooDeep = errors.New("core: cascade depth limit exceeded")
-	ErrTxFailed       = errors.New("core: transaction rejected by contract")
+	ErrUnknownShare  = errors.New("core: unknown share")
+	ErrShareBound    = errors.New("core: share already bound")
+	ErrNoChanges     = errors.New("core: view unchanged, nothing to propose")
+	ErrPayloadHash   = errors.New("core: fetched payload does not match on-chain hash")
+	ErrNotAuthorized = errors.New("core: data fetch from non-peer")
+	ErrStaleData     = errors.New("core: counterparty does not hold requested version")
+	ErrTxFailed      = errors.New("core: transaction rejected by contract")
 )
 
 // Fixed operating limits of a peer.
 const (
 	// fanoutWorkers bounds how many shares the peer processes
-	// concurrently on its fan-out paths (cascade, Resync) and how many
-	// requests one structural-sync wave keeps in flight. Share
+	// concurrently on its fan-out paths (receive rounds, Resync) and how
+	// many requests one structural-sync wave keeps in flight. Share
 	// operations mostly wait on chain commits, so this is an
 	// in-flight-proposals bound rather than a CPU bound.
 	fanoutWorkers = 8
-	// maxCascadeDepth bounds the proposals one incoming update may
-	// trigger on this peer (Fig. 5 step 6 re-entry).
-	maxCascadeDepth = 16
+	// historyCap bounds the local activity log (History) to its most
+	// recent entries; the authoritative history lives on-chain.
+	historyCap = 4096
 	// txTimeout bounds each wait for a transaction commit.
 	txTimeout = 30 * time.Second
 )
@@ -129,9 +128,11 @@ type Peer struct {
 	inbox     <-chan contract.Event
 	roundReqs atomic.Int64
 
-	// history records locally observed share activity for the audit
-	// examples; the authoritative history lives on-chain.
+	// history holds the last historyCap locally observed share events.
 	history []HistoryEntry
+
+	// wakeCh wakes the reconciler (see events.go); buffered, size 1.
+	wakeCh chan struct{}
 
 	// health tracks per-endpoint consecutive request failures for the
 	// quarantine short-circuit (see retry.go).
@@ -163,16 +164,15 @@ type Share struct {
 	// row keys against. Immutable after binding.
 	prioSeed []byte
 
-	// opMu serializes share-level operations (proposals, receive rounds,
-	// Resync, unbinding) against each other. Without it, a peer's
-	// optimistic replica refresh during its own proposal can race the
-	// arrival of a competing update that won the same sequence number,
-	// making the peer skip an update it must acknowledge. Single-share
-	// paths never hold one share's opMu while taking another's (a round's
-	// cascades start on other goroutines and are joined after it releases
-	// its locks); the only multi-share holders are ProposeUpdates and
-	// receive rounds, which both acquire in sorted share-ID order, so
-	// concurrent cascades, batches and rounds cannot deadlock.
+	// opMu serializes share-level operations (proposals, entry-level
+	// edits, receive rounds, Resync, unbinding) against each other.
+	// Without it, a peer's optimistic replica refresh during its own
+	// proposal can race the arrival of a competing update that won the
+	// same sequence number, making the peer skip an update it must
+	// acknowledge. Single-share paths never hold one share's opMu while
+	// taking another's; the only multi-share holders are group commits
+	// (ProposeUpdates, UpdateViews, the reconciler) and receive rounds,
+	// which all acquire in sorted share-ID order, so none can deadlock.
 	opMu sync.Mutex
 
 	// stMu guards the mutable share state below. Per-share — not
@@ -204,6 +204,15 @@ type Share struct {
 	// replica (which would silently preserve the divergence).
 	diverged bool
 
+	// dirty, when set, is a source version the replica may not show: one
+	// a write through another share produced, or the one a restored
+	// replica was bound over. The reconciler derives from it, not from the
+	// current source, leaving later UpdateSource edits to the user. held
+	// marks an edit a counterparty rejected or the contract denied: it
+	// stays in the source, unproposed until a user's proposal commits.
+	dirty *reldb.Table
+	held  bool
+
 	// derivedSrc and derivedView are the source snapshot and the replica
 	// version that equals Lens.Get of it — where the next proposal's
 	// incremental get starts (stageProposal). Nothing clears the pair: it
@@ -229,6 +238,13 @@ func (s *Share) seedView(t *reldb.Table) *reldb.Table {
 		return t
 	}
 	return t.Reseeded(s.prioSeed)
+}
+
+// appliedSeq reads AppliedSeq under the share's state lock.
+func (s *Share) appliedSeq() uint64 {
+	s.stMu.Lock()
+	defer s.stMu.Unlock()
+	return s.AppliedSeq
 }
 
 // shareBackup is a (sequence, view snapshot) pair.
@@ -264,6 +280,7 @@ func NewPeer(cfg Config) (*Peer, error) {
 		shares:  make(map[string]*Share),
 		stopped: make(chan struct{}),
 		health:  make(map[string]*endpointHealth),
+		wakeCh:  make(chan struct{}, 1),
 	}
 	if cfg.Transport != nil {
 		cfg.Transport.HandleRequest(p.serveRequest)
@@ -299,15 +316,17 @@ func (p *Peer) Name() string { return p.cfg.Identity.Name }
 func (p *Peer) DB() *reldb.Database { return p.cfg.DB }
 
 // Start launches the event-processing loop (notifications from the smart
-// contract, Fig. 4 step 4) and, if configured, the periodic resync loop.
+// contract, Fig. 4 step 4), the reconciler, and, if configured, the
+// periodic resync loop.
 func (p *Peer) Start() {
 	events, cancel := p.cfg.Node.Subscribe(1024)
 	p.cancelEvents = cancel
 	p.mu.Lock()
 	p.inbox = events
 	p.mu.Unlock()
-	p.wg.Add(1)
+	p.wg.Add(2)
 	go p.runEvents(events, p.stopped)
+	go p.runReconciler(p.stopped)
 	if p.cfg.ResyncInterval > 0 {
 		p.wg.Add(1)
 		go func() {
@@ -413,7 +432,8 @@ func (p *Peer) Meta(id string) (*sharereg.Meta, error) {
 	return sharereg.DecodeMeta(raw)
 }
 
-// History returns the locally observed share activity log.
+// History returns the locally observed share activity log, its last
+// historyCap entries, oldest first.
 func (p *Peer) History() []HistoryEntry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -423,7 +443,10 @@ func (p *Peer) History() []HistoryEntry {
 func (p *Peer) record(e HistoryEntry) {
 	e.Time = p.cfg.Clock.Now()
 	p.mu.Lock()
-	p.history = append(p.history, e)
+	// Bounded: a full append moves just the live entries to a new array.
+	if p.history = append(p.history, e); len(p.history) > historyCap {
+		p.history = p.history[1:]
+	}
 	p.mu.Unlock()
 }
 

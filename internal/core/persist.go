@@ -56,12 +56,9 @@ func (p *Peer) persistShares(ss ...*Share) {
 					}
 				}
 			}
-			s.stMu.Lock()
-			seq := s.AppliedSeq
-			s.stMu.Unlock()
 			err := b.PutShareMeta(store.ShareMeta{
 				ID:       s.ID,
-				Seq:      seq,
+				Seq:      s.appliedSeq(),
 				Source:   s.SourceTable,
 				View:     s.ViewName,
 				PrioSeed: s.prioSeed,
@@ -144,14 +141,16 @@ func (p *Peer) restoredShare(id, sourceTable, viewName string, chainMeta *sharer
 // the idempotent RegisterShare rebind: install the restored replica
 // (and source, when persisted) and bind the share at its recovered
 // sequence number. The caller has already verified authorization and
-// the absence of a duplicate binding.
+// the absence of a duplicate binding. The share is bound dirty at the
+// source it is bound over: its replica was derived from a source that
+// may have moved since, by an edit it never showed or through a sibling
+// share bound before it.
 func (p *Peer) bindRestoredShare(id, sourceTable string, lens bx.Lens, viewName string, meta *sharereg.Meta, view, src *reldb.Table, seq uint64) {
 	if src != nil {
 		p.cfg.DB.PutTable(src.Renamed(sourceTable))
 	}
 	p.cfg.DB.PutTable(view.Renamed(viewName))
-	p.mu.Lock()
-	p.shares[id] = &Share{
+	s := &Share{
 		ID:          id,
 		SourceTable: sourceTable,
 		Lens:        lens,
@@ -159,7 +158,18 @@ func (p *Peer) bindRestoredShare(id, sourceTable string, lens bx.Lens, viewName 
 		AppliedSeq:  seq,
 		prioSeed:    meta.PrioSeed,
 	}
+	p.mu.Lock()
+	p.shares[id] = s
 	p.mu.Unlock()
+	// Marked under the source's commit lock, as a write marks; with no
+	// source table there is nothing to re-derive from.
+	_ = p.cfg.DB.ReplaceTable(sourceTable, func(cur *reldb.Table) (*reldb.Table, error) {
+		s.stMu.Lock()
+		s.dirty = cur
+		s.stMu.Unlock()
+		return cur, nil
+	})
+	p.wake()
 	p.record(HistoryEntry{ShareID: id, Kind: "restored", Seq: seq, Note: "replica recovered from durable store"})
 	p.logf("restored share %s from durable store at seq %d (%d rows)", id, seq, view.Len())
 }

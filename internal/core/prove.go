@@ -72,9 +72,7 @@ func (p *Peer) ProveView(shareID string, key reldb.Row) (RowProof, error) {
 	if err != nil {
 		return RowProof{}, err
 	}
-	s.stMu.Lock()
-	seq := s.AppliedSeq
-	s.stMu.Unlock()
+	seq := s.appliedSeq()
 	// The cache key is the key tuple's ordered storage encoding — the
 	// same bytes the row tree is ordered by, so distinct keys never
 	// collide.

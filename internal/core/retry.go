@@ -126,8 +126,8 @@ type Stats struct {
 	// ones that completed.
 	ResyncsTriggered uint64
 	RepairHeals      uint64
-	// ProposalRetries counts cascade proposals re-attempted after a
-	// transient contract conflict (pending gate, stale base).
+	// ProposalRetries counts failed proposals on dirty shares, left dirty
+	// for the reconciler (a transient denial: pending gate, stale base).
 	ProposalRetries uint64
 	// SyncRounds counts sequential anti-entropy waves across all
 	// structural syncs; SyncRequests the request messages they sent
@@ -342,12 +342,12 @@ func (p *Peer) channelRequest(ctx context.Context, endpoint string, msg p2p.Mess
 	return p2p.Message{}, fmt.Errorf("core: request to %s failed after retries: %w", endpoint, lastErr)
 }
 
-// retriableProposal reports whether a cascade proposal failure is a
-// transient ordering conflict: the share's pending gate was held by a
-// concurrent update, or our base raced a competing proposal for the same
-// sequence number. Both resolve as soon as the conflicting update
-// finalizes and our replica catches up, so the cascade retries with
-// backoff instead of abandoning the dependent share.
+// retriableProposal reports whether a proposal denial is a transient
+// ordering conflict: the share's pending gate was held by a concurrent
+// update, or our base raced a competing proposal for the same sequence
+// number. Both lift once the conflicting update finalizes and our
+// replica catches up, so a dirty share stays dirty and the reconciler
+// re-proposes it then; any other denial holds the share.
 func retriableProposal(err error) bool {
 	if err == nil || !errors.Is(err, ErrTxFailed) {
 		return false

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"errors"
@@ -45,15 +46,14 @@ type RegisterShareArgs struct {
 // — from the durable store's verified replica when one is available,
 // else by re-deriving the view and letting resync catch it up.
 func (p *Peer) RegisterShare(ctx context.Context, a RegisterShareArgs) error {
+	if a.ViewName == "" {
+		a.ViewName = a.ID
+	}
 	if meta, err := p.Meta(a.ID); err == nil {
 		if !metaHasPeer(meta, p.Address()) {
 			return fmt.Errorf("%w: %s already registered without %s", ErrNotAuthorized, a.ID, p.Address())
 		}
-		viewName := a.ViewName
-		if viewName == "" {
-			viewName = a.ID
-		}
-		return p.AttachShare(a.ID, a.SourceTable, a.Lens, viewName)
+		return p.AttachShare(a.ID, a.SourceTable, a.Lens, a.ViewName)
 	}
 	src, err := p.snapshotTable(a.SourceTable)
 	if err != nil {
@@ -94,16 +94,12 @@ func (p *Peer) RegisterShare(ctx context.Context, a RegisterShareArgs) error {
 	if _, err := p.submitAndWait(ctx, tx); err != nil {
 		return fmt.Errorf("core: registering %s: %w", a.ID, err)
 	}
-	viewName := a.ViewName
-	if viewName == "" {
-		viewName = a.ID
-	}
-	p.cfg.DB.PutTable(view.Renamed(viewName))
+	p.cfg.DB.PutTable(view.Renamed(a.ViewName))
 	s := &Share{
 		ID:          a.ID,
 		SourceTable: a.SourceTable,
 		Lens:        a.Lens,
-		ViewName:    viewName,
+		ViewName:    a.ViewName,
 		prioSeed:    prioSeed,
 	}
 	p.mu.Lock()
@@ -111,7 +107,7 @@ func (p *Peer) RegisterShare(ctx context.Context, a RegisterShareArgs) error {
 	p.mu.Unlock()
 	p.persistShares(s)
 	p.record(HistoryEntry{ShareID: a.ID, Kind: "register", Note: "registered on-chain"})
-	p.logf("registered share %s (view %s, %d rows)", a.ID, viewName, view.Len())
+	p.logf("registered share %s (view %s, %d rows)", a.ID, a.ViewName, view.Len())
 	return nil
 }
 
@@ -201,8 +197,9 @@ func (p *Peer) Source(table string) (*reldb.Table, error) {
 
 // UpdateSource applies a local mutation to a source table (the peer's own
 // full data; no permission needed — it is their database). It does not
-// propagate; call SyncShares or ProposeUpdate afterwards, mirroring the
-// paper's step 1 where the researcher first updates D2 locally.
+// propagate and marks no share dirty; call SyncShares or ProposeUpdate
+// afterwards, mirroring the paper's step 1 where the researcher first
+// updates D2 locally.
 func (p *Peer) UpdateSource(table string, mutate func(*reldb.Table) error) error {
 	return p.cfg.DB.WithTable(table, mutate)
 }
@@ -227,17 +224,33 @@ type ProposalResult struct {
 // ErrNoChanges is returned when the view is unaffected by the local edit;
 // callers treat it as success.
 func (p *Peer) ProposeUpdate(ctx context.Context, shareID string) (ProposalResult, error) {
+	return p.UpdateView(ctx, shareID, nil)
+}
+
+// UpdateView edits the shared view directly (entry-level CRUD of Fig. 4 on
+// the shared table) and immediately embeds the edit into the local source
+// before proposing — so source and view never diverge locally. The edit is
+// diffed against the pre-edit view and embedded along the delta path, so
+// an entry-level edit costs O(changed rows) in the source. The share's
+// lock is held from the embed to the verdict, so the reconciler the embed
+// wakes cannot propose the edit in between. A nil mutate: ProposeUpdate.
+func (p *Peer) UpdateView(ctx context.Context, shareID string, mutate func(*reldb.Table) error) (ProposalResult, error) {
 	s, err := p.lockShare(shareID)
 	if err != nil {
 		return ProposalResult{}, err
 	}
 	defer s.opMu.Unlock()
-	st, err := p.stageProposal(s)
+	if mutate != nil {
+		if err := p.embedViewEdit(s, mutate); err != nil {
+			return ProposalResult{}, err
+		}
+	}
+	st, err := p.stageProposal(s, false)
 	if err != nil {
 		return ProposalResult{}, err
 	}
 	if _, err := p.submitAndWait(ctx, st.tx); err != nil {
-		p.rollbackProposal(st)
+		p.rollbackProposal(st, err)
 		return ProposalResult{}, fmt.Errorf("core: update on %s denied: %w", shareID, err)
 	}
 	res := p.finalizeProposal(st)
@@ -255,6 +268,7 @@ type stagedProposal struct {
 	oldView *reldb.Table
 	kind    string
 	cols    []string
+	mark    *reldb.Table // the dirty mark the staging took
 }
 
 // stageProposal derives the share's fresh view, diffs it against the
@@ -272,10 +286,21 @@ type stagedProposal struct {
 // Otherwise — first proposal after binding or restart, or a replica
 // swapped in by rollback, resync or repair — the whole source goes
 // through Lens.Get once, which re-establishes the pair.
-func (p *Peer) stageProposal(s *Share) (*stagedProposal, error) {
-	src, err := p.snapshotTable(s.SourceTable)
+func (p *Peer) stageProposal(s *Share, marked bool) (*stagedProposal, error) {
+	// Under the source's commit lock, a write is in the source read here
+	// or marks the share again. The reconciler derives from the mark.
+	var src, mark *reldb.Table
+	err := p.cfg.DB.ReplaceTable(s.SourceTable, func(cur *reldb.Table) (*reldb.Table, error) {
+		s.stMu.Lock()
+		mark, s.dirty, src = s.dirty, nil, cur
+		s.stMu.Unlock()
+		return cur, nil
+	})
 	if err != nil {
 		return nil, err
+	}
+	if marked && mark != nil {
+		src = mark
 	}
 	oldView, err := p.snapshotTable(s.ViewName)
 	if err != nil {
@@ -321,9 +346,7 @@ func (p *Peer) stageProposal(s *Share) (*stagedProposal, error) {
 	sort.Strings(cols)
 	kind := updateKind(cs)
 
-	s.stMu.Lock()
-	baseSeq := s.AppliedSeq
-	s.stMu.Unlock()
+	baseSeq := s.appliedSeq()
 
 	ua := sharereg.UpdateArgs{
 		ShareID:     s.ID,
@@ -351,20 +374,30 @@ func (p *Peer) stageProposal(s *Share) (*stagedProposal, error) {
 	s.AppliedSeq = baseSeq + 1
 	s.derivedSrc, s.derivedView = src, newView
 	s.stMu.Unlock()
-	return &stagedProposal{s: s, tx: tx, baseSeq: baseSeq, oldView: oldView, kind: kind, cols: cols}, nil
+	return &stagedProposal{s: s, tx: tx, baseSeq: baseSeq, oldView: oldView, kind: kind, cols: cols, mark: mark}, nil
 }
 
 // rollbackProposal undoes a staged proposal after a denial (permission,
 // pending gate, stale base). The view returns to the pre-proposal
 // snapshot while the source keeps the local edit, so the pair is
-// diverged until a full put.
-func (p *Peer) rollbackProposal(st *stagedProposal) {
+// diverged until a full put. A contract denial that will not lift
+// holds the share (see Share.held); after any other failure a share
+// the staging found dirty is marked again, and the reconciler's
+// re-attempt counts as a proposal retry.
+func (p *Peer) rollbackProposal(st *stagedProposal, err error) {
 	s := st.s
+	held := errors.Is(err, ErrTxFailed) && !retriableProposal(err)
+	retry := st.mark != nil && !held
 	s.stMu.Lock()
 	s.AppliedSeq = st.baseSeq
 	s.backup = nil
 	s.prev = nil
 	s.diverged = true
+	s.held = s.held || held
+	if retry {
+		s.dirty = cmp.Or(s.dirty, st.mark)
+		p.stats.proposalRetries.Add(1)
+	}
 	s.stMu.Unlock()
 	p.cfg.DB.PutTable(st.oldView.Renamed(s.ViewName))
 	p.persistShares(s)
@@ -375,7 +408,9 @@ func (p *Peer) rollbackProposal(st *stagedProposal) {
 func (p *Peer) finalizeProposal(st *stagedProposal) ProposalResult {
 	s := st.s
 	s.stMu.Lock()
-	s.diverged = false // replica refreshed from Get(src); pair aligned
+	// The replica is refreshed from Get(src): the pair is aligned, and a
+	// held edit is proposed (the reconciler never proposes a held share).
+	s.diverged, s.held = false, false
 	s.stMu.Unlock()
 	p.record(HistoryEntry{ShareID: s.ID, Seq: st.baseSeq + 1, Kind: st.kind, Cols: st.cols, From: p.Address()})
 	p.logf("proposed update on %s seq %d (cols %v)", s.ID, st.baseSeq+1, st.cols)
@@ -387,10 +422,10 @@ func (p *Peer) finalizeProposal(st *stagedProposal) ProposalResult {
 // in a single batch (one mempool pass, one gossip broadcast, one
 // producer kick), the commits are awaited collectively, and the
 // finalized shares are persisted in one store commit — so N independent
-// updates cost one block, one fsync and one cascade fan-out round
-// instead of N block intervals. Per-share sequence ordering is untouched
-// (each share stages under its own opMu with its own BaseSeq), and a
-// denial on one share rolls back only that share.
+// updates cost one block, one fsync and one receive round per
+// counterparty instead of N block intervals. Per-share sequence ordering
+// is untouched (each share stages under its own opMu with its own
+// BaseSeq), and a denial on one share rolls back only that share.
 //
 // Share opMu locks are acquired in sorted ID order and held across the
 // collective wait; because every multi-share acquirer (this and the
@@ -401,15 +436,16 @@ func (p *Peer) finalizeProposal(st *stagedProposal) ProposalResult {
 // sorted by share ID; per-share failures are joined into the returned
 // error alongside the partial results.
 func (p *Peer) ProposeUpdates(ctx context.Context, shareIDs []string) ([]ProposalResult, error) {
+	return p.proposeShares(ctx, shareIDs, false, nil)
+}
+
+// proposeShares is ProposeUpdates with edit run on each share once it is
+// locked (UpdateViews' embeds); marked stages the reconciler's way.
+func (p *Peer) proposeShares(ctx context.Context, shareIDs []string, marked bool, edit func(*Share) error) ([]ProposalResult, error) {
 	ids := append([]string(nil), shareIDs...)
 	sort.Strings(ids)
 	var errs []error
 	var staged []*stagedProposal
-	unlock := func() {
-		for _, st := range staged {
-			st.s.opMu.Unlock()
-		}
-	}
 	for i, id := range ids {
 		if i > 0 && id == ids[i-1] {
 			continue
@@ -419,7 +455,10 @@ func (p *Peer) ProposeUpdates(ctx context.Context, shareIDs []string) ([]Proposa
 			errs = append(errs, err)
 			continue
 		}
-		st, err := p.stageProposal(s)
+		if edit != nil {
+			errs = append(errs, edit(s))
+		}
+		st, err := p.stageProposal(s, marked)
 		if err != nil {
 			s.opMu.Unlock()
 			if err != ErrNoChanges {
@@ -443,7 +482,7 @@ func (p *Peer) ProposeUpdates(ctx context.Context, shareIDs []string) ([]Proposa
 	finalized := make([]*Share, 0, len(staged))
 	for i, st := range staged {
 		if err := verdicts[i]; err != nil {
-			p.rollbackProposal(st)
+			p.rollbackProposal(st, err)
 			errs = append(errs, fmt.Errorf("core: update on %s denied: %w", st.s.ID, err))
 			continue
 		}
@@ -451,7 +490,9 @@ func (p *Peer) ProposeUpdates(ctx context.Context, shareIDs []string) ([]Proposa
 		finalized = append(finalized, st.s)
 	}
 	p.persistShares(finalized...)
-	unlock()
+	for _, st := range staged {
+		st.s.opMu.Unlock()
+	}
 	return out, errors.Join(errs...)
 }
 
@@ -459,9 +500,9 @@ func (p *Peer) ProposeUpdates(ctx context.Context, shareIDs []string) ([]Proposa
 // source table, returning the successful proposals sorted by share ID.
 // Shares whose views are unaffected are skipped. All changed shares ride
 // one group commit (ProposeUpdates): a single batch submission, one
-// block, one cascade fan-out round — the many-shares fan-out of a
-// hospital-scale peer. Every share is attempted even when some fail; the
-// errors are joined.
+// block, one receive round per counterparty — the many-shares fan-out of
+// a hospital-scale peer. Every share is attempted even when some fail;
+// the errors are joined.
 func (p *Peer) SyncShares(ctx context.Context, sourceTable string) ([]ProposalResult, error) {
 	p.mu.Lock()
 	var ids []string
@@ -474,22 +515,6 @@ func (p *Peer) SyncShares(ctx context.Context, sourceTable string) ([]ProposalRe
 	return p.ProposeUpdates(ctx, ids)
 }
 
-// UpdateView edits the shared view directly (entry-level CRUD of Fig. 4 on
-// the shared table) and immediately embeds the edit into the local source
-// before proposing — so source and view never diverge locally. The edit is
-// diffed against the pre-edit view and embedded along the delta path, so
-// an entry-level edit costs O(changed rows) in the source.
-func (p *Peer) UpdateView(ctx context.Context, shareID string, mutate func(*reldb.Table) error) (ProposalResult, error) {
-	s, err := p.share(shareID)
-	if err != nil {
-		return ProposalResult{}, err
-	}
-	if err := p.embedViewEdit(s, mutate); err != nil {
-		return ProposalResult{}, err
-	}
-	return p.ProposeUpdate(ctx, shareID)
-}
-
 // embedViewEdit applies a view-level edit and embeds it into the local
 // source (the first half of UpdateView, shared with the group-commit
 // path). The delta path is only sound while the stored replica equals
@@ -500,7 +525,9 @@ func (p *Peer) UpdateView(ctx context.Context, shareID string, mutate func(*reld
 // the source's own view) re-embeds the whole view there instead of
 // silently re-proposing the rejected rows alongside the new edit. The
 // put runs inside the source's atomic replacement so it cannot overwrite
-// a concurrent embed by another share over the same source.
+// a concurrent embed by another share over the same source. The edit
+// reached the source through s, so the other shares over it are marked
+// and the reconciler woken. The caller holds s.opMu.
 func (p *Peer) embedViewEdit(s *Share, mutate func(*reldb.Table) error) error {
 	view, err := p.snapshotTable(s.ViewName)
 	if err != nil {
@@ -528,11 +555,14 @@ func (p *Peer) embedViewEdit(s *Share, mutate func(*reldb.Table) error) error {
 		if perr != nil {
 			return nil, perr
 		}
-		return newSrc.Renamed(s.SourceTable), nil
+		newSrc = newSrc.Renamed(s.SourceTable)
+		p.markSiblings(s, newSrc)
+		return newSrc, nil
 	})
 	if err != nil {
 		return fmt.Errorf("core: put on %s: %w", s.ID, err)
 	}
+	p.wake()
 	return nil
 }
 
@@ -545,45 +575,33 @@ type ViewEdit struct {
 }
 
 // UpdateViews applies view-level edits on many shares and proposes all
-// of them as ONE group commit: every edit is embedded into its source
-// (UpdateView's first half), then the changed shares ride a single
-// ProposeUpdates batch — one block, one gossip broadcast, one cascade
-// round. This is the serving edge's write-coalescing hook: concurrent
-// API writes that land in the same coalescing window become one batch
-// here instead of N independent block commits.
+// of them as ONE group commit: each share is locked in sorted ID order
+// and its edits embedded into its source (UpdateView's first half), then
+// the shares ride a single ProposeUpdates batch — one block, one gossip
+// broadcast, one receive round per counterparty. This is the
+// serving edge's write-coalescing hook: concurrent API writes that land
+// in the same coalescing window become one batch here instead of N
+// independent block commits.
 //
 // Multiple edits targeting the same share are applied in order within
-// one proposal. An edit whose mutation or embed fails is dropped from
-// the batch (its error is joined into the returned error); the
-// remaining shares still commit. Successful proposals are returned
+// one proposal. An edit whose mutation or embed fails is dropped (its
+// error is joined into the returned error); the remaining edits still
+// commit. Successful proposals are returned
 // sorted by share ID, exactly like ProposeUpdates.
 func (p *Peer) UpdateViews(ctx context.Context, edits []ViewEdit) ([]ProposalResult, error) {
-	var errs []error
-	var ids []string
-	seen := make(map[string]bool, len(edits))
-	for _, e := range edits {
-		s, err := p.share(e.ShareID)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		if err := p.embedViewEdit(s, e.Mutate); err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		if !seen[e.ShareID] {
-			seen[e.ShareID] = true
-			ids = append(ids, e.ShareID)
-		}
+	ids := make([]string, len(edits))
+	for i, e := range edits {
+		ids[i] = e.ShareID
 	}
-	if len(ids) == 0 {
-		return nil, errors.Join(errs...)
-	}
-	props, err := p.ProposeUpdates(ctx, ids)
-	if err != nil {
-		errs = append(errs, err)
-	}
-	return props, errors.Join(errs...)
+	return p.proposeShares(ctx, ids, false, func(s *Share) error {
+		var errs []error
+		for _, e := range edits {
+			if e.ShareID == s.ID {
+				errs = append(errs, p.embedViewEdit(s, e.Mutate))
+			}
+		}
+		return errors.Join(errs...)
+	})
 }
 
 // WaitForShare blocks until the share's metadata is visible on this

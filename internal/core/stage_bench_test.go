@@ -84,7 +84,7 @@ func benchStageProposal(b *testing.B, rows, changed int) {
 	stage := func() {
 		s.opMu.Lock()
 		defer s.opMu.Unlock()
-		if _, err := p.stageProposal(s); err != nil {
+		if _, err := p.stageProposal(s, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -638,7 +638,7 @@ func (p *Peer) syncFrom(ctx context.Context, from identity.Address, shareID stri
 	opts := SyncOptions{Parallel: fanoutWorkers}.normalized()
 	// Wave chunks fetch concurrently, so the closure guards the shared
 	// byte counters; channelRequest is already safe for concurrent use
-	// (the cascade fan-out exercises it).
+	// (Resync's fan-out exercises it).
 	var statsMu sync.Mutex
 	fetch := func(keys, rowKeys [][]byte) (SyncResponse, error) {
 		req := SyncRequest{

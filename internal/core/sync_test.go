@@ -119,9 +119,10 @@ func syncLens(view string) bx.Lens {
 // restartPeer stops p and starts a new peer over image, a clone of p's
 // store filesystem taken earlier: the way a medshared process restarts
 // over its data dir. The new peer keeps p's identity, transport and
-// settings; its database starts with only src, and attach binds its
-// shares again, which restores them from the store, before the new peer
-// starts its event and repair loops.
+// settings; its database starts with only src. The new peer starts its
+// event, repair and reconciler loops first, and only then does attach
+// bind its shares again, restoring them from the store — the order
+// medshared restarts in.
 func restartPeer(t *testing.T, p *Peer, image *store.MemFS, src *reldb.Table, attach func(*Peer)) *Peer {
 	t.Helper()
 	p.Stop()
@@ -138,9 +139,9 @@ func restartPeer(t *testing.T, p *Peer, image *store.MemFS, src *reldb.Table, at
 	if err != nil {
 		t.Fatal(err)
 	}
-	attach(np)
 	np.Start()
 	t.Cleanup(np.Stop)
+	attach(np)
 	return np
 }
 

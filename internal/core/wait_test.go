@@ -94,9 +94,9 @@ func TestIsolatedUpdateCostsTwoBlocks(t *testing.T) {
 	}
 }
 
-// TestFailedAckSurfacesFromApply: the cascade hop starts while the ack
+// TestFailedAckSurfacesFromApply: the reconciler wakes while the ack
 // is still committing, but an ack the contract refuses must still be
-// what applyIncoming reports.
+// what a receive round of one reports.
 func TestFailedAckSurfacesFromApply(t *testing.T) {
 	mem := p2p.NewMemNetwork()
 	h := newSyncHarness(t, 8, mem.Endpoint("A"), mem.Endpoint("B"))
@@ -119,9 +119,9 @@ func TestFailedAckSurfacesFromApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = h.b.applyIncoming(h.ctx, "S", seq, h.a.Address(), hashHex(view), []string{"v"})
+	err = h.b.applyRound(h.ctx, []sharereg.EventPayload{{ShareID: "S", Seq: seq, From: h.a.Address(), PayloadHash: hashHex(view), Cols: []string{"v"}}})
 	if !errors.Is(err, ErrTxFailed) || !strings.Contains(err.Error(), "acking S") {
-		t.Fatalf("applyIncoming with a refused ack returned %v, want the ack failure", err)
+		t.Fatalf("a round of one with a refused ack returned %v, want the ack failure", err)
 	}
 }
 
@@ -151,13 +151,13 @@ func TestLightRowServedAtFinalizedVersionWhileProposing(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.opMu.Lock()
-	st, err := h.a.stageProposal(s) // replica advanced, nothing submitted
+	st, err := h.a.stageProposal(s, false) // replica advanced, nothing submitted
 	if err != nil {
 		s.opMu.Unlock()
 		t.Fatal(err)
 	}
 	defer func() {
-		h.a.rollbackProposal(st)
+		h.a.rollbackProposal(st, nil)
 		s.opMu.Unlock()
 	}()
 

@@ -129,9 +129,6 @@ var (
 	CheckGetPut      = bx.CheckGetPut
 	CheckPutGet      = bx.CheckPutGet
 	CheckWellBehaved = bx.CheckWellBehaved
-	// LensOverlaps reports whether an update through one lens can affect
-	// another lens's view over the same source (Fig. 5 step 6).
-	LensOverlaps = bx.Overlaps
 )
 
 // Lens edit policies.

@@ -317,6 +317,56 @@ func TestCascade(t *testing.T) {
 	}
 }
 
+// TestViewEditReachesSiblingShare: Fig. 5 step 6 for an entry-level
+// edit. The doctor renames patient 188's medication on D31 with
+// UpdateView; the edit lands in D3, which D32 also shows, so the doctor
+// re-derives D32 and the rename reaches the researcher's D23 and D2.
+func TestViewEditReachesSiblingShare(t *testing.T) {
+	ctx := testCtx(t)
+	sc, err := NewFig1Scenario(ctx, fastNet(), 0, 1)
+	if err != nil {
+		t.Fatalf("scenario: %v", err)
+	}
+	defer sc.Stop()
+	meta, err := sc.Researcher.Meta(ShareIDD23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sc.Doctor.UpdateView(ctx, ShareIDD13, func(tbl *reldb.Table) error {
+		return tbl.Update(reldb.Row{reldb.I(188)}, map[string]reldb.Value{workload.ColMedication: reldb.S("Naproxen")})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Doctor.WaitFinal(ctx, ShareIDD13, res.Seq); err != nil {
+		t.Fatal(err)
+	}
+	checkRenameReachedResearcher(t, ctx, sc, meta.Seq+1)
+}
+
+// checkRenameReachedResearcher waits for D23&D32 to finalize at seq and
+// checks the researcher's D23 and D2 carry the rename of Ibuprofen to
+// Naproxen.
+func checkRenameReachedResearcher(t *testing.T, ctx context.Context, sc *Fig1Scenario, seq uint64) {
+	t.Helper()
+	if err := sc.Researcher.WaitFinal(ctx, ShareIDD23, seq); err != nil {
+		t.Fatal(err)
+	}
+	d23, err := sc.Researcher.View(ShareIDD23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := sc.Researcher.Source("D2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tbl := range map[string]*reldb.Table{"D23": d23, "D2": d2} {
+		if !tbl.Has(reldb.Row{reldb.S("Naproxen")}) || tbl.Has(reldb.Row{reldb.S("Ibuprofen")}) {
+			t.Fatalf("researcher's %s does not show the rename of Ibuprofen to Naproxen", name)
+		}
+	}
+}
+
 // TestJoinShareWorkflow drives the prescriptions ⋈ formulary share end
 // to end: a doctor-side dosage edit must reach the pharmacist's
 // prescriptions through JoinLens.PutDelta (the join lens's backward

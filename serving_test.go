@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"medshare/internal/node"
 	"medshare/internal/p2p"
 	"medshare/internal/reldb"
+	"medshare/internal/workload"
 )
 
 // TestServingEdgeTCPEndToEnd drives the whole share lifecycle through
@@ -215,6 +217,41 @@ func TestServingEdgeTCPEndToEnd(t *testing.T) {
 	waitFor(t, 30*time.Second, func() bool {
 		return httpOK(docAPI.BaseURL+"/readyz") && httpOK(patAPI.BaseURL+"/readyz")
 	})
+}
+
+// TestViewEditReachesSiblingShareHTTP is TestViewEditReachesSiblingShare
+// with the doctor's edit written through the serving edge:
+// POST /v1/shares/D13&D31/update.
+func TestViewEditReachesSiblingShareHTTP(t *testing.T) {
+	ctx := testCtx(t)
+	sc, err := NewFig1Scenario(ctx, fastNet(), 0, 1)
+	if err != nil {
+		t.Fatalf("scenario: %v", err)
+	}
+	defer sc.Stop()
+	srv, err := api.New(api.Config{Peer: sc.Doctor, Node: sc.Network.Node(0), CoalesceWindow: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	meta, err := sc.Researcher.Meta(ShareIDD23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := (&api.Client{BaseURL: hs.URL}).Update(ctx, ShareIDD13, []api.RowOp{{
+		Op: "set", Key: []any{float64(188)}, Set: map[string]any{workload.ColMedication: "Naproxen"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NoChange {
+		t.Fatalf("update = %+v, want a proposal", res)
+	}
+	if err := sc.Doctor.WaitFinal(ctx, ShareIDD13, res.Seq); err != nil {
+		t.Fatal(err)
+	}
+	checkRenameReachedResearcher(t, ctx, sc, meta.Seq+1)
 }
 
 // httpOK reports whether a GET of url answers 200.

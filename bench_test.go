@@ -25,7 +25,7 @@ func BenchmarkE9_BX_Get(b *testing.B) {
 	for _, rows := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			full := workload.Generate("full", rows, 1)
-			lens := LensD31()
+			lens := workload.LensD31()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -43,7 +43,7 @@ func BenchmarkE9_BX_Put(b *testing.B) {
 	for _, rows := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			full := workload.Generate("full", rows, 1)
-			lens := LensD31()
+			lens := workload.LensD31()
 			view, err := lens.Get(full)
 			if err != nil {
 				b.Fatal(err)
@@ -104,7 +104,7 @@ func benchPutDeltaOneRow(b *testing.B, src *reldb.Table, lens bx.Lens, col strin
 func BenchmarkE9_BX_PutDelta(b *testing.B) {
 	for _, rows := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			benchPutDeltaOneRow(b, workload.Generate("full", rows, 1), LensD31(), workload.ColDosage)
+			benchPutDeltaOneRow(b, workload.Generate("full", rows, 1), workload.LensD31(), workload.ColDosage)
 		})
 	}
 }
@@ -161,7 +161,7 @@ func BenchmarkStore_PutDeltaScaling(b *testing.B) {
 	for _, rows := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			full := workload.Generate("full", rows, 1)
-			lens := LensD31()
+			lens := workload.LensD31()
 			view, err := lens.Get(full)
 			if err != nil {
 				b.Fatal(err)
@@ -440,7 +440,7 @@ func BenchmarkDB_ReadersUnderWriter(b *testing.B) {
 func BenchmarkE9_BX_PutDeltaRekeyed(b *testing.B) {
 	for _, rows := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			benchPutDeltaOneRow(b, workload.Generate("full", rows, 1), LensD32(), workload.ColMechanism)
+			benchPutDeltaOneRow(b, workload.Generate("full", rows, 1), workload.LensD32(), workload.ColMechanism)
 		})
 	}
 }
@@ -532,7 +532,7 @@ func BenchmarkBuilder_TableRebuild(b *testing.B) {
 func BenchmarkBuilder_LensRebuild(b *testing.B) {
 	for _, rows := range []int{1000, 10000} {
 		full := workload.Generate("full", rows, 1)
-		lens := LensD31()
+		lens := workload.LensD31()
 		b.Run(fmt.Sprintf("get/rows=%d", rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -148,7 +148,7 @@ func TestChaosConvergenceDurable(t *testing.T) {
 
 	// The on-chain truth, captured while the network is still up.
 	wantMeta := map[string]*sharereg.Meta{}
-	for _, id := range []string{sc.ShareD13, sc.ShareD23} {
+	for _, id := range []string{ShareIDD13, ShareIDD23} {
 		m, err := sc.Doctor.Meta(id)
 		if err != nil {
 			t.Fatalf("meta %s: %v", id, err)
@@ -361,7 +361,7 @@ func (sc *chaosScenario) stormUpdate(ctx context.Context, i int) error {
 		return nil
 	case 1: // patient edits clinical data through the D13 view
 		key := sc.patientKey(i)
-		res, err := sc.Patient.UpdateView(ctx, sc.ShareD13, func(t *reldb.Table) error {
+		res, err := sc.Patient.UpdateView(ctx, ShareIDD13, func(t *reldb.Table) error {
 			return t.Update(reldb.Row{reldb.I(key)}, map[string]reldb.Value{
 				workload.ColClinical: reldb.S(fmt.Sprintf("chaos-clinical-%d", i)),
 			})
@@ -369,9 +369,9 @@ func (sc *chaosScenario) stormUpdate(ctx context.Context, i int) error {
 		if err != nil {
 			return err
 		}
-		return sc.Patient.WaitFinal(ctx, sc.ShareD13, res.Seq)
+		return sc.Patient.WaitFinal(ctx, ShareIDD13, res.Seq)
 	default: // researcher edits a mechanism through the D23 view
-		view, err := sc.Researcher.View(sc.ShareD23)
+		view, err := sc.Researcher.View(ShareIDD23)
 		if err != nil {
 			return err
 		}
@@ -380,7 +380,7 @@ func (sc *chaosScenario) stormUpdate(ctx context.Context, i int) error {
 			return fmt.Errorf("chaos: researcher view is empty")
 		}
 		med := meds[i%len(meds)][0]
-		res, err := sc.Researcher.UpdateView(ctx, sc.ShareD23, func(t *reldb.Table) error {
+		res, err := sc.Researcher.UpdateView(ctx, ShareIDD23, func(t *reldb.Table) error {
 			return t.Update(reldb.Row{med}, map[string]reldb.Value{
 				workload.ColMechanism: reldb.S(fmt.Sprintf("chaos-mech-%d", i)),
 			})
@@ -388,7 +388,7 @@ func (sc *chaosScenario) stormUpdate(ctx context.Context, i int) error {
 		if err != nil {
 			return err
 		}
-		return sc.Researcher.WaitFinal(ctx, sc.ShareD23, res.Seq)
+		return sc.Researcher.WaitFinal(ctx, ShareIDD23, res.Seq)
 	}
 }
 
@@ -523,7 +523,7 @@ func (sc *chaosScenario) Run(ctx context.Context) (*chaosReport, error) {
 	// its repair loop must apply the pending update, acknowledge it, and
 	// carry the cascade to the researcher, all through the still-lossy
 	// channel.
-	metaD23, err := sc.Doctor.Meta(sc.ShareD23)
+	metaD23, err := sc.Doctor.Meta(ShareIDD23)
 	if err != nil {
 		fill()
 		return report, err
@@ -532,7 +532,7 @@ func (sc *chaosScenario) Run(ctx context.Context) (*chaosReport, error) {
 	fab.Blackhole(sc.Network.PeerEndpoint("Doctor"))
 	sc.Doctor.Stop()
 
-	res, err := sc.Patient.UpdateView(ctx, sc.ShareD13, func(t *reldb.Table) error {
+	res, err := sc.Patient.UpdateView(ctx, ShareIDD13, func(t *reldb.Table) error {
 		return t.Update(reldb.Row{reldb.I(renameTargets[1])}, map[string]reldb.Value{
 			workload.ColMedication: reldb.S("CrashMed"),
 		})
@@ -551,22 +551,22 @@ func (sc *chaosScenario) Run(ctx context.Context) (*chaosReport, error) {
 		return report, err
 	}
 	sc.Doctor = doctor
-	if err := doctor.AttachShare(sc.ShareD13, "D3", LensD31(), "D31"); err != nil {
+	if err := doctor.AttachShare(ShareIDD13, "D3", workload.LensD31(), "D31"); err != nil {
 		fill()
 		return report, err
 	}
-	if err := doctor.AttachShare(sc.ShareD23, "D3", LensD32(), "D32"); err != nil {
+	if err := doctor.AttachShare(ShareIDD23, "D3", workload.LensD32(), "D32"); err != nil {
 		fill()
 		return report, err
 	}
 	fab.Restore(sc.Network.PeerEndpoint("Doctor"))
 
-	if err := sc.Patient.WaitFinal(ctx, sc.ShareD13, res.Seq); err != nil {
+	if err := sc.Patient.WaitFinal(ctx, ShareIDD13, res.Seq); err != nil {
 		fill()
 		return report, fmt.Errorf("chaos: crash-restart D13 finality: %w", err)
 	}
 	report.Updates++
-	if err := sc.waitShareConverged(ctx, sc.ShareD23, metaD23.Seq+1); err != nil {
+	if err := sc.waitShareConverged(ctx, ShareIDD23, metaD23.Seq+1); err != nil {
 		fill()
 		return report, fmt.Errorf("chaos: cascade after crash-restart: %w", err)
 	}
@@ -581,11 +581,11 @@ func (sc *chaosScenario) Run(ctx context.Context) (*chaosReport, error) {
 	fab.SetDelay(0, 0)
 	fab.Heal()
 	healed := time.Now()
-	if err := sc.waitShareConverged(ctx, sc.ShareD13, 1); err != nil {
+	if err := sc.waitShareConverged(ctx, ShareIDD13, 1); err != nil {
 		fill()
 		return report, err
 	}
-	if err := sc.waitShareConverged(ctx, sc.ShareD23, 1); err != nil {
+	if err := sc.waitShareConverged(ctx, ShareIDD23, 1); err != nil {
 		fill()
 		return report, err
 	}

@@ -1,12 +1,6 @@
 package main
 
-// The trust-minimized subcommands:
-//
-//	medsharectl verify -api http://127.0.0.1:8344 -id S -key 188
-//	    fetch one row with its Merkle membership proof, verify the proof,
-//	    recompute the table hash the proof commits to, and check it
-//	    against the share's on-chain payload hash — prints the verdict
-//	    and the proven root
+// The trust-minimized subcommand:
 //
 //	medsharectl light -api ... -network medshare-demo \
 //	    -participants 'Doctor=s1@...,Patient=s2@...,Researcher=s3@...' \
@@ -15,9 +9,8 @@ package main
 //	    PoA authority set locally from the participant seeds, sync and
 //	    verify the header chain from the locally computed genesis, then
 //	    proof-verify the row against a header — nothing the server says
-//	    is trusted unverified
-//
-// Both exit non-zero on any verification failure.
+//	    is trusted unverified; prints the row and the height it was
+//	    verified at, and exits non-zero on any verification failure
 
 import (
 	"context"
@@ -28,7 +21,7 @@ import (
 
 	"medshare/internal/api"
 	"medshare/internal/consensus"
-	"medshare/internal/identity"
+	"medshare/internal/daemon"
 	"medshare/internal/light"
 	"medshare/internal/reldb"
 )
@@ -51,59 +44,6 @@ func parseKeyTuple(raw string) reldb.Row {
 	return key
 }
 
-func verifyCmd(args []string) error {
-	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	addr, id := apiFlags(fs)
-	key := fs.String("key", "", "row key (comma-separated tuple)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *id == "" || *key == "" {
-		return fmt.Errorf("-id and -key are required")
-	}
-	c, ctx, cancel := apiClient(*addr)
-	defer cancel()
-	res, err := c.Row(ctx, *id, strings.Split(*key, ","), true)
-	if err != nil {
-		return err
-	}
-	ok, err := api.VerifyRow(res)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("membership proof FAILED against root %s", res.Root)
-	}
-	payload, err := api.VerifyRowPayload(res)
-	if err != nil {
-		return err
-	}
-	st, err := c.Share(ctx, *id)
-	if err != nil {
-		return err
-	}
-	for i, v := range res.Row {
-		if i > 0 {
-			fmt.Print(" | ")
-		}
-		fmt.Print(v.String())
-	}
-	fmt.Println()
-	fmt.Printf("membership proof: OK (root %s)\n", res.Root)
-	fmt.Printf("table hash:       %s (seq %d, %d rows)\n", payload, res.Seq, res.Rows)
-	switch {
-	case st.PayloadHash == "":
-		fmt.Println("on-chain binding: share has no finalized payload hash yet")
-	case st.PayloadHash == payload && st.ChainSeq == res.Seq:
-		fmt.Printf("on-chain binding: OK (chain seq %d commits to this hash)\n", st.ChainSeq)
-	case st.ChainSeq != res.Seq:
-		return fmt.Errorf("on-chain binding STALE: proof at seq %d, chain at seq %d", res.Seq, st.ChainSeq)
-	default:
-		return fmt.Errorf("on-chain binding FAILED: chain records %s at seq %d", st.PayloadHash, st.ChainSeq)
-	}
-	return nil
-}
-
 func lightCmd(args []string) error {
 	fs := flag.NewFlagSet("light", flag.ExitOnError)
 	addr, id := apiFlags(fs)
@@ -120,31 +60,16 @@ func lightCmd(args []string) error {
 	// The authority set is derived locally from the participant seeds —
 	// the strict round-robin PoA verifier is the trust root, the server
 	// only supplies data. Order must match the daemons'.
-	var authorities []identity.Address
-	for _, part := range strings.Split(*parts, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, rest, ok := strings.Cut(part, "=")
-		if !ok {
-			return fmt.Errorf("bad participant %q (want name=seed[@host:port])", part)
-		}
-		seed := rest
-		if at := strings.LastIndexByte(rest, '@'); at >= 0 {
-			seed = rest[:at]
-		}
-		authorities = append(authorities, identity.FromSeed(name, seed).Address())
-	}
-	if len(authorities) == 0 {
-		return fmt.Errorf("no participants parsed from %q", *parts)
+	participants, err := daemon.ParseParticipants(*parts)
+	if err != nil {
+		return err
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 	client, err := light.New(light.Config{
 		Network: *network,
-		Verify:  consensus.NewPoA(true, authorities...).VerifyHeader,
+		Verify:  consensus.NewPoA(true, daemon.Authorities(participants)...).VerifyHeader,
 		Source:  &api.LightSource{BaseURL: *addr},
 	})
 	if err != nil {
@@ -165,9 +90,10 @@ func lightCmd(args []string) error {
 		fmt.Print(v.String())
 	}
 	fmt.Println()
+	seq, height, _ := client.Proven(*id)
 	st := client.Stats()
-	fmt.Printf("verified: %d header(s) + share head + row proof, %d wire bytes, %d bytes retained\n",
-		st.Height+1, st.WireBytes, client.StateBytes())
+	fmt.Printf("verified at height %d (share seq %d): %d header(s) + share head + row proof, %d wire bytes, %d bytes retained\n",
+		height, seq, st.Height+1, st.WireBytes, client.StateBytes())
 	if st.VerifyFailures != 0 {
 		return fmt.Errorf("light client recorded %d verification failures", st.VerifyFailures)
 	}

@@ -49,8 +49,6 @@ func main() {
 		err = update(os.Args[2:])
 	case "audit":
 		err = auditCmd(os.Args[2:])
-	case "verify":
-		err = verifyCmd(os.Args[2:])
 	case "light":
 		err = lightCmd(os.Args[2:])
 	default:
@@ -64,7 +62,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: medsharectl {keygen|demo|gen|inspect|register|attach|fetch|update|audit|verify|light} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: medsharectl {keygen|demo|gen|inspect|register|attach|fetch|update|audit|light} [flags]")
 }
 
 func keygen(args []string) error {

@@ -19,10 +19,9 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -30,59 +29,12 @@ import (
 	"syscall"
 	"time"
 
-	"medshare/internal/api"
-	"medshare/internal/bx"
-	"medshare/internal/consensus"
-	"medshare/internal/contract"
-	"medshare/internal/contract/sharereg"
 	"medshare/internal/core"
+	"medshare/internal/daemon"
 	"medshare/internal/identity"
-	"medshare/internal/node"
-	"medshare/internal/p2p"
 	"medshare/internal/reldb"
-	"medshare/internal/store"
 	"medshare/internal/workload"
 )
-
-// HTTP API connection bounds: a client that trickles its request headers
-// or parks an idle keep-alive connection loses it after these, so it
-// cannot hold a connection and a goroutine forever.
-const (
-	apiReadHeaderTimeout = 10 * time.Second
-	apiIdleTimeout       = 2 * time.Minute
-)
-
-// participant is one configured stakeholder: name, identity seed, and
-// TCP address.
-type participant struct {
-	name string
-	seed string
-	addr string
-}
-
-func parseParticipants(s string) ([]participant, error) {
-	var out []participant
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		eq := strings.IndexByte(part, '=')
-		at := strings.LastIndexByte(part, '@')
-		if eq < 0 || at < eq {
-			return nil, fmt.Errorf("bad participant %q (want name=seed@host:port)", part)
-		}
-		out = append(out, participant{
-			name: part[:eq],
-			seed: part[eq+1 : at],
-			addr: part[at+1:],
-		})
-	}
-	if len(out) < 2 {
-		return nil, fmt.Errorf("need at least two participants")
-	}
-	return out, nil
-}
 
 func main() {
 	var (
@@ -103,200 +55,79 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*name, *listen, *parts, *network, *blockMs, *fig1, *records, *seedFlag, *apiAddr, *groupMs, *dataDir); err != nil {
+	participants, err := daemon.ParseParticipants(*parts)
+	if err == nil {
+		err = run(daemon.Config{
+			Name:              *name,
+			Participants:      participants,
+			Listen:            *listen,
+			Network:           *network,
+			DataDir:           *dataDir,
+			BlockInterval:     time.Duration(*blockMs) * time.Millisecond,
+			GroupCommitWindow: time.Duration(*groupMs) * time.Millisecond,
+			API:               *apiAddr,
+			Logf: func(format string, args ...any) {
+				fmt.Printf("  "+format+"\n", args...)
+			},
+		}, *fig1, *records, *seedFlag)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "medshared:", err)
 		os.Exit(1)
 	}
 }
 
-func run(name, listen, parts, network string, blockMs int, fig1 bool, records int, seed int64, apiAddr string, groupMs int, dataDir string) error {
-	participants, err := parseParticipants(parts)
-	if err != nil {
-		return err
-	}
-	var me *participant
-	for i := range participants {
-		if participants[i].name == name {
-			me = &participants[i]
-		}
-	}
-	if me == nil {
-		return fmt.Errorf("participant %s not in -participants", name)
-	}
-
-	// Deterministic identities: every process derives the same addresses.
-	ids := make(map[string]*identity.Identity, len(participants))
-	var authorities []identity.Address
-	dir := core.NewDirectory()
-	for _, p := range participants {
-		id := identity.FromSeed(p.name, p.seed)
-		ids[p.name] = id
-		authorities = append(authorities, id.Address())
-		dir.Set(id.Address(), p.name)
-	}
-
-	transport, err := p2p.NewTCPTransport(name, listen)
-	if err != nil {
-		return err
-	}
-	defer transport.Close()
-	for _, p := range participants {
-		if p.name != name {
-			transport.AddPeer(p.name, p.addr)
-		}
-	}
-	fmt.Printf("%s listening on %s (address %s)\n", name, transport.Addr(), ids[name].Address().Short())
-
-	// Durable store: opened before the node (node.New recovers from it) and
-	// closed after node.Stop (deferred earlier => runs later), so the clean
-	// checkpoint written on shutdown always reaches the log before Close.
-	var st *store.Store
-	if dataDir != "" {
-		st, err = store.Open(store.Options{Dir: dataDir})
-		if err != nil {
-			return fmt.Errorf("open data dir %s: %w", dataDir, err)
-		}
-		defer st.Close()
-		stats := st.Stats()
-		if stats.CleanShutdown {
-			fmt.Printf("%s store %s: clean shutdown, checkpoint import (0 bytes replayed)\n", name, dataDir)
-		} else {
-			fmt.Printf("%s store %s: recovering (%d blocks, %d tail bytes truncated, torn=%v)\n",
-				name, dataDir, len(st.Blocks()), stats.TailBytes, stats.TornTail)
-		}
-	}
-
-	n, err := node.New(node.Config{
-		NetworkName:       network,
-		Identity:          ids[name],
-		Engine:            consensus.NewPoA(true, authorities...),
-		Registry:          contract.NewRegistry(sharereg.New()),
-		BlockInterval:     time.Duration(blockMs) * time.Millisecond,
-		GroupCommitWindow: time.Duration(groupMs) * time.Millisecond,
-		Transport:         transport,
-		Store:             st,
-	})
-	if err != nil {
-		return err
-	}
+func run(cfg daemon.Config, fig1 bool, records int, seed int64) (err error) {
 	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer cancel()
-	n.Start(ctx)
-	defer n.Stop()
-
-	db := reldb.NewDatabase(name)
-	if fig1 {
-		if err := loadFig1(db, name, records, seed); err != nil {
-			return err
-		}
-	}
-	peer, err := core.NewPeer(core.Config{
-		Identity:  ids[name],
-		DB:        db,
-		Node:      n,
-		Transport: transport,
-		Directory: dir,
-		Store:     st,
-		Logf: func(format string, args ...any) {
-			fmt.Printf("  "+format+"\n", args...)
-		},
-	})
+	d, err := daemon.Open(cfg)
 	if err != nil {
 		return err
 	}
-	peer.Start()
-	defer peer.Stop()
-
-	if apiAddr != "" {
-		srv, err := api.New(api.Config{
-			Peer:           peer,
-			Node:           n,
-			CoalesceWindow: time.Duration(groupMs) * time.Millisecond,
-			Store:          st,
-		})
+	defer func() { err = errors.Join(err, d.Close()) }()
+	if fig1 {
+		full := workload.Fig1Data("full")
+		if records > 0 {
+			full = workload.Generate("full", records, seed)
+		}
+		t, err := workload.RoleTable(full, cfg.Name)
 		if err != nil {
-			return err
+			return fmt.Errorf("-fig1: %w", err)
 		}
-		l, err := net.Listen("tcp", apiAddr)
-		if err != nil {
-			return fmt.Errorf("api listen: %w", err)
-		}
-		hs := &http.Server{
-			Handler:           srv.Handler(),
-			ReadHeaderTimeout: apiReadHeaderTimeout,
-			IdleTimeout:       apiIdleTimeout,
-		}
-		go func() {
-			if err := hs.Serve(l); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "medshared: api:", err)
-			}
-		}()
-		defer hs.Close()
-		fmt.Printf("%s serving API on http://%s\n", name, l.Addr())
+		d.DB.PutTable(t)
+	}
+	sh := &shell{Daemon: d, name: cfg.Name, addr: make(map[string]identity.Address)}
+	for i, a := range daemon.Authorities(cfg.Participants) {
+		sh.addr[cfg.Participants[i].Name] = a
 	}
 
 	// The shell blocks on stdin, which cannot be interrupted portably; run
 	// it in a goroutine and race it against SIGTERM/SIGINT so a signal
-	// still unwinds the defers (peer.Stop, n.Stop checkpoint, store close).
+	// still unwinds into Close (peer, node checkpoint, store).
 	done := make(chan error, 1)
-	go func() { done <- shell(ctx, &daemon{name: name, ids: ids, node: n, peer: peer, db: db}) }()
+	go func() { done <- sh.run(ctx) }()
 	select {
 	case err := <-done:
 		return err
 	case <-ctx.Done():
-		fmt.Printf("\n%s: signal received, shutting down\n", name)
+		fmt.Printf("\n%s: signal received, shutting down\n", cfg.Name)
 		return nil
 	}
 }
 
-// loadFig1 installs the role's Fig. 1 slice.
-func loadFig1(db *reldb.Database, role string, records int, seed int64) error {
-	var full *reldb.Table
-	if records <= 0 {
-		full = workload.Fig1Data("full")
-	} else {
-		full = workload.Generate("full", records, seed)
-	}
-	switch role {
-	case "Patient":
-		t, err := full.Project("D1", workload.PatientCols, nil)
-		if err != nil {
-			return err
-		}
-		db.PutTable(t)
-	case "Researcher":
-		t, err := full.Project("D2", workload.ResearcherCols, []string{workload.ColMedication})
-		if err != nil {
-			return err
-		}
-		db.PutTable(t)
-	case "Doctor":
-		t, err := full.Project("D3", workload.DoctorCols, nil)
-		if err != nil {
-			return err
-		}
-		db.PutTable(t)
-	default:
-		return fmt.Errorf("-fig1 supports roles Doctor, Patient, Researcher (got %s)", role)
-	}
-	return nil
-}
-
-// daemon bundles the running pieces for the shell.
-type daemon struct {
+// shell is the interactive command loop over one daemon; addr names
+// every participant's address.
+type shell struct {
+	*daemon.Daemon
 	name string
-	ids  map[string]*identity.Identity
-	node *node.Node
-	peer *core.Peer
-	db   *reldb.Database
+	addr map[string]identity.Address
 }
 
-// shell is the interactive command loop.
-func shell(ctx context.Context, d *daemon) error {
+func (sh *shell) run(ctx context.Context) error {
 	sc := bufio.NewScanner(os.Stdin)
 	fmt.Println(`type "help" for commands`)
 	for {
-		fmt.Printf("%s> ", d.name)
+		fmt.Printf("%s> ", sh.name)
 		if !sc.Scan() {
 			return sc.Err()
 		}
@@ -307,13 +138,13 @@ func shell(ctx context.Context, d *daemon) error {
 		if fields[0] == "quit" || fields[0] == "exit" {
 			return nil
 		}
-		if err := d.execute(ctx, fields); err != nil {
+		if err := sh.execute(ctx, fields); err != nil {
 			fmt.Println("error:", err)
 		}
 	}
 }
 
-func (d *daemon) execute(ctx context.Context, args []string) error {
+func (sh *shell) execute(ctx context.Context, args []string) error {
 	opCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
 	switch args[0] {
@@ -334,7 +165,7 @@ func (d *daemon) execute(ctx context.Context, args []string) error {
 `)
 		return nil
 	case "tables":
-		for _, t := range d.db.TableNames() {
+		for _, t := range sh.DB.TableNames() {
 			fmt.Println(" ", t)
 		}
 		return nil
@@ -342,7 +173,7 @@ func (d *daemon) execute(ctx context.Context, args []string) error {
 		if len(args) != 2 {
 			return fmt.Errorf("usage: show <table>")
 		}
-		t, err := d.db.Table(args[1])
+		t, err := sh.DB.Table(args[1])
 		if err != nil {
 			return err
 		}
@@ -352,14 +183,14 @@ func (d *daemon) execute(ctx context.Context, args []string) error {
 		if len(args) != 5 {
 			return fmt.Errorf("usage: set <table> <key> <col> <value>")
 		}
-		return d.db.WithTable(args[1], func(t *reldb.Table) error {
+		return sh.DB.WithTable(args[1], func(t *reldb.Table) error {
 			return t.Update(parseKey(args[2]), map[string]reldb.Value{args[3]: reldb.S(args[4])})
 		})
 	case "sync":
 		if len(args) != 2 {
 			return fmt.Errorf("usage: sync <table>")
 		}
-		props, err := d.peer.SyncShares(opCtx, args[1])
+		props, err := sh.Peer.SyncShares(opCtx, args[1])
 		if err != nil {
 			return err
 		}
@@ -368,17 +199,17 @@ func (d *daemon) execute(ctx context.Context, args []string) error {
 		}
 		for _, pr := range props {
 			fmt.Printf("  proposed %s seq %d (cols %v); waiting for peers...\n", pr.ShareID, pr.Seq, pr.Cols)
-			if err := d.peer.WaitFinal(opCtx, pr.ShareID, pr.Seq); err != nil {
+			if err := sh.Peer.WaitFinal(opCtx, pr.ShareID, pr.Seq); err != nil {
 				return err
 			}
 			fmt.Printf("  finalized %s seq %d\n", pr.ShareID, pr.Seq)
 		}
 		return nil
 	case "shares":
-		ids := d.peer.Shares()
+		ids := sh.Peer.Shares()
 		sort.Strings(ids)
 		for _, id := range ids {
-			info, err := d.peer.ShareInfo(id)
+			info, err := sh.Peer.ShareInfo(id)
 			if err != nil {
 				continue
 			}
@@ -389,7 +220,7 @@ func (d *daemon) execute(ctx context.Context, args []string) error {
 		if len(args) != 2 {
 			return fmt.Errorf("usage: meta <share>")
 		}
-		m, err := d.peer.Meta(args[1])
+		m, err := sh.Peer.Meta(args[1])
 		if err != nil {
 			return err
 		}
@@ -408,87 +239,69 @@ func (d *daemon) execute(ctx context.Context, args []string) error {
 		}
 		return nil
 	case "history":
-		for _, h := range d.peer.History() {
+		for _, h := range sh.Peer.History() {
 			fmt.Printf("  %s %-10s %-12s seq %d cols %v %s\n",
 				h.Time.Format("15:04:05.000"), h.Kind, h.ShareID, h.Seq, h.Cols, h.Note)
 		}
 		return nil
 	case "chain":
-		head := d.node.Store().Head()
+		head := sh.Node.Store().Head()
 		fmt.Printf("  height %d, head %s, mempool %d\n",
-			head.Header.Height, head.HashString()[:12], d.node.PendingTxs())
+			head.Header.Height, head.HashString()[:12], sh.Node.PendingTxs())
 		return nil
 	case "resync":
-		return d.peer.Resync(opCtx)
+		return sh.Peer.Resync(opCtx)
 	case "register-fig1":
-		return d.registerFig1(opCtx)
+		return sh.registerFig1(opCtx)
 	case "attach-fig1":
-		return d.attachFig1(opCtx)
+		return sh.attachFig1(opCtx)
 	default:
 		return fmt.Errorf("unknown command %q (try help)", args[0])
 	}
 }
 
 // registerFig1 registers both paper shares from the Doctor role.
-func (d *daemon) registerFig1(ctx context.Context) error {
-	if d.name != "Doctor" {
+func (sh *shell) registerFig1(ctx context.Context) error {
+	if sh.name != "Doctor" {
 		return fmt.Errorf("register-fig1 runs on the Doctor")
 	}
-	doctor := d.ids["Doctor"].Address()
-	patient := d.ids["Patient"].Address()
-	researcher := d.ids["Researcher"].Address()
-	err := d.peer.RegisterShare(ctx, core.RegisterShareArgs{
-		ID:          "D13&D31",
+	doctor, patient, researcher := sh.addr["Doctor"], sh.addr["Patient"], sh.addr["Researcher"]
+	err := sh.Peer.RegisterShare(ctx, core.RegisterShareArgs{
+		ID:          workload.ShareIDD13,
 		SourceTable: "D3",
-		Lens:        bx.Project("D31", workload.ShareD13Cols, nil),
+		Lens:        workload.LensD31(),
 		ViewName:    "D31",
 		Peers:       []identity.Address{patient, doctor},
-		WritePerm: map[string][]identity.Address{
-			workload.ColPatientID:  {doctor},
-			workload.ColMedication: {doctor},
-			workload.ColDosage:     {doctor},
-			workload.ColClinical:   {patient, doctor},
-		},
-		Authority: doctor,
+		WritePerm:   workload.PermD13(patient, doctor),
+		Authority:   doctor,
 	})
 	if err != nil {
 		return err
 	}
-	return d.peer.RegisterShare(ctx, core.RegisterShareArgs{
-		ID:          "D23&D32",
+	return sh.Peer.RegisterShare(ctx, core.RegisterShareArgs{
+		ID:          workload.ShareIDD23,
 		SourceTable: "D3",
-		Lens:        bx.Project("D32", workload.ShareD23Cols, []string{workload.ColMedication}),
+		Lens:        workload.LensD32(),
 		ViewName:    "D32",
 		Peers:       []identity.Address{researcher, doctor},
-		WritePerm: map[string][]identity.Address{
-			workload.ColMedication: {doctor, researcher},
-			workload.ColMechanism:  {researcher},
-		},
-		Authority: researcher,
+		WritePerm:   workload.PermD23(doctor, researcher),
+		Authority:   researcher,
 	})
 }
 
 // attachFig1 binds the local side of the paper share for this role.
-func (d *daemon) attachFig1(ctx context.Context) error {
-	switch d.name {
+func (sh *shell) attachFig1(ctx context.Context) error {
+	switch sh.name {
 	case "Patient":
-		if _, err := d.peer.WaitForShare(ctx, "D13&D31"); err != nil {
+		if _, err := sh.Peer.WaitForShare(ctx, workload.ShareIDD13); err != nil {
 			return err
 		}
-		return d.peer.AttachShare("D13&D31", "D1",
-			bx.Project("D13", workload.ShareD13Cols, nil).
-				WithDelete(bx.PolicyApply).
-				WithInsert(bx.PolicyApply, map[string]reldb.Value{workload.ColAddress: reldb.S("unknown")}),
-			"D13")
+		return sh.Peer.AttachShare(workload.ShareIDD13, "D1", workload.LensD13(), "D13")
 	case "Researcher":
-		if _, err := d.peer.WaitForShare(ctx, "D23&D32"); err != nil {
+		if _, err := sh.Peer.WaitForShare(ctx, workload.ShareIDD23); err != nil {
 			return err
 		}
-		return d.peer.AttachShare("D23&D32", "D2",
-			bx.Project("D23", workload.ShareD23Cols, []string{workload.ColMedication}).
-				WithDelete(bx.PolicyApply).
-				WithInsert(bx.PolicyApply, map[string]reldb.Value{workload.ColMode: reldb.S("MoA-pending")}),
-			"D23")
+		return sh.Peer.AttachShare(workload.ShareIDD23, "D2", workload.LensD23(), "D23")
 	default:
 		return fmt.Errorf("attach-fig1 runs on Patient or Researcher")
 	}

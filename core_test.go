@@ -333,7 +333,7 @@ func TestAutoResyncRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.Patient.AttachShare(ShareIDD13, "D1", LensD13(), "D13"); err != nil {
+	if err := sc.Patient.AttachShare(ShareIDD13, "D1", workload.LensD13(), "D13"); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 30*time.Second, func() bool {

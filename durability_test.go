@@ -68,7 +68,7 @@ func TestShareCrashSweepAndResync(t *testing.T) {
 	err = owner.RegisterShare(ctx, core.RegisterShareArgs{
 		ID:          shareID,
 		SourceTable: "D3",
-		Lens:        LensD31(),
+		Lens:        workload.LensD31(),
 		ViewName:    "D31",
 		Peers:       []identity.Address{sub.Address(), owner.Address()},
 		WritePerm: map[string][]identity.Address{
@@ -83,7 +83,7 @@ func TestShareCrashSweepAndResync(t *testing.T) {
 	if _, err := sub.WaitForShare(ctx, shareID); err != nil {
 		t.Fatal(err)
 	}
-	if err := sub.AttachShare(shareID, "D1", LensD13(), "D13"); err != nil {
+	if err := sub.AttachShare(shareID, "D1", workload.LensD13(), "D13"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -203,7 +203,7 @@ func TestShareCrashSweepAndResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sub2.AttachShare(shareID, "D1", LensD13(), "D13"); err != nil {
+	if err := sub2.AttachShare(shareID, "D1", workload.LensD13(), "D13"); err != nil {
 		t.Fatalf("restore from stale image: %v", err)
 	}
 	info, err := sub2.ShareInfo(shareID)

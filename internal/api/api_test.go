@@ -570,27 +570,8 @@ func TestLightOverHTTP(t *testing.T) {
 
 	// The on-chain binding a proven read must recompute to: wait for the
 	// write to finalize into the share's payload hash.
-	var st api.ShareStatus
-	for {
-		st, err = h.client.Share(h.ctx, "S")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.PayloadHash != "" && st.ChainSeq >= res.Seq {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	row, err := h.client.Row(h.ctx, "S", []string{"1"}, true)
-	if err != nil {
+	if err := h.a.WaitFinal(h.ctx, "S", res.Seq); err != nil {
 		t.Fatal(err)
-	}
-	payload, err := api.VerifyRowPayload(row)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Seq == st.ChainSeq && payload != st.PayloadHash {
-		t.Fatalf("recomputed payload %s != on-chain %s at seq %d", payload, st.PayloadHash, st.ChainSeq)
 	}
 
 	lc, err := light.New(light.Config{

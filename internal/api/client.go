@@ -3,8 +3,6 @@ package api
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -86,13 +84,6 @@ func (c *Client) Attach(ctx context.Context, id string, req AttachRequest) (Shar
 	return st, err
 }
 
-// Share fetches one share's status.
-func (c *Client) Share(ctx context.Context, id string) (ShareStatus, error) {
-	var st ShareStatus
-	err := c.do(ctx, http.MethodGet, "/v1/shares/"+url.PathEscape(id), nil, &st)
-	return st, err
-}
-
 // Rows fetches the whole view.
 func (c *Client) Rows(ctx context.Context, id string) (*reldb.Table, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/shares/"+url.PathEscape(id)+"/rows", nil)
@@ -139,30 +130,6 @@ func VerifyRow(res RowResult) (bool, error) {
 	var root [32]byte
 	copy(root[:], rb)
 	return reldb.VerifyRowProof(root, res.Row, *res.Proof), nil
-}
-
-// VerifyRowPayload recomputes the table hash a proof-carrying RowResult
-// commits to — sha256(schemaSum ‖ rowCount ‖ root), the exact preimage
-// of reldb.Table.Hash — returned hex-encoded for comparison with the
-// share's on-chain PayloadHash at the result's Seq.
-func VerifyRowPayload(res RowResult) (string, error) {
-	if res.Root == "" || res.SchemaSum == "" {
-		return "", fmt.Errorf("api: result carries no table-hash preimage")
-	}
-	rb, err := hex.DecodeString(res.Root)
-	if err != nil || len(rb) != 32 {
-		return "", fmt.Errorf("api: bad root %q", res.Root)
-	}
-	sb, err := hex.DecodeString(res.SchemaSum)
-	if err != nil || len(sb) != 32 {
-		return "", fmt.Errorf("api: bad schema sum %q", res.SchemaSum)
-	}
-	var buf [72]byte
-	copy(buf[:32], sb)
-	binary.BigEndian.PutUint64(buf[32:40], uint64(res.Rows))
-	copy(buf[40:], rb)
-	h := sha256.Sum256(buf[:])
-	return hex.EncodeToString(h[:]), nil
 }
 
 // Update applies entry-level view mutations through the write

@@ -292,13 +292,11 @@ func (s *Server) handleRow(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	return writeJSON(w, RowResult{
-		ShareID:   id,
-		Seq:       pr.Seq,
-		Row:       pr.Row,
-		Root:      hex.EncodeToString(pr.Root[:]),
-		Proof:     &pr.Proof,
-		SchemaSum: hex.EncodeToString(pr.SchemaSum[:]),
-		Rows:      pr.Rows,
+		ShareID: id,
+		Seq:     pr.Seq,
+		Row:     pr.Row,
+		Root:    hex.EncodeToString(pr.Root[:]),
+		Proof:   &pr.Proof,
 	})
 }
 

@@ -53,26 +53,21 @@ type ShareStatus struct {
 	Columns     []string `json:"columns,omitempty"`
 	Peers       []string `json:"peers,omitempty"`
 	// PayloadHash is the on-chain table hash of the most recently
-	// finalized update (hex; empty before the first update). A
-	// proof-carrying RowResult at ChainSeq must recompute to exactly
-	// this hash — see VerifyRowPayload.
+	// finalized update (hex; empty before the first update).
 	PayloadHash string `json:"payloadHash,omitempty"`
 }
 
 // RowResult is a single-row read, optionally proof-carrying: Root and
 // Proof are present iff the request asked for a proof, and verify via
-// reldb.VerifyRowProof against the root the on-chain payload hash
-// commits to at Seq. SchemaSum and Rows complete the table-hash
-// preimage (sha256(schemaSum ‖ rowCount ‖ root)), so a verifier can
-// bind the proven root to the payload hash the chain records at Seq.
+// reldb.VerifyRowProof against the serving replica's row root at Seq.
+// That proves membership only; a read bound to the chain goes through
+// the light endpoints (light.Client).
 type RowResult struct {
-	ShareID   string      `json:"shareId"`
-	Seq       uint64      `json:"seq"`
-	Row       reldb.Row   `json:"row"`
-	Root      string      `json:"root,omitempty"`
-	Proof     *pmap.Proof `json:"proof,omitempty"`
-	SchemaSum string      `json:"schemaSum,omitempty"`
-	Rows      int         `json:"rows,omitempty"`
+	ShareID string      `json:"shareId"`
+	Seq     uint64      `json:"seq"`
+	Row     reldb.Row   `json:"row"`
+	Root    string      `json:"root,omitempty"`
+	Proof   *pmap.Proof `json:"proof,omitempty"`
 }
 
 // RowOp is one entry-level mutation of the shared view.

@@ -444,6 +444,22 @@ func (c *Client) Stats() Stats {
 	return st
 }
 
+// Proven returns the share version the client last proved on-chain —
+// its seq and the height of the header the proof verified against, the
+// anchor of every row Read returns for the share. ok is false before the
+// first head proof.
+func (c *Client) Proven(shareID string) (seq, height uint64, ok bool) {
+	c.mu.Lock()
+	s, subscribed := c.shares[shareID]
+	c.mu.Unlock()
+	if !subscribed {
+		return 0, 0, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.seq, s.provenHeight, s.headKnown
+}
+
 // StateBytes reports the client's retained state size: the header
 // chain's binary size plus per-share metadata and the canonical
 // encoding of every cached row. This is the "per-reader state" number

@@ -1,5 +1,6 @@
-// Package workload generates the synthetic medical data the benchmark,
-// examples and tests run on, following the schema of the paper's Fig. 1 exactly:
+// Package workload holds the paper's Fig. 1 (its tables, lenses and write
+// permissions) and generates the synthetic medical data the benchmark,
+// examples and tests run on, following Fig. 1's schema exactly:
 //
 //	a0 Patient ID | a1 Medication Name | a2 Clinical Data | a3 Address |
 //	a4 Dosage     | a5 Mechanism of Action | a6 Mode of Action

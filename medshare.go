@@ -215,6 +215,12 @@ var (
 	Fig1Records = workload.Fig1Data
 )
 
+// Share identifiers of Fig. 1.
+const (
+	ShareIDD13 = workload.ShareIDD13
+	ShareIDD23 = workload.ShareIDD23
+)
+
 // Fig. 1 attribute names.
 const (
 	ColPatientID  = workload.ColPatientID

@@ -3,7 +3,6 @@ package medshare
 import (
 	"context"
 	"encoding/json"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,13 +11,7 @@ import (
 
 	"medshare/internal/api"
 	"medshare/internal/bx"
-	"medshare/internal/consensus"
-	"medshare/internal/contract"
-	"medshare/internal/contract/sharereg"
-	"medshare/internal/core"
-	"medshare/internal/identity"
-	"medshare/internal/node"
-	"medshare/internal/p2p"
+	"medshare/internal/daemon"
 	"medshare/internal/reldb"
 	"medshare/internal/workload"
 )
@@ -36,46 +29,18 @@ func TestServingEdgeTCPEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	docID := identity.FromSeed("Doctor", "serve-1")
-	patID := identity.FromSeed("Patient", "serve-2")
-	authorities := []identity.Address{docID.Address(), patID.Address()}
-
-	docT, err := p2p.NewTCPTransport("Doctor", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer docT.Close()
-	patT, err := p2p.NewTCPTransport("Patient", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer patT.Close()
-	docT.AddPeer("Patient", patT.Addr())
-	patT.AddPeer("Doctor", docT.Addr())
-
-	dir := core.NewDirectory()
-	dir.Set(docID.Address(), "Doctor")
-	dir.Set(patID.Address(), "Patient")
-
-	mkNode := func(id *identity.Identity, tr p2p.Transport) *node.Node {
-		n, err := node.New(node.Config{
-			NetworkName:       "serving-e2e",
-			Identity:          id,
-			Engine:            consensus.NewPoA(true, authorities...),
-			Registry:          contract.NewRegistry(sharereg.New()),
-			BlockInterval:     5 * time.Millisecond,
-			GroupCommitWindow: time.Millisecond,
-			Transport:         tr,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.Start(ctx)
-		t.Cleanup(n.Stop)
-		return n
-	}
-	docNode := mkNode(docID, docT)
-	patNode := mkNode(patID, patT)
+	ds := openDaemons(t, daemon.Config{
+		Participants: []daemon.Participant{
+			{Name: "Doctor", Seed: "serve-1", Addr: "127.0.0.1:0"},
+			{Name: "Patient", Seed: "serve-2", Addr: "127.0.0.1:0"},
+		},
+		Network:           "serving-e2e",
+		BlockInterval:     5 * time.Millisecond,
+		GroupCommitWindow: time.Millisecond,
+		API:               "127.0.0.1:0",
+	}, nil)
+	defer closeDaemons(t, ds)
+	docID, patID := ds[0].Identity, ds[1].Identity
 
 	schema := reldb.Schema{
 		Name: "records",
@@ -85,41 +50,15 @@ func TestServingEdgeTCPEndToEnd(t *testing.T) {
 		},
 		Key: []string{"pid"},
 	}
-	mkPeer := func(id *identity.Identity, n *node.Node, tr p2p.Transport) *core.Peer {
-		db := reldb.NewDatabase(id.Name)
+	for _, d := range ds {
 		tbl := reldb.MustNewTable(schema)
 		tbl.MustInsert(reldb.Row{reldb.I(1), reldb.S("low")})
 		tbl.MustInsert(reldb.Row{reldb.I(2), reldb.S("low")})
-		db.PutTable(tbl)
-		p, err := core.NewPeer(core.Config{
-			Identity: id, DB: db, Node: n, Transport: tr, Directory: dir,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Start()
-		t.Cleanup(p.Stop)
-		return p
+		d.DB.PutTable(tbl)
 	}
-	doctor := mkPeer(docID, docNode, docT)
-	patient := mkPeer(patID, patNode, patT)
-
-	serve := func(p *core.Peer, n *node.Node) *api.Client {
-		srv, err := api.New(api.Config{Peer: p, Node: n, CoalesceWindow: time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go hs.Serve(lis)
-		t.Cleanup(func() { hs.Close() })
-		return &api.Client{BaseURL: "http://" + lis.Addr().String()}
-	}
-	docAPI := serve(doctor, docNode)
-	patAPI := serve(patient, patNode)
+	doctor, patient := ds[0].Peer, ds[1].Peer
+	docAPI := &api.Client{BaseURL: "http://" + ds[0].APIAddr}
+	patAPI := &api.Client{BaseURL: "http://" + ds[1].APIAddr}
 
 	if !httpOK(docAPI.BaseURL + "/healthz") {
 		t.Fatal("doctor API not healthy")

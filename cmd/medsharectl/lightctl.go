@@ -90,7 +90,7 @@ func lightCmd(args []string) error {
 		fmt.Print(v.String())
 	}
 	fmt.Println()
-	seq, height, _ := client.Proven(*id)
+	seq, height := client.Proven(*id)
 	st := client.Stats()
 	fmt.Printf("verified at height %d (share seq %d): %d header(s) + share head + row proof, %d wire bytes, %d bytes retained\n",
 		height, seq, st.Height+1, st.WireBytes, client.StateBytes())

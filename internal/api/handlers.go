@@ -127,15 +127,6 @@ func (s *Server) shareStatus(id string) (ShareStatus, error) {
 	return st, nil
 }
 
-// handleShareGet serves one share's lifecycle status.
-func (s *Server) handleShareGet(w http.ResponseWriter, r *http.Request) error {
-	st, err := s.shareStatus(r.PathValue("id"))
-	if err != nil {
-		return err
-	}
-	return writeJSON(w, st)
-}
-
 // handleRegister registers a new share with this peer as initiator.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) error {
 	var req RegisterRequest

@@ -80,7 +80,7 @@ type kindMetrics struct {
 var requestKinds = []string{
 	"health", "ready", "metrics",
 	"shares_list", "register", "attach",
-	"share_get", "rows", "row", "update", "audit",
+	"rows", "row", "update", "audit",
 	"light_headers", "light_head", "light_row",
 }
 
@@ -112,7 +112,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/shares", s.instrument("shares_list", s.handleSharesList))
 	s.mux.HandleFunc("POST /v1/shares", s.instrument("register", s.handleRegister))
 	s.mux.HandleFunc("POST /v1/shares/{id}/attach", s.instrument("attach", s.handleAttach))
-	s.mux.HandleFunc("GET /v1/shares/{id}", s.instrument("share_get", s.handleShareGet))
 	s.mux.HandleFunc("GET /v1/shares/{id}/rows", s.instrument("rows", s.handleRows))
 	s.mux.HandleFunc("GET /v1/shares/{id}/row", s.instrument("row", s.handleRow))
 	s.mux.HandleFunc("POST /v1/shares/{id}/update", s.instrument("update", s.handleUpdate))

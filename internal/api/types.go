@@ -41,8 +41,9 @@ type AttachRequest struct {
 	LensSpec    json.RawMessage `json:"lensSpec,omitempty"`
 }
 
-// ShareStatus is one share's lifecycle state as served by GET
-// /v1/shares/{id}: the local binding plus the on-chain metadata.
+// ShareStatus is one share's lifecycle state as served by GET /v1/shares
+// and returned by register and attach: the local binding plus the
+// on-chain metadata.
 type ShareStatus struct {
 	ID          string   `json:"id"`
 	SourceTable string   `json:"sourceTable"`

@@ -39,11 +39,11 @@ type Participant struct{ Name, Seed, Addr string }
 
 // ParseParticipants parses a comma-separated list of name=seed@host:port
 // entries. The address may be left out (name=seed): a light client needs
-// only the seeds. Every participant becomes a strict-PoA authority, so
-// the list is rejected when an entry lacks a name or a seed, when a name
-// appears twice (the second entry would put an address no daemon runs
-// into the rotation, and the chain stalls at its turn), or when it names
-// fewer than two participants.
+// only the seeds, while Open rejects such an entry. Every participant
+// becomes a strict-PoA authority, so the list is rejected when an entry
+// lacks a name or a seed, when a name appears twice (the second entry
+// would put an address no daemon runs into the rotation, and the chain
+// stalls at its turn), or when it names fewer than two participants.
 func ParseParticipants(s string) ([]Participant, error) {
 	var out []Participant
 	seen := make(map[string]bool)
@@ -134,16 +134,18 @@ type Daemon struct {
 // everything opened so far is closed again.
 func Open(cfg Config) (*Daemon, error) {
 	var me *Participant
-	for i := range cfg.Participants {
-		if cfg.Participants[i].Name == cfg.Name {
+	for i, p := range cfg.Participants {
+		// Every participant is an authority whose turn the chain waits
+		// for, so each needs an address its blocks and data travel to.
+		if p.Addr == "" {
+			return nil, fmt.Errorf("participant %s has no address", p.Name)
+		}
+		if p.Name == cfg.Name {
 			me = &cfg.Participants[i]
 		}
 	}
 	if me == nil {
 		return nil, fmt.Errorf("participant %s is not among the participants", cfg.Name)
-	}
-	if me.Addr == "" {
-		return nil, fmt.Errorf("participant %s has no address", cfg.Name)
 	}
 	logf := cfg.Logf
 	if logf == nil {
@@ -171,7 +173,7 @@ func Open(cfg Config) (*Daemon, error) {
 	dir := core.NewDirectory()
 	for i, p := range cfg.Participants {
 		dir.Set(authorities[i], p.Name)
-		if p.Name != cfg.Name && p.Addr != "" {
+		if p.Name != cfg.Name {
 			d.Transport.AddPeer(p.Name, p.Addr)
 		}
 	}

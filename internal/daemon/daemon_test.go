@@ -47,15 +47,23 @@ func TestParseParticipants(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsUnreachableSelf: a daemon must be among the participants
-// and have an address the others can dial. Both checks run before Open
-// binds anything.
-func TestOpenRejectsUnreachableSelf(t *testing.T) {
-	ps := []Participant{{Name: "Doctor", Seed: "s1"}, {Name: "Patient", Seed: "s2", Addr: "127.0.0.1:1"}}
-	for name, want := range map[string]string{"Doctor": "no address", "Researcher": "not among"} {
-		_, err := Open(Config{Name: name, Participants: ps, Listen: "127.0.0.1:0"})
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("Open(%s) error = %v, want %q", name, err, want)
+// TestOpenRejectsUnreachableParticipant: a daemon must be among the
+// participants, and every participant needs an address the others can
+// dial: an authority without one stalls the chain at its turn. The checks
+// run before Open binds anything.
+func TestOpenRejectsUnreachableParticipant(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ps   []Participant
+		want string
+	}{
+		{"Doctor", []Participant{{"Doctor", "s1", ""}, {"Patient", "s2", "127.0.0.1:1"}}, "Doctor has no address"},
+		{"Doctor", []Participant{{"Doctor", "s1", "127.0.0.1:0"}, {"Patient", "s2", ""}}, "Patient has no address"},
+		{"Researcher", []Participant{{"Doctor", "s1", "127.0.0.1:1"}, {"Patient", "s2", "127.0.0.1:2"}}, "not among"},
+	} {
+		_, err := Open(Config{Name: tc.name, Participants: tc.ps, Listen: "127.0.0.1:0"})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Open(%s, %+v) error = %v, want %q", tc.name, tc.ps, err, tc.want)
 		}
 	}
 }

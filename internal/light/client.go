@@ -446,18 +446,18 @@ func (c *Client) Stats() Stats {
 
 // Proven returns the share version the client last proved on-chain —
 // its seq and the height of the header the proof verified against, the
-// anchor of every row Read returns for the share. ok is false before the
-// first head proof.
-func (c *Client) Proven(shareID string) (seq, height uint64, ok bool) {
+// anchor of every row Read returns for the share. Both are zero before
+// the first head proof.
+func (c *Client) Proven(shareID string) (seq, height uint64) {
 	c.mu.Lock()
 	s, subscribed := c.shares[shareID]
 	c.mu.Unlock()
 	if !subscribed {
-		return 0, 0, false
+		return 0, 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.seq, s.provenHeight, s.headKnown
+	return s.seq, s.provenHeight
 }
 
 // StateBytes reports the client's retained state size: the header

@@ -20,9 +20,10 @@ import (
 // partition, doctor crash-restart mid-cascade — with a fixed seed and
 // asserts the acceptance criteria: every finalized update lands, the
 // fabric really did drop a meaningful share of traffic, recovery used
-// the retry/repair machinery (never a manual resync), and every replica
-// ends at the on-chain Merkle root.
-func runChaos(t *testing.T, transport string, groupCommit bool) {
+// the retry/repair machinery (never a manual resync), the doctor's
+// multi-share proposals rode group commits with per-share sequence order
+// intact, and every replica ends at the on-chain Merkle root.
+func runChaos(t *testing.T, transport string) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -30,7 +31,6 @@ func runChaos(t *testing.T, transport string, groupCommit bool) {
 	sc, err := newChaosScenario(ctx, chaosConfig{
 		Seed:          42,
 		DataTransport: transport,
-		GroupCommit:   groupCommit,
 	})
 	if err != nil {
 		t.Fatalf("newChaosScenario: %v", err)
@@ -69,57 +69,47 @@ func runChaos(t *testing.T, transport string, groupCommit bool) {
 		t.Fatal("no repair heals recorded — convergence did not go through the self-healing loop")
 	}
 
-	if groupCommit {
-		// The batched commit path must actually have been driven: the
-		// doctor's multi-share proposals (phase 2 renames both shares)
-		// ride group commits.
-		var commits, txs uint64
-		for _, st := range report.PeerStats {
-			commits += st.BatchCommits
-			txs += st.BatchTxs
-		}
-		if commits == 0 || txs <= commits {
-			t.Fatalf("group commit unused under chaos: BatchCommits=%d BatchTxs=%d", commits, txs)
-		}
-		// Per-share sequence order survives batching under faults: every
-		// history stream (per share and entry kind) advances strictly.
-		type stream struct{ share, kind string }
-		for name, p := range map[string]interface{ History() []core.HistoryEntry }{
-			"Patient": sc.Patient, "Doctor": sc.Doctor, "Researcher": sc.Researcher,
-		} {
-			last := make(map[stream]uint64)
-			for _, e := range p.History() {
-				if e.Seq == 0 {
-					continue
-				}
-				k := stream{e.ShareID, e.Kind}
-				if e.Seq <= last[k] {
-					t.Fatalf("%s history out of order on %s/%s: seq %d after %d",
-						name, e.ShareID, e.Kind, e.Seq, last[k])
-				}
-				last[k] = e.Seq
+	// The batched commit path must actually have been driven: the
+	// doctor's multi-share proposals (phase 2 renames both shares) ride
+	// group commits.
+	var commits, txs uint64
+	for _, st := range report.PeerStats {
+		commits += st.BatchCommits
+		txs += st.BatchTxs
+	}
+	if commits == 0 || txs <= commits {
+		t.Fatalf("group commit unused under chaos: BatchCommits=%d BatchTxs=%d", commits, txs)
+	}
+	// Per-share sequence order survives batching under faults: every
+	// history stream (per share and entry kind) advances strictly.
+	type stream struct{ share, kind string }
+	for name, p := range map[string]interface{ History() []core.HistoryEntry }{
+		"Patient": sc.Patient, "Doctor": sc.Doctor, "Researcher": sc.Researcher,
+	} {
+		last := make(map[stream]uint64)
+		for _, e := range p.History() {
+			if e.Seq == 0 {
+				continue
 			}
+			k := stream{e.ShareID, e.Kind}
+			if e.Seq <= last[k] {
+				t.Fatalf("%s history out of order on %s/%s: seq %d after %d",
+					name, e.ShareID, e.Kind, e.Seq, last[k])
+			}
+			last[k] = e.Seq
 		}
 	}
 }
 
 func TestChaosConvergenceMemnet(t *testing.T) {
-	runChaos(t, DataTransportMem, false)
-}
-
-// TestChaosConvergenceGroupCommit is the batched-commit chaos variant:
-// the same fault schedule (request loss, three-way partition, doctor
-// crash-restart) with demand-driven group commit on the chain, asserting
-// per-share sequence order and convergence to the on-chain Merkle root.
-func TestChaosConvergenceGroupCommit(t *testing.T) {
-	runChaos(t, DataTransportMem, true)
+	runChaos(t, DataTransportMem)
 }
 
 func TestChaosConvergenceTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP chaos suite skipped in -short mode")
 	}
-	runChaos(t, DataTransportTCP, false)
+	runChaos(t, DataTransportTCP)
 }
 
 // TestChaosConvergenceDurable runs the full chaos suite (every peer
@@ -212,12 +202,6 @@ type chaosConfig struct {
 	Seed int64
 	// DataTransport is DataTransportMem (default) or DataTransportTCP.
 	DataTransport string
-	// GroupCommit runs the chain with demand-driven batched block
-	// production (NetworkConfig.GroupCommitWindow): the storm's
-	// multi-share proposals ride group commits instead of one block
-	// interval each, so the suite exercises the batched commit path
-	// under the same faults.
-	GroupCommit bool
 }
 
 // The chaos suite's fixed shape.
@@ -261,13 +245,8 @@ type chaosScenario struct {
 // network with hardened, durable peers (per-attempt RPC deadlines, retry
 // backoff, endpoint quarantine, background repair loop).
 func newChaosScenario(ctx context.Context, cfg chaosConfig) (*chaosScenario, error) {
-	var window time.Duration
-	if cfg.GroupCommit {
-		window = 500 * time.Microsecond
-	}
 	nw, err := NewNetwork(NetworkConfig{
 		BlockInterval:      2 * time.Millisecond,
-		GroupCommitWindow:  window,
 		Seed:               cfg.Seed,
 		FaultInjection:     true,
 		DurablePeers:       true,

@@ -42,12 +42,11 @@ func main() {
 		listen   = flag.String("listen", "127.0.0.1:0", "TCP listen address")
 		parts    = flag.String("participants", "", "all participants as name=seed@host:port, comma separated")
 		network  = flag.String("network", "medshare-demo", "network name (genesis seed)")
-		blockMs  = flag.Int("block-ms", 200, "block interval in milliseconds")
+		blockMs  = flag.Int("block-ms", 200, "idle block-production retry in milliseconds (blocks are produced on demand)")
 		fig1     = flag.Bool("fig1", false, "preload this role's Fig. 1 table (Doctor/Patient/Researcher)")
 		records  = flag.Int("records", 0, "synthetic records for -fig1 (0 = the exact Fig. 1 rows)")
 		seedFlag = flag.Int64("seed", 1, "workload seed for -fig1")
 		apiAddr  = flag.String("api", "", "serve the HTTP API on this address (empty = no API)")
-		groupMs  = flag.Int("group-commit-ms", 0, "group-commit window in milliseconds (0 = per-interval blocks)")
 		dataDir  = flag.String("data-dir", "", "durable store directory (empty = in-memory only)")
 	)
 	flag.Parse()
@@ -58,14 +57,13 @@ func main() {
 	participants, err := daemon.ParseParticipants(*parts)
 	if err == nil {
 		err = run(daemon.Config{
-			Name:              *name,
-			Participants:      participants,
-			Listen:            *listen,
-			Network:           *network,
-			DataDir:           *dataDir,
-			BlockInterval:     time.Duration(*blockMs) * time.Millisecond,
-			GroupCommitWindow: time.Duration(*groupMs) * time.Millisecond,
-			API:               *apiAddr,
+			Name:          *name,
+			Participants:  participants,
+			Listen:        *listen,
+			Network:       *network,
+			DataDir:       *dataDir,
+			BlockInterval: time.Duration(*blockMs) * time.Millisecond,
+			API:           *apiAddr,
 			Logf: func(format string, args ...any) {
 				fmt.Printf("  "+format+"\n", args...)
 			},

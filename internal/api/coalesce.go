@@ -14,10 +14,9 @@ import (
 // core.UpdateViews calls so they ride ONE group commit: the first
 // writer to arrive opens a window, every writer landing inside it joins
 // the batch, and when the window closes the opener flushes the whole
-// batch in one call — one tx batch, one block, one receive round. The
-// window is meant to sit at or below node.Config.GroupCommitWindow;
-// with both in place an API-driven write burst costs one block instead
-// of one per request.
+// batch in one call — one tx batch, one block, one receive round, so an
+// API-driven write burst costs one block instead of one per request.
+// The node produces that block as soon as the batch is submitted.
 type coalescer struct {
 	peer   *core.Peer
 	window time.Duration

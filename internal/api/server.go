@@ -25,11 +25,10 @@ type Config struct {
 	Peer *core.Peer
 	Node *node.Node
 	// CoalesceWindow is how long the first concurrent write waits for
-	// companions before flushing one group commit. It should sit at or
-	// below node.Config.GroupCommitWindow. Zero flushes immediately
-	// (writes still batch with whatever arrived while the previous
-	// flush was in flight... nothing, since the opener flushes inline —
-	// zero simply disables HTTP-level coalescing).
+	// companions before flushing one group commit. Zero flushes each
+	// write at once: the opener flushes inline, so HTTP-level
+	// coalescing is off and concurrent writes batch only in the node's
+	// next block.
 	CoalesceWindow time.Duration
 	// Store is the peer's durable store, when it runs one; /metrics then
 	// exports the medshare_store_* gauges (segments, live/tail bytes,

@@ -175,9 +175,10 @@ type roundItem struct {
 // rejected on-chain in the same batch, so it does not stall and its
 // proposer rolls back, while the round's other shares finalize. Step 6:
 // the installs marked the sibling shares over their sources, and the
-// reconciler is woken once the batch is submitted, so each ack and the
-// next hop's request share a group-commit window (Fig. 5 in three
-// blocks, not four). Per-share failures are joined into the error.
+// reconciler is woken once the batch is submitted, so the next hop's
+// request rides the ack's block when it reaches the producer before
+// that block is sealed, and the next block otherwise. Per-share
+// failures are joined into the error.
 func (p *Peer) applyRound(ctx context.Context, reqs []sharereg.EventPayload) error {
 	sort.Slice(reqs, func(i, j int) bool { return reqs[i].ShareID < reqs[j].ShareID })
 	var errs []error

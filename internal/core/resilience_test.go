@@ -551,12 +551,11 @@ func TestGroupCommitResilience(t *testing.T) {
 	fab := faultnet.New(7)
 	nid := identity.MustNew("node")
 	n, err := node.New(node.Config{
-		NetworkName:       "gc-test",
-		Identity:          nid,
-		Engine:            consensus.NewPoA(false, nid.Address()),
-		Registry:          contract.NewRegistry(sharereg.New()),
-		BlockInterval:     5 * time.Millisecond,
-		GroupCommitWindow: 300 * time.Microsecond,
+		NetworkName:   "gc-test",
+		Identity:      nid,
+		Engine:        consensus.NewPoA(false, nid.Address()),
+		Registry:      contract.NewRegistry(sharereg.New()),
+		BlockInterval: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

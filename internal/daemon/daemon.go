@@ -101,11 +101,9 @@ type Config struct {
 	Network string
 	// DataDir is the durable store's directory; empty runs in memory.
 	DataDir string
-	// BlockInterval paces block production; GroupCommitWindow, when
-	// positive, produces on demand after that accumulation window and
-	// also sets the HTTP edge's write-coalescing window.
-	BlockInterval     time.Duration
-	GroupCommitWindow time.Duration
+	// BlockInterval is the node's idle retry; blocks are produced on
+	// demand (node.Config).
+	BlockInterval time.Duration
 	// API is the HTTP edge's listen address; empty serves no API.
 	API string
 	// Logf receives progress lines; nil discards them.
@@ -183,23 +181,25 @@ func Open(cfg Config) (*Daemon, error) {
 		if d.Store, err = store.Open(store.Options{Dir: cfg.DataDir}); err != nil {
 			return nil, fmt.Errorf("open data dir %s: %w", cfg.DataDir, err)
 		}
-		if stats := d.Store.Stats(); stats.CleanShutdown {
+		switch stats := d.Store.Stats(); {
+		case stats.CleanShutdown:
 			logf("%s store %s: clean shutdown, checkpoint import (0 bytes replayed)", cfg.Name, cfg.DataDir)
-		} else {
+		case stats.Commits == 0 && stats.TailBytes == 0:
+			logf("%s store %s: new data dir", cfg.Name, cfg.DataDir)
+		default:
 			logf("%s store %s: recovering (%d blocks, %d tail bytes truncated, torn=%v)",
 				cfg.Name, cfg.DataDir, len(d.Store.Blocks()), stats.TailBytes, stats.TornTail)
 		}
 	}
 
 	if d.Node, err = node.New(node.Config{
-		NetworkName:       cfg.Network,
-		Identity:          d.Identity,
-		Engine:            consensus.NewPoA(true, authorities...),
-		Registry:          contract.NewRegistry(sharereg.New()),
-		BlockInterval:     cfg.BlockInterval,
-		GroupCommitWindow: cfg.GroupCommitWindow,
-		Transport:         d.Transport,
-		Store:             d.Store,
+		NetworkName:   cfg.Network,
+		Identity:      d.Identity,
+		Engine:        consensus.NewPoA(true, authorities...),
+		Registry:      contract.NewRegistry(sharereg.New()),
+		BlockInterval: cfg.BlockInterval,
+		Transport:     d.Transport,
+		Store:         d.Store,
 	}); err != nil {
 		return nil, err
 	}
@@ -219,12 +219,7 @@ func Open(cfg Config) (*Daemon, error) {
 	d.Peer.Start()
 
 	if cfg.API != "" {
-		srv, err := api.New(api.Config{
-			Peer:           d.Peer,
-			Node:           d.Node,
-			CoalesceWindow: cfg.GroupCommitWindow,
-			Store:          d.Store,
-		})
+		srv, err := api.New(api.Config{Peer: d.Peer, Node: d.Node, Store: d.Store})
 		if err != nil {
 			return nil, err
 		}

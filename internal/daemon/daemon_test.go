@@ -1,8 +1,12 @@
 package daemon
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -66,4 +70,62 @@ func TestOpenRejectsUnreachableParticipant(t *testing.T) {
 			t.Errorf("Open(%s, %+v) error = %v, want %q", tc.name, tc.ps, err, tc.want)
 		}
 	}
+}
+
+// TestOpenLogsDataDirState: Open tells the three states a data dir can
+// be in apart: new (nothing committed), cleanly stopped (checkpoint
+// import) and a crash image (recovery).
+func TestOpenLogsDataDirState(t *testing.T) {
+	open := func(dataDir string) (*Daemon, string) {
+		t.Helper()
+		var mu sync.Mutex
+		var log strings.Builder
+		d, err := Open(Config{
+			Name:         "Doctor",
+			Participants: []Participant{{"Doctor", "s1", "127.0.0.1:0"}, {"Patient", "s2", "127.0.0.1:1"}},
+			Listen:       "127.0.0.1:0",
+			Network:      "data-dir-log",
+			DataDir:      dataDir,
+			Logf: func(format string, args ...any) {
+				mu.Lock()
+				defer mu.Unlock()
+				fmt.Fprintf(&log, format+"\n", args...)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return d, log.String()
+	}
+	expect := func(log, want string) {
+		t.Helper()
+		for _, line := range []string{"new data dir", "clean shutdown", "recovering"} {
+			if got := strings.Contains(log, line); got != (line == want) {
+				t.Errorf("log mentions %q: %v, want only %q:\n%s", line, got, want, log)
+			}
+		}
+	}
+
+	dir := filepath.Join(t.TempDir(), "data")
+	d, log := open(dir)
+	expect(log, "new data dir")
+	// A commit without the clean-shutdown mark, copied while the daemon
+	// runs, is what a crash leaves behind.
+	if err := d.Node.WriteCheckpoint(false); err != nil {
+		t.Fatal(err)
+	}
+	crash := filepath.Join(t.TempDir(), "crash")
+	if err := os.CopyFS(crash, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+
+	d, log = open(dir)
+	expect(log, "clean shutdown")
+	d.Close()
+	d, log = open(crash)
+	expect(log, "recovering")
+	d.Close()
 }

@@ -189,22 +189,20 @@ func TestBlockOvertakingItsParentIsAdopted(t *testing.T) {
 	}
 }
 
-// gossipPair is a sealing node and a validator on one memnet, with
-// demand-driven production and an idle interval far above the latencies
-// the tests assert.
+// gossipPair is a sealing node and a validator on one memnet, with an
+// idle retry far above the latencies the tests assert.
 func gossipPair(t *testing.T) (sealer, validator *Node) {
 	t.Helper()
 	mem := p2p.NewMemNetwork()
 	sid := identity.MustNew("sealer")
 	mk := func(id *identity.Identity, ep string) *Node {
 		n, err := New(Config{
-			NetworkName:       "gossip",
-			Identity:          id,
-			Engine:            consensus.NewPoA(true, sid.Address()),
-			Registry:          contract.NewRegistry(kvContract{}),
-			BlockInterval:     200 * time.Millisecond,
-			GroupCommitWindow: time.Millisecond,
-			Transport:         mem.Endpoint(ep),
+			NetworkName:   "gossip",
+			Identity:      id,
+			Engine:        consensus.NewPoA(true, sid.Address()),
+			Registry:      contract.NewRegistry(kvContract{}),
+			BlockInterval: 200 * time.Millisecond,
+			Transport:     mem.Endpoint(ep),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -215,8 +213,8 @@ func gossipPair(t *testing.T) (sealer, validator *Node) {
 }
 
 // TestGossipedTxKicksProducer: a transaction (or batch) submitted on a
-// non-sealing node reaches the sealer by gossip and must ride its
-// group-commit window, not wait out the idle block interval.
+// non-sealing node reaches the sealer by gossip and must be produced at
+// once, not after the idle block interval.
 func TestGossipedTxKicksProducer(t *testing.T) {
 	sealer, validator := gossipPair(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -360,7 +358,7 @@ func TestPoisonedOnUnreproducibleBranch(t *testing.T) {
 
 // TestMultiAuthorityTCP is the configuration cmd/medshared derives:
 // every participant a strict-PoA authority, TCP gossip, an fsyncing
-// store, 10 ms blocks with a 1 ms group-commit window. Every authority
+// store, a 10 ms idle retry. Every authority
 // submits concurrently; the three must agree on height and state root
 // with every transaction committed exactly once and no node poisoned.
 func TestMultiAuthorityTCP(t *testing.T) {
@@ -395,14 +393,13 @@ func TestMultiAuthorityTCP(t *testing.T) {
 		}
 		defer st.Close()
 		nodes[i], err = New(Config{
-			NetworkName:       "multi-authority",
-			Identity:          ids[i],
-			Engine:            consensus.NewPoA(true, addrs...),
-			Registry:          contract.NewRegistry(kvContract{}),
-			BlockInterval:     10 * time.Millisecond,
-			GroupCommitWindow: time.Millisecond,
-			Transport:         tcps[i],
-			Store:             st,
+			NetworkName:   "multi-authority",
+			Identity:      ids[i],
+			Engine:        consensus.NewPoA(true, addrs...),
+			Registry:      contract.NewRegistry(kvContract{}),
+			BlockInterval: 10 * time.Millisecond,
+			Transport:     tcps[i],
+			Store:         st,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -577,5 +574,134 @@ func TestAbandonedProductionRequeuesItsTxs(t *testing.T) {
 	}
 	if h := a.Store().Height(); h != 2 || len(a.Store().Head().Txs) != 1 {
 		t.Fatalf("height %d, head carries %d txs; want the requeued tx alone in block 2", h, len(a.Store().Head().Txs))
+	}
+}
+
+// stoppedClock is a clock whose timers never fire, so every block a
+// node running on it produces comes from a kick.
+type stoppedClock struct{}
+
+func (stoppedClock) Now() time.Time                       { return time.Now() }
+func (stoppedClock) After(time.Duration) <-chan time.Time { return nil }
+
+// TestKickProducesWithoutATimer pins the one production rule: a
+// submission produces a block with no timer in between, and the
+// transactions that arrive while that block is being sealed all ride
+// the next one block.
+func TestKickProducesWithoutATimer(t *testing.T) {
+	id := identity.MustNew("kick")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sealing, release := make(chan struct{}), make(chan struct{})
+	var hold sync.Once
+	eng := &hookEngine{
+		Engine: consensus.NewPoA(true, id.Address()),
+		beforeSeal: func() error {
+			hold.Do(func() {
+				close(sealing)
+				select {
+				case <-release:
+				case <-ctx.Done():
+				}
+			})
+			return nil
+		},
+	}
+	n, err := New(Config{
+		NetworkName: "kick",
+		Identity:    id,
+		Engine:      eng,
+		Registry:    contract.NewRegistry(kvContract{}),
+		Clock:       stoppedClock{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Start(ctx)
+	defer n.Stop()
+
+	txs := []*chain.Tx{n.BuildTx("kv", "set", "", []byte("first"), []byte("v"))}
+	if err := n.SubmitTx(txs[0]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sealing:
+	case <-ctx.Done():
+		t.Fatal("a submission did not start a block on a clock that never fires")
+	}
+	const meanwhile = 4
+	for i := 0; i < meanwhile; i++ {
+		tx := n.BuildTx("kv", "set", "", []byte(fmt.Sprintf("k%d", i)), []byte("v"))
+		if err := n.SubmitTx(tx); err != nil {
+			t.Fatal(err)
+		}
+		txs = append(txs, tx)
+	}
+	close(release)
+	for _, tx := range txs {
+		if r, err := n.WaitTx(ctx, tx.IDString()); err != nil || !r.OK {
+			t.Fatalf("tx %s: receipt %+v, err %v", tx.IDString()[:8], r, err)
+		}
+	}
+	if h, got := n.Store().Height(), len(n.Store().Head().Txs); h != 2 || got != meanwhile {
+		t.Fatalf("height %d with %d txs in the head; want the %d submitted during block 1 together in block 2",
+			h, got, meanwhile)
+	}
+}
+
+// TestTurnHandoffCommitsLeftovers: three strict-PoA authorities on a
+// clock that never fires. Two transactions on one share cannot share a
+// block, so the block that commits the first leaves the second pooled;
+// the authority whose turn comes next must produce it when that block
+// lands, not wait for a timer.
+func TestTurnHandoffCommitsLeftovers(t *testing.T) {
+	mem := p2p.NewMemNetwork()
+	ids := []*identity.Identity{identity.MustNew("h0"), identity.MustNew("h1"), identity.MustNew("h2")}
+	addrs := []identity.Address{ids[0].Address(), ids[1].Address(), ids[2].Address()}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var nodes []*Node
+	for i, id := range ids {
+		n, err := New(Config{
+			NetworkName: "handoff",
+			Identity:    id,
+			Engine:      consensus.NewPoA(true, addrs...),
+			Registry:    contract.NewRegistry(kvContract{}),
+			Clock:       stoppedClock{},
+			Transport:   mem.Endpoint(fmt.Sprintf("node-%d", i)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Stop()
+		nodes = append(nodes, n)
+	}
+	// The authority of height 1 starts last, so the authority of height
+	// 2 has spent its submission's kick (not its turn) before block 1
+	// exists: only the handoff on block 1's arrival produces block 2.
+	nodes[0].Start(ctx)
+	nodes[2].Start(ctx)
+	n := nodes[2]
+	txs := []*chain.Tx{
+		n.BuildTx("kv", "set", "s", []byte("a"), []byte("v")),
+		n.BuildTx("kv", "set", "s", []byte("b"), []byte("v")),
+	}
+	if err := n.SubmitTxBatch(txs); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the batch pooled on the first proposer and the kick spent", func() bool {
+		return nodes[1].PendingTxs() == len(txs) && len(n.kickCh) == 0
+	})
+	nodes[1].Start(ctx)
+	for _, tx := range txs {
+		if r, err := n.WaitTx(ctx, tx.IDString()); err != nil || !r.OK {
+			t.Fatalf("tx %s: receipt %+v, err %v (height %d, pending %d)",
+				tx.IDString()[:8], r, err, n.Store().Height(), n.PendingTxs())
+		}
+	}
+	for h, b := range n.Store().MainChain()[1:] {
+		if want := addrs[(h+1)%len(addrs)]; b.Header.Proposer != want || len(b.Txs) != 1 {
+			t.Fatalf("block %d: proposer %s with %d txs, want %s with one", h+1, b.Header.Proposer.Short(), len(b.Txs), want.Short())
+		}
 	}
 }

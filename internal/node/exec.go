@@ -167,6 +167,7 @@ func (n *Node) replay(state *statedb.Store, blocks []*chain.Block) error {
 // transactions committed, every woken reader finds head, a subscriber
 // woken by BlockApplied drains the blocks at once, and one that
 // subscribes after WaitTx returns sees none of its block's events.
+// Last, it kicks the producer if transactions are still pooled.
 func (n *Node) publish(head *headState, blocks []*chain.Block, receipts [][]contract.Receipt) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -196,4 +197,10 @@ func (n *Node) publish(head *headState, blocks []*chain.Block, receipts [][]cont
 	}
 	close(n.applied)
 	n.applied = make(chan struct{})
+	// Turn handoff: what the block left pooled (a second transaction on
+	// one share, or one gossiped here while another authority held the
+	// turn) rides the next block now if that block is ours to produce.
+	if n.mempool.len() > 0 {
+		n.kick()
+	}
 }

@@ -36,8 +36,8 @@ func (n *Node) gossipBlock(b *chain.Block) {
 // handleGossip processes incoming network messages. Transaction
 // signatures are verified before n.mu is taken, and newly admitted
 // transactions kick the producer exactly like a local submission, so a
-// validator-origin request or ack rides the group-commit window instead
-// of waiting out BlockInterval.
+// validator-origin request or ack is produced at once instead of after
+// BlockInterval.
 func (n *Node) handleGossip(msg p2p.Message) {
 	switch msg.Kind {
 	case p2p.KindTx:

@@ -39,17 +39,12 @@ type Config struct {
 	Engine consensus.Engine
 	// Registry holds the installed contracts; identical on every node.
 	Registry *contract.Registry
-	// BlockInterval is the target time between produced blocks.
+	// BlockInterval is the idle retry: how often the producer tries
+	// again when nothing has kicked it. Production itself is demand
+	// driven (see Start).
 	BlockInterval time.Duration
-	// GroupCommitWindow, when non-zero, makes block production
-	// demand-driven: a submitted transaction kicks the producer, which
-	// waits this long for more arrivals to accumulate and then produces
-	// one block for the whole batch — amortizing consensus, sealing, and
-	// state-root work across every transaction that arrived in the
-	// window, with BlockInterval demoted to the idle fallback. Negative
-	// produces immediately on the first kick (minimum latency, batching
-	// only what arrived in the same instant). Zero keeps the pure
-	// interval-paced producer.
+	// Deprecated: ignored. Production has one rule (see Start); the
+	// field is kept until the benchmark's deployment stops setting it.
 	GroupCommitWindow time.Duration
 	// Clock abstracts time; nil means the wall clock.
 	Clock clock.Clock
@@ -103,8 +98,8 @@ type Node struct {
 	sigChecks atomic.Uint64
 
 	// kickCh (capacity 1) wakes the producer when transactions arrive
-	// and GroupCommitWindow is enabled; a pending token covers any
-	// number of submissions.
+	// or a published block leaves some pooled; a pending token covers
+	// any number of them.
 	kickCh chan struct{}
 
 	stopOnce sync.Once
@@ -221,6 +216,12 @@ func (n *Node) NextNonce() uint64 {
 
 // Start launches the block-production loop. It returns immediately; call
 // Stop (or cancel ctx) to halt.
+//
+// Production has one rule, group commit without a timer: a kick (a newly
+// admitted local or gossiped transaction, or a published block that left
+// transactions pooled) runs TryProduce at once, and whatever arrives while
+// that block is sealed, committed and persisted sets the kick again and
+// rides the next block. BlockInterval only retries an idle producer.
 func (n *Node) Start(ctx context.Context) {
 	n.wg.Add(1)
 	go func() {
@@ -274,34 +275,17 @@ func (n *Node) produceLoop(ctx context.Context) {
 			return
 		case <-n.cfg.Clock.After(n.cfg.BlockInterval):
 		case <-n.kickCh:
-			// Demand-driven production: hold the accumulation window so
-			// submissions arriving on its heels share the block, then
-			// produce without waiting out the interval.
-			if w := n.cfg.GroupCommitWindow; w > 0 {
-				select {
-				case <-ctx.Done():
-					return
-				case <-n.stopped:
-					return
-				case <-n.cfg.Clock.After(w):
-				}
-			}
 		}
-		if err := n.TryProduce(ctx); err != nil &&
-			err != errNotOurTurn && err != errNothingToDo {
-			// Production errors are not fatal; the next round retries.
-			continue
-		}
+		// Production errors (not our turn, nothing pooled, a head that
+		// moved while sealing) are not fatal; the next kick or the idle
+		// retry tries again.
+		_ = n.TryProduce(ctx)
 	}
 }
 
-// kick nudges the producer after a submission when demand-driven
-// production is enabled. Non-blocking: a pending kick already covers
+// kick nudges the producer. Non-blocking: a pending kick already covers
 // this arrival.
 func (n *Node) kick() {
-	if n.cfg.GroupCommitWindow == 0 {
-		return
-	}
 	select {
 	case n.kickCh <- struct{}{}:
 	default:

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"medshare/internal/chain"
 	"medshare/internal/consensus"
@@ -226,58 +225,5 @@ func TestSideBranchIgnored(t *testing.T) {
 	}
 	if v, _, _ := n.State().Get("kv/k"); string(v) != "main" {
 		t.Fatalf("state = %q", v)
-	}
-}
-
-// TestPoAProduceLoopTiming: with no group-commit window a submission
-// does not kick the producer, so a pending transaction waits for the
-// next interval tick — about one interval, never much more.
-func TestPoAProduceLoopTiming(t *testing.T) {
-	const interval = 20 * time.Millisecond
-	id := identity.MustNew("n")
-	n, err := New(Config{
-		NetworkName:   "timing",
-		Identity:      id,
-		Engine:        consensus.NewPoA(true, id.Address()),
-		Registry:      contract.NewRegistry(kvContract{}),
-		BlockInterval: interval,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	n.Start(ctx)
-	defer n.Stop()
-
-	// Each submission lands right after the previous commit, when the
-	// loop has just re-armed its timer.
-	const txs = 5
-	var paced time.Duration
-	for i := 0; i < txs; i++ {
-		tx := n.BuildTx("kv", "set", "", []byte{byte(i)}, []byte("v"))
-		start := time.Now()
-		if err := n.SubmitTx(tx); err != nil {
-			t.Fatal(err)
-		}
-		if len(n.kickCh) != 0 {
-			t.Fatal("a submission kicked the interval-paced producer")
-		}
-		if _, err := n.WaitTx(ctx, tx.IDString()); err != nil {
-			t.Fatal(err)
-		}
-		d := time.Since(start)
-		if d > 10*interval {
-			t.Fatalf("tx %d committed after %v under %v pacing", i, d, interval)
-		}
-		if i > 0 {
-			paced += d
-		}
-	}
-	if floor := (txs - 1) * interval / 2; paced < floor {
-		t.Fatalf("%d paced commits took %v in all, want at least %v: production did not wait for the interval", txs-1, paced, floor)
-	}
-	if h := n.Store().Height(); h != txs {
-		t.Fatalf("height %d after %d sequential transactions, want one block each", h, txs)
 	}
 }

@@ -3,8 +3,10 @@ package p2p
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -372,18 +374,16 @@ func (t *TCPTransport) handleConn(conn net.Conn) {
 	}
 }
 
-// writeFrame encodes a frame as a length-prefixed JSON blob.
+// writeFrame encodes a frame as a length-prefixed JSON blob, written
+// with one Write so prefix and body leave in one syscall (and, on
+// loopback, one segment).
 func writeFrame(conn net.Conn, f frame) error {
 	raw, err := json.Marshal(f)
 	if err != nil {
 		return err
 	}
-	var hdr [8]byte
-	putUint64(hdr[:], uint64(len(raw)))
-	if _, err := conn.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = conn.Write(raw)
+	buf := binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(raw)), uint64(len(raw)))
+	_, err = conn.Write(append(buf, raw...))
 	return err
 }
 
@@ -394,15 +394,15 @@ const maxFrameSize = 64 << 20
 
 func readFrame(r *bufio.Reader) (frame, error) {
 	var hdr [8]byte
-	if _, err := readFull(r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return frame{}, err
 	}
-	n := getUint64(hdr[:])
+	n := binary.BigEndian.Uint64(hdr[:])
 	if n > maxFrameSize {
 		return frame{}, fmt.Errorf("p2p: frame of %d bytes exceeds limit", n)
 	}
 	raw := make([]byte, n)
-	if _, err := readFull(r, raw); err != nil {
+	if _, err := io.ReadFull(r, raw); err != nil {
 		return frame{}, err
 	}
 	var f frame
@@ -410,31 +410,4 @@ func readFrame(r *bufio.Reader) (frame, error) {
 		return frame{}, fmt.Errorf("p2p: bad frame: %w", err)
 	}
 	return f, nil
-}
-
-func readFull(r *bufio.Reader, buf []byte) (int, error) {
-	total := 0
-	for total < len(buf) {
-		n, err := r.Read(buf[total:])
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
-	}
-}
-
-func getUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
 }

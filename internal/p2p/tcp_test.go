@@ -1,8 +1,12 @@
 package p2p
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -292,5 +296,46 @@ func TestTCPIdleInboundConnectionCut(t *testing.T) {
 			return
 		case <-time.After(50 * time.Millisecond):
 		}
+	}
+}
+
+// writeCounter is a net.Conn that records each Write.
+type writeCounter struct {
+	net.Conn
+	writes [][]byte
+}
+
+func (c *writeCounter) Write(b []byte) (int, error) {
+	c.writes = append(c.writes, append([]byte(nil), b...))
+	return len(b), nil
+}
+
+// TestWriteFrameIsOneWrite: a frame leaves in one Write holding the
+// 8-byte big-endian body length and the JSON body, and reads back as
+// the frame written.
+func TestWriteFrameIsOneWrite(t *testing.T) {
+	f := frame{Type: "req", Msg: Message{Kind: KindDataFetch, From: "a", Payload: []byte("payload")}}
+	c := &writeCounter{}
+	if err := writeFrame(c, f); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.writes) != 1 {
+		t.Fatalf("%d writes for one frame, want 1", len(c.writes))
+	}
+	body, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 8, 8+len(body))
+	for i, n := 7, len(body); i >= 0; i, n = i-1, n>>8 {
+		want[i] = byte(n)
+	}
+	want = append(want, body...)
+	if !bytes.Equal(c.writes[0], want) {
+		t.Fatalf("frame bytes %q, want %q", c.writes[0], want)
+	}
+	got, err := readFrame(bufio.NewReader(bytes.NewReader(c.writes[0])))
+	if err != nil || got.Type != f.Type || got.Msg.Kind != f.Msg.Kind || !bytes.Equal(got.Msg.Payload, f.Msg.Payload) {
+		t.Fatalf("read back %+v, %v; want %+v", got, err, f)
 	}
 }

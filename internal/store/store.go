@@ -249,6 +249,7 @@ func (s *Store) applyRecord(g *group, seg int, kind byte, payload []byte, off in
 			s.state = g.state
 		}
 		s.commitSeq = cr.Seq
+		s.stats.Commits = cr.Seq
 		s.stats.CleanShutdown = cr.Clean
 		g.reset()
 		return true, cr.Clean, nil

@@ -389,6 +389,7 @@ func TestStoreCleanStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	commits := s.Stats().Commits
 	s.Close()
 
 	r, err := Open(Options{FS: fs})
@@ -399,6 +400,9 @@ func TestStoreCleanStop(t *testing.T) {
 	st := r.Stats()
 	if st.TailBytes != 0 || st.TornTail || !st.CleanShutdown {
 		t.Fatalf("clean stop left tail to replay: %+v", st)
+	}
+	if st.Commits != commits {
+		t.Fatalf("reopened store reports commit %d, want the last durable one, %d", st.Commits, commits)
 	}
 }
 

@@ -30,14 +30,9 @@ type NetworkConfig struct {
 	Name string
 	// Nodes is the number of blockchain nodes (default 1).
 	Nodes int
-	// BlockInterval is the block production period (default 5ms —
-	// private-chain speed).
+	// BlockInterval is every node's idle production retry (default
+	// 5ms); blocks are produced on demand (node.Config).
 	BlockInterval time.Duration
-	// GroupCommitWindow enables demand-driven block production on every
-	// node: submissions kick the producer, which accumulates arrivals for
-	// this window and commits them as one block (BlockInterval becomes
-	// the idle fallback). Zero keeps interval-paced production.
-	GroupCommitWindow time.Duration
 	// Latency and Jitter configure the simulated network's one-way delay.
 	Latency, Jitter time.Duration
 	// Seed makes the simulated network's randomness reproducible.
@@ -123,13 +118,12 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 			transport = mem.Endpoint(fmt.Sprintf("node-%d", i))
 		}
 		n, err := node.New(node.Config{
-			NetworkName:       cfg.Name,
-			Identity:          ids[i],
-			Engine:            consensus.NewPoA(true, addrs...),
-			Registry:          contract.NewRegistry(sharereg.New()),
-			BlockInterval:     cfg.BlockInterval,
-			GroupCommitWindow: cfg.GroupCommitWindow,
-			Transport:         transport,
+			NetworkName:   cfg.Name,
+			Identity:      ids[i],
+			Engine:        consensus.NewPoA(true, addrs...),
+			Registry:      contract.NewRegistry(sharereg.New()),
+			BlockInterval: cfg.BlockInterval,
+			Transport:     transport,
 		})
 		if err != nil {
 			return nil, err

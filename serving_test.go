@@ -34,10 +34,9 @@ func TestServingEdgeTCPEndToEnd(t *testing.T) {
 			{Name: "Doctor", Seed: "serve-1", Addr: "127.0.0.1:0"},
 			{Name: "Patient", Seed: "serve-2", Addr: "127.0.0.1:0"},
 		},
-		Network:           "serving-e2e",
-		BlockInterval:     5 * time.Millisecond,
-		GroupCommitWindow: time.Millisecond,
-		API:               "127.0.0.1:0",
+		Network:       "serving-e2e",
+		BlockInterval: 5 * time.Millisecond,
+		API:           "127.0.0.1:0",
 	}, nil)
 	defer closeDaemons(t, ds)
 	docID, patID := ds[0].Identity, ds[1].Identity

@@ -170,9 +170,8 @@ func TestDaemonRestartRestoresShares(t *testing.T) {
 			{Name: "Doctor", Seed: "restart-1", Addr: "127.0.0.1:0"},
 			{Name: "Patient", Seed: "restart-2", Addr: "127.0.0.1:0"},
 		},
-		Network:           "restart-e2e",
-		BlockInterval:     5 * time.Millisecond,
-		GroupCommitWindow: time.Millisecond,
+		Network:       "restart-e2e",
+		BlockInterval: 5 * time.Millisecond,
 	}
 	dirs := map[string]string{"Doctor": t.TempDir(), "Patient": t.TempDir()}
 	// bind seeds each role's Fig. 1 table and binds D13&D31 on both sides.

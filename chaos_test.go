@@ -23,15 +23,13 @@ import (
 // the retry/repair machinery (never a manual resync), the doctor's
 // multi-share proposals rode group commits with per-share sequence order
 // intact, and every replica ends at the on-chain Merkle root.
-func runChaos(t *testing.T, transport string) {
+func runChaos(t *testing.T, cfg chaosConfig) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	sc, err := newChaosScenario(ctx, chaosConfig{
-		Seed:          42,
-		DataTransport: transport,
-	})
+	cfg.Seed = 42
+	sc, err := newChaosScenario(ctx, cfg)
 	if err != nil {
 		t.Fatalf("newChaosScenario: %v", err)
 	}
@@ -102,14 +100,26 @@ func runChaos(t *testing.T, transport string) {
 }
 
 func TestChaosConvergenceMemnet(t *testing.T) {
-	runChaos(t, DataTransportMem)
+	runChaos(t, chaosConfig{DataTransport: DataTransportMem})
+}
+
+// TestChaosConvergenceGroupCommit is the batched-commit chaos variant:
+// the same fault schedule (request loss, three-way partition, doctor
+// crash-restart) with an idle retry far longer than the whole run's
+// block cadence, so every block the chain commits is produced by a kick
+// (an admitted transaction or a turn handoff). The storm must still
+// finalize, its multi-share proposals must ride group commits with
+// per-share sequence order intact, and every replica must converge to
+// the on-chain Merkle root — none of it leaning on the timer.
+func TestChaosConvergenceGroupCommit(t *testing.T) {
+	runChaos(t, chaosConfig{DataTransport: DataTransportMem, BlockInterval: time.Hour})
 }
 
 func TestChaosConvergenceTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP chaos suite skipped in -short mode")
 	}
-	runChaos(t, DataTransportTCP)
+	runChaos(t, chaosConfig{DataTransport: DataTransportTCP})
 }
 
 // TestChaosConvergenceDurable runs the full chaos suite (every peer
@@ -202,6 +212,9 @@ type chaosConfig struct {
 	Seed int64
 	// DataTransport is DataTransportMem (default) or DataTransportTCP.
 	DataTransport string
+	// BlockInterval is the chain's idle retry; zero means
+	// chaosBlockInterval.
+	BlockInterval time.Duration
 }
 
 // The chaos suite's fixed shape.
@@ -213,6 +226,8 @@ const (
 	// chaosHangRate is the probability a lossy-phase request hangs until
 	// its per-attempt deadline instead of failing fast.
 	chaosHangRate = 0.05
+	// chaosBlockInterval is the chain's default idle retry.
+	chaosBlockInterval = 2 * time.Millisecond
 	// chaosRepairInterval is each peer's background anti-entropy repair
 	// period.
 	chaosRepairInterval = 20 * time.Millisecond
@@ -245,8 +260,11 @@ type chaosScenario struct {
 // network with hardened, durable peers (per-attempt RPC deadlines, retry
 // backoff, endpoint quarantine, background repair loop).
 func newChaosScenario(ctx context.Context, cfg chaosConfig) (*chaosScenario, error) {
+	if cfg.BlockInterval == 0 {
+		cfg.BlockInterval = chaosBlockInterval
+	}
 	nw, err := NewNetwork(NetworkConfig{
-		BlockInterval:      2 * time.Millisecond,
+		BlockInterval:      cfg.BlockInterval,
 		Seed:               cfg.Seed,
 		FaultInjection:     true,
 		DurablePeers:       true,

@@ -214,7 +214,7 @@ func BenchmarkStore_CommitScaling(b *testing.B) {
 }
 
 // BenchmarkStore_ViewDiffScaling measures the structural one-row diff
-// (the ProposeUpdate/UpdateView pattern): pointer-equal subtrees are
+// (the UpdateView pattern): pointer-equal subtrees are
 // pruned, so cost tracks the edit, not the table.
 func BenchmarkStore_ViewDiffScaling(b *testing.B) {
 	for _, rows := range []int{1000, 10000, 100000} {

@@ -148,7 +148,7 @@ func TestChaosConvergenceDurable(t *testing.T) {
 
 	// The on-chain truth, captured while the network is still up.
 	wantMeta := map[string]*sharereg.Meta{}
-	for _, id := range []string{ShareIDD13, ShareIDD23} {
+	for _, id := range []string{workload.ShareIDD13, workload.ShareIDD23} {
 		m, err := sc.Doctor.Meta(id)
 		if err != nil {
 			t.Fatalf("meta %s: %v", id, err)
@@ -283,7 +283,7 @@ func newChaosScenario(ctx context.Context, cfg chaosConfig) (*chaosScenario, err
 		return nil, err
 	}
 	// The cascade-chain permission (see type doc).
-	err = fig.Doctor.SetPermission(ctx, ShareIDD13, workload.ColMedication,
+	err = fig.Doctor.SetPermission(ctx, workload.ShareIDD13, workload.ColMedication,
 		[]identity.Address{fig.Patient.Address(), fig.Doctor.Address()})
 	if err != nil {
 		nw.Stop()
@@ -358,7 +358,7 @@ func (sc *chaosScenario) stormUpdate(ctx context.Context, i int) error {
 		return nil
 	case 1: // patient edits clinical data through the D13 view
 		key := sc.patientKey(i)
-		res, err := sc.Patient.UpdateView(ctx, ShareIDD13, func(t *reldb.Table) error {
+		res, err := sc.Patient.UpdateView(ctx, workload.ShareIDD13, func(t *reldb.Table) error {
 			return t.Update(reldb.Row{reldb.I(key)}, map[string]reldb.Value{
 				workload.ColClinical: reldb.S(fmt.Sprintf("chaos-clinical-%d", i)),
 			})
@@ -366,9 +366,9 @@ func (sc *chaosScenario) stormUpdate(ctx context.Context, i int) error {
 		if err != nil {
 			return err
 		}
-		return sc.Patient.WaitFinal(ctx, ShareIDD13, res.Seq)
+		return sc.Patient.WaitFinal(ctx, workload.ShareIDD13, res.Seq)
 	default: // researcher edits a mechanism through the D23 view
-		view, err := sc.Researcher.View(ShareIDD23)
+		view, err := sc.Researcher.View(workload.ShareIDD23)
 		if err != nil {
 			return err
 		}
@@ -377,7 +377,7 @@ func (sc *chaosScenario) stormUpdate(ctx context.Context, i int) error {
 			return fmt.Errorf("chaos: researcher view is empty")
 		}
 		med := meds[i%len(meds)][0]
-		res, err := sc.Researcher.UpdateView(ctx, ShareIDD23, func(t *reldb.Table) error {
+		res, err := sc.Researcher.UpdateView(ctx, workload.ShareIDD23, func(t *reldb.Table) error {
 			return t.Update(reldb.Row{med}, map[string]reldb.Value{
 				workload.ColMechanism: reldb.S(fmt.Sprintf("chaos-mech-%d", i)),
 			})
@@ -385,14 +385,14 @@ func (sc *chaosScenario) stormUpdate(ctx context.Context, i int) error {
 		if err != nil {
 			return err
 		}
-		return sc.Researcher.WaitFinal(ctx, ShareIDD23, res.Seq)
+		return sc.Researcher.WaitFinal(ctx, workload.ShareIDD23, res.Seq)
 	}
 }
 
 // shareReplicas maps each share to the peers holding a replica of it.
 func (sc *chaosScenario) shareReplicas(shareID string) map[string]*core.Peer {
 	switch shareID {
-	case ShareIDD13:
+	case workload.ShareIDD13:
 		return map[string]*core.Peer{"Patient": sc.Patient, "Doctor": sc.Doctor}
 	default:
 		return map[string]*core.Peer{"Researcher": sc.Researcher, "Doctor": sc.Doctor}
@@ -520,7 +520,7 @@ func (sc *chaosScenario) Run(ctx context.Context) (*chaosReport, error) {
 	// its repair loop must apply the pending update, acknowledge it, and
 	// carry the cascade to the researcher, all through the still-lossy
 	// channel.
-	metaD23, err := sc.Doctor.Meta(ShareIDD23)
+	metaD23, err := sc.Doctor.Meta(workload.ShareIDD23)
 	if err != nil {
 		fill()
 		return report, err
@@ -529,7 +529,7 @@ func (sc *chaosScenario) Run(ctx context.Context) (*chaosReport, error) {
 	fab.Blackhole(sc.Network.PeerEndpoint("Doctor"))
 	sc.Doctor.Stop()
 
-	res, err := sc.Patient.UpdateView(ctx, ShareIDD13, func(t *reldb.Table) error {
+	res, err := sc.Patient.UpdateView(ctx, workload.ShareIDD13, func(t *reldb.Table) error {
 		return t.Update(reldb.Row{reldb.I(renameTargets[1])}, map[string]reldb.Value{
 			workload.ColMedication: reldb.S("CrashMed"),
 		})
@@ -548,22 +548,22 @@ func (sc *chaosScenario) Run(ctx context.Context) (*chaosReport, error) {
 		return report, err
 	}
 	sc.Doctor = doctor
-	if err := doctor.AttachShare(ShareIDD13, "D3", workload.LensD31(), "D31"); err != nil {
+	if err := doctor.AttachShare(workload.ShareIDD13, "D3", workload.LensD31(), "D31"); err != nil {
 		fill()
 		return report, err
 	}
-	if err := doctor.AttachShare(ShareIDD23, "D3", workload.LensD32(), "D32"); err != nil {
+	if err := doctor.AttachShare(workload.ShareIDD23, "D3", workload.LensD32(), "D32"); err != nil {
 		fill()
 		return report, err
 	}
 	fab.Restore(sc.Network.PeerEndpoint("Doctor"))
 
-	if err := sc.Patient.WaitFinal(ctx, ShareIDD13, res.Seq); err != nil {
+	if err := sc.Patient.WaitFinal(ctx, workload.ShareIDD13, res.Seq); err != nil {
 		fill()
 		return report, fmt.Errorf("chaos: crash-restart D13 finality: %w", err)
 	}
 	report.Updates++
-	if err := sc.waitShareConverged(ctx, ShareIDD23, metaD23.Seq+1); err != nil {
+	if err := sc.waitShareConverged(ctx, workload.ShareIDD23, metaD23.Seq+1); err != nil {
 		fill()
 		return report, fmt.Errorf("chaos: cascade after crash-restart: %w", err)
 	}
@@ -578,11 +578,11 @@ func (sc *chaosScenario) Run(ctx context.Context) (*chaosReport, error) {
 	fab.SetDelay(0, 0)
 	fab.Heal()
 	healed := time.Now()
-	if err := sc.waitShareConverged(ctx, ShareIDD13, 1); err != nil {
+	if err := sc.waitShareConverged(ctx, workload.ShareIDD13, 1); err != nil {
 		fill()
 		return report, err
 	}
-	if err := sc.waitShareConverged(ctx, ShareIDD23, 1); err != nil {
+	if err := sc.waitShareConverged(ctx, workload.ShareIDD23, 1); err != nil {
 		fill()
 		return report, err
 	}

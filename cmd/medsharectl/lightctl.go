@@ -16,38 +16,18 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"strings"
 	"time"
 
 	"medshare/internal/api"
 	"medshare/internal/consensus"
 	"medshare/internal/daemon"
 	"medshare/internal/light"
-	"medshare/internal/reldb"
 )
-
-// parseKeyTuple converts a comma-separated key into a typed row with
-// the shell convention: integer-looking parts become ints, everything
-// else strings. (Typed keys matter to a light client: the proven row's
-// key columns are compared byte-for-byte against the request.)
-func parseKeyTuple(raw string) reldb.Row {
-	parts := strings.Split(raw, ",")
-	key := make(reldb.Row, len(parts))
-	for i, p := range parts {
-		var n int64
-		if _, err := fmt.Sscanf(p, "%d", &n); err == nil && fmt.Sprint(n) == p {
-			key[i] = reldb.I(n)
-		} else {
-			key[i] = reldb.S(p)
-		}
-	}
-	return key
-}
 
 func lightCmd(args []string) error {
 	fs := flag.NewFlagSet("light", flag.ExitOnError)
 	addr, id := apiFlags(fs)
-	key := fs.String("key", "", "row key (comma-separated tuple)")
+	key := fs.String("key", "", "row key (comma-separated tuple, typed by the verified view schema)")
 	network := fs.String("network", "medshare-demo", "network name (genesis seed; must match the daemons)")
 	parts := fs.String("participants", "", "all participants as name=seed[@host:port], comma separated, in daemon order (PoA authority set)")
 	timeout := fs.Duration("timeout", 60*time.Second, "overall deadline")
@@ -79,7 +59,7 @@ func lightCmd(args []string) error {
 	if _, err := client.SyncHeaders(ctx); err != nil {
 		return fmt.Errorf("header sync: %w", err)
 	}
-	row, err := client.Read(ctx, *id, parseKeyTuple(*key))
+	row, err := client.ReadKey(ctx, *id, *key)
 	if err != nil {
 		return fmt.Errorf("verified read: %w", err)
 	}

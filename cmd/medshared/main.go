@@ -182,7 +182,11 @@ func (sh *shell) execute(ctx context.Context, args []string) error {
 			return fmt.Errorf("usage: set <table> <key> <col> <value>")
 		}
 		return sh.DB.WithTable(args[1], func(t *reldb.Table) error {
-			return t.Update(parseKey(args[2]), map[string]reldb.Value{args[3]: reldb.S(args[4])})
+			key, err := reldb.ParseKey(args[2], t.Schema())
+			if err != nil {
+				return err
+			}
+			return t.Update(key, map[string]reldb.Value{args[3]: reldb.S(args[4])})
 		})
 	case "sync":
 		if len(args) != 2 {
@@ -303,13 +307,4 @@ func (sh *shell) attachFig1(ctx context.Context) error {
 	default:
 		return fmt.Errorf("attach-fig1 runs on Patient or Researcher")
 	}
-}
-
-// parseKey interprets a shell key argument as an int when possible.
-func parseKey(s string) reldb.Row {
-	var i int64
-	if _, err := fmt.Sscanf(s, "%d", &i); err == nil && fmt.Sprint(i) == s {
-		return reldb.Row{reldb.I(i)}
-	}
-	return reldb.Row{reldb.S(s)}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"medshare/internal/bx"
+	"medshare/internal/core"
 	"medshare/internal/reldb"
 	"medshare/internal/workload"
 )
@@ -20,7 +21,7 @@ func TestUpdateViewEntryLevel(t *testing.T) {
 	}
 	defer sc.Stop()
 
-	res, err := sc.Doctor.UpdateView(ctx, ShareIDD13, func(v *reldb.Table) error {
+	res, err := sc.Doctor.UpdateView(ctx, workload.ShareIDD13, func(v *reldb.Table) error {
 		return v.Update(reldb.Row{reldb.I(188)},
 			map[string]reldb.Value{workload.ColDosage: reldb.S("entry-level dosage")})
 	})
@@ -34,7 +35,7 @@ func TestUpdateViewEntryLevel(t *testing.T) {
 	if s, _ := got.Str(); s != "entry-level dosage" {
 		t.Fatalf("doctor D3 dosage = %q", s)
 	}
-	if err := sc.Doctor.WaitFinal(ctx, ShareIDD13, res.Seq); err != nil {
+	if err := sc.Doctor.WaitFinal(ctx, workload.ShareIDD13, res.Seq); err != nil {
 		t.Fatal(err)
 	}
 	d1, _ := sc.Patient.Source("D1")
@@ -136,7 +137,7 @@ func TestRejectAndRollback(t *testing.T) {
 	// Wait until the doctor's rejection rolls the researcher's replica
 	// back (on-chain pending cleared, seq unchanged).
 	waitFor(t, 30*time.Second, func() bool {
-		meta, err := sc.Researcher.Meta(ShareIDD23)
+		meta, err := sc.Researcher.Meta(workload.ShareIDD23)
 		if err != nil {
 			return false
 		}
@@ -144,8 +145,8 @@ func TestRejectAndRollback(t *testing.T) {
 	})
 	// The replicas agree again.
 	waitFor(t, 30*time.Second, func() bool {
-		d23, err1 := sc.Researcher.View(ShareIDD23)
-		d32, err2 := sc.Doctor.View(ShareIDD23)
+		d23, err1 := sc.Researcher.View(workload.ShareIDD23)
+		d32, err2 := sc.Doctor.View(workload.ShareIDD23)
 		return err1 == nil && err2 == nil && d23.Hash() == d32.Hash()
 	})
 	// The researcher's local D2 keeps its edit (surfaced, not destroyed).
@@ -156,7 +157,7 @@ func TestRejectAndRollback(t *testing.T) {
 	// The rollback is visible in the researcher's history.
 	found := false
 	for _, h := range sc.Researcher.History() {
-		if h.Kind == "rolled-back" && h.ShareID == ShareIDD23 {
+		if h.Kind == "rolled-back" && h.ShareID == workload.ShareIDD23 {
 			found = true
 		}
 	}
@@ -192,26 +193,26 @@ func TestRemoveShareLifecycle(t *testing.T) {
 	defer sc.Stop()
 
 	// Non-owner cannot remove.
-	if err := sc.Patient.RemoveShare(ctx, ShareIDD13); err == nil {
+	if err := sc.Patient.RemoveShare(ctx, workload.ShareIDD13); err == nil {
 		t.Fatal("non-owner removal should fail")
 	}
-	if err := sc.Doctor.RemoveShare(ctx, ShareIDD13); err != nil {
+	if err := sc.Doctor.RemoveShare(ctx, workload.ShareIDD13); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Doctor.Meta(ShareIDD13); err == nil {
+	if _, err := sc.Doctor.Meta(workload.ShareIDD13); err == nil {
 		t.Fatal("metadata still on chain")
 	}
 	// The patient's binding disappears once the removal event arrives.
 	waitFor(t, 30*time.Second, func() bool {
 		for _, id := range sc.Patient.Shares() {
-			if id == ShareIDD13 {
+			if id == workload.ShareIDD13 {
 				return false
 			}
 		}
 		return true
 	})
 	// The other share is unaffected.
-	if _, err := sc.Doctor.Meta(ShareIDD23); err != nil {
+	if _, err := sc.Doctor.Meta(workload.ShareIDD23); err != nil {
 		t.Fatal("unrelated share was removed")
 	}
 }
@@ -240,7 +241,7 @@ func TestMultiNodeScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.Researcher.WaitFinal(ctx, ShareIDD23, props[0].Seq); err != nil {
+	if err := sc.Researcher.WaitFinal(ctx, workload.ShareIDD23, props[0].Seq); err != nil {
 		t.Fatal(err)
 	}
 	// The doctor (attached to a different node) applied the update.
@@ -291,7 +292,7 @@ func TestResyncAfterMissedEvents(t *testing.T) {
 		t.Fatalf("dosage after resync = %q", s)
 	}
 	// The ack finalized the share.
-	meta, err := sc.Patient.Meta(ShareIDD13)
+	meta, err := sc.Patient.Meta(workload.ShareIDD13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +334,7 @@ func TestAutoResyncRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.Patient.AttachShare(ShareIDD13, "D1", workload.LensD13(), "D13"); err != nil {
+	if err := sc.Patient.AttachShare(workload.ShareIDD13, "D1", workload.LensD13(), "D13"); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 30*time.Second, func() bool {
@@ -349,7 +350,7 @@ func TestAutoResyncRecovers(t *testing.T) {
 		return s == "auto-resynced"
 	})
 	// And the share finalized (the resync acked).
-	if err := sc.Doctor.WaitFinal(ctx, ShareIDD13, 1); err != nil {
+	if err := sc.Doctor.WaitFinal(ctx, workload.ShareIDD13, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -364,7 +365,7 @@ func TestLensSpecOnChainRebuild(t *testing.T) {
 	}
 	defer sc.Stop()
 
-	meta, err := sc.Doctor.Meta(ShareIDD23)
+	meta, err := sc.Doctor.Meta(workload.ShareIDD23)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +385,7 @@ func TestLensSpecOnChainRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d32, _ := sc.Doctor.View(ShareIDD23)
+	d32, _ := sc.Doctor.View(workload.ShareIDD23)
 	// Content comparison: the stored replica carries the share's priority
 	// seed, the ad-hoc rebuild does not, so their Merkle roots differ.
 	if !rebuilt.Equal(d32) {
@@ -425,23 +426,23 @@ func TestConcurrentUpdateGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sc.Doctor.ProposeUpdate(ctx, ShareIDD13)
+	_, err = sc.Doctor.UpdateView(ctx, workload.ShareIDD13, nil)
 	if err == nil {
 		t.Fatal("second update admitted while first is pending")
 	}
-	if !errors.Is(err, ErrTxFailed) {
-		t.Fatalf("want ErrTxFailed, got %v", err)
+	if !errors.Is(err, core.ErrTxFailed) {
+		t.Fatalf("want core.ErrTxFailed, got %v", err)
 	}
 
 	// The patient resyncs (fetches + acks), finalizing the first update.
 	if err := sc.Patient.Resync(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.Doctor.WaitFinal(ctx, ShareIDD13, 1); err != nil {
+	if err := sc.Doctor.WaitFinal(ctx, workload.ShareIDD13, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Now the second update goes through.
-	if _, err := sc.Doctor.ProposeUpdate(ctx, ShareIDD13); err != nil {
+	if _, err := sc.Doctor.UpdateView(ctx, workload.ShareIDD13, nil); err != nil {
 		t.Fatalf("update after finalization denied: %v", err)
 	}
 }

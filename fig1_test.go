@@ -60,23 +60,26 @@ func PopulateFig1(ctx context.Context, nw *Network, nRecords int, seed int64) (*
 	if err != nil {
 		return nil, err
 	}
+	if err := bindFig1(ctx, full, patient, doctor, researcher); err != nil {
+		return nil, err
+	}
+	return &Fig1Scenario{Network: nw, Patient: patient, Doctor: doctor, Researcher: researcher}, nil
+}
 
-	// Local full tables: each stakeholder holds its Fig. 1 slice of the
-	// full records in its own database.
+// bindFig1 gives each stakeholder its Fig. 1 slice of the full records
+// as a local table, registers both shares from the doctor (Section
+// III-C2, deriving D31 and D32 from D3) and attaches the counterparties'
+// sides with their own lenses.
+func bindFig1(ctx context.Context, full *reldb.Table, patient, doctor, researcher *core.Peer) error {
 	for _, p := range []*core.Peer{patient, doctor, researcher} {
 		t, err := workload.RoleTable(full, p.Name())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		p.DB().PutTable(t)
 	}
-
-	sc := &Fig1Scenario{Network: nw, Patient: patient, Doctor: doctor, Researcher: researcher}
-
-	// The doctor initiates both shares (Section III-C2), deriving D31 and
-	// D32 from D3.
-	err = doctor.RegisterShare(ctx, core.RegisterShareArgs{
-		ID:          ShareIDD13,
+	err := doctor.RegisterShare(ctx, core.RegisterShareArgs{
+		ID:          workload.ShareIDD13,
 		SourceTable: "D3",
 		Lens:        workload.LensD31(),
 		ViewName:    "D31",
@@ -85,10 +88,10 @@ func PopulateFig1(ctx context.Context, nw *Network, nRecords int, seed int64) (*
 		Authority:   doctor.Address(),
 	})
 	if err != nil {
-		return nil, fmt.Errorf("registering %s: %w", ShareIDD13, err)
+		return fmt.Errorf("registering %s: %w", workload.ShareIDD13, err)
 	}
 	err = doctor.RegisterShare(ctx, core.RegisterShareArgs{
-		ID:          ShareIDD23,
+		ID:          workload.ShareIDD23,
 		SourceTable: "D3",
 		Lens:        workload.LensD32(),
 		ViewName:    "D32",
@@ -97,25 +100,21 @@ func PopulateFig1(ctx context.Context, nw *Network, nRecords int, seed int64) (*
 		Authority:   researcher.Address(),
 	})
 	if err != nil {
-		return nil, fmt.Errorf("registering %s: %w", ShareIDD23, err)
+		return fmt.Errorf("registering %s: %w", workload.ShareIDD23, err)
 	}
 
-	// Counterparties bind their side of each share with their own lenses.
-	// On multi-node networks the registration block must gossip to their
-	// nodes first.
-	if _, err := patient.WaitForShare(ctx, ShareIDD13); err != nil {
-		return nil, err
+	// The registration block must reach a counterparty's node before it
+	// can bind its side.
+	if _, err := patient.WaitForShare(ctx, workload.ShareIDD13); err != nil {
+		return err
 	}
-	if err := patient.AttachShare(ShareIDD13, "D1", workload.LensD13(), "D13"); err != nil {
-		return nil, err
+	if err := patient.AttachShare(workload.ShareIDD13, "D1", workload.LensD13(), "D13"); err != nil {
+		return err
 	}
-	if _, err := researcher.WaitForShare(ctx, ShareIDD23); err != nil {
-		return nil, err
+	if _, err := researcher.WaitForShare(ctx, workload.ShareIDD23); err != nil {
+		return err
 	}
-	if err := researcher.AttachShare(ShareIDD23, "D2", workload.LensD23(), "D23"); err != nil {
-		return nil, err
-	}
-	return sc, nil
+	return researcher.AttachShare(workload.ShareIDD23, "D2", workload.LensD23(), "D23")
 }
 
 // Stop shuts the scenario's network down.

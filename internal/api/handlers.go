@@ -6,9 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
-	"time"
 
 	"medshare/internal/bx"
 	"medshare/internal/core"
@@ -249,17 +247,17 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// handleRow serves one row by key (?key=v1,v2 coerced against the key
-// schema). With ?proof=1 the response carries a Merkle membership proof
-// against the view's row root — the proof cache in core makes repeat
-// proven reads of hot rows O(1) between updates.
+// handleRow serves one row by key (?key=v1,v2, typed by the view schema
+// with reldb.ParseKey). With ?proof=1 the response carries a Merkle
+// membership proof against the view's row root — the proof cache in core
+// makes repeat proven reads of hot rows O(1) between updates.
 func (s *Server) handleRow(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	view, err := s.peer.View(id)
 	if err != nil {
 		return err
 	}
-	key, err := parseKeyQuery(r.URL.Query().Get("key"), view.Schema())
+	key, err := reldb.ParseKey(r.URL.Query().Get("key"), view.Schema())
 	if err != nil {
 		return badRequest("key: %v", err)
 	}
@@ -289,65 +287,6 @@ func (s *Server) handleRow(w http.ResponseWriter, r *http.Request) error {
 		Root:    hex.EncodeToString(pr.Root[:]),
 		Proof:   &pr.Proof,
 	})
-}
-
-// parseKeyQuery parses a comma-separated key tuple, coercing each part
-// to its key column's kind. String keys containing commas must use the
-// JSON update API; the read key syntax favors curl-ability.
-func parseKeyQuery(raw string, sch reldb.Schema) (reldb.Row, error) {
-	if raw == "" {
-		return nil, fmt.Errorf("missing key parameter")
-	}
-	parts := strings.Split(raw, ",")
-	if len(parts) != len(sch.Key) {
-		return nil, fmt.Errorf("key has %d parts, schema keys on %d columns", len(parts), len(sch.Key))
-	}
-	key := make(reldb.Row, len(parts))
-	for i, p := range parts {
-		kind, err := keyKind(sch, sch.Key[i])
-		if err != nil {
-			return nil, err
-		}
-		v, err := coerceKeyPart(p, kind)
-		if err != nil {
-			return nil, fmt.Errorf("key column %s: %w", sch.Key[i], err)
-		}
-		key[i] = v
-	}
-	return key, nil
-}
-
-func coerceKeyPart(s string, k reldb.Kind) (reldb.Value, error) {
-	switch k {
-	case reldb.KindString:
-		return reldb.S(s), nil
-	case reldb.KindInt:
-		i, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return reldb.Value{}, err
-		}
-		return reldb.I(i), nil
-	case reldb.KindFloat:
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return reldb.Value{}, err
-		}
-		return reldb.F(f), nil
-	case reldb.KindBool:
-		b, err := strconv.ParseBool(s)
-		if err != nil {
-			return reldb.Value{}, err
-		}
-		return reldb.B(b), nil
-	case reldb.KindTime:
-		t, err := time.Parse(time.RFC3339Nano, s)
-		if err != nil {
-			return reldb.Value{}, err
-		}
-		return reldb.T(t), nil
-	default:
-		return reldb.Value{}, fmt.Errorf("unsupported key kind %v", k)
-	}
 }
 
 // handleUpdate applies entry-level view mutations. The request joins

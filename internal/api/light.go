@@ -63,7 +63,7 @@ func (s *Server) handleLightRow(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	key, err := parseKeyQuery(r.URL.Query().Get("key"), view.Schema())
+	key, err := reldb.ParseKey(r.URL.Query().Get("key"), view.Schema())
 	if err != nil {
 		return badRequest("key: %v", err)
 	}

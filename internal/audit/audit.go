@@ -141,20 +141,3 @@ func (a *Auditor) History(shareID string) ([]Record, error) {
 	})
 	return out, err
 }
-
-// UpdateTimeline returns only the finalized data updates of a share: the
-// sequence of (seq, author, columns, payload hash) a reviewer would check
-// when tracing how a shared medical record evolved.
-func (a *Auditor) UpdateTimeline(shareID string) ([]Record, error) {
-	all, err := a.History(shareID)
-	if err != nil {
-		return nil, err
-	}
-	var out []Record
-	for _, r := range all {
-		if r.OK && r.Finalized {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}

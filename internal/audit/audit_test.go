@@ -113,21 +113,6 @@ func TestHistoryCompleteAndOrdered(t *testing.T) {
 	}
 }
 
-func TestUpdateTimeline(t *testing.T) {
-	n, doctor, _ := buildLedger(t)
-	a := New(n.Store(), n.Registry())
-	tl, err := a.UpdateTimeline("S")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tl) != 1 {
-		t.Fatalf("timeline = %d entries, want 1", len(tl))
-	}
-	if tl[0].Seq != 1 || tl[0].Author != doctor.Address() || tl[0].PayloadHash != "hash-1" {
-		t.Fatalf("timeline[0] = %+v", tl[0])
-	}
-}
-
 func TestHistoryAllShares(t *testing.T) {
 	n, _, _ := buildLedger(t)
 	a := New(n.Store(), n.Registry())

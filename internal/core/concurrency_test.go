@@ -211,7 +211,7 @@ func TestConcurrentAppliesPersistNewestSource(t *testing.T) {
 					t.Errorf("round %d share %d: %v", round, i, err)
 					return
 				}
-				res, err := p.ProposeUpdate(ctx, h.shares[i])
+				res, err := p.UpdateView(ctx, h.shares[i], nil)
 				if err == nil {
 					err = p.WaitFinal(ctx, h.shares[i], res.Seq)
 				}
@@ -397,7 +397,7 @@ func TestProposeUpdatesIsOneGroupCommit(t *testing.T) {
 }
 
 // TestConcurrentPeerStress drives one hub peer from many goroutines at
-// once — updaters (UpdateSource + ProposeUpdate per share), fetchers
+// once — updaters (UpdateSource + UpdateView per share), fetchers
 // (counterparty Fetch), and resyncers (hub and counterpart Resync) — and
 // asserts every replica converges to the deterministic sequential
 // outcome, verified by table hash equality on both sides of every share.
@@ -431,7 +431,7 @@ func TestConcurrentPeerStress(t *testing.T) {
 					errCh <- fmt.Errorf("update %s: %w", id, err)
 					return
 				}
-				res, err := h.hub.ProposeUpdate(ctx, id)
+				res, err := h.hub.UpdateView(ctx, id, nil)
 				if err != nil {
 					errCh <- fmt.Errorf("propose %s round %d: %w", id, u, err)
 					return

@@ -167,7 +167,7 @@ func (h *pairHarness) hubEdit(t *testing.T, share string, k int64, col, val stri
 	if err := h.hub.UpdateSource("T", setCol(k, col, val)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := h.hub.ProposeUpdate(h.ctx, share)
+	res, err := h.hub.UpdateView(h.ctx, share, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestSiblingInterleaveKeepsUnreflectedEdit(t *testing.T) {
 	h.partnerEdit(t, h.pa, "A", 2, "x", "x-from-A")
 	h.hubApplyPending(t, "A")
 
-	res, err := h.hub.ProposeUpdate(h.ctx, "A")
+	res, err := h.hub.UpdateView(h.ctx, "A", nil)
 	if err != nil {
 		t.Fatalf("the cascade's proposal on A lost B's change: %v", err)
 	}
@@ -400,7 +400,7 @@ func TestProposalsGetIncrementally(t *testing.T) {
 	if err := h.hub.UpdateSource("T", setCol(4, "x", "denied")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.hub.ProposeUpdate(h.ctx, "A"); err == nil {
+	if _, err := h.hub.UpdateView(h.ctx, "A", nil); err == nil {
 		t.Fatal("proposal on a column the hub may not write was admitted")
 	}
 	h.expectGets(t, "denied proposal", &seen, 0, 0)
@@ -419,7 +419,7 @@ func TestProposalsGetIncrementally(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err = h.hub.ProposeUpdate(h.ctx, "A")
+	res, err = h.hub.UpdateView(h.ctx, "A", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func (h *pairHarness) proposeFullAndCheck(t *testing.T, share string, counted *c
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := h.hub.ProposeUpdate(h.ctx, share)
+	res, err := h.hub.UpdateView(h.ctx, share, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

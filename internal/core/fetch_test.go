@@ -102,7 +102,7 @@ func (h *fetchHarness) update(t *testing.T, val string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := h.a.ProposeUpdate(ctx, "S")
+	res, err := h.a.UpdateView(ctx, "S", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

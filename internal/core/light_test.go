@@ -13,7 +13,7 @@ import (
 // and checks every head it serves: its state proof must verify against
 // the main-chain header at the head's Height.
 func TestLightHeadVerifiesAtItsHeight(t *testing.T) {
-	mem := p2p.NewMemNetwork(p2p.WithSeed(3))
+	mem := p2p.NewMemNetwork()
 	h := newSyncHarness(t, 8, mem.Endpoint("A"), mem.Endpoint("B"))
 	stop := make(chan struct{})
 	errc := make(chan error, 1)

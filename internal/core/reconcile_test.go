@@ -52,7 +52,7 @@ func TestRejectedEditNotReproposed(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.hub.ProposeUpdate(h.ctx, "A"); err != nil {
+	if _, err := h.hub.UpdateView(h.ctx, "A", nil); err != nil {
 		t.Fatal(err)
 	}
 	entriesOnA := func() (n, rolledBack int) {
@@ -110,7 +110,7 @@ func TestRejectedEditNotReproposed(t *testing.T) {
 	if err := h.hub.UpdateSource("T", func(tb *reldb.Table) error { return tb.Delete(reldb.Row{reldb.I(100)}) }); err != nil {
 		t.Fatal(err)
 	}
-	res, err := h.hub.ProposeUpdate(h.ctx, "A")
+	res, err := h.hub.UpdateView(h.ctx, "A", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRejectedEditNotReproposed(t *testing.T) {
 // derived from the source before that update, so binding it must
 // re-derive it: the update reaches S2 and A's replica of it.
 func TestShareAttachedAfterSourceMoved(t *testing.T) {
-	mem := p2p.NewMemNetwork(p2p.WithSeed(13))
+	mem := p2p.NewMemNetwork()
 	fs := store.NewMemFS()
 	h := newSyncHarnessTweak(t, 16, mem.Endpoint("A"), mem.Endpoint("B"), func(name string, cfg *Config) {
 		cfg.ResyncInterval = 25 * time.Millisecond
@@ -160,7 +160,7 @@ func TestShareAttachedAfterSourceMoved(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := h.a.ProposeUpdate(h.ctx, "S")
+	res, err := h.a.UpdateView(h.ctx, "S", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 // faultnet fabric.
 func faultHarness(t *testing.T, tweak func(name string, cfg *Config)) (*syncHarness, *faultnet.Fabric) {
 	t.Helper()
-	mem := p2p.NewMemNetwork(p2p.WithSeed(3))
+	mem := p2p.NewMemNetwork()
 	fab := faultnet.New(3)
 	h := newSyncHarnessTweak(t, 16, fab.Wrap(mem.Endpoint("A")), fab.Wrap(mem.Endpoint("B")), tweak)
 	return h, fab
@@ -236,7 +236,7 @@ func testCrashRestartMidCascade(t *testing.T, ta, tb p2p.Transport) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := h.a.ProposeUpdate(h.ctx, "S")
+	res, err := h.a.UpdateView(h.ctx, "S", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func testCrashRestartMidCascade(t *testing.T, ta, tb p2p.Transport) {
 
 	// B comes back over its crash image and rejoins mid-cascade. It
 	// missed the request: the node delivered the block's events before
-	// ProposeUpdate returned, while B was down. B's loops start before
+	// UpdateView returned, while B was down. B's loops start before
 	// its shares are bound, so the repair loop may apply S before S2 is
 	// bound; either way S2 is re-derived. No manual resync: the repair
 	// loop and the reconciler must do everything.
@@ -316,7 +316,7 @@ func waitConverged(t *testing.T, h *syncHarness, shareID string, minSeq uint64) 
 }
 
 func TestCrashRestartMidCascadeMemnet(t *testing.T) {
-	mem := p2p.NewMemNetwork(p2p.WithSeed(5))
+	mem := p2p.NewMemNetwork()
 	testCrashRestartMidCascade(t, mem.Endpoint("A"), mem.Endpoint("B"))
 }
 
@@ -342,7 +342,7 @@ func TestCrashRestartMidCascadeTCP(t *testing.T) {
 // The repair loop must notice the root mismatch against the on-chain
 // payload hash and heal through the structural sync.
 func TestRepairHealsRootMismatch(t *testing.T) {
-	mem := p2p.NewMemNetwork(p2p.WithSeed(9))
+	mem := p2p.NewMemNetwork()
 	fs := store.NewMemFS()
 	h := newSyncHarnessTweak(t, 32, mem.Endpoint("A"), mem.Endpoint("B"), func(name string, cfg *Config) {
 		cfg.ResyncInterval = 25 * time.Millisecond
@@ -400,7 +400,7 @@ func TestRepairHealsRootMismatch(t *testing.T) {
 // it: B must not install it. If B did, it would sit one version ahead of
 // the chain and never ack the update once A submits it.
 func TestResyncInstallsOnlyVouchedVersion(t *testing.T) {
-	mem := p2p.NewMemNetwork(p2p.WithSeed(11))
+	mem := p2p.NewMemNetwork()
 	h := newSyncHarnessTweak(t, 32, mem.Endpoint("A"), mem.Endpoint("B"), func(name string, cfg *Config) {
 		cfg.ResyncInterval = 20 * time.Millisecond
 	})
@@ -512,7 +512,7 @@ func TestFirstUpdateKeepsUnproposedSourceEdit(t *testing.T) {
 	h.waitApplied(t, seq)
 	bHolds("after seq 2", map[int64]string{1: "a1", 2: "a2", 5: "b5", 6: "b6"})
 
-	res, err := h.b.ProposeUpdate(h.ctx, "S")
+	res, err := h.b.UpdateView(h.ctx, "S", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +547,7 @@ func TestGroupCommitResilience(t *testing.T) {
 	col := func(i int) string { return fmt.Sprintf("c%d", i) }
 	shareID := func(i int) string { return fmt.Sprintf("S%02d", i) }
 
-	mem := p2p.NewMemNetwork(p2p.WithSeed(7))
+	mem := p2p.NewMemNetwork()
 	fab := faultnet.New(7)
 	nid := identity.MustNew("node")
 	n, err := node.New(node.Config{

@@ -197,7 +197,7 @@ func (p *Peer) Source(table string) (*reldb.Table, error) {
 
 // UpdateSource applies a local mutation to a source table (the peer's own
 // full data; no permission needed — it is their database). It does not
-// propagate and marks no share dirty; call SyncShares or ProposeUpdate
+// propagate and marks no share dirty; call SyncShares or UpdateView
 // afterwards, mirroring the paper's step 1 where the researcher first
 // updates D2 locally.
 func (p *Peer) UpdateSource(table string, mutate func(*reldb.Table) error) error {
@@ -215,25 +215,19 @@ type ProposalResult struct {
 	TxID string
 }
 
-// ProposeUpdate regenerates the share's view from the local source (get),
-// diffs it against the current replica, and — if anything changed —
-// requests the update on-chain (Fig. 5 steps 1-2). On success the local
-// replica is refreshed and counterparties are notified via the contract
-// event; they fetch the payload from this peer over the data channel.
-//
-// ErrNoChanges is returned when the view is unaffected by the local edit;
-// callers treat it as success.
-func (p *Peer) ProposeUpdate(ctx context.Context, shareID string) (ProposalResult, error) {
-	return p.UpdateView(ctx, shareID, nil)
-}
-
 // UpdateView edits the shared view directly (entry-level CRUD of Fig. 4 on
 // the shared table) and immediately embeds the edit into the local source
 // before proposing — so source and view never diverge locally. The edit is
 // diffed against the pre-edit view and embedded along the delta path, so
 // an entry-level edit costs O(changed rows) in the source. The share's
 // lock is held from the embed to the verdict, so the reconciler the embed
-// wakes cannot propose the edit in between. A nil mutate: ProposeUpdate.
+// wakes cannot propose the edit in between.
+//
+// A nil mutate proposes what the local source changed: the share's view
+// is regenerated from the source (get), diffed against the current
+// replica and, if anything changed, requested on-chain (Fig. 5 steps
+// 1-2). ErrNoChanges is returned when the view is unaffected; callers
+// treat it as success.
 func (p *Peer) UpdateView(ctx context.Context, shareID string, mutate func(*reldb.Table) error) (ProposalResult, error) {
 	s, err := p.lockShare(shareID)
 	if err != nil {

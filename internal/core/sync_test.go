@@ -166,7 +166,7 @@ func (h *syncHarness) finalizedUpdate(t *testing.T, key int64, val string) uint6
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := h.a.ProposeUpdate(h.ctx, "S")
+	res, err := h.a.UpdateView(h.ctx, "S", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestWaitFinalIsEventDriven(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := h.a.ProposeUpdate(h.ctx, "S")
+		res, err := h.a.UpdateView(h.ctx, "S", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,6 +33,13 @@ const (
 	apiIdleTimeout       = 2 * time.Minute
 )
 
+// resyncInterval paces the peer's repair loop (core.Config.ResyncInterval):
+// a missed pending update, a missed final or a replica whose content the
+// on-chain payload hash disagrees with heals within about this long, with
+// no operator `resync`. A scan reads each share's on-chain metadata and
+// its view's cached root, and fetches only what is stale.
+const resyncInterval = time.Second
+
 // Participant is one configured stakeholder: its name, the seed its
 // identity derives from, and the TCP address its daemon listens on.
 type Participant struct{ Name, Seed, Addr string }
@@ -206,13 +213,14 @@ func Open(cfg Config) (*Daemon, error) {
 	d.Node.Start(ctx)
 
 	if d.Peer, err = core.NewPeer(core.Config{
-		Identity:  d.Identity,
-		DB:        d.DB,
-		Node:      d.Node,
-		Transport: d.Transport,
-		Directory: dir,
-		Store:     d.Store,
-		Logf:      cfg.Logf,
+		Identity:       d.Identity,
+		DB:             d.DB,
+		Node:           d.Node,
+		Transport:      d.Transport,
+		Directory:      dir,
+		Store:          d.Store,
+		Logf:           cfg.Logf,
+		ResyncInterval: resyncInterval,
 	}); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package daemon
 
 import (
+	"context"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +10,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"medshare/internal/bx"
+	"medshare/internal/core"
+	"medshare/internal/identity"
+	"medshare/internal/reldb"
 )
 
 func TestParseParticipants(t *testing.T) {
@@ -128,4 +136,95 @@ func TestOpenLogsDataDirState(t *testing.T) {
 	d, log = open(crash)
 	expect(log, "recovering")
 	d.Close()
+}
+
+// TestRepairLoopHealsTamperedReplica: a daemon whose replica of a share
+// no longer hashes to the on-chain payload hash brings it back to the
+// finalized version on its own, through the repair loop, with no Resync
+// call.
+func TestRepairLoopHealsTamperedReplica(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	ps := []Participant{{"Doctor", "repair-1", "127.0.0.1:0"}, {"Patient", "repair-2", "127.0.0.1:0"}}
+	var ds []*Daemon
+	for _, p := range ps {
+		d, err := Open(Config{Name: p.Name, Participants: ps, Listen: "127.0.0.1:0", Network: "repair", BlockInterval: 5 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() })
+		ds = append(ds, d)
+	}
+	ds[0].Transport.AddPeer(ds[1].Transport.Name(), ds[1].Transport.Addr())
+	ds[1].Transport.AddPeer(ds[0].Transport.Name(), ds[0].Transport.Addr())
+	doctor, patient := ds[0].Peer, ds[1].Peer
+
+	schema := reldb.Schema{
+		Name:    "records",
+		Columns: []reldb.Column{{Name: "pid", Type: reldb.KindInt}, {Name: "dosage", Type: reldb.KindString}},
+		Key:     []string{"pid"},
+	}
+	for _, d := range ds {
+		tbl := reldb.MustNewTable(schema)
+		tbl.MustInsert(reldb.Row{reldb.I(1), reldb.S("low")})
+		d.DB.PutTable(tbl)
+	}
+	cols := []string{"pid", "dosage"}
+	if err := doctor.RegisterShare(ctx, core.RegisterShareArgs{
+		ID: "S", SourceTable: "records", Lens: bx.Project("docV", cols, nil), ViewName: "docV",
+		Peers:     []identity.Address{doctor.Address(), patient.Address()},
+		WritePerm: map[string][]identity.Address{"dosage": {doctor.Address()}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := patient.WaitForShare(ctx, "S"); err != nil {
+		t.Fatal(err)
+	}
+	if err := patient.AttachShare("S", "records", bx.Project("patV", cols, nil), "patV"); err != nil {
+		t.Fatal(err)
+	}
+	if err := doctor.UpdateSource("records", func(tbl *reldb.Table) error {
+		return tbl.Update(reldb.Row{reldb.I(1)}, map[string]reldb.Value{"dosage": reldb.S("high")})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	props, err := doctor.SyncShares(ctx, "records")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := doctor.WaitFinal(ctx, "S", props[0].Seq); err != nil {
+		t.Fatal(err)
+	}
+
+	// Corrupt the Patient's replica behind the peer's back.
+	if err := ds[1].DB.WithTable("patV", func(tbl *reldb.Table) error {
+		return tbl.Update(reldb.Row{reldb.I(1)}, map[string]reldb.Value{"dosage": reldb.S("tampered")})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	healed := func() bool {
+		meta, err := patient.Meta("S")
+		if err != nil {
+			return false
+		}
+		view, err := patient.View("S")
+		if err != nil {
+			return false
+		}
+		h := view.Hash()
+		if hex.EncodeToString(h[:]) != meta.LastPayloadHash {
+			return false
+		}
+		for _, e := range patient.History() {
+			if e.Kind == "repaired" {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(10 * resyncInterval); !healed(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("tampered replica not repaired within %v: history %+v", 10*resyncInterval, patient.History())
+		}
+	}
 }

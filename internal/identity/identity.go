@@ -76,9 +76,6 @@ type Identity struct {
 	addr Address
 }
 
-// New generates a fresh identity using crypto/rand.
-func New(name string) (*Identity, error) { return NewFrom(name, rand.Reader) }
-
 // NewFrom generates an identity from the given entropy source. Tests pass
 // a deterministic reader so identities (and therefore addresses) are
 // reproducible.
@@ -90,9 +87,10 @@ func NewFrom(name string, r io.Reader) (*Identity, error) {
 	return &Identity{Name: name, priv: priv, pub: pub, addr: AddressOf(pub)}, nil
 }
 
-// MustNew is New that panics on failure; crypto/rand failures are fatal.
+// MustNew generates a fresh identity using crypto/rand and panics on
+// failure; crypto/rand failures are fatal.
 func MustNew(name string) *Identity {
-	id, err := New(name)
+	id, err := NewFrom(name, rand.Reader)
 	if err != nil {
 		panic(err)
 	}

@@ -18,10 +18,7 @@ func (f fixedReader) Read(p []byte) (int, error) {
 }
 
 func TestNewIdentity(t *testing.T) {
-	id, err := New("Doctor")
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := MustNew("Doctor")
 	if id.Name != "Doctor" {
 		t.Fatalf("name = %s", id.Name)
 	}

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -186,6 +187,27 @@ func (c *Client) src() Source { return c.cfg.Source }
 // header. A cached row is returned while it was verified at the proven
 // seq (see Client for what that promises).
 func (c *Client) Read(ctx context.Context, shareID string, key reldb.Row) (reldb.Row, error) {
+	return c.read(ctx, shareID, key, func(reldb.Schema) (reldb.Row, error) { return key, nil })
+}
+
+// ReadKey is Read for a key in the comma-separated text syntax: the parts
+// travel as text, and the proven row must carry the key reldb.ParseKey
+// types them to under the view schema the fetch verified, so the caller
+// need not know the key columns' kinds. Verified rows are cached under
+// the text.
+func (c *Client) ReadKey(ctx context.Context, shareID, raw string) (reldb.Row, error) {
+	parts := strings.Split(raw, ",")
+	text := make(reldb.Row, len(parts))
+	for i, p := range parts {
+		text[i] = reldb.S(p)
+	}
+	return c.read(ctx, shareID, text, func(sch reldb.Schema) (reldb.Row, error) { return reldb.ParseKey(raw, sch) })
+}
+
+// read serves Read and ReadKey: key is what the source is asked for and
+// the cache is keyed by, and typed returns the key the proven row must
+// carry under the verified view schema.
+func (c *Client) read(ctx context.Context, shareID string, key reldb.Row, typed func(reldb.Schema) (reldb.Row, error)) (reldb.Row, error) {
 	c.mu.Lock()
 	s, ok := c.shares[shareID]
 	c.mu.Unlock()
@@ -226,7 +248,7 @@ func (c *Client) Read(ctx context.Context, shareID string, key reldb.Row) (reldb
 		if err != nil {
 			return nil, err
 		}
-		err = verifyFetch(&rf, key, want)
+		err = verifyFetch(&rf, typed, want)
 		if errors.Is(err, errStaleFetch) {
 			// The serving replica moved (or lags) relative to our proven
 			// head; re-prove the head and try again. Hash mismatches are
@@ -245,7 +267,9 @@ func (c *Client) Read(ctx context.Context, shareID string, key reldb.Row) (reldb
 			continue
 		}
 		if err != nil {
-			c.verifyFailures.Add(1)
+			if errors.Is(err, ErrVerification) {
+				c.verifyFailures.Add(1)
+			}
 			return nil, err
 		}
 
@@ -345,13 +369,16 @@ var errStaleFetch = errors.New("light: fetched row is for a different share vers
 //     preimage,
 //  2. sha256(SchemaSum ‖ Rows ‖ Root) equals the proven payload hash
 //     (binding Root to the on-chain version),
-//  3. the proven row's key columns equal the requested key (no
-//     row-substitution within the table),
+//  3. the proven row's key columns equal the requested key, as typed
+//     returns it under the now verified schema (no row-substitution
+//     within the table),
 //  4. the row's membership proof verifies against Root.
 //
 // Steps 1, 3 and 4 failing mean tampering (never retryable); step 2
-// failing usually means the serving replica is at another version.
-func verifyFetch(rf *RowFetch, key reldb.Row, wantPayload [32]byte) error {
+// failing usually means the serving replica is at another version. An
+// error from typed (a key that does not parse under the verified schema)
+// is the caller's, not a verification failure.
+func verifyFetch(rf *RowFetch, typed func(reldb.Schema) (reldb.Row, error), wantPayload [32]byte) error {
 	if reldb.SchemaSumOf(rf.Schema) != rf.SchemaSum {
 		return fmt.Errorf("%w: served schema does not hash to the committed schema sum", ErrVerification)
 	}
@@ -361,6 +388,10 @@ func verifyFetch(rf *RowFetch, key reldb.Row, wantPayload [32]byte) error {
 	copy(buf[40:], rf.Root[:])
 	if sha256.Sum256(buf[:]) != wantPayload {
 		return errStaleFetch
+	}
+	key, err := typed(rf.Schema)
+	if err != nil {
+		return err
 	}
 	keyIdx := rf.Schema.KeyIndexes()
 	if len(keyIdx) != len(key) {

@@ -416,7 +416,7 @@ func TestWireRoundTrips(t *testing.T) {
 	copy(buf[:32], gotRF.SchemaSum[:])
 	binary.BigEndian.PutUint64(buf[32:40], uint64(gotRF.Rows))
 	copy(buf[40:], gotRF.Root[:])
-	if err := verifyFetch(&gotRF, reldb.Row{reldb.I(3)}, sha256.Sum256(buf[:])); err != nil {
+	if err := verifyFetch(&gotRF, func(reldb.Schema) (reldb.Row, error) { return reldb.Row{reldb.I(3)}, nil }, sha256.Sum256(buf[:])); err != nil {
 		t.Fatalf("decoded fetch fails verification: %v", err)
 	}
 

@@ -291,7 +291,7 @@ func TestDeterministicSampling(t *testing.T) {
 // TestWrapMemnetEndToEnd exercises the fabric over a real MemNetwork:
 // requests cross the wrapped link, partitions block them, heal restores.
 func TestWrapMemnetEndToEnd(t *testing.T) {
-	mem := p2p.NewMemNetwork(p2p.WithSeed(7))
+	mem := p2p.NewMemNetwork()
 	f := New(7)
 	a := f.Wrap(mem.Endpoint("a"))
 	b := f.Wrap(mem.Endpoint("b"))

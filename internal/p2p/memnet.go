@@ -2,49 +2,21 @@ package p2p
 
 import (
 	"context"
-	"math/rand"
 	"sort"
 	"sync"
-	"time"
 )
 
-// MemNetwork is an in-process network of endpoints with configurable
-// symmetric latency and jitter; faultnet layers loss and partitions on
-// top. It makes the whole system
-// runnable and measurable on one machine, substituting for the multi-host
-// deployment the paper assumes.
+// MemNetwork is an in-process network of endpoints that delivers every
+// message without delay; faultnet layers delay, loss and partitions on
+// top. Tests run the whole system on it in one process.
 type MemNetwork struct {
 	mu        sync.RWMutex
 	endpoints map[string]*memEndpoint
-	latency   time.Duration
-	jitter    time.Duration
-	rng       *rand.Rand
-	rngMu     sync.Mutex
-}
-
-// MemOption configures a MemNetwork.
-type MemOption func(*MemNetwork)
-
-// WithLatency sets the one-way base latency and jitter.
-func WithLatency(base, jitter time.Duration) MemOption {
-	return func(n *MemNetwork) { n.latency, n.jitter = base, jitter }
-}
-
-// WithSeed seeds the jitter randomness for reproducible runs.
-func WithSeed(seed int64) MemOption {
-	return func(n *MemNetwork) { n.rng = rand.New(rand.NewSource(seed)) }
 }
 
 // NewMemNetwork creates an empty in-memory network.
-func NewMemNetwork(opts ...MemOption) *MemNetwork {
-	n := &MemNetwork{
-		endpoints: make(map[string]*memEndpoint),
-		rng:       rand.New(rand.NewSource(1)),
-	}
-	for _, o := range opts {
-		o(n)
-	}
-	return n
+func NewMemNetwork() *MemNetwork {
+	return &MemNetwork{endpoints: make(map[string]*memEndpoint)}
 }
 
 // Endpoint attaches a new endpoint with the given unique name.
@@ -74,20 +46,6 @@ func (n *MemNetwork) names(except string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// delay returns the sampled one-way delay.
-func (n *MemNetwork) delay() time.Duration {
-	if n.latency == 0 && n.jitter == 0 {
-		return 0
-	}
-	d := n.latency
-	if n.jitter > 0 {
-		n.rngMu.Lock()
-		d += time.Duration(n.rng.Int63n(int64(n.jitter)))
-		n.rngMu.Unlock()
-	}
-	return d
 }
 
 // memEndpoint implements Transport on a MemNetwork.
@@ -129,13 +87,7 @@ func (e *memEndpoint) Send(to string, msg Message) error {
 		return ErrUnknownEndpoint
 	}
 	msg.From = e.name
-	delay := e.net.delay()
-	go func() {
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		dst.deliver(msg)
-	}()
+	go dst.deliver(msg)
 	return nil
 }
 
@@ -149,8 +101,8 @@ func (e *memEndpoint) Broadcast(msg Message) error {
 	return nil
 }
 
-// Request implements Transport. Requests model a TCP round trip: they are
-// delayed but never dropped.
+// Request implements Transport. Requests are never dropped; the call
+// returns early when ctx ends.
 func (e *memEndpoint) Request(ctx context.Context, to string, msg Message) (Message, error) {
 	select {
 	case <-e.closed:
@@ -167,15 +119,8 @@ func (e *memEndpoint) Request(ctx context.Context, to string, msg Message) (Mess
 		err  error
 	}
 	ch := make(chan result, 1)
-	delay := e.net.delay()
 	go func() {
-		if delay > 0 {
-			time.Sleep(delay)
-		}
 		resp, err := dst.serve(msg)
-		if delay > 0 {
-			time.Sleep(e.net.delay())
-		}
 		ch <- result{resp, err}
 	}()
 	select {

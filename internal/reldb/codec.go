@@ -40,7 +40,7 @@ func UnmarshalTable(data []byte) (*Table, error) {
 }
 
 // Format renders the table as an aligned text grid, in canonical row
-// order, for CLI output and examples. It mirrors the tables of Fig. 1.
+// order, for CLI output and examples; no line ends in a space. It mirrors the tables of Fig. 1.
 func Format(t *Table) string {
 	cols := t.Schema().ColumnNames()
 	widths := make([]int, len(cols))
@@ -67,6 +67,9 @@ func Format(t *Table) string {
 				b.WriteString(" | ")
 			}
 			b.WriteString(v)
+			if i == len(vals)-1 {
+				break // no trailing padding
+			}
 			for p := len(v); p < widths[i]; p++ {
 				b.WriteByte(' ')
 			}

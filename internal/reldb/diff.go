@@ -108,7 +108,7 @@ func (c Changeset) ChangedColumns(s Schema) map[string]bool {
 // The comparison is structural over the persistent row storage:
 // subtrees the two tables share by pointer are skipped wholesale, so
 // diffing a snapshot against a descendant produced by k edits (the
-// ProposeUpdate/UpdateView pattern: clone, edit, diff) costs
+// UpdateView pattern: clone, edit, diff) costs
 // O(k log n), not O(n).
 func (t *Table) Diff(target *Table) (Changeset, error) {
 	if !t.schema.Equal(target.schema) {

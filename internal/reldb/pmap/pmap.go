@@ -393,7 +393,7 @@ func split[V any](n *node[V], k string) (l *node[V], v V, found bool, r *node[V]
 // returning false aborts the walk (equality checks stop at the first
 // difference). Pointer-equal subtrees are skipped wholesale, so diffing
 // a map against a descendant produced by k edits costs O(k log n)
-// rather than O(n) — the property that makes ProposeUpdate/UpdateView's
+// rather than O(n) — the property that makes UpdateView's
 // view diff proportional to the edit, not the table.
 func Diff[V any](a, b Map[V], same func(x, y V) bool, onA, onB func(k string, v V) bool, onBoth func(k string, x, y V) bool) {
 	diffNodes(a.root, b.root, same, onA, onB, onBoth)

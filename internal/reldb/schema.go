@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // Column describes one attribute of a table.
@@ -104,6 +105,35 @@ func (s Schema) KeyIndexes() []int {
 		out[i] = s.ColumnIndex(k)
 	}
 	return out
+}
+
+// ParseKey reads a primary key in the comma-separated text syntax
+// ("v1,v2"), typing each part by its key column's kind in s (parseValue).
+// The HTTP read routes, the daemon shell and the light client all type
+// keys here, so "007" names the int key 7 and "42" the string key "42"
+// exactly when the schema says so. A string key part cannot contain a
+// comma.
+func ParseKey(raw string, s Schema) (Row, error) {
+	if raw == "" {
+		return nil, fmt.Errorf("missing key parameter")
+	}
+	parts := strings.Split(raw, ",")
+	if len(parts) != len(s.Key) {
+		return nil, fmt.Errorf("key has %d parts, schema keys on %d columns", len(parts), len(s.Key))
+	}
+	key := make(Row, len(parts))
+	for i, p := range parts {
+		c := s.ColumnIndex(s.Key[i])
+		if c < 0 {
+			return nil, fmt.Errorf("key column %s not in schema", s.Key[i])
+		}
+		v, err := parseValue(p, s.Columns[c].Type)
+		if err != nil {
+			return nil, fmt.Errorf("key column %s: %w", s.Key[i], err)
+		}
+		key[i] = v
+	}
+	return key, nil
 }
 
 // IsKeyColumn reports whether name is one of the primary-key columns.

@@ -163,3 +163,27 @@ func TestCheckRow(t *testing.T) {
 		}
 	}
 }
+
+func TestParseKeyTypesBySchema(t *testing.T) {
+	s := Schema{
+		Name: "visits",
+		Columns: []Column{
+			{Name: "pid", Type: KindInt},
+			{Name: "code", Type: KindString},
+			{Name: "note", Type: KindString},
+		},
+		Key: []string{"pid", "code"},
+	}
+	key, err := ParseKey("007,42", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Row{I(7), S("42")}); !key.Equal(want) {
+		t.Fatalf("ParseKey = %v, want %v", key, want)
+	}
+	for _, raw := range []string{"", "7", "7,42,x", "seven,42"} {
+		if _, err := ParseKey(raw, s); err == nil {
+			t.Errorf("ParseKey(%q) accepted", raw)
+		}
+	}
+}

@@ -330,37 +330,51 @@ func (v *Value) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	switch k {
-	case KindNull:
+	if k == KindNull {
 		*v = Null()
-	case KindString:
-		*v = S(w.Val)
-	case KindInt:
-		i, err := strconv.ParseInt(w.Val, 10, 64)
-		if err != nil {
-			return fmt.Errorf("reldb: bad int value %q: %w", w.Val, err)
-		}
-		*v = I(i)
-	case KindFloat:
-		f, err := strconv.ParseFloat(w.Val, 64)
-		if err != nil {
-			return fmt.Errorf("reldb: bad float value %q: %w", w.Val, err)
-		}
-		*v = F(f)
-	case KindBool:
-		b, err := strconv.ParseBool(w.Val)
-		if err != nil {
-			return fmt.Errorf("reldb: bad bool value %q: %w", w.Val, err)
-		}
-		*v = B(b)
-	case KindTime:
-		t, err := time.Parse(time.RFC3339Nano, w.Val)
-		if err != nil {
-			return fmt.Errorf("reldb: bad time value %q: %w", w.Val, err)
-		}
-		*v = T(t)
+		return nil
 	}
+	val, err := parseValue(w.Val, k)
+	if err != nil {
+		return fmt.Errorf("reldb: bad %s value %q: %w", k, w.Val, err)
+	}
+	*v = val
 	return nil
+}
+
+// parseValue reads the text form Value.String writes for a value of kind
+// k: ints and floats in Go's decimal syntax, bools as strconv.ParseBool
+// reads them, times in RFC 3339, strings as they are.
+func parseValue(s string, k Kind) (Value, error) {
+	switch k {
+	case KindString:
+		return S(s), nil
+	case KindInt:
+		i, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return Value{}, err
+		}
+		return I(i), nil
+	case KindFloat:
+		f, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return Value{}, err
+		}
+		return F(f), nil
+	case KindBool:
+		b, err := strconv.ParseBool(s)
+		if err != nil {
+			return Value{}, err
+		}
+		return B(b), nil
+	case KindTime:
+		t, err := time.Parse(time.RFC3339Nano, s)
+		if err != nil {
+			return Value{}, err
+		}
+		return T(t), nil
+	}
+	return Value{}, fmt.Errorf("unsupported kind %v", k)
 }
 
 // Row is an ordered tuple of values matching a table's column order.

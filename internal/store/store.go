@@ -165,17 +165,6 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// OpenMemory returns a store over a fresh in-memory filesystem — the
-// memory backend: same code paths, no durability.
-func OpenMemory() *Store {
-	s, err := Open(Options{FS: NewMemFS()})
-	if err != nil {
-		// A fresh MemFS cannot fail to open.
-		panic(err)
-	}
-	return s
-}
-
 // group accumulates the records of one not-yet-committed group during
 // recovery; a commit marker flushes it, EOF or corruption discards it.
 type group struct {

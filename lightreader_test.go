@@ -99,7 +99,7 @@ func (sc *lightReaderScenario) newClient(t *testing.T) *light.Client {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Subscribe(ShareIDD13)
+	c.Subscribe(workload.ShareIDD13)
 	return c
 }
 
@@ -200,7 +200,7 @@ func TestLightReaderScenario(t *testing.T) {
 				return
 			}
 			for r := 0; r < lightReadsPerReader; r++ {
-				if _, err := c.Read(ctx, ShareIDD13, keyAt(i+r)); err != nil {
+				if _, err := c.Read(ctx, workload.ShareIDD13, keyAt(i+r)); err != nil {
 					readErrs <- fmt.Errorf("reader %d read %d: %w", i, r, err)
 					return
 				}
@@ -223,14 +223,14 @@ func TestLightReaderScenario(t *testing.T) {
 	// Freshness: the last write touched keyAt(lightReaderWrites). A fresh
 	// client, as `medsharectl light` starts on every call, must read its
 	// final value through a fresh header and proof chain.
-	view, err := sc.Doctor.View(ShareIDD13)
+	view, err := sc.Doctor.View(workload.ShareIDD13)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dosageIdx := view.Schema().ColumnIndex(workload.ColDosage)
 	want := fmt.Sprintf("light dosage %d", lightReaderWrites)
 	fresh := sc.newClient(t)
-	row, err := fresh.Read(ctx, ShareIDD13, keyAt(lightReaderWrites))
+	row, err := fresh.Read(ctx, workload.ShareIDD13, keyAt(lightReaderWrites))
 	if err != nil {
 		t.Fatalf("freshness read: %v", err)
 	}

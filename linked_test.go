@@ -17,16 +17,12 @@ import (
 )
 
 // binaries are the programs this repository ships or runs: the daemon,
-// its CLI, the benchmark and the examples. Production code is what one
-// of them links.
+// its CLI and the benchmark. Production code is what one of them links;
+// the Examples in this package are tests, and link nothing into it.
 var binaries = []string{
 	"./cmd/medshared",
 	"./cmd/medsharectl",
 	"./bench",
-	"./examples/auditlog",
-	"./examples/clinicnetwork",
-	"./examples/fig5workflow",
-	"./examples/quickstart",
 }
 
 // linkAllowlist names the non-test functions no binary links that may
@@ -35,12 +31,12 @@ var binaries = []string{
 // "dir.Func" / "dir.Type.Method".
 var linkAllowlist = map[string]string{
 	"internal/p2p/faultnet":     "test support: the fault-injecting transport core's and the root package's tests share",
+	"internal/p2p/memnet.go":    "test support: the in-process transport the node, core, faultnet and root tests run on; in a subpackage it would import p2p, and p2p's own tests use it",
 	"internal/store/faultfs.go": "test support: FaultFS; in a subpackage it would import store, and store's own tests use it",
+	"internal/store/memfs.go":   "test support: MemFS, OpenMemory and the crash image (MemFS.Clone) a restart test reopens, in every package that restarts a peer; FaultFS materializes survivors into it",
 
 	"internal/identity.MustNew":            "test support: identities for tests in every package",
 	"internal/node.Node.BuildTx":           "test support: signed transactions for the node, audit and api tests",
-	"internal/store.OpenMemory":            "test support: an in-memory store for tests in other packages",
-	"internal/store.MemFS.Clone":           "test support: the crash image a restart test reopens, in every package that restarts a peer",
 	"internal/reldb.Table.Value":           "test support: one cell by key and column, for tests in other packages",
 	"internal/reldb.Value.Str":             "test support: typed cell access for tests in other packages",
 	"internal/reldb.Value.Int":             "test support: typed cell access for tests in other packages",

@@ -23,8 +23,12 @@ const (
 	DataTransportTCP = "tcp"
 )
 
-// NetworkConfig describes an in-process medshare network: blockchain
-// nodes (every one a strict-PoA authority) and the simulated data channel.
+// NetworkConfig describes an in-process test network: blockchain nodes
+// (every one a strict-PoA authority) and peers attached to them over an
+// in-memory or loopback data channel. Unlike a daemon, a node here may
+// serve several peers, which lets the scenario and chaos tests share one
+// chain between stakeholders; the Examples and TCP tests run one daemon
+// per stakeholder instead.
 type NetworkConfig struct {
 	// Name seeds the genesis block. Defaults to "medshare".
 	Name string
@@ -33,9 +37,7 @@ type NetworkConfig struct {
 	// BlockInterval is every node's idle production retry (default
 	// 5ms); blocks are produced on demand (node.Config).
 	BlockInterval time.Duration
-	// Latency and Jitter configure the simulated network's one-way delay.
-	Latency, Jitter time.Duration
-	// Seed makes the simulated network's randomness reproducible.
+	// Seed derives the peers' identities and seeds the fault injection.
 	Seed int64
 	// PeerResyncInterval enables each peer's background anti-entropy
 	// repair loop (recovery from missed notifications, missed finals, and
@@ -60,7 +62,7 @@ type NetworkConfig struct {
 	DurablePeers bool
 }
 
-// Network is a running in-process medshare deployment.
+// Network is a running in-process test network.
 type Network struct {
 	cfg        NetworkConfig
 	mem        *p2p.MemNetwork
@@ -86,21 +88,13 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		cfg.BlockInterval = 5 * time.Millisecond
 	}
 
-	memOpts := []p2p.MemOption{p2p.WithSeed(cfg.Seed)}
-	if cfg.Latency > 0 || cfg.Jitter > 0 {
-		memOpts = append(memOpts, p2p.WithLatency(cfg.Latency, cfg.Jitter))
-	}
-	mem := p2p.NewMemNetwork(memOpts...)
+	mem := p2p.NewMemNetwork()
 
 	ids := make([]*identity.Identity, cfg.Nodes)
 	addrs := make([]identity.Address, cfg.Nodes)
 	for i := range ids {
-		id, err := identity.New(fmt.Sprintf("node-%d", i))
-		if err != nil {
-			return nil, err
-		}
-		ids[i] = id
-		addrs[i] = id.Address()
+		ids[i] = identity.MustNew(fmt.Sprintf("node-%d", i))
+		addrs[i] = ids[i].Address()
 	}
 
 	nw := &Network{

@@ -65,7 +65,7 @@ func TestFig5Workflow(t *testing.T) {
 	// Each side derives its replica from its own source (D13 from D1 and
 	// D31 from D3; D23 from D2 and D32 from D3); before any update the
 	// two derivations of each shared table must already agree.
-	for id, other := range map[string]*Peer{ShareIDD13: sc.Patient, ShareIDD23: sc.Researcher} {
+	for id, other := range map[string]*core.Peer{workload.ShareIDD13: sc.Patient, workload.ShareIDD23: sc.Researcher} {
 		mine, err := sc.Doctor.View(id)
 		if err != nil {
 			t.Fatal(err)
@@ -93,13 +93,13 @@ func TestFig5Workflow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sync shares: %v", err)
 	}
-	if len(props) != 1 || props[0].ShareID != ShareIDD23 {
-		t.Fatalf("expected one proposal on %s, got %+v", ShareIDD23, props)
+	if len(props) != 1 || props[0].ShareID != workload.ShareIDD23 {
+		t.Fatalf("expected one proposal on %s, got %+v", workload.ShareIDD23, props)
 	}
 
 	// Steps 3-5 happen in the doctor's event loop; wait for finalization
 	// (all peers acked).
-	if err := sc.Researcher.WaitFinal(ctx, ShareIDD23, props[0].Seq); err != nil {
+	if err := sc.Researcher.WaitFinal(ctx, workload.ShareIDD23, props[0].Seq); err != nil {
 		t.Fatalf("waiting final: %v", err)
 	}
 
@@ -114,11 +114,11 @@ func TestFig5Workflow(t *testing.T) {
 	}
 
 	// The doctor's replica D32 and the researcher's D23 agree.
-	d32, err := sc.Doctor.View(ShareIDD23)
+	d32, err := sc.Doctor.View(workload.ShareIDD23)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d23, err := sc.Researcher.View(ShareIDD23)
+	d23, err := sc.Researcher.View(workload.ShareIDD23)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +140,10 @@ func TestFig5Workflow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("doctor sync: %v", err)
 	}
-	if len(props) != 1 || props[0].ShareID != ShareIDD13 {
-		t.Fatalf("expected one proposal on %s, got %+v", ShareIDD13, props)
+	if len(props) != 1 || props[0].ShareID != workload.ShareIDD13 {
+		t.Fatalf("expected one proposal on %s, got %+v", workload.ShareIDD13, props)
 	}
-	if err := sc.Doctor.WaitFinal(ctx, ShareIDD13, props[0].Seq); err != nil {
+	if err := sc.Doctor.WaitFinal(ctx, workload.ShareIDD13, props[0].Seq); err != nil {
 		t.Fatalf("waiting final: %v", err)
 	}
 
@@ -185,7 +185,7 @@ func TestPermissionDenied(t *testing.T) {
 	if err != nil {
 		t.Fatalf("allowed update rejected: %v", err)
 	}
-	if err := sc.Patient.WaitFinal(ctx, ShareIDD13, props[0].Seq); err != nil {
+	if err := sc.Patient.WaitFinal(ctx, workload.ShareIDD13, props[0].Seq); err != nil {
 		t.Fatal(err)
 	}
 	d3, _ := sc.Doctor.Source("D3")
@@ -209,8 +209,8 @@ func TestPermissionDenied(t *testing.T) {
 
 	// The patient's replica rolled back: D13 must still agree with the
 	// doctor's D31.
-	d13, _ := sc.Patient.View(ShareIDD13)
-	d31, _ := sc.Doctor.View(ShareIDD13)
+	d13, _ := sc.Patient.View(workload.ShareIDD13)
+	d31, _ := sc.Doctor.View(workload.ShareIDD13)
 	if d13.Hash() != d31.Hash() {
 		t.Fatalf("replicas diverged after denial")
 	}
@@ -227,8 +227,8 @@ func TestPermissionGrant(t *testing.T) {
 	}
 	defer sc.Stop()
 
-	err = sc.Doctor.SetPermission(ctx, ShareIDD13, workload.ColDosage,
-		[]Address{sc.Doctor.Address(), sc.Patient.Address()})
+	err = sc.Doctor.SetPermission(ctx, workload.ShareIDD13, workload.ColDosage,
+		[]identity.Address{sc.Doctor.Address(), sc.Patient.Address()})
 	if err != nil {
 		t.Fatalf("granting permission: %v", err)
 	}
@@ -244,7 +244,7 @@ func TestPermissionGrant(t *testing.T) {
 	if err != nil {
 		t.Fatalf("granted update still denied: %v", err)
 	}
-	if err := sc.Patient.WaitFinal(ctx, ShareIDD13, props[0].Seq); err != nil {
+	if err := sc.Patient.WaitFinal(ctx, workload.ShareIDD13, props[0].Seq); err != nil {
 		t.Fatal(err)
 	}
 	d3, _ := sc.Doctor.Source("D3")
@@ -254,8 +254,8 @@ func TestPermissionGrant(t *testing.T) {
 	}
 
 	// Only the authority may change permissions: the patient cannot.
-	err = sc.Patient.SetPermission(ctx, ShareIDD13, workload.ColMedication,
-		[]Address{sc.Patient.Address()})
+	err = sc.Patient.SetPermission(ctx, workload.ShareIDD13, workload.ColMedication,
+		[]identity.Address{sc.Patient.Address()})
 	if err == nil {
 		t.Fatal("non-authority permission change should fail")
 	}
@@ -328,17 +328,17 @@ func TestViewEditReachesSiblingShare(t *testing.T) {
 		t.Fatalf("scenario: %v", err)
 	}
 	defer sc.Stop()
-	meta, err := sc.Researcher.Meta(ShareIDD23)
+	meta, err := sc.Researcher.Meta(workload.ShareIDD23)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sc.Doctor.UpdateView(ctx, ShareIDD13, func(tbl *reldb.Table) error {
+	res, err := sc.Doctor.UpdateView(ctx, workload.ShareIDD13, func(tbl *reldb.Table) error {
 		return tbl.Update(reldb.Row{reldb.I(188)}, map[string]reldb.Value{workload.ColMedication: reldb.S("Naproxen")})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.Doctor.WaitFinal(ctx, ShareIDD13, res.Seq); err != nil {
+	if err := sc.Doctor.WaitFinal(ctx, workload.ShareIDD13, res.Seq); err != nil {
 		t.Fatal(err)
 	}
 	checkRenameReachedResearcher(t, ctx, sc, meta.Seq+1)
@@ -349,10 +349,10 @@ func TestViewEditReachesSiblingShare(t *testing.T) {
 // Naproxen.
 func checkRenameReachedResearcher(t *testing.T, ctx context.Context, sc *Fig1Scenario, seq uint64) {
 	t.Helper()
-	if err := sc.Researcher.WaitFinal(ctx, ShareIDD23, seq); err != nil {
+	if err := sc.Researcher.WaitFinal(ctx, workload.ShareIDD23, seq); err != nil {
 		t.Fatal(err)
 	}
-	d23, err := sc.Researcher.View(ShareIDD23)
+	d23, err := sc.Researcher.View(workload.ShareIDD23)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestJoinShareWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Doctor.ProposeUpdate(ctx, shareIDRx); err != nil {
+	if _, err := sc.Doctor.UpdateView(ctx, shareIDRx, nil); err != nil {
 		t.Fatalf("propose: %v", err)
 	}
 	waitFor(t, 30*time.Second, func() bool {

@@ -7,6 +7,7 @@ import (
 	"medshare/internal/core"
 	"medshare/internal/identity"
 	"medshare/internal/reldb"
+	"medshare/internal/workload"
 )
 
 // TestSelectionShare exercises horizontal fine-graining end to end: a
@@ -31,7 +32,7 @@ func TestSelectionShare(t *testing.T) {
 	}
 
 	// Doctor holds many patients.
-	full := GenerateRecords("D3", 20, 5)
+	full := workload.Generate("D3", 20, 5)
 	doctor.DB().PutTable(full)
 
 	// Patient 188 holds only its own slice.
@@ -39,19 +40,19 @@ func TestSelectionShare(t *testing.T) {
 	if !ok {
 		t.Fatal("row 188 missing")
 	}
-	patSchema, err := full.Schema().Project("mine", []string{ColPatientID, ColMedication, ColDosage}, nil)
+	patSchema, err := full.Schema().Project("mine", []string{workload.ColPatientID, workload.ColMedication, workload.ColDosage}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mine := reldb.MustNewTable(patSchema)
 	idx := full.Schema()
-	mine.MustInsert(reldb.Row{ownRow[idx.ColumnIndex(ColPatientID)], ownRow[idx.ColumnIndex(ColMedication)], ownRow[idx.ColumnIndex(ColDosage)]})
+	mine.MustInsert(reldb.Row{ownRow[idx.ColumnIndex(workload.ColPatientID)], ownRow[idx.ColumnIndex(workload.ColMedication)], ownRow[idx.ColumnIndex(workload.ColDosage)]})
 	patient.DB().PutTable(mine)
 
 	// Doctor's lens: select row 188, then project the agreed columns.
-	shareCols := []string{ColPatientID, ColMedication, ColDosage}
+	shareCols := []string{workload.ColPatientID, workload.ColMedication, workload.ColDosage}
 	doctorLens := bx.Compose(
-		bx.Select("only188", reldb.Cmp(ColPatientID, reldb.OpEq, reldb.I(188))),
+		bx.Select("only188", reldb.Cmp(workload.ColPatientID, reldb.OpEq, reldb.I(188))),
 		bx.Project("docV", shareCols, nil),
 	)
 	// Patient's source is already just its row; a plain projection works.
@@ -61,8 +62,8 @@ func TestSelectionShare(t *testing.T) {
 		ID: "row188", SourceTable: "D3", Lens: doctorLens, ViewName: "docV",
 		Peers: []identity.Address{doctor.Address(), patient.Address()},
 		WritePerm: map[string][]identity.Address{
-			ColDosage:     {doctor.Address()},
-			ColMedication: {doctor.Address()},
+			workload.ColDosage:     {doctor.Address()},
+			workload.ColMedication: {doctor.Address()},
 		},
 	})
 	if err != nil {
@@ -84,7 +85,7 @@ func TestSelectionShare(t *testing.T) {
 	// Doctor changes patient 188's dosage — propagates.
 	err = doctor.UpdateSource("D3", func(tbl *reldb.Table) error {
 		return tbl.Update(reldb.Row{reldb.I(188)},
-			map[string]reldb.Value{ColDosage: reldb.S("selection-dose")})
+			map[string]reldb.Value{workload.ColDosage: reldb.S("selection-dose")})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +101,7 @@ func TestSelectionShare(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := patient.Source("mine")
-	val := mustValue(t, got, reldb.Row{reldb.I(188)}, ColDosage)
+	val := mustValue(t, got, reldb.Row{reldb.I(188)}, workload.ColDosage)
 	if s, _ := val.Str(); s != "selection-dose" {
 		t.Fatalf("patient dosage = %q", s)
 	}
@@ -108,7 +109,7 @@ func TestSelectionShare(t *testing.T) {
 	// Changing a DIFFERENT patient's dosage does not touch the share.
 	err = doctor.UpdateSource("D3", func(tbl *reldb.Table) error {
 		return tbl.Update(reldb.Row{reldb.I(189)},
-			map[string]reldb.Value{ColDosage: reldb.S("other-dose")})
+			map[string]reldb.Value{workload.ColDosage: reldb.S("other-dose")})
 	})
 	if err != nil {
 		t.Fatal(err)

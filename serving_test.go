@@ -173,11 +173,11 @@ func TestViewEditReachesSiblingShareHTTP(t *testing.T) {
 	}
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
-	meta, err := sc.Researcher.Meta(ShareIDD23)
+	meta, err := sc.Researcher.Meta(workload.ShareIDD23)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&api.Client{BaseURL: hs.URL}).Update(ctx, ShareIDD13, []api.RowOp{{
+	res, err := (&api.Client{BaseURL: hs.URL}).Update(ctx, workload.ShareIDD13, []api.RowOp{{
 		Op: "set", Key: []any{float64(188)}, Set: map[string]any{workload.ColMedication: "Naproxen"},
 	}})
 	if err != nil {
@@ -186,7 +186,7 @@ func TestViewEditReachesSiblingShareHTTP(t *testing.T) {
 	if res.NoChange {
 		t.Fatalf("update = %+v, want a proposal", res)
 	}
-	if err := sc.Doctor.WaitFinal(ctx, ShareIDD13, res.Seq); err != nil {
+	if err := sc.Doctor.WaitFinal(ctx, workload.ShareIDD13, res.Seq); err != nil {
 		t.Fatal(err)
 	}
 	checkRenameReachedResearcher(t, ctx, sc, meta.Seq+1)

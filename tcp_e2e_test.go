@@ -14,21 +14,19 @@ import (
 	"medshare/internal/workload"
 )
 
-// openDaemons opens one daemon per participant in cfg.Participants, each
-// on a loopback port, with the shared settings of cfg and the data dir
-// dataDirs names for it (none when nil). A port bound as 127.0.0.1:0 is
-// known only after Open, so each daemon is then pointed at the others'
-// bound addresses.
-func openDaemons(t *testing.T, cfg daemon.Config, dataDirs map[string]string) []*daemon.Daemon {
-	t.Helper()
+// startDaemons opens one daemon per participant in cfg.Participants,
+// each on a loopback port, with the shared settings of cfg and the data
+// dir dataDirs names for it (none when nil). A port bound as 127.0.0.1:0
+// is known only after Open, so each daemon is then pointed at the
+// others' bound addresses. On error the daemons opened so far are closed.
+func startDaemons(cfg daemon.Config, dataDirs map[string]string) ([]*daemon.Daemon, error) {
 	var ds []*daemon.Daemon
 	for _, p := range cfg.Participants {
 		c := cfg
 		c.Name, c.Listen, c.DataDir = p.Name, "127.0.0.1:0", dataDirs[p.Name]
 		d, err := daemon.Open(c)
 		if err != nil {
-			closeDaemons(t, ds)
-			t.Fatal(err)
+			return nil, errors.Join(err, stopDaemons(ds))
 		}
 		ds = append(ds, d)
 	}
@@ -39,17 +37,32 @@ func openDaemons(t *testing.T, cfg daemon.Config, dataDirs map[string]string) []
 			}
 		}
 	}
-	return ds
+	return ds, nil
 }
 
-// closeDaemons closes every daemon and fails the test on a close error.
-func closeDaemons(t *testing.T, ds []*daemon.Daemon) {
-	t.Helper()
+// stopDaemons closes every daemon and joins their close errors.
+func stopDaemons(ds []*daemon.Daemon) error {
 	var err error
 	for _, d := range ds {
 		err = errors.Join(err, d.Close())
 	}
+	return err
+}
+
+// openDaemons is startDaemons that fails the test on error.
+func openDaemons(t *testing.T, cfg daemon.Config, dataDirs map[string]string) []*daemon.Daemon {
+	t.Helper()
+	ds, err := startDaemons(cfg, dataDirs)
 	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// closeDaemons is stopDaemons that fails the test on a close error.
+func closeDaemons(t *testing.T, ds []*daemon.Daemon) {
+	t.Helper()
+	if err := stopDaemons(ds); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -186,17 +199,17 @@ func TestDaemonRestartRestoresShares(t *testing.T) {
 		}
 		doctor, patient := ds[0].Identity.Address(), ds[1].Identity.Address()
 		if err := ds[0].Peer.RegisterShare(ctx, core.RegisterShareArgs{
-			ID: ShareIDD13, SourceTable: "D3", Lens: workload.LensD31(), ViewName: "D31",
+			ID: workload.ShareIDD13, SourceTable: "D3", Lens: workload.LensD31(), ViewName: "D31",
 			Peers:     []identity.Address{patient, doctor},
 			WritePerm: workload.PermD13(patient, doctor),
 			Authority: doctor,
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ds[1].Peer.WaitForShare(ctx, ShareIDD13); err != nil {
+		if _, err := ds[1].Peer.WaitForShare(ctx, workload.ShareIDD13); err != nil {
 			t.Fatal(err)
 		}
-		if err := ds[1].Peer.AttachShare(ShareIDD13, "D1", workload.LensD13(), "D13"); err != nil {
+		if err := ds[1].Peer.AttachShare(workload.ShareIDD13, "D1", workload.LensD13(), "D13"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,11 +231,11 @@ func TestDaemonRestartRestoresShares(t *testing.T) {
 			t.Fatalf("proposals = %+v, want one", props)
 		}
 		seq := props[0].Seq
-		if err := doctor.WaitFinal(ctx, ShareIDD13, seq); err != nil {
+		if err := doctor.WaitFinal(ctx, workload.ShareIDD13, seq); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, 30*time.Second, func() bool {
-			info, err := patient.ShareInfo(ShareIDD13)
+			info, err := patient.ShareInfo(workload.ShareIDD13)
 			if err != nil || info.AppliedSeq != seq {
 				return false
 			}
@@ -258,15 +271,15 @@ func TestDaemonRestartRestoresShares(t *testing.T) {
 	for _, d := range ds {
 		restored := false
 		for _, h := range d.Peer.History() {
-			if h.ShareID == ShareIDD13 && h.Kind == "restored" {
+			if h.ShareID == workload.ShareIDD13 && h.Kind == "restored" {
 				if h.Seq != seq {
-					t.Fatalf("%s restored %s at seq %d, want %d", d.Identity.Name, ShareIDD13, h.Seq, seq)
+					t.Fatalf("%s restored %s at seq %d, want %d", d.Identity.Name, workload.ShareIDD13, h.Seq, seq)
 				}
 				restored = true
 			}
 		}
 		if !restored {
-			t.Fatalf("%s re-derived %s instead of restoring it: history %+v", d.Identity.Name, ShareIDD13, d.Peer.History())
+			t.Fatalf("%s re-derived %s instead of restoring it: history %+v", d.Identity.Name, workload.ShareIDD13, d.Peer.History())
 		}
 	}
 	if next := update(ds, "one tablet at bedtime"); next != seq+1 {

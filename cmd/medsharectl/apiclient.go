@@ -206,7 +206,7 @@ func update(args []string) error {
 		fmt.Println("no change")
 		return nil
 	}
-	fmt.Printf("finalizing as seq %d (cols %v, coalesced with %d request(s))\n", res.Seq, res.Cols, res.Coalesced)
+	fmt.Printf("finalizing as seq %d (cols %v)\n", res.Seq, res.Cols)
 	return nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -30,25 +29,24 @@ import (
 // harness is two peers over a memnet sharing one PoA node, with an
 // httptest server fronting peer A — the API tests' world.
 type harness struct {
-	node     *node.Node
-	mem      *p2p.MemNetwork
-	dir      *core.Directory
-	ids      map[string]*identity.Identity
-	coalesce time.Duration
-	a, b     *core.Peer
-	server   *api.Server
-	ts       *httptest.Server
-	client   *api.Client
-	ctx      context.Context
+	node   *node.Node
+	mem    *p2p.MemNetwork
+	dir    *core.Directory
+	ids    map[string]*identity.Identity
+	a, b   *core.Peer
+	server *api.Server
+	ts     *httptest.Server
+	client *api.Client
+	ctx    context.Context
 }
 
-func newHarness(t *testing.T, coalesce time.Duration) *harness {
-	return newDurableHarness(t, coalesce, nil)
+func newHarness(t *testing.T) *harness {
+	return newDurableHarness(t, nil)
 }
 
 // newDurableHarness is newHarness with peer A's replicas in a durable
 // store on fsA (none when fsA is nil).
-func newDurableHarness(t *testing.T, coalesce time.Duration, fsA *store.MemFS) *harness {
+func newDurableHarness(t *testing.T, fsA *store.MemFS) *harness {
 	t.Helper()
 	nid := identity.MustNew("node")
 	n, err := node.New(node.Config{
@@ -68,7 +66,7 @@ func newDurableHarness(t *testing.T, coalesce time.Duration, fsA *store.MemFS) *
 
 	h := &harness{
 		node: n, mem: p2p.NewMemNetwork(), dir: core.NewDirectory(),
-		ids: map[string]*identity.Identity{"node": nid}, coalesce: coalesce, ctx: ctx,
+		ids: map[string]*identity.Identity{"node": nid}, ctx: ctx,
 	}
 	h.a, h.b = h.newPeer(t, "A", fsA), h.newPeer(t, "B", nil)
 	h.serve(t)
@@ -122,7 +120,7 @@ func (h *harness) newPeer(t *testing.T, name string, fs *store.MemFS) *core.Peer
 // serve fronts peer A with a fresh API server.
 func (h *harness) serve(t *testing.T) {
 	t.Helper()
-	srv, err := api.New(api.Config{Peer: h.a, Node: h.node, CoalesceWindow: h.coalesce})
+	srv, err := api.New(api.Config{Peer: h.a, Node: h.node})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +189,12 @@ func (h *harness) registerShare(t *testing.T) {
 	if st.ID != "S" || st.ViewName != "Sa" {
 		t.Fatalf("register status = %+v", st)
 	}
+	h.attachB(t)
+}
+
+// attachB binds share "S" on peer B as view "Sb".
+func (h *harness) attachB(t *testing.T) {
+	t.Helper()
 	lens, err := bx.Spec{Op: bx.OpProject, ViewName: "Sb", Cols: []string{"k", "v"}, OnDelete: bx.PolicyApply, OnInsert: bx.PolicyApply}.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +205,7 @@ func (h *harness) registerShare(t *testing.T) {
 }
 
 func TestLifecycleOverHTTP(t *testing.T) {
-	h := newHarness(t, 0)
+	h := newHarness(t)
 	h.registerShare(t)
 
 	if code, body := h.get(t, "/healthz"); code != http.StatusOK {
@@ -286,7 +290,7 @@ func TestLifecycleOverHTTP(t *testing.T) {
 }
 
 func TestRowsViewCache(t *testing.T) {
-	h := newHarness(t, 0)
+	h := newHarness(t)
 	h.registerShare(t)
 
 	for i := 0; i < 3; i++ {
@@ -318,7 +322,7 @@ func TestRowsViewCache(t *testing.T) {
 }
 
 func TestValidationErrors(t *testing.T) {
-	h := newHarness(t, 0)
+	h := newHarness(t)
 	h.registerShare(t)
 
 	if _, err := h.client.Update(h.ctx, "S", []api.RowOp{{Op: "explode"}}); err == nil || !strings.Contains(err.Error(), "400") {
@@ -335,59 +339,64 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-func TestWriteCoalescing(t *testing.T) {
-	h := newHarness(t, 40*time.Millisecond)
+// TestSetUnknownColumnNamesColumn: a set op on a column the view does
+// not have is a 400 that names the column, not a key column.
+func TestSetUnknownColumnNamesColumn(t *testing.T) {
+	h := newHarness(t)
 	h.registerShare(t)
+	_, err := h.client.Update(h.ctx, "S", []api.RowOp{
+		{Op: "set", Key: []any{float64(1)}, Set: map[string]any{"nope": "x"}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "(400)") ||
+		!strings.Contains(err.Error(), "column nope not in schema") || strings.Contains(err.Error(), "key column") {
+		t.Fatalf("set on unknown column: %v, want 400 naming column nope", err)
+	}
+}
 
-	// Four concurrent writers on distinct rows: the coalescer must fold
-	// them into far fewer flushes than writers, and every edit must
-	// land.
-	const writers = 4
-	results := make([]api.UpdateResult, writers)
-	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := h.client.Update(h.ctx, "S", []api.RowOp{
-				{Op: "set", Key: []any{float64(i)}, Set: map[string]any{"v": "w"}},
-			})
-			if err != nil {
-				t.Errorf("writer %d: %v", i, err)
-				return
-			}
-			results[i] = res
-		}(i)
-	}
-	wg.Wait()
+// TestPendingWriteConflict: while the counterparty is down, a write's
+// update stays pending on chain, and the next write on the share is
+// refused with 409 naming the pending seq. Once the counterparty is
+// back and acknowledges, the first write finalizes.
+func TestPendingWriteConflict(t *testing.T) {
+	h := newHarness(t)
+	h.registerShare(t)
+	h.b.Stop()
 
-	maxBatch := 0
-	for _, r := range results {
-		if r.Coalesced > maxBatch {
-			maxBatch = r.Coalesced
-		}
-	}
-	if maxBatch < 2 {
-		t.Fatalf("no coalescing observed: %+v", results)
-	}
-	view, err := h.client.Rows(h.ctx, "S")
+	first, err := h.client.Update(h.ctx, "S", []api.RowOp{
+		{Op: "set", Key: []any{float64(1)}, Set: map[string]any{"v": "first"}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < writers; i++ {
-		row, ok := view.Get(reldb.Row{reldb.I(int64(i))})
-		if !ok {
-			t.Fatalf("row %d missing", i)
-		}
-		if got, _ := row[1].Str(); got != "w" {
-			t.Fatalf("row %d = %v, write lost in coalescing", i, row)
-		}
+	_, err = h.client.Update(h.ctx, "S", []api.RowOp{
+		{Op: "set", Key: []any{float64(2)}, Set: map[string]any{"v": "second"}},
+	})
+	want := fmt.Sprintf("pending seq %d", first.Seq)
+	if err == nil || !strings.Contains(err.Error(), "(409)") || !strings.Contains(err.Error(), want) {
+		t.Fatalf("write on a pending share: %v, want 409 naming %q", err, want)
+	}
+
+	h.b = h.newPeer(t, "B", nil)
+	h.attachB(t)
+	if err := h.b.Resync(h.ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.a.WaitFinal(h.ctx, "S", first.Seq); err != nil {
+		t.Fatal(err)
+	}
+	view, err := h.b.View("S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, _ := view.Get(reldb.Row{reldb.I(1)})
+	if got, _ := row[1].Str(); got != "first" {
+		t.Fatalf("B's row 1 = %v, want the first write", row)
 	}
 }
 
 func TestReadyzFlipsDuringResync(t *testing.T) {
 	fs := store.NewMemFS()
-	h := newDurableHarness(t, 0, fs)
+	h := newDurableHarness(t, fs)
 	h.registerShare(t)
 
 	// Image A's store at seq 0 and let B finalize an update.
@@ -436,7 +445,7 @@ func TestReadyzFlipsDuringResync(t *testing.T) {
 // whose declared state root does not reproduce leaves the node without a
 // state for its head; /readyz must turn not-ready and say why.
 func TestReadyzReportsPoisonedNode(t *testing.T) {
-	h := newHarness(t, 0)
+	h := newHarness(t)
 	h.registerShare(t)
 	if !h.ready(t) {
 		t.Fatal("not ready before fault")
@@ -479,7 +488,7 @@ func TestReadyzReportsPoisonedNode(t *testing.T) {
 }
 
 func TestMetricsExposition(t *testing.T) {
-	h := newHarness(t, 0)
+	h := newHarness(t)
 	h.registerShare(t)
 	if _, err := h.client.Rows(h.ctx, "S"); err != nil {
 		t.Fatal(err)
@@ -510,7 +519,7 @@ func TestMetricsExposition(t *testing.T) {
 // TestMetricsStoreWrites: /metrics exports what the durable store wrote
 // per record kind, the same figures Store.Stats reports.
 func TestMetricsStoreWrites(t *testing.T) {
-	h := newHarness(t, 0)
+	h := newHarness(t)
 	st := store.OpenMemory()
 	defer st.Close()
 	src, err := h.a.Source("T")
@@ -558,7 +567,7 @@ func grepLines(s, substr string) string {
 // and a fresh client observing a later write through a fresh proof
 // chain.
 func TestLightOverHTTP(t *testing.T) {
-	h := newHarness(t, 0)
+	h := newHarness(t)
 	h.registerShare(t)
 
 	res, err := h.client.Update(h.ctx, "S", []api.RowOp{

@@ -132,8 +132,8 @@ func VerifyRow(res RowResult) (bool, error) {
 	return reldb.VerifyRowProof(root, res.Row, *res.Proof), nil
 }
 
-// Update applies entry-level view mutations through the write
-// coalescer.
+// Update applies entry-level view mutations as one proposal. A write
+// on a share whose previous update is still pending fails with 409.
 func (c *Client) Update(ctx context.Context, id string, ops []RowOp) (UpdateResult, error) {
 	var out UpdateResult
 	err := c.do(ctx, http.MethodPost, "/v1/shares/"+url.PathEscape(id)+"/update", UpdateRequest{Ops: ops}, &out)

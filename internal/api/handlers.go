@@ -289,9 +289,10 @@ func (s *Server) handleRow(w http.ResponseWriter, r *http.Request) error {
 	})
 }
 
-// handleUpdate applies entry-level view mutations. The request joins
-// the write coalescer: concurrent updates landing in the same window
-// ride one group commit (one block) via core.UpdateViews.
+// handleUpdate applies entry-level view mutations as one proposal
+// through core.Peer.UpdateView. Concurrent writes on different shares
+// share a block through the node's producer kick; a write on a share
+// whose previous update is still pending is refused with 409.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	var req UpdateRequest
@@ -301,28 +302,19 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) error {
 	if len(req.Ops) == 0 {
 		return badRequest("ops must not be empty")
 	}
-	// Validate the share exists before queueing into a batch.
-	if _, err := s.peer.ShareInfo(id); err != nil {
-		return err
-	}
-	prop, proposed, batchSize, err := s.coal.submit(r.Context(), id, func(t *reldb.Table) error {
+	prop, err := s.peer.UpdateView(r.Context(), id, func(t *reldb.Table) error {
 		return applyOps(t, req.Ops)
 	})
-	if err != nil {
+	switch {
+	case errors.Is(err, core.ErrNoChanges):
+		return writeJSON(w, UpdateResult{ShareID: id, NoChange: true})
+	case err != nil:
 		if _, bad := errAsBadOp(err); bad {
 			return badRequest("%v", err)
 		}
 		return err
 	}
-	res := UpdateResult{ShareID: id, Coalesced: batchSize}
-	if proposed {
-		res.Seq = prop.Seq
-		res.TxID = prop.TxID
-		res.Cols = prop.Cols
-	} else {
-		res.NoChange = true
-	}
-	return writeJSON(w, res)
+	return writeJSON(w, UpdateResult{ShareID: id, Seq: prop.Seq, TxID: prop.TxID, Cols: prop.Cols})
 }
 
 // badOpError marks client-caused mutation failures (malformed ops) so
@@ -366,7 +358,7 @@ func applyOps(t *reldb.Table, ops []RowOp) error {
 			}
 			set := make(map[string]reldb.Value, len(op.Set))
 			for col, raw := range op.Set {
-				kind, err := keyKind(sch, col)
+				kind, err := columnKind(sch, col)
 				if err != nil {
 					return &badOpError{fmt.Errorf("op %d: %w", i, err)}
 				}

@@ -15,8 +15,6 @@ import (
 //     traffic split by request kind
 //   - medshare_api_latency_seconds{kind=...,quantile=...} — per-kind
 //     latency summaries from HDR-style histograms (hist.go)
-//   - medshare_api_write_batches_total / _coalesced_writes_total —
-//     HTTP-level write coalescing (writes/batches = realized factor)
 //   - medshare_api_view_cache_* — marshal-cache effectiveness on the
 //     hot read path
 //   - medshare_peer_* — the peer's own serve/resilience counters
@@ -59,10 +57,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 		buf = promLine(buf, "medshare_api_latency_seconds_count", `kind="`+k+`"`, float64(h.Count()))
 	}
 
-	buf = append(buf, "# TYPE medshare_api_write_batches_total counter\n"...)
-	buf = promLine(buf, "medshare_api_write_batches_total", "", float64(s.coal.batches.Load()))
-	buf = append(buf, "# TYPE medshare_api_coalesced_writes_total counter\n"...)
-	buf = promLine(buf, "medshare_api_coalesced_writes_total", "", float64(s.coal.writes.Load()))
 	buf = append(buf, "# TYPE medshare_api_view_cache_hits_total counter\n"...)
 	buf = promLine(buf, "medshare_api_view_cache_hits_total", "", float64(s.views.hits.Load()))
 	buf = append(buf, "# TYPE medshare_api_view_cache_misses_total counter\n"...)

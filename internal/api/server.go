@@ -1,6 +1,6 @@
 // Package api is the serving edge: an HTTP/JSON front door over a
 // core.Peer exposing the full share lifecycle — register, attach,
-// proof-carrying reads, coalesced writes, audit — plus the operational
+// proof-carrying reads, writes, audit — plus the operational
 // endpoints (/healthz, /readyz, /metrics) a deployment needs to put the
 // node behind a load balancer and hold an SLO against it.
 package api
@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"medshare/internal/audit"
+	"medshare/internal/contract/sharereg"
 	"medshare/internal/core"
 	"medshare/internal/node"
 	"medshare/internal/store"
@@ -24,11 +25,11 @@ import (
 type Config struct {
 	Peer *core.Peer
 	Node *node.Node
-	// CoalesceWindow is how long the first concurrent write waits for
-	// companions before flushing one group commit. Zero flushes each
-	// write at once: the opener flushes inline, so HTTP-level
-	// coalescing is off and concurrent writes batch only in the node's
-	// next block.
+	// CoalesceWindow is ignored: each write proposes through
+	// core.Peer.UpdateView at once, and concurrent writes share a block
+	// through the node's producer kick.
+	//
+	// Deprecated: the HTTP edge no longer batches writes.
 	CoalesceWindow time.Duration
 	// Store is the peer's durable store, when it runs one; /metrics then
 	// exports the medshare_store_* gauges (segments, live/tail bytes,
@@ -54,7 +55,6 @@ type Server struct {
 	node    *node.Node
 	auditor *audit.Auditor
 	mux     *http.ServeMux
-	coal    *coalescer
 	views   viewCache
 	m       serverMetrics
 }
@@ -94,7 +94,6 @@ func New(cfg Config) (*Server, error) {
 		node:    cfg.Node,
 		auditor: audit.New(cfg.Node.Store(), cfg.Node.Registry()),
 		mux:     http.NewServeMux(),
-		coal:    newCoalescer(cfg.Peer, cfg.CoalesceWindow),
 		m:       serverMetrics{kinds: make(map[string]*kindMetrics, len(requestKinds))},
 	}
 	for _, k := range requestKinds {
@@ -123,11 +122,13 @@ func (s *Server) routes() {
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// CoalesceStats reports the write coalescer's flush count and the
-// total HTTP write requests those flushes carried; writes/batches is
-// the realized coalescing factor.
+// CoalesceStats reports every HTTP write request as its own batch:
+// batches and writes are both the update request count.
+//
+// Deprecated: the HTTP edge no longer batches writes.
 func (s *Server) CoalesceStats() (batches, writes uint64) {
-	return s.coal.batches.Load(), s.coal.writes.Load()
+	n := s.m.kinds["update"].requests.Load()
+	return n, n
 }
 
 // httpError carries a status code out of a handler.
@@ -143,14 +144,19 @@ func badRequest(format string, args ...any) error {
 }
 
 // statusOf maps a handler error to its HTTP status: explicit statuses
-// win; unknown shares are 404; everything else is a 500.
+// win; unknown shares are 404; a write the contract refused because
+// the share's previous update is still pending is 409 (the message
+// names the pending seq); everything else is a 500.
 func statusOf(err error) int {
 	var he *httpError
 	if errors.As(err, &he) {
 		return he.status
 	}
-	if strings.Contains(err.Error(), "unknown share") || strings.Contains(err.Error(), "no such share") {
+	switch {
+	case errors.Is(err, core.ErrUnknownShare):
 		return http.StatusNotFound
+	case errors.Is(err, core.ErrTxFailed) && strings.Contains(err.Error(), sharereg.ErrPending.Error()):
+		return http.StatusConflict
 	}
 	return http.StatusInternalServerError
 }

@@ -82,23 +82,20 @@ type RowOp struct {
 }
 
 // UpdateRequest carries a batch of view mutations for one share. All
-// ops apply atomically within one proposal; concurrent requests landing
-// in the same coalescing window share one group commit.
+// ops apply atomically within one proposal.
 type UpdateRequest struct {
 	Ops []RowOp `json:"ops"`
 }
 
-// UpdateResult reports the proposal a view update rode on. NoChange is
+// UpdateResult reports the proposal a view update made. NoChange is
 // set when the ops were a no-op against the current view (nothing was
-// proposed). Coalesced is how many API write requests shared this
-// request's group commit (≥1).
+// proposed).
 type UpdateResult struct {
-	ShareID   string   `json:"shareId"`
-	Seq       uint64   `json:"seq,omitempty"`
-	TxID      string   `json:"txId,omitempty"`
-	Cols      []string `json:"cols,omitempty"`
-	NoChange  bool     `json:"noChange,omitempty"`
-	Coalesced int      `json:"coalesced"`
+	ShareID  string   `json:"shareId"`
+	Seq      uint64   `json:"seq,omitempty"`
+	TxID     string   `json:"txId,omitempty"`
+	Cols     []string `json:"cols,omitempty"`
+	NoChange bool     `json:"noChange,omitempty"`
 }
 
 // AuditRecord is one on-chain audit-trail entry (audit.Record with
@@ -215,9 +212,9 @@ func coerceKey(vals []any, sch reldb.Schema) (reldb.Row, error) {
 	}
 	key := make(reldb.Row, len(vals))
 	for i, v := range vals {
-		kind, err := keyKind(sch, sch.Key[i])
+		kind, err := columnKind(sch, sch.Key[i])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("key %w", err)
 		}
 		cv, err := coerceValue(v, kind)
 		if err != nil {
@@ -228,11 +225,11 @@ func coerceKey(vals []any, sch reldb.Schema) (reldb.Row, error) {
 	return key, nil
 }
 
-func keyKind(sch reldb.Schema, col string) (reldb.Kind, error) {
-	for _, c := range sch.Columns {
-		if c.Name == col {
-			return c.Type, nil
-		}
+// columnKind is the kind of the schema's column col.
+func columnKind(sch reldb.Schema, col string) (reldb.Kind, error) {
+	i := sch.ColumnIndex(col)
+	if i < 0 {
+		return 0, fmt.Errorf("column %s not in schema", col)
 	}
-	return 0, fmt.Errorf("key column %s not in schema", col)
+	return sch.Columns[i].Type, nil
 }

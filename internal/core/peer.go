@@ -171,7 +171,7 @@ type Share struct {
 	// same sequence number, making the peer skip an update it must
 	// acknowledge. Single-share paths never hold one share's opMu while
 	// taking another's; the only multi-share holders are group commits
-	// (ProposeUpdates, UpdateViews, the reconciler) and receive rounds,
+	// (ProposeUpdates, the reconciler) and receive rounds,
 	// which all acquire in sorted share-ID order, so none can deadlock.
 	opMu sync.Mutex
 

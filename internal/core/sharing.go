@@ -221,7 +221,8 @@ type ProposalResult struct {
 // diffed against the pre-edit view and embedded along the delta path, so
 // an entry-level edit costs O(changed rows) in the source. The share's
 // lock is held from the embed to the verdict, so the reconciler the embed
-// wakes cannot propose the edit in between.
+// wakes cannot propose the edit in between. It proposes through
+// proposeShares; an edit that fails aborts before anything is staged.
 //
 // A nil mutate proposes what the local source changed: the share's view
 // is regenerated from the source (get), diffed against the current
@@ -229,27 +230,14 @@ type ProposalResult struct {
 // 1-2). ErrNoChanges is returned when the view is unaffected; callers
 // treat it as success.
 func (p *Peer) UpdateView(ctx context.Context, shareID string, mutate func(*reldb.Table) error) (ProposalResult, error) {
-	s, err := p.lockShare(shareID)
-	if err != nil {
-		return ProposalResult{}, err
+	res, err := p.proposeShares(ctx, []string{shareID}, false, mutate)
+	if len(res) == 1 {
+		return res[0], nil
 	}
-	defer s.opMu.Unlock()
-	if mutate != nil {
-		if err := p.embedViewEdit(s, mutate); err != nil {
-			return ProposalResult{}, err
-		}
+	if err == nil {
+		err = ErrNoChanges
 	}
-	st, err := p.stageProposal(s, false)
-	if err != nil {
-		return ProposalResult{}, err
-	}
-	if _, err := p.submitAndWait(ctx, st.tx); err != nil {
-		p.rollbackProposal(st, err)
-		return ProposalResult{}, fmt.Errorf("core: update on %s denied: %w", shareID, err)
-	}
-	res := p.finalizeProposal(st)
-	p.persistShares(s)
-	return res, nil
+	return ProposalResult{}, err
 }
 
 // stagedProposal carries one share's update between optimistic staging
@@ -433,9 +421,10 @@ func (p *Peer) ProposeUpdates(ctx context.Context, shareIDs []string) ([]Proposa
 	return p.proposeShares(ctx, shareIDs, false, nil)
 }
 
-// proposeShares is ProposeUpdates with edit run on each share once it is
-// locked (UpdateViews' embeds); marked stages the reconciler's way.
-func (p *Peer) proposeShares(ctx context.Context, shareIDs []string, marked bool, edit func(*Share) error) ([]ProposalResult, error) {
+// proposeShares is ProposeUpdates with mutate, when set, embedded into
+// each share once it is locked (UpdateView's edit; a share whose embed
+// fails is not staged); marked stages the reconciler's way.
+func (p *Peer) proposeShares(ctx context.Context, shareIDs []string, marked bool, mutate func(*reldb.Table) error) ([]ProposalResult, error) {
 	ids := append([]string(nil), shareIDs...)
 	sort.Strings(ids)
 	var errs []error
@@ -449,8 +438,12 @@ func (p *Peer) proposeShares(ctx context.Context, shareIDs []string, marked bool
 			errs = append(errs, err)
 			continue
 		}
-		if edit != nil {
-			errs = append(errs, edit(s))
+		if mutate != nil {
+			if err := p.embedViewEdit(s, mutate); err != nil {
+				s.opMu.Unlock()
+				errs = append(errs, err)
+				continue
+			}
 		}
 		st, err := p.stageProposal(s, marked)
 		if err != nil {
@@ -510,18 +503,17 @@ func (p *Peer) SyncShares(ctx context.Context, sourceTable string) ([]ProposalRe
 }
 
 // embedViewEdit applies a view-level edit and embeds it into the local
-// source (the first half of UpdateView, shared with the group-commit
-// path). The delta path is only sound while the stored replica equals
-// the lens's current view of the source. After a rejection or denial
-// rollback the two deliberately diverge (the view is restored, the
-// source keeps the user's edit) — the share tracks that in its diverged
-// flag, and the whole-view put (bx.Put, the delta put of the diff from
-// the source's own view) re-embeds the whole view there instead of
-// silently re-proposing the rejected rows alongside the new edit. The
-// put runs inside the source's atomic replacement so it cannot overwrite
-// a concurrent embed by another share over the same source. The edit
-// reached the source through s, so the other shares over it are marked
-// and the reconciler woken. The caller holds s.opMu.
+// source (the first half of UpdateView). The delta path is only sound
+// while the stored replica equals the lens's current view of the source.
+// After a rejection or denial rollback the two deliberately diverge (the
+// view is restored, the source keeps the user's edit) — the share tracks
+// that in its diverged flag, and the whole-view put (bx.Put, the delta
+// put of the diff from the source's own view) re-embeds the whole view
+// there instead of silently re-proposing the rejected rows alongside the
+// new edit. The put runs inside the source's atomic replacement so it
+// cannot overwrite a concurrent embed by another share over the same
+// source. The edit reached the source through s, so the other shares
+// over it are marked and the reconciler woken. The caller holds s.opMu.
 func (p *Peer) embedViewEdit(s *Share, mutate func(*reldb.Table) error) error {
 	view, err := p.snapshotTable(s.ViewName)
 	if err != nil {
@@ -558,44 +550,6 @@ func (p *Peer) embedViewEdit(s *Share, mutate func(*reldb.Table) error) error {
 	}
 	p.wake()
 	return nil
-}
-
-// ViewEdit is one share's view-level mutation for UpdateViews.
-type ViewEdit struct {
-	ShareID string
-	// Mutate edits a clone of the current view replica; its changes are
-	// diffed and embedded into the source along the delta path.
-	Mutate func(*reldb.Table) error
-}
-
-// UpdateViews applies view-level edits on many shares and proposes all
-// of them as ONE group commit: each share is locked in sorted ID order
-// and its edits embedded into its source (UpdateView's first half), then
-// the shares ride a single ProposeUpdates batch — one block, one gossip
-// broadcast, one receive round per counterparty. This is the
-// serving edge's write-coalescing hook: concurrent API writes that land
-// in the same coalescing window become one batch here instead of N
-// independent block commits.
-//
-// Multiple edits targeting the same share are applied in order within
-// one proposal. An edit whose mutation or embed fails is dropped (its
-// error is joined into the returned error); the remaining edits still
-// commit. Successful proposals are returned
-// sorted by share ID, exactly like ProposeUpdates.
-func (p *Peer) UpdateViews(ctx context.Context, edits []ViewEdit) ([]ProposalResult, error) {
-	ids := make([]string, len(edits))
-	for i, e := range edits {
-		ids[i] = e.ShareID
-	}
-	return p.proposeShares(ctx, ids, false, func(s *Share) error {
-		var errs []error
-		for _, e := range edits {
-			if e.ShareID == s.ID {
-				errs = append(errs, p.embedViewEdit(s, e.Mutate))
-			}
-		}
-		return errors.Join(errs...)
-	})
 }
 
 // WaitForShare blocks until the share's metadata is visible on this

@@ -167,7 +167,7 @@ func TestViewEditReachesSiblingShareHTTP(t *testing.T) {
 		t.Fatalf("scenario: %v", err)
 	}
 	defer sc.Stop()
-	srv, err := api.New(api.Config{Peer: sc.Doctor, Node: sc.Network.Node(0), CoalesceWindow: time.Millisecond})
+	srv, err := api.New(api.Config{Peer: sc.Doctor, Node: sc.Network.Node(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

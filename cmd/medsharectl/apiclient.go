@@ -168,7 +168,7 @@ func update(args []string) error {
 	fs := flag.NewFlagSet("update", flag.ExitOnError)
 	addr, id := apiFlags(fs)
 	key := fs.String("key", "", "row key (comma-separated tuple)")
-	set := fs.String("set", "", "column updates as col=val[,col=val] (values sent as strings)")
+	set := fs.String("set", "", "column updates as col=val[,col=val] (values as text, typed by the view's schema)")
 	del := fs.Bool("delete", false, "delete the row instead of updating it")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -176,9 +176,11 @@ func update(args []string) error {
 	if *id == "" || *key == "" {
 		return fmt.Errorf("-id and -key are required")
 	}
-	keyVals := make([]any, 0, 2)
+	// Key parts and values go as text; the server types them by the
+	// view's schema.
+	var keyVals []any
 	for _, p := range strings.Split(*key, ",") {
-		keyVals = append(keyVals, keyScalar(p))
+		keyVals = append(keyVals, p)
 	}
 	var op api.RowOp
 	switch {
@@ -208,16 +210,6 @@ func update(args []string) error {
 	}
 	fmt.Printf("finalizing as seq %d (cols %v)\n", res.Seq, res.Cols)
 	return nil
-}
-
-// keyScalar sends integer-looking key parts as numbers so int-keyed
-// schemas coerce; everything else goes as a string.
-func keyScalar(s string) any {
-	var i int64
-	if _, err := fmt.Sscanf(s, "%d", &i); err == nil && fmt.Sprint(i) == s {
-		return float64(i)
-	}
-	return s
 }
 
 func auditCmd(args []string) error {

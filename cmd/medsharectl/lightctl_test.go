@@ -16,7 +16,9 @@ import (
 // HTTP edge for two rows whose keys, written as text, look like the
 // other kind: an int-keyed row asked for as "007" and a string-keyed row
 // asked for as "42". The key is typed by the view schema the fetch
-// verified, so both verified reads succeed.
+// verified, so both verified reads succeed. Then `medsharectl update`
+// sets the row's int column n, with the same text key: the server types
+// key and value by the view's schema, so both updates finalize.
 func TestLightTypesKeyBySchema(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -60,26 +62,27 @@ func TestLightTypesKeyBySchema(t *testing.T) {
 }
 
 // readTypedKey binds share over a one-row table keyed by a column of
-// kind holding key, finalizes an update on it, and reads the row with
-// `medsharectl light -key raw`.
+// kind holding key, finalizes an update on it, reads the row with
+// `medsharectl light -key raw`, and sets its int column n with
+// `medsharectl update -key raw -set n=5`.
 func readTypedKey(ctx context.Context, t *testing.T, ds []*daemon.Daemon, share string, kind reldb.Kind, key reldb.Value, raw string) {
 	doctor, patient := ds[0].Peer, ds[1].Peer
 	schema := reldb.Schema{
 		Name:    share,
-		Columns: []reldb.Column{{Name: "k", Type: kind}, {Name: "v", Type: reldb.KindString}},
+		Columns: []reldb.Column{{Name: "k", Type: kind}, {Name: "v", Type: reldb.KindString}, {Name: "n", Type: reldb.KindInt}},
 		Key:     []string{"k"},
 	}
 	for _, d := range ds {
 		tbl := reldb.MustNewTable(schema)
-		tbl.MustInsert(reldb.Row{key, reldb.S("old")})
+		tbl.MustInsert(reldb.Row{key, reldb.S("old"), reldb.I(0)})
 		d.DB.PutTable(tbl)
 	}
-	cols := []string{"k", "v"}
+	cols := []string{"k", "v", "n"}
 	if err := doctor.RegisterShare(ctx, core.RegisterShareArgs{
 		ID: share, SourceTable: share,
 		Lens: bx.Project(share+"D", cols, nil), ViewName: share + "D",
 		Peers:     []identity.Address{doctor.Address(), patient.Address()},
-		WritePerm: map[string][]identity.Address{"v": {doctor.Address()}},
+		WritePerm: map[string][]identity.Address{"v": {doctor.Address()}, "n": {doctor.Address()}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -109,5 +112,19 @@ func readTypedKey(ctx context.Context, t *testing.T, ds []*daemon.Daemon, share 
 		"-id", share, "-key", raw,
 	}); err != nil {
 		t.Fatalf("light read of %s key %q: %v", share, raw, err)
+	}
+
+	if err := update([]string{"-api", "http://" + ds[0].APIAddr, "-id", share, "-key", raw, "-set", "n=5"}); err != nil {
+		t.Fatalf("update of %s key %q: %v", share, raw, err)
+	}
+	if err := doctor.WaitFinal(ctx, share, props[0].Seq+1); err != nil {
+		t.Fatal(err)
+	}
+	src, err := doctor.Source(share)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := src.Value(reldb.Row{key}, "n"); n.String() != "5" {
+		t.Fatalf("after the update, n reads %q, want 5", n.String())
 	}
 }

@@ -18,8 +18,9 @@ import (
 //   - medshare_api_view_cache_* — marshal-cache effectiveness on the
 //     hot read path
 //   - medshare_peer_* — the peer's own serve/resilience counters
-//     (Peer.Stats), including proof-cache hits/misses and the group
-//     commit batch realization
+//     (Peer.Stats), including data.sync requests served
+//     (medshare_peer_syncs_served_total), proof-cache hits/misses and
+//     the group commit batch realization
 //   - medshare_chain_* — chain height and mempool gauges
 //   - medshare_node_tx_sig_checks_total — transaction signatures the
 //     node verified (one per transaction it committed, when every
@@ -82,7 +83,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 		{"medshare_peer_batch_txs_total", st.BatchTxs},
 		{"medshare_peer_delta_gets_total", st.DeltaGets},
 		{"medshare_peer_full_gets_total", st.FullGets},
-		{"medshare_peer_fetches_served_total", st.FetchesServed},
 		{"medshare_peer_syncs_served_total", st.SyncsServed},
 		{"medshare_peer_proof_cache_hits_total", st.ProofCacheHits},
 		{"medshare_peer_proof_cache_misses_total", st.ProofCacheMisses},

@@ -141,50 +141,33 @@ func addrStrings(addrs []identity.Address) []string {
 }
 
 // coerceValue converts a raw JSON scalar into a typed reldb value of
-// the given kind. JSON numbers arrive as float64; ints must be
-// integral, times are RFC 3339 strings.
+// the given kind. A string is text for every kind, typed by
+// reldb.ParseValue, the rule every text key and cell follows (a time is
+// RFC 3339 text); a JSON number stands for an int (when integral) or a
+// float, and a JSON bool for a bool.
 func coerceValue(v any, k reldb.Kind) (reldb.Value, error) {
-	if v == nil {
+	switch v := v.(type) {
+	case nil:
 		return reldb.Null(), nil
-	}
-	switch k {
-	case reldb.KindString:
-		s, ok := v.(string)
-		if !ok {
-			return reldb.Value{}, fmt.Errorf("want string, got %T", v)
-		}
-		return reldb.S(s), nil
-	case reldb.KindInt:
-		f, ok := v.(float64)
-		if !ok || f != float64(int64(f)) {
-			return reldb.Value{}, fmt.Errorf("want integer, got %v", v)
-		}
-		return reldb.I(int64(f)), nil
-	case reldb.KindFloat:
-		f, ok := v.(float64)
-		if !ok {
-			return reldb.Value{}, fmt.Errorf("want number, got %T", v)
-		}
-		return reldb.F(f), nil
-	case reldb.KindBool:
-		b, ok := v.(bool)
-		if !ok {
-			return reldb.Value{}, fmt.Errorf("want bool, got %T", v)
-		}
-		return reldb.B(b), nil
-	case reldb.KindTime:
-		s, ok := v.(string)
-		if !ok {
-			return reldb.Value{}, fmt.Errorf("want RFC3339 time string, got %T", v)
-		}
-		t, err := time.Parse(time.RFC3339Nano, s)
+	case string:
+		val, err := reldb.ParseValue(v, k)
 		if err != nil {
-			return reldb.Value{}, err
+			return reldb.Value{}, fmt.Errorf("bad %s text %q: %w", k, v, err)
 		}
-		return reldb.T(t), nil
-	default:
-		return reldb.Value{}, fmt.Errorf("unsupported kind %v", k)
+		return val, nil
+	case float64:
+		switch {
+		case k == reldb.KindFloat:
+			return reldb.F(v), nil
+		case k == reldb.KindInt && v == float64(int64(v)):
+			return reldb.I(int64(v)), nil
+		}
+	case bool:
+		if k == reldb.KindBool {
+			return reldb.B(v), nil
+		}
 	}
+	return reldb.Value{}, fmt.Errorf("want %s, got %v", k, v)
 }
 
 // coerceRow converts raw scalars to a typed row against the schema's

@@ -20,68 +20,46 @@ type acquired struct {
 }
 
 // acquire gets from's replica of s at exactly seq, with content hashing
-// to hash: the one fetch behind applying an update, catching up and
-// repairing. The structural sync runs first when seq is not the next
-// version (a gap, or a same-seq repair) and the replica has rows to
-// graft; otherwise, or when it fails, one fetch, offering the local
-// version as a delta base only when seq is ahead of it. A result served
-// at another seq (providers serve newer versions, even staged ones) or
-// for another share, or not hashing to hash, is rejected: nothing the
-// chain has not vouched for gets installed. Every accepted result comes
-// with its changeset from base: the wire's validated delta, or else a
-// diff of base against the result. The caller holds s.opMu.
+// to hash: the one exchange behind applying an update, catching up and
+// repairing. It offers the local replica and its applied seq, and the
+// provider decides: a delta from that version when it retained it, else
+// the structural walk. A result served at another seq (providers serve
+// newer versions, even staged ones) or for another share, or not hashing
+// to hash, is rejected: nothing the chain has not vouched for gets
+// installed. Every accepted result comes with its changeset from base:
+// the wire's validated delta, or else a diff of base against the
+// result. The caller holds s.opMu.
 func (p *Peer) acquire(ctx context.Context, s *Share, from identity.Address, seq uint64, hash string) (*acquired, error) {
 	applied := s.appliedSeq()
 	base, err := p.snapshotTable(s.ViewName)
 	if err != nil {
 		return nil, err
 	}
-	a := &acquired{base: base, baseSeq: applied}
-	// A full fetch arrives unseeded; the on-chain hash commits to the
-	// seeded shape, so every result is seeded before it is checked.
-	vouched := func(t *reldb.Table, served uint64) error {
-		a.view = s.seedView(t)
-		if served != seq {
-			return fmt.Errorf("%w: %s served seq %d, want %d", ErrStaleData, s.ID, served, seq)
-		}
-		if hashHex(a.view) != hash {
-			return fmt.Errorf("%w: share %s seq %d", ErrPayloadHash, s.ID, seq)
-		}
-		return nil
-	}
-	if seq != applied+1 && base.Len() > 0 {
-		synced, served, stats, err := p.syncFrom(ctx, from, s.ID, seq, base)
-		if err == nil {
-			err = vouched(synced, served)
-		}
-		if err == nil {
-			a.cs, err = base.Diff(a.view)
-		}
-		if err == nil {
-			p.logf("structural sync on %s: %d rounds, %d nodes, %d rows inline, %d grafted, %d B received",
-				s.ID, stats.Rounds, stats.NodesFetched, stats.RowsInline, stats.RowsGrafted, stats.BytesReceived)
-			return a, nil
-		}
-		p.logf("structural sync on %s failed (%v); falling back to fetch", s.ID, err)
-	}
-	var haveSeq uint64
-	if seq > applied {
-		haveSeq = applied
-	}
-	view, cs, served, err := p.fetchFrom(ctx, from, s.ID, seq, haveSeq, base)
-	if err == nil {
-		err = vouched(view, served)
-	}
-	if err == nil && cs.Empty() {
-		// A full response, or a delta that was not minimal. (An empty
-		// delta leaves base's tree as it was: the diff is O(1).)
-		cs, err = base.Diff(a.view)
-	}
+	view, cs, served, stats, err := p.syncFrom(ctx, from, s.ID, seq, applied, base)
 	if err != nil {
 		return nil, err
 	}
-	a.cs = cs
-	return a, nil
+	if stats.Rounds > 0 {
+		p.logf("structural sync on %s: %d rounds, %d nodes, %d rows inline, %d grafted, %d B received",
+			s.ID, stats.Rounds, stats.NodesFetched, stats.RowsInline, stats.RowsGrafted, stats.BytesReceived)
+	}
+	// The on-chain hash commits to the seeded shape, so the result is
+	// seeded before it is checked (O(1) when it inherits the replica's).
+	view = s.seedView(view)
+	if served != seq {
+		return nil, fmt.Errorf("%w: %s served seq %d, want %d", ErrStaleData, s.ID, served, seq)
+	}
+	if hashHex(view) != hash {
+		return nil, fmt.Errorf("%w: share %s seq %d", ErrPayloadHash, s.ID, seq)
+	}
+	if cs.Empty() {
+		// A walk, or a delta that was not minimal. (An empty delta leaves
+		// base's tree as it was: the diff is O(1).)
+		if cs, err = base.Diff(view); err != nil {
+			return nil, err
+		}
+	}
+	return &acquired{view: view, base: base, cs: cs, baseSeq: applied}, nil
 }
 
 // install embeds an acquired version into the share's source and stores
@@ -91,11 +69,11 @@ func (p *Peer) acquire(ctx context.Context, s *Share, from identity.Address, seq
 // concurrently serialize instead of overwriting each other's updates.
 // The put is the delta put of the acquired changeset, so only the rows
 // the counterparty changed are written and a local edit not yet proposed
-// survives, whatever fetch mode brought the version. The whole-view put
-// (bx.Put) runs instead where the changeset is no edit of our source: on
-// a replica installed over at its own seq (a repair — untrusted, so it
-// keeps no delta base either), on a diverged one, and when the delta put
-// fails. A failed put changes nothing. The caller holds s.opMu.
+// survives, whether a delta answer or a walk brought the version. The
+// whole-view put (bx.Put) runs instead where the changeset is no edit of
+// our source: on a replica installed over at its own seq (a repair —
+// untrusted, so it keeps no delta base either), on a diverged one, and
+// when the delta put fails. A failed put changes nothing. The caller holds s.opMu.
 //
 // The write reached the source through s: it marks the other shares
 // over it for the reconciler (events.go), which the caller wakes.

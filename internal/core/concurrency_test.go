@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -458,10 +459,12 @@ func TestConcurrentPeerStress(t *testing.T) {
 				default:
 				}
 				fctx, fcancel := context.WithTimeout(ctx, 10*time.Second)
-				_, _, err := h.partners[i].Fetch(fctx, h.hub.Address(), h.shares[i], 0)
+				_, _, _, err := h.partners[i].StructuralSync(fctx, h.hub.Address(), h.shares[i], 0)
 				fcancel()
-				if err != nil {
-					errCh <- fmt.Errorf("fetch %s: %w", h.shares[i], err)
+				// A walk the hub's next update overtakes aborts, leaving
+				// nothing changed; the loop asks again.
+				if err != nil && !errors.Is(err, ErrSyncAborted) {
+					errCh <- fmt.Errorf("sync %s: %w", h.shares[i], err)
 					return
 				}
 			}

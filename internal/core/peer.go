@@ -84,7 +84,7 @@ type Config struct {
 	// Clock abstracts time; nil means wall clock.
 	Clock clock.Clock
 	// RPCTimeout bounds each individual data-channel request attempt
-	// (fetch and sync rounds). 0 means 5s.
+	// (each data.sync request). 0 means 5s.
 	RPCTimeout time.Duration
 	// Retry tunes the data-channel backoff schedule; the zero value
 	// selects the documented defaults (4 attempts, 10ms base, 2s cap).
@@ -191,8 +191,8 @@ type Share struct {
 	backup *shareBackup
 
 	// prev retains the previous view version so the data channel can
-	// serve row-level changesets to peers that already hold it, instead
-	// of the whole view (delta transfer).
+	// answer a peer that already holds it with a row-level changeset
+	// instead of a tree walk (see serveSync).
 	prev *shareBackup
 
 	// diverged marks that the stored view replica no longer equals
@@ -230,9 +230,9 @@ type Share struct {
 // seedView returns the table reseeded under the share's priority secret.
 // O(1) when the table already carries it — the steady state: clones and
 // delta-applied descendants of a seeded replica (incremental gets, delta
-// fetches) inherit the seed through the shared storage, so only freshly
-// materialized views (full lens get, full fetch) pay the O(n) rebuild,
-// which they precede with O(n) work anyway.
+// answers, a walk's rebuild over the replica) inherit the seed through
+// the shared storage, so only freshly materialized views (full lens get)
+// pay the O(n) rebuild, which they precede with O(n) work anyway.
 func (s *Share) seedView(t *reldb.Table) *reldb.Table {
 	if len(s.prioSeed) == 0 {
 		return t
@@ -283,27 +283,12 @@ func NewPeer(cfg Config) (*Peer, error) {
 		wakeCh:  make(chan struct{}, 1),
 	}
 	if cfg.Transport != nil {
-		cfg.Transport.HandleRequest(p.serveRequest)
+		cfg.Transport.HandleRequest(p.serveSync)
 		if cfg.Directory != nil {
 			cfg.Directory.Set(cfg.Identity.Address(), cfg.Transport.Name())
 		}
 	}
 	return p, nil
-}
-
-// serveRequest routes data-channel requests by kind: payload fetches
-// (full or delta) and structural anti-entropy sync rounds.
-func (p *Peer) serveRequest(msg p2p.Message) (p2p.Message, error) {
-	switch msg.Kind {
-	case p2p.KindDataFetch:
-		p.stats.fetchesServed.Add(1)
-		return p.serveDataFetch(msg)
-	case p2p.KindSync:
-		p.stats.syncsServed.Add(1)
-		return p.serveSync(msg)
-	default:
-		return p2p.Message{}, fmt.Errorf("core: unexpected message kind %q", msg.Kind)
-	}
 }
 
 // Address returns the peer's on-chain address.

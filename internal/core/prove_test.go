@@ -12,7 +12,7 @@ import (
 // root, same table-hash preimage. Anything less and a cached read would
 // verify differently from a fresh one.
 func TestProofCacheHitIsByteIdentical(t *testing.T) {
-	h := newFetchHarness(t)
+	h := newChannelHarness(t)
 	h.update(t, "v1")
 	key := reldb.Row{reldb.I(1)}
 
@@ -59,7 +59,7 @@ func TestProofCacheHitIsByteIdentical(t *testing.T) {
 // before a version advance is ever served after it: the first read at
 // the new applied seq must rebuild against the new root.
 func TestProofCacheInvalidatesOnSeqAdvance(t *testing.T) {
-	h := newFetchHarness(t)
+	h := newChannelHarness(t)
 	h.update(t, "v1")
 	key := reldb.Row{reldb.I(1)}
 

@@ -106,8 +106,8 @@ func TestChannelRequestRetriesExhaustAndRecover(t *testing.T) {
 		cfg.Health = HealthPolicy{FailureThreshold: 100} // keep quarantine out of this test
 	})
 	fab.SetRequestLoss(1, 0)
-	if _, _, err := h.b.Fetch(h.ctx, h.a.Address(), "S", 0); err == nil {
-		t.Fatal("fetch succeeded through 100% request loss")
+	if _, _, _, err := h.b.StructuralSync(h.ctx, h.a.Address(), "S", 0); err == nil {
+		t.Fatal("sync succeeded through 100% request loss")
 	}
 	st := h.b.Stats()
 	if st.RPCAttempts != 3 || st.RPCRetries != 2 || st.RPCFailures != 3 {
@@ -116,7 +116,7 @@ func TestChannelRequestRetriesExhaustAndRecover(t *testing.T) {
 
 	// Heal the channel: the same call now succeeds on the first attempt.
 	fab.SetRequestLoss(0, 0)
-	if _, _, err := h.b.Fetch(h.ctx, h.a.Address(), "S", 0); err != nil {
+	if _, _, _, err := h.b.StructuralSync(h.ctx, h.a.Address(), "S", 0); err != nil {
 		t.Fatal(err)
 	}
 	st = h.b.Stats()
@@ -130,20 +130,20 @@ func TestChannelRequestRetriesThroughTransientLoss(t *testing.T) {
 		cfg.Retry = Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond, Attempts: 6}
 		cfg.Health = HealthPolicy{FailureThreshold: 1000} // quarantine tested separately
 	})
-	// 50% request loss: fetches succeed by retrying through it. The
+	// 50% request loss: syncs succeed by retrying through it. The
 	// seeded fabric makes the run repeatable; loop until the lossy dice
 	// actually bite so the assertion is insensitive to the seed choice.
 	fab.SetRequestLoss(0.5, 0)
 	succeeded := 0
 	for i := 0; i < 20; i++ {
-		if _, _, err := h.b.Fetch(h.ctx, h.a.Address(), "S", 0); err == nil {
+		if _, _, _, err := h.b.StructuralSync(h.ctx, h.a.Address(), "S", 0); err == nil {
 			succeeded++
 		}
 		if st := h.b.Stats(); st.RPCRetries > 0 && succeeded > 0 {
 			return
 		}
 	}
-	t.Fatalf("20 fetches under 50%% loss: %d successes, stats %+v", succeeded, h.b.Stats())
+	t.Fatalf("20 syncs under 50%% loss: %d successes, stats %+v", succeeded, h.b.Stats())
 }
 
 func TestQuarantineShortCircuitsAndProbes(t *testing.T) {
@@ -156,13 +156,13 @@ func TestQuarantineShortCircuitsAndProbes(t *testing.T) {
 		}
 	})
 	fab.SetRequestLoss(1, 0)
-	if _, _, err := h.b.Fetch(h.ctx, h.a.Address(), "S", 0); err == nil {
-		t.Fatal("fetch succeeded through 100% request loss")
+	if _, _, _, err := h.b.StructuralSync(h.ctx, h.a.Address(), "S", 0); err == nil {
+		t.Fatal("sync succeeded through 100% request loss")
 	}
 	// The endpoint is quarantined now: the next call fails locally,
 	// without touching the wire.
 	before := fab.Counters().Requests
-	_, _, err := h.b.Fetch(h.ctx, h.a.Address(), "S", 0)
+	_, _, _, err := h.b.StructuralSync(h.ctx, h.a.Address(), "S", 0)
 	if !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("err = %v, want ErrPeerDown", err)
 	}
@@ -177,7 +177,7 @@ func TestQuarantineShortCircuitsAndProbes(t *testing.T) {
 	// healed it succeeds and clears the record.
 	fab.SetRequestLoss(0, 0)
 	time.Sleep(200 * time.Millisecond)
-	if _, _, err := h.b.Fetch(h.ctx, h.a.Address(), "S", 0); err != nil {
+	if _, _, _, err := h.b.StructuralSync(h.ctx, h.a.Address(), "S", 0); err != nil {
 		t.Fatalf("probe after quarantine failed: %v", err)
 	}
 	if _, dead := h.b.quarantined("A"); dead {
@@ -474,10 +474,10 @@ func TestResyncInstallsOnlyVouchedVersion(t *testing.T) {
 }
 
 // TestFirstUpdateKeepsUnproposedSourceEdit: B edits its source without
-// proposing, then applies A's updates. The first one reaches B as a full
-// fetch (B has no version to offer as a delta base), the second as a
-// delta; either way the put writes only the rows A changed, so B keeps
-// its own edits and its next proposal carries them to A.
+// proposing, then applies A's updates. Both reach B as delta answers,
+// the first from the share's seq-0 version; the put writes only the
+// rows A changed, so B keeps its own edits and its next proposal
+// carries them to A.
 func TestFirstUpdateKeepsUnproposedSourceEdit(t *testing.T) {
 	mem := p2p.NewMemNetwork()
 	h := newSyncHarness(t, 16, mem.Endpoint("A"), mem.Endpoint("B"))
@@ -503,12 +503,12 @@ func TestFirstUpdateKeepsUnproposedSourceEdit(t *testing.T) {
 	}
 
 	setB(5, "b5")
-	seq := h.finalizedUpdate(t, 1, "a1") // seq 1: full fetch
+	seq := h.finalizedUpdate(t, 1, "a1") // seq 1: delta from seq 0
 	h.waitApplied(t, seq)
 	bHolds("after seq 1", map[int64]string{5: "b5"})
 
 	setB(6, "b6")
-	seq = h.finalizedUpdate(t, 2, "a2") // seq 2: delta fetch
+	seq = h.finalizedUpdate(t, 2, "a2") // seq 2: delta from seq 1
 	h.waitApplied(t, seq)
 	bHolds("after seq 2", map[int64]string{1: "a1", 2: "a2", 5: "b5", 6: "b6"})
 

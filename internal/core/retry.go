@@ -13,7 +13,7 @@ import (
 	"medshare/internal/p2p"
 )
 
-// Data-channel resilience: every fetch/sync RPC runs under a per-attempt
+// Data-channel resilience: every data.sync request runs under a per-attempt
 // context deadline and a bounded exponential backoff with jitter, and
 // per-endpoint health tracking short-circuits requests to peers that
 // have failed repeatedly — a partitioned or crashed counterparty costs
@@ -146,11 +146,10 @@ type Stats struct {
 	// share is stuck on the O(table) path.
 	DeltaGets uint64
 	FullGets  uint64
-	// FetchesServed and SyncsServed count data-channel requests this
-	// peer answered, by kind (payload fetch vs structural sync round) —
-	// the peer-side view of serve traffic the /metrics endpoint exports.
-	FetchesServed uint64
-	SyncsServed   uint64
+	// SyncsServed counts the data.sync requests this peer answered, delta
+	// answers and walk rounds alike — the peer-side view of serve traffic
+	// the /metrics endpoint exports.
+	SyncsServed uint64
 	// ProofCacheHits/Misses split ProveView calls between memoized
 	// proofs and fresh O(log n) tree walks; the cache resets on every
 	// applied-sequence advance, so the hit rate is also a measure of
@@ -180,7 +179,6 @@ type statsCounters struct {
 	batchTxs          atomic.Uint64
 	deltaGets         atomic.Uint64
 	fullGets          atomic.Uint64
-	fetchesServed     atomic.Uint64
 	syncsServed       atomic.Uint64
 	proofCacheHits    atomic.Uint64
 	proofCacheMisses  atomic.Uint64
@@ -201,7 +199,6 @@ func (c *statsCounters) snapshot() Stats {
 		BatchTxs:          c.batchTxs.Load(),
 		DeltaGets:         c.deltaGets.Load(),
 		FullGets:          c.fullGets.Load(),
-		FetchesServed:     c.fetchesServed.Load(),
 		SyncsServed:       c.syncsServed.Load(),
 		ProofCacheHits:    c.proofCacheHits.Load(),
 		ProofCacheMisses:  c.proofCacheMisses.Load(),
@@ -302,8 +299,8 @@ func retriableRPC(err error) bool {
 
 // channelRequest is the single data-channel RPC path: per-attempt
 // context deadline (Config.RPCTimeout), bounded exponential backoff with
-// jitter between attempts (Config.Retry), and health bookkeeping. All
-// fetch and sync rounds go through here.
+// jitter between attempts (Config.Retry), and health bookkeeping. Every
+// data.sync request goes through here.
 func (p *Peer) channelRequest(ctx context.Context, endpoint string, msg p2p.Message) (p2p.Message, error) {
 	if until, dead := p.quarantined(endpoint); dead {
 		p.stats.deadShortCircuits.Add(1)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -15,24 +16,29 @@ import (
 	"medshare/internal/reldb"
 )
 
-// Structural anti-entropy: a replica that missed several updates (or
-// holds nothing at all) converges by walking the updater's canonical
-// Merkle row tree top-down. Each round the requester names the subtree
-// roots it cannot match locally — as node requests for large subtrees
-// (answered with the node's row and child summaries: key, raw 32-byte
-// digest, size) and as row requests for small ones (answered with the
-// subtree's rows wholesale). Because the row tree's shape is a pure
-// function of the key set (and the share's priority seed), a digest
-// match proves the requester already holds an identical subtree and can
-// graft its own copy — so a d-row divergence on an n-row view transfers
-// O(d log n) summaries plus the divergent rows, instead of the whole
-// view, and nothing the requester already holds crosses the wire (the
+// The data channel: a peer acquires a counterparty's view directly from
+// it ("Request updated data" / "Send updated data" in Fig. 2) in one
+// exchange, data.sync; the chain holds only the view's hash. The first
+// request names the requester's replica, its applied seq and row root.
+// A provider that retained exactly that version (Share.prev) answers
+// with the changeset from it, in one round trip: every live update.
+// Otherwise it answers with its tree top, and a replica that missed
+// updates, or holds nothing, converges by walking the provider's
+// canonical Merkle row tree top-down. Each round the requester names
+// the subtree roots it cannot match locally — as node requests for
+// large subtrees (answered with the node's row and child summaries:
+// key, raw 32-byte digest, size) and as row requests for small ones
+// (answered with the subtree's rows wholesale). Because the row tree's
+// shape is a pure function of the key set (and the share's priority
+// seed), a digest match proves the requester already holds an identical
+// subtree and can graft its own copy — so a d-row divergence on an
+// n-row view transfers O(d log n) summaries plus the divergent rows,
+// and nothing the requester already holds crosses the wire (the
 // provider ships rows only on explicit request, never speculatively).
 // Requests and responses travel in compact binary frames (raw digests
-// and storage keys, varint sizes) instead of base64-inflated JSON. The
-// reconstructed table is verified against the on-chain payload hash
-// exactly like a full fetch, so a corrupt or malicious sync stream
-// cannot install bad data.
+// and storage keys, varint sizes). The reconstructed table, like a
+// delta answer's, is verified against the on-chain payload hash, so a
+// corrupt or malicious stream cannot install bad data.
 //
 // Two request-side mechanisms attack the walk's latency floor (one
 // round-trip per divergent tree level):
@@ -53,7 +59,7 @@ import (
 //
 // SyncStats.Rounds counts sequential waves (the RTT critical path);
 // SyncStats.Requests counts request messages (≥ Rounds when a wave was
-// chunked).
+// chunked). A delta answer is no wave and counts in neither.
 
 // syncInlineRows is the subtree size at or below which the requester
 // asks for rows wholesale instead of descending node by node.
@@ -88,18 +94,27 @@ const syncDefaultParallel = 4
 const syncMinChunk = 4
 
 // ErrSyncAborted marks a structural sync that could not complete (the
-// provider's view changed mid-walk, the round bound was hit, or the
-// stream was malformed); callers fall back to a full fetch.
+// provider's view changed mid-walk, the round bound was hit, the stream
+// was malformed, or a delta answer did not apply); the replica stays as
+// it was, and the update is acquired again later.
 var ErrSyncAborted = errors.New("core: structural sync aborted")
 
-// SyncRequest asks a counterparty for row-tree nodes and small-subtree
-// rows of a share's current view. Authentication mirrors FetchRequest:
-// the request is signed and only sharing peers are served. It travels
-// as a binary frame (see syncwire.go), not JSON.
+// SyncRequest asks a counterparty for a share's current view: on the
+// first request, as a delta from the requester's replica or the tree
+// top; after that, for row-tree nodes and small-subtree rows. The request
+// is signed so that only sharing peers can read the data even if the
+// transport is reachable by others. It travels as a binary frame (see
+// syncwire.go), not JSON.
 type SyncRequest struct {
 	ShareID string
-	// MinSeq is the lowest acceptable version.
+	// MinSeq is the lowest acceptable version (the seq announced in the
+	// update event).
 	MinSeq uint64
+	// HaveSeq and HaveRoot name the requester's replica, its applied seq
+	// and its RowsRoot, on the walk's first request (both lists empty);
+	// later requests leave them zero.
+	HaveSeq  uint64
+	HaveRoot []byte
 	// Span asks the provider to expand each wanted subtree root this
 	// many extra levels per response (capped at syncMaxSpan).
 	Span int
@@ -119,7 +134,8 @@ type SyncRequest struct {
 // keys (node and row requests, domain-separated) are committed through
 // a digest so rounds cannot be replayed with altered walk targets; the
 // span is covered so a relay cannot inflate (or collapse) the response
-// amplification of a captured request.
+// amplification of a captured request, and the offered replica is
+// covered so a relay cannot turn a descent into a delta answer.
 func (r *SyncRequest) signingBytes() []byte {
 	h := sha256.New()
 	for _, k := range r.Keys {
@@ -135,10 +151,13 @@ func (r *SyncRequest) signingBytes() []byte {
 		h.Write(n[:])
 		h.Write(k)
 	}
-	out := make([]byte, 0, len(r.ShareID)+len(r.Requester)+64)
+	out := make([]byte, 0, len(r.ShareID)+len(r.HaveRoot)+len(r.Requester)+88)
 	out = append(out, "medshare-sync:"...)
 	out = append(out, r.ShareID...)
 	out = binary.BigEndian.AppendUint64(out, r.MinSeq)
+	out = binary.BigEndian.AppendUint64(out, r.HaveSeq)
+	out = binary.BigEndian.AppendUint64(out, uint64(len(r.HaveRoot)))
+	out = append(out, r.HaveRoot...)
 	out = binary.BigEndian.AppendUint64(out, uint64(r.Span))
 	out = h.Sum(out)
 	out = append(out, r.Requester[:]...)
@@ -188,10 +207,15 @@ type SyncResponse struct {
 	Subtrees []SyncSubtree
 	// Empty marks a view with no rows (the walk ends immediately).
 	Empty bool
+	// Delta answers a first request whose HaveSeq and HaveRoot the
+	// provider retained: the changeset from that version to the served
+	// view. The walk ends; Root, Nodes and Subtrees are empty.
+	Delta *reldb.Changeset
 }
 
 // SyncStats reports what one structural sync transferred — the
 // benchmark and test substrate for the "divergent subtrees only" claim.
+// A delta answer counts in the byte counters only.
 type SyncStats struct {
 	// Rounds is the number of sequential request waves — the walk's
 	// round-trip critical path. A wave split into concurrent chunk
@@ -298,28 +322,96 @@ func syncSubtreesFor(view *reldb.Table, rowKeys [][]byte) []SyncSubtree {
 	return out
 }
 
-// serveSync is the provider side of the anti-entropy RPC.
+// authorizeShareRequest is the data channel's one gate: verify the
+// request's signature over its canonical bytes, check contract
+// membership, resolve the local share binding, and enforce the minimum
+// served version. Serving reads only the share's own state (per-share
+// mutex) and chain metadata — a request on one share never waits behind
+// operations on the peer's other shares.
+func (p *Peer) authorizeShareRequest(req *SyncRequest) (*Share, uint64, error) {
+	if len(req.PubKey) != ed25519.PublicKeySize {
+		return nil, 0, ErrNotAuthorized
+	}
+	if err := identity.Verify(req.Requester, ed25519.PublicKey(req.PubKey), req.signingBytes(), req.Sig); err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", ErrNotAuthorized, err)
+	}
+	meta, err := p.Meta(req.ShareID)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !metaHasPeer(meta, req.Requester) {
+		return nil, 0, fmt.Errorf("%w: %s on %s", ErrNotAuthorized, req.Requester, req.ShareID)
+	}
+	s, err := p.share(req.ShareID)
+	if err != nil {
+		return nil, 0, err
+	}
+	seq := s.appliedSeq()
+	if seq < req.MinSeq {
+		return nil, 0, fmt.Errorf("%w: have seq %d, want %d", ErrStaleData, seq, req.MinSeq)
+	}
+	return s, seq, nil
+}
+
+// serveSync is the data channel's request handler: a data.sync frame,
+// bare or in the first request's envelope (see syncwire.go). A first
+// request whose HaveSeq and HaveRoot match the retained previous
+// version gets the delta from it; any other first request gets the
+// tree top.
 func (p *Peer) serveSync(msg p2p.Message) (p2p.Message, error) {
-	req, err := decodeSyncRequest(msg.Payload)
+	var req SyncRequest
+	var err error
+	switch msg.Kind {
+	case p2p.KindSync:
+		req, err = decodeSyncRequest(msg.Payload)
+	case p2p.KindDataFetch:
+		req, err = openFirstRequest(msg.Payload)
+	default:
+		return p2p.Message{}, fmt.Errorf("core: unexpected message kind %q", msg.Kind)
+	}
 	if err != nil {
 		return p2p.Message{}, fmt.Errorf("core: bad sync request: %w", err)
 	}
-	s, seq, err := p.authorizeShareRequest(req.ShareID, req.Requester, req.PubKey, req.signingBytes(), req.Sig, req.MinSeq)
+	p.stats.syncsServed.Add(1)
+	s, seq, err := p.authorizeShareRequest(&req)
 	if err != nil {
 		return p2p.Message{}, err
+	}
+	initial := len(req.Keys) == 0 && len(req.RowKeys) == 0
+	var prev *reldb.Table
+	if initial {
+		s.stMu.Lock()
+		if s.prev != nil && s.prev.seq == req.HaveSeq {
+			prev = s.prev.view
+		}
+		s.stMu.Unlock()
 	}
 	view, err := p.snapshotTable(s.ViewName)
 	if err != nil {
 		return p2p.Message{}, err
 	}
-	// Seq and the view snapshot are read without a common lock, so the
-	// label can race an install; the per-round Root (computed from THIS
-	// snapshot) is what the requester anchors consistency on.
-	root := view.RowsRoot()
-	resp := SyncResponse{ShareID: req.ShareID, Seq: seq, Root: root[:], Empty: view.Len() == 0}
-	if !resp.Empty {
-		resp.Nodes = syncNodesFor(view, req.Keys, len(req.Keys) == 0 && len(req.RowKeys) == 0, req.Span)
-		resp.Subtrees = syncSubtreesFor(view, req.RowKeys)
+	resp := SyncResponse{ShareID: req.ShareID, Seq: seq}
+	if prev != nil {
+		// The root, not the seq alone, proves the requester holds that
+		// version: a replica at the right seq over other rows (a restored
+		// wrong backup) would turn the delta into a wrong view.
+		if have := prev.RowsRoot(); bytes.Equal(have[:], req.HaveRoot) {
+			if cs, err := prev.Diff(view.Renamed(prev.Name())); err == nil {
+				resp.Delta = &cs
+			}
+		}
+	}
+	if resp.Delta == nil {
+		// Seq and the view snapshot are read without a common lock, so
+		// the label can race an install; the per-round Root (computed
+		// from THIS snapshot) is what the walk anchors consistency on. A
+		// delta answer needs none: the payload-hash check covers it.
+		root := view.RowsRoot()
+		resp.Root, resp.Empty = root[:], view.Len() == 0
+		if !resp.Empty {
+			resp.Nodes = syncNodesFor(view, req.Keys, initial, req.Span)
+			resp.Subtrees = syncSubtreesFor(view, req.RowKeys)
+		}
 	}
 	return p2p.Message{Kind: p2p.KindSync, Payload: appendSyncResponse(nil, &resp)}, nil
 }
@@ -420,14 +512,18 @@ func fetchWave(fetch syncFetchFn, waves []syncWave) ([]SyncResponse, error) {
 	return resps, errors.Join(errs...)
 }
 
-// assembleSync drives the top-down walk against fetch and reconstructs
-// the provider's view over base (the local replica supplying grafts and
-// the schema). It returns the rebuilt table and the provider's version.
-// The caller MUST verify the result against an authoritative hash
-// before installing it.
-func assembleSync(base *reldb.Table, fetch syncFetchFn, stats *SyncStats, opts SyncOptions) (*reldb.Table, uint64, error) {
+// assembleSync drives the exchange against fetch and reconstructs the
+// provider's view over base (the local replica supplying grafts and the
+// schema): from a delta answer to the first request, or else by the
+// top-down walk. It returns the rebuilt table, the changeset from base
+// when a delta answer brought a minimal one (empty otherwise), and the
+// provider's version. The caller MUST verify the result against an
+// authoritative hash before installing it.
+func assembleSync(base *reldb.Table, fetch syncFetchFn, stats *SyncStats, opts SyncOptions) (*reldb.Table, reldb.Changeset, uint64, error) {
 	opts = opts.normalized()
-	asm := reldb.NewMerkleAssembler(base)
+	// The digest index behind grafting is O(n) to build, so only a walk
+	// builds it, once a delta answer is ruled out.
+	var asm *reldb.MerkleAssembler
 	nodes := make(map[string]SyncNode)
 	subtrees := make(map[string][]reldb.Row)
 	// requested remembers every key already asked for (as node or rows),
@@ -482,7 +578,7 @@ func assembleSync(base *reldb.Table, fetch syncFetchFn, stats *SyncStats, opts S
 	maxRounds := syncBaseRounds
 	for round := 0; ; round++ {
 		if round >= maxRounds {
-			return nil, 0, fmt.Errorf("%w: round bound exceeded", ErrSyncAborted)
+			return nil, reldb.Changeset{}, 0, fmt.Errorf("%w: round bound exceeded", ErrSyncAborted)
 		}
 		var waves []syncWave
 		if round == 0 {
@@ -492,7 +588,13 @@ func assembleSync(base *reldb.Table, fetch syncFetchFn, stats *SyncStats, opts S
 		}
 		resps, err := fetchWave(fetch, waves)
 		if err != nil {
-			return nil, 0, err
+			return nil, reldb.Changeset{}, 0, err
+		}
+		if round == 0 {
+			if resps[0].Delta != nil {
+				return applyDelta(base, resps[0])
+			}
+			asm = reldb.NewMerkleAssembler(base)
 		}
 		stats.Rounds++
 		stats.Requests += len(waves)
@@ -502,10 +604,10 @@ func assembleSync(base *reldb.Table, fetch syncFetchFn, stats *SyncStats, opts S
 			root = resp.Root
 			if resp.Empty {
 				t, err := asm.Table()
-				return t, seq, err
+				return t, reldb.Changeset{}, seq, err
 			}
 			if len(resp.Nodes) == 0 {
-				return nil, 0, fmt.Errorf("%w: empty first round", ErrSyncAborted)
+				return nil, reldb.Changeset{}, 0, fmt.Errorf("%w: empty first round", ErrSyncAborted)
 			}
 			rn := resp.Nodes[0]
 			rootKey = rn.Key
@@ -524,12 +626,15 @@ func assembleSync(base *reldb.Table, fetch syncFetchFn, stats *SyncStats, opts S
 		// children in the same frame as their parent, and triage must
 		// see them to recurse instead of re-requesting.
 		for _, resp := range resps {
+			if resp.Delta != nil {
+				return nil, reldb.Changeset{}, 0, fmt.Errorf("%w: delta answer inside the walk", ErrSyncAborted)
+			}
 			if !bytes.Equal(resp.Root, root) {
 				// The provider's view changed mid-walk; already-fetched
 				// digests no longer fit together. The root — canonical
 				// for the contents — is the exact detector, immune to
 				// the seq-label/view-install race on the provider.
-				return nil, 0, fmt.Errorf("%w: provider view changed mid-walk", ErrSyncAborted)
+				return nil, reldb.Changeset{}, 0, fmt.Errorf("%w: provider view changed mid-walk", ErrSyncAborted)
 			}
 			for _, st := range resp.Subtrees {
 				if _, dup := subtrees[string(st.Key)]; dup {
@@ -607,10 +712,28 @@ func assembleSync(base *reldb.Table, fetch syncFetchFn, stats *SyncStats, opts S
 		return appendChild(n.Right)
 	}
 	if err := build(rootKey); err != nil {
-		return nil, 0, err
+		return nil, reldb.Changeset{}, 0, err
 	}
 	t, err := asm.Table()
-	return t, seq, err
+	return t, reldb.Changeset{}, seq, err
+}
+
+// applyDelta applies a delta answer to a clone of base. Only a minimal
+// changeset may drive the delta put downstream: a padded one (a delete
+// + insert of an unchanged row) reproduces the right table, so it passes
+// the payload-hash check, yet replayed through a lens's structural-edit
+// policies it would destroy hidden source columns. Such a changeset is
+// dropped, and acquire diffs instead.
+func applyDelta(base *reldb.Table, resp SyncResponse) (*reldb.Table, reldb.Changeset, uint64, error) {
+	cs := *resp.Delta
+	t := base.Clone()
+	if err := t.Apply(cs); err != nil {
+		return nil, reldb.Changeset{}, 0, fmt.Errorf("%w: delta answer: %v", ErrSyncAborted, err)
+	}
+	if base.ValidateDiff(t, cs) != nil {
+		return t, reldb.Changeset{}, resp.Seq, nil
+	}
+	return t, cs, resp.Seq, nil
 }
 
 func childDigest(c *SyncChild) ([32]byte, bool) {
@@ -622,20 +745,23 @@ func childDigest(c *SyncChild) ([32]byte, bool) {
 	return d, true
 }
 
-// syncFrom runs the structural sync against the peer with the given
-// address and returns the reconstructed view (named like base), the
-// provider's version (minSeq or newer) and transfer stats: a candidate
-// that acquire checks before anything is installed.
-func (p *Peer) syncFrom(ctx context.Context, from identity.Address, shareID string, minSeq uint64, base *reldb.Table) (*reldb.Table, uint64, SyncStats, error) {
+// syncFrom runs the exchange against the peer with the given address,
+// offering base, the local replica at haveSeq, on the first request. It
+// returns the reconstructed view (named like base), the changeset from
+// base (see assembleSync), the provider's version (minSeq or newer) and
+// transfer stats: a candidate that acquire checks before anything is
+// installed.
+func (p *Peer) syncFrom(ctx context.Context, from identity.Address, shareID string, minSeq, haveSeq uint64, base *reldb.Table) (*reldb.Table, reldb.Changeset, uint64, SyncStats, error) {
 	var stats SyncStats
 	if p.cfg.Transport == nil || p.cfg.Directory == nil {
-		return nil, 0, stats, fmt.Errorf("core: peer %s has no data channel", p.Name())
+		return nil, reldb.Changeset{}, 0, stats, fmt.Errorf("core: peer %s has no data channel", p.Name())
 	}
 	endpoint, ok := p.cfg.Directory.Lookup(from)
 	if !ok {
-		return nil, 0, stats, fmt.Errorf("core: no endpoint known for %s", from)
+		return nil, reldb.Changeset{}, 0, stats, fmt.Errorf("core: no endpoint known for %s", from)
 	}
 	opts := SyncOptions{Parallel: fanoutWorkers}.normalized()
+	haveRoot := base.RowsRoot()
 	// Wave chunks fetch concurrently, so the closure guards the shared
 	// byte counters; channelRequest is already safe for concurrent use
 	// (Resync's fan-out exercises it).
@@ -651,12 +777,19 @@ func (p *Peer) syncFrom(ctx context.Context, from identity.Address, shareID stri
 			PubKey:    append([]byte(nil), p.cfg.Identity.PublicKey()...),
 			TsMicro:   p.cfg.Clock.Now().UnixMicro(),
 		}
+		first := len(keys)+len(rowKeys) == 0
+		if first {
+			req.HaveSeq, req.HaveRoot = haveSeq, haveRoot[:]
+		}
 		req.Sig = p.cfg.Identity.Sign(req.signingBytes())
-		payload := appendSyncRequest(nil, &req)
+		out := p2p.Message{Kind: p2p.KindSync, Payload: appendSyncRequest(nil, &req)}
+		if first {
+			out = envelopeFirstRequest(&req, out.Payload)
+		}
 		statsMu.Lock()
-		stats.BytesSent += len(payload)
+		stats.BytesSent += len(out.Payload)
 		statsMu.Unlock()
-		msg, err := p.channelRequest(ctx, endpoint, p2p.Message{Kind: p2p.KindSync, Payload: payload})
+		msg, err := p.channelRequest(ctx, endpoint, out)
 		if err != nil {
 			return SyncResponse{}, fmt.Errorf("core: syncing %s from %s: %w", shareID, from, err)
 		}
@@ -672,21 +805,20 @@ func (p *Peer) syncFrom(ctx context.Context, from identity.Address, shareID stri
 		}
 		return resp, nil
 	}
-	t, seq, err := assembleSync(base, fetch, &stats, opts)
+	t, cs, seq, err := assembleSync(base, fetch, &stats, opts)
 	p.stats.syncRounds.Add(uint64(stats.Rounds))
 	p.stats.syncRequests.Add(uint64(stats.Requests))
 	if err != nil {
-		return nil, 0, stats, err
+		return nil, reldb.Changeset{}, 0, stats, err
 	}
-	return t, seq, stats, nil
+	return t, cs, seq, stats, nil
 }
 
 // StructuralSync fetches the current payload of a share from the named
-// counterparty via the anti-entropy walk, using the local replica for
-// grafting, and reports what was transferred. The returned table is
-// reconstructed but NOT installed; like Fetch, this supports ad-hoc
-// reads, tests, and measurements — the resync path installs through the
-// usual verify+put pipeline.
+// counterparty over data.sync, offering the local replica, and reports
+// what was transferred. The returned table is reconstructed but NOT
+// installed; this supports ad-hoc reads, tests and measurements — the
+// update path installs through acquire's verify+put pipeline.
 func (p *Peer) StructuralSync(ctx context.Context, from identity.Address, shareID string, minSeq uint64) (*reldb.Table, uint64, SyncStats, error) {
 	s, err := p.share(shareID)
 	if err != nil {
@@ -696,5 +828,6 @@ func (p *Peer) StructuralSync(ctx context.Context, from identity.Address, shareI
 	if err != nil {
 		return nil, 0, SyncStats{}, err
 	}
-	return p.syncFrom(ctx, from, shareID, minSeq, base)
+	t, _, seq, stats, err := p.syncFrom(ctx, from, shareID, minSeq, s.appliedSeq(), base)
+	return t, seq, stats, err
 }

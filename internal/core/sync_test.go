@@ -391,8 +391,12 @@ func TestSimulatedSyncBytes(t *testing.T) {
 	if out.RowsRoot() != provider.RowsRoot() {
 		t.Fatal("simulated sync did not converge")
 	}
-	// The full payload is what a full-mode fetch ships: the binary table.
-	full := reldb.AppendTable(nil, provider)
+	// The full payload: every row's canonical encoding, what a walk of
+	// an empty replica ships at least.
+	var full []byte
+	for _, r := range provider.RowsCanonical() {
+		full = r.AppendCanonical(full)
+	}
 	// Scattered divergence: d independent O(log n) paths. The binary
 	// frame (raw 32-byte digests, varint sizes) plus requester-driven
 	// row fetch pin this well below the old base64-JSON protocol's 20%.
@@ -513,48 +517,70 @@ func TestShareViewsArePrioritySeeded(t *testing.T) {
 	}
 }
 
-// TestServeSyncRejectsUnauthorized: the sync RPC applies the same
-// signature and membership gates as the fetch RPC.
+// TestServeSyncRejectsUnauthorized: data.sync serves only the share's
+// members, on a signature over the request's canonical bytes. Those
+// cover the span and the offered replica, so a relay can neither
+// inflate a captured request's response amplification nor turn its walk
+// into a delta answer.
 func TestServeSyncRejectsUnauthorized(t *testing.T) {
 	mem := p2p.NewMemNetwork()
 	h := newSyncHarness(t, 32, mem.Endpoint("A"), mem.Endpoint("B"))
-	outsider := identity.MustNew("Mallory")
-	req := SyncRequest{
-		ShareID:   "S",
-		Requester: outsider.Address(),
-		PubKey:    append([]byte(nil), outsider.PublicKey()...),
-		TsMicro:   time.Now().UnixMicro(),
+	view0, err := h.b.View("S")
+	if err != nil {
+		t.Fatal(err)
 	}
-	req.Sig = outsider.Sign(req.signingBytes())
-	payload := appendSyncRequest(nil, &req)
+	root0 := view0.RowsRoot()
+	h.finalizedUpdate(t, 1, "one") // A retains seq 0: offering it earns a delta
+	member, outsider := h.b.cfg.Identity, identity.MustNew("Mallory")
+	request := func(id *identity.Identity) SyncRequest {
+		return SyncRequest{
+			ShareID:   "S",
+			Span:      1,
+			Requester: id.Address(),
+			PubKey:    append([]byte(nil), id.PublicKey()...),
+			TsMicro:   time.Now().UnixMicro(),
+		}
+	}
+	// frame signs req as signer, then applies tamper to the signed
+	// request, as a relay would.
+	frame := func(req SyncRequest, signer *identity.Identity, tamper func(*SyncRequest)) []byte {
+		req.Sig = signer.Sign(req.signingBytes())
+		if tamper != nil {
+			tamper(&req)
+		}
+		return appendSyncRequest(nil, &req)
+	}
+	impersonated := request(member)
+	impersonated.Requester = h.a.Address()
+	offer := request(member)
+	offer.HaveSeq, offer.HaveRoot = 0, root0[:]
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	ep := mem.Endpoint("M")
-	if _, err := ep.Request(ctx, "A", p2p.Message{Kind: p2p.KindSync, Payload: payload}); err == nil {
-		t.Fatal("outsider sync request served")
-	}
-	// A member with a bad signature is rejected too.
-	req.Requester = h.b.Address()
-	req.PubKey = append([]byte(nil), h.b.cfg.Identity.PublicKey()...)
-	req.Sig = []byte("bogus")
-	payload = appendSyncRequest(nil, &req)
-	if _, err := ep.Request(ctx, "A", p2p.Message{Kind: p2p.KindSync, Payload: payload}); err == nil {
-		t.Fatal("bad signature served")
-	}
-	// A member with a valid signature over a tampered span is rejected:
-	// the span is part of the signing preimage, so a relay cannot
-	// inflate a captured request's response amplification.
-	req.Span = 1
-	req.Sig = h.b.cfg.Identity.Sign(req.signingBytes())
-	req.Span = 3
-	payload = appendSyncRequest(nil, &req)
-	if _, err := ep.Request(ctx, "A", p2p.Message{Kind: p2p.KindSync, Payload: payload}); err == nil {
-		t.Fatal("span-tampered request served")
-	}
-	// The old JSON request encoding is no longer accepted.
-	req.Span = 1
-	if _, err := ep.Request(ctx, "A", p2p.Message{Kind: p2p.KindSync, Payload: []byte(`{"shareId":"S"}`)}); err == nil {
-		t.Fatal("JSON sync request served")
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		served  bool
+	}{
+		{"member", frame(request(member), member, nil), true},
+		{"member offering its replica", frame(offer, member, nil), true},
+		{"non-member", frame(request(outsider), outsider, nil), false},
+		{"bad signature", frame(request(member), member, func(r *SyncRequest) { r.Sig = []byte("bogus") }), false},
+		{"impersonation", frame(impersonated, member, nil), false},
+		{"span tampered", frame(request(member), member, func(r *SyncRequest) { r.Span = 3 }), false},
+		{"have-seq tampered", frame(offer, member, func(r *SyncRequest) { r.HaveSeq = 1 }), false},
+		{"have-root tampered", frame(request(member), member, func(r *SyncRequest) { r.HaveRoot = root0[:] }), false},
+		{"json", []byte(`{"shareId":"S"}`), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := ep.Request(ctx, "A", p2p.Message{Kind: p2p.KindSync, Payload: c.payload})
+			if c.served && err != nil {
+				t.Fatalf("refused: %v", err)
+			}
+			if !c.served && err == nil {
+				t.Fatal("served")
+			}
+		})
 	}
 }
 
@@ -646,7 +672,7 @@ func simulateStructuralSyncOpts(provider, base *reldb.Table, opts SyncOptions) (
 		mu.Unlock()
 		return decodeSyncResponse(rawResp)
 	}
-	t, _, err := assembleSync(base, fetch, &stats, opts)
+	t, _, _, err := assembleSync(base, fetch, &stats, opts)
 	return t, stats, err
 }
 

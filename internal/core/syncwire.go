@@ -2,8 +2,10 @@ package core
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 
+	"medshare/internal/p2p"
 	"medshare/internal/reldb"
 	"medshare/internal/wire"
 )
@@ -22,8 +24,7 @@ import (
 // negligible, and base64-in-JSON storage keys cost ~1.4x the raw bytes.
 // The request's canonical signing bytes are still computed separately
 // (SyncRequest.signingBytes) — the frame is transport encoding, not the
-// signature preimage. Both frames, and the fetch-response header
-// (fetch.go), are read through a wire.Reader.
+// signature preimage. Both frames are read through a wire.Reader.
 //
 // Response frame layout (all integers varint unless noted):
 //
@@ -31,8 +32,9 @@ import (
 //	shareID: len ‖ bytes
 //	seq
 //	root: len ‖ raw bytes (32)
-//	flags byte (bit0 = empty view)
-//	node count, then per node:
+//	flags byte (bit0 = empty view, bit1 = delta answer)
+//	delta answer: the changeset (reldb.AppendChangeset) ends the frame
+//	otherwise node count, then per node:
 //	  key: len ‖ bytes
 //	  row: canonical encoding
 //	  child mask byte (bit0 left, bit1 right), then per present child:
@@ -42,8 +44,9 @@ import (
 //	  row count, then per row: canonical encoding
 
 // syncWireVersion tags the frame layout. Version 2 replaced
-// length-prefixed JSON rows with canonical rows.
-const syncWireVersion = 2
+// length-prefixed JSON rows with canonical rows; version 3 added the
+// request's HaveSeq and HaveRoot and the delta answer.
+const syncWireVersion = 3
 
 // syncWireMaxLen bounds a child summary's Size, so it fits an int on
 // every platform. Lengths and counts need no cap: wire.Reader refuses
@@ -68,6 +71,9 @@ func appendSyncResponse(dst []byte, r *SyncResponse) []byte {
 	var flags byte
 	if r.Empty {
 		flags |= 1
+	}
+	if r.Delta != nil {
+		return reldb.AppendChangeset(append(dst, flags|2), *r.Delta)
 	}
 	dst = append(dst, flags)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Nodes)))
@@ -109,9 +115,9 @@ const (
 
 // newFrameReader returns a reader over a data-channel frame past its
 // version byte.
-func newFrameReader(raw []byte, version byte) wire.Reader {
+func newFrameReader(raw []byte) wire.Reader {
 	r := wire.NewReader(raw, errFrame)
-	if r.Byte() != version {
+	if r.Byte() != syncWireVersion {
 		r.Fail("frame version")
 	}
 	return r
@@ -130,8 +136,19 @@ func readSyncChild(r *wire.Reader) *SyncChild {
 // decodeSyncResponse parses a frame produced by appendSyncResponse.
 // Keys, roots and digests alias raw.
 func decodeSyncResponse(raw []byte) (SyncResponse, error) {
-	r := newFrameReader(raw, syncWireVersion)
-	out := SyncResponse{ShareID: string(r.Bytes()), Seq: r.Uvarint(), Root: r.Bytes(), Empty: r.Bool()}
+	r := newFrameReader(raw)
+	out := SyncResponse{ShareID: string(r.Bytes()), Seq: r.Uvarint(), Root: r.Bytes()}
+	switch flags := r.Byte(); flags {
+	case 0:
+	case 1:
+		out.Empty = true
+	case 2:
+		cs := reldb.ReadChangeset(&r)
+		out.Delta = &cs
+		return out, r.Done()
+	default:
+		r.Fail("flags")
+	}
 	out.Nodes = make([]SyncNode, r.Count(minSyncNodeLen))
 	for i := range out.Nodes {
 		n := &out.Nodes[i]
@@ -165,6 +182,8 @@ func decodeSyncResponse(raw []byte) (SyncResponse, error) {
 //	version byte (syncWireVersion)
 //	shareID: len ‖ bytes
 //	minSeq
+//	haveSeq
+//	haveRoot: len ‖ raw bytes
 //	span
 //	node-key count, then per key: len ‖ bytes
 //	row-key count, then per key: len ‖ bytes
@@ -178,6 +197,8 @@ func appendSyncRequest(dst []byte, r *SyncRequest) []byte {
 	dst = append(dst, syncWireVersion)
 	dst = wire.AppendBytes(dst, r.ShareID)
 	dst = binary.AppendUvarint(dst, r.MinSeq)
+	dst = binary.AppendUvarint(dst, r.HaveSeq)
+	dst = wire.AppendBytes(dst, r.HaveRoot)
 	dst = binary.AppendUvarint(dst, uint64(r.Span))
 	dst = binary.AppendUvarint(dst, uint64(len(r.Keys)))
 	for _, k := range r.Keys {
@@ -201,11 +222,39 @@ func readKeys(r *wire.Reader) [][]byte {
 	return keys
 }
 
+// The exchange's first request travels in a JSON envelope under
+// p2p.KindDataFetch: the share and the wanted seq in the clear beside
+// the request frame. The benchmark's tracer (bench/trace.go) finds an
+// update's acquire by exactly that kind and those two fields, and its
+// update spans go dark without them; the envelope goes once the tracer
+// reads data.sync frames. The server reads only the frame, which it
+// decodes and authorizes like any other.
+type firstRequest struct {
+	ShareID string `json:"shareId"`
+	MinSeq  uint64 `json:"minSeq"`
+	Frame   []byte `json:"frame"`
+}
+
+// envelopeFirstRequest wraps the encoded first request r.
+func envelopeFirstRequest(r *SyncRequest, frame []byte) p2p.Message {
+	payload, _ := json.Marshal(firstRequest{ShareID: r.ShareID, MinSeq: r.MinSeq, Frame: frame}) // a string, an int, bytes: cannot fail
+	return p2p.Message{Kind: p2p.KindDataFetch, Payload: payload}
+}
+
+// openFirstRequest decodes the frame inside a first request's envelope.
+func openFirstRequest(payload []byte) (SyncRequest, error) {
+	var env firstRequest
+	if err := json.Unmarshal(payload, &env); err != nil {
+		return SyncRequest{}, err
+	}
+	return decodeSyncRequest(env.Frame)
+}
+
 // decodeSyncRequest parses a frame produced by appendSyncRequest. Keys,
-// the public key and the signature alias raw.
+// the root, the public key and the signature alias raw.
 func decodeSyncRequest(raw []byte) (SyncRequest, error) {
-	r := newFrameReader(raw, syncWireVersion)
-	out := SyncRequest{ShareID: string(r.Bytes()), MinSeq: r.Uvarint()}
+	r := newFrameReader(raw)
+	out := SyncRequest{ShareID: string(r.Bytes()), MinSeq: r.Uvarint(), HaveSeq: r.Uvarint(), HaveRoot: r.Bytes()}
 	span := r.Uvarint()
 	if span > syncMaxSpan {
 		r.Fail("span")

@@ -27,6 +27,8 @@ func FuzzSyncRequestWire(f *testing.F) {
 	seed(&SyncRequest{ShareID: "S", Requester: addr})
 	seed(&SyncRequest{
 		ShareID: "D13&D31", MinSeq: 7, Span: 2,
+		HaveSeq:   6,
+		HaveRoot:  bytes.Repeat([]byte{0xcc}, 32),
 		Keys:      [][]byte{{0x01}, {0x02, 0xff, 0x00}},
 		RowKeys:   [][]byte{{0x03, 0x04}},
 		Requester: addr,
@@ -57,6 +59,7 @@ func FuzzSyncRequestWire(f *testing.F) {
 			t.Fatalf("canonical re-decode failed: %v", err)
 		}
 		if re.ShareID != req.ShareID || re.MinSeq != req.MinSeq || re.Span != req.Span ||
+			re.HaveSeq != req.HaveSeq || !bytes.Equal(re.HaveRoot, req.HaveRoot) ||
 			re.Requester != req.Requester || re.TsMicro != req.TsMicro ||
 			!bytes.Equal(re.PubKey, req.PubKey) || !bytes.Equal(re.Sig, req.Sig) ||
 			len(re.Keys) != len(req.Keys) || len(re.RowKeys) != len(req.RowKeys) {
@@ -105,9 +108,10 @@ func sampleSyncResponse() *SyncResponse {
 	}
 }
 
-// TestSyncResponseRejectsUndefinedBits: a flags byte other than 0 or 1
-// and a child mask with a bit other than bits 0-1 are refused; each
-// would decode to a response that re-encodes to different bytes.
+// TestSyncResponseRejectsUndefinedBits: a flags byte other than 0 (a
+// walk round), 1 (an empty view) or 2 (a delta answer) and a child mask
+// with a bit other than bits 0-1 are refused; each would decode to a
+// response that re-encodes to different bytes.
 func TestSyncResponseRejectsUndefinedBits(t *testing.T) {
 	resp := sampleSyncResponse()
 	enc := appendSyncResponse(nil, resp)
@@ -123,8 +127,8 @@ func TestSyncResponseRejectsUndefinedBits(t *testing.T) {
 		at   int
 		b    byte
 	}{
-		{"flags 0x02", flagsAt, 0x02},
 		{"flags 0x03", flagsAt, 0x03},
+		{"flags 0x04", flagsAt, 0x04},
 		{"flags 0x80", flagsAt, 0x80},
 		{"child mask 0x04", maskAt, 0x04},
 		{"child mask 0x80", maskAt, 0x80},
@@ -146,36 +150,38 @@ func allocBytes(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// FuzzSyncResponseWire fuzzes the sync-response frame and the
-// fetch-response header: no input may panic or allocate more than a
-// fixed multiple of its length, and an accepted input re-encodes to
-// exactly itself.
+// sampleDelta is a delta answer's changeset: one insert, one delete,
+// one update.
+func sampleDelta() *reldb.Changeset {
+	return &reldb.Changeset{
+		Inserted: []reldb.Row{{reldb.I(1), reldb.S("caf\xe9")}},
+		Deleted:  []reldb.Row{{reldb.I(2), reldb.Null()}},
+		Updated:  []reldb.RowChange{{Before: reldb.Row{reldb.I(3), reldb.S("a")}, After: reldb.Row{reldb.I(3), reldb.S("b")}}},
+	}
+}
+
+// FuzzSyncResponseWire fuzzes the sync-response frame, walk rounds and
+// delta answers alike: no input may panic or allocate more than a fixed
+// multiple of its length, and an accepted input re-encodes to exactly
+// itself.
 func FuzzSyncResponseWire(f *testing.F) {
 	f.Add(appendSyncResponse(nil, sampleSyncResponse()))
 	f.Add(appendSyncResponse(nil, &SyncResponse{ShareID: "S", Empty: true}))
-	cs := reldb.AppendChangeset(nil, reldb.Changeset{Inserted: []reldb.Row{{reldb.I(1)}}})
-	f.Add(append(appendFetchHeader(nil, "S", 3, FetchModeDelta), cs...))
-	f.Add(appendFetchHeader(nil, "", 0, FetchModeFull))
+	f.Add(appendSyncResponse(nil, &SyncResponse{ShareID: "S", Seq: 3, Root: bytes.Repeat([]byte{0xab}, 32), Delta: sampleDelta()}))
+	f.Add(appendSyncResponse(nil, &SyncResponse{Delta: &reldb.Changeset{}}))
 	f.Add([]byte{syncWireVersion, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var (
 			resp  SyncResponse
-			fetch FetchResponse
-			errs  [2]error
+			err   error
 			limit = 256*uint64(len(data)) + 1<<20
 		)
-		if n := allocBytes(func() {
-			resp, errs[0] = decodeSyncResponse(data)
-			fetch, errs[1] = decodeFetchResponse(data)
-		}); n > limit {
+		if n := allocBytes(func() { resp, err = decodeSyncResponse(data) }); n > limit {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
 		}
-		if errs[0] == nil && !bytes.Equal(appendSyncResponse(nil, &resp), data) {
+		if err == nil && !bytes.Equal(appendSyncResponse(nil, &resp), data) {
 			t.Fatal("accepted sync response does not re-encode to its input")
-		}
-		if errs[1] == nil && !bytes.Equal(append(appendFetchHeader(nil, fetch.ShareID, fetch.Seq, fetch.Mode), fetch.Payload...), data) {
-			t.Fatal("accepted fetch response does not re-encode to its input")
 		}
 	})
 }

@@ -314,7 +314,7 @@ func (c *writeCounter) Write(b []byte) (int, error) {
 // 8-byte big-endian body length and the JSON body, and reads back as
 // the frame written.
 func TestWriteFrameIsOneWrite(t *testing.T) {
-	f := frame{Type: "req", Msg: Message{Kind: KindDataFetch, From: "a", Payload: []byte("payload")}}
+	f := frame{Type: "req", Msg: Message{Kind: KindSync, From: "a", Payload: []byte("payload")}}
 	c := &writeCounter{}
 	if err := writeFrame(c, f); err != nil {
 		t.Fatal(err)

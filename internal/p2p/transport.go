@@ -20,14 +20,17 @@ const (
 	KindTx = "tx"
 	// KindTxBatch carries many transactions in one broadcast — the gossip
 	// half of group commit: a batch submitted together travels together.
-	KindTxBatch   = "txbatch"
-	KindBlock     = "block"
-	KindDataFetch = "data.fetch"
-	// KindSync carries the structural anti-entropy exchange: peers walk
-	// each other's Merkle row trees top-down and transfer only divergent
-	// subtrees (cold or long-diverged replicas catching up without a
-	// whole-view fetch).
+	KindTxBatch = "txbatch"
+	KindBlock   = "block"
+	// KindSync carries the data channel's one exchange: a delta from the
+	// requester's replica when the provider retained that version, or
+	// else a top-down walk of the provider's Merkle row tree that
+	// transfers only divergent subtrees.
 	KindSync = "data.sync"
+	// KindDataFetch carries the exchange's first request: the same
+	// data.sync frame in a JSON envelope that names the share and the
+	// wanted seq (core/syncwire.go).
+	KindDataFetch = "data.fetch"
 )
 
 // Message is an addressed, typed payload.

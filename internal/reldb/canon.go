@@ -16,9 +16,9 @@ import (
 // digest hashes — is the byte form of a row on the data channel;
 // ReadRow is its inverse. On disk a row takes the compact form at the
 // end of this file, which decodes to the same row.
-// Changesets and tables (after their schema) are sequences of canonical
-// rows behind 8-byte big-endian counts, so every encoding is fixed-width
-// apart from string payloads and round-trips byte for byte. There is no
+// A changeset is three sequences of canonical rows behind 8-byte
+// big-endian counts, so every encoding is fixed-width apart from string
+// payloads and round-trips byte for byte. There is no
 // normalisation:
 // string bytes (valid UTF-8 or not), NaN payloads, negative zero and
 // pre-1970 times come back exactly as encoded, so a decoded row has the
@@ -29,7 +29,7 @@ import (
 // kinds, bool bytes other than 0 or 1, and trailing bytes, and copy
 // string payloads out of the input buffer.
 
-// ErrCodec marks malformed binary row, changeset or table bytes.
+// ErrCodec marks malformed binary row or changeset bytes.
 var ErrCodec = errors.New("reldb: malformed canonical encoding")
 
 func readValue(r *wire.Reader) Value {
@@ -96,35 +96,18 @@ func AppendChangeset(dst []byte, cs Changeset) []byte {
 	return dst
 }
 
-// DecodeChangeset parses bytes produced by AppendChangeset.
-func DecodeChangeset(p []byte) (Changeset, error) {
-	r := wire.NewReader(p, ErrCodec)
-	cs := Changeset{Inserted: readRows(&r), Deleted: readRows(&r)}
+// ReadChangeset reads a changeset as AppendChangeset writes it.
+func ReadChangeset(r *wire.Reader) Changeset {
+	cs := Changeset{Inserted: readRows(r), Deleted: readRows(r)}
 	cs.Updated = make([]RowChange, r.CountU64(16))
 	for i := range cs.Updated {
-		cs.Updated[i] = RowChange{Before: ReadRow(&r), After: ReadRow(&r)}
+		cs.Updated[i] = RowChange{Before: ReadRow(r), After: ReadRow(r)}
 	}
-	if err := r.Done(); err != nil {
-		return Changeset{}, err
-	}
-	return cs, nil
+	return cs
 }
 
-// AppendTable appends the binary table encoding to dst: the schema as
-// length-prefixed JSON (it is not a row, and it is read once per table),
-// then the row count and the canonical rows in canonical key order.
-func AppendTable(dst []byte, t *Table) []byte {
-	dst = AppendSchema(dst, t.schema)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(t.rows.Len()))
-	t.rows.Ascend(func(_ string, e *rowEntry) bool {
-		dst = e.row.AppendCanonical(dst)
-		return true
-	})
-	return dst
-}
-
-// AppendSchema appends the schema as AppendTable writes it: its JSON
-// behind an 8-byte big-endian length.
+// AppendSchema appends the schema as the store's table-root record
+// carries it: its JSON behind an 8-byte big-endian length.
 func AppendSchema(dst []byte, s Schema) []byte {
 	schema, _ := json.Marshal(s) // plain strings, ints and bools: cannot fail
 	dst = binary.BigEndian.AppendUint64(dst, uint64(len(schema)))
@@ -147,38 +130,6 @@ func ParseSchema(r *wire.Reader, raw []byte) Schema {
 		return Schema{}
 	}
 	return s
-}
-
-// DecodeTable parses bytes produced by AppendTable. It reads the schema
-// once and rebuilds the rows through a TableBuilder; rows must arrive in
-// strictly ascending key order, so an unsorted or duplicated key is
-// rejected rather than silently reordered. The table carries unkeyed
-// priorities, like every TableBuilder result.
-func DecodeTable(p []byte) (*Table, error) {
-	r := wire.NewReader(p, ErrCodec)
-	s := ReadSchema(&r)
-	rows := make([]Row, r.CountU64(8))
-	for i := range rows {
-		rows[i] = ReadRow(&r)
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	b, err := NewTableBuilder(s)
-	if err != nil {
-		return nil, err
-	}
-	var prev []byte
-	for i, row := range rows {
-		prev = append(prev[:0], b.keyBuf...)
-		if err := b.Append(row); err != nil {
-			return nil, err
-		}
-		if i > 0 && bytes.Compare(b.keyBuf, prev) <= 0 {
-			return nil, fmt.Errorf("%w: table %s rows out of key order", ErrCodec, s.Name)
-		}
-	}
-	return b.Table(), nil
 }
 
 // The compact row form is the on-disk encoding of a row inside a store

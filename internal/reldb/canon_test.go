@@ -108,26 +108,6 @@ func oddTable(t testing.TB) *Table {
 	return tbl
 }
 
-func TestTableCodecRoundTrip(t *testing.T) {
-	tbl := oddTable(t)
-	enc := AppendTable(nil, tbl)
-	back, err := DecodeTable(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Name() != tbl.Name() || !back.Equal(tbl) || back.RowsRoot() != tbl.RowsRoot() || back.Hash() != tbl.Hash() {
-		t.Fatal("table changed across the binary codec")
-	}
-	if !bytes.Equal(AppendTable(nil, back), enc) {
-		t.Fatal("decoded table does not re-encode to its bytes")
-	}
-	// The empty table round-trips too.
-	empty := MustNewTable(tbl.Schema())
-	if back, err := DecodeTable(AppendTable(nil, empty)); err != nil || back.Len() != 0 || !back.Schema().Equal(empty.Schema()) {
-		t.Fatalf("empty table: %v", err)
-	}
-}
-
 // TestCodecRejects: each malformed shape the decoders promise to refuse.
 func TestCodecRejects(t *testing.T) {
 	row := Row{I(1), S("x"), B(true)}
@@ -149,7 +129,7 @@ func TestCodecRejects(t *testing.T) {
 		}
 	}
 	r := wire.NewReader(append(append([]byte(nil), enc...), 7), ErrCodec)
-	if ReadRow(&r); !bytes.Equal(r.Rest(), []byte{7}) || r.Done() != nil {
+	if ReadRow(&r); r.Byte() != 7 || r.Done() != nil {
 		t.Fatalf("ReadRow did not stop at the end of its row: %v", r.Done())
 	}
 
@@ -159,38 +139,6 @@ func TestCodecRejects(t *testing.T) {
 	}
 	if _, err := DecodeChangeset(append(u64(1<<60), make([]byte, 16)...)); !errors.Is(err, ErrCodec) {
 		t.Errorf("changeset with huge count: %v", err)
-	}
-
-	// Tables: rows out of key order and duplicate keys are refused, as
-	// is a schema in any but its canonical JSON bytes, or an invalid one.
-	tbl := newPatients(t, alice(), bob())
-	good := AppendTable(nil, tbl)
-	rowsAt := len(good) - len(alice().AppendCanonical(nil)) - len(bob().AppendCanonical(nil))
-	swapped := append(append(append([]byte(nil), good[:rowsAt]...), bob().AppendCanonical(nil)...), alice().AppendCanonical(nil)...)
-	if _, err := DecodeTable(swapped); !errors.Is(err, ErrCodec) {
-		t.Errorf("unsorted table: %v", err)
-	}
-	dup := append(append(append([]byte(nil), good[:rowsAt]...), alice().AppendCanonical(nil)...), alice().AppendCanonical(nil)...)
-	if _, err := DecodeTable(dup); !errors.Is(err, ErrDuplicateKey) {
-		t.Errorf("duplicate-key table: %v", err)
-	}
-	withSchema := func(schema string) []byte {
-		return append(append(u64(uint64(len(schema))), schema...), u64(0)...)
-	}
-	for name, p := range map[string][]byte{
-		"spaced schema": withSchema(` {"name":"x","columns":[{"name":"k","type":2}],"key":["k"]}`),
-		"schema json":   withSchema(`{"name":`),
-		"trailing":      append(append([]byte(nil), good...), 0),
-	} {
-		if _, err := DecodeTable(p); !errors.Is(err, ErrCodec) {
-			t.Errorf("table with %s: %v", name, err)
-		}
-	}
-	if _, err := DecodeTable(withSchema(`{"name":"x","columns":[],"key":[]}`)); !errors.Is(err, ErrSchemaInvalid) {
-		t.Errorf("table with invalid schema: %v", err)
-	}
-	if _, err := DecodeTable(withSchema(`{"name":"x","columns":[{"name":"k","type":2}],"key":["k"]}`)); err != nil {
-		t.Errorf("empty table with canonical schema: %v", err)
 	}
 }
 
@@ -203,7 +151,7 @@ func allocBytes(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// FuzzRowCodec drives the row, changeset and table decoders with
+// FuzzRowCodec drives the row and changeset decoders with
 // arbitrary bytes: none may panic, none may allocate more than a fixed
 // multiple of the input length (every count is checked against the
 // remaining input first), and any input a decoder accepts must
@@ -217,8 +165,8 @@ func FuzzRowCodec(f *testing.F) {
 		Deleted:  []Row{{S("\x00")}},
 		Updated:  []RowChange{{Before: Row{I(1), S("a")}, After: Row{I(1), S("b")}}},
 	}))
-	f.Add(AppendTable(nil, oddTable(f)))
-	f.Add(AppendTable(nil, MustNewTable(patientSchema())))
+	f.Add(AppendChangeset(nil, Changeset{Inserted: oddTable(f).RowsCanonical()}))
+	f.Add(AppendChangeset(nil, Changeset{}))
 	f.Add([]byte{})
 	f.Add(binary.BigEndian.AppendUint64(nil, math.MaxUint64))
 
@@ -226,14 +174,12 @@ func FuzzRowCodec(f *testing.F) {
 		var (
 			r     Row
 			cs    Changeset
-			tbl   *Table
-			errs  [3]error
+			errs  [2]error
 			limit = 256*uint64(len(data)) + 1<<20
 		)
 		if n := allocBytes(func() {
 			r, errs[0] = decodeRow(data)
 			cs, errs[1] = DecodeChangeset(data)
-			tbl, errs[2] = DecodeTable(data)
 		}); n > limit {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
 		}
@@ -247,9 +193,6 @@ func FuzzRowCodec(f *testing.F) {
 		}
 		if errs[1] == nil && !bytes.Equal(AppendChangeset(nil, cs), data) {
 			t.Fatal("accepted changeset does not re-encode to its input")
-		}
-		if errs[2] == nil && !bytes.Equal(AppendTable(nil, tbl), data) {
-			t.Fatal("accepted table does not re-encode to its input")
 		}
 	})
 }
@@ -351,6 +294,14 @@ func decodeRow(p []byte) (Row, error) {
 	r := wire.NewReader(p, ErrCodec)
 	row := ReadRow(&r)
 	return row, r.Done()
+}
+
+// DecodeChangeset is the inverse of AppendChangeset: p must hold
+// exactly one encoded changeset.
+func DecodeChangeset(p []byte) (Changeset, error) {
+	r := wire.NewReader(p, ErrCodec)
+	cs := ReadChangeset(&r)
+	return cs, r.Done()
 }
 
 // DecodeCompactRow is the inverse of Row.AppendCompact: p must hold

@@ -108,7 +108,7 @@ func (s Schema) KeyIndexes() []int {
 }
 
 // ParseKey reads a primary key in the comma-separated text syntax
-// ("v1,v2"), typing each part by its key column's kind in s (parseValue).
+// ("v1,v2"), typing each part by its key column's kind in s (ParseValue).
 // The HTTP read routes, the daemon shell and the light client all type
 // keys here, so "007" names the int key 7 and "42" the string key "42"
 // exactly when the schema says so. A string key part cannot contain a
@@ -127,7 +127,7 @@ func ParseKey(raw string, s Schema) (Row, error) {
 		if c < 0 {
 			return nil, fmt.Errorf("key column %s not in schema", s.Key[i])
 		}
-		v, err := parseValue(p, s.Columns[c].Type)
+		v, err := ParseValue(p, s.Columns[c].Type)
 		if err != nil {
 			return nil, fmt.Errorf("key column %s: %w", s.Key[i], err)
 		}

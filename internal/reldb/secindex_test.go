@@ -155,7 +155,8 @@ func TestRowsByColsCOW(t *testing.T) {
 }
 
 // TestRowsByColsConcurrentBuild races lazy builds from readers sharing
-// one immutable snapshot (the serveDataFetch shape).
+// one immutable snapshot (the serveSync shape: concurrent requests
+// reading one view).
 func TestRowsByColsConcurrentBuild(t *testing.T) {
 	tbl := secTable(t, 50)
 	done := make(chan error, 8)

@@ -334,7 +334,7 @@ func (v *Value) UnmarshalJSON(data []byte) error {
 		*v = Null()
 		return nil
 	}
-	val, err := parseValue(w.Val, k)
+	val, err := ParseValue(w.Val, k)
 	if err != nil {
 		return fmt.Errorf("reldb: bad %s value %q: %w", k, w.Val, err)
 	}
@@ -342,10 +342,12 @@ func (v *Value) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// parseValue reads the text form Value.String writes for a value of kind
+// ParseValue reads the text form Value.String writes for a value of kind
 // k: ints and floats in Go's decimal syntax, bools as strconv.ParseBool
-// reads them, times in RFC 3339, strings as they are.
-func parseValue(s string, k Kind) (Value, error) {
+// reads them, times in RFC 3339, strings as they are. It is the one
+// text-to-value rule: ParseKey, the JSON value codec and the HTTP edge's
+// text cells all type text through it.
+func ParseValue(s string, k Kind) (Value, error) {
 	switch k {
 	case KindString:
 		return S(s), nil

@@ -79,13 +79,6 @@ func (r *Reader) Raw(n int) []byte {
 	return b
 }
 
-// Rest returns the unread input and leaves none.
-func (r *Reader) Rest() []byte {
-	b := r.buf
-	r.buf = nil
-	return b
-}
-
 // Fixed copies the next len(dst) bytes into dst.
 func (r *Reader) Fixed(dst []byte) { copy(dst, r.Raw(len(dst))) }
 

@@ -55,7 +55,7 @@ func TestReaderFailureSticks(t *testing.T) {
 	if v := r.Uvarint(); v != 0 {
 		t.Fatalf("overlong varint read as %d", v)
 	}
-	if r.Byte() != 0 || r.Bool() || r.U64() != 0 || r.Bytes() != nil || r.Count(1) != 0 || r.Rest() != nil {
+	if r.Byte() != 0 || r.Bool() || r.U64() != 0 || r.Bytes() != nil || r.Count(1) != 0 {
 		t.Fatal("a read after a failure returned a value")
 	}
 	r.Fail("second failure")
@@ -102,7 +102,7 @@ func TestReaderCount(t *testing.T) {
 		t.Fatalf("count %d accepted from a 10-byte frame", n)
 	}
 	r := NewReader([]byte{2, 0, 0, 0, 0}, errTest)
-	if n := r.Count(2); n != 2 || r.Rest() == nil || r.Done() != nil {
+	if n := r.Count(2); n != 2 || r.Raw(4) == nil || r.Done() != nil {
 		t.Fatalf("count 2 of 2-byte items over 4 bytes: %d, %v", n, r.Done())
 	}
 }

@@ -22,9 +22,7 @@ import (
 // inserts and deletes, so a put that re-creates a source row shows as a
 // lost h.
 type channelHarness struct {
-	node *node.Node
 	a, b *Peer
-	net  *p2p.MemNetwork
 }
 
 func newChannelHarness(t *testing.T) *channelHarness {
@@ -74,7 +72,7 @@ func newChannelHarness(t *testing.T) *channelHarness {
 		t.Cleanup(p.Stop)
 		return p
 	}
-	h := &channelHarness{node: n, a: mk("A"), b: mk("B"), net: mem}
+	h := &channelHarness{a: mk("A"), b: mk("B")}
 
 	lens := func(view string) bx.Lens {
 		return bx.Project(view, []string{"k", "v"}, nil).WithInsert(bx.PolicyApply, nil).WithDelete(bx.PolicyApply)

@@ -88,7 +88,7 @@ func TestPersistRejectsCorruption(t *testing.T) {
 	known := make(map[[32]byte]NodeData)
 	collectNodes(tab, known)
 	root := tab.RowsRoot()
-	fetchFrom := func(m map[[32]byte]NodeData) func([32]byte) (NodeData, bool) {
+	nodesFrom := func(m map[[32]byte]NodeData) func([32]byte) (NodeData, bool) {
 		return func(d [32]byte) (NodeData, bool) { n, ok := m[d]; return n, ok }
 	}
 
@@ -107,7 +107,7 @@ func TestPersistRejectsCorruption(t *testing.T) {
 			tamperedOne = true
 		}
 	}
-	if _, err := TableFromNodes(tab.Schema(), nil, root, tab.Len(), fetchFrom(tampered)); err == nil {
+	if _, err := TableFromNodes(tab.Schema(), nil, root, tab.Len(), nodesFrom(tampered)); err == nil {
 		t.Fatal("tampered row content accepted")
 	}
 
@@ -129,14 +129,14 @@ func TestPersistRejectsCorruption(t *testing.T) {
 		n.Left = d // self-cycle
 		cyc[d] = n
 	}
-	if _, err := TableFromNodes(tab.Schema(), nil, root, tab.Len(), fetchFrom(cyc)); err == nil {
+	if _, err := TableFromNodes(tab.Schema(), nil, root, tab.Len(), nodesFrom(cyc)); err == nil {
 		t.Fatal("cyclic DAG accepted")
 	}
 
 	// Wrong expected root.
 	var bogus [32]byte
 	bogus[0] = 0xff
-	if _, err := TableFromNodes(tab.Schema(), nil, bogus, tab.Len(), fetchFrom(known)); err == nil {
+	if _, err := TableFromNodes(tab.Schema(), nil, bogus, tab.Len(), nodesFrom(known)); err == nil {
 		t.Fatal("bogus root accepted")
 	}
 }

@@ -464,17 +464,22 @@ func (p *Peer) waitCommitted(ctx context.Context, tx *chain.Tx) (contract.Receip
 // on success). One txTimeout covers the whole batch: the transactions
 // share a block, so their commits arrive together. A batch-level
 // submission failure fails every verdict. submitted, when set, runs once
-// the batch is in the mempool, before the wait.
+// the batch is in the mempool, before the wait. The batch is counted
+// before it is submitted, because submission kicks the producer and a
+// reader woken by the block must see the count; a refused batch takes
+// its count back.
 func (p *Peer) submitAndWaitMany(ctx context.Context, txs []*chain.Tx, submitted func()) []error {
 	verdicts := make([]error, len(txs))
+	p.stats.batchCommits.Add(1)
+	p.stats.batchTxs.Add(uint64(len(txs)))
 	if err := p.cfg.Node.SubmitTxBatch(txs); err != nil {
+		p.stats.batchCommits.Add(^uint64(0))
+		p.stats.batchTxs.Add(-uint64(len(txs)))
 		for i := range verdicts {
 			verdicts[i] = err
 		}
 		return verdicts
 	}
-	p.stats.batchCommits.Add(1)
-	p.stats.batchTxs.Add(uint64(len(txs)))
 	if submitted != nil {
 		submitted()
 	}

@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"medshare/internal/merkle"
 	"medshare/internal/reldb"
 	"medshare/internal/reldb/pmap"
 	"medshare/internal/statedb"
@@ -29,8 +28,10 @@ import (
 )
 
 // wireVersion tags the light frame layouts. Version 2 carries the
-// fetched row in its canonical encoding instead of JSON.
-const wireVersion = 2
+// fetched row in its canonical encoding instead of JSON; version 3
+// carries the share head's state proof as a pmap proof, in the layout
+// of the row proof.
+const wireVersion = 3
 
 // wireMaxLen bounds the indices and the row count a frame carries, so
 // each fits an int on every platform. Lengths and counts need no cap:
@@ -48,7 +49,7 @@ type ShareHead struct {
 	Height  uint64
 	Meta    []byte
 	Version statedb.Version
-	Proof   merkle.Proof
+	Proof   pmap.Proof
 }
 
 // RowFetch is the proof-carrying row response: the row, its Merkle
@@ -95,17 +96,7 @@ func EncodeShareHead(h *ShareHead) []byte {
 	dst = wire.AppendBytes(dst, h.Meta)
 	dst = binary.AppendUvarint(dst, h.Version.Height)
 	dst = binary.AppendUvarint(dst, uint64(h.Version.TxIndex))
-	dst = binary.AppendUvarint(dst, uint64(h.Proof.Index))
-	dst = binary.AppendUvarint(dst, uint64(len(h.Proof.Steps)))
-	for _, s := range h.Proof.Steps {
-		dst = append(dst, s.Sibling[:]...)
-		if s.Left {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-	}
-	return dst
+	return appendProof(dst, &h.Proof)
 }
 
 // DecodeShareHead parses a frame produced by EncodeShareHead. Meta
@@ -115,13 +106,7 @@ func DecodeShareHead(raw []byte) (ShareHead, error) {
 	out := ShareHead{Height: r.Uvarint(), Meta: r.Bytes()}
 	out.Version.Height = r.Uvarint()
 	out.Version.TxIndex = maxLen(&r, r.Uvarint())
-	out.Proof.Index = maxLen(&r, r.Uvarint())
-	out.Proof.Steps = make([]merkle.ProofStep, r.Count(len(merkle.Hash{})+1))
-	for i := range out.Proof.Steps {
-		s := &out.Proof.Steps[i]
-		r.Fixed(s.Sibling[:])
-		s.Left = r.Bool()
-	}
+	out.Proof = readProof(&r)
 	return out, r.Done()
 }
 
@@ -136,19 +121,7 @@ func EncodeRowFetch(f *RowFetch) []byte {
 	schema, _ := json.Marshal(f.Schema) // plain strings, ints and bools: cannot fail
 	dst = wire.AppendBytes(dst, schema)
 	dst = f.Row.AppendCanonical(dst)
-	dst = append(dst, f.Proof.Left[:]...)
-	dst = append(dst, f.Proof.Right[:]...)
-	dst = binary.AppendUvarint(dst, uint64(len(f.Proof.Steps)))
-	for _, s := range f.Proof.Steps {
-		dst = append(dst, s.Entry[:]...)
-		dst = append(dst, s.Other[:]...)
-		if s.PathLeft {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-	}
-	return dst
+	return appendProof(dst, &f.Proof)
 }
 
 // DecodeRowFetch parses a frame produced by EncodeRowFetch. The schema
@@ -162,14 +135,40 @@ func DecodeRowFetch(raw []byte) (RowFetch, error) {
 	r.Fixed(out.Root[:])
 	out.Schema = reldb.ParseSchema(&r, r.Bytes())
 	out.Row = reldb.ReadRow(&r)
-	r.Fixed(out.Proof.Left[:])
-	r.Fixed(out.Proof.Right[:])
-	out.Proof.Steps = make([]pmap.ProofStep, r.Count(2*len(pmap.ProofStep{}.Entry)+1))
-	for i := range out.Proof.Steps {
-		s := &out.Proof.Steps[i]
+	out.Proof = readProof(&r)
+	return out, r.Done()
+}
+
+// appendProof appends a membership proof: the entry's two child
+// digests, then the count of ancestor steps and each step's entry
+// digest, other-side digest and side flag.
+func appendProof(dst []byte, p *pmap.Proof) []byte {
+	dst = append(dst, p.Left[:]...)
+	dst = append(dst, p.Right[:]...)
+	dst = binary.AppendUvarint(dst, uint64(len(p.Steps)))
+	for _, s := range p.Steps {
+		dst = append(dst, s.Entry[:]...)
+		dst = append(dst, s.Other[:]...)
+		if s.PathLeft {
+			dst = append(dst, 1)
+		} else {
+			dst = append(dst, 0)
+		}
+	}
+	return dst
+}
+
+// readProof reads a proof appendProof wrote.
+func readProof(r *wire.Reader) pmap.Proof {
+	var p pmap.Proof
+	r.Fixed(p.Left[:])
+	r.Fixed(p.Right[:])
+	p.Steps = make([]pmap.ProofStep, r.Count(2*len(pmap.Hash{})+1))
+	for i := range p.Steps {
+		s := &p.Steps[i]
 		r.Fixed(s.Entry[:])
 		r.Fixed(s.Other[:])
 		s.PathLeft = r.Bool()
 	}
-	return out, r.Done()
+	return p
 }

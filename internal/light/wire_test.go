@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"testing"
 
-	"medshare/internal/merkle"
 	"medshare/internal/reldb"
 	"medshare/internal/reldb/pmap"
 	"medshare/internal/statedb"
@@ -18,7 +17,7 @@ import (
 func sampleShareHead() *ShareHead {
 	return &ShareHead{
 		Height: 300, Meta: []byte(`{"seq":4}`), Version: statedb.Version{Height: 299, TxIndex: 2},
-		Proof: merkle.Proof{Index: 3, Steps: []merkle.ProofStep{{Sibling: merkle.Hash{1}, Left: true}, {Sibling: merkle.Hash{2}}}},
+		Proof: pmap.Proof{Right: pmap.Hash{1}, Steps: []pmap.ProofStep{{Entry: pmap.Hash{2}, Other: pmap.Hash{3}, PathLeft: true}, {Entry: pmap.Hash{4}}}},
 	}
 }
 
@@ -62,8 +61,8 @@ func TestWireRejectsNonCanonical(t *testing.T) {
 		return p
 	}
 	for name, p := range map[string][]byte{
-		"share head Left 2":    withLast(head, 2),
-		"share head Left 0xff": withLast(head, 0xff),
+		"share head PathLeft 2":    withLast(head, 2),
+		"share head PathLeft 0xff": withLast(head, 0xff),
 	} {
 		if _, err := DecodeShareHead(p); !errors.Is(err, ErrWire) {
 			t.Errorf("%s: %v", name, err)

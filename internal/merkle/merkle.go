@@ -1,14 +1,12 @@
-// Package merkle implements a SHA-256 Merkle tree with membership proofs.
-// Blocks commit to their transaction list and to the contract state with
-// Merkle roots, which is what makes the shared ledger tamper-evident
-// (Section III-B: "immutability, auditability, and transparency").
+// Package merkle holds the SHA-256 hashing roles every Merkle structure
+// in the system shares, and the flat binary tree a block header commits
+// its transaction list with (Section III-B: "immutability, auditability,
+// and transparency"). The contract state and the rows are committed by
+// pmap's Merkle search tree over the same hashes; membership proofs live
+// there, in pmap.Prove and pmap.VerifyProof.
 package merkle
 
-import (
-	"bytes"
-	"crypto/sha256"
-	"errors"
-)
+import "crypto/sha256"
 
 // Hash is a SHA-256 digest.
 type Hash = [32]byte
@@ -47,10 +45,11 @@ func HashNode(left, right Hash) Hash {
 
 // HashTreeNode hashes one interior node of a Merkle *search* tree — a
 // node that carries its own entry digest between two child subtree
-// digests (the shape of reldb's row tree, where every node stores a
-// row). The entry digest is expected to be a HashLeaf output and the
-// child digests HashTreeNode outputs (or the all-zero hash for an empty
-// subtree); the distinct treePrefix keeps all three roles unspliceable.
+// digests (the shape of pmap's trees, where every node stores an entry:
+// reldb's rows and the world state). The entry digest is expected to be
+// a HashLeaf output and the child digests HashTreeNode outputs (or the
+// all-zero hash for an empty subtree); the distinct treePrefix keeps all
+// three roles unspliceable.
 func HashTreeNode(left, entry, right Hash) Hash {
 	h := sha256.New()
 	h.Write([]byte{treePrefix})
@@ -64,7 +63,7 @@ func HashTreeNode(left, entry, right Hash) Hash {
 
 // Root computes the Merkle root of the leaf payloads. An empty leaf set
 // has the all-zero root. Odd levels promote the unpaired node (Bitcoin-style
-// duplication is avoided; promotion is proof-friendly and unambiguous).
+// duplication is avoided; promotion is unambiguous).
 func Root(leaves [][]byte) Hash {
 	if len(leaves) == 0 {
 		return Hash{}
@@ -85,68 +84,4 @@ func Root(leaves [][]byte) Hash {
 		level = next
 	}
 	return level[0]
-}
-
-// ProofStep is one sibling on the path from a leaf to the root.
-type ProofStep struct {
-	// Sibling is the sibling digest at this level.
-	Sibling Hash
-	// Left reports whether the sibling sits to the left of the path.
-	Left bool
-}
-
-// Proof is a Merkle membership proof.
-type Proof struct {
-	// Index is the leaf position the proof is for.
-	Index int
-	// Steps are the siblings from leaf level upward. Levels where the
-	// path node was promoted unpaired contribute no step.
-	Steps []ProofStep
-}
-
-// ErrBadIndex is returned when a proof is requested for a leaf index out
-// of range.
-var ErrBadIndex = errors.New("merkle: leaf index out of range")
-
-// Prove builds a membership proof for leaves[index].
-func Prove(leaves [][]byte, index int) (Proof, error) {
-	if index < 0 || index >= len(leaves) {
-		return Proof{}, ErrBadIndex
-	}
-	level := make([]Hash, len(leaves))
-	for i, l := range leaves {
-		level[i] = HashLeaf(l)
-	}
-	proof := Proof{Index: index}
-	pos := index
-	for len(level) > 1 {
-		next := make([]Hash, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, HashNode(level[i], level[i+1]))
-			} else {
-				next = append(next, level[i])
-			}
-		}
-		if sib := pos ^ 1; sib < len(level) {
-			proof.Steps = append(proof.Steps, ProofStep{Sibling: level[sib], Left: sib < pos})
-		}
-		pos /= 2
-		level = next
-	}
-	return proof, nil
-}
-
-// Verify checks that leaf is a member of the tree with the given root
-// according to the proof.
-func Verify(root Hash, leaf []byte, proof Proof) bool {
-	h := HashLeaf(leaf)
-	for _, s := range proof.Steps {
-		if s.Left {
-			h = HashNode(s.Sibling, h)
-		} else {
-			h = HashNode(h, s.Sibling)
-		}
-	}
-	return bytes.Equal(h[:], root[:])
 }

@@ -27,7 +27,7 @@ func (s *Store) Export() []Entry {
 // copied; of two entries for one key the first is kept). Callers verify
 // the result against an expected Root before trusting it.
 func (s *Store) Import(entries []Entry) {
-	t := pmap.NewTransient[entry](shapeSeed)
+	t := pmap.NewTransient[entry](nil)
 	for _, e := range entries {
 		t.Insert(e.Key, entry{value: append([]byte(nil), e.Value...), version: e.Version})
 	}

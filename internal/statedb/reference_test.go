@@ -1,6 +1,7 @@
 package statedb
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"maps"
@@ -8,11 +9,14 @@ import (
 	"strings"
 
 	"medshare/internal/merkle"
+	"medshare/internal/reldb/pmap"
 )
 
 // refStore is the reference model FuzzStateOps checks Store against: the
 // world state as a flat map, sorted on every ordered read, with the leaf
-// encoding written out in full rather than shared with proof.go.
+// encoding written out in full rather than shared with proof.go, and the
+// Merkle tree rebuilt from scratch for every root and proof without pmap
+// (whose Proof type it returns, and nothing more).
 type refStore struct {
 	data map[string]entry
 }
@@ -69,34 +73,85 @@ func (s *refStore) Export() []Entry {
 	return out
 }
 
-func (s *refStore) leaves() [][]byte {
-	var out [][]byte
-	for _, k := range s.sortedKeys("") {
-		e := s.data[k]
-		leaf := binary.BigEndian.AppendUint64(nil, uint64(len(k)))
-		leaf = append(leaf, k...)
-		leaf = binary.BigEndian.AppendUint64(leaf, uint64(len(e.value)))
-		leaf = append(leaf, e.value...)
-		leaf = binary.BigEndian.AppendUint64(leaf, e.version.Height)
-		leaf = binary.BigEndian.AppendUint64(leaf, uint64(e.version.TxIndex))
-		out = append(out, leaf)
-	}
-	return out
+// leaf writes out the canonical key/value/version leaf of key.
+func (s *refStore) leaf(k string) []byte {
+	e := s.data[k]
+	leaf := binary.BigEndian.AppendUint64(nil, uint64(len(k)))
+	leaf = append(leaf, k...)
+	leaf = binary.BigEndian.AppendUint64(leaf, uint64(len(e.value)))
+	leaf = append(leaf, e.value...)
+	leaf = binary.BigEndian.AppendUint64(leaf, e.version.Height)
+	return binary.BigEndian.AppendUint64(leaf, uint64(e.version.TxIndex))
 }
 
-func (s *refStore) Root() merkle.Hash { return merkle.Root(s.leaves()) }
+// refNode is one node of the reference treap.
+type refNode struct {
+	key         string
+	left, right *refNode
+}
 
-func (s *refStore) ProveKey(key string) ([]byte, Version, merkle.Proof, merkle.Hash, error) {
+// refTreap builds the treap over sorted keys the naive way: the root is
+// the key of highest priority, the first 8 bytes of SHA-256(key) read
+// big-endian, with the larger key winning a tie, and each side is built
+// by the same rule. Quadratic, which a fuzzed state affords.
+func refTreap(keys []string) *refNode {
+	if len(keys) == 0 {
+		return nil
+	}
+	prio := func(k string) uint64 {
+		d := sha256.Sum256([]byte(k))
+		return binary.BigEndian.Uint64(d[:8])
+	}
+	top := 0
+	for i, k := range keys {
+		if prio(k) >= prio(keys[top]) { // keys ascend: on a tie the later one is larger
+			top = i
+		}
+	}
+	return &refNode{key: keys[top], left: refTreap(keys[:top]), right: refTreap(keys[top+1:])}
+}
+
+// digest is the Merkle digest of the subtree at n: its left digest, its
+// own leaf's hash and its right digest, under the tree-node hash; an
+// empty subtree digests to zero.
+func (s *refStore) digest(n *refNode) merkle.Hash {
+	if n == nil {
+		return merkle.Hash{}
+	}
+	return merkle.HashTreeNode(s.digest(n.left), merkle.HashLeaf(s.leaf(n.key)), s.digest(n.right))
+}
+
+func (s *refStore) Root() merkle.Hash { return s.digest(refTreap(s.sortedKeys(""))) }
+
+// ProveKey walks from the treap's root to key, then lists the key's
+// child digests and, from its parent upward, each ancestor's leaf hash
+// and the digest of the side the walk did not take.
+func (s *refStore) ProveKey(key string) ([]byte, Version, pmap.Proof, merkle.Hash, error) {
 	e, ok := s.data[key]
 	if !ok {
-		return nil, Version{}, merkle.Proof{}, merkle.Hash{}, fmt.Errorf("key %q not found", key)
+		return nil, Version{}, pmap.Proof{}, merkle.Hash{}, fmt.Errorf("key %q not found", key)
 	}
-	leaves := s.leaves()
-	proof, err := merkle.Prove(leaves, sort.SearchStrings(s.sortedKeys(""), key))
-	if err != nil {
-		return nil, Version{}, merkle.Proof{}, merkle.Hash{}, err
+	root := refTreap(s.sortedKeys(""))
+	var path []*refNode
+	n := root
+	for n.key != key {
+		path = append(path, n)
+		if key < n.key {
+			n = n.left
+		} else {
+			n = n.right
+		}
 	}
-	return append([]byte(nil), e.value...), e.version, proof, merkle.Root(leaves), nil
+	proof := pmap.Proof{Left: s.digest(n.left), Right: s.digest(n.right)}
+	for i := len(path) - 1; i >= 0; i-- {
+		a := path[i]
+		step := pmap.ProofStep{Entry: merkle.HashLeaf(s.leaf(a.key)), Other: s.digest(a.left), PathLeft: key < a.key}
+		if step.PathLeft {
+			step.Other = s.digest(a.right)
+		}
+		proof.Steps = append(proof.Steps, step)
+	}
+	return append([]byte(nil), e.value...), e.version, proof, s.digest(root), nil
 }
 
 // refSim is the reference simulation: reads fall through to the store

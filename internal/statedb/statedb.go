@@ -8,7 +8,6 @@
 package statedb
 
 import (
-	"crypto/rand"
 	"sync"
 
 	"medshare/internal/merkle"
@@ -29,22 +28,21 @@ type entry struct {
 	version Version
 }
 
-// shapeSeed keys the map's tree priorities, drawn once per process.
-// Root hashes leaves in key order and never the tree's shape, so stores
-// need not agree on it; a secret seed keeps keys a registrant chooses
-// (share IDs) from being ground into a degenerate tree.
-var shapeSeed = pmap.NewSeed([]byte(rand.Text()))
-
 // Store is the world state. It is safe for concurrent use.
+//
+// The map takes pmap's unseeded priorities (SHA-256 of the key), so every
+// node builds the same tree shape, and Root, which hashes that shape,
+// agrees across nodes. The shape is public, so a registrant could grind
+// share IDs toward a deep path; but a path of depth d needs d registered
+// shares, so the worst case is O(n) per write: no worse than a flat tree
+// over every key, which costs O(n) on every block.
 type Store struct {
 	mu   sync.RWMutex
 	data pmap.Map[entry]
 }
 
 // NewStore creates an empty world state.
-func NewStore() *Store {
-	return &Store{data: pmap.FromSortedSeeded[entry](shapeSeed, nil, nil)}
-}
+func NewStore() *Store { return &Store{} }
 
 // snapshot returns the current map; the map itself is immutable.
 func (s *Store) snapshot() pmap.Map[entry] {
@@ -80,28 +78,13 @@ func (s *Store) Len() int { return s.snapshot().Len() }
 // the block's declared root checks out.
 func (s *Store) Clone() *Store { return &Store{data: s.snapshot()} }
 
-// Root computes a deterministic commitment to the full world state: the
-// Merkle root over canonical key/value/version leaves in sorted key order.
-// Nodes compare state roots after each block to confirm deterministic
-// contract execution.
-func (s *Store) Root() merkle.Hash {
-	ls, _ := leaves(s.snapshot(), "")
-	return merkle.Root(ls)
-}
-
-// leaves returns the canonical leaf of every key, in key order, and the
-// position of key among them.
-func leaves(m pmap.Map[entry], key string) (out [][]byte, idx int) {
-	out = make([][]byte, 0, m.Len())
-	m.Ascend(func(k string, e entry) bool {
-		if k == key {
-			idx = len(out)
-		}
-		out = append(out, appendStateLeaf(make([]byte, 0, len(k)+len(e.value)+32), k, e.value, e.version))
-		return true
-	})
-	return out, idx
-}
+// Root is the deterministic commitment to the full world state: the
+// Merkle digest of the state map, whose entries are the canonical
+// key/value/version leaves (stateLeaf). Nodes compare state roots after
+// each block to confirm deterministic contract execution. Path copying
+// leaves every untouched subtree's digest cached, so after a block the
+// root rehashes only the paths its writes copied.
+func (s *Store) Root() merkle.Hash { return s.snapshot().MerkleRoot(stateLeaf) }
 
 // WriteSet maps keys to new values; nil means delete.
 type WriteSet map[string][]byte

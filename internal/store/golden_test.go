@@ -14,8 +14,9 @@ import (
 )
 
 // The golden data dir: a small store in the current format, committed
-// under testdata/ so every later build must still open it (or refuse it
-// by name after a format bump, with a migration beside the refusal).
+// under testdata/ so every later build must still open it, or refuse it
+// by name after a format bump (TestStoreRefusesOldFormat), beside a
+// migration where one is possible.
 // TestGoldenDataDir opens it and checks every item; TestWriteGolden
 // regenerates it and runs only when asked:
 //
@@ -148,23 +149,31 @@ func TestWriteGolden(t *testing.T) {
 	}
 }
 
+// readDataDir reads every file of a committed data dir by name.
+func readDataDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
 // TestGoldenDataDir opens the committed golden data dir with this build
 // and checks every item in it: both tables verified against their
 // roots, every block by hash and signature, the share meta, the state
 // checkpoint and the clean-shutdown marker. A MemFS copy is opened, so
 // the committed files are never written.
 func TestGoldenDataDir(t *testing.T) {
-	ents, err := os.ReadDir(goldenDir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fs := NewMemFS()
-	for _, e := range ents {
-		data, err := os.ReadFile(filepath.Join(goldenDir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, _ := fs.OpenAppend(e.Name())
+	for name, data := range readDataDir(t, goldenDir) {
+		f, _ := fs.OpenAppend(name)
 		if _, err := f.Write(data); err != nil {
 			t.Fatal(err)
 		}

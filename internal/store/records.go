@@ -46,8 +46,13 @@ var kindNames = map[byte]string{
 
 // FormatVersion is the store format this build writes and the only one
 // it reads. Version 1 is the log before format frames, with full-width
-// node records and JSON metadata.
-const FormatVersion = 2
+// node records and JSON metadata. Version 2 has today's records, but its
+// blocks commit to the world state through a flat Merkle tree over every
+// key; version 3 blocks commit to it through the state map's own digest.
+// Every header is signed over its state root, so a version 2 chain
+// cannot be migrated: it is refused by name, and its node starts over on
+// a fresh data dir.
+const FormatVersion = 3
 
 // ErrFormatVersion marks a segment written in a format this build does
 // not read; the wrapped message names both versions.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -137,9 +138,11 @@ func TestStoreLatin1Cell(t *testing.T) {
 
 // TestStoreRefusesOldFormat: a data dir written before format frames
 // (format version 1: JSON-row node records of the retired kind 1, JSON
-// table roots, blocks and commit markers) fails Open with the named
-// version error, which states both versions, and is left untouched: no
-// record of it is skipped, truncated or misread.
+// table roots, blocks and commit markers), the committed version 2
+// golden data dir (whose blocks commit to the retired flat state root)
+// and a segment of a newer version each fail Open with the named
+// version error, which states both versions, and are left untouched: no
+// record of them is skipped, truncated or misread, and no file is added.
 func TestStoreRefusesOldFormat(t *testing.T) {
 	tab := testTable(t, "old", 1)
 	var nd reldb.NodeData
@@ -158,32 +161,52 @@ func TestStoreRefusesOldFormat(t *testing.T) {
 	log = appendFrame(log, kindTableRoot, tr)
 	log = appendFrame(log, kindBlock, blk)
 	log = appendFrame(log, kindCommit, []byte(`{"seq":1}`))
+	goldenV2 := readDataDir(t, filepath.Join("testdata", "golden-v2"))
+	if len(goldenV2) < 2 {
+		t.Fatalf("golden-v2 holds %d files, want its segments and index", len(goldenV2))
+	}
 
-	for name, seg := range map[string][]byte{
-		"v1 log":         log,
-		"v3 format":      appendFrame(nil, kindFormat, []byte{3}),
-		"v2 then v1 log": append(appendFrame(nil, kindFormat, appendFormatRec(nil)), log...),
+	for name, tc := range map[string]struct {
+		files   map[string][]byte
+		version int // the version the error must name; 0 for none
+	}{
+		"v1 log":         {map[string][]byte{segName(0): log}, 1},
+		"v2 golden":      {goldenV2, 2},
+		"v4 format":      {map[string][]byte{segName(0): appendFrame(nil, kindFormat, []byte{4})}, 4},
+		"v3 then v1 log": {map[string][]byte{segName(0): append(appendFrame(nil, kindFormat, appendFormatRec(nil)), log...)}, 0},
 	} {
 		fs := NewMemFS()
-		f, _ := fs.OpenAppend(segName(0))
-		if _, err := f.Write(seg); err != nil {
-			t.Fatal(err)
+		for fn, data := range tc.files {
+			f, _ := fs.OpenAppend(fn)
+			if _, err := f.Write(data); err != nil {
+				t.Fatal(err)
+			}
 		}
 		_, err := Open(Options{FS: fs})
 		if err == nil {
 			t.Fatalf("%s: Open accepted it", name)
 		}
-		if name != "v2 then v1 log" {
-			want := fmt.Sprintf("is format version %d, this build reads version %d", 1, FormatVersion)
-			if name == "v3 format" {
-				want = fmt.Sprintf("is format version 3, this build reads version %d", FormatVersion)
-			}
+		if tc.version != 0 {
+			want := fmt.Sprintf("is format version %d, this build reads version %d", tc.version, FormatVersion)
 			if !errors.Is(err, ErrFormatVersion) || !strings.Contains(err.Error(), want) {
 				t.Fatalf("%s: Open error %q; want ErrFormatVersion saying %q", name, err, want)
 			}
 		}
-		if sz, _ := f.Size(); sz != int64(len(seg)) {
-			t.Fatalf("%s: refused segment changed size %d -> %d", name, len(seg), sz)
+		names, err := fs.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(names) != len(tc.files) {
+			t.Fatalf("%s: refused data dir went from %d files to %v", name, len(tc.files), names)
+		}
+		for fn, data := range tc.files {
+			f, err := fs.Open(fn)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", name, fn, err)
+			}
+			if sz, _ := f.Size(); sz != int64(len(data)) {
+				t.Fatalf("%s: refused file %s changed size %d -> %d", name, fn, len(data), sz)
+			}
 		}
 	}
 }

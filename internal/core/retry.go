@@ -285,16 +285,8 @@ func (p *Peer) noteEndpointOK(endpoint string) {
 // errors like ErrStaleData (the updater may not have applied its own
 // update yet) — retries.
 func retriableRPC(err error) bool {
-	switch {
-	case errors.Is(err, context.Canceled):
-		return false
-	case errors.Is(err, p2p.ErrUnknownEndpoint), errors.Is(err, p2p.ErrNoHandler):
-		return false
-	}
-	// Over TCP, remote errors arrive as text.
-	msg := err.Error()
-	return !strings.Contains(msg, "no request handler") &&
-		!strings.Contains(msg, "unknown endpoint")
+	return !errors.Is(err, context.Canceled) &&
+		!errors.Is(err, p2p.ErrUnknownEndpoint) && !errors.Is(err, p2p.ErrNoHandler)
 }
 
 // channelRequest is the single data-channel RPC path: per-attempt

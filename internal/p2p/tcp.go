@@ -4,29 +4,38 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"medshare/internal/wire"
 )
 
-// TCPTransport implements Transport over TCP with length-delimited JSON
-// frames. cmd/medshared uses it to run real multi-process deployments;
-// the interface is identical to the in-memory simulator, so the node and
-// peer layers do not know which one they run on.
+// TCPTransport implements Transport over TCP with length-delimited
+// binary frames. cmd/medshared uses it to run real multi-process
+// deployments; the interface is identical to the in-memory simulator,
+// so the node and peer layers do not know which one they run on.
 //
-// One-way sends reuse a pooled connection per peer, redialing with a
-// capped backoff when the link drops; a send that hits a stale pooled
-// connection reconnects and retries once. Requests still dial per call —
-// they carry the caller's context deadline and matching responses over a
-// shared connection is not worth the state machine here. Every
+// One-way sends share one ordered connection per peer, redialing with a
+// capped backoff when the link drops; a send that hits a stale
+// connection reconnects and retries once. Requests check out an idle
+// connection to the peer from a small pool, or dial one on a miss, and
+// hand it back after a response, so a data frame never queues behind
+// gossip and a round trip pays no dial. A pooled connection found stale
+// (peer restarted, idle cut) is redialed once inside Request: the one
+// request handler, core's data.sync server, only reads, so one resend
+// is safe. Every
 // connection runs under deadlines: writes must finish within
-// tcpWriteTimeout, and inbound connections are dropped after
-// idleTimeout without a frame. Peers are registered statically with
-// AddPeer (discovery is out of scope, as in the paper).
+// tcpWriteTimeout, requests end with their context, and inbound
+// connections are dropped after idleTimeout without a frame. Peers are
+// registered statically with AddPeer (discovery is out of scope, as in
+// the paper).
 type TCPTransport struct {
 	name string
 	ln   net.Listener
@@ -36,6 +45,7 @@ type TCPTransport struct {
 	mu     sync.RWMutex
 	peers  map[string]string // endpoint name -> host:port
 	sends  map[string]*sendConn
+	idle   map[string][]*reqConn // idle request connections per peer
 	conns  map[net.Conn]struct{} // open inbound connections
 	h      Handler
 	rh     RequestHandler
@@ -46,11 +56,18 @@ type TCPTransport struct {
 	wg sync.WaitGroup
 }
 
-// sendConn is the pooled one-way connection to a single peer. Its mutex
+// sendConn is the one-way connection to a single peer. Its mutex
 // serializes writers and guards reconnects.
 type sendConn struct {
 	mu   sync.Mutex
 	conn net.Conn
+}
+
+// reqConn is a request connection with the reader its responses are
+// read through; it is used by one request at a time.
+type reqConn struct {
+	conn net.Conn
+	br   *bufio.Reader
 }
 
 const (
@@ -67,17 +84,11 @@ const (
 	dialAttempts      = 3
 	tcpDialBackoff    = 25 * time.Millisecond
 	tcpDialBackoffMax = 200 * time.Millisecond
+	// maxIdleRequestConns caps the idle request connections kept per
+	// peer: core's fan-out width, so a round of parallel fetches to one
+	// peer finds a connection each.
+	maxIdleRequestConns = 8
 )
-
-// frame is one wire message.
-type frame struct {
-	// Type is "msg" (one-way), "req", "resp", or "err".
-	Type string `json:"type"`
-	// Msg is the payload for msg/req/resp frames.
-	Msg Message `json:"msg"`
-	// Error carries the handler error for err frames.
-	Error string `json:"error,omitempty"`
-}
 
 // NewTCPTransport binds a listener on addr (e.g. "127.0.0.1:0") and
 // starts serving incoming frames.
@@ -91,6 +102,7 @@ func NewTCPTransport(name, addr string) (*TCPTransport, error) {
 		idleTimeout: tcpIdleTimeout,
 		peers:       make(map[string]string),
 		sends:       make(map[string]*sendConn),
+		idle:        make(map[string][]*reqConn),
 		conns:       make(map[net.Conn]struct{}),
 	}
 	t.wg.Add(1)
@@ -148,6 +160,11 @@ func (t *TCPTransport) Close() error {
 	for _, sc := range t.sends {
 		pooled = append(pooled, sc)
 	}
+	var idle []*reqConn
+	for _, pcs := range t.idle {
+		idle = append(idle, pcs...)
+	}
+	t.idle = nil
 	inbound := make([]net.Conn, 0, len(t.conns))
 	for c := range t.conns {
 		inbound = append(inbound, c)
@@ -155,6 +172,9 @@ func (t *TCPTransport) Close() error {
 	t.mu.Unlock()
 	for _, c := range inbound {
 		c.Close()
+	}
+	for _, pc := range idle {
+		pc.conn.Close()
 	}
 	for _, sc := range pooled {
 		sc.mu.Lock()
@@ -182,7 +202,7 @@ func (t *TCPTransport) lookup(name string) (string, error) {
 	return addr, nil
 }
 
-// sendSlot returns the pooled send connection slot for a peer.
+// sendSlot returns the one-way connection slot for a peer.
 func (t *TCPTransport) sendSlot(to string) *sendConn {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -222,18 +242,18 @@ func (t *TCPTransport) dialBackoff(addr string) (net.Conn, error) {
 	return nil, lastErr
 }
 
-// Send implements Transport. It writes on the pooled connection to the
-// peer, reconnecting (with backoff) when the link is down or has gone
-// stale. Like the in-memory transport's lossy mode, a one-way message
-// can be lost without error if the remote dies between the write and
-// delivery — one-way sends are best-effort by contract.
+// Send implements Transport. It writes on the peer's one-way
+// connection, reconnecting (with backoff) when the link is down or has
+// gone stale. Like the in-memory transport's lossy mode, a one-way
+// message can be lost without error if the remote dies between the
+// write and delivery — one-way sends are best-effort by contract.
 func (t *TCPTransport) Send(to string, msg Message) error {
 	addr, err := t.lookup(to)
 	if err != nil {
 		return err
 	}
 	msg.From = t.name
-	f := frame{Type: "msg", Msg: msg}
+	f := frame{typ: frameMsg, msg: msg}
 	sc := t.sendSlot(to)
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -253,8 +273,8 @@ func (t *TCPTransport) Send(to string, msg Message) error {
 			sc.conn = nil
 			return fmt.Errorf("p2p: sending to %s: %w", to, err)
 		}
-		// The pooled connection went stale (peer restarted, idle cut):
-		// drop it and retry once on a fresh dial.
+		// The connection went stale (peer restarted, idle cut): drop it
+		// and retry once on a fresh dial.
 		sc.conn.Close()
 		sc.conn = nil
 	}
@@ -271,33 +291,99 @@ func (t *TCPTransport) Broadcast(msg Message) error {
 	return firstErr
 }
 
-// Request implements Transport.
+// Request implements Transport. It runs the round trip on an idle
+// pooled connection to the peer, or on a new one; a pooled connection
+// that fails for any reason but the context or its deadline is
+// redialed once.
 func (t *TCPTransport) Request(ctx context.Context, to string, msg Message) (Message, error) {
 	addr, err := t.lookup(to)
 	if err != nil {
 		return Message{}, err
 	}
 	msg.From = t.name
-	d := net.Dialer{}
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return Message{}, fmt.Errorf("p2p: dialing %s: %w", to, err)
+	req := frame{typ: frameReq, msg: msg}
+	pc := t.takeIdle(to)
+	for {
+		reused := pc != nil
+		if !reused {
+			d := net.Dialer{Timeout: tcpDialTimeout}
+			conn, err := d.DialContext(ctx, "tcp", addr)
+			if err != nil {
+				return Message{}, fmt.Errorf("p2p: dialing %s: %w", to, err)
+			}
+			pc = &reqConn{conn: conn, br: bufio.NewReader(conn)}
+		}
+		f, err := roundTrip(ctx, pc, req)
+		if err != nil {
+			pc.conn.Close()
+			if ctx.Err() != nil {
+				return Message{}, fmt.Errorf("p2p: request to %s: %w", to, ctx.Err())
+			}
+			if reused && !errors.Is(err, os.ErrDeadlineExceeded) {
+				pc = nil // stale: redial once
+				continue
+			}
+			return Message{}, fmt.Errorf("p2p: request to %s: %w", to, err)
+		}
+		t.putIdle(to, pc)
+		switch f.typ {
+		case frameNoHandler:
+			return Message{}, fmt.Errorf("p2p: request to %s: %w", to, ErrNoHandler)
+		case frameErr:
+			return Message{}, fmt.Errorf("p2p: remote error: %s", f.err)
+		}
+		return f.msg, nil
 	}
-	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline)
+}
+
+// roundTrip writes one request frame and reads its answer: a response,
+// error or no-handler frame. The connection's deadline is the context's,
+// and cancelling the context moves it into the past, so blocked I/O
+// returns at once; a connection that failed is not reusable.
+func roundTrip(ctx context.Context, pc *reqConn, req frame) (frame, error) {
+	deadline, _ := ctx.Deadline()
+	_ = pc.conn.SetDeadline(deadline)
+	stop := context.AfterFunc(ctx, func() { _ = pc.conn.SetDeadline(time.Unix(1, 0)) })
+	var f frame
+	err := writeFrame(pc.conn, req)
+	if err == nil {
+		f, err = readFrame(pc.br)
 	}
-	if err := writeFrame(conn, frame{Type: "req", Msg: msg}); err != nil {
-		return Message{}, err
+	if !stop() {
+		return frame{}, ctx.Err()
 	}
-	resp, err := readFrame(bufio.NewReader(conn))
-	if err != nil {
-		return Message{}, err
+	if err == nil && f.typ != frameResp && f.typ != frameErr && f.typ != frameNoHandler {
+		err = fmt.Errorf("%w: frame type %d answers a request", errBadFrame, f.typ)
 	}
-	if resp.Type == "err" {
-		return Message{}, fmt.Errorf("p2p: remote error: %s", resp.Error)
+	return f, err
+}
+
+// takeIdle returns the most recently used idle request connection to a
+// peer, or nil when there is none.
+func (t *TCPTransport) takeIdle(to string) *reqConn {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	pcs := t.idle[to]
+	if len(pcs) == 0 {
+		return nil
 	}
-	return resp.Msg, nil
+	pc := pcs[len(pcs)-1]
+	t.idle[to] = pcs[:len(pcs)-1]
+	return pc
+}
+
+// putIdle returns a request connection to its peer's pool, or closes it
+// when the pool is full or the transport closed.
+func (t *TCPTransport) putIdle(to string, pc *reqConn) {
+	t.mu.Lock()
+	if !t.closed && len(t.idle[to]) < maxIdleRequestConns {
+		t.idle[to] = append(t.idle[to], pc)
+		pc = nil
+	}
+	t.mu.Unlock()
+	if pc != nil {
+		pc.conn.Close()
+	}
 }
 
 // serve accepts connections until the listener closes.
@@ -327,7 +413,8 @@ func (t *TCPTransport) serve() {
 
 // handleConn serves frames off one inbound connection until it closes
 // or goes idle past the deadline. One-way messages are dispatched inline
-// so per-connection ordering is preserved.
+// so per-connection ordering is preserved, and requests on one
+// connection are answered one after another.
 func (t *TCPTransport) handleConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -342,72 +429,131 @@ func (t *TCPTransport) handleConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		switch f.Type {
-		case "msg":
+		switch f.typ {
+		case frameMsg:
 			t.mu.RLock()
 			h := t.h
 			t.mu.RUnlock()
 			if h != nil {
-				h(f.Msg)
+				h(f.msg)
 			}
-		case "req":
+		case frameReq:
 			t.mu.RLock()
 			rh := t.rh
 			t.mu.RUnlock()
+			out := frame{typ: frameNoHandler}
+			if rh != nil {
+				resp, err := rh(f.msg)
+				out = frame{typ: frameResp, msg: resp}
+				if err != nil {
+					out = frame{typ: frameErr, err: err.Error()}
+				}
+			}
 			_ = conn.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
-			if rh == nil {
-				_ = writeFrame(conn, frame{Type: "err", Error: ErrNoHandler.Error()})
-				continue
-			}
-			resp, err := rh(f.Msg)
-			if err != nil {
-				_ = writeFrame(conn, frame{Type: "err", Error: err.Error()})
-				continue
-			}
-			if err := writeFrame(conn, frame{Type: "resp", Msg: resp}); err != nil {
+			if err := writeFrame(conn, out); err != nil {
 				return
 			}
 		default:
-			// Unknown frame type: protocol violation, cut the connection.
+			// A peer may not send answers: protocol violation, cut the
+			// connection.
 			return
 		}
 	}
 }
 
-// writeFrame encodes a frame as a length-prefixed JSON blob, written
-// with one Write so prefix and body leave in one syscall (and, on
-// loopback, one segment).
-func writeFrame(conn net.Conn, f frame) error {
-	raw, err := json.Marshal(f)
-	if err != nil {
-		return err
-	}
-	buf := binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(raw)), uint64(len(raw)))
-	_, err = conn.Write(append(buf, raw...))
+// Frame types: the byte after a frame's length.
+const (
+	frameMsg       byte = 1 // one-way message
+	frameReq       byte = 2 // request
+	frameResp      byte = 3 // response
+	frameErr       byte = 4 // the request handler's error, as text
+	frameNoHandler byte = 5 // the endpoint has no request handler
+)
+
+// frame is one wire message. On the wire it is an 8-byte big-endian
+// body length, then the body: the type byte; the message's kind, its
+// sender and the error text, each behind a varint length; and the
+// payload as the rest. Error and no-handler frames carry no payload.
+type frame struct {
+	typ byte
+	msg Message
+	err string
+}
+
+// errBadFrame marks a frame body that does not decode.
+var errBadFrame = errors.New("p2p: bad frame")
+
+// maxFrameSize bounds a frame to 64 MiB, far above any share payload this
+// system ships.
+const maxFrameSize = 64 << 20
+
+// frameChunk is the most readFrame allocates ahead of the bytes that
+// arrived: a frame's declared length is unauthenticated, so its buffer
+// grows as the body does.
+const frameChunk = 256 << 10
+
+// writeFrame writes f with one Write, so prefix and body leave in one
+// syscall (and, on loopback, one segment).
+func writeFrame(w io.Writer, f frame) error {
+	fields := len(f.msg.Kind) + len(f.msg.From) + len(f.err) + len(f.msg.Payload)
+	buf := make([]byte, 8, 8+1+3*binary.MaxVarintLen64+fields)
+	buf = append(buf, f.typ)
+	buf = wire.AppendBytes(buf, f.msg.Kind)
+	buf = wire.AppendBytes(buf, f.msg.From)
+	buf = wire.AppendBytes(buf, f.err)
+	buf = append(buf, f.msg.Payload...)
+	binary.BigEndian.PutUint64(buf, uint64(len(buf)-8))
+	_, err := w.Write(buf)
 	return err
 }
 
-// maxFrameSize bounds a frame to 64 MiB, far above any share payload this
-// system ships, but low enough to stop a hostile peer from forcing huge
-// allocations.
-const maxFrameSize = 64 << 20
-
-func readFrame(r *bufio.Reader) (frame, error) {
+// readFrame reads one frame. A stream that ends inside a frame fails
+// with io.ErrUnexpectedEOF, and one that ends between frames with
+// io.EOF.
+func readFrame(r io.Reader) (frame, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return frame{}, err
 	}
 	n := binary.BigEndian.Uint64(hdr[:])
 	if n > maxFrameSize {
-		return frame{}, fmt.Errorf("p2p: frame of %d bytes exceeds limit", n)
+		return frame{}, fmt.Errorf("%w: %d bytes exceeds limit", errBadFrame, n)
 	}
-	raw := make([]byte, n)
-	if _, err := io.ReadFull(r, raw); err != nil {
+	size := int(n)
+	body := make([]byte, 0, min(size, frameChunk))
+	for len(body) < size {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(size-len(body), len(body)))
+		}
+		m, err := io.ReadFull(r, body[len(body):min(cap(body), size)])
+		body = body[:len(body)+m]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return frame{}, err
+		}
+	}
+	return decodeFrame(body)
+}
+
+// decodeFrame decodes a frame body. It refuses an unknown type and any
+// byte after an error or no-handler frame's error text, so an accepted
+// body re-encodes to exactly its bytes.
+func decodeFrame(body []byte) (frame, error) {
+	rd := wire.NewReader(body, errBadFrame)
+	f := frame{typ: rd.Byte()}
+	if f.typ < frameMsg || f.typ > frameNoHandler {
+		rd.Fail(fmt.Sprintf("unknown frame type %d", f.typ))
+	}
+	f.msg.Kind = string(rd.Bytes())
+	f.msg.From = string(rd.Bytes())
+	f.err = string(rd.Bytes())
+	if f.typ <= frameResp {
+		f.msg.Payload = rd.Rest()
+	}
+	if err := rd.Done(); err != nil {
 		return frame{}, err
-	}
-	var f frame
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return frame{}, fmt.Errorf("p2p: bad frame: %w", err)
 	}
 	return f, nil
 }

@@ -1,12 +1,13 @@
 package p2p
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -74,8 +75,8 @@ func TestTCPRequestRemoteError(t *testing.T) {
 func TestTCPRequestNoHandler(t *testing.T) {
 	a, _ := tcpPair(t)
 	_, err := a.Request(context.Background(), "b", Message{})
-	if err == nil || !strings.Contains(err.Error(), "no request handler") {
-		t.Fatalf("err = %v", err)
+	if !errors.Is(err, ErrNoHandler) {
+		t.Fatalf("err = %v, want ErrNoHandler", err)
 	}
 }
 
@@ -311,10 +312,12 @@ func (c *writeCounter) Write(b []byte) (int, error) {
 }
 
 // TestWriteFrameIsOneWrite: a frame leaves in one Write holding the
-// 8-byte big-endian body length and the JSON body, and reads back as
-// the frame written.
+// 8-byte big-endian body length, the type byte, kind, sender and error
+// text behind varint lengths, and the payload as the rest; it reads
+// back as the frame written. The bytes are pinned because a daemon
+// reads only this layout.
 func TestWriteFrameIsOneWrite(t *testing.T) {
-	f := frame{Type: "req", Msg: Message{Kind: KindSync, From: "a", Payload: []byte("payload")}}
+	f := frame{typ: frameReq, msg: Message{Kind: KindSync, From: "a", Payload: []byte("payload")}}
 	c := &writeCounter{}
 	if err := writeFrame(c, f); err != nil {
 		t.Fatal(err)
@@ -322,20 +325,154 @@ func TestWriteFrameIsOneWrite(t *testing.T) {
 	if len(c.writes) != 1 {
 		t.Fatalf("%d writes for one frame, want 1", len(c.writes))
 	}
-	body, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]byte, 8, 8+len(body))
-	for i, n := 7, len(body); i >= 0; i, n = i-1, n>>8 {
-		want[i] = byte(n)
-	}
-	want = append(want, body...)
-	if !bytes.Equal(c.writes[0], want) {
+	want := "\x00\x00\x00\x00\x00\x00\x00\x15" + "\x02" + "\x09data.sync" + "\x01a" + "\x00" + "payload"
+	if string(c.writes[0]) != want {
 		t.Fatalf("frame bytes %q, want %q", c.writes[0], want)
 	}
-	got, err := readFrame(bufio.NewReader(bytes.NewReader(c.writes[0])))
-	if err != nil || got.Type != f.Type || got.Msg.Kind != f.Msg.Kind || !bytes.Equal(got.Msg.Payload, f.Msg.Payload) {
+	got, err := readFrame(bytes.NewReader(c.writes[0]))
+	if err != nil || got.typ != f.typ || got.msg.Kind != f.msg.Kind || got.msg.From != f.msg.From ||
+		got.err != "" || !bytes.Equal(got.msg.Payload, f.msg.Payload) {
 		t.Fatalf("read back %+v, %v; want %+v", got, err, f)
+	}
+}
+
+// TestReadFrameRefusesJSONFrame: a JSON frame, the layout daemons wrote
+// before binary frames, is refused by its first body byte rather than
+// misparsed.
+func TestReadFrameRefusesJSONFrame(t *testing.T) {
+	body := `{"type":"req","msg":{"kind":"data.sync","from":"a","payload":"cGF5bG9hZA=="}}`
+	raw := binary.BigEndian.AppendUint64(nil, uint64(len(body)))
+	_, err := readFrame(bytes.NewReader(append(raw, body...)))
+	if !errors.Is(err, errBadFrame) || !strings.Contains(err.Error(), "unknown frame type 123") {
+		t.Fatalf("err = %v, want an unknown frame type", err)
+	}
+}
+
+// TestReadFrameGrowsWithBody: a header may declare up to maxFrameSize,
+// but the buffer grows only as bytes arrive, so a peer that declares
+// 64 MiB and sends 10 bytes cannot make the reader allocate 64 MiB.
+func TestReadFrameGrowsWithBody(t *testing.T) {
+	raw := binary.BigEndian.AppendUint64(nil, maxFrameSize)
+	raw = append(raw, "0123456789"...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("reading a 10-byte body allocated %d bytes", n)
+	}
+}
+
+// TestTCPRequestPoolsConnection: sequential requests reuse one pooled
+// connection, so the server accepts one.
+func TestTCPRequestPoolsConnection(t *testing.T) {
+	a, b := tcpPair(t)
+	b.HandleRequest(func(m Message) (Message, error) { return m, nil })
+	for i := 0; i < 10; i++ {
+		resp, err := a.Request(context.Background(), "b", Message{Kind: KindSync, Payload: []byte{byte(i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resp.Payload, []byte{byte(i)}) {
+			t.Fatalf("request %d answered %v", i, resp.Payload)
+		}
+	}
+	if n := b.accepted.Load(); n != 1 {
+		t.Fatalf("10 requests used %d connections, want 1 (pooled)", n)
+	}
+}
+
+// TestTCPRequestRedialsStaleConnection: a pooled connection that went
+// stale, because the peer restarted or cut it idle, is redialed inside
+// Request, so the caller sees no error.
+func TestTCPRequestRedialsStaleConnection(t *testing.T) {
+	echo := func(m Message) (Message, error) { return m, nil }
+	request := func(t *testing.T, a *TCPTransport) {
+		t.Helper()
+		resp, err := a.Request(context.Background(), "b", Message{Kind: KindSync, Payload: []byte("x")})
+		if err != nil || string(resp.Payload) != "x" {
+			t.Fatalf("request: %q, %v", resp.Payload, err)
+		}
+	}
+	t.Run("peer restart", func(t *testing.T) {
+		a, b := tcpPair(t)
+		b.HandleRequest(echo)
+		request(t, a)
+		addr := b.Addr()
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b2, err := NewTCPTransport("b", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { b2.Close() })
+		b2.HandleRequest(echo)
+		request(t, a)
+		if n := b2.accepted.Load(); n != 1 {
+			t.Fatalf("restarted peer accepted %d connections, want 1", n)
+		}
+	})
+	t.Run("idle cut", func(t *testing.T) {
+		a, err := NewTCPTransport("a", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { a.Close() })
+		b, err := NewTCPTransport("b", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { b.Close() })
+		b.idleTimeout = 50 * time.Millisecond
+		a.AddPeer("b", b.Addr())
+		b.HandleRequest(echo)
+		request(t, a)
+		// Wait until b has cut the idle connection.
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			b.mu.RLock()
+			open := len(b.conns)
+			b.mu.RUnlock()
+			if open == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("idle connection never cut")
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		request(t, a)
+		if n := b.accepted.Load(); n != 2 {
+			t.Fatalf("accepted %d connections, want 2 (one redial)", n)
+		}
+	})
+}
+
+// TestTCPRequestHonoursCancel: cancelling a context with no deadline
+// ends a request at once, while the remote handler is still running.
+func TestTCPRequestHonoursCancel(t *testing.T) {
+	a, b := tcpPair(t)
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) }) // runs before the transports close
+	b.HandleRequest(func(m Message) (Message, error) {
+		select {
+		case <-time.After(2 * time.Second):
+		case <-release:
+		}
+		return m, nil
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	start := time.Now()
+	_, err := a.Request(ctx, "b", Message{Kind: KindSync})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("cancelled request returned after %v", d)
 	}
 }

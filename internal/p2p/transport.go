@@ -5,9 +5,10 @@
 // raw medical data moves only between the two sharing peers, never through
 // the chain or any third party).
 //
-// Two transports implement the same interface: an in-memory simulated
-// network with configurable latency, jitter, and loss (deterministic tests
-// and latency sweeps), and a TCP transport used by cmd/medshared.
+// Two transports implement the same interface: an in-memory network
+// that delivers without delay (tests; package faultnet wraps any
+// transport to add latency, loss and partitions), and a TCP transport
+// used by cmd/medshared.
 package p2p
 
 import (
@@ -39,7 +40,8 @@ type Message struct {
 	Kind string `json:"kind"`
 	// From is the sender endpoint name (filled by the transport).
 	From string `json:"from"`
-	// Payload is kind-specific (JSON in this system).
+	// Payload is kind-specific: binary block, transaction and sync
+	// frames, and the first data.sync request's JSON envelope.
 	Payload []byte `json:"payload"`
 }
 

@@ -28,7 +28,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"sync"
 
 	"medshare/internal/chain"
@@ -123,6 +122,7 @@ type Store struct {
 
 	commitSeq uint64
 	stats     Stats
+	written   [256]KindWrites // Stats.Written, indexed by record kind
 	failed    error
 	closed    bool
 }
@@ -410,13 +410,9 @@ func (s *Store) writeFormatFrame() error {
 
 // countWrite adds one appended frame to Stats.Written.
 func (s *Store) countWrite(e segEntry) {
-	if s.stats.Written == nil {
-		s.stats.Written = make(map[string]KindWrites)
-	}
-	w := s.stats.Written[kindNames[e.kind]]
+	w := &s.written[e.kind]
 	w.Records++
 	w.Bytes += e.size
-	s.stats.Written[kindNames[e.kind]] = w
 }
 
 func (s *Store) closeReaders() {
@@ -803,7 +799,15 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Written = maps.Clone(s.stats.Written)
+	for kind, w := range s.written {
+		if w.Records == 0 {
+			continue
+		}
+		if st.Written == nil {
+			st.Written = make(map[string]KindWrites)
+		}
+		st.Written[kindNames[byte(kind)]] = w
+	}
 	return st
 }
 

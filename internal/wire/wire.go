@@ -79,6 +79,10 @@ func (r *Reader) Raw(n int) []byte {
 	return b
 }
 
+// Rest returns the unread input, for a field that runs to the end of
+// the frame.
+func (r *Reader) Rest() []byte { return r.Raw(len(r.buf)) }
+
 // Fixed copies the next len(dst) bytes into dst.
 func (r *Reader) Fixed(dst []byte) { copy(dst, r.Raw(len(dst))) }
 

@@ -500,7 +500,7 @@ func BenchmarkBuilder_TableRebuild(b *testing.B) {
 					b.Fatal(err)
 				}
 				for _, r := range all {
-					if err := bld.Append(r); err != nil {
+					if err := bld.Insert(r); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -514,7 +514,7 @@ func BenchmarkBuilder_TableRebuild(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				t := reldb.MustNewTable(schema)
 				for _, r := range all {
-					if err := t.InsertOwned(r); err != nil {
+					if err := t.Insert(r); err != nil {
 						b.Fatal(err)
 					}
 				}

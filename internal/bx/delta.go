@@ -6,10 +6,11 @@ import (
 	"medshare/internal/reldb"
 )
 
-// The put of every lens is its delta put: PutDelta starts from a
-// copy-on-write clone of the source and touches only the changed rows, so
-// a one-row view edit costs O(changed rows), not O(table). The whole-view
-// Put is defined from it, so the two cannot disagree.
+// The put of every lens is its delta put: PutDelta edits the source
+// (reldb.Table.Edit) and touches only the changed rows, so a one-row view
+// edit costs O(changed rows), not O(table), and a k-row edit copies each
+// tree node its rows reach once. The whole-view Put is defined from it,
+// so the two cannot disagree.
 //
 // The changeset must be the difference between the lens's current view of
 // src (i.e. Get(src)) and the supplied view, as produced by
@@ -102,8 +103,8 @@ func (l *ProjectLens) PutDelta(src, view *reldb.Table, cs reldb.Changeset) (*rel
 
 	rekeyed := !sameKey(srcSchema.Key, wantView.Key)
 	if rekeyed {
-		// Prime the view-key index on the source *before* cloning: the
-		// clone then shares it, the updated source inherits it, and every
+		// Prime the view-key index on the source *before* editing: it
+		// rides along the edit, the updated source inherits it, and every
 		// later cycle over this share finds it already built (one O(n)
 		// scan for the share's lifetime, maintained incrementally).
 		if err := src.EnsureIndex(wantView.Key); err != nil {
@@ -111,7 +112,7 @@ func (l *ProjectLens) PutDelta(src, view *reldb.Table, cs reldb.Changeset) (*rel
 		}
 	}
 
-	out := src.Clone()
+	out := src.Edit()
 	var srcCs reldb.Changeset
 
 	// lookup returns the source rows a view row addresses: exactly one via
@@ -162,18 +163,18 @@ func (l *ProjectLens) PutDelta(src, view *reldb.Table, cs reldb.Changeset) (*rel
 			// replay). Upsert would leave the old row behind. When the
 			// keys coincide the view's key is the source's, which an
 			// Updated entry by construction never changes.
-			if rekeyed && keyChanged(out, sr, updated) {
-				if err := out.Delete(out.KeyValues(sr)); err != nil {
+			if rekeyed && keyChanged(src, sr, updated) {
+				if err := out.Delete(src.KeyValues(sr)); err != nil {
 					return nil, reldb.Changeset{}, fmt.Errorf("%w: %v", ErrPutViolation, err)
 				}
-				if err := out.InsertOwned(updated); err != nil {
+				if err := out.Insert(updated); err != nil {
 					return nil, reldb.Changeset{}, fmt.Errorf("%w: %v", ErrPutViolation, err)
 				}
 				srcCs.Deleted = append(srcCs.Deleted, sr)
 				srcCs.Inserted = append(srcCs.Inserted, updated)
 				continue
 			}
-			if err := out.UpsertOwned(updated); err != nil {
+			if err := out.Upsert(updated); err != nil {
 				return nil, reldb.Changeset{}, fmt.Errorf("%w: %v", ErrPutViolation, err)
 			}
 			srcCs.Updated = append(srcCs.Updated, reldb.RowChange{Before: sr, After: updated})
@@ -191,7 +192,7 @@ func (l *ProjectLens) PutDelta(src, view *reldb.Table, cs reldb.Changeset) (*rel
 			return nil, reldb.Changeset{}, fmt.Errorf("%w: delta delete on view %s targets missing source row (stale changeset?)", ErrPutViolation, l.ViewName)
 		}
 		for _, sr := range group {
-			if err := out.Delete(out.KeyValues(sr)); err != nil {
+			if err := out.Delete(src.KeyValues(sr)); err != nil {
 				return nil, reldb.Changeset{}, fmt.Errorf("%w: %v", ErrPutViolation, err)
 			}
 			srcCs.Deleted = append(srcCs.Deleted, sr)
@@ -202,12 +203,12 @@ func (l *ProjectLens) PutDelta(src, view *reldb.Table, cs reldb.Changeset) (*rel
 			return nil, reldb.Changeset{}, fmt.Errorf("%w: view %s inserted row with key %v but lens forbids inserts", ErrPutViolation, l.ViewName, viewKeyOf(wantView, vr))
 		}
 		nr := l.newSourceRow(srcSchema, colIdxInSrc, vr)
-		if err := out.InsertOwned(nr); err != nil {
+		if err := out.Insert(nr); err != nil {
 			return nil, reldb.Changeset{}, fmt.Errorf("%w: inserting through view %s: %v", ErrPutViolation, l.ViewName, err)
 		}
 		srcCs.Inserted = append(srcCs.Inserted, nr)
 	}
-	return out, srcCs, nil
+	return out.Table(), srcCs, nil
 }
 
 // PutDelta implements Lens: a selection view shares the source
@@ -229,7 +230,7 @@ func (l *SelectLens) PutDelta(src, view *reldb.Table, cs reldb.Changeset) (*reld
 		return nil
 	}
 
-	out := src.Clone()
+	out := src.Edit()
 	var srcCs reldb.Changeset
 	for _, u := range cs.Updated {
 		if err := mustSatisfy(u.After); err != nil {
@@ -239,7 +240,7 @@ func (l *SelectLens) PutDelta(src, view *reldb.Table, cs reldb.Changeset) (*reld
 		if !ok {
 			return nil, reldb.Changeset{}, fmt.Errorf("%w: delta update on view %s targets missing source row (stale changeset?)", ErrPutViolation, l.ViewName)
 		}
-		if err := out.UpsertOwned(u.After); err != nil {
+		if err := out.Upsert(u.After); err != nil {
 			return nil, reldb.Changeset{}, fmt.Errorf("%w: %v", ErrPutViolation, err)
 		}
 		srcCs.Updated = append(srcCs.Updated, reldb.RowChange{Before: before, After: u.After})
@@ -265,12 +266,12 @@ func (l *SelectLens) PutDelta(src, view *reldb.Table, cs reldb.Changeset) (*reld
 		if err := mustSatisfy(vr); err != nil {
 			return nil, reldb.Changeset{}, err
 		}
-		if err := out.InsertOwned(vr); err != nil {
+		if err := out.Insert(vr); err != nil {
 			return nil, reldb.Changeset{}, fmt.Errorf("%w: inserting through view %s: %v", ErrPutViolation, l.ViewName, err)
 		}
 		srcCs.Inserted = append(srcCs.Inserted, vr)
 	}
-	return out, srcCs, nil
+	return out.Table(), srcCs, nil
 }
 
 // PutDelta implements Lens: renaming changes column names only, so

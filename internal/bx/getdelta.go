@@ -9,10 +9,11 @@ import (
 // Forward delta propagation, the counterpart of PutDelta: a proposal
 // regenerates the view from an edited source (Fig. 5 steps 1-2), and the
 // source edit is known as a changeset against the snapshot the view was
-// last derived from. GetDelta edits a copy-on-write clone of that view
-// row by row, so the new view shares every untouched subtree — and its
-// cached digests — with the old one: hashing it and diffing it against
-// the old view cost O(changed rows · log n), like deriving it.
+// last derived from. GetDelta edits that view (reldb.Table.Edit), so the
+// new view shares every untouched subtree — and its cached digests — with
+// the old one, and each tree node the changed rows reach is copied once:
+// hashing it and diffing it against the old view cost O(changed rows ·
+// log n), like deriving it.
 
 // GetDelta derives the view of newSrc along the lens's delta path. An
 // empty source changeset is the identity.
@@ -23,23 +24,25 @@ func GetDelta(l Lens, oldSrc, newSrc, oldView *reldb.Table, srcCs reldb.Changese
 	return l.GetDelta(oldSrc, newSrc, oldView, srcCs)
 }
 
-// putRow stores vr in the view under construction unless an equal row is
-// already there: a source edit the view does not see leaves the row's
-// entry and subtree shared with the old view, and out of the final diff.
-func putRow(out *reldb.Table, vr reldb.Row) error {
-	if cur, ok := out.Get(out.KeyValues(vr)); ok && cur.Equal(vr) {
+// putRow stores vr under key in the view being edited unless an equal
+// row is already there: a source edit the view does not see leaves the
+// row's entry and subtree shared with the old view, and out of the final
+// diff.
+func putRow(out *reldb.TableBuilder, key, vr reldb.Row) error {
+	if cur, ok := out.Get(key); ok && cur.Equal(vr) {
 		return nil
 	}
-	return out.UpsertOwned(vr)
+	return out.Upsert(vr)
 }
 
 // getDeltaRowwise is GetDelta for every lens whose view keeps the source
 // key and derives each view row from one source row: f maps a source row
 // to its view row, nil when the view does not show it.
 func getDeltaRowwise(oldSrc, oldView *reldb.Table, srcCs reldb.Changeset, f func(reldb.Row) (reldb.Row, error)) (*reldb.Table, reldb.Changeset, error) {
-	out := oldView.Clone()
+	out := oldView.Edit()
 	drop := func(sr reldb.Row) {
-		if key := oldSrc.KeyValues(sr); out.Has(key) {
+		key := oldSrc.KeyValues(sr)
+		if _, ok := out.Get(key); ok {
 			_ = out.Delete(key) // present: cannot fail
 		}
 	}
@@ -54,7 +57,7 @@ func getDeltaRowwise(oldSrc, oldView *reldb.Table, srcCs reldb.Changeset, f func
 			drop(sr)
 			return nil
 		}
-		return putRow(out, vr)
+		return putRow(out, oldView.KeyValues(vr), vr)
 	}
 	for _, r := range srcCs.Deleted {
 		drop(r)
@@ -69,8 +72,9 @@ func getDeltaRowwise(oldSrc, oldView *reldb.Table, srcCs reldb.Changeset, f func
 			return nil, reldb.Changeset{}, err
 		}
 	}
-	cs, err := oldView.Diff(out)
-	return out, cs, err
+	newView := out.Table()
+	cs, err := oldView.Diff(newView)
+	return newView, cs, err
 }
 
 // GetDelta implements Lens. With the view keyed like the source each
@@ -109,10 +113,10 @@ func (l *ProjectLens) GetDelta(oldSrc, newSrc, oldView *reldb.Table, srcCs reldb
 	if err := newSrc.EnsureIndexFrom(oldSrc, srcCs, wantView.Key); err != nil {
 		return nil, reldb.Changeset{}, err
 	}
-	out := oldView.Clone()
+	out := oldView.Edit()
 	done := make(map[string]bool)
 	regroup := func(sr reldb.Row) error {
-		key := out.KeyValues(project(sr))
+		key := oldView.KeyValues(project(sr))
 		ks := keyString(key)
 		if done[ks] {
 			return nil
@@ -123,7 +127,7 @@ func (l *ProjectLens) GetDelta(oldSrc, newSrc, oldView *reldb.Table, srcCs reldb
 			return err
 		}
 		if len(group) == 0 {
-			if out.Has(key) {
+			if _, ok := out.Get(key); ok {
 				return out.Delete(key)
 			}
 			return nil
@@ -134,7 +138,7 @@ func (l *ProjectLens) GetDelta(oldSrc, newSrc, oldView *reldb.Table, srcCs reldb
 				return fmt.Errorf("%w: projection %s is not functional on key %v", reldb.ErrSchemaInvalid, l.ViewName, key)
 			}
 		}
-		return putRow(out, vr)
+		return putRow(out, key, vr)
 	}
 	touched := append([]reldb.Row(nil), srcCs.Deleted...)
 	for _, u := range srcCs.Updated {
@@ -148,8 +152,9 @@ func (l *ProjectLens) GetDelta(oldSrc, newSrc, oldView *reldb.Table, srcCs reldb
 			return nil, reldb.Changeset{}, err
 		}
 	}
-	cs, err := oldView.Diff(out)
-	return out, cs, err
+	newView := out.Table()
+	cs, err := oldView.Diff(newView)
+	return newView, cs, err
 }
 
 // GetDelta implements Lens: a row is in the view exactly when its new

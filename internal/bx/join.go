@@ -264,7 +264,7 @@ func (l *JoinLens) PutDelta(src, view *reldb.Table, cs reldb.Changeset) (*reldb.
 	if len(cs.Deleted) > 0 {
 		return nil, reldb.Changeset{}, fmt.Errorf("%w: join view deleted rows (reference side is read-only)", ErrPutViolation)
 	}
-	out := src.Clone()
+	out := src.Edit()
 	var srcCs reldb.Changeset
 	var keyBuf []byte
 	for _, u := range cs.Updated {
@@ -285,12 +285,12 @@ func (l *JoinLens) PutDelta(src, view *reldb.Table, cs reldb.Changeset) (*reldb.
 			return nil, reldb.Changeset{}, err
 		}
 		nr := p.sourceRow(u.After)
-		if err := out.UpsertOwned(nr); err != nil {
+		if err := out.Upsert(nr); err != nil {
 			return nil, reldb.Changeset{}, fmt.Errorf("%w: %v", ErrPutViolation, err)
 		}
 		srcCs.Updated = append(srcCs.Updated, reldb.RowChange{Before: before, After: nr})
 	}
-	return out, srcCs, nil
+	return out.Table(), srcCs, nil
 }
 
 // Spec implements Lens. The reference table rides along in the spec.

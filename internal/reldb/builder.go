@@ -6,30 +6,59 @@ import (
 	"medshare/internal/reldb/pmap"
 )
 
-// TableBuilder constructs a fresh table from a stream of rows in O(n)
-// when the rows arrive in ascending primary-key order — which is the
-// natural case everywhere a table is rebuilt from a canonical scan of
-// another (relational operators, lens puts): the persistent storage
-// iterates in key order, so a same-keyed rebuild streams ascending by
-// construction. The builder sits directly on a pmap.Transient: ascending
-// appends take the O(1) right-spine path, row entries and tree nodes
-// come from slab arenas instead of one heap allocation each (the
-// overhead that used to make whole-view rebuilds ~1.8x their
-// pre-persistent cost), and if the stream ever goes out of order the
-// transient degrades transparently to per-row inserts, so callers never
-// need to know which case they are in.
+// TableBuilder is the one way to make a multi-row change to a table: an
+// editor that starts from an existing table ((*Table).Edit) or from the
+// empty one (NewTableBuilder), takes rows through Insert, Upsert and
+// Delete, answers Get, GetKeyBytes and RowsByCols from the rows as
+// edited so far, and hands the result out once through Table. The table
+// it started from is never written.
 //
-// Append takes ownership of its row (InsertOwned semantics: the caller
-// must not mutate it afterwards). Call Table exactly once when done.
+// The editor sits on a pmap transient, so the tree is edited in place
+// until Table freezes it: a write that reaches a node the edit has not
+// touched yet copies it once, and every later write through that node
+// changes the copy. A k-row changeset therefore copies the union of its
+// k root paths — each touched node once — where k persistent Upserts
+// would copy the top of the tree k times. A replaced row keeps its
+// node's priority, so no hashing is done for it. Secondary indexes ride
+// along, each through its own transient, and come out of Table
+// maintained.
+//
+// Over the empty table (NewTableBuilder), rows that arrive in ascending
+// primary-key order — every rebuild from a canonical scan of another
+// table — take the transient's O(1) right-spine path, and tree nodes and
+// row entries come from slab arenas instead of one heap allocation
+// each; an out-of-order row degrades transparently to an ordinary
+// insert. An edit of an existing table never uses the arenas: a stale
+// node in a live slab chunk would keep the older versions of the tree
+// it points into alive.
+//
+// Every row handed to the editor becomes the table's without a copy: the
+// caller must not mutate it afterwards. Rows it returns are shared
+// references and must be treated as read-only. An editor is single-owner;
+// call Table exactly once when done.
 type TableBuilder struct {
-	t  *Table
-	tr *pmap.Transient[*rowEntry]
-	// entries is the current rowEntry arena chunk; entryCap is the next
-	// chunk's size (geometric growth).
-	entries  []rowEntry
-	entryCap int
-	keyBuf   []byte
-	done     bool
+	// t is the result: schema from the start, rows and indexes at Table.
+	t *Table
+	// tr is the row tree being edited, nil once Table froze it.
+	tr   *pmap.Transient[*rowEntry]
+	secs []secEdit
+	// arena is the rowEntry arena, over the empty table only.
+	arena  *entryArena
+	keyBuf []byte
+}
+
+// entryArena hands out rowEntries from chunks: entries is the current
+// chunk, next the following chunk's size (geometric growth).
+type entryArena struct {
+	entries []rowEntry
+	next    int
+}
+
+// secEdit is one secondary index riding along an edit.
+type secEdit struct {
+	name string
+	ix   *secIndex // the edited table's index: its columns
+	tr   *pmap.Transient[struct{}]
 }
 
 // entrySlabMin and entrySlabMax bound the rowEntry arena chunk sizes
@@ -40,58 +69,77 @@ const (
 	entrySlabMax = 128
 )
 
-// NewTableBuilder returns a builder for a table with the given schema.
-// The built table carries unkeyed priorities; the sharing layer reseeds
-// stored replicas afterwards (Table.Reseeded).
+// NewTableBuilder returns an editor over the empty table with the given
+// schema. The built table carries unkeyed priorities; the sharing layer
+// reseeds stored replicas afterwards (Table.Reseeded).
 func NewTableBuilder(schema Schema) (*TableBuilder, error) {
 	t, err := NewTable(schema)
 	if err != nil {
 		return nil, err
 	}
-	return &TableBuilder{t: t, tr: pmap.NewTransient[*rowEntry](nil)}, nil
+	return &TableBuilder{t: t, tr: pmap.NewTransient[*rowEntry](nil), arena: &entryArena{}}, nil
 }
 
-// newEntry hands out one rowEntry from the slab.
-func (b *TableBuilder) newEntry(r Row) *rowEntry {
-	if len(b.entries) == 0 {
-		if b.entryCap < entrySlabMin {
-			b.entryCap = entrySlabMin
-		}
-		b.entries = make([]rowEntry, b.entryCap)
-		if b.entryCap < entrySlabMax {
-			b.entryCap *= 2
+// Edit returns an editor whose starting state is t, in O(1) plus one
+// transient per built secondary index. t itself is never written.
+func (t *Table) Edit() *TableBuilder {
+	// Schemas are immutable once inside a table, so the result shares t's
+	// (Renamed changes only the name, in its own copy).
+	return t.editInto(&Table{schema: t.schema, keyIdx: t.keyIdx, schemaSum: t.schemaSum})
+}
+
+// editInto is Edit with the result landing in out, a table with t's
+// schema whose rows and indexes Table overwrites; Apply passes t itself.
+func (t *Table) editInto(out *Table) *TableBuilder {
+	b := &TableBuilder{t: out, tr: t.rows.Edit()}
+	if secs := t.secondary.Load(); secs != nil {
+		b.secs = make([]secEdit, 0, len(*secs))
+		for name, ix := range *secs {
+			b.secs = append(b.secs, secEdit{name: name, ix: ix, tr: ix.entries.Edit()})
 		}
 	}
-	e := &b.entries[0]
-	b.entries = b.entries[1:]
+	return b
+}
+
+// newEntry makes one rowEntry: from the slab over the empty table, as
+// its own heap object in an edit.
+func (b *TableBuilder) newEntry(r Row) *rowEntry {
+	a := b.arena
+	if a == nil {
+		return &rowEntry{row: r}
+	}
+	if len(a.entries) == 0 {
+		if a.next < entrySlabMin {
+			a.next = entrySlabMin
+		}
+		a.entries = make([]rowEntry, a.next)
+		if a.next < entrySlabMax {
+			a.next *= 2
+		}
+	}
+	e := &a.entries[0]
+	a.entries = a.entries[1:]
 	e.row = r
 	return e
 }
 
-// Append adds an owned row, validating it against the schema and
-// rejecting duplicate keys exactly like Table.InsertOwned.
-func (b *TableBuilder) Append(r Row) error {
-	if err := b.t.schema.checkRow(r); err != nil {
-		return err
-	}
-	return b.appendChecked(r)
-}
-
-// appendChecked is Append without the schema check (for callers that
-// already validated, e.g. rows coming out of a same-schema table).
-func (b *TableBuilder) appendChecked(r Row) error {
+// rowKey encodes r's primary key into the reused key buffer.
+func (b *TableBuilder) rowKey(r Row) string {
 	b.keyBuf = b.t.AppendKeyOf(b.keyBuf[:0], r)
-	if !b.tr.Insert(string(b.keyBuf), b.newEntry(r)) {
-		return fmt.Errorf("%w: table %s key %v", ErrDuplicateKey, b.t.schema.Name, b.t.KeyValues(r))
-	}
-	return nil
+	return string(b.keyBuf)
 }
 
-// Peek returns the row appended under the ordered key encoding k, if
-// any. It sees every appended row immediately, which is what lets
-// operators that probe their own partial output (projection's
-// functionality check) run on top of the builder.
-func (b *TableBuilder) Peek(k []byte) (Row, bool) {
+// Get returns the row with the given key tuple as edited so far.
+func (b *TableBuilder) Get(key Row) (Row, bool) {
+	e, ok := b.tr.Get(encodeKey(key))
+	if !ok {
+		return nil, false
+	}
+	return e.row, true
+}
+
+// GetKeyBytes is Get by the ordered key encoding (Table.AppendKeyOf).
+func (b *TableBuilder) GetKeyBytes(k []byte) (Row, bool) {
 	e, ok := b.tr.GetBytes(k)
 	if !ok {
 		return nil, false
@@ -99,14 +147,85 @@ func (b *TableBuilder) Peek(k []byte) (Row, bool) {
 	return e.row, true
 }
 
-// Table finalizes and returns the built table. The builder must not be
-// used afterwards.
+// Insert adds an owned row, rejecting schema violations and duplicate
+// keys exactly like Table.Insert.
+func (b *TableBuilder) Insert(r Row) error {
+	if err := b.t.schema.checkRow(r); err != nil {
+		return err
+	}
+	k := b.rowKey(r)
+	if !b.tr.Insert(k, b.newEntry(r)) {
+		return fmt.Errorf("%w: table %s key %v", ErrDuplicateKey, b.t.schema.Name, b.t.KeyValues(r))
+	}
+	for _, s := range b.secs {
+		s.tr.Set(s.ix.secKey(r)+k, struct{}{})
+	}
+	return nil
+}
+
+// Upsert inserts an owned row, or replaces the row with the same key.
+func (b *TableBuilder) Upsert(r Row) error {
+	if err := b.t.schema.checkRow(r); err != nil {
+		return err
+	}
+	k := b.rowKey(r)
+	old, replaced := b.tr.Set(k, b.newEntry(r))
+	for _, s := range b.secs {
+		kn := s.ix.secKey(r)
+		if replaced {
+			ko := s.ix.secKey(old.row)
+			if ko == kn {
+				continue
+			}
+			s.tr.Delete(ko + k)
+		}
+		s.tr.Set(kn+k, struct{}{})
+	}
+	return nil
+}
+
+// Delete removes the row with the given key tuple.
+func (b *TableBuilder) Delete(key Row) error {
+	k := encodeKey(key)
+	old, ok := b.tr.Delete(k)
+	if !ok {
+		return fmt.Errorf("%w: table %s key %v", ErrKeyNotFound, b.t.schema.Name, key)
+	}
+	for _, s := range b.secs {
+		s.tr.Delete(s.ix.secKey(old.row) + k)
+	}
+	return nil
+}
+
+// RowsByCols is Table.RowsByCols over the rows as edited so far. Only an
+// index the edited table had built rides along an edit: build it before
+// Edit (Table.EnsureIndex).
+func (b *TableBuilder) RowsByCols(cols []string, key Row) ([]Row, error) {
+	name := secName(cols)
+	for _, s := range b.secs {
+		if s.name == name {
+			return rowsByPrefix(s.tr, b.tr, b.t.schema.Name, cols, key)
+		}
+	}
+	return nil, fmt.Errorf("%w: no index on %v of %s rides along this edit", ErrSchemaInvalid, cols, b.t.schema.Name)
+}
+
+// Table freezes the edit and returns the edited table. The editor must
+// not be used afterwards.
 func (b *TableBuilder) Table() *Table {
-	if b.done {
+	if b.tr == nil {
 		panic("reldb: TableBuilder.Table called twice")
 	}
-	b.done = true
 	b.t.rows = b.tr.Freeze()
-	b.tr = nil
+	b.tr, b.arena = nil, nil
+	if len(b.secs) > 0 {
+		reg := make(map[string]*secIndex, len(b.secs))
+		for _, s := range b.secs {
+			reg[s.name] = &secIndex{cols: s.ix.cols, entries: s.tr.Freeze()}
+		}
+		b.t.secondary.Store(&reg)
+		b.t.secOwned.Store(true)
+		b.secs = nil
+	}
 	return b.t
 }

@@ -163,25 +163,29 @@ func (t *Table) ValidateDiff(target *Table, cs Changeset) error {
 	return nil
 }
 
-// Apply mutates the table by applying the changeset. Applying the result
-// of a.Diff(b) to a clone of a yields a table equal to b. The table takes
-// ownership of the changeset's rows; changesets are immutable transfer
-// objects and must not be mutated after Apply.
+// Apply mutates the table by applying the changeset, as one edit: each
+// tree node the changed rows reach is copied once (see TableBuilder),
+// and the table is left as it was when the changeset does not apply.
+// Applying the result of a.Diff(b) to a clone of a yields a table equal
+// to b. The table takes ownership of the changeset's rows; changesets
+// are immutable transfer objects and must not be mutated after Apply.
 func (t *Table) Apply(cs Changeset) error {
+	ed := t.editInto(t)
 	for _, r := range cs.Deleted {
-		if err := t.Delete(t.KeyValues(r)); err != nil {
+		if err := ed.Delete(t.KeyValues(r)); err != nil {
 			return fmt.Errorf("apply delete: %w", err)
 		}
 	}
 	for _, u := range cs.Updated {
-		if err := t.UpsertOwned(u.After); err != nil {
+		if err := ed.Upsert(u.After); err != nil {
 			return fmt.Errorf("apply update: %w", err)
 		}
 	}
 	for _, r := range cs.Inserted {
-		if err := t.InsertOwned(r); err != nil {
+		if err := ed.Insert(r); err != nil {
 			return fmt.Errorf("apply insert: %w", err)
 		}
 	}
+	ed.Table()
 	return nil
 }

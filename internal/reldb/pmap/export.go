@@ -92,7 +92,6 @@ var ErrMalformedDAG = errors.New("pmap: exported DAG malformed")
 // the canonical original.
 func FromExported[V any](seed *Seed, root Hash, maxNodes int, fetch func(Hash) (ExportedNode[V], bool)) (Map[V], error) {
 	visited := 0
-	h := seed.hasher()
 	var build func(d Hash) (*node[V], error)
 	build = func(d Hash) (*node[V], error) {
 		if d == (Hash{}) {
@@ -113,7 +112,7 @@ func FromExported[V any](seed *Seed, root Hash, maxNodes int, fetch func(Hash) (
 		if err != nil {
 			return nil, err
 		}
-		return mk(l, rec.Key, h.prio(rec.Key), rec.Val, r), nil
+		return mk(l, rec.Key, seed.prio(rec.Key), rec.Val, r), nil
 	}
 	n, err := build(root)
 	if err != nil {

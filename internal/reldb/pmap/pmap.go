@@ -5,7 +5,8 @@
 //
 //   - a snapshot ("clone") is one pointer copy, O(1);
 //   - Set and Delete copy only the O(log n) path from the root to the
-//     touched key, never the whole map;
+//     touched key, never the whole map, and a batch of edits through
+//     Edit copies each touched node once;
 //   - two maps derived from a common ancestor by k edits share all but
 //     O(k log n) nodes, which Diff exploits to compare them in
 //     O(k log n) instead of O(n).
@@ -48,10 +49,14 @@
 // the SummaryAt/AscendSubtree/DigestIndex accessors used by structural
 // anti-entropy all build on that cache.
 //
-// Bulk construction goes through a Transient (transient.go): a
-// mutable-until-shared builder that allocates nodes from slabs, mutates
-// nodes it created in place, and freezes into an ordinary Map — so
-// whole-table rebuilds pay one allocation per slab instead of per node.
+// Bulk construction and batched edits go through a Transient
+// (transient.go): a mutable-until-shared builder that mutates nodes it
+// created in place and freezes into an ordinary Map. One that starts
+// empty allocates nodes from slabs, so whole-table rebuilds pay one
+// allocation per slab instead of per node; one that starts from a map
+// (Map.Edit) copies each shared node it writes once, as its own heap
+// object with an empty digest cache, so a k-key batch costs the union of
+// its k paths and pins no older version of the tree.
 // Priorities are optionally *keyed* (seed.go): a per-map HMAC-SHA-256
 // secret replaces the bare SHA-256 derivation, making tree shapes
 // unpredictable without the secret while replicas sharing it still
@@ -218,82 +223,24 @@ func (m Map[V]) GetBytes(k []byte) (V, bool) {
 }
 
 // Set returns a map with k bound to v (replacing any existing binding)
-// plus whether a binding existed. The receiver is unchanged.
+// plus whether a binding existed. The receiver is unchanged. It is the
+// transient set on a transient that owns no node, so every node on the
+// path is copied: one descent finds k, a replacement keeps the node's
+// priority (no hashing), and only an insert derives k's priority.
 func (m Map[V]) Set(k string, v V) (Map[V], bool) {
-	root, existed := set(m.root, k, m.seed.prio(k), v)
-	return Map[V]{root: root, seed: m.seed}, existed
-}
-
-func set[V any](n *node[V], k string, p uint64, v V) (*node[V], bool) {
-	if n == nil {
-		return mk[V](nil, k, p, v, nil), false
-	}
-	if k == n.key {
-		// Same key, same priority, same position: replace in place.
-		return mk(n.left, k, p, v, n.right), true
-	}
-	if higher(p, k, n.pri, n.key) {
-		// The new entry outranks this subtree's root, so it becomes the
-		// root here and n splits around it. k cannot already be present
-		// below n: an equal key would carry this same priority and could
-		// not sit under the lower-ranked n.
-		l, _, _, r := split(n, k)
-		return mk(l, k, p, v, r), false
-	}
-	if k < n.key {
-		l, existed := set(n.left, k, p, v)
-		return mk(l, n.key, n.pri, n.val, n.right), existed
-	}
-	r, existed := set(n.right, k, p, v)
-	return mk(n.left, n.key, n.pri, n.val, r), existed
+	t := Transient[V]{seed: m.seed, root: m.root, settled: true}
+	_, existed := t.set(k, v, true)
+	return Map[V]{root: t.root, seed: m.seed}, existed
 }
 
 // Delete returns a map without k, plus whether k was present. When k is
 // absent the receiver is returned unchanged (no copying).
 func (m Map[V]) Delete(k string) (Map[V], bool) {
-	root, existed := del(m.root, k)
-	if !existed {
+	t := Transient[V]{root: m.root, settled: true}
+	if _, existed := t.delete(k); !existed {
 		return m, false
 	}
-	return Map[V]{root: root, seed: m.seed}, true
-}
-
-func del[V any](n *node[V], k string) (*node[V], bool) {
-	if n == nil {
-		return nil, false
-	}
-	switch {
-	case k < n.key:
-		l, existed := del(n.left, k)
-		if !existed {
-			return n, false
-		}
-		return mk(l, n.key, n.pri, n.val, n.right), true
-	case k > n.key:
-		r, existed := del(n.right, k)
-		if !existed {
-			return n, false
-		}
-		return mk(n.left, n.key, n.pri, n.val, r), true
-	default:
-		return join(n.left, n.right), true
-	}
-}
-
-// join merges two sibling subtrees (all keys of l < all keys of r) by
-// descending the lower-ranked side, preserving heap order — the treap's
-// replacement for rebalancing rotations.
-func join[V any](l, r *node[V]) *node[V] {
-	switch {
-	case l == nil:
-		return r
-	case r == nil:
-		return l
-	case higher(l.pri, l.key, r.pri, r.key):
-		return mk(l.left, l.key, l.pri, l.val, join(l.right, r))
-	default:
-		return mk(join(l, r.left), r.key, r.pri, r.val, r.right)
-	}
+	return Map[V]{root: t.root, seed: m.seed}, true
 }
 
 // Ascend calls fn for every entry in ascending key order until fn

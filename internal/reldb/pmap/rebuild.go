@@ -40,6 +40,8 @@ func Rebuild[V any](m Map[V], f func(k string, v V) (out V, keep, changed bool, 
 		n.size = size(l) + size(r) + 1
 		return n
 	}
+	// cp owns no node, so its join copies what it re-points.
+	var cp Transient[V]
 	// walk returns the rebuilt subtree plus whether it is the input
 	// subtree unchanged (shared by pointer).
 	var walk func(n *node[V]) (*node[V], bool, error)
@@ -60,7 +62,7 @@ func Rebuild[V any](m Map[V], f func(k string, v V) (out V, keep, changed bool, 
 			return nil, false, err
 		}
 		if !keep {
-			return join(l, r), false, nil
+			return cp.join(l, r), false, nil
 		}
 		if lsame && rsame && !changed {
 			return n, true, nil

@@ -80,33 +80,16 @@ func (s *Seed) Matches(secret []byte) bool {
 // prio derives the heap priority of k: HMAC-SHA-256(secret, k) for a
 // seeded map, plain SHA-256(k) otherwise (the two constructions also
 // disagree on every key, so mixing seeded and unseeded nodes in one
-// tree is structurally impossible). Bulk builders reuse a seedHasher
-// instead; this per-call form serves the persistent one-off mutations.
+// tree is structurally impossible). The HMAC input is assembled in a
+// stack buffer, so a key of up to 64 bytes derives without allocating.
 func (s *Seed) prio(k string) uint64 {
-	h := s.hasher()
-	return h.prio(k)
-}
-
-// seedHasher derives keyed priorities with a reusable scratch buffer,
-// so an O(n) bulk build (transient appends, reseeding) performs no
-// per-key allocations beyond the buffer's one-time growth. Single-owner
-// like the Transient that embeds it.
-type seedHasher struct {
-	seed *Seed
-	buf  []byte
-}
-
-func (s *Seed) hasher() seedHasher { return seedHasher{seed: s} }
-
-func (h *seedHasher) prio(k string) uint64 {
-	if h.seed == nil {
+	if s == nil {
 		return prio(k)
 	}
-	h.buf = append(h.buf[:0], h.seed.ipad[:]...)
-	h.buf = append(h.buf, k...)
-	inner := sha256.Sum256(h.buf)
-	h.buf = append(h.buf[:0], h.seed.opad[:]...)
-	h.buf = append(h.buf, inner[:]...)
-	d := sha256.Sum256(h.buf)
+	var stack [2 * hmacBlockSize]byte
+	buf := append(append(stack[:0], s.ipad[:]...), k...)
+	inner := sha256.Sum256(buf)
+	buf = append(append(stack[:0], s.opad[:]...), inner[:]...)
+	d := sha256.Sum256(buf)
 	return binary.BigEndian.Uint64(d[:8])
 }

@@ -45,14 +45,14 @@ func (t *Table) Project(name string, cols []string, key []string) (*Table, error
 			pr[i] = r[si]
 		}
 		keyBuf = bld.t.AppendKeyOf(keyBuf[:0], pr)
-		if existing, ok := bld.Peek(keyBuf); ok {
+		if existing, ok := bld.GetKeyBytes(keyBuf); ok {
 			if !existing.Equal(pr) {
 				perr = fmt.Errorf("%w: projection %s is not functional on key %v", ErrSchemaInvalid, name, bld.t.KeyValues(pr))
 				return false
 			}
 			return true
 		}
-		if err := bld.Append(pr); err != nil {
+		if err := bld.Insert(pr); err != nil {
 			perr = err
 			return false
 		}
@@ -138,7 +138,7 @@ func (t *Table) NaturalJoin(name string, o *Table) (*Table, error) {
 			ns.Key = append(ns.Key, k)
 		}
 	}
-	out, err := NewTable(ns)
+	bld, err := NewTableBuilder(ns)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +210,7 @@ func (t *Table) NaturalJoin(name string, o *Table) (*Table, error) {
 			for _, j := range oExtra {
 				joined = append(joined, or[j])
 			}
-			if err := out.UpsertOwned(joined); err != nil {
+			if err := bld.Upsert(joined); err != nil {
 				jerr = err
 				return false
 			}
@@ -220,5 +220,5 @@ func (t *Table) NaturalJoin(name string, o *Table) (*Table, error) {
 	if jerr != nil {
 		return nil, jerr
 	}
-	return out, nil
+	return bld.Table(), nil
 }

@@ -227,3 +227,119 @@ func TestEnsureIndexFromAdvancesOldIndex(t *testing.T) {
 	expectGroup(t, next, "city1")
 	expectGroup(t, next, "city2")
 }
+
+// indexEntries lists the composite entries of tbl's built index over
+// cols, in order.
+func indexEntries(t *testing.T, tbl *Table, cols []string) []string {
+	t.Helper()
+	secs := tbl.secondary.Load()
+	if secs == nil || (*secs)[secName(cols)] == nil {
+		t.Fatalf("%s has no index over %v", tbl.Name(), cols)
+	}
+	var out []string
+	(*secs)[secName(cols)].entries.Ascend(func(k string, _ struct{}) bool {
+		out = append(out, k)
+		return true
+	})
+	return out
+}
+
+// expectFreshIndex requires tbl's maintained index over cols to equal
+// the one EnsureIndex builds over a fresh copy of its rows.
+func expectFreshIndex(t *testing.T, tbl *Table, cols []string) {
+	t.Helper()
+	fresh := MustNewTable(tbl.Schema())
+	for _, r := range tbl.RowsCanonical() {
+		fresh.MustInsert(r)
+	}
+	if err := fresh.EnsureIndex(cols); err != nil {
+		t.Fatal(err)
+	}
+	got, want := indexEntries(t, tbl, cols), indexEntries(t, fresh, cols)
+	if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) {
+		t.Fatalf("maintained index over %v:\n %q\nfresh EnsureIndex:\n %q", cols, got, want)
+	}
+}
+
+// TestEditorMaintainsIndex: an index built on a table rides along an
+// edit — an update that moves a row to another group, one that keeps
+// its group, a delete and an insert — answers lookups from the rows as
+// edited so far, and comes out equal to a fresh EnsureIndex on the
+// result, while the edited table keeps its own.
+func TestEditorMaintainsIndex(t *testing.T) {
+	tbl := secTable(t, 24)
+	city := []string{"city"}
+	if err := tbl.EnsureIndex(city); err != nil {
+		t.Fatal(err)
+	}
+	before := indexEntries(t, tbl, city)
+
+	ed := tbl.Edit()
+	if err := ed.Upsert(Row{I(1), S("p1"), S("moved"), I(21)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ed.Upsert(Row{I(2), S("renamed"), S("city2"), I(22)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ed.Delete(Row{I(5)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ed.Insert(Row{I(100), S("new"), S("city1"), I(30)}); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := ed.RowsByCols(city, Row{S("moved")})
+	if err != nil || fmt.Sprint(groupIDs(t, rows)) != "[1]" {
+		t.Fatalf("lookup during the edit: %v, %v", rows, err)
+	}
+	rows, err = ed.RowsByCols(city, Row{S("city1")})
+	if err != nil || fmt.Sprint(groupIDs(t, rows)) != "[9 13 17 21 100]" {
+		t.Fatalf("lookup during the edit: ids %v, %v", groupIDs(t, rows), err)
+	}
+	if _, err := ed.RowsByCols([]string{"age"}, Row{I(20)}); err == nil {
+		t.Fatal("a lookup over an index the table never built must fail, not scan")
+	}
+	out := ed.Table()
+
+	expectFreshIndex(t, out, city)
+	for _, c := range []string{"city0", "city1", "city2", "city3", "moved"} {
+		expectGroup(t, out, c)
+	}
+	if got := indexEntries(t, tbl, city); fmt.Sprintf("%q", got) != fmt.Sprintf("%q", before) {
+		t.Fatal("the edit changed its origin's index")
+	}
+	expectFreshIndex(t, tbl, city)
+}
+
+// TestApplyMaintainsIndex: Table.Apply on an indexed table carries the
+// index through the changeset, equal to a fresh EnsureIndex afterwards.
+func TestApplyMaintainsIndex(t *testing.T) {
+	tbl := secTable(t, 24)
+	cols := []string{"city", "age"}
+	if err := tbl.EnsureIndex(cols); err != nil {
+		t.Fatal(err)
+	}
+	target := tbl.Clone()
+	if err := target.Update(Row{I(3)}, map[string]Value{"city": S("moved"), "age": I(40)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := target.Update(Row{I(4)}, map[string]Value{"name": S("same group")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := target.Delete(Row{I(6)}); err != nil {
+		t.Fatal(err)
+	}
+	target.MustInsert(Row{I(200), S("new"), S("city3"), I(20)})
+	cs, err := tbl.Diff(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied := tbl.Clone()
+	if err := applied.Apply(cs); err != nil {
+		t.Fatal(err)
+	}
+	if !applied.Equal(target) {
+		t.Fatal("Apply did not reproduce the target")
+	}
+	expectFreshIndex(t, applied, cols)
+	expectFreshIndex(t, tbl, cols)
+}

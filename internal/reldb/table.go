@@ -19,14 +19,16 @@ import (
 // mutation history and no sorted-order cache exists to invalidate.
 //
 // Storage is persistent rather than copy-on-write: Clone shares the row
-// map with the original in O(1), and every mutation path-copies only the
-// O(log n) spine from the root to the touched key — there is no
-// "unshare the whole table" step, so a k-row delta costs O(k log n)
-// regardless of how many snapshots share the storage. Rows are immutable
-// once inside a table — accessors (Rows, RowsCanonical, Get, Scan)
-// return shared references that callers must treat as read-only; all
-// mutation goes through Insert / Update / Upsert / Delete, which replace
-// whole rows.
+// map with the original in O(1), and there is no "unshare the whole
+// table" step. A one-row mutation (Insert / Update / Upsert / Delete)
+// path-copies the O(log n) spine from the root to the touched key. A
+// multi-row change goes through an editor (Edit, TableBuilder), which
+// copies each node its rows touch once and edits the copies in place
+// until it hands out the new table; Apply is such an edit, so a k-row
+// changeset copies the union of its k root paths, not k whole paths. Rows
+// are immutable once inside a table — accessors (Rows, RowsCanonical,
+// Get, Scan) return shared references that callers must treat as
+// read-only; all mutation replaces whole rows.
 //
 // Table is not safe for concurrent mutation; Database serializes access.
 // Concurrent *readers* of one shared snapshot are safe, including the
@@ -197,9 +199,9 @@ func (t *Table) KeyValues(r Row) Row {
 }
 
 // AppendKeyOf appends the ordered key encoding of a full row to dst, the
-// same encoding GetKeyBytes looks up (Value.AppendOrdered over the key
-// columns). Hot paths use it to probe the storage without materializing
-// a key tuple.
+// same encoding TableBuilder.GetKeyBytes looks up (Value.AppendOrdered
+// over the key columns). Hot paths use it to probe the storage without
+// materializing a key tuple.
 func (t *Table) AppendKeyOf(dst []byte, r Row) []byte {
 	for _, i := range t.keyIdx {
 		dst = r[i].AppendOrdered(dst)
@@ -224,17 +226,6 @@ func (t *Table) Insert(r Row) error {
 		return err
 	}
 	return t.insertOwned(r.Clone())
-}
-
-// InsertOwned adds a row without copying it: the table takes ownership,
-// and the caller must never mutate r afterwards. It is the allocation-free
-// insert for code that constructs rows it will not reuse (lens puts,
-// relational operators, changeset application).
-func (t *Table) InsertOwned(r Row) error {
-	if err := t.schema.checkRow(r); err != nil {
-		return err
-	}
-	return t.insertOwned(r)
 }
 
 func (t *Table) insertOwned(r Row) error {
@@ -267,17 +258,6 @@ func (t *Table) MustInsert(r Row) {
 // reference and must be treated as read-only.
 func (t *Table) Get(key Row) (Row, bool) {
 	e, ok := t.rows.Get(encodeKey(key))
-	if !ok {
-		return nil, false
-	}
-	return e.row, true
-}
-
-// GetKeyBytes returns the row whose ordered key encoding equals k (as
-// produced by AppendKeyOf or Value.AppendOrdered over the key tuple).
-// The row is a shared reference and must be treated as read-only.
-func (t *Table) GetKeyBytes(k []byte) (Row, bool) {
-	e, ok := t.rows.GetBytes(k)
 	if !ok {
 		return nil, false
 	}
@@ -345,15 +325,6 @@ func (t *Table) Upsert(r Row) error {
 		return err
 	}
 	return t.upsertOwned(r.Clone())
-}
-
-// UpsertOwned is Upsert without the defensive copy: the table takes
-// ownership and the caller must never mutate r afterwards.
-func (t *Table) UpsertOwned(r Row) error {
-	if err := t.schema.checkRow(r); err != nil {
-		return err
-	}
-	return t.upsertOwned(r)
 }
 
 func (t *Table) upsertOwned(r Row) error {
@@ -676,23 +647,23 @@ func (t *Table) EnsureIndexFrom(old *Table, cs Changeset, cols []string) error {
 	if err != nil {
 		return err
 	}
-	ix := &secIndex{cols: oix.cols, entries: oix.entries}
-	entry := func(r Row) string { return ix.secKey(r) + t.keyOf(r) }
+	tr := oix.entries.Edit()
+	entry := func(r Row) string { return oix.secKey(r) + t.keyOf(r) }
 	for _, r := range cs.Deleted {
-		ix.entries, _ = ix.entries.Delete(entry(r))
+		tr.Delete(entry(r))
 	}
 	for _, u := range cs.Updated {
 		if ko, kn := entry(u.Before), entry(u.After); ko != kn {
-			ix.entries, _ = ix.entries.Delete(ko)
-			ix.entries, _ = ix.entries.Set(kn, struct{}{})
+			tr.Delete(ko)
+			tr.Set(kn, struct{}{})
 		}
 	}
 	for _, r := range cs.Inserted {
-		ix.entries, _ = ix.entries.Set(entry(r), struct{}{})
+		tr.Set(entry(r), struct{}{})
 	}
 	t.secMu.Lock()
 	defer t.secMu.Unlock()
-	t.publishIndex(name, ix)
+	t.publishIndex(name, &secIndex{cols: oix.cols, entries: tr.Freeze()})
 	return nil
 }
 
@@ -703,15 +674,26 @@ func (t *Table) EnsureIndexFrom(old *Table, cs Changeset, cols []string) error {
 // on tables derived from this one by Clone — are O(matching rows ·
 // log n), with the index maintained incrementally across mutations.
 func (t *Table) RowsByCols(cols []string, key Row) ([]Row, error) {
+	ix, err := t.secIndexFor(cols)
+	if err != nil {
+		return nil, err
+	}
+	return rowsByPrefix(ix.entries, t.rows, t.schema.Name, cols, key)
+}
+
+// rowsByPrefix answers a group lookup from an index's entries and the
+// row storage it indexes: a table's persistent maps, or an edit's
+// transients.
+func rowsByPrefix[I interface {
+	AscendPrefix(string, func(string, struct{}) bool)
+}, R interface {
+	Get(string) (*rowEntry, bool)
+}](entries I, rows R, table string, cols []string, key Row) ([]Row, error) {
 	if len(key) != len(cols) {
 		// A partial key tuple would prefix-match composite index entries
 		// mid-secondary-key and misread the leftover bytes as a primary
 		// key; reject the arity mismatch explicitly.
-		return nil, fmt.Errorf("%w: RowsByCols on %s wants %d key values, got %d", ErrSchemaInvalid, t.schema.Name, len(cols), len(key))
-	}
-	ix, err := t.secIndexFor(cols)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: RowsByCols on %s wants %d key values, got %d", ErrSchemaInvalid, table, len(cols), len(key))
 	}
 	var prefix []byte
 	for _, v := range key {
@@ -719,10 +701,10 @@ func (t *Table) RowsByCols(cols []string, key Row) ([]Row, error) {
 	}
 	var out []Row
 	var ixErr error
-	ix.entries.AscendPrefix(string(prefix), func(k string, _ struct{}) bool {
-		e, ok := t.rows.Get(k[len(prefix):])
+	entries.AscendPrefix(string(prefix), func(k string, _ struct{}) bool {
+		e, ok := rows.Get(k[len(prefix):])
 		if !ok {
-			ixErr = fmt.Errorf("reldb: secondary index on %s out of sync (missing pk)", t.schema.Name)
+			ixErr = fmt.Errorf("reldb: secondary index on %s out of sync (missing pk)", table)
 			return false
 		}
 		out = append(out, e.row)

@@ -353,6 +353,28 @@ func TestSetUnknownColumnNamesColumn(t *testing.T) {
 	}
 }
 
+// TestRowMistakesAreClientErrors: a delete or a set on a key the view
+// does not hold is a 404, and a set on a key column is a 400 — a
+// client's mistake, not a server fault.
+func TestRowMistakesAreClientErrors(t *testing.T) {
+	h := newHarness(t)
+	h.registerShare(t)
+	for _, tc := range []struct {
+		name string
+		op   api.RowOp
+		want string
+	}{
+		{"delete missing key", api.RowOp{Op: "delete", Key: []any{float64(999)}}, "(404)"},
+		{"set missing key", api.RowOp{Op: "set", Key: []any{float64(999)}, Set: map[string]any{"v": "x"}}, "(404)"},
+		{"set key column", api.RowOp{Op: "set", Key: []any{float64(1)}, Set: map[string]any{"k": float64(2)}}, "(400)"},
+	} {
+		_, err := h.client.Update(h.ctx, "S", []api.RowOp{tc.op})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want %s", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestPendingWriteConflict: while the counterparty is down, a write's
 // update stays pending on chain, and the next write on the share is
 // refused with 409 naming the pending seq. Once the counterparty is

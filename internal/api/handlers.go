@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"medshare/internal/bx"
 	"medshare/internal/core"
@@ -275,10 +274,7 @@ func (s *Server) handleRow(w http.ResponseWriter, r *http.Request) error {
 	}
 	pr, err := s.peer.ProveView(id, key)
 	if err != nil {
-		if strings.Contains(err.Error(), "not found") {
-			return &httpError{status: http.StatusNotFound, err: err}
-		}
-		return err
+		return err // a missing key is a 404 (statusOf)
 	}
 	return writeJSON(w, RowResult{
 		ShareID: id,

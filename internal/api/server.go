@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -18,6 +17,7 @@ import (
 	"medshare/internal/contract/sharereg"
 	"medshare/internal/core"
 	"medshare/internal/node"
+	"medshare/internal/reldb"
 	"medshare/internal/store"
 )
 
@@ -144,18 +144,21 @@ func badRequest(format string, args ...any) error {
 }
 
 // statusOf maps a handler error to its HTTP status: explicit statuses
-// win; unknown shares are 404; a write the contract refused because
-// the share's previous update is still pending is 409 (the message
-// names the pending seq); everything else is a 500.
+// win; unknown shares and keys a row op or read names but the view does
+// not hold are 404; a set on a key column is 400; a write the contract
+// refused because the share's previous update is still pending is 409
+// (the message names the pending seq); everything else is a 500.
 func statusOf(err error) int {
 	var he *httpError
 	if errors.As(err, &he) {
 		return he.status
 	}
 	switch {
-	case errors.Is(err, core.ErrUnknownShare):
+	case errors.Is(err, core.ErrUnknownShare), errors.Is(err, reldb.ErrKeyNotFound):
 		return http.StatusNotFound
-	case errors.Is(err, core.ErrTxFailed) && strings.Contains(err.Error(), sharereg.ErrPending.Error()):
+	case errors.Is(err, reldb.ErrKeyImmutable):
+		return http.StatusBadRequest
+	case errors.Is(err, sharereg.ErrPending):
 		return http.StatusConflict
 	}
 	return http.StatusInternalServerError

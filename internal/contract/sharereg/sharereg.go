@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"medshare/internal/contract"
 	"medshare/internal/identity"
@@ -68,6 +69,24 @@ var (
 	ErrAlreadyAcked  = errors.New("sharereg: peer already acknowledged")
 	ErrUnknownColumn = errors.New("sharereg: permission references unknown column")
 )
+
+// sentinels lists the errors above, for Sentinel.
+var sentinels = []error{
+	ErrExists, ErrNotFound, ErrNotPeer, ErrNotAuthority, ErrNotOwner, ErrPermission,
+	ErrPending, ErrNoPending, ErrWrongSeq, ErrBadArgs, ErrAlreadyAcked, ErrUnknownColumn,
+}
+
+// Sentinel returns the error above that a failed receipt's text starts
+// with, or nil. A receipt carries its error as text; Sentinel gives a
+// caller the sentinel back, to test the reason with errors.Is.
+func Sentinel(receiptErr string) error {
+	for _, e := range sentinels {
+		if strings.HasPrefix(receiptErr, e.Error()) {
+			return e
+		}
+	}
+	return nil
+}
 
 // Meta is one entry of the Fig. 3 metadata collection table.
 type Meta struct {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 
 	"medshare/internal/chain"
@@ -150,12 +148,8 @@ func (p *Peer) proveViewConverged(shareID string, key reldb.Row) (RowProof, erro
 }
 
 // rowProofPayloadHex recomputes the table hash the proof's preimage
-// fields commit to, mirroring reldb.Table.Hash.
+// fields commit to (reldb.TableHash).
 func rowProofPayloadHex(pr *RowProof) string {
-	var buf [72]byte
-	copy(buf[:32], pr.SchemaSum[:])
-	binary.BigEndian.PutUint64(buf[32:40], uint64(pr.Rows))
-	copy(buf[40:], pr.Root[:])
-	h := sha256.Sum256(buf[:])
+	h := reldb.TableHash(pr.SchemaSum, pr.Rows, pr.Root)
 	return hex.EncodeToString(h[:])
 }

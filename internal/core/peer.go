@@ -454,9 +454,19 @@ func (p *Peer) waitCommitted(ctx context.Context, tx *chain.Tx) (contract.Receip
 		return contract.Receipt{}, err
 	}
 	if !rcpt.OK {
-		return rcpt, fmt.Errorf("%w: %s", ErrTxFailed, rcpt.Err)
+		return rcpt, receiptError(rcpt)
 	}
 	return rcpt, nil
+}
+
+// receiptError is a failed receipt's verdict: ErrTxFailed followed by
+// the receipt's text, wrapping also the sharereg sentinel that text
+// starts with, so a caller tests the contract's reason with errors.Is.
+func receiptError(rcpt contract.Receipt) error {
+	if reason := sharereg.Sentinel(rcpt.Err); reason != nil {
+		return fmt.Errorf("%w: %w%s", ErrTxFailed, reason, rcpt.Err[len(reason.Error()):])
+	}
+	return fmt.Errorf("%w: %s", ErrTxFailed, rcpt.Err)
 }
 
 // submitAndWaitMany submits a batch of transactions in one group commit
@@ -491,7 +501,7 @@ func (p *Peer) submitAndWaitMany(ctx context.Context, txs []*chain.Tx, submitted
 		case err != nil:
 			verdicts[i] = err
 		case !rcpt.OK:
-			verdicts[i] = fmt.Errorf("%w: %s", ErrTxFailed, rcpt.Err)
+			verdicts[i] = receiptError(rcpt)
 		}
 	}
 	return verdicts

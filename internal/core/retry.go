@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"medshare/internal/contract/sharereg"
 	"medshare/internal/p2p"
 )
 
@@ -338,10 +338,5 @@ func (p *Peer) channelRequest(ctx context.Context, endpoint string, msg p2p.Mess
 // replica catches up, so a dirty share stays dirty and the reconciler
 // re-proposes it then; any other denial holds the share.
 func retriableProposal(err error) bool {
-	if err == nil || !errors.Is(err, ErrTxFailed) {
-		return false
-	}
-	msg := err.Error()
-	return strings.Contains(msg, "not yet acknowledged") ||
-		strings.Contains(msg, "sequence mismatch")
+	return errors.Is(err, sharereg.ErrPending) || errors.Is(err, sharereg.ErrWrongSeq)
 }

@@ -2,8 +2,6 @@ package light
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -367,7 +365,7 @@ var errStaleFetch = errors.New("light: fetched row is for a different share vers
 //
 //  1. the served schema hashes to the SchemaSum in the table-hash
 //     preimage,
-//  2. sha256(SchemaSum ‖ Rows ‖ Root) equals the proven payload hash
+//  2. reldb.TableHash(SchemaSum, Rows, Root) equals the proven payload hash
 //     (binding Root to the on-chain version),
 //  3. the proven row's key columns equal the requested key, as typed
 //     returns it under the now verified schema (no row-substitution
@@ -382,11 +380,7 @@ func verifyFetch(rf *RowFetch, typed func(reldb.Schema) (reldb.Row, error), want
 	if reldb.SchemaSumOf(rf.Schema) != rf.SchemaSum {
 		return fmt.Errorf("%w: served schema does not hash to the committed schema sum", ErrVerification)
 	}
-	var buf [72]byte
-	copy(buf[:32], rf.SchemaSum[:])
-	binary.BigEndian.PutUint64(buf[32:40], uint64(rf.Rows))
-	copy(buf[40:], rf.Root[:])
-	if sha256.Sum256(buf[:]) != wantPayload {
+	if reldb.TableHash(rf.SchemaSum, rf.Rows, rf.Root) != wantPayload {
 		return errStaleFetch
 	}
 	key, err := typed(rf.Schema)

@@ -6,22 +6,26 @@ import (
 	"medshare/internal/reldb/pmap"
 )
 
-// TableBuilder is the one way to make a multi-row change to a table: an
-// editor that starts from an existing table ((*Table).Edit) or from the
-// empty one (NewTableBuilder), takes rows through Insert, Upsert and
-// Delete, answers Get, GetKeyBytes and RowsByCols from the rows as
-// edited so far, and hands the result out once through Table. The table
-// it started from is never written.
+// TableBuilder is the one editor: the only code that changes a table's
+// rows and secondary indexes. It starts from an existing table
+// ((*Table).Edit) or from the empty one (NewTableBuilder), takes rows
+// through Insert, Upsert and Delete, answers Get, GetKeyBytes and
+// RowsByCols from the rows as edited so far, and hands the result out
+// once through Table. The table it started from is never written by
+// Edit; Table.Insert, Update, Upsert, Delete and Apply are edits whose
+// result lands in the table itself, and only when every operation
+// succeeded.
 //
 // The editor sits on a pmap transient, so the tree is edited in place
 // until Table freezes it: a write that reaches a node the edit has not
 // touched yet copies it once, and every later write through that node
 // changes the copy. A k-row changeset therefore copies the union of its
-// k root paths — each touched node once — where k persistent Upserts
-// would copy the top of the tree k times. A replaced row keeps its
+// k root paths — each touched node once — where k one-row edits
+// (Table.Upsert) would copy the top of the tree k times. A replaced row keeps its
 // node's priority, so no hashing is done for it. Secondary indexes ride
 // along, each through its own transient, and come out of Table
-// maintained.
+// maintained in a newly published registry: no registry is written once
+// published.
 //
 // Over the empty table (NewTableBuilder), rows that arrive in ascending
 // primary-key order — every rebuild from a canonical scan of another
@@ -43,8 +47,7 @@ type TableBuilder struct {
 	tr   *pmap.Transient[*rowEntry]
 	secs []secEdit
 	// arena is the rowEntry arena, over the empty table only.
-	arena  *entryArena
-	keyBuf []byte
+	arena *entryArena
 }
 
 // entryArena hands out rowEntries from chunks: entries is the current
@@ -85,13 +88,16 @@ func NewTableBuilder(schema Schema) (*TableBuilder, error) {
 func (t *Table) Edit() *TableBuilder {
 	// Schemas are immutable once inside a table, so the result shares t's
 	// (Renamed changes only the name, in its own copy).
-	return t.editInto(&Table{schema: t.schema, keyIdx: t.keyIdx, schemaSum: t.schemaSum})
+	b := t.editInto(&Table{schema: t.schema, keyIdx: t.keyIdx, schemaSum: t.schemaSum})
+	return &b
 }
 
 // editInto is Edit with the result landing in out, a table with t's
-// schema whose rows and indexes Table overwrites; Apply passes t itself.
-func (t *Table) editInto(out *Table) *TableBuilder {
-	b := &TableBuilder{t: out, tr: t.rows.Edit()}
+// schema whose rows and indexes Table overwrites; the in-place mutators
+// (Insert, Update, Upsert, Delete, Apply) pass t itself. It returns the
+// editor by value, so theirs can live on the stack.
+func (t *Table) editInto(out *Table) TableBuilder {
+	b := TableBuilder{t: out, tr: t.rows.Edit()}
 	if secs := t.secondary.Load(); secs != nil {
 		b.secs = make([]secEdit, 0, len(*secs))
 		for name, ix := range *secs {
@@ -123,10 +129,10 @@ func (b *TableBuilder) newEntry(r Row) *rowEntry {
 	return e
 }
 
-// rowKey encodes r's primary key into the reused key buffer.
+// rowKey encodes r's primary key, through a stack buffer.
 func (b *TableBuilder) rowKey(r Row) string {
-	b.keyBuf = b.t.AppendKeyOf(b.keyBuf[:0], r)
-	return string(b.keyBuf)
+	var buf [64]byte
+	return string(b.t.AppendKeyOf(buf[:0], r))
 }
 
 // Get returns the row with the given key tuple as edited so far.
@@ -224,8 +230,18 @@ func (b *TableBuilder) Table() *Table {
 			reg[s.name] = &secIndex{cols: s.ix.cols, entries: s.tr.Freeze()}
 		}
 		b.t.secondary.Store(&reg)
-		b.t.secOwned.Store(true)
 		b.secs = nil
 	}
 	return b.t
+}
+
+// finish ends a one-operation edit: the edited table when op, the
+// operation's error, is nil; otherwise the edit is dropped and the table
+// stays as it was.
+func (b *TableBuilder) finish(op error) error {
+	if op != nil {
+		return op
+	}
+	b.Table()
+	return nil
 }

@@ -93,3 +93,44 @@ func BenchmarkTableApply512(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTableRowOps times the one-row mutators, each a one-operation
+// edit: 512 and 1 Updates on a clone of a hashed, seeded 10k-row table,
+// the same 512 when a secondary index over the updated column is built
+// (each update moves its row to another group), and a 10k-row build by
+// MustInsert.
+func BenchmarkTableRowOps(b *testing.B) {
+	base := bigPatients(b, 10_000).Reseeded([]byte("row-ops-bench-seed"))
+	base.Hash()
+	indexed := base.Clone()
+	if err := indexed.EnsureIndex([]string{"city"}); err != nil {
+		b.Fatal(err)
+	}
+	updates := func(b *testing.B, origin *Table, n int, col string) {
+		b.ReportAllocs()
+		set := map[string]Value{col: S("edited")}
+		for b.Loop() {
+			t := origin.Clone()
+			for i := 0; i < n; i++ {
+				if err := t.Update(Row{I(int64(i * 19))}, set); err != nil {
+					b.Fatal(err)
+				}
+			}
+			sinkTable = t
+		}
+	}
+	b.Run("update=512", func(b *testing.B) { updates(b, base, 512, "name") })
+	b.Run("update=1", func(b *testing.B) { updates(b, base, 1, "name") })
+	b.Run("indexed_update=512", func(b *testing.B) { updates(b, indexed, 512, "city") })
+	rows := base.RowsCanonical()
+	b.Run("insert=10k", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			t := MustNewTable(patientSchema())
+			for _, r := range rows {
+				t.MustInsert(r)
+			}
+			sinkTable = t
+		}
+	})
+}

@@ -19,16 +19,16 @@ import (
 // mutation history and no sorted-order cache exists to invalidate.
 //
 // Storage is persistent rather than copy-on-write: Clone shares the row
-// map with the original in O(1), and there is no "unshare the whole
-// table" step. A one-row mutation (Insert / Update / Upsert / Delete)
-// path-copies the O(log n) spine from the root to the touched key. A
-// multi-row change goes through an editor (Edit, TableBuilder), which
-// copies each node its rows touch once and edits the copies in place
-// until it hands out the new table; Apply is such an edit, so a k-row
-// changeset copies the union of its k root paths, not k whole paths. Rows
-// are immutable once inside a table — accessors (Rows, RowsCanonical,
-// Get, Scan) return shared references that callers must treat as
-// read-only; all mutation replaces whole rows.
+// map and the secondary indexes with the original in O(1), and there is
+// no "unshare the whole table" step. One editor, TableBuilder, changes
+// rows and indexes: Insert, Update, Upsert and Delete are one-operation
+// edits of the table in place, Apply is a changeset-sized one, and Edit
+// hands out an editor whose result is a new table. An edit copies each
+// tree node its rows touch once, so a one-row mutation copies its
+// O(log n) root path and a k-row changeset the union of its k root
+// paths, not k whole paths. Rows are immutable once inside a table —
+// accessors (Rows, RowsCanonical, Get, Scan) return shared references
+// that callers must treat as read-only; all mutation replaces whole rows.
 //
 // Table is not safe for concurrent mutation; Database serializes access.
 // Concurrent *readers* of one shared snapshot are safe, including the
@@ -49,22 +49,15 @@ type Table struct {
 	// schemaSum digests the canonical schema encoding (name excluded).
 	schemaSum [32]byte
 	// secondary points to the current set of secondary indexes, keyed by
-	// the joined column names. Built lazily by the first RowsByCols call
-	// over a column set (read-only callers may share one snapshot, so
-	// builds publish copy-on-write under secMu) and maintained
-	// incrementally by every mutator afterwards — each index is itself a
-	// persistent map, so maintenance is O(log n) path copying, never a
-	// rebuild.
+	// the joined column names. A published registry is never written:
+	// the first RowsByCols over a column set builds its index and
+	// publishes a new registry under secMu (readers may share one
+	// snapshot), and every edit publishes the indexes it maintained as a
+	// new registry. Clones share a registry by pointer; each index is a
+	// persistent map, so an edit path-copies only the entries its rows
+	// touch, never a rebuild.
 	secondary atomic.Pointer[map[string]*secIndex]
 	secMu     sync.Mutex
-	// secOwned marks the current secondary registry (the map and its
-	// secIndex structs, not the persistent trees inside) as private to
-	// this instance: mutators may update it in place. Clone clears it on
-	// both sides — the registry is then shared, and whichever side
-	// mutates next copies it first (the trees themselves are persistent
-	// and always shared safely). Atomic because concurrent snapshots may
-	// race to clear it on one shared instance.
-	secOwned atomic.Bool
 }
 
 // rowEntry is one stored row plus its lazily computed canonical digest.
@@ -100,10 +93,10 @@ func entryRow(e *rowEntry) Row { return e.row }
 // secIndex maps a composite key — the ordered encoding of a non-key
 // column tuple followed by the ordered primary-key encoding — to
 // presence. A group lookup is a prefix scan (the composite encodings of
-// one secondary tuple are contiguous and ordered by primary key), and
-// index maintenance is O(log n) per touched row through the persistent
-// map, shared structurally across snapshots exactly like the row
-// storage.
+// one secondary tuple are contiguous and ordered by primary key). The
+// editor maintains it beside the rows, O(log n) per touched row through
+// the persistent map, shared structurally across snapshots exactly like
+// the row storage.
 type secIndex struct {
 	cols    []int // column positions forming the secondary key
 	entries pmap.Map[struct{}]
@@ -148,12 +141,7 @@ func NewTable(schema Schema) (*Table, error) {
 		return nil, err
 	}
 	sc := schema.Clone()
-	var buf [256]byte
-	return &Table{
-		schema:    sc,
-		keyIdx:    sc.KeyIndexes(),
-		schemaSum: sha256.Sum256(appendSchemaCanonical(buf[:0], sc)),
-	}, nil
+	return &Table{schema: sc, keyIdx: sc.KeyIndexes(), schemaSum: SchemaSumOf(sc)}, nil
 }
 
 // MustNewTable is NewTable that panics on invalid schemas; intended for
@@ -221,30 +209,13 @@ func encodeKey(key Row) string {
 
 // Insert adds a row. It fails if the row violates the schema or duplicates
 // an existing key. The row is cloned; the caller keeps ownership of r.
+// Like every mutator it is a one-operation edit (TableBuilder) of t in
+// place: no hash bookkeeping is needed, since the Merkle digests live on
+// the tree nodes and the edit leaves exactly the copied nodes uncached,
+// and a failed operation leaves t as it was.
 func (t *Table) Insert(r Row) error {
-	if err := t.schema.checkRow(r); err != nil {
-		return err
-	}
-	return t.insertOwned(r.Clone())
-}
-
-func (t *Table) insertOwned(r Row) error {
-	k := t.keyOf(r)
-	if _, dup := t.rows.Get(k); dup {
-		return fmt.Errorf("%w: table %s key %v", ErrDuplicateKey, t.schema.Name, t.KeyValues(r))
-	}
-	t.insertEntry(k, r)
-	return nil
-}
-
-// insertEntry stores a fresh row under key k (known absent), maintaining
-// the secondary indexes. No hash bookkeeping is needed: the Merkle
-// digests live on the tree nodes, and the path copy leaves exactly the
-// changed nodes uncached.
-func (t *Table) insertEntry(k string, r Row) {
-	e := &rowEntry{row: r}
-	t.rows, _ = t.rows.Set(k, e)
-	t.secAdd(r, k)
+	ed := t.editInto(t)
+	return ed.finish(ed.Insert(r.Clone()))
 }
 
 // MustInsert is Insert that panics on error; for tests and fixtures.
@@ -270,25 +241,15 @@ func (t *Table) Has(key Row) bool {
 	return ok
 }
 
-// replaceEntry swaps the stored row under key k (already present, same
-// primary key) for an owned replacement, maintaining the secondary
-// indexes.
-func (t *Table) replaceEntry(k string, old *rowEntry, r Row) {
-	e := &rowEntry{row: r}
-	t.rows, _ = t.rows.Set(k, e)
-	t.secReplace(old.row, r, k)
-}
-
 // Update modifies the non-key columns named in set for the row with the
 // given key. Attempting to set a key column is an error (delete and
 // re-insert instead, which models the relational view of key changes).
 func (t *Table) Update(key Row, set map[string]Value) error {
-	k := encodeKey(key)
-	old, ok := t.rows.Get(k)
+	old, ok := t.Get(key)
 	if !ok {
 		return fmt.Errorf("%w: table %s key %v", ErrKeyNotFound, t.schema.Name, key)
 	}
-	updated := old.row.Clone()
+	updated := old.Clone()
 	for col, v := range set {
 		ci := t.schema.ColumnIndex(col)
 		if ci < 0 {
@@ -299,42 +260,21 @@ func (t *Table) Update(key Row, set map[string]Value) error {
 		}
 		updated[ci] = v
 	}
-	if err := t.schema.checkRow(updated); err != nil {
-		return err
-	}
-	t.replaceEntry(k, old, updated)
-	return nil
+	ed := t.editInto(t)
+	return ed.finish(ed.Upsert(updated))
 }
 
 // Delete removes the row with the given key tuple.
 func (t *Table) Delete(key Row) error {
-	ks := encodeKey(key)
-	e, ok := t.rows.Get(ks)
-	if !ok {
-		return fmt.Errorf("%w: table %s key %v", ErrKeyNotFound, t.schema.Name, key)
-	}
-	t.rows, _ = t.rows.Delete(ks)
-	t.secRemove(e.row, ks)
-	return nil
+	ed := t.editInto(t)
+	return ed.finish(ed.Delete(key))
 }
 
 // Upsert inserts the row, or replaces the existing row with the same key.
 // The row is cloned; the caller keeps ownership of r.
 func (t *Table) Upsert(r Row) error {
-	if err := t.schema.checkRow(r); err != nil {
-		return err
-	}
-	return t.upsertOwned(r.Clone())
-}
-
-func (t *Table) upsertOwned(r Row) error {
-	k := t.keyOf(r)
-	if old, ok := t.rows.Get(k); ok {
-		t.replaceEntry(k, old, r)
-		return nil
-	}
-	t.insertEntry(k, r)
-	return nil
+	ed := t.editInto(t)
+	return ed.finish(ed.Upsert(r.Clone()))
 }
 
 // RowsCanonical returns the rows sorted by primary key. The slice is
@@ -375,8 +315,9 @@ func (t *Table) Value(key Row, col string) (Value, error) {
 
 // Clone returns an independent copy of the table in O(1): the persistent
 // row storage and secondary indexes are shared by pointer, and either
-// side's later mutations path-copy only what they touch — no unsharing
-// step ever copies the whole relation.
+// side's later edits path-copy only what they touch — no unsharing step
+// ever copies the whole relation, and t is not written. No hash state is
+// copied: Merkle digests live on the shared tree nodes.
 func (t *Table) Clone() *Table {
 	out := &Table{
 		schema:    t.schema.Clone(),
@@ -384,11 +325,6 @@ func (t *Table) Clone() *Table {
 		rows:      t.rows,
 		schemaSum: t.schemaSum,
 	}
-	// No hash state to copy: Merkle digests live on the shared tree
-	// nodes and follow the rows pointer into the clone.
-	// The secondary registry is now shared: neither side may mutate it
-	// in place until it re-copies (secOwn). out.secOwned starts false.
-	t.secOwned.Store(false)
 	out.secondary.Store(t.secondary.Load())
 	return out
 }
@@ -454,11 +390,18 @@ func (t *Table) RowsRoot() [32]byte {
 // follows RowsRoot: O(n) once, O(k log n) after a k-row delta, nothing
 // for tables that are never hashed.
 func (t *Table) Hash() [32]byte {
-	root := t.RowsRoot()
+	return TableHash(t.schemaSum, t.rows.Len(), t.RowsRoot())
+}
+
+// TableHash is the table-hash formula, sha256(schemaSum ‖ rows ‖
+// rowsRoot) with the row count as 8 big-endian bytes. Table.Hash computes
+// it, and light verifiers recompute it from a row proof's preimage
+// fields to bind the proof to an on-chain payload hash.
+func TableHash(schemaSum [32]byte, rows int, rowsRoot [32]byte) [32]byte {
 	var buf [72]byte
-	copy(buf[:32], t.schemaSum[:])
-	binary.BigEndian.PutUint64(buf[32:40], uint64(t.rows.Len()))
-	copy(buf[40:], root[:])
+	copy(buf[:32], schemaSum[:])
+	binary.BigEndian.PutUint64(buf[32:40], uint64(rows))
+	copy(buf[40:], rowsRoot[:])
 	return sha256.Sum256(buf[:])
 }
 
@@ -479,9 +422,10 @@ func (t *Table) CachedHash() ([32]byte, bool) {
 // scan. The delta-aware lens pipeline uses it to address source rows by
 // a re-keyed view key (the paper's D23/D32 shares, keyed on medication
 // rather than patient). An index is built lazily by the first lookup
-// over its column set — an O(n log n) build paid once — and maintained
-// incrementally by every mutator afterwards, exactly like the hash
-// state; Clone shares it structurally.
+// over its column set — an O(n log n) build paid once — and from then
+// on the editor (TableBuilder) maintains it beside the rows in every
+// edit, one-row mutators and Apply included; Clone shares it
+// structurally.
 
 // secName canonically joins a column list into an index-registry key.
 func secName(cols []string) string {
@@ -501,74 +445,6 @@ func (ix *secIndex) secKey(r Row) string {
 		buf = r[c].AppendOrdered(buf)
 	}
 	return string(buf)
-}
-
-// secOwn returns a secondary registry this instance may mutate in
-// place, or nil when no indexes are built. The first mutation after a
-// Clone copies the shared registry (map and secIndex wrappers — the
-// persistent trees inside stay shared); every later mutation reuses the
-// owned copy, so steady-state index maintenance allocates nothing
-// beyond the trees' own path copies.
-func (t *Table) secOwn() map[string]*secIndex {
-	secs := t.secondary.Load()
-	if secs == nil {
-		return nil
-	}
-	if t.secOwned.Load() {
-		return *secs
-	}
-	next := make(map[string]*secIndex, len(*secs))
-	for name, ix := range *secs {
-		next[name] = &secIndex{cols: ix.cols, entries: ix.entries}
-	}
-	t.secondary.Store(&next)
-	t.secOwned.Store(true)
-	return next
-}
-
-// secAdd registers a newly inserted row (pk is its ordered key encoding)
-// with every built index.
-func (t *Table) secAdd(r Row, pk string) {
-	for _, ix := range t.secOwn() {
-		ix.entries, _ = ix.entries.Set(ix.secKey(r)+pk, struct{}{})
-	}
-}
-
-// secRemove unregisters a deleted row from every built index.
-func (t *Table) secRemove(r Row, pk string) {
-	for _, ix := range t.secOwn() {
-		ix.entries, _ = ix.entries.Delete(ix.secKey(r) + pk)
-	}
-}
-
-// secReplace re-registers a row whose non-key columns changed in place.
-// The primary key (pk, ordered encoding) is unchanged by contract
-// (replaceEntry), so only indexes whose secondary tuple actually changed
-// move their entry.
-func (t *Table) secReplace(old, new Row, pk string) {
-	secs := t.secondary.Load()
-	if secs == nil {
-		return
-	}
-	changed := false
-	for _, ix := range *secs {
-		if ix.secKey(old) != ix.secKey(new) {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		return
-	}
-	for _, ix := range t.secOwn() {
-		ko, kn := ix.secKey(old), ix.secKey(new)
-		if ko == kn {
-			continue
-		}
-		entries, _ := ix.entries.Delete(ko + pk)
-		entries, _ = entries.Set(kn+pk, struct{}{})
-		ix.entries = entries
-	}
 }
 
 // secIndexFor returns (building and publishing if needed) the index over
@@ -605,10 +481,9 @@ func (t *Table) secIndexFor(cols []string) (*secIndex, error) {
 	return ix, nil
 }
 
-// publishIndex adds ix to the registry copy-on-write; the caller holds
-// secMu. The table may be a snapshot shared by concurrent readers, so
-// the fresh registry is published unowned: the next mutator (a single
-// writer by contract) copies it before editing in place.
+// publishIndex publishes a new registry holding ix beside the current
+// indexes; the caller holds secMu. The table may be a snapshot shared by
+// concurrent readers, so the current registry is copied, never written.
 func (t *Table) publishIndex(name string, ix *secIndex) {
 	next := map[string]*secIndex{name: ix}
 	if old := t.secondary.Load(); old != nil {
@@ -618,7 +493,6 @@ func (t *Table) publishIndex(name string, ix *secIndex) {
 			}
 		}
 	}
-	t.secOwned.Store(false)
 	t.secondary.Store(&next)
 }
 
@@ -672,7 +546,7 @@ func (t *Table) EnsureIndexFrom(old *Table, cs Changeset, cols []string) error {
 // and must be treated as read-only. The first call over a column set
 // walks the table once to build the index; later calls — and every call
 // on tables derived from this one by Clone — are O(matching rows ·
-// log n), with the index maintained incrementally across mutations.
+// log n), with the index maintained by every edit.
 func (t *Table) RowsByCols(cols []string, key Row) ([]Row, error) {
 	ix, err := t.secIndexFor(cols)
 	if err != nil {
@@ -761,8 +635,7 @@ func (t *Table) Reseeded(secret []byte) *Table {
 		schemaSum: t.schemaSum,
 	}
 	// Secondary indexes are shape-independent content; share them like
-	// Clone does (unowned on both sides until the next mutation).
-	t.secOwned.Store(false)
+	// Clone does.
 	out.secondary.Store(t.secondary.Load())
 	return out
 }

@@ -87,13 +87,13 @@ func (p *Peer) acquire(ctx context.Context, s *Share, from identity.Address, seq
 // in the next proposal's diff, not silently taken as reflected.
 func (p *Peer) install(s *Share, seq uint64, a *acquired) error {
 	s.stMu.Lock()
-	diverged, baseSrc, baseView := s.diverged, s.derivedSrc, s.derivedView
+	diverged, baseSrc, baseView := s.st.diverged, s.st.derivedSrc, s.st.derivedView
 	s.stMu.Unlock()
 	trusted := seq > a.baseSeq
 	delta := trusted && !diverged
 	paired := baseSrc != nil && baseView.SameVersion(a.base)
 	local := a.view.Renamed(s.ViewName)
-	err := p.cfg.DB.ReplaceTable(s.SourceTable, func(src *reldb.Table) (*reldb.Table, error) {
+	return p.cfg.DB.ReplaceTable(s.SourceTable, func(src *reldb.Table) (*reldb.Table, error) {
 		var newSrc *reldb.Table
 		var err error
 		if delta {
@@ -113,22 +113,19 @@ func (p *Peer) install(s *Share, seq uint64, a *acquired) error {
 		default:
 			baseSrc = nil
 		}
+		// The replica and its seq move together, before the source is
+		// published; a share that moved off the acquired base takes nothing.
+		s.stMu.Lock()
+		ok := s.st.installed(seq, a.baseSeq, a.base, baseSrc, local)
+		if ok {
+			p.cfg.DB.PutTable(local)
+		}
+		s.stMu.Unlock()
+		if !ok {
+			return nil, errShareMoved
+		}
 		newSrc = newSrc.Renamed(s.SourceTable)
 		p.markSiblings(s, newSrc)
 		return newSrc, nil
 	})
-	if err != nil {
-		return err
-	}
-	p.cfg.DB.PutTable(local)
-	s.stMu.Lock()
-	s.prev = nil
-	if trusted {
-		s.prev = &shareBackup{seq: a.baseSeq, view: a.base}
-	}
-	s.AppliedSeq = seq
-	s.diverged = false // put realigned source and view
-	s.derivedSrc, s.derivedView = baseSrc, local
-	s.stMu.Unlock()
-	return nil
 }

@@ -244,7 +244,7 @@ func TestSyncDeltaUnavailableDescends(t *testing.T) {
 			s.opMu.Lock()
 			defer s.opMu.Unlock()
 			s.stMu.Lock()
-			s.AppliedSeq = c.seq
+			s.st.applied = c.seq
 			s.stMu.Unlock()
 			h.b.cfg.DB.PutTable(c.replica.Renamed(s.ViewName))
 			rounds := h.b.Stats().SyncRounds

@@ -33,6 +33,12 @@ import (
 // and does nothing. A removal takes the share's opMu too (unbind): it
 // lands after any round holding the share, and a round that locks the
 // share after it finds the share unbound and skips it.
+//
+// The per-share events (final, rejected, and the proposer's own commit
+// or denial) reach the share's state only through shareState's
+// transitions, each keyed by its seq: an event for a seq that is not the
+// share's current one changes nothing, in whatever order the dispatcher
+// and the proposer deliver them.
 
 // runEvents is one generation's dispatcher. Events still buffered at
 // stop are abandoned; Resync recovers them like events missed while the
@@ -135,10 +141,8 @@ func (p *Peer) handleEvent(name string, payload sharereg.EventPayload) {
 		p.mu.Unlock()
 		if ok {
 			s.stMu.Lock()
-			if s.backup != nil && s.backup.seq+1 == payload.Seq {
-				s.backup = nil // our proposal finalized; drop the rollback point
-			}
-			if s.dirty != nil {
+			s.st.final(payload.Seq)
+			if s.st.dirty != nil {
 				p.wake() // the share may be settled now
 			}
 			s.stMu.Unlock()
@@ -247,8 +251,13 @@ func (p *Peer) embedIncoming(ctx context.Context, it *roundItem) error {
 	if err != nil {
 		return err
 	}
-	if err := p.install(s, r.Seq, a); err != nil {
-		if errors.Is(err, reldb.ErrNoSuchTable) {
+	// The contract checked write permission on the declared columns only:
+	// a change to any other column is refused, not installed.
+	if err = undeclaredColumns(a, r); err == nil {
+		err = p.install(s, r.Seq, a)
+	}
+	if err != nil {
+		if errors.Is(err, reldb.ErrNoSuchTable) || errors.Is(err, errShareMoved) {
 			return err
 		}
 		it.putErr = err
@@ -264,6 +273,28 @@ func (p *Peer) embedIncoming(ctx context.Context, it *roundItem) error {
 	// and the next update becomes admissible.
 	it.tx, err = p.buildTx(sharereg.FnAckUpdate, s.ID, sharereg.AckArgs{ShareID: s.ID, Seq: r.Seq})
 	return err
+}
+
+// undeclaredColumns fails when a, acquired over the version just before
+// r's seq, changes a column r does not declare. (Over an older base the
+// changeset spans several seqs and is not checked here.)
+func undeclaredColumns(a *acquired, r sharereg.EventPayload) error {
+	if a.baseSeq+1 != r.Seq {
+		return nil
+	}
+	changed := a.cs.ChangedColumns(a.base.Schema())
+	for _, c := range r.Cols {
+		delete(changed, c)
+	}
+	if len(changed) == 0 {
+		return nil
+	}
+	cols := make([]string, 0, len(changed))
+	for c := range changed {
+		cols = append(cols, c)
+	}
+	sort.Strings(cols)
+	return fmt.Errorf("core: update on %s seq %d changes undeclared columns %v", r.ShareID, r.Seq, cols)
 }
 
 // runReconciler is one generation's reconciler. Each wake proposes, as
@@ -284,7 +315,7 @@ func (p *Peer) runReconciler(stopped <-chan struct{}) {
 		var due []*Share
 		for _, s := range p.shares {
 			s.stMu.Lock()
-			if s.dirty != nil && !s.held {
+			if s.st.due() {
 				due = append(due, s)
 			}
 			s.stMu.Unlock()
@@ -319,8 +350,8 @@ func (p *Peer) markSiblings(s *Share, src *reldb.Table) {
 	for _, s2 := range p.shares {
 		if s2.SourceTable == s.SourceTable {
 			s2.stMu.Lock()
-			if s2 != s || s2.dirty != nil {
-				s2.dirty = src
+			if s2 != s || s2.st.dirty != nil {
+				s2.st.mark(src)
 			}
 			s2.stMu.Unlock()
 		}
@@ -344,23 +375,17 @@ func (p *Peer) onUpdateRejected(ev sharereg.EventPayload) {
 	if !ok {
 		return
 	}
-	var bk *shareBackup
+	// The view rolls back but the source keeps the user's edit, and the
+	// share is held so the reconciler does not re-propose the edit.
 	s.stMu.Lock()
-	if s.backup != nil && s.backup.seq+1 == ev.Seq {
-		bk = s.backup
-		s.backup = nil
-		s.prev = nil // the retained delta base no longer matches
-		s.AppliedSeq = bk.seq
-		// The view rolls back but the source keeps the user's edit, so
-		// the pair is diverged until a full put realigns it, and the
-		// share is held so the reconciler does not re-propose the edit.
-		s.diverged, s.held, s.dirty = true, true, nil
+	restore, _ := s.st.denied(ev.Seq, true, nil)
+	if restore != nil {
+		p.cfg.DB.PutTable(restore.Renamed(s.ViewName))
 	}
 	s.stMu.Unlock()
-	if bk == nil {
+	if restore == nil {
 		return // not our proposal (or already resolved)
 	}
-	p.cfg.DB.PutTable(bk.view.Renamed(s.ViewName))
 	p.persistShares(s)
 	p.record(HistoryEntry{
 		ShareID: ev.ShareID, Seq: ev.Seq, Kind: "rolled-back",
@@ -446,7 +471,7 @@ func (p *Peer) reconcileShare(ctx context.Context, id string) error {
 // or a pending update or own proposal makes the view transient.
 func (p *Peer) staleness(s *Share, meta *sharereg.Meta) (string, error) {
 	s.stMu.Lock()
-	applied, inflight := s.AppliedSeq, s.backup != nil
+	applied, inflight := s.st.applied, s.st.staged
 	s.stMu.Unlock()
 	switch {
 	case meta.LastPayloadHash == "" || applied > meta.Seq:

@@ -131,8 +131,11 @@ func (p *Peer) proveViewConverged(shareID string, key reldb.Row) (RowProof, erro
 		// the finalized version, so serve from it instead of making the
 		// reader wait for (and then miss) the next one.
 		if s, err := p.share(shareID); err == nil {
+			var bk *shareVersion
 			s.stMu.Lock()
-			bk := s.backup
+			if s.st.staged {
+				bk = s.st.prev
+			}
 			s.stMu.Unlock()
 			if bk != nil && hashHex(bk.view) == meta.LastPayloadHash {
 				if old, err := proveRow(shareID, bk.view, bk.seq, key); err == nil {

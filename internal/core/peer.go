@@ -48,6 +48,10 @@ var (
 	ErrNotAuthorized = errors.New("core: data fetch from non-peer")
 	ErrStaleData     = errors.New("core: counterparty does not hold requested version")
 	ErrTxFailed      = errors.New("core: transaction rejected by contract")
+
+	// errShareMoved refuses a staging or an install whose base a
+	// concurrent rollback retired.
+	errShareMoved = errors.New("core: share moved off its base")
 )
 
 // Fixed operating limits of a peer.
@@ -175,51 +179,11 @@ type Share struct {
 	// which all acquire in sorted share-ID order, so none can deadlock.
 	opMu sync.Mutex
 
-	// stMu guards the mutable share state below. Per-share — not
-	// peer-wide — so a fetch handler serving one share never contends
-	// with operations on the peer's hundreds of others.
+	// stMu guards st. Per-share — not peer-wide — so a fetch handler
+	// serving one share never contends with operations on the peer's
+	// hundreds of others.
 	stMu sync.Mutex
-
-	// AppliedSeq is the last fully applied update sequence number.
-	AppliedSeq uint64
-
-	// backup holds the pre-proposal view replica while our own update is
-	// pending, so a rejection by a counterparty rolls the share back.
-	// The local source deliberately keeps the user's edit: an
-	// untranslatable edit is surfaced (history entry "rolled-back") for
-	// the user to resolve, never silently destroyed.
-	backup *shareBackup
-
-	// prev retains the previous view version so the data channel can
-	// answer a peer that already holds it with a row-level changeset
-	// instead of a tree walk (see serveSync).
-	prev *shareBackup
-
-	// diverged marks that the stored view replica no longer equals
-	// Lens.Get(source) — the deliberate state after a rejection or denial
-	// rollback, which restores the view but keeps the user's edit in the
-	// source. While set, puts take bx.Put, which diffs the new view
-	// against the source's own view and so re-embeds the whole view and
-	// realigns the pair, instead of the delta put of a changeset from the
-	// replica (which would silently preserve the divergence).
-	diverged bool
-
-	// dirty, when set, is a source version the replica may not show: one
-	// a write through another share produced, or the one a restored
-	// replica was bound over. The reconciler derives from it, not from the
-	// current source, leaving later UpdateSource edits to the user. held
-	// marks an edit a counterparty rejected or the contract denied: it
-	// stays in the source, unproposed until a user's proposal commits.
-	dirty *reldb.Table
-	held  bool
-
-	// derivedSrc and derivedView are the source snapshot and the replica
-	// version that equals Lens.Get of it — where the next proposal's
-	// incremental get starts (stageProposal). Nothing clears the pair: it
-	// is trusted only while derivedView is still the very version stored
-	// as the replica, so a rollback, resync, repair or restore that swaps
-	// the replica in retires it, and so does a restart (nil).
-	derivedSrc, derivedView *reldb.Table
+	st   shareState
 
 	// proofs memoizes membership proofs for the serving edge's
 	// proof-carrying reads, invalidated wholesale when the applied
@@ -240,17 +204,11 @@ func (s *Share) seedView(t *reldb.Table) *reldb.Table {
 	return t.Reseeded(s.prioSeed)
 }
 
-// appliedSeq reads AppliedSeq under the share's state lock.
+// appliedSeq reads the applied seq under the share's state lock.
 func (s *Share) appliedSeq() uint64 {
 	s.stMu.Lock()
 	defer s.stMu.Unlock()
-	return s.AppliedSeq
-}
-
-// shareBackup is a (sequence, view snapshot) pair.
-type shareBackup struct {
-	seq  uint64
-	view *reldb.Table
+	return s.st.applied
 }
 
 // HistoryEntry records one observed share event.
@@ -404,7 +362,7 @@ func (p *Peer) ShareInfo(id string) (ShareInfo, error) {
 		ID:          s.ID,
 		SourceTable: s.SourceTable,
 		ViewName:    s.ViewName,
-		AppliedSeq:  s.AppliedSeq,
+		AppliedSeq:  s.st.applied,
 	}, nil
 }
 

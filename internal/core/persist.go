@@ -155,8 +155,8 @@ func (p *Peer) bindRestoredShare(id, sourceTable string, lens bx.Lens, viewName 
 		SourceTable: sourceTable,
 		Lens:        lens,
 		ViewName:    viewName,
-		AppliedSeq:  seq,
 		prioSeed:    meta.PrioSeed,
+		st:          shareState{applied: seq},
 	}
 	p.mu.Lock()
 	p.shares[id] = s
@@ -165,7 +165,7 @@ func (p *Peer) bindRestoredShare(id, sourceTable string, lens bx.Lens, viewName 
 	// source table there is nothing to re-derive from.
 	_ = p.cfg.DB.ReplaceTable(sourceTable, func(cur *reldb.Table) (*reldb.Table, error) {
 		s.stMu.Lock()
-		s.dirty = cur
+		s.st.mark(cur)
 		s.stMu.Unlock()
 		return cur, nil
 	})

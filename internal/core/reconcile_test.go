@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"medshare/internal/clock"
+	"medshare/internal/contract/sharereg"
+	"medshare/internal/identity"
 	"medshare/internal/p2p"
 	"medshare/internal/reldb"
 	"medshare/internal/store"
@@ -206,5 +208,140 @@ func TestHistoryKeepsLatestEntries(t *testing.T) {
 		if want := uint64(n - historyCap + i); e.Seq != want {
 			t.Fatalf("History()[%d] is entry %d, want %d", i, e.Seq, want)
 		}
+	}
+}
+
+// TestRejectionBeforeFinalizeKeepsHold: the counterparty's rejection of
+// the hub's proposal on A reaches the hub before the proposer's own
+// finalize runs. The rejection rolls A back and holds it; the finalize
+// that follows must keep the hold, so a write through sibling B makes no
+// second proposal on A.
+func TestRejectionBeforeFinalizeKeepsHold(t *testing.T) {
+	h := newPairHarness(t, true, nil)
+	if err := h.hub.UpdateSource("T", func(tb *reldb.Table) error {
+		return tb.Insert(reldb.Row{reldb.I(100), reldb.S("x"), reldb.S("y"), reldb.S("z")})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	metaA, err := h.hub.Meta("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := h.hub.lockShare("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := h.hub.stageProposal(s, false)
+	if err != nil {
+		s.opMu.Unlock()
+		t.Fatal(err)
+	}
+	h.hub.onUpdateRejected(sharereg.EventPayload{ShareID: "A", Seq: st.baseSeq + 1, From: h.pa.Address(), Kind: "rejected"})
+	h.hub.finalizeProposal(st)
+	h.hub.persistShares(s)
+	s.opMu.Unlock()
+
+	s.stMu.Lock()
+	held, applied := s.st.held, s.st.applied
+	s.stMu.Unlock()
+	if !held || applied != st.baseSeq {
+		t.Fatalf("after the rejection and the finalize A is held %v at seq %d, want held at %d", held, applied, st.baseSeq)
+	}
+	var before int
+	for _, e := range h.hub.History() {
+		if e.ShareID == "A" {
+			before++
+		}
+	}
+	for i := int64(0); i < 4; i++ {
+		res, err := h.hub.UpdateView(h.ctx, "B", setCol(i, "y", fmt.Sprintf("via-B-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.pb.WaitFinal(h.ctx, "B", res.Seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	meta, err := h.hub.Meta("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Seq != metaA.Seq || meta.Pending != nil {
+		t.Fatalf("A was proposed while held: seq %d -> %d, pending %+v", metaA.Seq, meta.Seq, meta.Pending)
+	}
+	var after int
+	for _, e := range h.hub.History() {
+		if e.ShareID == "A" {
+			after++
+		}
+	}
+	if after != before {
+		t.Fatalf("the hub acted on held share A: %d history entries -> %d", before, after)
+	}
+}
+
+// TestForgedColumnsRejected: the hub may no longer write x on A, stages an
+// honest edit of x, and submits a request that declares only y, which the
+// contract admits. The counterparty must refuse to install a change to a
+// column the request does not declare: its source keeps x, and the
+// rejection rolls the hub back and holds A.
+func TestForgedColumnsRejected(t *testing.T) {
+	h := newPairHarness(t, true, nil)
+	if err := h.hub.SetPermission(h.ctx, "A", "x", []identity.Address{h.pa.Address()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.hub.UpdateSource("T", setCol(3, "x", "forged")); err != nil {
+		t.Fatal(err)
+	}
+	s, err := h.hub.lockShare("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := h.hub.stageProposal(s, false)
+	if err != nil {
+		s.opMu.Unlock()
+		t.Fatal(err)
+	}
+	view, err := h.hub.View("A")
+	if err != nil {
+		s.opMu.Unlock()
+		t.Fatal(err)
+	}
+	st.cols = []string{"y"}
+	st.tx, err = h.hub.buildTx(sharereg.FnRequestUpdate, "A", sharereg.UpdateArgs{
+		ShareID: "A", Cols: st.cols, PayloadHash: hashHex(view), Kind: st.kind, BaseSeq: st.baseSeq,
+	})
+	if err == nil {
+		_, err = h.hub.submitAndWait(h.ctx, st.tx)
+	}
+	if err != nil {
+		h.hub.rollbackProposal(st, err)
+		s.opMu.Unlock()
+		t.Fatalf("the forged request was not admitted: %v", err)
+	}
+	h.hub.finalizeProposal(st)
+	h.hub.persistShares(s)
+	s.opMu.Unlock()
+
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.stMu.Lock()
+		held, applied := s.st.held, s.st.applied
+		s.stMu.Unlock()
+		if held && applied == st.baseSeq {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the hub is held %v at seq %d, want rolled back to %d and held", held, applied, st.baseSeq)
+		}
+	}
+	src, err := h.pa.Source("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cell(t, src, 3, "x"); got != "x3" {
+		t.Fatalf("pa's source reads x = %q on row 3, want the undeclared change refused", got)
+	}
+	if info, _ := h.pa.ShareInfo("A"); info.AppliedSeq != st.baseSeq {
+		t.Fatalf("pa applied A at seq %d, want %d", info.AppliedSeq, st.baseSeq)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"crypto/rand"
 	"errors"
@@ -162,8 +161,8 @@ func (p *Peer) AttachShare(id, sourceTable string, lens bx.Lens, viewName string
 		SourceTable: sourceTable,
 		Lens:        lens,
 		ViewName:    viewName,
-		AppliedSeq:  meta.Seq,
 		prioSeed:    meta.PrioSeed,
+		st:          shareState{applied: meta.Seq},
 	}
 	p.mu.Lock()
 	if _, dup := p.shares[id]; dup {
@@ -274,7 +273,7 @@ func (p *Peer) stageProposal(s *Share, marked bool) (*stagedProposal, error) {
 	var src, mark *reldb.Table
 	err := p.cfg.DB.ReplaceTable(s.SourceTable, func(cur *reldb.Table) (*reldb.Table, error) {
 		s.stMu.Lock()
-		mark, s.dirty, src = s.dirty, nil, cur
+		mark, src = s.st.takeMark(), cur
 		s.stMu.Unlock()
 		return cur, nil
 	})
@@ -284,13 +283,15 @@ func (p *Peer) stageProposal(s *Share, marked bool) (*stagedProposal, error) {
 	if marked && mark != nil {
 		src = mark
 	}
+	// The replica and its seq are read together: every transition that
+	// moves the seq swaps the replica under stMu too.
+	s.stMu.Lock()
+	baseSeq, baseSrc, baseView := s.st.applied, s.st.derivedSrc, s.st.derivedView
 	oldView, err := p.snapshotTable(s.ViewName)
+	s.stMu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	s.stMu.Lock()
-	baseSrc, baseView := s.derivedSrc, s.derivedView
-	s.stMu.Unlock()
 	var newView *reldb.Table
 	var cs reldb.Changeset
 	if baseSrc != nil && baseView.SameVersion(oldView) && baseSrc.SchemaSum() == src.SchemaSum() {
@@ -316,7 +317,7 @@ func (p *Peer) stageProposal(s *Share, marked bool) (*stagedProposal, error) {
 		// The replica is the view of this source too; the next diff
 		// starts here instead of re-reading edits the view does not show.
 		s.stMu.Lock()
-		s.derivedSrc, s.derivedView = src, oldView
+		s.st.derived(baseSeq, src, oldView)
 		s.stMu.Unlock()
 		return nil, ErrNoChanges
 	}
@@ -327,8 +328,6 @@ func (p *Peer) stageProposal(s *Share, marked bool) (*stagedProposal, error) {
 	}
 	sort.Strings(cols)
 	kind := updateKind(cs)
-
-	baseSeq := s.appliedSeq()
 
 	ua := sharereg.UpdateArgs{
 		ShareID:     s.ID,
@@ -345,58 +344,63 @@ func (p *Peer) stageProposal(s *Share, marked bool) (*stagedProposal, error) {
 	// Refresh the replica and advance the applied sequence *before* the
 	// request commits: the contract event may reach counterparties in the
 	// same instant the block lands, and their fetch must already see the
-	// new payload. The pre-proposal state is kept as a rollback point for
-	// a contract denial or a counterparty rejection. oldView is already an
-	// immutable snapshot, so the rollback point and the delta base share
-	// it instead of each taking a copy.
-	p.cfg.DB.PutTable(newView.Renamed(s.ViewName))
+	// new payload. The pre-proposal view is kept as the rollback point for
+	// a contract denial or a counterparty rejection, and as the delta
+	// base. A share that moved off baseSeq meanwhile (a rejection rolled
+	// it back) or that a rejection held proposes nothing.
 	s.stMu.Lock()
-	s.backup = &shareBackup{seq: baseSeq, view: oldView}
-	s.prev = &shareBackup{seq: baseSeq, view: oldView}
-	s.AppliedSeq = baseSeq + 1
-	s.derivedSrc, s.derivedView = src, newView
+	ok := s.st.stage(baseSeq, marked, oldView, src, newView)
+	if ok {
+		p.cfg.DB.PutTable(newView.Renamed(s.ViewName))
+	}
 	s.stMu.Unlock()
+	if !ok {
+		return nil, errShareMoved
+	}
 	return &stagedProposal{s: s, tx: tx, baseSeq: baseSeq, oldView: oldView, kind: kind, cols: cols, mark: mark}, nil
 }
 
 // rollbackProposal undoes a staged proposal after a denial (permission,
-// pending gate, stale base). The view returns to the pre-proposal
-// snapshot while the source keeps the local edit, so the pair is
-// diverged until a full put. A contract denial that will not lift
-// holds the share (see Share.held); after any other failure a share
-// the staging found dirty is marked again, and the reconciler's
-// re-attempt counts as a proposal retry.
+// pending gate, stale base): the denied transition of shareState. A
+// contract denial that will not lift holds the share; after any other
+// failure a share the staging found dirty is marked again, and the
+// reconciler's re-attempt counts as a proposal retry. A rejection that
+// already rolled the seq back leaves nothing to undo.
 func (p *Peer) rollbackProposal(st *stagedProposal, err error) {
 	s := st.s
 	held := errors.Is(err, ErrTxFailed) && !retriableProposal(err)
-	retry := st.mark != nil && !held
 	s.stMu.Lock()
-	s.AppliedSeq = st.baseSeq
-	s.backup = nil
-	s.prev = nil
-	s.diverged = true
-	s.held = s.held || held
-	if retry {
-		s.dirty = cmp.Or(s.dirty, st.mark)
-		p.stats.proposalRetries.Add(1)
+	restore, retry := s.st.denied(st.baseSeq+1, held, st.mark)
+	if restore != nil {
+		p.cfg.DB.PutTable(restore.Renamed(s.ViewName))
 	}
 	s.stMu.Unlock()
-	p.cfg.DB.PutTable(st.oldView.Renamed(s.ViewName))
-	p.persistShares(s)
+	if retry {
+		p.stats.proposalRetries.Add(1)
+	}
+	if restore != nil {
+		p.persistShares(s)
+	}
 }
 
 // finalizeProposal records a staged proposal whose request committed.
 // The caller persists the share: alone, or with the rest of its round.
+// A counterparty's rejection may reach the event dispatcher before the
+// verdict reaches us: it has already rolled the share back to the base
+// and held it, so the commit of that seq changes and records nothing.
 func (p *Peer) finalizeProposal(st *stagedProposal) ProposalResult {
 	s := st.s
-	s.stMu.Lock()
+	seq := st.baseSeq + 1
 	// The replica is refreshed from Get(src): the pair is aligned, and a
 	// held edit is proposed (the reconciler never proposes a held share).
-	s.diverged, s.held = false, false
+	s.stMu.Lock()
+	live := s.st.committed(seq)
 	s.stMu.Unlock()
-	p.record(HistoryEntry{ShareID: s.ID, Seq: st.baseSeq + 1, Kind: st.kind, Cols: st.cols, From: p.Address()})
-	p.logf("proposed update on %s seq %d (cols %v)", s.ID, st.baseSeq+1, st.cols)
-	return ProposalResult{ShareID: s.ID, Seq: st.baseSeq + 1, Cols: st.cols, TxID: st.tx.IDString()}
+	if live {
+		p.record(HistoryEntry{ShareID: s.ID, Seq: seq, Kind: st.kind, Cols: st.cols, From: p.Address()})
+		p.logf("proposed update on %s seq %d (cols %v)", s.ID, seq, st.cols)
+	}
+	return ProposalResult{ShareID: s.ID, Seq: seq, Cols: st.cols, TxID: st.tx.IDString()}
 }
 
 // ProposeUpdates proposes updates on many shares as one group commit:
@@ -528,7 +532,7 @@ func (p *Peer) embedViewEdit(s *Share, mutate func(*reldb.Table) error) error {
 		return err
 	}
 	s.stMu.Lock()
-	diverged := s.diverged
+	diverged := s.st.diverged
 	s.stMu.Unlock()
 	err = p.cfg.DB.ReplaceTable(s.SourceTable, func(src *reldb.Table) (*reldb.Table, error) {
 		var newSrc *reldb.Table

@@ -20,7 +20,7 @@ import (
 // it ("Request updated data" / "Send updated data" in Fig. 2) in one
 // exchange, data.sync; the chain holds only the view's hash. The first
 // request names the requester's replica, its applied seq and row root.
-// A provider that retained exactly that version (Share.prev) answers
+// A provider that retained exactly that version (shareState.prev) answers
 // with the changeset from it, in one round trip: every live update.
 // Otherwise it answers with its tree top, and a replica that missed
 // updates, or holds nothing, converges by walking the provider's
@@ -381,8 +381,8 @@ func (p *Peer) serveSync(msg p2p.Message) (p2p.Message, error) {
 	var prev *reldb.Table
 	if initial {
 		s.stMu.Lock()
-		if s.prev != nil && s.prev.seq == req.HaveSeq {
-			prev = s.prev.view
+		if v := s.st.prev; v != nil && v.seq == req.HaveSeq {
+			prev = v.view
 		}
 		s.stMu.Unlock()
 	}

@@ -186,9 +186,7 @@ func (h *syncHarness) rollback(t *testing.T, seq uint64, src, view *reldb.Table)
 		t.Fatal(err)
 	}
 	s.stMu.Lock()
-	s.AppliedSeq = seq
-	s.prev = nil
-	s.backup = nil
+	s.st.applied, s.st.prev, s.st.staged = seq, nil, false
 	s.stMu.Unlock()
 	h.b.cfg.DB.PutTable(src.Renamed(s.SourceTable))
 	h.b.cfg.DB.PutTable(view.Renamed(s.ViewName))

@@ -134,3 +134,17 @@ func BenchmarkTableRowOps(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkEnsureIndex10k builds a secondary index over a 10k-row table
+// that has none: the lazy build behind the first RowsByCols.
+func BenchmarkEnsureIndex10k(b *testing.B) {
+	base := bigPatients(b, 10_000)
+	b.ReportAllocs()
+	for b.Loop() {
+		t := base.Clone()
+		if err := t.EnsureIndex([]string{"age"}); err != nil {
+			b.Fatal(err)
+		}
+		sinkTable = t
+	}
+}

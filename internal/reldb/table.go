@@ -473,10 +473,14 @@ func (t *Table) secIndexFor(cols []string) (*secIndex, error) {
 		}
 	}
 	ix := &secIndex{cols: idx}
+	// One transient for the whole build: each node is made once, not
+	// path-copied per row.
+	tr := ix.entries.Edit()
 	t.rows.Ascend(func(pk string, e *rowEntry) bool {
-		ix.entries, _ = ix.entries.Set(ix.secKey(e.row)+pk, struct{}{})
+		tr.Set(ix.secKey(e.row)+pk, struct{}{})
 		return true
 	})
+	ix.entries = tr.Freeze()
 	t.publishIndex(name, ix)
 	return ix, nil
 }

@@ -23,8 +23,9 @@ import (
 //     the group commit batch realization
 //   - medshare_chain_* — chain height and mempool gauges
 //   - medshare_node_tx_sig_checks_total — transaction signatures the
-//     node verified (one per transaction it committed, when every
-//     transaction reached it by submission or gossip first)
+//     node verified: one per signature group it committed (a
+//     transaction signed alone, or a whole batch signed once), when
+//     every group reached it by submission or gossip first
 //   - medshare_store_* — the durable store's size and recovery gauges,
 //     and medshare_store_bytes_written_total{kind=...} /
 //     _records_written_total{kind=...}: what the store appended since

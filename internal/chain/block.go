@@ -115,28 +115,24 @@ func (b *Block) ComputeTxRoot() merkle.Hash {
 }
 
 // VerifyStructure checks everything about a block that does not require
-// executing it: the transaction root, each transaction's signature, and
-// the paper's conflict rule that a block carries at most one transaction
-// per shared table.
+// executing it: the transaction root, the signature of each signature
+// group (VerifyGroups: a block holds whole batches), and the paper's
+// conflict rule that a block carries at most one transaction per shared
+// table.
 //
-// sigChecked, when non-nil, reports the transactions whose signatures
-// the caller has already checked; their check is skipped, everything
-// else still runs. That is sound for a transaction the caller verified
-// under the same ID: the ID hashes the signed content (which covers From
-// and PubKey) together with Sig, so it pins the very bytes Verify reads
-// — the collision resistance the tx root and replay protection already
-// rest on. nil checks every signature.
-func (b *Block) VerifyStructure(sigChecked func(*Tx) bool) error {
+// sigChecked, when non-nil, reports the groups whose signatures the
+// caller has already checked under the same transaction IDs (see
+// VerifyGroups); their check is skipped, everything else still runs.
+// nil checks every signature.
+func (b *Block) VerifyStructure(sigChecked func(group []*Tx) bool) error {
 	if b.ComputeTxRoot() != b.Header.TxRoot {
 		return ErrBadTxRoot
 	}
+	if err := VerifyGroups(b.Txs, sigChecked, nil); err != nil {
+		return err
+	}
 	seenShare := make(map[string]bool, len(b.Txs))
-	for i, tx := range b.Txs {
-		if sigChecked == nil || !sigChecked(tx) {
-			if err := tx.Verify(); err != nil {
-				return fmt.Errorf("tx %d: %w", i, err)
-			}
-		}
+	for _, tx := range b.Txs {
 		if tx.ShareID != "" {
 			if seenShare[tx.ShareID] {
 				return fmt.Errorf("%w: share %s at height %d", ErrShareConflict, tx.ShareID, b.Header.Height)

@@ -54,11 +54,11 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 	}
 
 	tx, err := DecodeTx(AppendTxBinary(nil, b.Txs[1]))
-	if err != nil || tx.ID() != b.Txs[1].ID() {
+	if err != nil || tx.IDString() != b.Txs[1].IDString() {
 		t.Fatalf("tx round trip: %v", err)
 	}
 	txs, err := DecodeTxBatch(AppendTxBatchBinary(nil, b.Txs))
-	if err != nil || len(txs) != 2 || txs[0].ID() != b.Txs[0].ID() || txs[1].ID() != b.Txs[1].ID() {
+	if err != nil || len(txs) != 2 || txs[0].IDString() != b.Txs[0].IDString() || txs[1].IDString() != b.Txs[1].IDString() {
 		t.Fatalf("batch round trip: %v", err)
 	}
 	if g, err := DecodeBlock(AppendBlockBinary(nil, Genesis("t"))); err != nil || g.Hash() != Genesis("t").Hash() {
@@ -79,7 +79,7 @@ func TestBlockCodecLargeArgument(t *testing.T) {
 	if got.Hash() != b.Hash() || got.ComputeTxRoot() != b.Header.TxRoot || !bytes.Equal(got.Txs[0].Args[1], b.Txs[0].Args[1]) {
 		t.Fatal("decoded block differs")
 	}
-	if tx, err := DecodeTx(AppendTxBinary(nil, b.Txs[0])); err != nil || tx.ID() != b.Txs[0].ID() {
+	if tx, err := DecodeTx(AppendTxBinary(nil, b.Txs[0])); err != nil || tx.IDString() != b.Txs[0].IDString() {
 		t.Fatalf("tx round trip: %v", err)
 	}
 }

@@ -63,7 +63,7 @@ func (s *Store) Has(h merkle.Hash) bool {
 // Block.VerifyStructure; nil checks every signature). Add reports whether
 // the best head changed (callers then rebuild contract state if the new
 // head is not a simple extension).
-func (s *Store) Add(b *Block, sigChecked func(*Tx) bool) (headChanged bool, err error) {
+func (s *Store) Add(b *Block, sigChecked func(group []*Tx) bool) (headChanged bool, err error) {
 	if err := b.VerifyStructure(sigChecked); err != nil {
 		return false, err
 	}

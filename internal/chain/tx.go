@@ -2,15 +2,22 @@
 // invoke smart contracts, Merkle-rooted blocks, and a block-tree store
 // with longest-chain fork choice. The chain stores only share *metadata*
 // operations (Fig. 3) — raw medical data never appears on the ledger.
+//
+// A transaction is signed alone (Tx.Sign) or as a member of a batch
+// (SignBatch): one sender's group commit of up to MaxBatch transactions
+// carries one signature over the Merkle root of its members' SigHashes,
+// and each member's Sig is that signature followed by the member's
+// position. VerifyGroups checks a list of transactions one signature
+// group at a time, so a batch costs one ed25519 check wherever it is
+// verified. A block holds whole batches.
 package chain
 
 import (
-	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"fmt"
+	"sync/atomic"
 
 	"medshare/internal/identity"
 	"medshare/internal/merkle"
@@ -41,8 +48,18 @@ type Tx struct {
 	// TimestampMicro is the sender's clock at submission, microseconds
 	// since the Unix epoch. Informational; consensus does not depend on it.
 	TimestampMicro int64 `json:"ts"`
-	// Sig is the ed25519 signature over SigHash.
+	// Sig is the sender's ed25519 signature. A transaction signed alone
+	// (Sign) carries the 64-byte signature over SigHash. A member of a
+	// batch (SignBatch) carries the batch's one signature over its
+	// digest (batchDigest) followed by uvarint(index) ‖ uvarint(size),
+	// the member's position in the batch; it verifies only together with
+	// the whole batch, in index order (VerifyGroups).
 	Sig []byte `json:"sig"`
+
+	// idMemo caches IDString: every layer of a node asks for the ID of
+	// the same transaction several times. A signed transaction is not
+	// mutated; Sign and SignBatch reset the memo.
+	idMemo atomic.Pointer[string]
 }
 
 // SigHash returns the digest the sender signs: everything except Sig.
@@ -80,30 +97,32 @@ func (tx *Tx) SigHash() merkle.Hash {
 	return out
 }
 
-// ID returns the transaction identifier: the hash of the signed content
-// plus the signature.
-func (tx *Tx) ID() merkle.Hash {
+// IDString returns the hex transaction identifier: the hash of the
+// signed content plus the signature (a batch member's position
+// included). It is computed once.
+func (tx *Tx) IDString() string {
+	if p := tx.idMemo.Load(); p != nil {
+		return *p
+	}
 	sh := tx.SigHash()
 	h := sha256.New()
 	h.Write(sh[:])
 	h.Write(tx.Sig)
-	var out merkle.Hash
-	h.Sum(out[:0])
-	return out
+	var id merkle.Hash
+	h.Sum(id[:0])
+	p := hex.EncodeToString(id[:])
+	tx.idMemo.Store(&p)
+	return p
 }
 
-// IDString returns the hex transaction ID.
-func (tx *Tx) IDString() string {
-	id := tx.ID()
-	return hex.EncodeToString(id[:])
-}
-
-// Sign fills From, PubKey, and Sig using the identity.
+// Sign fills From, PubKey, and Sig using the identity: the transaction
+// is signed alone.
 func (tx *Tx) Sign(id *identity.Identity) {
 	tx.From = id.Address()
 	tx.PubKey = append([]byte(nil), id.PublicKey()...)
 	sh := tx.SigHash()
 	tx.Sig = id.Sign(sh[:])
+	tx.idMemo.Store(nil)
 }
 
 // Errors returned by transaction and block verification.
@@ -117,19 +136,15 @@ var (
 	ErrUnknownBlock   = errors.New("chain: unknown block")
 )
 
-// Verify checks the signature and address binding.
+// Verify checks the signature and address binding of a transaction
+// signed alone. A batch member fails it: its signature verifies only
+// with its whole batch (VerifyGroups).
 func (tx *Tx) Verify() error {
-	if len(tx.Sig) == 0 || len(tx.PubKey) == 0 {
-		return ErrTxUnsigned
+	group := []*Tx{tx}
+	if err := checkGroup(group); err != nil {
+		return err
 	}
-	if len(tx.PubKey) != ed25519.PublicKeySize {
-		return fmt.Errorf("%w: bad public key length %d", ErrTxBadSig, len(tx.PubKey))
-	}
-	sh := tx.SigHash()
-	if err := identity.Verify(tx.From, ed25519.PublicKey(tx.PubKey), sh[:], tx.Sig); err != nil {
-		return fmt.Errorf("%w: %v", ErrTxBadSig, err)
-	}
-	return nil
+	return verifyGroup(group)
 }
 
 // Encode returns the canonical byte encoding used as a Merkle leaf.

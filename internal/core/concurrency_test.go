@@ -397,6 +397,54 @@ func TestProposeUpdatesIsOneGroupCommit(t *testing.T) {
 	}
 }
 
+// TestGroupCommitChecksOneSignaturePerBatch: in the hub fan-out shape
+// (32 shares, 16 per partner) a round's 32 requests are one batch and
+// each partner's 16 acks are one more, each signed once, so the node
+// checks one signature per batch submission — not 64 per round.
+func TestGroupCommitChecksOneSignaturePerBatch(t *testing.T) {
+	const shares, partners, rounds = 32, 2, 3
+	h := newHubHarness(t, hubOpts{shares: shares, partners: partners, rows: 4})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	batches := func() (commits, txs uint64) {
+		for _, p := range append([]*Peer{h.hub}, h.partners...) {
+			st := p.Stats()
+			commits, txs = commits+st.BatchCommits, txs+st.BatchTxs
+		}
+		return commits, txs
+	}
+	for r := 0; r < rounds; r++ {
+		checks := h.node.TxSigChecks()
+		commits, txs := batches()
+		err := h.hub.UpdateSource("T", func(tbl *reldb.Table) error {
+			set := make(map[string]reldb.Value, shares)
+			for i := 0; i < shares; i++ {
+				set[workload.ManyShareCol(i)] = reldb.S(fmt.Sprintf("round-%d-%d", r, i))
+			}
+			return tbl.Update(reldb.Row{reldb.I(0)}, set)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		props, err := h.hub.SyncShares(ctx, "T")
+		if err != nil || len(props) != shares {
+			t.Fatalf("round %d proposed %d of %d shares: %v", r, len(props), shares, err)
+		}
+		for _, pr := range props {
+			if err := h.hub.WaitFinal(ctx, pr.ShareID, pr.Seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gotChecks := h.node.TxSigChecks() - checks
+		c, x := batches()
+		if gotCommits, gotTxs := c-commits, x-txs; gotChecks != gotCommits || gotTxs != 2*shares || gotCommits > 1+2*partners {
+			t.Fatalf("round %d: %d signature checks for %d transactions in %d batches; want one check per batch, %d transactions, at most %d batches",
+				r, gotChecks, gotTxs, gotCommits, 2*shares, 1+2*partners)
+		}
+		t.Logf("round %d: %d signature checks for %d transactions", r, gotChecks, 2*shares)
+	}
+}
+
 // TestConcurrentPeerStress drives one hub peer from many goroutines at
 // once — updaters (UpdateSource + UpdateView per share), fetchers
 // (counterparty Fetch), and resyncers (hub and counterpart Resync) — and

@@ -393,9 +393,10 @@ func (p *Peer) record(e HistoryEntry) {
 	p.mu.Unlock()
 }
 
-// submitAndWait submits a transaction and waits for its committed receipt,
-// translating contract failures into errors.
+// submitAndWait signs a transaction alone, submits it and waits for its
+// committed receipt, translating contract failures into errors.
 func (p *Peer) submitAndWait(ctx context.Context, tx *chain.Tx) (contract.Receipt, error) {
+	tx.Sign(p.cfg.Identity)
 	if err := p.cfg.Node.SubmitTx(tx); err != nil {
 		return contract.Receipt{}, err
 	}
@@ -427,16 +428,18 @@ func receiptError(rcpt contract.Receipt) error {
 	return fmt.Errorf("%w: %s", ErrTxFailed, rcpt.Err)
 }
 
-// submitAndWaitMany submits a batch of transactions in one group commit
-// and waits for each to land, returning a per-transaction verdict (nil
-// on success). One txTimeout covers the whole batch: the transactions
-// share a block, so their commits arrive together. A batch-level
+// submitAndWaitMany signs a batch of transactions with one signature
+// (chain.SignBatch), submits it in one group commit and waits for each
+// to land, returning a per-transaction verdict (nil on success). One
+// txTimeout covers the whole batch: the transactions share a block, so
+// their commits arrive together. A batch-level
 // submission failure fails every verdict. submitted, when set, runs once
 // the batch is in the mempool, before the wait. The batch is counted
 // before it is submitted, because submission kicks the producer and a
 // reader woken by the block must see the count; a refused batch takes
 // its count back.
 func (p *Peer) submitAndWaitMany(ctx context.Context, txs []*chain.Tx, submitted func()) []error {
+	chain.SignBatch(p.cfg.Identity, txs)
 	verdicts := make([]error, len(txs))
 	p.stats.batchCommits.Add(1)
 	p.stats.batchTxs.Add(uint64(len(txs)))
@@ -465,8 +468,9 @@ func (p *Peer) submitAndWaitMany(ctx context.Context, txs []*chain.Tx, submitted
 	return verdicts
 }
 
-// buildTx signs a sharereg invocation as this peer (not as the node
-// identity — several peers may share a node).
+// buildTx builds an unsigned sharereg invocation. Submission signs it
+// as this peer (not as the node identity — several peers may share a
+// node): alone in submitAndWait, with its batch in submitAndWaitMany.
 func (p *Peer) buildTx(fn, shareID string, arg any) (*chain.Tx, error) {
 	raw, err := json.Marshal(arg)
 	if err != nil {
@@ -480,7 +484,6 @@ func (p *Peer) buildTx(fn, shareID string, arg any) (*chain.Tx, error) {
 		Nonce:          p.cfg.Node.NextNonce(),
 		TimestampMicro: p.cfg.Clock.Now().UnixMicro(),
 	}
-	tx.Sign(p.cfg.Identity)
 	return tx, nil
 }
 

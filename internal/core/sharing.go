@@ -635,7 +635,6 @@ func (p *Peer) RemoveShare(ctx context.Context, shareID string) error {
 		return err
 	}
 	tx.Args = [][]byte{[]byte(shareID)}
-	tx.Sign(p.cfg.Identity)
 	if _, err := p.submitAndWait(ctx, tx); err != nil {
 		return err
 	}

@@ -157,6 +157,84 @@ func TestTxSignatureCheckedOncePerNode(t *testing.T) {
 	}
 }
 
+// TestBatchSignatureCheckedOncePerNode: a batch signed once
+// (chain.SignBatch) is one signature check on every node — at the
+// origin's submission, at gossip admission elsewhere — and the block
+// that commits it is checked on no node again. Each node's count rises
+// by exactly one per batch.
+func TestBatchSignatureCheckedOncePerNode(t *testing.T) {
+	nodes := sigTestNodes(t, "batch-sig-once")
+	const rounds, perRound = 6, 8
+	for r := 1; r <= rounds; r++ {
+		before := make([]uint64, len(nodes))
+		for i, n := range nodes {
+			before[i] = n.TxSigChecks()
+		}
+		origin := nodes[r%len(nodes)]
+		txs := make([]*chain.Tx, perRound)
+		for k := range txs {
+			txs[k] = origin.BuildTx("kv", "set", fmt.Sprintf("share-%d", k), []byte(fmt.Sprintf("r%d-k%d", r, k)), []byte("v"))
+		}
+		chain.SignBatch(origin.cfg.Identity, txs)
+		if err := origin.SubmitTxBatch(txs); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the batch pooled on every node", func() bool {
+			for _, n := range nodes {
+				if n.PendingTxs() != perRound {
+					return false
+				}
+			}
+			return true
+		})
+		if err := nodes[0].TryProduce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "every node at the round's height", func() bool {
+			for _, n := range nodes {
+				if n.Store().Height() != uint64(r) {
+					return false
+				}
+			}
+			return true
+		})
+		if got := len(nodes[0].Store().Head().Txs); got != perRound {
+			t.Fatalf("round %d: block carries %d txs, want %d", r, got, perRound)
+		}
+		for i, n := range nodes {
+			if got := n.TxSigChecks() - before[i]; got != 1 {
+				t.Errorf("round %d: node %d checked %d signatures for one batch of %d", r, i, got, perRound)
+			}
+		}
+	}
+}
+
+// sigTestNodes is three nodes on one memnet, the first the sealer.
+func sigTestNodes(t *testing.T, network string) []*Node {
+	t.Helper()
+	mem := p2p.NewMemNetwork()
+	sid := identity.MustNew("sealer")
+	nodes := make([]*Node, 3)
+	for i := range nodes {
+		id := sid
+		if i > 0 {
+			id = identity.MustNew(fmt.Sprintf("member%d", i))
+		}
+		n, err := New(Config{
+			NetworkName: network,
+			Identity:    id,
+			Engine:      consensus.NewPoA(true, sid.Address()),
+			Registry:    contract.NewRegistry(kvContract{}),
+			Transport:   mem.Endpoint(fmt.Sprintf("n%d", i)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = n
+	}
+	return nodes
+}
+
 // TestBlockOvertakingItsParentIsAdopted: blocks from different peers
 // arrive on different connections, so a block can reach a node before
 // its parent; it must be admitted once the parent is, or the node falls

@@ -241,14 +241,51 @@ func (n *Node) mustTx(t *testing.T, id string) *chain.Tx {
 // flip in a stored block fails Store.VerifyChain and the auditor: none
 // of the three has a pool to vouch for anything.
 func TestFlippedTxSigFailsRecoveryAndVerifyChain(t *testing.T) {
+	flippedSigFails(t, func(n *Node) { commitKVs(t, n, 0, 3) }, func(b *chain.Block) {
+		b.Txs[0].Sig[0] ^= 0x01
+	})
+}
+
+// TestFlippedBatchSigFailsRecoveryAndVerifyChain is the batch form: the
+// head block carries one batch signed once, and its signature byte is
+// flipped in every member, so the batch is whole and only its one
+// signature is wrong.
+func TestFlippedBatchSigFailsRecoveryAndVerifyChain(t *testing.T) {
+	flippedSigFails(t, func(n *Node) {
+		commitKVs(t, n, 0, 2)
+		txs := make([]*chain.Tx, 4)
+		for i := range txs {
+			txs[i] = n.BuildTx("kv", "set", "", []byte(fmt.Sprintf("batch-%d", i)), []byte("v"))
+		}
+		chain.SignBatch(n.cfg.Identity, txs)
+		if err := n.SubmitTxBatch(txs); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.TryProduce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(n.Store().Head().Txs); got != len(txs) {
+			t.Fatalf("head block carries %d txs, want the batch of %d", got, len(txs))
+		}
+	}, func(b *chain.Block) {
+		for _, tx := range b.Txs {
+			tx.Sig[0] ^= 0x01
+		}
+	})
+}
+
+// flippedSigFails commits blocks on a durable node with commit, then
+// requires recovery, VerifyChain and the auditor to refuse the head
+// block once flipSig has broken a signature in it.
+func flippedSigFails(t *testing.T, commit func(*Node), flipSig func(*chain.Block)) {
 	s, err := store.Open(store.Options{FS: store.NewMemFS()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := newDurableNode(t, s)
-	commitKVs(t, n, 0, 3)
+	commit(n)
 	flip := func(b *chain.Block) {
-		b.Txs[0].Sig[0] ^= 0x01
+		flipSig(b)
 		b.Header.TxRoot = b.ComputeTxRoot()
 		b.ResetHashCache()
 	}

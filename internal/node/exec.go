@@ -111,11 +111,11 @@ func (n *Node) commitBlock(b *chain.Block, staged *statedb.Store, receipts []con
 // admittedSigs is commitBlock's signature-skip predicate for Store.Add.
 // The mempool holds only transactions whose signatures were checked at
 // admission, and a block this node produced was picked from it, so
-// neither is checked again; every other transaction is, and the check
-// is counted. Membership is read once per block, under one n.mu.
-func (n *Node) admittedSigs(b *chain.Block, produced bool) func(*chain.Tx) bool {
+// neither is checked again; every other signature group is, and the
+// check is counted. Membership is read once per block, under one n.mu.
+func (n *Node) admittedSigs(b *chain.Block, produced bool) func([]*chain.Tx) bool {
 	if produced {
-		return func(*chain.Tx) bool { return true }
+		return func([]*chain.Tx) bool { return true }
 	}
 	pooled := make(map[*chain.Tx]bool, len(b.Txs))
 	n.mu.Lock()
@@ -125,8 +125,8 @@ func (n *Node) admittedSigs(b *chain.Block, produced bool) func(*chain.Tx) bool 
 		}
 	}
 	n.mu.Unlock()
-	return func(tx *chain.Tx) bool {
-		if pooled[tx] {
+	return func(group []*chain.Tx) bool {
+		if all(group, func(tx *chain.Tx) bool { return pooled[tx] }) {
 			return true
 		}
 		n.sigChecks.Add(1) // VerifyStructure checks what is not skipped

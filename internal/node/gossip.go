@@ -63,24 +63,27 @@ func (n *Node) handleGossip(msg p2p.Message) {
 	}
 }
 
-// admitVerified admits the gossiped transactions whose signatures
-// verify, dropping the rest. One already committed or pooled here is
-// dropped before its check: gossip redelivers, and a transaction with
-// the same ID has the same verdict.
+// admitVerified admits the gossiped signature groups that verify,
+// dropping the rest. A group every member of which is already committed
+// or pooled here is dropped before its check: gossip redelivers, and a
+// transaction with the same ID has the same verdict.
 func (n *Node) admitVerified(txs []*chain.Tx) {
-	unseen := txs[:0]
-	n.mu.Lock()
-	for _, tx := range txs {
-		if id := tx.IDString(); !n.committedTxs[id] && !n.mempool.has(id) {
-			unseen = append(unseen, tx)
+	var good [][]*chain.Tx
+	_ = chain.VerifyGroups(txs, n.seen, func(group []*chain.Tx, err error) {
+		n.sigChecks.Add(1)
+		if err == nil {
+			good = append(good, group)
 		}
-	}
-	n.mu.Unlock()
-	good := unseen[:0]
-	for _, tx := range unseen {
-		if n.verifyTx(tx) == nil {
-			good = append(good, tx)
-		}
-	}
+	})
 	n.admit(good)
+}
+
+// seen reports whether every member of the group is committed or pooled.
+func (n *Node) seen(group []*chain.Tx) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return all(group, func(tx *chain.Tx) bool {
+		id := tx.IDString()
+		return n.committedTxs[id] || n.mempool.has(id)
+	})
 }

@@ -310,9 +310,13 @@ func (n *Node) TryProduce(ctx context.Context) error {
 	if !n.cfg.Engine.MayPropose(n.Address(), height) {
 		return errNotOurTurn
 	}
-	txs := n.pickTxs()
-	if len(txs) == 0 {
+	groups := n.pickTxs()
+	if len(groups) == 0 {
 		return errNothingToDo
+	}
+	var txs []*chain.Tx
+	for _, group := range groups {
+		txs = append(txs, group...)
 	}
 
 	b := &chain.Block{
@@ -326,7 +330,7 @@ func (n *Node) TryProduce(ctx context.Context) error {
 	}
 	b.Header.TxRoot = b.ComputeTxRoot()
 	if err := n.cfg.Engine.Prepare(&b.Header); err != nil {
-		n.requeueTxs(txs)
+		n.requeueTxs(groups)
 		return err
 	}
 
@@ -337,13 +341,13 @@ func (n *Node) TryProduce(ctx context.Context) error {
 	b.Header.StateRoot = staged.Root()
 
 	if err := n.cfg.Engine.Seal(ctx, b, n.cfg.Identity); err != nil {
-		n.requeueTxs(txs)
+		n.requeueTxs(groups)
 		return err
 	}
 	if n.store.Head() != head {
 		// Another block landed while sealing; drop ours, keep its
 		// transactions for the next round.
-		n.requeueTxs(txs)
+		n.requeueTxs(groups)
 		return errStaleProduce
 	}
 	// Broadcast before the local persist, so followers execute and fsync
@@ -363,22 +367,19 @@ func (n *Node) TryProduce(ctx context.Context) error {
 }
 
 // TxSigChecks reports how many transaction signatures this node has
-// verified since it started: one per transaction at admission (SubmitTx,
-// SubmitTxBatch, gossip), plus one per transaction of a received block
-// that was never admitted here. A transaction is checked once per node;
-// recovery's re-verification of the persisted chain is not counted.
+// verified since it started: one per signature group (a transaction
+// signed alone, or a whole batch signed once) at admission (SubmitTx,
+// SubmitTxBatch, gossip), plus one per group of a received block that
+// was never admitted here. A group is checked once per node; recovery's
+// re-verification of the persisted chain is not counted.
 func (n *Node) TxSigChecks() uint64 { return n.sigChecks.Load() }
 
-// verifyTx checks a transaction's signature, counting the check.
-func (n *Node) verifyTx(tx *chain.Tx) error {
-	n.sigChecks.Add(1)
-	return tx.Verify()
-}
-
-// SubmitTx validates a transaction, admits it to the mempool, and gossips
-// it to the network.
+// SubmitTx validates a transaction signed alone, admits it to the
+// mempool, and gossips it to the network. A batch member is refused: it
+// verifies only with its batch (SubmitTxBatch).
 func (n *Node) SubmitTx(tx *chain.Tx) error {
-	if err := n.verifyTx(tx); err != nil {
+	n.sigChecks.Add(1)
+	if err := tx.Verify(); err != nil {
 		return err
 	}
 	id := tx.IDString()
@@ -387,7 +388,7 @@ func (n *Node) SubmitTx(tx *chain.Tx) error {
 		n.mu.Unlock()
 		return fmt.Errorf("node: tx %s already committed", id[:8])
 	}
-	added := n.mempool.add(tx)
+	added := n.mempool.add([]*chain.Tx{tx})
 	n.mu.Unlock()
 	if added {
 		n.gossipTx(tx)
@@ -400,31 +401,37 @@ func (n *Node) SubmitTx(tx *chain.Tx) error {
 // mempool pass, gossips them as a single batch message, and kicks the
 // producer once — the group-commit entry point: callers staging many
 // independent share updates hand them over together so one block (and
-// one gossip broadcast) carries them all. Any transaction failing
-// signature verification fails the whole batch before admission;
-// already-committed or duplicate transactions are skipped silently (the
-// per-tx receipt is the arbiter callers wait on).
+// one gossip broadcast) carries them all. The transactions are checked
+// one signature group at a time (chain.VerifyGroups), so a batch signed
+// with chain.SignBatch costs one check. Any group failing verification
+// fails the whole submission before admission; already-committed or
+// duplicate groups are skipped silently (the per-tx receipt is the
+// arbiter callers wait on).
 func (n *Node) SubmitTxBatch(txs []*chain.Tx) error {
-	for _, tx := range txs {
-		if err := n.verifyTx(tx); err != nil {
-			return err
-		}
+	var groups [][]*chain.Tx
+	err := chain.VerifyGroups(txs, nil, func(group []*chain.Tx, _ error) {
+		n.sigChecks.Add(1)
+		groups = append(groups, group)
+	})
+	if err != nil {
+		return err
 	}
-	if fresh := n.admit(txs); len(fresh) > 0 {
+	if fresh := n.admit(groups); len(fresh) > 0 {
 		n.gossipTxBatch(fresh)
 	}
 	return nil
 }
 
-// admit pools the (already verified) transactions that are neither
-// committed nor pooled, kicks the producer if any were new, and returns
-// the new ones.
-func (n *Node) admit(txs []*chain.Tx) []*chain.Tx {
-	fresh := make([]*chain.Tx, 0, len(txs))
+// admit pools the (already verified) groups none of whose members is
+// committed and that are not pooled, kicks the producer if any were new,
+// and returns the new transactions. A group with a committed member can
+// never be whole in a block, so it is not pooled.
+func (n *Node) admit(groups [][]*chain.Tx) []*chain.Tx {
+	var fresh []*chain.Tx
 	n.mu.Lock()
-	for _, tx := range txs {
-		if !n.committedTxs[tx.IDString()] && n.mempool.add(tx) {
-			fresh = append(fresh, tx)
+	for _, group := range groups {
+		if all(group, n.uncommitted) && n.mempool.add(group) {
+			fresh = append(fresh, group...)
 		}
 	}
 	n.mu.Unlock()
@@ -433,6 +440,10 @@ func (n *Node) admit(txs []*chain.Tx) []*chain.Tx {
 	}
 	return fresh
 }
+
+// uncommitted reports whether tx has not committed here. The caller
+// holds n.mu.
+func (n *Node) uncommitted(tx *chain.Tx) bool { return !n.committedTxs[tx.IDString()] }
 
 // BuildTx constructs and signs a transaction from this node's identity.
 func (n *Node) BuildTx(contractName, fn string, shareID string, args ...[]byte) *chain.Tx {
@@ -494,29 +505,29 @@ func (n *Node) PendingTxs() int {
 	return n.mempool.len()
 }
 
-// requeueTxs returns the transactions of an abandoned production attempt
-// to the front of the pool, except those a block committed meanwhile.
-func (n *Node) requeueTxs(txs []*chain.Tx) {
+// requeueTxs returns the groups of an abandoned production attempt to
+// the front of the pool, except those a block committed meanwhile.
+func (n *Node) requeueTxs(groups [][]*chain.Tx) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	live := make([]*chain.Tx, 0, len(txs))
-	for _, tx := range txs {
-		if !n.committedTxs[tx.IDString()] {
-			live = append(live, tx)
+	live := make([][]*chain.Tx, 0, len(groups))
+	for _, group := range groups {
+		if all(group, n.uncommitted) {
+			live = append(live, group)
 		}
 	}
 	n.mempool.requeue(live)
 }
 
-// maxTxPerBlock bounds block size.
-const maxTxPerBlock = 256
+// maxTxPerBlock bounds block size. A block holds whole batches, so it is
+// the largest batch.
+const maxTxPerBlock = chain.MaxBatch
 
-// pickTxs selects up to maxTxPerBlock transactions, enforcing the paper's
-// rule of at most one transaction per share per block.
-func (n *Node) pickTxs() []*chain.Tx {
+// pickTxs selects signature groups of up to maxTxPerBlock transactions
+// in all, enforcing the paper's rule of at most one transaction per
+// share per block.
+func (n *Node) pickTxs() [][]*chain.Tx {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.mempool.pick(maxTxPerBlock, func(tx *chain.Tx) bool {
-		return !n.committedTxs[tx.IDString()]
-	})
+	return n.mempool.pick(maxTxPerBlock, n.uncommitted)
 }

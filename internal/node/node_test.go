@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -408,14 +409,17 @@ func TestRejectBlockWithWrongStateRoot(t *testing.T) {
 	// The same content under a broken signature: a different ID, so
 	// nothing this node admitted vouches for it and it is checked in full
 	// — both before and after the genuine transaction is pooled.
-	forged := *tx
-	forged.Sig = append([]byte(nil), tx.Sig...)
+	forged := &chain.Tx{
+		Contract: tx.Contract, Fn: tx.Fn, Args: tx.Args, ShareID: tx.ShareID, From: tx.From,
+		PubKey: tx.PubKey, Nonce: tx.Nonce, TimestampMicro: tx.TimestampMicro,
+		Sig: append([]byte(nil), tx.Sig...),
+	}
 	forged.Sig[0] ^= 0xff
-	reject("an unpooled transaction with a bad signature", block(true, &forged), chain.ErrTxBadSig)
+	reject("an unpooled transaction with a bad signature", block(true, forged), chain.ErrTxBadSig)
 	if err := n.SubmitTx(tx); err != nil {
 		t.Fatal(err)
 	}
-	reject("a pooled transaction's content under another signature", block(true, &forged), chain.ErrTxBadSig)
+	reject("a pooled transaction's content under another signature", block(true, forged), chain.ErrTxBadSig)
 
 	if err := n.TryProduce(context.Background()); err != nil {
 		t.Fatalf("node stopped producing after rejecting a bad block: %v", err)
@@ -434,10 +438,10 @@ func TestMempoolHelpers(t *testing.T) {
 		return tx
 	}
 	t1, t2, t3 := mk("a", 1), mk("a", 2), mk("b", 3)
-	if !m.add(t1) || !m.add(t2) || !m.add(t3) {
+	if !m.add(one(t1)) || !m.add(one(t2)) || !m.add(one(t3)) {
 		t.Fatal("adds failed")
 	}
-	if m.add(t1) {
+	if m.add(one(t1)) {
 		t.Fatal("duplicate add succeeded")
 	}
 	if m.len() != 3 {
@@ -451,11 +455,11 @@ func TestMempoolHelpers(t *testing.T) {
 		t.Fatalf("left = %d", m.len())
 	}
 	picked = m.pick(10, func(*chain.Tx) bool { return true })
-	if len(picked) != 1 || picked[0].IDString() != t2.IDString() {
+	if len(picked) != 1 || picked[0][0].IDString() != t2.IDString() {
 		t.Fatal("deferred tx not picked next")
 	}
 	// requeue puts transactions back at the front.
-	m.requeue([]*chain.Tx{t1})
+	m.requeue([][]*chain.Tx{{t1}})
 	if m.len() != 1 {
 		t.Fatal("requeue failed")
 	}
@@ -472,10 +476,97 @@ func TestMempoolMaxPerBlock(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tx := &chain.Tx{Contract: "kv", Fn: "set", Nonce: uint64(i)}
 		tx.Sign(id)
-		m.add(tx)
+		m.add(one(tx))
 	}
 	picked := m.pick(4, func(*chain.Tx) bool { return true })
 	if len(picked) != 4 || m.len() != 6 {
 		t.Fatalf("picked %d, left %d", len(picked), m.len())
+	}
+}
+
+// one is the signature group of a transaction signed alone.
+func one(tx *chain.Tx) []*chain.Tx { return []*chain.Tx{tx} }
+
+// mempoolTxs returns transactions on the given shares, signed as one
+// batch when batch is set and each alone otherwise.
+func mempoolTxs(id *identity.Identity, nonce *uint64, batch bool, shares ...string) []*chain.Tx {
+	txs := make([]*chain.Tx, len(shares))
+	for i, share := range shares {
+		*nonce++
+		txs[i] = &chain.Tx{Contract: "kv", Fn: "set", ShareID: share, Nonce: *nonce}
+		if !batch {
+			txs[i].Sign(id)
+		}
+	}
+	if batch {
+		chain.SignBatch(id, txs)
+	}
+	return txs
+}
+
+// shareOrder flattens picked groups into their ShareIDs.
+func shareOrder(groups [][]*chain.Tx) []string {
+	var out []string
+	for _, g := range groups {
+		for _, tx := range g {
+			out = append(out, tx.ShareID)
+		}
+	}
+	return out
+}
+
+// TestMempoolConflictDefersWholeBatch: a share conflict on one member
+// defers the whole batch, the deferred batch's shares stay blocked for
+// what was pooled after it (FIFO per share), and the batch is picked
+// whole, in order, once the conflict is gone.
+func TestMempoolConflictDefersWholeBatch(t *testing.T) {
+	m := newMempool()
+	id := identity.MustNew("s")
+	var nonce uint64
+	everything := func(*chain.Tx) bool { return true }
+	m.add(mempoolTxs(id, &nonce, false, "b"))
+	m.add(mempoolTxs(id, &nonce, true, "a", "b", "c"))
+	m.add(mempoolTxs(id, &nonce, false, "c"))
+	m.add(mempoolTxs(id, &nonce, false, "d"))
+	for i, want := range []string{"b d", "a b c", "c", ""} {
+		if got := strings.Join(shareOrder(m.pick(maxTxPerBlock, everything)), " "); got != want {
+			t.Fatalf("block %d picked shares %q, want %q", i+1, got, want)
+		}
+	}
+	if m.len() != 0 {
+		t.Fatalf("%d transactions left pooled", m.len())
+	}
+}
+
+// TestMempoolBatchNeverSpansBlocks: a batch that does not fit the rest
+// of a block waits whole for the next one, and nothing behind it jumps
+// ahead; a batch with a committed member, or one partly removed by a
+// block from elsewhere, can never be whole in a block and is dropped.
+func TestMempoolBatchNeverSpansBlocks(t *testing.T) {
+	m := newMempool()
+	id := identity.MustNew("s")
+	var nonce uint64
+	everything := func(*chain.Tx) bool { return true }
+	m.add(mempoolTxs(id, &nonce, false, "x", "y"))
+	m.add(mempoolTxs(id, &nonce, true, "a", "b", "c"))
+	m.add(mempoolTxs(id, &nonce, false, "z"))
+	for i, want := range []string{"x y", "a b c z"} {
+		if got := strings.Join(shareOrder(m.pick(4, everything)), " "); got != want {
+			t.Fatalf("block %d picked shares %q, want %q", i+1, got, want)
+		}
+	}
+
+	committed := mempoolTxs(id, &nonce, true, "p", "q")
+	removed := mempoolTxs(id, &nonce, true, "r", "s")
+	m.add(committed)
+	m.add(removed)
+	m.add(mempoolTxs(id, &nonce, false, "t"))
+	m.remove([]string{removed[1].IDString()})
+	if m.len() != 3 {
+		t.Fatalf("%d pooled after a block took one member of a 2-batch, want 3", m.len())
+	}
+	got := m.pick(maxTxPerBlock, func(tx *chain.Tx) bool { return tx != committed[0] })
+	if s := strings.Join(shareOrder(got), " "); s != "t" || m.len() != 0 {
+		t.Fatalf("picked %q with %d left, want only t and an empty pool", s, m.len())
 	}
 }

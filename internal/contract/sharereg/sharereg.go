@@ -302,11 +302,17 @@ func (c *Contract) register(stub contract.Stub, args [][]byte) ([]byte, error) {
 	if m.WritePerm == nil {
 		m.WritePerm = make(map[string][]identity.Address)
 	}
-	for col, who := range m.WritePerm {
+	// In column order, so every node fails a bad entry with one verdict.
+	permCols := make([]string, 0, len(m.WritePerm))
+	for col := range m.WritePerm {
+		permCols = append(permCols, col)
+	}
+	sort.Strings(permCols)
+	for _, col := range permCols {
 		if !cols[col] {
 			return nil, fmt.Errorf("%w: %s", ErrUnknownColumn, col)
 		}
-		for _, a := range who {
+		for _, a := range m.WritePerm[col] {
 			if !m.hasPeer(a) {
 				return nil, fmt.Errorf("%w: writer %s of column %s is not a peer", ErrBadArgs, a, col)
 			}

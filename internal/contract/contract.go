@@ -27,8 +27,6 @@ type Stub interface {
 	PutState(key string, value []byte)
 	// DelState stages a deletion.
 	DelState(key string)
-	// Range iterates keys under prefix in sorted order.
-	Range(prefix string, fn func(key string, value []byte) bool)
 	// Caller is the verified sender address of the transaction.
 	Caller() identity.Address
 	// BlockTimeMicro is the block timestamp (µs since epoch) — the only
@@ -39,14 +37,16 @@ type Stub interface {
 	EmitEvent(name string, payload []byte)
 }
 
-// Contract is a deterministic state machine addressed by name.
+// Contract is a deterministic state machine addressed by name. A call
+// is a state transition and nothing else: what it decided is in its
+// writes and events, and readers read the state.
 type Contract interface {
 	// Name returns the contract's registry name.
 	Name() string
 	// Invoke executes fn with args. Returning an error aborts the
 	// transaction: its writes are discarded and the failure recorded in
 	// the receipt. Errors must be deterministic across nodes.
-	Invoke(stub Stub, fn string, args [][]byte) ([]byte, error)
+	Invoke(stub Stub, fn string, args [][]byte) error
 }
 
 // Event is emitted by a contract during a committed transaction.
@@ -98,8 +98,6 @@ type Receipt struct {
 	OK bool `json:"ok"`
 	// Err is the deterministic failure description when OK is false.
 	Err string `json:"err,omitempty"`
-	// Result is the contract's return value when OK is true.
-	Result []byte `json:"result,omitempty"`
 	// Events are the events emitted by a successful invocation.
 	Events []Event `json:"events,omitempty"`
 	// Writes is the write set a successful invocation commits.
@@ -120,11 +118,8 @@ type stub struct {
 func (s *stub) GetState(key string) ([]byte, bool) { return s.sim.Get(key) }
 func (s *stub) PutState(key string, value []byte)  { s.sim.Put(key, value) }
 func (s *stub) DelState(key string)                { s.sim.Del(key) }
-func (s *stub) Range(prefix string, fn func(string, []byte) bool) {
-	s.sim.Range(prefix, fn)
-}
-func (s *stub) Caller() identity.Address { return s.caller }
-func (s *stub) BlockTimeMicro() int64    { return s.tsUs }
+func (s *stub) Caller() identity.Address           { return s.caller }
+func (s *stub) BlockTimeMicro() int64              { return s.tsUs }
 func (s *stub) EmitEvent(name string, payload []byte) {
 	s.events = append(s.events, Event{
 		Contract: s.cname, Name: name,
@@ -151,13 +146,11 @@ func Execute(reg *Registry, store *statedb.Store, tx *chain.Tx, height uint64, b
 		tsUs:   blockTimeMicro,
 		cname:  c.Name(),
 	}
-	result, err := c.Invoke(st, tx.Fn, tx.Args)
-	if err != nil {
+	if err := c.Invoke(st, tx.Fn, tx.Args); err != nil {
 		rcpt.Err = err.Error()
 		return rcpt
 	}
 	rcpt.OK = true
-	rcpt.Result = result
 	rcpt.Events = st.events
 	rcpt.Writes = sim.Writes()
 	return rcpt
@@ -177,15 +170,4 @@ func ExecuteBlock(reg *Registry, state *statedb.Store, b *chain.Block) []Receipt
 		}
 	}
 	return receipts
-}
-
-// Query runs a read-only invocation against the current state, outside
-// any transaction. Writes staged by the contract are discarded.
-func Query(reg *Registry, store *statedb.Store, contractName, fn string, caller identity.Address, args ...[]byte) ([]byte, error) {
-	c, ok := reg.Get(contractName)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownContract, contractName)
-	}
-	st := &stub{sim: store.NewSim(), caller: caller, txID: "query", cname: c.Name()}
-	return c.Invoke(st, fn, args)
 }

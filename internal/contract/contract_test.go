@@ -15,7 +15,7 @@ type counter struct{}
 
 func (counter) Name() string { return "counter" }
 
-func (counter) Invoke(stub Stub, fn string, args [][]byte) ([]byte, error) {
+func (counter) Invoke(stub Stub, fn string, args [][]byte) error {
 	switch fn {
 	case "inc":
 		key := "counter/" + string(args[0])
@@ -25,16 +25,18 @@ func (counter) Invoke(stub Stub, fn string, args [][]byte) ([]byte, error) {
 		}
 		stub.PutState(key, []byte{n + 1})
 		stub.EmitEvent("incremented", []byte(args[0]))
-		return []byte{n + 1}, nil
+		return nil
 	case "fail":
 		stub.PutState("counter/garbage", []byte("should never commit"))
-		return nil, errors.New("deliberate failure")
+		return errors.New("deliberate failure")
 	case "whoami":
-		return []byte(stub.Caller().String()), nil
+		stub.PutState("counter/caller", []byte(stub.Caller().String()))
+		return nil
 	case "meta":
-		return []byte(fmt.Sprint(stub.BlockTimeMicro())), nil
+		stub.EmitEvent("time", []byte(fmt.Sprint(stub.BlockTimeMicro())))
+		return nil
 	default:
-		return nil, ErrUnknownFunction
+		return ErrUnknownFunction
 	}
 }
 
@@ -54,8 +56,8 @@ func TestExecuteCommitsOnSuccess(t *testing.T) {
 	if !rcpt.OK {
 		t.Fatalf("receipt = %+v", rcpt)
 	}
-	if rcpt.Result[0] != 1 {
-		t.Fatalf("result = %v", rcpt.Result)
+	if w := rcpt.Writes["counter/a"]; len(w) != 1 || w[0] != 1 {
+		t.Fatalf("writes = %q", rcpt.Writes)
 	}
 	if len(rcpt.Events) != 1 || rcpt.Events[0].Name != "incremented" {
 		t.Fatalf("events = %+v", rcpt.Events)
@@ -105,8 +107,8 @@ func TestStubExposesTxContext(t *testing.T) {
 	id := identity.MustNew("caller")
 	tx := makeTx(id, "counter", "meta")
 	rcpt := Execute(reg, store, tx, 7, 12345)
-	if want := "12345"; string(rcpt.Result) != want {
-		t.Fatalf("meta = %s, want %s", rcpt.Result, want)
+	if len(rcpt.Events) != 1 || string(rcpt.Events[0].Payload) != "12345" || rcpt.Events[0].Height != 7 {
+		t.Fatalf("events = %+v, want block time 12345 at height 7", rcpt.Events)
 	}
 }
 
@@ -115,32 +117,8 @@ func TestStubCallerIsVerifiedSender(t *testing.T) {
 	store := statedb.NewStore()
 	id := identity.MustNew("caller")
 	rcpt := Execute(reg, store, makeTx(id, "counter", "whoami"), 1, 0)
-	if string(rcpt.Result) != id.Address().String() {
-		t.Fatalf("caller = %s", rcpt.Result)
-	}
-}
-
-func TestQueryDiscardsWrites(t *testing.T) {
-	reg := NewRegistry(counter{})
-	store := statedb.NewStore()
-	id := identity.MustNew("caller")
-	out, err := Query(reg, store, "counter", "inc", id.Address(), []byte("q"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 1 {
-		t.Fatalf("query result = %v", out)
-	}
-	if _, _, ok := store.Get("counter/q"); ok {
-		t.Fatal("query committed state")
-	}
-}
-
-func TestQueryUnknownContract(t *testing.T) {
-	reg := NewRegistry()
-	store := statedb.NewStore()
-	if _, err := Query(reg, store, "ghost", "f", identity.Address{}); !errors.Is(err, ErrUnknownContract) {
-		t.Fatalf("want ErrUnknownContract, got %v", err)
+	if got := string(rcpt.Writes["counter/caller"]); got != id.Address().String() {
+		t.Fatalf("caller = %s", got)
 	}
 }
 

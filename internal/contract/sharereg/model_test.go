@@ -2,6 +2,7 @@ package sharereg
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -416,17 +417,13 @@ func FuzzShareReg(f *testing.F) {
 				state.Commit(rcpt.Writes, statedb.Version{Height: height})
 			}
 			for _, id := range fuzzShares {
-				raw, _, ok := state.Get(key(id))
+				got, err := ReadMeta(state, id)
 				m, live := md.shares[id]
-				if ok != live {
-					t.Fatalf("call %d %s: share %q stored=%v, model %v", height, fn, id, ok, live)
-				}
-				if !ok {
+				if !live && errors.Is(err, ErrNotFound) {
 					continue
 				}
-				got, err := DecodeMeta(raw)
-				if err != nil {
-					t.Fatal(err)
+				if err != nil || !live {
+					t.Fatalf("call %d %s: share %q reads %v, model holds it: %v", height, fn, id, err, live)
 				}
 				if want := normalized(t, m); !reflect.DeepEqual(got, want) {
 					t.Fatalf("call %d %s: share %q\n contract %+v\n model    %+v", height, fn, id, got, want)

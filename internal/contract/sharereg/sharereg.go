@@ -21,6 +21,7 @@ import (
 
 	"medshare/internal/contract"
 	"medshare/internal/identity"
+	"medshare/internal/statedb"
 )
 
 // ContractName is the registry name of this contract.
@@ -35,8 +36,6 @@ const (
 	FnSetPermission = "set_permission"
 	FnSetAuthority  = "set_authority"
 	FnRemove        = "remove"
-	FnGet           = "get"
-	FnList          = "list"
 )
 
 // Event names emitted by the contract.
@@ -49,9 +48,6 @@ const (
 	EvAuthoritySet    = "share.authority.set"
 	EvRemoved         = "share.removed"
 )
-
-// keyPrefix namespaces share entries in the world state.
-const keyPrefix = "share/"
 
 // Errors surfaced in receipts. They are deterministic strings, identical
 // on every node.
@@ -200,7 +196,7 @@ func New() *Contract { return &Contract{} }
 func (*Contract) Name() string { return ContractName }
 
 // Invoke implements contract.Contract.
-func (c *Contract) Invoke(stub contract.Stub, fn string, args [][]byte) ([]byte, error) {
+func (c *Contract) Invoke(stub contract.Stub, fn string, args [][]byte) error {
 	switch fn {
 	case FnRegister:
 		return c.register(stub, args)
@@ -216,27 +212,34 @@ func (c *Contract) Invoke(stub contract.Stub, fn string, args [][]byte) ([]byte,
 		return c.setAuthority(stub, args)
 	case FnRemove:
 		return c.remove(stub, args)
-	case FnGet:
-		return c.get(stub, args)
-	case FnList:
-		return c.list(stub)
 	default:
-		return nil, fmt.Errorf("%w: %s", contract.ErrUnknownFunction, fn)
+		return fmt.Errorf("%w: %s", contract.ErrUnknownFunction, fn)
 	}
 }
 
-func key(id string) string { return keyPrefix + id }
+// MetaKey is the world-state key of share id's metadata. With ReadMeta
+// and DecodeMeta it is all that knows how the registry lays out state.
+func MetaKey(id string) string { return "share/" + id }
+
+// ReadMeta reads share id's metadata from a world state, wrapping
+// ErrNotFound when the state holds none.
+func ReadMeta(state *statedb.Store, id string) (*Meta, error) {
+	raw, _, ok := state.Get(MetaKey(id))
+	return parseMeta(id, raw, ok)
+}
 
 func loadMeta(stub contract.Stub, id string) (*Meta, error) {
-	raw, ok := stub.GetState(key(id))
-	if !ok {
+	raw, ok := stub.GetState(MetaKey(id))
+	return parseMeta(id, raw, ok)
+}
+
+// parseMeta decodes share id's stored metadata; found reports whether
+// the state held any.
+func parseMeta(id string, raw []byte, found bool) (*Meta, error) {
+	if !found {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	var m Meta
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("sharereg: corrupt meta for %s: %w", id, err)
-	}
-	return &m, nil
+	return DecodeMeta(raw)
 }
 
 func storeMeta(stub contract.Stub, m *Meta) error {
@@ -244,7 +247,7 @@ func storeMeta(stub contract.Stub, m *Meta) error {
 	if err != nil {
 		return fmt.Errorf("sharereg: encoding meta for %s: %w", m.ID, err)
 	}
-	stub.PutState(key(m.ID), raw)
+	stub.PutState(MetaKey(m.ID), raw)
 	return nil
 }
 
@@ -259,19 +262,19 @@ type RegisterArgs struct {
 	PrioSeed  []byte                        `json:"prioSeed,omitempty"`
 }
 
-func (c *Contract) register(stub contract.Stub, args [][]byte) ([]byte, error) {
+func (c *Contract) register(stub contract.Stub, args [][]byte) error {
 	if len(args) != 1 {
-		return nil, fmt.Errorf("%w: register wants 1 arg", ErrBadArgs)
+		return fmt.Errorf("%w: register wants 1 arg", ErrBadArgs)
 	}
 	var ra RegisterArgs
 	if err := json.Unmarshal(args[0], &ra); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadArgs, err)
+		return fmt.Errorf("%w: %v", ErrBadArgs, err)
 	}
 	if ra.ID == "" || len(ra.Peers) < 2 || len(ra.Columns) == 0 {
-		return nil, fmt.Errorf("%w: id, >=2 peers and columns are required", ErrBadArgs)
+		return fmt.Errorf("%w: id, >=2 peers and columns are required", ErrBadArgs)
 	}
-	if _, exists := stub.GetState(key(ra.ID)); exists {
-		return nil, fmt.Errorf("%w: %s", ErrExists, ra.ID)
+	if _, exists := stub.GetState(MetaKey(ra.ID)); exists {
+		return fmt.Errorf("%w: %s", ErrExists, ra.ID)
 	}
 	caller := stub.Caller()
 	m := &Meta{
@@ -287,13 +290,13 @@ func (c *Contract) register(stub contract.Stub, args [][]byte) ([]byte, error) {
 		UpdatedAtMicro: stub.BlockTimeMicro(),
 	}
 	if !m.hasPeer(caller) {
-		return nil, fmt.Errorf("%w: %s registering %s", ErrNotPeer, caller, ra.ID)
+		return fmt.Errorf("%w: %s registering %s", ErrNotPeer, caller, ra.ID)
 	}
 	if m.Authority.IsZero() {
 		m.Authority = caller
 	}
 	if !m.hasPeer(m.Authority) {
-		return nil, fmt.Errorf("%w: authority %s is not a peer", ErrBadArgs, m.Authority)
+		return fmt.Errorf("%w: authority %s is not a peer", ErrBadArgs, m.Authority)
 	}
 	cols := make(map[string]bool, len(m.Columns))
 	for _, col := range m.Columns {
@@ -310,19 +313,19 @@ func (c *Contract) register(stub contract.Stub, args [][]byte) ([]byte, error) {
 	sort.Strings(permCols)
 	for _, col := range permCols {
 		if !cols[col] {
-			return nil, fmt.Errorf("%w: %s", ErrUnknownColumn, col)
+			return fmt.Errorf("%w: %s", ErrUnknownColumn, col)
 		}
 		for _, a := range m.WritePerm[col] {
 			if !m.hasPeer(a) {
-				return nil, fmt.Errorf("%w: writer %s of column %s is not a peer", ErrBadArgs, a, col)
+				return fmt.Errorf("%w: writer %s of column %s is not a peer", ErrBadArgs, a, col)
 			}
 		}
 	}
 	if err := storeMeta(stub, m); err != nil {
-		return nil, err
+		return err
 	}
 	stub.EmitEvent(EvRegistered, mustJSON(EventPayload{ShareID: m.ID, From: caller, Seq: 0}))
-	return mustJSON(m), nil
+	return nil
 }
 
 // UpdateArgs is the JSON argument of FnRequestUpdate.
@@ -350,30 +353,30 @@ type EventPayload struct {
 	Column      string           `json:"column,omitempty"`
 }
 
-func (c *Contract) requestUpdate(stub contract.Stub, args [][]byte) ([]byte, error) {
+func (c *Contract) requestUpdate(stub contract.Stub, args [][]byte) error {
 	if len(args) != 1 {
-		return nil, fmt.Errorf("%w: request_update wants 1 arg", ErrBadArgs)
+		return fmt.Errorf("%w: request_update wants 1 arg", ErrBadArgs)
 	}
 	var ua UpdateArgs
 	if err := json.Unmarshal(args[0], &ua); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadArgs, err)
+		return fmt.Errorf("%w: %v", ErrBadArgs, err)
 	}
 	m, err := loadMeta(stub, ua.ShareID)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	caller := stub.Caller()
 	if !m.hasPeer(caller) {
-		return nil, fmt.Errorf("%w: %s on %s", ErrNotPeer, caller, m.ID)
+		return fmt.Errorf("%w: %s on %s", ErrNotPeer, caller, m.ID)
 	}
 	if m.Pending != nil {
-		return nil, fmt.Errorf("%w: share %s pending seq %d", ErrPending, m.ID, m.Pending.Seq)
+		return fmt.Errorf("%w: share %s pending seq %d", ErrPending, m.ID, m.Pending.Seq)
 	}
 	if ua.BaseSeq != m.Seq {
-		return nil, fmt.Errorf("%w: share %s at seq %d, update based on %d", ErrWrongSeq, m.ID, m.Seq, ua.BaseSeq)
+		return fmt.Errorf("%w: share %s at seq %d, update based on %d", ErrWrongSeq, m.ID, m.Seq, ua.BaseSeq)
 	}
 	if len(ua.Cols) == 0 {
-		return nil, fmt.Errorf("%w: update declares no columns", ErrBadArgs)
+		return fmt.Errorf("%w: update declares no columns", ErrBadArgs)
 	}
 	cols := make(map[string]bool, len(m.Columns))
 	for _, col := range m.Columns {
@@ -383,10 +386,10 @@ func (c *Contract) requestUpdate(stub contract.Stub, args [][]byte) ([]byte, err
 	sort.Strings(sorted)
 	for _, col := range sorted {
 		if !cols[col] {
-			return nil, fmt.Errorf("%w: %s", ErrUnknownColumn, col)
+			return fmt.Errorf("%w: %s", ErrUnknownColumn, col)
 		}
 		if !m.mayWrite(caller, col) {
-			return nil, fmt.Errorf("%w: %s may not write %s of %s", ErrPermission, caller, col, m.ID)
+			return fmt.Errorf("%w: %s may not write %s of %s", ErrPermission, caller, col, m.ID)
 		}
 	}
 	m.Pending = &PendingUpdate{
@@ -402,13 +405,13 @@ func (c *Contract) requestUpdate(stub contract.Stub, args [][]byte) ([]byte, err
 	// updater were the only peer the pending state would stall, which
 	// register() prevents by requiring >=2 peers.
 	if err := storeMeta(stub, m); err != nil {
-		return nil, err
+		return err
 	}
 	stub.EmitEvent(EvUpdateRequested, mustJSON(EventPayload{
 		ShareID: m.ID, From: caller, Seq: m.Pending.Seq,
 		Cols: sorted, PayloadHash: ua.PayloadHash, Kind: ua.Kind,
 	}))
-	return mustJSON(m), nil
+	return nil
 }
 
 // AckArgs is the JSON argument of FnAckUpdate.
@@ -417,30 +420,30 @@ type AckArgs struct {
 	Seq     uint64 `json:"seq"`
 }
 
-func (c *Contract) ackUpdate(stub contract.Stub, args [][]byte) ([]byte, error) {
+func (c *Contract) ackUpdate(stub contract.Stub, args [][]byte) error {
 	if len(args) != 1 {
-		return nil, fmt.Errorf("%w: ack_update wants 1 arg", ErrBadArgs)
+		return fmt.Errorf("%w: ack_update wants 1 arg", ErrBadArgs)
 	}
 	var aa AckArgs
 	if err := json.Unmarshal(args[0], &aa); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadArgs, err)
+		return fmt.Errorf("%w: %v", ErrBadArgs, err)
 	}
 	m, err := loadMeta(stub, aa.ShareID)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	caller := stub.Caller()
 	if !m.hasPeer(caller) {
-		return nil, fmt.Errorf("%w: %s on %s", ErrNotPeer, caller, m.ID)
+		return fmt.Errorf("%w: %s on %s", ErrNotPeer, caller, m.ID)
 	}
 	if m.Pending == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoPending, m.ID)
+		return fmt.Errorf("%w: %s", ErrNoPending, m.ID)
 	}
 	if m.Pending.Seq != aa.Seq {
-		return nil, fmt.Errorf("%w: pending seq %d, ack for %d", ErrWrongSeq, m.Pending.Seq, aa.Seq)
+		return fmt.Errorf("%w: pending seq %d, ack for %d", ErrWrongSeq, m.Pending.Seq, aa.Seq)
 	}
 	if m.Pending.Acked[caller.String()] {
-		return nil, fmt.Errorf("%w: %s on %s seq %d", ErrAlreadyAcked, caller, m.ID, aa.Seq)
+		return fmt.Errorf("%w: %s on %s seq %d", ErrAlreadyAcked, caller, m.ID, aa.Seq)
 	}
 	m.Pending.Acked[caller.String()] = true
 	finalized := m.allAcked()
@@ -459,9 +462,9 @@ func (c *Contract) ackUpdate(stub contract.Stub, args [][]byte) ([]byte, error) 
 		}))
 	}
 	if err := storeMeta(stub, m); err != nil {
-		return nil, err
+		return err
 	}
-	return mustJSON(m), nil
+	return nil
 }
 
 // RejectArgs is the JSON argument of FnRejectUpdate.
@@ -479,37 +482,37 @@ type RejectArgs struct {
 // paper does not discuss untranslatable view edits) a put failure on any
 // peer would stall the share forever, because the all-acked gate could
 // never be passed.
-func (c *Contract) rejectUpdate(stub contract.Stub, args [][]byte) ([]byte, error) {
+func (c *Contract) rejectUpdate(stub contract.Stub, args [][]byte) error {
 	if len(args) != 1 {
-		return nil, fmt.Errorf("%w: reject_update wants 1 arg", ErrBadArgs)
+		return fmt.Errorf("%w: reject_update wants 1 arg", ErrBadArgs)
 	}
 	var ra RejectArgs
 	if err := json.Unmarshal(args[0], &ra); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadArgs, err)
+		return fmt.Errorf("%w: %v", ErrBadArgs, err)
 	}
 	m, err := loadMeta(stub, ra.ShareID)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	caller := stub.Caller()
 	if !m.hasPeer(caller) {
-		return nil, fmt.Errorf("%w: %s on %s", ErrNotPeer, caller, m.ID)
+		return fmt.Errorf("%w: %s on %s", ErrNotPeer, caller, m.ID)
 	}
 	if m.Pending == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoPending, m.ID)
+		return fmt.Errorf("%w: %s", ErrNoPending, m.ID)
 	}
 	if m.Pending.Seq != ra.Seq {
-		return nil, fmt.Errorf("%w: pending seq %d, reject for %d", ErrWrongSeq, m.Pending.Seq, ra.Seq)
+		return fmt.Errorf("%w: pending seq %d, reject for %d", ErrWrongSeq, m.Pending.Seq, ra.Seq)
 	}
 	m.Pending = nil
 	m.UpdatedAtMicro = stub.BlockTimeMicro()
 	if err := storeMeta(stub, m); err != nil {
-		return nil, err
+		return err
 	}
 	stub.EmitEvent(EvUpdateRejected, mustJSON(EventPayload{
 		ShareID: m.ID, From: caller, Seq: ra.Seq, Kind: ra.Reason,
 	}))
-	return mustJSON(m), nil
+	return nil
 }
 
 // PermissionArgs is the JSON argument of FnSetPermission.
@@ -520,37 +523,37 @@ type PermissionArgs struct {
 	Writers []identity.Address `json:"writers"`
 }
 
-func (c *Contract) setPermission(stub contract.Stub, args [][]byte) ([]byte, error) {
+func (c *Contract) setPermission(stub contract.Stub, args [][]byte) error {
 	if len(args) != 1 {
-		return nil, fmt.Errorf("%w: set_permission wants 1 arg", ErrBadArgs)
+		return fmt.Errorf("%w: set_permission wants 1 arg", ErrBadArgs)
 	}
 	var pa PermissionArgs
 	if err := json.Unmarshal(args[0], &pa); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadArgs, err)
+		return fmt.Errorf("%w: %v", ErrBadArgs, err)
 	}
 	m, err := loadMeta(stub, pa.ShareID)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	caller := stub.Caller()
 	if caller != m.Authority {
-		return nil, fmt.Errorf("%w: %s on %s (authority is %s)", ErrNotAuthority, caller, m.ID, m.Authority)
+		return fmt.Errorf("%w: %s on %s (authority is %s)", ErrNotAuthority, caller, m.ID, m.Authority)
 	}
 	if !contains(m.Columns, pa.Column) {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownColumn, pa.Column)
+		return fmt.Errorf("%w: %s", ErrUnknownColumn, pa.Column)
 	}
 	for _, a := range pa.Writers {
 		if !m.hasPeer(a) {
-			return nil, fmt.Errorf("%w: writer %s is not a peer", ErrBadArgs, a)
+			return fmt.Errorf("%w: writer %s is not a peer", ErrBadArgs, a)
 		}
 	}
 	m.WritePerm[pa.Column] = pa.Writers
 	m.UpdatedAtMicro = stub.BlockTimeMicro()
 	if err := storeMeta(stub, m); err != nil {
-		return nil, err
+		return err
 	}
 	stub.EmitEvent(EvPermissionSet, mustJSON(EventPayload{ShareID: m.ID, From: caller, Column: pa.Column}))
-	return mustJSON(m), nil
+	return nil
 }
 
 // AuthorityArgs is the JSON argument of FnSetAuthority.
@@ -559,73 +562,54 @@ type AuthorityArgs struct {
 	Authority identity.Address `json:"authority"`
 }
 
-func (c *Contract) setAuthority(stub contract.Stub, args [][]byte) ([]byte, error) {
+func (c *Contract) setAuthority(stub contract.Stub, args [][]byte) error {
 	if len(args) != 1 {
-		return nil, fmt.Errorf("%w: set_authority wants 1 arg", ErrBadArgs)
+		return fmt.Errorf("%w: set_authority wants 1 arg", ErrBadArgs)
 	}
 	var aa AuthorityArgs
 	if err := json.Unmarshal(args[0], &aa); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadArgs, err)
+		return fmt.Errorf("%w: %v", ErrBadArgs, err)
 	}
 	m, err := loadMeta(stub, aa.ShareID)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	caller := stub.Caller()
 	if caller != m.Authority {
-		return nil, fmt.Errorf("%w: %s on %s (authority is %s)", ErrNotAuthority, caller, m.ID, m.Authority)
+		return fmt.Errorf("%w: %s on %s (authority is %s)", ErrNotAuthority, caller, m.ID, m.Authority)
 	}
 	if !m.hasPeer(aa.Authority) {
-		return nil, fmt.Errorf("%w: new authority %s is not a peer", ErrBadArgs, aa.Authority)
+		return fmt.Errorf("%w: new authority %s is not a peer", ErrBadArgs, aa.Authority)
 	}
 	m.Authority = aa.Authority
 	m.UpdatedAtMicro = stub.BlockTimeMicro()
 	if err := storeMeta(stub, m); err != nil {
-		return nil, err
+		return err
 	}
 	stub.EmitEvent(EvAuthoritySet, mustJSON(EventPayload{ShareID: m.ID, From: caller}))
-	return mustJSON(m), nil
+	return nil
 }
 
-func (c *Contract) remove(stub contract.Stub, args [][]byte) ([]byte, error) {
+func (c *Contract) remove(stub contract.Stub, args [][]byte) error {
 	if len(args) != 1 {
-		return nil, fmt.Errorf("%w: remove wants 1 arg (share id)", ErrBadArgs)
+		return fmt.Errorf("%w: remove wants 1 arg (share id)", ErrBadArgs)
 	}
 	id := string(args[0])
 	m, err := loadMeta(stub, id)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	caller := stub.Caller()
 	if caller != m.Owner {
-		return nil, fmt.Errorf("%w: %s on %s (owner is %s)", ErrNotOwner, caller, m.ID, m.Owner)
+		return fmt.Errorf("%w: %s on %s (owner is %s)", ErrNotOwner, caller, m.ID, m.Owner)
 	}
-	stub.DelState(key(id))
+	stub.DelState(MetaKey(id))
 	stub.EmitEvent(EvRemoved, mustJSON(EventPayload{ShareID: id, From: caller, Seq: m.Seq}))
-	return nil, nil
+	return nil
 }
 
-func (c *Contract) get(stub contract.Stub, args [][]byte) ([]byte, error) {
-	if len(args) != 1 {
-		return nil, fmt.Errorf("%w: get wants 1 arg (share id)", ErrBadArgs)
-	}
-	raw, ok := stub.GetState(key(string(args[0])))
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, string(args[0]))
-	}
-	return raw, nil
-}
-
-func (c *Contract) list(stub contract.Stub) ([]byte, error) {
-	var ids []string
-	stub.Range(keyPrefix, func(k string, _ []byte) bool {
-		ids = append(ids, k[len(keyPrefix):])
-		return true
-	})
-	return mustJSON(ids), nil
-}
-
-// DecodeMeta parses a Meta returned by FnGet or embedded in receipts.
+// DecodeMeta parses a share's stored metadata: the value under its
+// MetaKey, as a state proof carries it.
 func DecodeMeta(raw []byte) (*Meta, error) {
 	var m Meta
 	if err := json.Unmarshal(raw, &m); err != nil {

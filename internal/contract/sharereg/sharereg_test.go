@@ -2,6 +2,7 @@ package sharereg
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -67,11 +68,7 @@ func (h *harness) mustFail(caller *identity.Identity, fn string, arg any, substr
 
 func (h *harness) meta(id string) *Meta {
 	h.t.Helper()
-	raw, _, ok := h.store.Get("share/" + id)
-	if !ok {
-		h.t.Fatalf("share %s missing", id)
-	}
-	m, err := DecodeMeta(raw)
+	m, err := ReadMeta(h.store, id)
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -327,33 +324,31 @@ func TestRemove(t *testing.T) {
 	h.mustOK(doctor, FnRegister, regArgs())
 	h.mustFail(patient, FnRemove, "D13&D31", "not the share owner")
 	h.mustOK(doctor, FnRemove, "D13&D31")
-	if _, _, ok := h.store.Get("share/D13&D31"); ok {
-		t.Fatal("share not removed")
+	if _, err := ReadMeta(h.store, "D13&D31"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("removed share reads %v, want ErrNotFound", err)
 	}
 	h.mustFail(doctor, FnRemove, "D13&D31", "not found")
 }
 
-func TestGetAndList(t *testing.T) {
+func TestReadMeta(t *testing.T) {
 	h := newHarness(t)
 	h.mustOK(doctor, FnRegister, regArgs())
 	a2 := regArgs()
 	a2.ID = "A&B"
 	h.mustOK(doctor, FnRegister, a2)
 
-	rcpt := h.mustOK(doctor, FnGet, "D13&D31")
-	m, err := DecodeMeta(rcpt.Result)
-	if err != nil || m.ID != "D13&D31" {
-		t.Fatalf("get = %v, %v", m, err)
+	for _, id := range []string{"D13&D31", "A&B"} {
+		if m, err := ReadMeta(h.store, id); err != nil || m.ID != id {
+			t.Fatalf("ReadMeta(%s) = %v, %v", id, m, err)
+		}
 	}
-	h.mustFail(doctor, FnGet, "ghost", "not found")
-
-	rcpt = h.invoke(doctor, FnList, "")
-	var ids []string
-	if err := json.Unmarshal(rcpt.Result, &ids); err != nil {
-		t.Fatal(err)
+	if _, err := ReadMeta(h.store, "ghost"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("ReadMeta(ghost) = %v, want ErrNotFound", err)
 	}
-	if len(ids) != 2 {
-		t.Fatalf("list = %v", ids)
+	// The value under MetaKey is the encoding DecodeMeta reads.
+	raw, _, _ := h.store.Get(MetaKey("A&B"))
+	if m, err := DecodeMeta(raw); err != nil || m.ID != "A&B" {
+		t.Fatalf("DecodeMeta = %v, %v", m, err)
 	}
 }
 

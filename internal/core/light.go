@@ -44,7 +44,7 @@ func (p *Peer) LightHeaders(from uint64) []chain.Header {
 // head, anchored to that head's height.
 func (p *Peer) LightHead(shareID string) (light.ShareHead, error) {
 	head, state := p.cfg.Node.Head()
-	value, ver, proof, _, err := state.ProveKey("share/" + shareID)
+	value, ver, proof, _, err := state.ProveKey(sharereg.MetaKey(shareID))
 	if err != nil {
 		return light.ShareHead{}, err
 	}
@@ -106,7 +106,6 @@ func (p *Peer) LightRow(shareID string, key reldb.Row) (light.RowFetch, error) {
 // attempt budget the latest proof is served anyway — the client's own
 // verification decides whether it is acceptable.
 func (p *Peer) proveViewConverged(shareID string, key reldb.Row) (RowProof, error) {
-	stateKey := "share/" + shareID
 	var pr RowProof
 	for attempt := 0; ; attempt++ {
 		applied := p.cfg.Node.BlockApplied()
@@ -115,11 +114,7 @@ func (p *Peer) proveViewConverged(shareID string, key reldb.Row) (RowProof, erro
 		if err != nil {
 			return RowProof{}, err
 		}
-		raw, _, ok := p.cfg.Node.State().Get(stateKey)
-		if !ok {
-			return pr, nil
-		}
-		meta, err := sharereg.DecodeMeta(raw)
+		meta, err := sharereg.ReadMeta(p.cfg.Node.State(), shareID)
 		if err != nil {
 			return pr, nil
 		}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"medshare/internal/contract/sharereg"
 	"medshare/internal/p2p"
 	"medshare/internal/statedb"
 )
@@ -34,7 +35,7 @@ func TestLightHeadVerifiesAtItsHeight(t *testing.T) {
 				switch {
 				case head.Height >= uint64(len(mc)):
 					err = fmt.Errorf("head at height %d beyond the main chain's tip %d", head.Height, len(mc)-1)
-				case !statedb.VerifyKeyProof(mc[head.Height].Header.StateRoot, "share/S", head.Meta, head.Version, head.Proof):
+				case !statedb.VerifyKeyProof(mc[head.Height].Header.StateRoot, sharereg.MetaKey("S"), head.Meta, head.Version, head.Proof):
 					err = fmt.Errorf("head at height %d does not verify against that height's header", head.Height)
 				}
 			}

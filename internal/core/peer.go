@@ -366,13 +366,9 @@ func (p *Peer) ShareInfo(id string) (ShareInfo, error) {
 	}, nil
 }
 
-// Meta fetches the current on-chain metadata for a share.
+// Meta reads a share's current on-chain metadata from the node's state.
 func (p *Peer) Meta(id string) (*sharereg.Meta, error) {
-	raw, err := p.cfg.Node.Query(sharereg.ContractName, sharereg.FnGet, []byte(id))
-	if err != nil {
-		return nil, err
-	}
-	return sharereg.DecodeMeta(raw)
+	return sharereg.ReadMeta(p.cfg.Node.State(), id)
 }
 
 // History returns the locally observed share activity log, its last

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"medshare/internal/bx"
 	"medshare/internal/contract/sharereg"
 	"medshare/internal/reldb"
 	"medshare/internal/store"
@@ -135,41 +134,4 @@ func (p *Peer) restoredShare(id, sourceTable, viewName string, chainMeta *sharer
 		return nil, nil, 0, nil
 	}
 	return v, src, sm.Seq, nil
-}
-
-// bindRestoredShare is the common restart path behind AttachShare and
-// the idempotent RegisterShare rebind: install the restored replica
-// (and source, when persisted) and bind the share at its recovered
-// sequence number. The caller has already verified authorization and
-// the absence of a duplicate binding. The share is bound dirty at the
-// source it is bound over: its replica was derived from a source that
-// may have moved since, by an edit it never showed or through a sibling
-// share bound before it.
-func (p *Peer) bindRestoredShare(id, sourceTable string, lens bx.Lens, viewName string, meta *sharereg.Meta, view, src *reldb.Table, seq uint64) {
-	if src != nil {
-		p.cfg.DB.PutTable(src.Renamed(sourceTable))
-	}
-	p.cfg.DB.PutTable(view.Renamed(viewName))
-	s := &Share{
-		ID:          id,
-		SourceTable: sourceTable,
-		Lens:        lens,
-		ViewName:    viewName,
-		prioSeed:    meta.PrioSeed,
-		st:          shareState{applied: seq},
-	}
-	p.mu.Lock()
-	p.shares[id] = s
-	p.mu.Unlock()
-	// Marked under the source's commit lock, as a write marks; with no
-	// source table there is nothing to re-derive from.
-	_ = p.cfg.DB.ReplaceTable(sourceTable, func(cur *reldb.Table) (*reldb.Table, error) {
-		s.stMu.Lock()
-		s.st.mark(cur)
-		s.stMu.Unlock()
-		return cur, nil
-	})
-	p.wake()
-	p.record(HistoryEntry{ShareID: id, Kind: "restored", Seq: seq, Note: "replica recovered from durable store"})
-	p.logf("restored share %s from durable store at seq %d (%d rows)", id, seq, view.Len())
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -136,6 +138,51 @@ func TestRejectedEditNotReproposed(t *testing.T) {
 	}
 	if got := cell(t, view, 1, "y"); got != "after-the-hold" {
 		t.Fatalf("pa's replica of A shows y = %q on row 1 after the hold was released", got)
+	}
+}
+
+// TestConcurrentRestoredAttachBindsOnce: after a restart, concurrent
+// AttachShare calls of one share over its restored replica bind it
+// exactly once; every other call gets ErrShareBound.
+func TestConcurrentRestoredAttachBindsOnce(t *testing.T) {
+	mem := p2p.NewMemNetwork()
+	fs := store.NewMemFS()
+	h := newSyncHarnessTweak(t, 16, mem.Endpoint("A"), mem.Endpoint("B"), func(name string, cfg *Config) {
+		if name == "B" {
+			withStore(t, cfg, fs)
+		}
+	})
+	image := fs.Clone()
+	const callers = 8
+	errs := make(chan error, callers)
+	h.b = restartPeer(t, h.b, image, syncTestTable(16), func(b *Peer) {
+		var start sync.WaitGroup
+		start.Add(1)
+		for i := 0; i < callers; i++ {
+			go func() {
+				start.Wait()
+				errs <- b.AttachShare("S", "T", syncLens("Sb"), "Sb")
+			}()
+		}
+		start.Done()
+	})
+	bound := 0
+	for i := 0; i < callers; i++ {
+		switch err := <-errs; {
+		case err == nil:
+			bound++
+		case !errors.Is(err, ErrShareBound):
+			t.Fatalf("attach: %v, want nil or ErrShareBound", err)
+		}
+	}
+	restored := 0
+	for _, e := range h.b.History() {
+		if e.ShareID == "S" && e.Kind == "restored" {
+			restored++
+		}
+	}
+	if bound != 1 || restored != 1 {
+		t.Fatalf("%d of %d concurrent attaches bound, %d restored entries; want exactly one", bound, callers, restored)
 	}
 }
 

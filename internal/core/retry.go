@@ -19,7 +19,7 @@ import (
 // have failed repeatedly — a partitioned or crashed counterparty costs
 // one fast error instead of a full retry ladder, until its quarantine
 // expires and a probe is allowed through. The chain path (SubmitTx,
-// WaitTx, Query) is a direct in-process call to the peer's own node and
+// WaitTx, State) is a direct in-process call to the peer's own node and
 // needs none of this.
 
 // ErrPeerDown marks a request short-circuited because the target

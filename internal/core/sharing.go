@@ -93,21 +93,8 @@ func (p *Peer) RegisterShare(ctx context.Context, a RegisterShareArgs) error {
 	if _, err := p.submitAndWait(ctx, tx); err != nil {
 		return fmt.Errorf("core: registering %s: %w", a.ID, err)
 	}
-	p.cfg.DB.PutTable(view.Renamed(a.ViewName))
-	s := &Share{
-		ID:          a.ID,
-		SourceTable: a.SourceTable,
-		Lens:        a.Lens,
-		ViewName:    a.ViewName,
-		prioSeed:    prioSeed,
-	}
-	p.mu.Lock()
-	p.shares[a.ID] = s
-	p.mu.Unlock()
-	p.persistShares(s)
-	p.record(HistoryEntry{ShareID: a.ID, Kind: "register", Note: "registered on-chain"})
-	p.logf("registered share %s (view %s, %d rows)", a.ID, a.ViewName, view.Len())
-	return nil
+	s := &Share{ID: a.ID, SourceTable: a.SourceTable, Lens: a.Lens, ViewName: a.ViewName, prioSeed: prioSeed}
+	return p.bind(s, view, nil, false, HistoryEntry{Kind: "register", Note: "registered on-chain"})
 }
 
 // AttachShare binds an already-registered share on a counterparty peer:
@@ -131,19 +118,14 @@ func (p *Peer) AttachShare(id, sourceTable string, lens bx.Lens, viewName string
 	// re-deriving (the persisted view carries updates already applied on
 	// this binding; a fresh Get(src) does too, but the persisted source
 	// may itself be ahead of what the caller loaded).
+	s := &Share{ID: id, SourceTable: sourceTable, Lens: lens, ViewName: viewName, prioSeed: meta.PrioSeed}
 	rv, rsrc, seq, err := p.restoredShare(id, sourceTable, viewName, meta)
 	if err != nil {
 		return err
 	}
 	if rv != nil {
-		p.mu.Lock()
-		_, dup := p.shares[id]
-		p.mu.Unlock()
-		if dup {
-			return fmt.Errorf("%w: %s", ErrShareBound, id)
-		}
-		p.bindRestoredShare(id, sourceTable, lens, viewName, meta, rv, rsrc, seq)
-		return nil
+		s.st.applied = seq
+		return p.bind(s, rv, rsrc, true, HistoryEntry{Kind: "restored", Note: "replica recovered from durable store"})
 	}
 	src, err := p.snapshotTable(sourceTable)
 	if err != nil {
@@ -155,26 +137,50 @@ func (p *Peer) AttachShare(id, sourceTable string, lens bx.Lens, viewName string
 	}
 	// Store the replica under the share's priority secret so both sides'
 	// row trees — and hence their Merkle roots — agree.
-	view = view.Reseeded(meta.PrioSeed)
-	s := &Share{
-		ID:          id,
-		SourceTable: sourceTable,
-		Lens:        lens,
-		ViewName:    viewName,
-		prioSeed:    meta.PrioSeed,
-		st:          shareState{applied: meta.Seq},
-	}
+	s.st.applied = meta.Seq
+	return p.bind(s, view.Reseeded(meta.PrioSeed), nil, false, HistoryEntry{Kind: "attach"})
+}
+
+// bind makes s a bound share over its replica view, and over its
+// restored source table when src is set. The duplicate check and the
+// insert are one hold of p.mu, so of concurrent binds of one ID exactly
+// one wins and the others get ErrShareBound before they touch a table;
+// s is published with its operation lock held, so no share operation
+// runs on it before its tables are installed. A fresh binding is
+// persisted. A restored one is already in the store, and is bound dirty
+// at the source it is bound over: its replica was derived from a source
+// that may have moved since, by an edit it never showed or through a
+// sibling share bound before it.
+func (p *Peer) bind(s *Share, view, src *reldb.Table, restored bool, e HistoryEntry) error {
+	e.ShareID, e.Seq = s.ID, s.st.applied
+	s.opMu.Lock()
+	defer s.opMu.Unlock()
 	p.mu.Lock()
-	if _, dup := p.shares[id]; dup {
+	if _, dup := p.shares[s.ID]; dup {
 		p.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrShareBound, id)
+		return fmt.Errorf("%w: %s", ErrShareBound, s.ID)
 	}
-	p.shares[id] = s
+	p.shares[s.ID] = s
 	p.mu.Unlock()
-	p.cfg.DB.PutTable(view.Renamed(viewName))
-	p.persistShares(s)
-	p.record(HistoryEntry{ShareID: id, Kind: "attach", Seq: meta.Seq})
-	p.logf("attached share %s (view %s, %d rows)", id, viewName, view.Len())
+	if src != nil {
+		p.cfg.DB.PutTable(src.Renamed(s.SourceTable))
+	}
+	p.cfg.DB.PutTable(view.Renamed(s.ViewName))
+	if restored {
+		// Marked under the source's commit lock, as a write marks; with no
+		// source table there is nothing to re-derive from.
+		_ = p.cfg.DB.ReplaceTable(s.SourceTable, func(cur *reldb.Table) (*reldb.Table, error) {
+			s.stMu.Lock()
+			s.st.mark(cur)
+			s.stMu.Unlock()
+			return cur, nil
+		})
+		p.wake()
+	} else {
+		p.persistShares(s)
+	}
+	p.record(e)
+	p.logf("%s share %s (view %s) at seq %d, %d rows", e.Kind, s.ID, s.ViewName, e.Seq, view.Len())
 	return nil
 }
 

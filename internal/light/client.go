@@ -321,7 +321,7 @@ func (c *Client) refreshHead(ctx context.Context, shareID string, s *shareState,
 				ErrVerification, shareID, sh.Height, c.headers.Height())
 		}
 	}
-	if !statedb.VerifyKeyProof(hdr.StateRoot, "share/"+shareID, sh.Meta, sh.Version, sh.Proof) {
+	if !statedb.VerifyKeyProof(hdr.StateRoot, sharereg.MetaKey(shareID), sh.Meta, sh.Version, sh.Proof) {
 		c.verifyFailures.Add(1)
 		return fmt.Errorf("%w: share %s state proof does not verify against header %d",
 			ErrVerification, shareID, sh.Height)

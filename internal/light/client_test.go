@@ -71,7 +71,7 @@ func (f *fixture) commitVersion(t *testing.T, seq uint64) {
 		t.Fatalf("marshal meta: %v", err)
 	}
 	height := uint64(len(f.headers))
-	f.state.Commit(statedb.WriteSet{"share/" + f.shareID: raw}, statedb.Version{Height: height})
+	f.state.Commit(statedb.WriteSet{sharereg.MetaKey(f.shareID): raw}, statedb.Version{Height: height})
 	prev := f.headers[height-1]
 	f.headers = append(f.headers, chain.Header{
 		Height:    height,
@@ -97,7 +97,7 @@ func (s *fakeSource) Headers(_ context.Context, from uint64) ([]chain.Header, in
 }
 
 func (s *fakeSource) ShareHead(_ context.Context, shareID string) (ShareHead, int, error) {
-	value, ver, proof, root, err := s.f.state.ProveKey("share/" + shareID)
+	value, ver, proof, root, err := s.f.state.ProveKey(sharereg.MetaKey(shareID))
 	if err != nil {
 		return ShareHead{}, 0, err
 	}

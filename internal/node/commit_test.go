@@ -22,10 +22,10 @@ type countingContract struct{ calls *atomic.Int64 }
 
 func (countingContract) Name() string { return "count" }
 
-func (c countingContract) Invoke(stub contract.Stub, fn string, args [][]byte) ([]byte, error) {
+func (c countingContract) Invoke(stub contract.Stub, fn string, args [][]byte) error {
 	c.calls.Add(1)
 	stub.PutState("count/"+string(args[0]), args[1])
-	return nil, nil
+	return nil
 }
 
 // waitFor polls cond until it holds or the deadline passes.

@@ -160,7 +160,7 @@ func (n *Node) replay(state *statedb.Store, blocks []*chain.Block) error {
 }
 
 // publish makes blocks, the main chain's newest, current. The caller
-// holds commitMu. Under n.mu it records their receipts and replay
+// holds commitMu. Under n.mu it records their verdicts and replay
 // protection, then publishes head (the last block with its post-state),
 // then buffers their events on every subscription, and only then wakes
 // waiters and BlockApplied. So a producer that reads head finds its
@@ -177,7 +177,8 @@ func (n *Node) publish(head *headState, blocks []*chain.Block, receipts [][]cont
 			id := tx.IDString()
 			ids = append(ids, id)
 			n.committedTxs[id] = true
-			n.receipts[id] = receipts[i][j]
+			r := receipts[i][j]
+			n.receipts[id] = contract.Receipt{TxID: r.TxID, OK: r.OK, Err: r.Err}
 		}
 	}
 	n.mempool.remove(ids)

@@ -77,8 +77,11 @@ type Node struct {
 	// for (see ReceiveBlock); guarded by commitMu.
 	orphans map[merkle.Hash]*chain.Block
 
-	mu       sync.Mutex
-	mempool  *mempool
+	mu      sync.Mutex
+	mempool *mempool
+	// receipts keeps each committed transaction's verdict: TxID, OK and
+	// Err. publish drops a receipt's events and writes once it has
+	// delivered the one and committed the other.
 	receipts map[string]contract.Receipt
 	// txWaiters get closed/sent when a given tx commits.
 	txWaiters map[string][]chan contract.Receipt
@@ -460,7 +463,7 @@ func (n *Node) BuildTx(contractName, fn string, shareID string, args ...[]byte) 
 }
 
 // WaitTx blocks until the transaction commits (in a main-chain block) and
-// returns its receipt.
+// returns its verdict: a receipt without events or writes.
 func (n *Node) WaitTx(ctx context.Context, txID string) (contract.Receipt, error) {
 	n.mu.Lock()
 	if r, ok := n.receipts[txID]; ok {
@@ -478,17 +481,13 @@ func (n *Node) WaitTx(ctx context.Context, txID string) (contract.Receipt, error
 	}
 }
 
-// Receipt returns the receipt of a committed transaction.
+// Receipt returns the verdict of a committed transaction: a receipt
+// without events or writes.
 func (n *Node) Receipt(txID string) (contract.Receipt, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	r, ok := n.receipts[txID]
 	return r, ok
-}
-
-// Query runs a read-only contract invocation against the current state.
-func (n *Node) Query(contractName, fn string, args ...[]byte) ([]byte, error) {
-	return contract.Query(n.cfg.Registry, n.State(), contractName, fn, n.Address(), args...)
 }
 
 // Subscribe registers an event listener; cancel releases it. Slow

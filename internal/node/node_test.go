@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -22,16 +23,16 @@ type kvContract struct{}
 
 func (kvContract) Name() string { return "kv" }
 
-func (kvContract) Invoke(stub contract.Stub, fn string, args [][]byte) ([]byte, error) {
+func (kvContract) Invoke(stub contract.Stub, fn string, args [][]byte) error {
 	switch fn {
 	case "set":
 		stub.PutState("kv/"+string(args[0]), args[1])
 		stub.EmitEvent("set", args[0])
-		return nil, nil
+		return nil
 	case "fail":
-		return nil, fmt.Errorf("kv: deliberate failure")
+		return fmt.Errorf("kv: deliberate failure")
 	default:
-		return nil, contract.ErrUnknownFunction
+		return contract.ErrUnknownFunction
 	}
 }
 
@@ -111,6 +112,43 @@ func TestFailedTxHasReceiptAndNoState(t *testing.T) {
 	}
 	if rcpt.OK || rcpt.Err == "" {
 		t.Fatalf("receipt = %+v", rcpt)
+	}
+}
+
+// TestRetainedReceiptIsVerdictOnly: once a block commits, WaitTx and
+// Receipt give each transaction's verdict and hold none of its events
+// or writes: publish delivered the one and committed the other.
+func TestRetainedReceiptIsVerdictOnly(t *testing.T) {
+	n := newTestNode(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	n.Start(ctx)
+	defer n.Stop()
+
+	set := n.BuildTx("kv", "set", "a", []byte("k"), []byte("v"))
+	fail := n.BuildTx("kv", "fail", "b")
+	for _, c := range []struct {
+		tx *chain.Tx
+		ok bool
+	}{{set, true}, {fail, false}} {
+		id := c.tx.IDString()
+		if err := n.SubmitTx(c.tx); err != nil {
+			t.Fatal(err)
+		}
+		waited, err := n.WaitTx(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, found := n.Receipt(id)
+		if !found {
+			t.Fatalf("%s: no receipt after commit", c.tx.Fn)
+		}
+		for _, r := range []contract.Receipt{waited, kept} {
+			want := contract.Receipt{TxID: id, OK: c.ok, Err: r.Err}
+			if !reflect.DeepEqual(r, want) || (r.Err == "") != c.ok {
+				t.Fatalf("%s: receipt %+v, want only the verdict ok=%v", c.tx.Fn, r, c.ok)
+			}
+		}
 	}
 }
 
@@ -255,6 +293,8 @@ func TestOneTxPerSharePerBlock(t *testing.T) {
 	}
 }
 
+// TestQueryReflectsState: share metadata a committed registration wrote
+// reads back from the node's state through sharereg.ReadMeta.
 func TestQueryReflectsState(t *testing.T) {
 	n := newTestNode(t)
 	ctx := context.Background()
@@ -273,11 +313,7 @@ func TestQueryReflectsState(t *testing.T) {
 	if err := n.TryProduce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	out, err := n.Query(sharereg.ContractName, sharereg.FnGet, []byte("s1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := sharereg.DecodeMeta(out)
+	m, err := sharereg.ReadMeta(n.State(), "s1")
 	if err != nil || m.ID != "s1" {
 		t.Fatalf("meta = %v, %v", m, err)
 	}
@@ -347,7 +383,11 @@ func TestMultiNodeGossipConvergence(t *testing.T) {
 			}
 		}
 		count := 0
-		nodes[0].State().Range("kv/", func(string, []byte) bool { count++; return true })
+		for i := 0; i < 6; i++ {
+			if _, _, ok := nodes[0].State().Get(fmt.Sprintf("kv/k%d", i)); ok {
+				count++
+			}
+		}
 		if allSame && count == 6 {
 			return
 		}

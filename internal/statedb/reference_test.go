@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"maps"
 	"sort"
-	"strings"
 
 	"medshare/internal/merkle"
 	"medshare/internal/reldb/pmap"
@@ -31,23 +30,13 @@ func (s *refStore) Get(key string) ([]byte, Version, bool) {
 	return append([]byte(nil), e.value...), e.version, true
 }
 
-func (s *refStore) sortedKeys(prefix string) []string {
-	var keys []string
+func (s *refStore) sortedKeys() []string {
+	keys := make([]string, 0, len(s.data))
 	for k := range s.data {
-		if strings.HasPrefix(k, prefix) {
-			keys = append(keys, k)
-		}
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func (s *refStore) Range(prefix string, fn func(key string, value []byte) bool) {
-	for _, k := range s.sortedKeys(prefix) {
-		if !fn(k, append([]byte(nil), s.data[k].value...)) {
-			return
-		}
-	}
 }
 
 func (s *refStore) Len() int { return len(s.data) }
@@ -66,7 +55,7 @@ func (s *refStore) Commit(writes WriteSet, ver Version) {
 
 func (s *refStore) Export() []Entry {
 	var out []Entry
-	for _, k := range s.sortedKeys("") {
+	for _, k := range s.sortedKeys() {
 		e := s.data[k]
 		out = append(out, Entry{Key: k, Value: append([]byte(nil), e.value...), Version: e.version})
 	}
@@ -121,7 +110,7 @@ func (s *refStore) digest(n *refNode) merkle.Hash {
 	return merkle.HashTreeNode(s.digest(n.left), merkle.HashLeaf(s.leaf(n.key)), s.digest(n.right))
 }
 
-func (s *refStore) Root() merkle.Hash { return s.digest(refTreap(s.sortedKeys(""))) }
+func (s *refStore) Root() merkle.Hash { return s.digest(refTreap(s.sortedKeys())) }
 
 // ProveKey walks from the treap's root to key, then lists the key's
 // child digests and, from its parent upward, each ancestor's leaf hash
@@ -131,7 +120,7 @@ func (s *refStore) ProveKey(key string) ([]byte, Version, pmap.Proof, merkle.Has
 	if !ok {
 		return nil, Version{}, pmap.Proof{}, merkle.Hash{}, fmt.Errorf("key %q not found", key)
 	}
-	root := refTreap(s.sortedKeys(""))
+	root := refTreap(s.sortedKeys())
 	var path []*refNode
 	n := root
 	for n.key != key {
@@ -181,31 +170,3 @@ func (sim *refSim) Put(key string, value []byte) {
 }
 
 func (sim *refSim) Del(key string) { sim.writes[key] = nil }
-
-func (sim *refSim) Range(prefix string, fn func(key string, value []byte) bool) {
-	merged := make(map[string][]byte)
-	sim.store.Range(prefix, func(k string, v []byte) bool {
-		merged[k] = v
-		return true
-	})
-	for k, v := range sim.writes {
-		if !strings.HasPrefix(k, prefix) {
-			continue
-		}
-		if v == nil {
-			delete(merged, k)
-		} else {
-			merged[k] = append([]byte(nil), v...)
-		}
-	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !fn(k, merged[k]) {
-			return
-		}
-	}
-}

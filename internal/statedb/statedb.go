@@ -60,14 +60,6 @@ func (s *Store) Get(key string) ([]byte, Version, bool) {
 	return append([]byte(nil), e.value...), e.version, true
 }
 
-// Range calls fn for every key with the given prefix, in sorted key order,
-// until fn returns false.
-func (s *Store) Range(prefix string, fn func(key string, value []byte) bool) {
-	s.snapshot().AscendPrefix(prefix, func(k string, e entry) bool {
-		return fn(k, append([]byte(nil), e.value...))
-	})
-}
-
 // Len returns the number of live keys.
 func (s *Store) Len() int { return s.snapshot().Len() }
 
@@ -90,8 +82,7 @@ func (s *Store) Root() merkle.Hash { return s.snapshot().MerkleRoot(stateLeaf) }
 type WriteSet map[string][]byte
 
 // Sim is a transaction simulation: a private clone of the state that
-// takes the transaction's writes as they are staged, so reads and ranges
-// see them, while the store is untouched until the write set commits.
+// takes the transaction's writes as they are staged, so reads see them, while the store is untouched until the write set commits.
 type Sim struct {
 	state  *Store
 	writes WriteSet
@@ -124,12 +115,6 @@ func (sim *Sim) Put(key string, value []byte) {
 func (sim *Sim) Del(key string) {
 	sim.writes[key] = nil
 	sim.state.data, _ = sim.state.data.Delete(key)
-}
-
-// Range iterates the keys under prefix, the simulation's own writes
-// included, in sorted order.
-func (sim *Sim) Range(prefix string, fn func(key string, value []byte) bool) {
-	sim.state.Range(prefix, fn)
 }
 
 // Writes returns the staged write set.

@@ -51,43 +51,6 @@ func TestGetReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestRangePrefixSorted(t *testing.T) {
-	s := NewStore()
-	s.Commit(WriteSet{
-		"share/b": []byte("2"),
-		"share/a": []byte("1"),
-		"other/x": []byte("9"),
-		"share/c": []byte("3"),
-	}, Version{Height: 1})
-	var keys []string
-	s.Range("share/", func(k string, v []byte) bool {
-		keys = append(keys, k)
-		return true
-	})
-	want := []string{"share/a", "share/b", "share/c"}
-	if len(keys) != 3 {
-		t.Fatalf("keys = %v", keys)
-	}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("keys = %v", keys)
-		}
-	}
-}
-
-func TestRangeEarlyStop(t *testing.T) {
-	s := NewStore()
-	s.Commit(WriteSet{"a": []byte("1"), "b": []byte("2")}, Version{Height: 1})
-	count := 0
-	s.Range("", func(string, []byte) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Fatalf("visited %d", count)
-	}
-}
-
 func TestSimReadYourWrites(t *testing.T) {
 	s := NewStore()
 	s.Commit(WriteSet{"a": []byte("old")}, Version{Height: 1})
@@ -104,22 +67,6 @@ func TestSimReadYourWrites(t *testing.T) {
 	// The store itself is untouched until commit.
 	if got, _, _ := s.Get("a"); string(got) != "old" {
 		t.Fatal("sim leaked into store")
-	}
-}
-
-func TestSimRangeMergesWrites(t *testing.T) {
-	s := NewStore()
-	s.Commit(WriteSet{"p/a": []byte("1"), "p/b": []byte("2")}, Version{Height: 1})
-	sim := s.NewSim()
-	sim.Put("p/c", []byte("3"))
-	sim.Del("p/a")
-	var got []string
-	sim.Range("p/", func(k string, v []byte) bool {
-		got = append(got, k+"="+string(v))
-		return true
-	})
-	if len(got) != 2 || got[0] != "p/b=2" || got[1] != "p/c=3" {
-		t.Fatalf("range = %v", got)
 	}
 }
 

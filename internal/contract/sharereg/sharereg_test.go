@@ -330,7 +330,10 @@ func TestRemove(t *testing.T) {
 	h.mustFail(doctor, FnRemove, "D13&D31", "not found")
 }
 
-func TestReadMeta(t *testing.T) {
+// TestGetAndList: every registered share's metadata reads back from
+// state through ReadMeta, and a share never registered wraps
+// ErrNotFound.
+func TestGetAndList(t *testing.T) {
 	h := newHarness(t)
 	h.mustOK(doctor, FnRegister, regArgs())
 	a2 := regArgs()

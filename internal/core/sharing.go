@@ -114,11 +114,11 @@ func (p *Peer) AttachShare(id, sourceTable string, lens bx.Lens, viewName string
 	if viewName == "" {
 		viewName = id
 	}
+	s := &Share{ID: id, SourceTable: sourceTable, Lens: lens, ViewName: viewName, prioSeed: meta.PrioSeed}
 	// Restart path: a verified replica in the durable store beats
 	// re-deriving (the persisted view carries updates already applied on
 	// this binding; a fresh Get(src) does too, but the persisted source
 	// may itself be ahead of what the caller loaded).
-	s := &Share{ID: id, SourceTable: sourceTable, Lens: lens, ViewName: viewName, prioSeed: meta.PrioSeed}
 	rv, rsrc, seq, err := p.restoredShare(id, sourceTable, viewName, meta)
 	if err != nil {
 		return err
@@ -135,9 +135,9 @@ func (p *Peer) AttachShare(id, sourceTable string, lens bx.Lens, viewName string
 	if err != nil {
 		return fmt.Errorf("core: deriving view for %s: %w", id, err)
 	}
+	s.st.applied = meta.Seq
 	// Store the replica under the share's priority secret so both sides'
 	// row trees — and hence their Merkle roots — agree.
-	s.st.applied = meta.Seq
 	return p.bind(s, view.Reseeded(meta.PrioSeed), nil, false, HistoryEntry{Kind: "attach"})
 }
 

@@ -82,7 +82,8 @@ func (s *Store) Root() merkle.Hash { return s.snapshot().MerkleRoot(stateLeaf) }
 type WriteSet map[string][]byte
 
 // Sim is a transaction simulation: a private clone of the state that
-// takes the transaction's writes as they are staged, so reads see them, while the store is untouched until the write set commits.
+// takes the transaction's writes as they are staged, so reads see them,
+// while the store is untouched until the write set commits.
 type Sim struct {
 	state  *Store
 	writes WriteSet
